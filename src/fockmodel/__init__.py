@@ -25,7 +25,6 @@ from .ideals import (
     ConstrainedSubspace,
     NCPoly,
     PolyIdealSpec,
-    apply_poly_to_tuple,
     constrained_creation,
     constrained_creation_tuple,
     ideal_subspace,

@@ -39,6 +39,7 @@ import dataclasses
 import numpy as np
 
 from .contractions import (
+    _RELATION_TOL,
     as_matrices,
     constraint_residual,
     defects,
@@ -50,6 +51,9 @@ from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tup
 from .linalg import adj, opnorm, psd_sqrt
 
 _SERIES_AGREEMENT_TOL = 1e-10
+# The series route cross-checks against the dense compression route only up
+# to this ambient size (words times matrix size).
+_CROSS_CHECK_DIM_CAP = 1500
 
 
 @dataclasses.dataclass
@@ -169,10 +173,7 @@ def constrained_characteristic_function(
     sub: ConstrainedSubspace,
     *,
     method: str = "compression",
-    cross_check: bool = True,
     defect: DefectData | None = None,
-    relation_tol: float = 1e-8,
-    cross_check_dim_cap: int = 1500,
 ) -> CharFn:
     """Characteristic function compressed to the constrained subspace.
 
@@ -182,18 +183,19 @@ def constrained_characteristic_function(
     operators, which is the only affordable route when the tuple itself acts
     on a space as large as N (e.g. certifying the constrained shift).
 
-    With cross_check=True and a graded, nontrivial relation family, whichever
-    route was not taken is also computed (when its ambient size stays under
-    ``cross_check_dim_cap``) and the two matrices must agree to 1e-10; the
-    agreement is recorded on the result.  The routes share no subspace code
-    beyond the N basis itself, so this guards the whole constraint pipeline.
+    For a graded, nontrivial relation family, whichever route was not taken is
+    also computed (the dense compression route only while its ambient size
+    stays under 1500) and the two matrices must agree to 1e-10; the agreement
+    is recorded on the result.  The routes share no subspace code beyond the
+    N basis itself, so this guards the whole constraint pipeline.  Tuples
+    violating the relations (residual above 1e-8) are refused.
     """
     mats = as_matrices(ts)
     residual = constraint_residual(mats, sub.spec)
-    if residual > relation_tol:
+    if residual > _RELATION_TOL:
         raise ValueError(
             f"tuple violates the polynomial relations: residual {residual:.3e} "
-            f"exceeds {relation_tol:.0e}"
+            f"exceeds {_RELATION_TOL:.0e}"
         )
     if defect is None:
         defect = defects(mats)
@@ -216,11 +218,11 @@ def constrained_characteristic_function(
 
     series_agreement = None
     trivial_family = sub.dim_M == 0  # no relations: both routes are literally the same code path
-    if cross_check and sub.graded and not trivial_family:
+    if sub.graded and not trivial_family:
         other: np.ndarray | None = None
         if method == "compression":
             other = _series_matrix(mats, sub, defect)
-        elif sub.space.dim * mats[0].shape[0] <= cross_check_dim_cap:
+        elif sub.space.dim * mats[0].shape[0] <= _CROSS_CHECK_DIM_CAP:
             full_matrix = _assemble(
                 mats, right_creation_tuple(sub.space), sub.space.d, defect, block_dim=sub.space.dim
             )
@@ -354,22 +356,21 @@ class DeltaClassification:
     rank_deficiency: int
 
 
-def delta_and_classify(theta: CharFn, *, tail_bound: float | None = None) -> DeltaClassification:
+def delta_and_classify(theta: CharFn) -> DeltaClassification:
     """Compute Delta = (I - Theta*Theta)^(1/2) and decide inner / outer.
 
     Inner means Theta is a partial isometry; at truncation the residual
     |(Theta*Theta)^2 - Theta*Theta| of an inner function equals exactly the
-    tail the degree cap forgets, so the threshold adds the recorded
-    tail_bound (pass 0.0 to force the flat cutoff).  Outer means dense range,
-    decided by codomain-rank fullness with an absolute cutoff on squared
-    singular values; the deficiency it counts is dim ker(Theta*), the same
-    number the kernel-side route sees as dim ker(I - K*K).
+    tail the degree cap forgets, so the threshold adds the function's
+    recorded tail_bound.  Outer means dense range, decided by codomain-rank
+    fullness with an absolute cutoff on squared singular values; the
+    deficiency it counts is dim ker(Theta*), the same number the kernel-side
+    route sees as dim ker(I - K*K).
     """
-    tail = theta.tail_bound if tail_bound is None else float(tail_bound)
     gram = adj(theta.matrix) @ theta.matrix
     delta = psd_sqrt(np.eye(gram.shape[0], dtype=complex) - gram)
     residual = opnorm(gram @ gram - gram)
-    inner_threshold = 1e-8 + tail
+    inner_threshold = 1e-8 + theta.tail_bound
     outer_threshold = 1e-8
     svals = np.linalg.svd(theta.matrix, compute_uv=False)
     rows = theta.matrix.shape[0]
@@ -411,7 +412,7 @@ def eval_commutative(ts, z, *, defect: DefectData | None = None) -> np.ndarray:
         raise ValueError(f"point must lie in the open unit ball, |z| = {np.linalg.norm(z):.4f}")
     if n > 1:
         residual = constraint_residual(mats, PolyIdealSpec(n=n, kind="commutative"))
-        if residual > 1e-8:
+        if residual > _RELATION_TOL:
             raise ValueError(
                 f"tuple does not commute (residual {residual:.3e}); "
                 "the scalar evaluation only makes sense for commuting tuples"

@@ -11,35 +11,37 @@ Four subcommands, all reading JSON problem files and writing JSON reports:
   equiv    compare two problems; with --unitary, certify unitary equivalence
            through the coincidence machinery
 
+Each problem gets one run object that builds its pipeline (defects, relation
+subspace, characteristic function, Poisson kernel, ...) on first use and
+keeps it, so no command computes an object twice.  The commands are report
+views over their runs; they share one gate (row contraction, then relations)
+and one way to write the report and pick the exit code.
+
 Exit codes: 0 the command ran and every verdict it certifies came out
 positive; 1 the command ran and reached a definite negative verdict (not a
 row contraction, relations violated, functions don't coincide, equivalence
 checks failed); 2 the inputs could not be processed at all (bad files,
-incompatible problems, internal inconsistencies).
+incompatible problems, internal inconsistencies, any unexpected error).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
 from .charfn import (
-    constrained_characteristic_function,
     coincidence_necessary_mismatch,
+    constrained_characteristic_function,
     delta_and_classify,
     factorization_defect,
     fourier_block,
 )
-from .contractions import (
-    classify,
-    constraint_residual,
-    defects,
-    truncation_tail,
-    validate,
-)
+from .contractions import _RELATION_TOL, TriState, classify, constraint_residual, defects, validate
 from .fock import TruncatedFockSpace
 from .ideals import PolyIdealSpec, ideal_subspace
 from .linalg import opnorm
@@ -50,16 +52,18 @@ from .model import (
     model_unitary,
     verify_coincidence_implies_equivalence,
 )
-from .poisson import constrained_poisson_kernel, verify_intertwining
-from .problem_io import (
-    Problem,
-    ProblemFormatError,
-    load_problem,
-    load_unitary,
-    save_report,
-)
+from .poisson import constrained_poisson_kernel, poisson_kernel, verify_intertwining
+from .problem_io import Problem, ProblemFormatError, load_problem, load_unitary, save_report
 
-_RELATION_TOL = 1e-8
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--problem", required=True, help="problem JSON file")
         p.add_argument("--out", required=True, help="report JSON file to write")
         p.add_argument("--degree", type=int, default=None, help="override the truncation degree")
-        p.add_argument("--tol", type=float, default=1e-9, help="classification tolerance")
+        p.add_argument(
+            "--tol", type=_tolerance, default=1e-9, help="classification tolerance, in (0, 1)"
+        )
 
     p_analyze = sub.add_parser("analyze", help="validate, classify, and measure one tuple")
     common(p_analyze)
@@ -100,38 +106,69 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
-        print(f"fockmodel: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 is a verdict, so every failure to finish is exit 2
+        detail = " ".join(str(exc).split())
+        line = f"{type(exc).__name__}: {detail}" if detail else type(exc).__name__
+        print(f"fockmodel: {line}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"fockmodel: {exc}", file=sys.stderr)
-        return 2
 
 
-def _base_report(command: str, problem: Problem, degree: int, args) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "problem": problem.path,
-        "n": problem.n,
-        "m": problem.m,
-        "degree": degree,
-        "tol": args.tol,
-        "ideal_kind": problem.ideal.kind,
-    }
+class _Run:
+    """The pipeline of one problem at one degree; each object is built on first use."""
+
+    def __init__(self, problem: Problem, args):
+        self.problem = problem
+        self.mats = problem.mats
+        self.degree = problem.degree if args.degree is None else args.degree
+        self.tol = args.tol
+
+    @cached_property
+    def space(self) -> TruncatedFockSpace:
+        return TruncatedFockSpace(self.problem.n, self.degree)
+
+    @cached_property
+    def validation(self):
+        return validate(self.mats)
+
+    @cached_property
+    def relation_residual(self) -> float:
+        return constraint_residual(self.mats, self.problem.ideal)
+
+    @cached_property
+    def classification(self):
+        return classify(self.mats, tol=self.tol)
+
+    @cached_property
+    def defects(self):
+        return defects(self.mats)
+
+    @cached_property
+    def sub(self):
+        return ideal_subspace(self.problem.ideal, self.space)
+
+    @cached_property
+    def theta(self):
+        return constrained_characteristic_function(self.mats, self.sub, defect=self.defects)
+
+    @cached_property
+    def kernel(self):
+        return constrained_poisson_kernel(self.mats, self.sub, defect=self.defects)
 
 
-def _degree(args, problem: Problem) -> int:
-    return args.degree if args.degree is not None else problem.degree
+def _open(args) -> tuple[_Run, dict, list]:
+    """Run, base report and empty check list of a single-problem command."""
+    run = _Run(load_problem(args.problem), args)
+    return run, _base_report(args.command, run), []
+
+
+def _base_report(command: str, run: _Run) -> dict:
+    p = run.problem
+    return {"command": command, "version": __version__, "problem": p.path, "n": p.n, "m": p.m,
+            "degree": run.degree, "tol": run.tol, "ideal_kind": p.ideal.kind}
 
 
 def _classification_dict(cls) -> dict:
-    return {
-        "pure": cls.pure,
-        "cnc": cls.cnc,
-        "rho": cls.rho,
-        "iterations": cls.iterations,
-    }
+    return {"pure": cls.pure, "cnc": cls.cnc, "rho": cls.rho, "iterations": cls.iterations}
 
 
 def _gamma_residual(gamma) -> float:
@@ -148,136 +185,88 @@ def _gamma_residual(gamma) -> float:
 def _check(checks: list, name: str, residual, tolerance: float) -> None:
     """Record one verified identity; every pass/fail cites the tolerance used."""
     value = float(residual)
-    checks.append(
-        {
-            "name": name,
-            "residual": value,
-            "tolerance": float(tolerance),
-            "pass": bool(value <= tolerance),
-        }
-    )
+    checks.append({"name": name, "residual": value, "tolerance": float(tolerance),
+                   "pass": bool(value <= tolerance)})
 
 
-def _finish(report: dict, checks: list, out: str) -> int:
+def _gate(run: _Run, report: dict, checks: list, which: str = "") -> str | None:
+    """Check the row contraction, then the relations; return the negative verdict, if any.
+
+    ``which`` ("a" or "b") names the problem of an ``equiv`` command; it
+    suffixes the report keys and check names and prefixes the verdict.
+    """
+    key, name, prefix = (f"_{which}", f"-{which}", f"problem-{which}-") if which else ("", "", "")
+    v = run.validation
+    validation = {"row_norm": v.row_norm, "is_row_contraction": v.is_row_contraction}
+    if not which:
+        validation["messages"] = v.messages
+    report["validation" + key] = validation
+    _check(checks, "row-contraction" + name, max(0.0, v.row_norm**2 - 1.0), 1e-10)
+    if not v.is_row_contraction:
+        return prefix + "not-a-row-contraction"
+    report["constraint_residual" + key] = run.relation_residual
+    _check(checks, "relations" + name, run.relation_residual, 1e-10)
+    if run.relation_residual > _RELATION_TOL:
+        return prefix + "relations-violated"
+    return None
+
+
+def _finish(report: dict, checks: list, out: str, verdict: str | None = None) -> int:
+    """Write the report; exit 0 only without a negative verdict and with every check passed."""
+    if verdict is not None:
+        report["verdict"] = verdict
     report["checks"] = checks
     save_report(out, report)
-    return 0 if all(c["pass"] for c in checks) else 1
+    return 0 if verdict is None and all(c["pass"] for c in checks) else 1
 
 
 def _cmd_analyze(args) -> int:
-    problem = load_problem(args.problem)
-    degree = _degree(args, problem)
-    space = TruncatedFockSpace(problem.n, degree)
-    report = _base_report("analyze", problem, degree, args)
-    checks: list[dict] = []
+    run, report, checks = _open(args)
+    verdict = _gate(run, report, checks)
+    if verdict == "not-a-row-contraction":
+        return _finish(report, checks, args.out, verdict)
 
-    v = validate(problem.mats)
-    report["validation"] = {
-        "row_norm": v.row_norm,
-        "is_row_contraction": v.is_row_contraction,
-        "messages": v.messages,
-    }
-    _check(checks, "row-contraction", max(0.0, v.row_norm**2 - 1.0), 1e-10)
-    if not v.is_row_contraction:
-        report["verdict"] = "not-a-row-contraction"
-        return _finish(report, checks, args.out)
-
-    cls = classify(problem.mats, tol=args.tol)
-    dft = defects(problem.mats)
-    sub = ideal_subspace(problem.ideal, space)
-    residual = constraint_residual(problem.mats, problem.ideal)
-    report["classification"] = _classification_dict(cls)
-    report["defects"] = {
-        "d_T": dft.d_T,
-        "d_star": dft.d_star,
-        "eigenvalues": dft.eigvals,
-        "eigenvalues_star": dft.eigvals_star,
-    }
-    report["subspace"] = {
-        "dim_N": sub.dim_N,
-        "dim_M": sub.dim_M,
-        "graded": sub.graded,
-        "vacuum_in_N": sub.vacuum_in_N,
-    }
-    report["constraint_residual"] = residual
-    report["tail_bound"] = truncation_tail(problem.mats, degree)
-
-    if residual <= _RELATION_TOL:
-        kernel = constrained_poisson_kernel(problem.mats, sub)
-        report["kernel"] = {
-            "constrained": True,
-            "rows": kernel.matrix.shape[0],
-            "subspace_leak": kernel.subspace_leak,
-        }
-    else:
-        from .poisson import poisson_kernel
-
-        kernel = poisson_kernel(problem.mats, space)
+    dft, sub = run.defects, run.sub
+    report["classification"] = _classification_dict(run.classification)
+    report["defects"] = {"d_T": dft.d_T, "d_star": dft.d_star,
+                         "eigenvalues": dft.eigvals, "eigenvalues_star": dft.eigvals_star}
+    report["subspace"] = {"dim_N": sub.dim_N, "dim_M": sub.dim_M,
+                          "graded": sub.graded, "vacuum_in_N": sub.vacuum_in_N}
+    if verdict is None:
+        kernel = run.kernel
+        report["kernel"] = {"constrained": True, "subspace_leak": kernel.subspace_leak}
+    else:  # a relation-violating tuple still gets its kernel, only not the constrained one
+        kernel = poisson_kernel(run.mats, run.space, defect=dft)
         report["kernel"] = {
             "constrained": False,
-            "rows": kernel.matrix.shape[0],
             "note": "tuple violates the relations; kernel computed without the constraint",
         }
+    report["kernel"]["rows"] = kernel.matrix.shape[0]
+    report["tail_bound"] = kernel.tail_bound
     report["residuals"] = {
         "K*K": kernel.gram_residual(),
         "eq-ker": max(verify_intertwining(kernel).values()),
     }
-    _check(checks, "relations", residual, 1e-10)
-    _check(checks, "K*K", report["residuals"]["K*K"], report["tail_bound"] + 1e-10)
+    _check(checks, "K*K", report["residuals"]["K*K"], kernel.tail_bound + 1e-10)
     _check(checks, "eq-ker", report["residuals"]["eq-ker"], 1e-10)
     return _finish(report, checks, args.out)
 
 
-def _check_contraction_and_relations(
-    problem: Problem, report: dict, checks: list, out: str
-) -> int | None:
-    """Shared negative-verdict handling; returns an exit code or None to proceed."""
-    v = validate(problem.mats)
-    report["validation"] = {
-        "row_norm": v.row_norm,
-        "is_row_contraction": v.is_row_contraction,
-        "messages": v.messages,
-    }
-    _check(checks, "row-contraction", max(0.0, v.row_norm**2 - 1.0), 1e-10)
-    if not v.is_row_contraction:
-        report["verdict"] = "not-a-row-contraction"
-        return _finish(report, checks, out)
-    residual = constraint_residual(problem.mats, problem.ideal)
-    report["constraint_residual"] = residual
-    _check(checks, "relations", residual, 1e-10)
-    if residual > _RELATION_TOL:
-        report["verdict"] = "relations-violated"
-        return _finish(report, checks, out)
-    return None
-
-
 def _cmd_charfn(args) -> int:
-    problem = load_problem(args.problem)
-    degree = _degree(args, problem)
-    space = TruncatedFockSpace(problem.n, degree)
-    report = _base_report("charfn", problem, degree, args)
-    checks: list[dict] = []
-    stop = _check_contraction_and_relations(problem, report, checks, args.out)
-    if stop is not None:
-        return stop
+    run, report, checks = _open(args)
+    verdict = _gate(run, report, checks)
+    if verdict is not None:
+        return _finish(report, checks, args.out, verdict)
 
-    cls = classify(problem.mats, tol=args.tol)
-    report["classification"] = _classification_dict(cls)
-    sub = ideal_subspace(problem.ideal, space)
-    theta = constrained_characteristic_function(problem.mats, sub)
-    kernel = constrained_poisson_kernel(problem.mats, sub)
+    cls, sub, theta, kernel = run.classification, run.sub, run.theta, run.kernel
     dc = delta_and_classify(theta)
-
-    per_degree = {}
-    for k in range(degree + 1):
-        worst = 0.0
-        for w in space.words:
-            if len(w) == k:
-                worst = max(worst, opnorm(fourier_block(theta, w)))
-        per_degree[str(k)] = worst
-
+    per_degree = {str(k): 0.0 for k in range(run.degree + 1)}
+    for w in run.space.words:
+        key = str(len(w))
+        per_degree[key] = max(per_degree[key], opnorm(fourier_block(theta, w)))
     report.update(
         {
+            "classification": _classification_dict(cls),
             "dims": {
                 "d_T": theta.d_T,
                 "d_star": theta.d_star,
@@ -301,8 +290,6 @@ def _cmd_charfn(args) -> int:
             },
         }
     )
-    from .contractions import TriState
-
     tail = theta.tail_bound
     # The factorization is exact at truncation only for certified-pure tuples
     # under a graded (or empty) relation family; otherwise it drifts with the
@@ -318,31 +305,19 @@ def _cmd_charfn(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    problem = load_problem(args.problem)
-    degree = _degree(args, problem)
-    space = TruncatedFockSpace(problem.n, degree)
-    report = _base_report("model", problem, degree, args)
-    checks: list[dict] = []
-    stop = _check_contraction_and_relations(problem, report, checks, args.out)
-    if stop is not None:
-        return stop
+    run, report, checks = _open(args)
+    verdict = _gate(run, report, checks)
+    if verdict is not None:
+        return _finish(report, checks, args.out, verdict)
 
-    cls = classify(problem.mats, tol=args.tol)
+    cls = run.classification
     report["classification"] = _classification_dict(cls)
-    from .contractions import TriState
-
     if cls.cnc is TriState.NO:
-        report["verdict"] = "not-completely-noncoisometric"
-        report["checks"] = checks
-        save_report(args.out, report)
-        return 1
+        return _finish(report, checks, args.out, "not-completely-noncoisometric")
 
-    sub = ideal_subspace(problem.ideal, space)
-    theta = constrained_characteristic_function(problem.mats, sub)
-    kernel = constrained_poisson_kernel(problem.mats, sub)
-    model = build_model(theta, classification=cls)
+    model = build_model(run.theta, classification=cls)
     ops = model_operators(model, classification=cls)
-    gamma = model_unitary(model, kernel, ops)
+    gamma = model_unitary(model, run.kernel, ops)
 
     report.update(
         {
@@ -402,33 +377,17 @@ def _cmd_equiv(args) -> int:
         )
     if not _ideals_match(problem.ideal, problem_b.ideal):
         raise ProblemFormatError("problems impose different relation families")
-    degree = _degree(args, problem)
-    space = TruncatedFockSpace(problem.n, degree)
-    report = _base_report("equiv", problem, degree, args)
+    a, b = _Run(problem, args), _Run(problem_b, args)  # same degree: checked above
+    report = _base_report("equiv", a)
     report["problem_b"] = problem_b.path
-
     checks: list[dict] = []
-    for which, prob in (("a", problem), ("b", problem_b)):
-        v = validate(prob.mats)
-        report[f"validation_{which}"] = {
-            "row_norm": v.row_norm,
-            "is_row_contraction": v.is_row_contraction,
-        }
-        _check(checks, f"row-contraction-{which}", max(0.0, v.row_norm**2 - 1.0), 1e-10)
-        if not v.is_row_contraction:
-            report["verdict"] = f"problem-{which}-not-a-row-contraction"
-            return _finish(report, checks, args.out)
-        residual = constraint_residual(prob.mats, problem.ideal)
-        report[f"constraint_residual_{which}"] = residual
-        _check(checks, f"relations-{which}", residual, 1e-10)
-        if residual > _RELATION_TOL:
-            report["verdict"] = f"problem-{which}-relations-violated"
-            return _finish(report, checks, args.out)
+    for run, which in ((a, "a"), (b, "b")):
+        verdict = _gate(run, report, checks, which)
+        if verdict is not None:
+            return _finish(report, checks, args.out, verdict)
 
-    sub = ideal_subspace(problem.ideal, space)
-    theta = constrained_characteristic_function(problem.mats, sub)
-    theta_b = constrained_characteristic_function(problem_b.mats, sub)
-    mismatch = coincidence_necessary_mismatch(theta, theta_b)
+    b.sub = a.sub  # the relation families match, so both runs share one subspace
+    mismatch = coincidence_necessary_mismatch(a.theta, b.theta)
     report["necessary_mismatch"] = mismatch
 
     if args.unitary is None:
@@ -450,30 +409,23 @@ def _cmd_equiv(args) -> int:
         )
     u = load_unitary(args.unitary, problem.m)
     try:
-        witness = coincidence_from_unitary(
-            problem.mats, problem_b.mats, u, sub, theta=theta, theta_p=theta_b
-        )
+        witness = coincidence_from_unitary(a.mats, b.mats, u, a.sub, theta=a.theta, theta_p=b.theta)
     except ValueError as exc:
-        report["verdict"] = "unitary-does-not-conjugate"
         report["detail"] = str(exc)
-        report["checks"] = checks
-        save_report(args.out, report)
-        return 1
+        return _finish(report, checks, args.out, "unitary-does-not-conjugate")
 
-    cls = classify(problem.mats, tol=args.tol)
-    cls_b = classify(problem_b.mats, tol=args.tol)
     eq = verify_coincidence_implies_equivalence(
-        problem.mats,
-        problem_b.mats,
+        a.mats,
+        b.mats,
         witness,
-        sub,
-        classification=cls,
-        classification_p=cls_b,
+        a.sub,
+        classification=a.classification,
+        classification_p=b.classification,
     )
     report.update(
         {
-            "classification_a": _classification_dict(cls),
-            "classification_b": _classification_dict(cls_b),
+            "classification_a": _classification_dict(a.classification),
+            "classification_b": _classification_dict(b.classification),
             "coincidence_residual": eq.coincidence_residual,
             "conjugation_residual": witness.conjugation_residual,
             "max_principal_angle": eq.max_principal_angle,

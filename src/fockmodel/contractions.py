@@ -167,14 +167,14 @@ class DefectData:
         return self.basis_star.shape[1]
 
 
-def defects(ts: Sequence[np.ndarray], *, rank_tol: float = 1e-10) -> DefectData:
+def defects(ts: Sequence[np.ndarray]) -> DefectData:
     mats = as_matrices(ts)
     m = mats[0].shape[0]
     row = row_matrix(mats)
     g = hermitize(np.eye(m, dtype=complex) - row @ adj(row))          # I - sum T_i T_i*
     g_star = hermitize(np.eye(row.shape[1], dtype=complex) - adj(row) @ row)  # I - R*R
-    basis, eigvals = range_basis_psd(g, rank_tol=rank_tol)
-    basis_star, eigvals_star = range_basis_psd(g_star, rank_tol=rank_tol)
+    basis, eigvals = range_basis_psd(g)
+    basis_star, eigvals_star = range_basis_psd(g_star)
     return DefectData(
         delta=psd_sqrt(g),
         delta_star=psd_sqrt(g_star),
@@ -250,6 +250,10 @@ def classify(ts: Sequence[np.ndarray], *, k_max: int = 500, tol: float = 1e-9) -
 def truncation_tail(ts: Sequence[np.ndarray], d: int) -> float:
     """|Phi^(d+1)(I)|: the exact size of what a degree-d truncation forgets."""
     return opnorm(phi_power(ts, d + 1))
+
+
+# A tuple whose constraint_residual exceeds this does not satisfy its relations.
+_RELATION_TOL = 1e-8
 
 
 def constraint_residual(ts: Sequence[np.ndarray], spec: PolyIdealSpec) -> float:

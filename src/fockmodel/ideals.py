@@ -36,6 +36,7 @@ from .fock import TruncatedFockSpace, Word, left_creation_tuple, right_creation,
 from .linalg import adj, canonical_phase
 
 _CROSSCHECK_TOL = 1e-12
+_RANK_TOL = 1e-10  # relative singular-value cutoff for the rank of the relation span
 
 
 class NCPoly:
@@ -113,10 +114,6 @@ class NCPoly:
             mono = "*".join(f"x{a}" for a in w) if w else "1"
             bits.append(f"({c:g})*{mono}")
         return "NCPoly(" + " + ".join(bits) + ")"
-
-
-def apply_poly_to_tuple(poly: NCPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
-    return poly.apply_to(mats)
 
 
 @dataclasses.dataclass
@@ -232,13 +229,7 @@ class ConstrainedSubspace:
         return int(np.searchsorted(self.N_degrees, k, side="right"))
 
 
-def ideal_subspace(
-    spec: PolyIdealSpec,
-    space: TruncatedFockSpace,
-    *,
-    rank_tol: float = 1e-10,
-    crosscheck: bool = True,
-) -> ConstrainedSubspace:
+def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> ConstrainedSubspace:
     """Compute the relation span M and constrained subspace N at truncation.
 
     Graded relation families are processed one degree block at a time (an SVD
@@ -283,7 +274,7 @@ def ideal_subspace(
                         top_degrees.append(ka + t + kb)
                         meta.append((alpha, p, beta))
 
-    if crosscheck and vectors:
+    if vectors:
         _crosscheck_spanning(space, vectors, meta)
 
     graded = spec.is_graded
@@ -303,7 +294,7 @@ def ideal_subspace(
             else:
                 a = np.column_stack([v[block] for v in vecs])
                 u, s, _ = np.linalg.svd(a, full_matrices=True)
-                rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+                rank = int(np.count_nonzero(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
             for j in range(rank):
                 col = np.zeros(dim, dtype=complex)
                 col[block] = u[:, j]
@@ -328,7 +319,7 @@ def ideal_subspace(
 
     a = np.column_stack(vectors)
     u, s, _ = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.count_nonzero(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     M = u[:, :rank]
     N = u[:, rank:]
 

@@ -106,27 +106,6 @@ def range_basis_psd(
     return canonical_phase(v[:, keep]), np.clip(w[keep], 0.0, None)
 
 
-def orthonormal_range(a: np.ndarray, *, rank_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column space of ``a`` (relative SVD cutoff)."""
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(np.asarray(a, dtype=complex), full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
-    return canonical_phase(u[:, :r])
-
-
-def orthonormal_complement(a: np.ndarray, dim: int, *, rank_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(columns of a) in C^dim."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0 or a.shape[1] == 0:
-        return canonical_phase(np.eye(dim, dtype=complex))
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
-    r = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    return canonical_phase(u[:, r:])
-
-
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Principal angles (radians) between the column spans of a and b."""
     return scipy.linalg.subspace_angles(np.asarray(a, complex), np.asarray(b, complex))

@@ -43,7 +43,7 @@ import dataclasses
 import numpy as np
 
 from .charfn import CharFn, constrained_characteristic_function
-from .contractions import Classification, TriState, as_matrices, defects
+from .contractions import Classification, TriState, as_matrices
 from .fock import left_creation
 from .ideals import ConstrainedSubspace, constrained_creation
 from .linalg import (
@@ -332,7 +332,8 @@ def coincidence_from_unitary(
         | (I (x) tau) Theta - Theta' (I (x) tau_star) |,
 
     which vanishes at truncation up to rounding whenever the input contract
-    holds.
+    holds.  The defect bases are the ones the two functions carry, so a
+    supplied ``theta`` / ``theta_p`` must belong to ``ts`` / ``ts_p``.
     """
     mats = as_matrices(ts)
     mats_p = as_matrices(ts_p)
@@ -354,8 +355,7 @@ def coincidence_from_unitary(
         theta = constrained_characteristic_function(mats, sub)
     if theta_p is None:
         theta_p = constrained_characteristic_function(mats_p, sub)
-    dft = defects(mats)
-    dft_p = defects(mats_p)
+    dft, dft_p = theta.defect, theta_p.defect
     n = len(mats)
     tau = adj(dft_p.basis) @ u @ dft.basis
     tau_star = adj(dft_p.basis_star) @ np.kron(np.eye(n, dtype=complex), u) @ dft.basis_star
@@ -437,8 +437,8 @@ def verify_coincidence_implies_equivalence(
     model_p = build_model(theta_p, classification=classification_p)
     ops = model_operators(model, classification=classification)
     ops_p = model_operators(model_p, classification=classification_p)
-    kernel = constrained_poisson_kernel(mats, sub)
-    kernel_p = constrained_poisson_kernel(mats_p, sub)
+    kernel = constrained_poisson_kernel(mats, sub, defect=theta.defect)
+    kernel_p = constrained_poisson_kernel(mats_p, sub, defect=theta_p.defect)
     gamma = model_unitary(model, kernel, ops)
     gamma_p = model_unitary(model_p, kernel_p, ops_p)
 

@@ -32,6 +32,7 @@ import dataclasses
 import numpy as np
 
 from .contractions import (
+    _RELATION_TOL,
     as_matrices,
     constraint_residual,
     defects,
@@ -113,24 +114,24 @@ def constrained_poisson_kernel(
     ts,
     sub: ConstrainedSubspace,
     *,
-    r: float = 1.0,
-    relation_tol: float = 1e-8,
+    defect: DefectData | None = None,
 ) -> KernelMatrix:
-    """Poisson kernel compressed to the constrained rows N (x) defect.
+    """Poisson kernel (radius 1) compressed to the constrained rows N (x) defect.
 
     Refuses tuples that do not satisfy the relations (residual above
-    ``relation_tol``): the compression is only meaningful -- and only lossless
-    -- for tuples in the constrained class.  The norm of the discarded
-    M-component is returned on the result as ``subspace_leak``.
+    1e-8): the compression is only meaningful -- and only lossless -- for
+    tuples in the constrained class.  The norm of the discarded M-component is
+    returned on the result as ``subspace_leak``.  ``defect`` reuses the
+    tuple's defect data when the caller already has it.
     """
     mats = as_matrices(ts)
     residual = constraint_residual(mats, sub.spec)
-    if residual > relation_tol:
+    if residual > _RELATION_TOL:
         raise ValueError(
             f"tuple violates the polynomial relations: residual {residual:.3e} "
-            f"exceeds {relation_tol:.0e}"
+            f"exceeds {_RELATION_TOL:.0e}"
         )
-    full = poisson_kernel(mats, sub.space, r=r)
+    full = poisson_kernel(mats, sub.space, defect=defect)
     d_T = full.d_T
     resh = full.matrix.reshape(sub.space.dim, d_T, mats[0].shape[0])
     compressed = np.tensordot(adj(sub.N_basis), resh, axes=(1, 0))
@@ -144,7 +145,7 @@ def constrained_poisson_kernel(
     return KernelMatrix(
         matrix=compressed.reshape(sub.dim_N * d_T, mats[0].shape[0]),
         mats=mats,
-        r=r,
+        r=full.r,
         space=sub.space,
         defect=full.defect,
         tail_bound=full.tail_bound,

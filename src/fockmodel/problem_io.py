@@ -18,7 +18,8 @@ A *problem file* is JSON describing one tuple and one relation family:
 
 Custom polynomials map dot-separated words ("1.2" means x1*x2, "" the
 constant term) to coefficients.  A *unitary file* is either a bare matrix or
-{"matrix": ...} in the same entry encoding.
+{"matrix": ...} in the same entry encoding.  Every number must be finite
+(no NaN or Infinity), and JSON booleans are not accepted as numbers.
 
 Reports are plain JSON written with sorted keys; complex numbers serialize as
 [re, im] and arrays as nested lists, so repeated runs produce byte-identical
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -52,16 +54,26 @@ class Problem:
     path: str | None = None
 
 
+def _finite_number(value: Any) -> bool:
+    """A JSON number that is finite as a float; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _complex_entry(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _finite_number(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
+        and all(_finite_number(x) for x in value)
     ):
         return complex(value[0], value[1])
-    raise ProblemFormatError(f"{where}: expected a number or [re, im], got {value!r}")
+    raise ProblemFormatError(f"{where}: expected a finite number or [re, im], got {value!r}")
 
 
 def _matrix(value: Any, m: int, where: str) -> np.ndarray:
@@ -154,7 +166,7 @@ def load_problem(path: str | Path) -> Problem:
             raise ProblemFormatError(f"{field}: missing")
     n, m, degree = data["n"], data["m"], data["degree"]
     for name, v, lo in (("n", n, 1), ("m", m, 1), ("degree", degree, 0)):
-        if not isinstance(v, int) or v < lo:
+        if isinstance(v, bool) or not isinstance(v, int) or v < lo:
             raise ProblemFormatError(f"{name}: expected an integer >= {lo}, got {v!r}")
     raw_tuple = data["tuple"]
     if not isinstance(raw_tuple, list) or len(raw_tuple) != n:

@@ -15,7 +15,6 @@ from fockmodel import (
     NCPoly,
     PolyIdealSpec,
     TruncatedFockSpace,
-    apply_poly_to_tuple,
     constrained_creation,
     constrained_creation_tuple,
     ideal_subspace,
@@ -68,7 +67,6 @@ def test_apply_to_evaluates_with_identity_for_empty_word():
     got = p.apply_to([a])
     want = 2 * np.eye(3) + a - a @ a
     assert opnorm(got - want) < 1e-12
-    assert opnorm(apply_poly_to_tuple(p, [a]) - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------

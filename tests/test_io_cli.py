@@ -93,6 +93,24 @@ def test_load_unitary_layouts(tmp_path):
         (lambda d: d["ideal"].update(kind="weird"), "ideal.kind"),
         (lambda d: d["ideal"].update(kind="q_commutative"), "ideal.q"),
         (lambda d: d["ideal"].update(kind="custom"), "ideal.polys"),
+        # booleans are not numbers, and every number must be finite
+        (lambda d: d.update(n=True), "n"),
+        (lambda d: d.update(m=True), "m"),
+        (lambda d: d.update(degree=True), "degree"),
+        (lambda d: d["tuple"][0][0].__setitem__(0, True), "tuple[0][0]"),
+        (lambda d: d["tuple"][0][0].__setitem__(0, float("nan")), "tuple[0][0]"),
+        (lambda d: d["tuple"][1][0].__setitem__(0, [0.5, float("inf")]), "tuple[1][0]"),
+        (lambda d: d["tuple"][0][0].__setitem__(0, 10**400), "tuple[0][0]"),
+        (lambda d: d["ideal"].update(kind="q_commutative", q=[float("nan"), 0]), "ideal.q"),
+        (lambda d: d["ideal"].update(kind="q_commutative", q=True), "ideal.q"),
+        (
+            lambda d: d["ideal"].update(kind="custom", polys=[{"1.2": float("inf"), "2.1": -1}]),
+            "ideal.polys[0]",
+        ),
+        (
+            lambda d: d["ideal"].update(kind="custom", polys=[{"1.2": 1, "2.1": False}]),
+            "ideal.polys[0]",
+        ),
     ],
 )
 def test_malformed_problems_are_named(tmp_path, mutate, needle):
@@ -353,6 +371,68 @@ def test_cli_equiv_refuses_mismatched_families(tmp_path, equiv_files):
     )
     out = tmp_path / "r.json"
     assert run_cli(["equiv", "--problem", pa, "--problem-b", pb, "--out", str(out)]) == 2
+
+
+# Commuting, non-commuting and expansive 2 x 2 pairs for the gate shared by every command.
+COMMUTING = [np.diag([0.3, 0.1]), np.diag([0.2, 0.4])]
+VIOLATING = [np.array([[0.0, 0.5], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.5, 0.0]])]
+EXPANSIVE = [0.8 * np.eye(2), 0.8 * np.eye(2)]
+
+
+@pytest.mark.parametrize(
+    "command,mats_a,mats_b,verdict,failing",
+    [
+        ("equiv", EXPANSIVE, COMMUTING, "problem-a-not-a-row-contraction", "row-contraction-a"),
+        ("equiv", COMMUTING, VIOLATING, "problem-b-relations-violated", "relations-b"),
+        ("model", VIOLATING, None, "relations-violated", "relations"),
+        ("analyze", VIOLATING, None, None, "relations"),
+    ],
+    ids=["equiv-a-expansive", "equiv-b-violates", "model-violates", "analyze-violates"],
+)
+def test_cli_gate_verdicts(tmp_path, command, mats_a, mats_b, verdict, failing):
+    def problem(name, mats):
+        return write_problem(
+            tmp_path / name, n=2, m=2, degree=4, mats=mats, ideal={"kind": "commutative"}
+        )
+
+    out = tmp_path / "r.json"
+    argv = [command, "--problem", problem("a.json", mats_a), "--out", str(out)]
+    if mats_b is not None:
+        argv += ["--problem-b", problem("b.json", mats_b)]
+    assert run_cli(argv) == 1
+    rep = read(out)
+    assert rep.get("verdict") == verdict
+    assert [name for name, c in checks_by_name(rep).items() if not c["pass"]] == [failing]
+    if command == "analyze":  # no verdict: the unconstrained kernel is still measured
+        assert rep["kernel"]["constrained"] is False
+        assert "violates the relations" in rep["kernel"]["note"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0", "1", "tiny"])
+def test_cli_rejects_tolerances_outside_the_unit_interval(tmp_path, tol):
+    prob = write_problem(
+        tmp_path / "p.json", n=1, m=1, degree=4, mats=[[[1.0]]], ideal={"kind": "zero"}
+    )
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["model", "--problem", prob, "--out", str(out), "--tol", tol])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_cli_unexpected_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the relation span")
+
+    monkeypatch.setattr("fockmodel.cli.ideal_subspace", out_of_memory)
+    prob = write_problem(
+        tmp_path / "p.json", n=2, m=1, degree=4, mats=PAIR, ideal={"kind": "commutative"}
+    )
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--problem", prob, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MemoryError" in err
+    assert not out.exists()
 
 
 def test_cli_degree_override(tmp_path):
