@@ -94,22 +94,44 @@ def test_load_unitary_layouts(tmp_path):
         (lambda d: d["ideal"].update(kind="q_commutative"), "ideal.q"),
         (lambda d: d["ideal"].update(kind="custom"), "ideal.polys"),
         # booleans are not numbers, and every number must be finite
-        (lambda d: d.update(n=True), "n"),
-        (lambda d: d.update(m=True), "m"),
-        (lambda d: d.update(degree=True), "degree"),
-        (lambda d: d["tuple"][0][0].__setitem__(0, True), "tuple[0][0]"),
-        (lambda d: d["tuple"][0][0].__setitem__(0, float("nan")), "tuple[0][0]"),
-        (lambda d: d["tuple"][1][0].__setitem__(0, [0.5, float("inf")]), "tuple[1][0]"),
-        (lambda d: d["tuple"][0][0].__setitem__(0, 10**400), "tuple[0][0]"),
-        (lambda d: d["ideal"].update(kind="q_commutative", q=[float("nan"), 0]), "ideal.q"),
-        (lambda d: d["ideal"].update(kind="q_commutative", q=True), "ideal.q"),
-        (
+        pytest.param(lambda d: d.update(n=True), "n", id="bool-n"),
+        pytest.param(lambda d: d.update(m=True), "m", id="bool-m"),
+        pytest.param(lambda d: d.update(degree=True), "degree", id="bool-degree"),
+        pytest.param(
+            lambda d: d["tuple"][0][0].__setitem__(0, True), "tuple[0][0]", id="bool-tuple-entry"
+        ),
+        pytest.param(
+            lambda d: d["tuple"][0][0].__setitem__(0, float("nan")),
+            "tuple[0][0]",
+            id="nan-tuple-entry",
+        ),
+        pytest.param(
+            lambda d: d["tuple"][1][0].__setitem__(0, [0.5, float("inf")]),
+            "tuple[1][0]",
+            id="inf-complex-tuple-entry",
+        ),
+        pytest.param(
+            lambda d: d["tuple"][0][0].__setitem__(0, 10**400),
+            "tuple[0][0]",
+            id="overflow-tuple-entry",
+        ),
+        pytest.param(
+            lambda d: d["ideal"].update(kind="q_commutative", q=[float("nan"), 0]),
+            "ideal.q",
+            id="nan-q",
+        ),
+        pytest.param(
+            lambda d: d["ideal"].update(kind="q_commutative", q=True), "ideal.q", id="bool-q"
+        ),
+        pytest.param(
             lambda d: d["ideal"].update(kind="custom", polys=[{"1.2": float("inf"), "2.1": -1}]),
             "ideal.polys[0]",
+            id="inf-poly-coefficient",
         ),
-        (
+        pytest.param(
             lambda d: d["ideal"].update(kind="custom", polys=[{"1.2": 1, "2.1": False}]),
             "ideal.polys[0]",
+            id="bool-poly-coefficient",
         ),
     ],
 )
