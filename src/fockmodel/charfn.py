@@ -35,6 +35,7 @@ different ways if the subspace machinery is wrong.
 from __future__ import annotations
 
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +47,9 @@ from .contractions import (
     truncation_tail,
     DefectData,
 )
-from .fock import TruncatedFockSpace, Word, right_creation_tuple
+from .fock import TruncatedFockSpace, right_creation_tuple
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
-from .linalg import adj, opnorm, psd_sqrt
+from .linalg import adj, opnorm
 
 _SERIES_AGREEMENT_TOL = 1e-10
 # The series route cross-checks against the dense compression route only up
@@ -83,21 +84,41 @@ class CharFn:
         """Number of word blocks per side (dim N when constrained)."""
         return self.sub.dim_N if self.constrained else self.space.dim
 
-    def _reshaped(self) -> np.ndarray:
-        b = self.block_count
-        return self.matrix.reshape(b, self.d_T, b, self.d_star)
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full SVD (U, sigma, V) of the matrix, computed once.
 
-    def _word_coords(self, word: Word) -> tuple[np.ndarray, np.ndarray]:
-        """Row coordinates of e_word and column coordinates of the vacuum."""
-        idx = self.space.index(word)
-        if self.constrained:
-            nb = self.sub.N_basis
-            return nb[idx, :], nb[0, :].conj()
-        row = np.zeros(self.space.dim)
-        row[idx] = 1.0
-        col = np.zeros(self.space.dim)
-        col[0] = 1.0
-        return row, col
+        Theta = U[:, :r] diag(sigma) V[:, :r]* with r = min(p, q), sigma
+        descending; U is p x p and V is q x q, so their trailing columns span
+        ker Theta* and ker Theta.  Every spectral quantity of the model
+        (Delta, its range, the model space, the pure basis) derives from it.
+        """
+        u, sigma, vh = np.linalg.svd(self.matrix, full_matrices=True)
+        return u, sigma, adj(vh)
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values, descending: those of ``svd`` once that exists, else values only."""
+        if "svd" in self.__dict__:
+            return self.svd[1]
+        return np.linalg.svd(self.matrix, compute_uv=False)
+
+    @cached_property
+    def fourier_blocks(self) -> np.ndarray:
+        """The vacuum-column Fourier block of every word, shape (dim, d_T, d_star).
+
+        Row j is the d_T x d_star block of the j-th word of ``space``.  A
+        constrained function contracts its vacuum column once and maps the
+        result back to words through the N basis.
+        """
+        b = self.block_count
+        if not self.constrained:
+            return self.matrix[:, : self.d_star].reshape(b, self.d_T, self.d_star).copy()
+        nb = self.sub.N_basis
+        vacuum = np.tensordot(
+            self.matrix.reshape(b, self.d_T, b, self.d_star), nb[0, :].conj(), axes=(2, 0)
+        )
+        return np.tensordot(nb, vacuum, axes=(1, 0))
 
 
 def fourier_block(cf: CharFn, word) -> np.ndarray:
@@ -109,12 +130,7 @@ def fourier_block(cf: CharFn, word) -> np.ndarray:
     itself).  If the vacuum is not in N the expansion is empty and blocks are
     zero by convention.
     """
-    w = tuple(word)
-    if not cf.constrained:
-        idx = cf.space.index(w)
-        return cf.matrix[idx * cf.d_T : (idx + 1) * cf.d_T, 0 : cf.d_star].copy()
-    rows, cols = cf._word_coords(w)
-    return np.einsum("j,jalb,l->ab", rows, cf._reshaped(), cols)
+    return cf.fourier_blocks[cf.space.index(tuple(word))].copy()
 
 
 def fourier_sum(cf: CharFn, z) -> np.ndarray:
@@ -131,14 +147,7 @@ def fourier_sum(cf: CharFn, z) -> np.ndarray:
         for a in w:
             val *= z[a - 1]
         coherent[iw] = val
-    if cf.constrained:
-        rows = coherent @ cf.sub.N_basis
-        cols = cf.sub.N_basis[0, :].conj()
-    else:
-        rows = coherent
-        cols = np.zeros(cf.space.dim)
-        cols[0] = 1.0
-    return np.einsum("j,jalb,l->ab", rows, cf._reshaped(), cols)
+    return np.tensordot(coherent, cf.fourier_blocks, axes=(0, 0))
 
 
 def characteristic_function(
@@ -344,9 +353,8 @@ def factorization_defect(theta: CharFn, kernel) -> float:
 
 @dataclasses.dataclass
 class DeltaClassification:
-    """Pointwise defect of the function plus inner/outer verdicts."""
+    """Inner/outer verdicts of the function, read off its singular values."""
 
-    delta: np.ndarray
     inner: bool
     outer: bool
     partial_isometry_residual: float
@@ -354,40 +362,45 @@ class DeltaClassification:
     outer_threshold: float
     singular_values: np.ndarray
     rank_deficiency: int
+    norm: float
 
 
 def delta_and_classify(theta: CharFn) -> DeltaClassification:
-    """Compute Delta = (I - Theta*Theta)^(1/2) and decide inner / outer.
+    """Decide whether Theta is inner / outer, from its singular values alone.
+
+    Delta = (I - Theta*Theta)^(1/2) has the eigenvalues sqrt(1 - sigma^2),
+    so the singular values sigma of Theta carry every verdict and no
+    decomposition beyond ``theta.singular_values`` is taken.
 
     Inner means Theta is a partial isometry; at truncation the residual
-    |(Theta*Theta)^2 - Theta*Theta| of an inner function equals exactly the
-    tail the degree cap forgets, so the threshold adds the function's
-    recorded tail_bound.  Outer means dense range, decided by codomain-rank
-    fullness with an absolute cutoff on squared singular values; the
-    deficiency it counts is dim ker(Theta*), the same number the kernel-side
-    route sees as dim ker(I - K*K).
+    |(Theta*Theta)^2 - Theta*Theta| = max |sigma^4 - sigma^2| of an inner
+    function equals exactly the tail the degree cap forgets, so the threshold
+    adds the function's recorded tail_bound.  Outer means dense range,
+    decided by codomain-rank fullness with an absolute cutoff on squared
+    singular values; the deficiency it counts is dim ker(Theta*), the same
+    number the kernel-side route sees as dim ker(I - K*K).  The norm is the
+    largest singular value.
     """
-    gram = adj(theta.matrix) @ theta.matrix
-    delta = psd_sqrt(np.eye(gram.shape[0], dtype=complex) - gram)
-    residual = opnorm(gram @ gram - gram)
+    svals = theta.singular_values
+    sq = svals**2
+    residual = float(np.max(np.abs(sq * sq - sq))) if svals.size else 0.0
     inner_threshold = 1e-8 + theta.tail_bound
     outer_threshold = 1e-8
-    svals = np.linalg.svd(theta.matrix, compute_uv=False)
     rows = theta.matrix.shape[0]
-    full_rank_count = int(np.count_nonzero(svals**2 > outer_threshold))
+    full_rank_count = int(np.count_nonzero(sq > outer_threshold))
     # Dense range fails exactly on ker(Theta*), so the deficiency is counted
     # against the codomain; this is the same number the kernel route sees as
     # dim ker(I - K*K).
     deficiency = rows - full_rank_count
     return DeltaClassification(
-        delta=delta,
         inner=bool(residual < inner_threshold),
         outer=bool(deficiency == 0),
-        partial_isometry_residual=float(residual),
+        partial_isometry_residual=residual,
         inner_threshold=float(inner_threshold),
         outer_threshold=float(outer_threshold),
         singular_values=svals,
         rank_deficiency=int(deficiency),
+        norm=float(svals[0]) if svals.size else 0.0,
     )
 
 
@@ -442,8 +455,8 @@ def coincidence_necessary_mismatch(t1: CharFn, t2: CharFn) -> float:
     if (t1.space.n, t1.space.d) != (t2.space.n, t2.space.d):
         return float("inf")
     worst = 0.0
-    for w in t1.space.words:
-        s1 = np.linalg.svd(fourier_block(t1, w), compute_uv=False)
-        s2 = np.linalg.svd(fourier_block(t2, w), compute_uv=False)
+    for b1, b2 in zip(t1.fourier_blocks, t2.fourier_blocks):
+        s1 = np.linalg.svd(b1, compute_uv=False)
+        s2 = np.linalg.svd(b2, compute_uv=False)
         worst = max(worst, float(np.max(np.abs(s1 - s2))) if s1.size else 0.0)
     return worst

@@ -39,7 +39,6 @@ from .charfn import (
     constrained_characteristic_function,
     delta_and_classify,
     factorization_defect,
-    fourier_block,
 )
 from .contractions import _RELATION_TOL, TriState, classify, constraint_residual, defects, validate
 from .fock import TruncatedFockSpace
@@ -261,9 +260,9 @@ def _cmd_charfn(args) -> int:
     cls, sub, theta, kernel = run.classification, run.sub, run.theta, run.kernel
     dc = delta_and_classify(theta)
     per_degree = {str(k): 0.0 for k in range(run.degree + 1)}
-    for w in run.space.words:
+    for w, block in zip(run.space.words, theta.fourier_blocks):
         key = str(len(w))
-        per_degree[key] = max(per_degree[key], opnorm(fourier_block(theta, w)))
+        per_degree[key] = max(per_degree[key], opnorm(block))
     report.update(
         {
             "classification": _classification_dict(cls),
@@ -283,7 +282,7 @@ def _cmd_charfn(args) -> int:
             "partial_isometry_residual": dc.partial_isometry_residual,
             "rank_deficiency": dc.rank_deficiency,
             "fourier_norms_by_degree": per_degree,
-            "norm": opnorm(theta.matrix),
+            "norm": dc.norm,
             "residuals": {
                 "J-fa": factorization_defect(theta, kernel),
                 "K*K": kernel.gram_residual(),

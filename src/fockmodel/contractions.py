@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ideals import PolyIdealSpec
-from .linalg import adj, hermitize, opnorm, psd_sqrt, range_basis_psd
+from .linalg import adj, hermitize, opnorm, psd_root, psd_spectrum
 
 
 class RowContraction:
@@ -171,18 +171,25 @@ def defects(ts: Sequence[np.ndarray]) -> DefectData:
     mats = as_matrices(ts)
     m = mats[0].shape[0]
     row = row_matrix(mats)
-    g = hermitize(np.eye(m, dtype=complex) - row @ adj(row))          # I - sum T_i T_i*
-    g_star = hermitize(np.eye(row.shape[1], dtype=complex) - adj(row) @ row)  # I - R*R
-    basis, eigvals = range_basis_psd(g)
-    basis_star, eigvals_star = range_basis_psd(g_star)
+    delta, basis, eigvals = _defect(np.eye(m, dtype=complex) - row @ adj(row))  # I - sum T_i T_i*
+    delta_star, basis_star, eigvals_star = _defect(
+        np.eye(row.shape[1], dtype=complex) - adj(row) @ row  # I - R*R
+    )
     return DefectData(
-        delta=psd_sqrt(g),
-        delta_star=psd_sqrt(g_star),
+        delta=delta,
+        delta_star=delta_star,
         basis=basis,
         basis_star=basis_star,
         eigvals=eigvals,
         eigvals_star=eigvals_star,
     )
+
+
+def _defect(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Square root, range basis and kept eigenvalues of a squared defect, from one eigh."""
+    w, v = np.linalg.eigh(hermitize(g))
+    w, basis, kept = psd_spectrum(w, v)
+    return psd_root(w, v), basis, kept
 
 
 class TriState(enum.Enum):

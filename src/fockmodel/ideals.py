@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import TruncatedFockSpace, Word, left_creation_tuple, right_creation, left_creation, word_operator
+from .fock import TruncatedFockSpace, Word, left_creation_tuple, right_creation, left_creation
 from .linalg import adj, canonical_phase
 
 _CROSSCHECK_TOL = 1e-12
@@ -369,9 +369,10 @@ def _crosscheck_spanning(
     """Re-derive a sample of spanning vectors through operator products.
 
     The main construction writes coefficients straight into word slots; this
-    guard recomputes S_alpha p(S) e_beta with dense matrices and insists the
-    two routes agree to 1e-12.  Disagreement means an indexing bug, so it
-    raises rather than warns.
+    guard recomputes S_alpha p(S) e_beta with dense matrices (p(S) built once
+    per relation, then applied to e_beta and to the letters of alpha as
+    matrix-vector products) and insists the two routes agree to 1e-12.
+    Disagreement means an indexing bug, so it raises rather than warns.
     """
     count = len(vectors)
     if count <= 200:
@@ -380,14 +381,15 @@ def _crosscheck_spanning(
         step = max(1, count // 50)
         sample = sorted(set(range(0, count, step)) | set(range(50)))
     smats = left_creation_tuple(space)
+    p_of: dict[int, np.ndarray] = {}  # p(S) per relation, keyed by identity
     worst = 0.0
     for idx in sample:
         alpha, p, beta = meta[idx]
-        via_matrices = (
-            word_operator(space, alpha, smats)
-            @ p.apply_to(smats)
-            @ space.basis_vector(beta)
-        )
+        if id(p) not in p_of:
+            p_of[id(p)] = p.apply_to(smats)
+        via_matrices = p_of[id(p)] @ space.basis_vector(beta)
+        for a in reversed(alpha):
+            via_matrices = smats[a - 1] @ via_matrices
         worst = max(worst, float(np.max(np.abs(via_matrices - vectors[idx]))))
     if worst > _CROSSCHECK_TOL:
         raise RuntimeError(

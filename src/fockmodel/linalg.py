@@ -57,44 +57,37 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def psd_sqrt(h: np.ndarray, *, neg_tol: float = 1e-10) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+def psd_spectrum(
+    w: np.ndarray,
+    v: np.ndarray,
+    *,
+    neg_tol: float = 1e-10,
+    rank_tol: float = 1e-10,
+    warn_band: tuple[float, float] = (1e-12, 1e-8),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vet the eigen-decomposition v diag(w) v* of a positive semidefinite matrix.
 
-    Eigenvalues in [-neg_tol, 0) are clipped to zero; anything more negative
+    ``w`` is ascending, as ``eigh`` returns it, and ``v`` holds orthonormal
+    eigenvector columns.  Eigenvalues in [-neg_tol, 0) (relative to the top
+    one when it exceeds 1) are clipped to zero; anything more negative
     raises, since the input was expected to be PSD up to rounding.
+
+    The range is spanned by the eigenvectors whose eigenvalue exceeds
+    ``rank_tol``.  Eigenvalues falling inside ``warn_band`` are close enough
+    to the cutoff that the computed rank is suspect; a NumericalRankWarning
+    is emitted (the decision itself is still made by ``rank_tol``).
+
+    Returns (clipped w, range basis, kept eigenvalues), the basis and the
+    kept eigenvalues in descending order.
     """
-    hh = hermitize(np.asarray(h, dtype=complex))
-    w, v = np.linalg.eigh(hh)
+    w = np.asarray(w, dtype=float)
     scale = max(1.0, float(w[-1]) if w.size else 1.0)
     if w.size and w[0] < -neg_tol * scale:
         raise ValueError(
             f"matrix is not PSD: min eigenvalue {w[0]:.3e} (tol {neg_tol:.1e})"
         )
-    w = np.clip(w, 0.0, None)
-    return hermitize((v * np.sqrt(w)) @ adj(v))
-
-
-def range_basis_psd(
-    h: np.ndarray,
-    *,
-    rank_tol: float = 1e-10,
-    warn_band: tuple[float, float] = (1e-12, 1e-8),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the range of a PSD matrix, with its eigenvalues.
-
-    Keeps eigenvectors whose eigenvalue exceeds ``rank_tol``.  Eigenvalues
-    falling inside ``warn_band`` are close enough to the cutoff that the
-    computed rank is suspect; a NumericalRankWarning is emitted (the decision
-    itself is still made by ``rank_tol``).
-
-    Returns (basis, kept_eigenvalues) with eigenvalues in descending order.
-    """
-    hh = hermitize(np.asarray(h, dtype=complex))
-    w, v = np.linalg.eigh(hh)
-    w = w[::-1]
-    v = v[:, ::-1]
     lo, hi = warn_band
-    risky = [float(x) for x in w if lo <= x <= hi]
+    risky = [float(x) for x in w[::-1] if lo <= x <= hi]
     if risky:
         warnings.warn(
             f"{len(risky)} eigenvalue(s) in the ambiguous band [{lo:.0e}, {hi:.0e}] "
@@ -102,8 +95,14 @@ def range_basis_psd(
             NumericalRankWarning,
             stacklevel=2,
         )
-    keep = w > rank_tol
-    return canonical_phase(v[:, keep]), np.clip(w[keep], 0.0, None)
+    w = np.clip(w, 0.0, None)
+    keep = (w > rank_tol)[::-1]
+    return w, canonical_phase(v[:, ::-1][:, keep]), w[::-1][keep]
+
+
+def psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Hermitian square root v diag(w)^(1/2) v* of a vetted PSD decomposition."""
+    return hermitize((v * np.sqrt(w)) @ adj(v))
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

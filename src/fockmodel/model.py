@@ -11,6 +11,16 @@ compressions to H of
 
     M_i = (compressed shift_i (x) I_{d_T})  (+)  0_s.
 
+All of it comes from one SVD Theta = U Sigma V* (``CharFn.svd``): Delta =
+V diag(sqrt(1 - sigma_k^2)) V*, E is spanned by the columns v_k of V with
+1 - sigma_k^2 > 1e-10, and H has the orthonormal basis, in closed form,
+
+    [ sqrt(1 - sigma_k^2) u_k ; -sigma_k E* v_k ]   for each k < min(p, q)
+                                                    with sigma_k not at 1,
+    [ u_k ; 0 ]                                     for q <= k < p,
+
+each column orthogonal to every Phihat v_j, for h = p + s - q columns in all.
+
 Two independent reconstructions of the operators are available: the defining
 compression above ("general"), and, for a pure tuple, the compression of the
 shifts to the orthogonal complement of the large-singular-value range of
@@ -39,6 +49,7 @@ is verified numerically and reported.
 from __future__ import annotations
 
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 
@@ -51,8 +62,8 @@ from .linalg import (
     canonical_phase,
     opnorm,
     principal_angles,
-    psd_sqrt,
-    range_basis_psd,
+    psd_root,
+    psd_spectrum,
     unitary_polar_factor,
 )
 from .poisson import KernelMatrix, constrained_poisson_kernel
@@ -63,7 +74,6 @@ class ModelData:
     """Model space data built from one characteristic function."""
 
     theta: CharFn
-    delta: np.ndarray
     E: np.ndarray
     phihat: np.ndarray
     isometry_residual: float
@@ -87,9 +97,31 @@ class ModelData:
     def h(self) -> int:
         return self.H_basis.shape[1]
 
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """Delta = (I - Theta*Theta)^(1/2) = V diag(sqrt(1 - sigma^2)) V*."""
+        _, sigma, v = self.theta.svd
+        return psd_root(np.clip(_defect_eigenvalues(sigma, self.q), 0.0, None), v)
+
+
+def _defect_eigenvalues(sigma: np.ndarray, q: int) -> np.ndarray:
+    """1 - sigma_k^2 for k < q (sigma_k = 0 past min(p, q)): the spectrum of
+    I - Theta*Theta along the columns of V, ascending."""
+    out = np.ones(q)
+    out[: sigma.size] -= sigma**2
+    return out
+
 
 def build_model(theta: CharFn, *, classification: Classification | None = None) -> ModelData:
-    """Assemble the model space of a characteristic function.
+    """Assemble the model space of a characteristic function from its one SVD.
+
+    With Theta = U Sigma V* (``theta.svd``), the defect range E is the span
+    of the columns v_k with 1 - sigma_k^2 > 1e-10 (NumericalRankWarning when
+    a value lies in [1e-12, 1e-8]), E* Delta = diag(sqrt(1 - sigma_k^2)) E*,
+    and the model space basis is the closed form of the module docstring.
+    The pure basis is U[:, big:], past the singular values with
+    sigma^2 > (1 + tail)/2.  No other decomposition is taken; the isometry
+    of Phihat is measured directly.
 
     Refuses tuples certified not completely noncoisometric: the model space
     then misses part of the original space and nothing downstream would be
@@ -102,29 +134,31 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
         )
     th = theta.matrix
     p, q = th.shape
-    gram = adj(th) @ th
-    eye_q = np.eye(q, dtype=complex)
-    delta = psd_sqrt(eye_q - gram)
-    e_basis, _ = range_basis_psd(eye_q - gram, rank_tol=1e-10)
+    u, sigma, v = theta.svd
+    w, e_basis, kept = psd_spectrum(_defect_eigenvalues(sigma, q), v, rank_tol=1e-10)
     s = e_basis.shape[1]
-    phihat = np.vstack([th, adj(e_basis) @ delta])
-    isometry_residual = opnorm(adj(phihat) @ phihat - eye_q)
+    phihat = np.vstack([th, np.sqrt(kept)[:, None] * adj(e_basis)])
+    isometry_residual = opnorm(adj(phihat) @ phihat - np.eye(q, dtype=complex))
 
-    u, svals, _ = np.linalg.svd(phihat, full_matrices=True)
-    rank = int(np.count_nonzero(svals > 0.5))  # isometry: singular values sit at 1
-    h_basis = canonical_phase(u[:, rank:])
+    # w ascends, so the kept columns of V are its last s; those with k below
+    # min(p, q) = sigma.size pair with a u_k whose sigma_k is not at 1.
+    tilted = slice(q - s, sigma.size)
+    paired = np.vstack(
+        [u[:, tilted] * np.sqrt(w[tilted]), -(adj(e_basis) @ v[:, tilted]) * sigma[tilted]]
+    )
+    cokernel = np.vstack([u[:, q:], np.zeros((s, max(p - q, 0)), dtype=complex)])
+    h_basis = canonical_phase(np.hstack([paired, cokernel]))
+    assert h_basis.shape[1] == p + s - q
 
     tail = theta.tail_bound
     h_pure = None
     if tail < 0.5:
-        u_th, s_th, _ = np.linalg.svd(th, full_matrices=True)
-        big = int(np.count_nonzero(s_th**2 > 0.5 * (1.0 + tail)))
-        pure_cols = canonical_phase(u_th[:, big:])
+        big = int(np.count_nonzero(sigma**2 > 0.5 * (1.0 + tail)))
+        pure_cols = canonical_phase(u[:, big:])
         h_pure = np.vstack([pure_cols, np.zeros((s, pure_cols.shape[1]), dtype=complex)])
 
     return ModelData(
         theta=theta,
-        delta=delta,
         E=e_basis,
         phihat=phihat,
         isometry_residual=float(isometry_residual),

@@ -7,13 +7,21 @@ ideal_subspace assembles coefficient vectors by index arithmetic and splits
 an SVD per degree.  The two share nothing beyond the generator polynomials.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from fockmodel import PolyIdealSpec, TruncatedFockSpace, ideal_subspace
+from fockmodel import (
+    PolyIdealSpec,
+    TruncatedFockSpace,
+    characteristic_function,
+    constrained_characteristic_function,
+    ideal_subspace,
+)
 from fockmodel.fock import left_creation_tuple, word_operator
+from fockmodel.sampling import commuting_nilpotent_tuple, random_row_contraction
 
 Q_TEST = np.exp(1j * np.pi / 3)
 
@@ -81,3 +89,30 @@ def subspace_factory(space_factory):
         return cache[key]
 
     return make
+
+
+def synthetic_theta(matrix, tail=0.0):
+    """A CharFn carrying an arbitrary contraction matrix; build_model and
+    delta_and_classify read only the matrix and the tail."""
+    base = characteristic_function([np.array([[0.5]])], TruncatedFockSpace(1, 1))
+    return dataclasses.replace(base, matrix=np.asarray(matrix, dtype=complex), tail_bound=tail)
+
+
+SPECTRAL_CASES = ["nilpotent", "dense", "tall", "unitary"]
+
+
+def spectral_theta(case, subspace_factory):
+    """Theta of a nilpotent tuple (tail 0), a dense one (tail > 0), a tall
+    p > q matrix, and a unitary (p = q = 0)."""
+    rng = np.random.default_rng(29)
+    if case == "nilpotent":
+        mats, sub = commuting_nilpotent_tuple(rng, 2, 0.6), subspace_factory("commutative", d=5)
+    elif case == "dense":
+        mats, sub = random_row_contraction(rng, 2, 2, 0.5), subspace_factory("zero", d=4)
+    elif case == "tall":
+        g = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+        return synthetic_theta(0.9 * g / opnorm(g), tail=0.01)
+    else:
+        mats, sub = [np.array([[1.0]])], subspace_factory("zero", n=1, d=4)
+    return constrained_characteristic_function(mats, sub)
+

@@ -12,7 +12,7 @@ With a = 1/2 the first few are -0.5, 0.75, 0.375, 0.1875, ...
 import numpy as np
 import pytest
 
-from conftest import Q_TEST, adj, make_spec, opnorm
+from conftest import Q_TEST, SPECTRAL_CASES, adj, make_spec, opnorm, spectral_theta
 from fockmodel import (
     NCPoly,
     PolyIdealSpec,
@@ -293,6 +293,44 @@ def test_rank_deficiency_counts_the_kernel_of_one_minus_gram(subspace_factory):
     dim_ker = int(np.count_nonzero(eigs <= 1e-8))
     assert dc.rank_deficiency == dim_ker
     assert dc.outer == (dim_ker == 0)
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_verdicts_read_off_the_singular_values(case, subspace_factory):
+    # the dense routes the singular values replaced are the oracles
+    th = spectral_theta(case, subspace_factory)
+    dc = delta_and_classify(th)
+    g = adj(th.matrix) @ th.matrix
+    assert abs(dc.partial_isometry_residual - opnorm(g @ g - g)) < 1e-12
+    want = np.linalg.svd(th.matrix, compute_uv=False)
+    assert dc.singular_values.shape == want.shape
+    assert np.max(np.abs(dc.singular_values - want), initial=0.0) < 1e-12
+    assert abs(dc.norm - opnorm(th.matrix)) < 1e-12
+    # once the full SVD is taken, it supplies the values
+    th = spectral_theta(case, subspace_factory)
+    _, sigma, _ = th.svd
+    assert th.singular_values is sigma
+    assert np.max(np.abs(sigma - want), initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["zero", "commutative", "q_commutative"])
+def test_fourier_blocks_match_a_contraction_per_word(kind, subspace_factory):
+    sub = subspace_factory(kind, d=4)
+    rng = np.random.default_rng(37)
+    if kind == "q_commutative":
+        mats = q_commuting_nilpotent_tuple(rng, Q_TEST, 0.7)
+    else:
+        mats = commuting_nilpotent_tuple(rng, 2, 0.7)
+    th = constrained_characteristic_function(mats, sub)
+    b, nb = th.block_count, sub.N_basis
+    resh = th.matrix.reshape(b, th.d_T, b, th.d_star)
+    for idx, w in enumerate(sub.space.words):
+        want = np.einsum("j,jalb,l->ab", nb[idx, :], resh, nb[0, :].conj())
+        assert opnorm(fourier_block(th, w) - want) < 1e-14
+    z = np.array([0.3, -0.2j])
+    coherent = np.array([np.prod(z[np.array(w, dtype=int) - 1]) for w in sub.space.words])
+    want = np.einsum("j,jalb,l->ab", coherent @ nb, resh, nb[0, :].conj())
+    assert opnorm(fourier_sum(th, z) - want) < 1e-14
 
 
 # ---------------------------------------------------------------------------

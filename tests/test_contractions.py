@@ -20,6 +20,7 @@ from fockmodel import (
     truncation_tail,
     validate,
 )
+from fockmodel.linalg import NumericalRankWarning
 from fockmodel.sampling import nilpotent_pair_tuple, random_row_contraction
 
 SCALAR_PAIR = [np.array([[0.5]]), np.array([[0.5]])]
@@ -109,6 +110,19 @@ def test_defects_conjugation_covariance():
     assert opnorm(du.delta - u @ d.delta @ adj(u)) < 1e-12
     ubig = np.kron(np.eye(2), u)
     assert opnorm(du.delta_star - ubig @ d.delta_star @ adj(ubig)) < 1e-12
+
+
+@pytest.mark.parametrize("gap, rank", [(1e-9, 1), (5e-11, 0)])
+def test_defect_rank_warns_in_the_ambiguous_band(gap, rank):
+    with pytest.warns(NumericalRankWarning):
+        d = defects([np.array([[np.sqrt(1.0 - gap)]])])
+    assert d.d_T == d.d_star == rank  # the cutoff 1e-10 still decides
+    assert d.delta[0, 0] == pytest.approx(np.sqrt(gap), rel=1e-5)
+
+
+def test_defects_refuse_a_non_contraction():
+    with pytest.raises(ValueError, match="not PSD"):
+        defects([np.array([[1.01]])])
 
 
 # ---------------------------------------------------------------------------

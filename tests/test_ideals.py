@@ -20,6 +20,7 @@ from fockmodel import (
     ideal_subspace,
 )
 from fockmodel.fock import left_creation_tuple, word_operator
+from fockmodel.ideals import _crosscheck_spanning
 
 # dim N for the commutative family, n=2 d=0..6 and n=3 d=0..4
 COMM_DIMS_N2 = [1, 3, 6, 10, 15, 21, 28]
@@ -261,3 +262,22 @@ def test_constrained_creation_side_argument(comm_sub):
     ) == 0.0
     with pytest.raises(ValueError):
         constrained_creation(comm_sub, 1, "sideways")
+
+
+def test_spanning_crosscheck_catches_a_corrupted_vector(space_factory):
+    # the guard re-derives S_alpha p(S) e_beta through operators, so a vector
+    # written into the wrong word slot (or with a wrong coefficient) raises
+    space = space_factory(2, 3)
+    p = NCPoly.commutator(1, 2)
+    meta, vectors = [], []
+    for alpha, beta in [((), ()), ((1,), ()), ((), (2,)), ((2,), ())]:
+        vec = np.zeros(space.dim, dtype=complex)
+        for w, c in p.terms.items():
+            vec[space.index(alpha + w + beta)] += c
+        meta.append((alpha, p, beta))
+        vectors.append(vec)
+    _crosscheck_spanning(space, vectors, meta)
+    vectors[1] = vectors[1].copy()
+    vectors[1][space.index((1, 2, 1))] += 1e-10
+    with pytest.raises(RuntimeError, match="indexing bug"):
+        _crosscheck_spanning(space, vectors, meta)

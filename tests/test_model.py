@@ -15,7 +15,7 @@ Dimension oracles (worked by hand):
 import numpy as np
 import pytest
 
-from conftest import adj, make_spec, opnorm
+from conftest import SPECTRAL_CASES, adj, make_spec, opnorm, spectral_theta, synthetic_theta
 from fockmodel import (
     TriState,
     TruncatedFockSpace,
@@ -32,6 +32,7 @@ from fockmodel import (
     validate,
     verify_coincidence_implies_equivalence,
 )
+from fockmodel.linalg import NumericalRankWarning, principal_angles
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     conjugated_tuple,
@@ -236,3 +237,58 @@ def test_gamma_residuals_serializable_types(conjugated_pair):
     assert isinstance(g.norm_identity_residual, float)
     assert isinstance(g.projection_residual, float)
     assert set(g.intertwining) == {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# everything spectral comes from one SVD of Theta; the dense routes it
+# replaced serve as oracles
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_delta_squares_to_the_defect(case, subspace_factory):
+    th = spectral_theta(case, subspace_factory)
+    model = build_model(th)
+    g = adj(th.matrix) @ th.matrix
+    eye_q = np.eye(model.q)
+    assert opnorm(model.delta @ model.delta - (eye_q - g)) < 1e-12
+    # E is an orthonormal basis of the range, of the rank eigh sees
+    assert opnorm(adj(model.E) @ model.E - np.eye(model.s)) < 1e-12
+    assert model.s == int(np.count_nonzero(np.linalg.eigvalsh(eye_q - g) > 1e-10))
+    assert opnorm(model.E @ adj(model.E) @ (eye_q - g) - (eye_q - g)) < 1e-12
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_closed_form_model_basis_is_the_complement_of_phihat(case, subspace_factory):
+    th = spectral_theta(case, subspace_factory)
+    model = build_model(th)
+    h, phihat = model.H_basis, model.phihat
+    assert model.h == model.p + model.s - model.q
+    assert model.isometry_residual < 1e-12
+    assert opnorm(adj(h) @ h - np.eye(model.h)) < 1e-12
+    assert opnorm(h @ adj(h) - (np.eye(model.p + model.s) - phihat @ adj(phihat))) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["nilpotent", "dense", "tall"])
+def test_pure_basis_spans_what_a_full_svd_of_theta_gives(case, subspace_factory):
+    th = spectral_theta(case, subspace_factory)
+    model = build_model(th)
+    u, svals, _ = np.linalg.svd(th.matrix, full_matrices=True)
+    big = int(np.count_nonzero(svals**2 > 0.5 * (1.0 + th.tail_bound)))
+    pure = model.H_pure_basis
+    assert pure.shape[1] == model.p - big
+    assert not np.any(pure[model.p :])
+    assert np.max(principal_angles(pure[: model.p], u[:, big:])) < 1e-10
+
+
+@pytest.mark.parametrize("gap, s", [(1e-9, 2), (5e-11, 1)])
+def test_defect_rank_warns_in_the_ambiguous_band(gap, s):
+    th = synthetic_theta(np.diag([np.sqrt(1.0 - gap), 0.5]))
+    with pytest.warns(NumericalRankWarning):
+        model = build_model(th)
+    assert model.s == s  # the cutoff 1e-10 still decides
+    assert model.h == s
+
+
+def test_build_model_refuses_a_non_contractive_function():
+    with pytest.raises(ValueError, match="not PSD"):
+        build_model(synthetic_theta(np.diag([1.01, 0.5])))
