@@ -1,9 +1,14 @@
 """Characteristic functions of row contractions at finite truncation.
 
-The multi-analytic characteristic function of a row contraction T is built
-from the defects and a Neumann series; at truncation degree d the series is a
-finite sum (the degree-raising operator is nilpotent), so the matrix computed
-here *is* the compression of the untruncated object to degrees <= d -- no
+The characteristic function Theta_T of a row contraction T is multi-analytic,
+so its Fourier blocks fix it.  With R_gamma the right creation by the word
+gamma,
+
+    Theta_T = sum_alpha R_alpha (x) theta_(alpha):
+
+block theta_(alpha) sits at row word gamma alpha and column word gamma, for
+every column word gamma with |gamma alpha| <= d.  The matrix built here is
+therefore the compression of the untruncated object to degrees <= d -- no
 series is ever cut off mid-air.
 
 Layout: with d_T / d_star the defect ranks, the matrix maps
@@ -16,8 +21,11 @@ is
     theta_(alpha) = basis* Delta T_{a_p}* ... T_{a_2}* sel_{a_1} Delta_* basis_*,
 
 and the empty word carries -basis* [T_1 ... T_n] basis_*.  (sel_i picks the
-i-th block of C^n (x) C^m.)  These blocks drive the scalar evaluation in the
-commuting case and the cheap unitary-invariance checks.
+i-th block of C^n (x) C^m.)  For alpha = (a) + beta this is the radius-1
+Poisson-kernel block basis* Delta T_beta* of beta times the a-th row block of
+Delta_* basis_*, so kernel and function share one parent-word recurrence
+(:func:`poisson.kernel_blocks`).  The blocks also drive the scalar evaluation
+in the commuting case and the cheap unitary-invariance checks.
 
 Constrained version: for T satisfying a family of polynomial relations, the
 relation span M (x) defect is invariant under the function (exactly, also at
@@ -26,10 +34,11 @@ the factorization against the constrained Poisson kernel,
 
     I - Theta_J Theta_J* = K_J K_J*    (plus the exact truncation tail),
 
-survives compression verbatim.  For graded relation families the same matrix
-can be assembled directly on N with the compressed shifts ("series" method);
-both routes are implemented and checked against each other, as they fail in
-different ways if the subspace machinery is wrong.
+survives compression verbatim.  The constrained function is that
+compression.  For a graded family with relations the same matrix is also
+assembled directly on N as a Neumann series in the compressed shifts; the
+two routes share no subspace code beyond the N basis, so their agreement
+guards the whole constraint pipeline.
 """
 
 from __future__ import annotations
@@ -47,14 +56,12 @@ from .contractions import (
     truncation_tail,
     DefectData,
 )
-from .fock import TruncatedFockSpace, right_creation_tuple
+from .fock import TruncatedFockSpace
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
 from .linalg import adj, opnorm
+from .poisson import kernel_blocks
 
 _SERIES_AGREEMENT_TOL = 1e-10
-# The series route cross-checks against the dense compression route only up
-# to this ambient size (words times matrix size).
-_CROSS_CHECK_DIM_CAP = 1500
 
 
 @dataclasses.dataclass
@@ -67,7 +74,6 @@ class CharFn:
     tail_bound: float
     constrained: bool = False
     sub: ConstrainedSubspace | None = None
-    method: str = "full"
     coinvariance_leak: float | None = None
     series_agreement: float | None = None
 
@@ -160,20 +166,11 @@ def characteristic_function(
     mats = as_matrices(ts)
     if defect is None:
         defect = defects(mats)
-    matrix = _assemble(
-        mats,
-        right_creation_tuple(space),
-        space.d,
-        defect,
-        block_dim=space.dim,
-    )
     return CharFn(
-        matrix=matrix,
+        matrix=_block_matrix(mats, space, defect),
         space=space,
         defect=defect,
         tail_bound=truncation_tail(mats, space.d),
-        constrained=False,
-        method="full",
     )
 
 
@@ -181,22 +178,17 @@ def constrained_characteristic_function(
     ts,
     sub: ConstrainedSubspace,
     *,
-    method: str = "compression",
     defect: DefectData | None = None,
 ) -> CharFn:
     """Characteristic function compressed to the constrained subspace.
 
-    method="compression" computes the unconstrained function and compresses
-    both sides by the N basis; method="series" (graded relation families
-    only) assembles the same matrix directly on N with the compressed shift
-    operators, which is the only affordable route when the tuple itself acts
-    on a space as large as N (e.g. certifying the constrained shift).
-
-    For a graded, nontrivial relation family, whichever route was not taken is
-    also computed (the dense compression route only while its ambient size
-    stays under 1500) and the two matrices must agree to 1e-10; the agreement
-    is recorded on the result.  The routes share no subspace code beyond the
-    N basis itself, so this guards the whole constraint pipeline.  Tuples
+    The unconstrained function is built from its Fourier blocks and both
+    sides are compressed by the N basis.  Whenever the family has relations
+    (dim M > 0) the part that maps M into N is recorded as
+    ``coinvariance_leak``; for a graded family it must stay below
+    max(1e-8, 100 * relation residual), and the matrix is also assembled
+    directly on N from the compressed shifts, which must agree with the
+    compression to 1e-10 (recorded as ``series_agreement``).  Tuples
     violating the relations (residual above 1e-8) are refused.
     """
     mats = as_matrices(ts)
@@ -208,47 +200,20 @@ def constrained_characteristic_function(
         )
     if defect is None:
         defect = defects(mats)
-    if method not in ("compression", "series"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "series" and not sub.graded:
-        raise ValueError(
-            "the series route needs every relation homogeneous (graded family); "
-            "use method='compression'"
-        )
+    full_matrix = _block_matrix(mats, sub.space, defect)
+    matrix = _compress_blocks(full_matrix, sub.N_basis, sub.N_basis, defect)
 
-    full_matrix: np.ndarray | None = None
-    if method == "compression":
-        full_matrix = _assemble(
-            mats, right_creation_tuple(sub.space), sub.space.d, defect, block_dim=sub.space.dim
-        )
-        matrix = _compress_blocks(full_matrix, sub.N_basis, sub.N_basis, defect)
-    else:
-        matrix = _series_matrix(mats, sub, defect)
-
-    series_agreement = None
-    trivial_family = sub.dim_M == 0  # no relations: both routes are literally the same code path
-    if sub.graded and not trivial_family:
-        other: np.ndarray | None = None
-        if method == "compression":
-            other = _series_matrix(mats, sub, defect)
-        elif sub.space.dim * mats[0].shape[0] <= _CROSS_CHECK_DIM_CAP:
-            full_matrix = _assemble(
-                mats, right_creation_tuple(sub.space), sub.space.d, defect, block_dim=sub.space.dim
-            )
-            other = _compress_blocks(full_matrix, sub.N_basis, sub.N_basis, defect)
-        if other is not None:
-            series_agreement = opnorm(matrix - other)
+    series_agreement = leak = None
+    if sub.dim_M:
+        if sub.graded:
+            series_agreement = opnorm(matrix - _series_matrix(mats, sub, defect))
             if series_agreement > _SERIES_AGREEMENT_TOL:
                 raise RuntimeError(
                     f"compression and series routes disagree by {series_agreement:.3e}; "
                     "the constrained-subspace machinery is inconsistent"
                 )
-
-    leak = None
-    if full_matrix is not None and sub.dim_M:
         # Invariance of the relation span: rows in N, columns in M vanish.
-        leak_mat = _compress_blocks(full_matrix, sub.N_basis, sub.M_basis, defect)
-        leak = opnorm(leak_mat)
+        leak = opnorm(_compress_blocks(full_matrix, sub.N_basis, sub.M_basis, defect))
         if leak > max(1e-8, 100.0 * max(residual, 1e-16)) and sub.graded:
             raise RuntimeError(
                 f"characteristic function leaks {leak:.3e} from the relation span "
@@ -262,45 +227,62 @@ def constrained_characteristic_function(
         tail_bound=truncation_tail(mats, sub.space.d),
         constrained=True,
         sub=sub,
-        method=method,
         coinvariance_leak=leak,
         series_agreement=series_agreement,
     )
 
 
-def _assemble(
-    mats: list[np.ndarray],
-    raising: list[np.ndarray],
-    d: int,
-    defect: DefectData,
-    *,
-    block_dim: int,
+def _block_matrix(
+    mats: list[np.ndarray], space: TruncatedFockSpace, defect: DefectData
 ) -> np.ndarray:
-    """Shared assembly: -I(x)row + I(x)Delta (sum A^k) R_amp I(x)Delta_*,
-    compressed to the defect bases, with A = sum_i raising_i (x) T_i*.
+    """sum_alpha R_alpha (x) theta_(alpha) on the whole truncated space.
 
-    ``raising`` is the right-creation tuple of the ambient space (full route)
-    or the compressed one on N (series route); nilpotency of degree raising
-    makes the k-sum finite and exact either way.
+    The vacuum-column blocks come from the Poisson-kernel recurrence; block
+    theta_(alpha) is then placed at row word gamma alpha, column word gamma.
     """
-    n = len(mats)
-    m = mats[0].shape[0]
+    n, m = len(mats), mats[0].shape[0]
+    d_T, d_star = defect.d_T, defect.d_star
+    words = space.words
+    row_blocks = (defect.delta_star @ defect.basis_star).reshape(n, m, d_star)
+    blocks = np.empty((space.dim, d_T, d_star), dtype=complex)
+    blocks[0] = -adj(defect.basis) @ np.hstack(mats) @ defect.basis_star
+    if space.d:
+        # theta_((a) + beta) = basis* Delta T_beta* (Delta_* basis_*)[rows of letter a]
+        first = np.array([w[0] - 1 for w in words[1:]])
+        rest = np.array([space.index(w[1:]) for w in words[1:]])
+        blocks[1:] = kernel_blocks(mats, space, defect)[rest] @ row_blocks[first]
+
+    rows, cols, alphas = np.array(
+        [
+            (space.index(gamma + alpha), col, ia)
+            for col, gamma in enumerate(words)
+            for ia, alpha in enumerate(words[: space.dim_up_to(space.d - len(gamma))])
+        ]
+    ).T
+    theta = np.zeros((space.dim, d_T, space.dim, d_star), dtype=complex)
+    theta[rows, :, cols, :] = blocks[alphas]
+    return theta.reshape(space.dim * d_T, space.dim * d_star)
+
+
+def _series_matrix(mats: list[np.ndarray], sub: ConstrainedSubspace, defect: DefectData) -> np.ndarray:
+    """The constrained function assembled directly on N (the cross-check).
+
+    -I(x)row + I(x)Delta (sum_k A^k) R_amp I(x)Delta_*, compressed to the
+    defect bases, with A = sum_i B_i (x) T_i* for the compressed right shifts
+    B_i on N; nilpotency of degree raising makes the k-sum finite and exact.
+    """
+    raising = constrained_creation_tuple(sub, "right")
+    n, m = len(mats), mats[0].shape[0]
+    block_dim = sub.dim_N
     row = np.hstack(mats)
-    amb = block_dim * m
-    a = np.zeros((amb, amb), dtype=complex)
-    for i in range(n):
-        a += np.kron(raising[i], adj(mats[i]))
-    total = np.eye(amb, dtype=complex)
-    acc = np.eye(amb, dtype=complex)
-    for _ in range(d):
+    a = sum(np.kron(r, adj(t)) for r, t in zip(raising, mats))
+    total = np.eye(block_dim * m, dtype=complex)
+    acc = np.eye(block_dim * m, dtype=complex)
+    for _ in range(sub.space.d):
         acc = a @ acc
         total += acc
-    r_amp = np.zeros((amb, block_dim * n * m), dtype=complex)
-    sel = np.zeros((m, n * m), dtype=complex)
-    for i in range(n):
-        sel[:, :] = 0.0
-        sel[:, i * m : (i + 1) * m] = np.eye(m)
-        r_amp += np.kron(raising[i], sel)
+    sel = np.eye(n * m, dtype=complex).reshape(n, m, n * m)  # sel[i] picks letter i's block
+    r_amp = sum(np.kron(r, s) for r, s in zip(raising, sel))
     eye_b = np.eye(block_dim, dtype=complex)
     full = -np.kron(eye_b, row) + np.kron(eye_b, defect.delta) @ total @ r_amp @ np.kron(
         eye_b, defect.delta_star
@@ -315,23 +297,15 @@ def _assemble(
     )
 
 
-def _series_matrix(mats: list[np.ndarray], sub: ConstrainedSubspace, defect: DefectData) -> np.ndarray:
-    raising = constrained_creation_tuple(sub, "right")
-    return _assemble(mats, raising, sub.space.d, defect, block_dim=sub.dim_N)
-
-
 def _compress_blocks(
     theta: np.ndarray, left: np.ndarray, right: np.ndarray, defect: DefectData
 ) -> np.ndarray:
     """(left* (x) I_dT) theta (right (x) I_dstar) via reshapes."""
-    dim = left.shape[0]
-    resh = theta.reshape(dim, defect.d_T, dim, defect.d_star)
-    resh = np.tensordot(left.conj(), resh, axes=(0, 0))              # (L, d_T, dim, d_star)
-    resh = np.tensordot(resh, right, axes=(2, 0))                    # (L, d_T, d_star, R)
-    resh = np.moveaxis(resh, 3, 2)                                   # (L, d_T, R, d_star)
-    return np.ascontiguousarray(resh).reshape(
-        left.shape[1] * defect.d_T, right.shape[1] * defect.d_star
-    )
+    dim, d_T, d_star = left.shape[0], defect.d_T, defect.d_star
+    n_left, n_right = left.shape[1], right.shape[1]
+    rows = adj(left) @ theta.reshape(dim, d_T * dim * d_star)          # (L, d_T * dim * d_star)
+    out = right.T @ rows.reshape(n_left * d_T, dim, d_star)            # (L * d_T, R, d_star)
+    return out.reshape(n_left * d_T, n_right * d_star)
 
 
 def factorization_defect(theta: CharFn, kernel) -> float:
@@ -454,9 +428,6 @@ def coincidence_necessary_mismatch(t1: CharFn, t2: CharFn) -> float:
         return float("inf")
     if (t1.space.n, t1.space.d) != (t2.space.n, t2.space.d):
         return float("inf")
-    worst = 0.0
-    for b1, b2 in zip(t1.fourier_blocks, t2.fourier_blocks):
-        s1 = np.linalg.svd(b1, compute_uv=False)
-        s2 = np.linalg.svd(b2, compute_uv=False)
-        worst = max(worst, float(np.max(np.abs(s1 - s2))) if s1.size else 0.0)
-    return worst
+    s1 = np.linalg.svd(t1.fourier_blocks, compute_uv=False)
+    s2 = np.linalg.svd(t2.fourier_blocks, compute_uv=False)
+    return float(np.max(np.abs(s1 - s2), initial=0.0))

@@ -259,10 +259,11 @@ def _cmd_charfn(args) -> int:
 
     cls, sub, theta, kernel = run.classification, run.sub, run.theta, run.kernel
     dc = delta_and_classify(theta)
-    per_degree = {str(k): 0.0 for k in range(run.degree + 1)}
-    for w, block in zip(run.space.words, theta.fourier_blocks):
-        key = str(len(w))
-        per_degree[key] = max(per_degree[key], opnorm(block))
+    block_norms = np.linalg.norm(theta.fourier_blocks, 2, axis=(1, 2))
+    per_degree = {
+        str(k): float(np.max(block_norms[run.space.degree_slice(k)], initial=0.0))
+        for k in range(run.degree + 1)
+    }
     report.update(
         {
             "classification": _classification_dict(cls),
@@ -273,7 +274,7 @@ def _cmd_charfn(args) -> int:
                 "cols": theta.matrix.shape[1],
                 "dim_N": sub.dim_N,
             },
-            "method": theta.method,
+            "method": "compression",
             "tail_bound": theta.tail_bound,
             "series_agreement": theta.series_agreement,
             "coinvariance_leak": theta.coinvariance_leak,

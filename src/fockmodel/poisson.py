@@ -71,6 +71,32 @@ class KernelMatrix:
         return opnorm(adj(self.matrix) @ self.matrix - target)
 
 
+def kernel_blocks(
+    mats: list[np.ndarray], space: TruncatedFockSpace, defect: DefectData
+) -> np.ndarray:
+    """The block basis* Delta T_alpha* of every word alpha, shape (dim, d_T, m).
+
+    ``defect`` is the defect data of ``mats``.  These are the radius-1
+    Poisson-kernel blocks of ``mats``; times one row block of
+    Delta_* basis_* they are also the Fourier blocks of its characteristic
+    function.
+    """
+    m = mats[0].shape[0]
+    lead = adj(defect.basis) @ defect.delta  # d_T x m, applied to every block
+
+    # T_alpha* built by one extra factor per word, walking the graded order.
+    coeffs: list[np.ndarray] = [np.eye(m, dtype=complex)]
+    for iw in range(1, space.dim):
+        w = space.words[iw]
+        parent = space.index(w[:-1])
+        coeffs.append(adj(mats[w[-1] - 1]) @ coeffs[parent])
+
+    blocks = np.empty((space.dim, defect.d_T, m), dtype=complex)
+    for iw in range(space.dim):
+        blocks[iw] = lead @ coeffs[iw]
+    return blocks
+
+
 def poisson_kernel(
     ts,
     space: TruncatedFockSpace,
@@ -86,22 +112,8 @@ def poisson_kernel(
     scaled = [r * t for t in mats]
     if defect is None or r != 1.0:
         defect = defects(scaled)
-    lead = adj(defect.basis) @ defect.delta  # d_T x m, applied to every block
-
-    # T_alpha* built by one extra factor per word, walking the graded order.
-    coeffs: list[np.ndarray] = [np.eye(m, dtype=complex)]
-    for iw in range(1, space.dim):
-        w = space.words[iw]
-        parent = space.index(w[:-1])
-        coeffs.append(adj(scaled[w[-1] - 1]) @ coeffs[parent])
-
-    d_T = defect.d_T
-    k = np.empty((space.dim * d_T, m), dtype=complex)
-    for iw in range(space.dim):
-        k[iw * d_T : (iw + 1) * d_T, :] = lead @ coeffs[iw]
-
     return KernelMatrix(
-        matrix=k,
+        matrix=kernel_blocks(scaled, space, defect).reshape(space.dim * defect.d_T, m),
         mats=mats,
         r=r,
         space=space,

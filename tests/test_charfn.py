@@ -9,13 +9,13 @@ Moebius map (z - a)/(1 - conj(a) z), whose coefficients are
 With a = 1/2 the first few are -0.5, 0.75, 0.375, 0.1875, ...
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import Q_TEST, SPECTRAL_CASES, adj, make_spec, opnorm, spectral_theta
 from fockmodel import (
-    NCPoly,
-    PolyIdealSpec,
     TruncatedFockSpace,
     characteristic_function,
     classify,
@@ -31,7 +31,7 @@ from fockmodel import (
     ideal_subspace,
     truncation_tail,
 )
-from fockmodel.ideals import ConstrainedSubspace
+from fockmodel import charfn
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     q_commuting_nilpotent_tuple,
@@ -84,6 +84,27 @@ def test_zero_pair_blocks_are_coordinate_functionals():
     assert opnorm(adj(b) @ b - np.eye(2)) < 1e-12
     for w in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         assert opnorm(fourier_block(cf, w)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "n, d, kind",
+    [(2, 5, "nilpotent"), (2, 5, "dense"), (3, 3, "dense"), (2, 0, "dense")],
+)
+def test_blocks_match_the_dense_series_on_the_zero_family(n, d, kind):
+    # On the zero family N is the whole space, so the series route is the
+    # dense Neumann series sum_k (sum_i R_i (x) T_i*)^k on all words.
+    rng = np.random.default_rng(53)
+    if kind == "nilpotent":
+        mats = commuting_nilpotent_tuple(rng, n, 0.7)
+    else:
+        mats = random_row_contraction(rng, n, 3, 0.7)
+    space = TruncatedFockSpace(n, d)
+    th = characteristic_function(mats, space)
+    assert (th.tail_bound == 0.0) == (kind == "nilpotent")
+    series = charfn._series_matrix(mats, ideal_subspace(make_spec("zero", n=n), space), th.defect)
+    assert np.max(np.abs(th.matrix - series)) < 1e-13
+    vacuum_column = series[:, : th.d_star].reshape(space.dim, th.d_T, th.d_star)
+    assert np.max(np.abs(th.fourier_blocks - vacuum_column)) < 1e-13
 
 
 def test_block_count(mobius_half):
@@ -231,21 +252,25 @@ def test_coinvariance_leak_is_tiny_for_graded_families(comm_theta_d5):
 def test_series_route_agrees_with_compression():
     space = TruncatedFockSpace(2, 6)
     sub = ideal_subspace(make_spec("commutative"), space)
-    th_c = constrained_characteristic_function(PAIR, sub, method="compression")
-    th_s = constrained_characteristic_function(PAIR, sub, method="series")
-    assert th_s.series_agreement is not None
-    assert th_s.series_agreement < 1e-10
-    assert opnorm(th_s.matrix - th_c.matrix) < 1e-10
+    th = constrained_characteristic_function(PAIR, sub)
+    assert th.series_agreement is not None
+    assert th.series_agreement < 1e-10
 
 
-def test_series_route_requires_graded_relations():
-    space = TruncatedFockSpace(2, 3)
-    spec = PolyIdealSpec(n=2, kind="custom", polys=[NCPoly({(1, 2): 1.0, (1,): -1.0})])
-    sub = ideal_subspace(spec, space)
-    with pytest.raises(ValueError, match="graded"):
-        constrained_characteristic_function(
-            [np.zeros((1, 1)), np.zeros((1, 1))], sub, method="series"
-        )
+def test_routes_that_disagree_are_refused(monkeypatch):
+    sub = ideal_subspace(make_spec("commutative"), TruncatedFockSpace(2, 3))
+    series = charfn._series_matrix
+    monkeypatch.setattr(charfn, "_series_matrix", lambda *args: series(*args) + 1e-6)
+    with pytest.raises(RuntimeError, match="routes disagree"):
+        constrained_characteristic_function(PAIR, sub)
+
+
+def test_a_leaking_relation_span_is_refused():
+    # a relation "span" that overlaps N: the function maps it into N
+    sub = ideal_subspace(make_spec("commutative"), TruncatedFockSpace(2, 3))
+    corrupted = dataclasses.replace(sub, M_basis=sub.N_basis[:, :1])
+    with pytest.raises(RuntimeError, match="leaks .* from the relation span"):
+        constrained_characteristic_function(PAIR, corrupted)
 
 
 def test_zero_family_matches_the_unconstrained_function():
@@ -345,3 +370,16 @@ def test_necessary_mismatch(mobius_half):
     sp2 = TruncatedFockSpace(2, 4)
     shaped = characteristic_function([np.zeros((1, 1)), np.zeros((1, 1))], sp2)
     assert coincidence_necessary_mismatch(mobius_half, shaped) == np.inf
+
+
+def test_necessary_mismatch_equals_the_per_word_loop():
+    rng = np.random.default_rng(61)
+    space = TruncatedFockSpace(2, 3)
+    t1, t2 = (
+        characteristic_function(random_row_contraction(rng, 2, 3, 0.7), space) for _ in range(2)
+    )
+    want = max(
+        np.max(np.abs(np.linalg.svd(b1, compute_uv=False) - np.linalg.svd(b2, compute_uv=False)))
+        for b1, b2 in zip(t1.fourier_blocks, t2.fourier_blocks)
+    )
+    assert coincidence_necessary_mismatch(t1, t2) == want

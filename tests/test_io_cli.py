@@ -12,6 +12,9 @@ from fockmodel import (
     Problem,
     ProblemFormatError,
     TriState,
+    TruncatedFockSpace,
+    constrained_characteristic_function,
+    ideal_subspace,
     load_problem,
     load_unitary,
     save_problem,
@@ -269,6 +272,12 @@ def test_cli_charfn(tmp_path):
     assert set(rep["residuals"]) == {"J-fa", "K*K"}
     assert rep["inner"] is True
     assert set(rep["fourier_norms_by_degree"]) == {str(k) for k in range(6)}
+    th = constrained_characteristic_function(
+        PAIR, ideal_subspace(PolyIdealSpec(n=2, kind="commutative"), TruncatedFockSpace(2, 5))
+    )
+    for k, got in rep["fourier_norms_by_degree"].items():
+        blocks = [b for w, b in zip(th.space.words, th.fourier_blocks) if len(w) == int(k)]
+        assert got == max(opnorm(b) for b in blocks)
     cb = checks_by_name(rep)
     assert cb["J-fa"]["pass"] and cb["K*K"]["pass"]
 
