@@ -9,7 +9,14 @@ table prints the partial-sum error against the a-priori bound
 
 import numpy as np
 
-from fockmodel import TruncatedFockSpace, characteristic_function, eval_commutative, fourier_sum
+from fockmodel import (
+    PolyIdealSpec,
+    TruncatedFockSpace,
+    constrained_characteristic_function,
+    eval_commutative,
+    fourier_sum,
+    ideal_subspace,
+)
 
 
 def main():
@@ -25,7 +32,9 @@ def main():
     t2 = np.diag([0.1, 0.55]).astype(complex)
     mats = [t1, t2]
     d = 8
-    cf = characteristic_function(mats, TruncatedFockSpace(2, d))
+    # no relations (the zero family): N is the whole space and Theta the free function
+    free = ideal_subspace(PolyIdealSpec(n=2), TruncatedFockSpace(2, d))
+    cf = constrained_characteristic_function(mats, free)
 
     rng = np.random.default_rng(1)
     print(f"\npartial sums at degree {d} vs closed form:")

@@ -32,7 +32,6 @@ from .ideals import (
 from .contractions import (
     Classification,
     DefectData,
-    RowContraction,
     TriState,
     ValidationReport,
     classify,
@@ -48,13 +47,11 @@ from .contractions import (
 from .poisson import (
     KernelMatrix,
     constrained_poisson_kernel,
-    poisson_kernel,
     verify_intertwining,
 )
 from .charfn import (
     CharFn,
     DeltaClassification,
-    characteristic_function,
     coincidence_necessary_mismatch,
     constrained_characteristic_function,
     delta_and_classify,

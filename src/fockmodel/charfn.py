@@ -35,10 +35,13 @@ the factorization against the constrained Poisson kernel,
     I - Theta_J Theta_J* = K_J K_J*    (plus the exact truncation tail),
 
 survives compression verbatim.  The constrained function is that
-compression.  For a graded family with relations the same matrix is also
-assembled directly on N as a Neumann series in the compressed shifts; the
-two routes share no subspace code beyond the N basis, so their agreement
-guards the whole constraint pipeline.
+compression, and :func:`constrained_characteristic_function` is the one
+builder: on the zero family, ``ideal_subspace(PolyIdealSpec(n=n), space)``,
+N is the whole space and the result is the free function Theta_T.  For a
+graded family with relations the same matrix is also assembled directly on
+N as a Neumann series in the compressed shifts; the two routes share no
+subspace code beyond the N basis, so their agreement guards the whole
+constraint pipeline.
 """
 
 from __future__ import annotations
@@ -59,23 +62,25 @@ from .contractions import (
 from .fock import TruncatedFockSpace
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
 from .linalg import adj, opnorm
-from .poisson import kernel_blocks
+from .poisson import KernelMatrix, kernel_blocks
 
 _SERIES_AGREEMENT_TOL = 1e-10
 
 
 @dataclasses.dataclass
 class CharFn:
-    """A (possibly constrained) truncated characteristic function."""
+    """A truncated characteristic function compressed to N on both sides."""
 
     matrix: np.ndarray
-    space: TruncatedFockSpace
+    sub: ConstrainedSubspace
     defect: DefectData
     tail_bound: float
-    constrained: bool = False
-    sub: ConstrainedSubspace | None = None
     coinvariance_leak: float | None = None
     series_agreement: float | None = None
+
+    @property
+    def space(self) -> TruncatedFockSpace:
+        return self.sub.space
 
     @property
     def d_T(self) -> int:
@@ -84,11 +89,6 @@ class CharFn:
     @property
     def d_star(self) -> int:
         return self.defect.d_star
-
-    @property
-    def block_count(self) -> int:
-        """Number of word blocks per side (dim N when constrained)."""
-        return self.sub.dim_N if self.constrained else self.space.dim
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,14 +113,12 @@ class CharFn:
     def fourier_blocks(self) -> np.ndarray:
         """The vacuum-column Fourier block of every word, shape (dim, d_T, d_star).
 
-        Row j is the d_T x d_star block of the j-th word of ``space``.  A
-        constrained function contracts its vacuum column once and maps the
-        result back to words through the N basis.
+        Row j is the d_T x d_star block of the j-th word of ``space``.  The
+        vacuum column is contracted once and the result mapped back to words
+        through the N basis.
         """
-        b = self.block_count
-        if not self.constrained:
-            return self.matrix[:, : self.d_star].reshape(b, self.d_T, self.d_star).copy()
         nb = self.sub.N_basis
+        b = self.sub.dim_N
         vacuum = np.tensordot(
             self.matrix.reshape(b, self.d_T, b, self.d_star), nb[0, :].conj(), axes=(2, 0)
         )
@@ -130,11 +128,11 @@ class CharFn:
 def fourier_block(cf: CharFn, word) -> np.ndarray:
     """The d_T x d_star coefficient block of the given word.
 
-    For a constrained function this is the block of the compressed expansion;
-    it agrees with the unconstrained block because the compression is exact
-    (and is near-zero for every word when the tuple is the constrained shift
-    itself).  If the vacuum is not in N the expansion is empty and blocks are
-    zero by convention.
+    This is the block of the compressed expansion; it agrees with the block of
+    the free function because the compression is exact (and is near-zero for
+    every word when the tuple is the constrained shift itself).  If the
+    vacuum is not in N the expansion is empty and blocks are zero by
+    convention.
     """
     return cf.fourier_blocks[cf.space.index(tuple(word))].copy()
 
@@ -156,24 +154,6 @@ def fourier_sum(cf: CharFn, z) -> np.ndarray:
     return np.tensordot(coherent, cf.fourier_blocks, axes=(0, 0))
 
 
-def characteristic_function(
-    ts,
-    space: TruncatedFockSpace,
-    *,
-    defect: DefectData | None = None,
-) -> CharFn:
-    """Unconstrained truncated characteristic function of a row contraction."""
-    mats = as_matrices(ts)
-    if defect is None:
-        defect = defects(mats)
-    return CharFn(
-        matrix=_block_matrix(mats, space, defect),
-        space=space,
-        defect=defect,
-        tail_bound=truncation_tail(mats, space.d),
-    )
-
-
 def constrained_characteristic_function(
     ts,
     sub: ConstrainedSubspace,
@@ -182,9 +162,10 @@ def constrained_characteristic_function(
 ) -> CharFn:
     """Characteristic function compressed to the constrained subspace.
 
-    The unconstrained function is built from its Fourier blocks and both
-    sides are compressed by the N basis.  Whenever the family has relations
-    (dim M > 0) the part that maps M into N is recorded as
+    The function on the whole truncated space is built from its Fourier
+    blocks and both sides are compressed by the N basis (the identity on the
+    zero family, which gives the free function).  Whenever the family has
+    relations (dim M > 0) the part that maps M into N is recorded as
     ``coinvariance_leak``; for a graded family it must stay below
     max(1e-8, 100 * relation residual), and the matrix is also assembled
     directly on N from the compressed shifts, which must agree with the
@@ -222,11 +203,9 @@ def constrained_characteristic_function(
 
     return CharFn(
         matrix=matrix,
-        space=sub.space,
+        sub=sub,
         defect=defect,
         tail_bound=truncation_tail(mats, sub.space.d),
-        constrained=True,
-        sub=sub,
         coinvariance_leak=leak,
         series_agreement=series_agreement,
     )
@@ -308,14 +287,29 @@ def _compress_blocks(
     return out.reshape(n_left * d_T, n_right * d_star)
 
 
-def factorization_defect(theta: CharFn, kernel) -> float:
+def _require_same_subspace(theta: CharFn, kernel: KernelMatrix) -> None:
+    """Refuse a function and a kernel compressed to different subspaces N.
+
+    The same subspace object, or an equal N basis of the same Fock space,
+    passes.  Equal dimensions do not: commutative and q-commutative families
+    share dim N.
+    """
+    a, b = theta.sub, kernel.sub
+    same_space = (a.space.n, a.space.d) == (b.space.n, b.space.d)
+    if a is not b and not (same_space and np.array_equal(a.N_basis, b.N_basis)):
+        raise ValueError(
+            "the characteristic function and the kernel are compressed to different subspaces"
+        )
+
+
+def factorization_defect(theta: CharFn, kernel: KernelMatrix) -> float:
     """| I - Theta Theta* - K K* |, the joint defect of the factorization.
 
     For a pure tuple this is rounding-level at truncation; in general it is
-    bounded by the recorded truncation tails.
+    bounded by the recorded truncation tails.  Both must live on one
+    subspace N.
     """
-    if theta.constrained != kernel.constrained:
-        raise ValueError("mixing a constrained function with an unconstrained kernel (or vice versa)")
+    _require_same_subspace(theta, kernel)
     p = theta.matrix.shape[0]
     if kernel.matrix.shape[0] != p:
         raise ValueError(

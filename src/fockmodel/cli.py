@@ -51,7 +51,7 @@ from .model import (
     model_unitary,
     verify_coincidence_implies_equivalence,
 )
-from .poisson import constrained_poisson_kernel, poisson_kernel, verify_intertwining
+from .poisson import constrained_poisson_kernel, verify_intertwining
 from .problem_io import Problem, ProblemFormatError, load_problem, load_unitary, save_report
 
 
@@ -62,6 +62,16 @@ def _tolerance(text: str) -> float:
         value = math.nan
     if not 0.0 < value < 1.0:  # NaN fails both comparisons
         raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
+    return value
+
+
+def _degree(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return value
 
 
@@ -76,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--problem", required=True, help="problem JSON file")
         p.add_argument("--out", required=True, help="report JSON file to write")
-        p.add_argument("--degree", type=int, default=None, help="override the truncation degree")
+        p.add_argument(
+            "--degree", type=_degree, default=None, help="override the truncation degree, >= 0"
+        )
         p.add_argument(
             "--tol", type=_tolerance, default=1e-9, help="classification tolerance, in (0, 1)"
         )
@@ -234,8 +246,9 @@ def _cmd_analyze(args) -> int:
     if verdict is None:
         kernel = run.kernel
         report["kernel"] = {"constrained": True, "subspace_leak": kernel.subspace_leak}
-    else:  # a relation-violating tuple still gets its kernel, only not the constrained one
-        kernel = poisson_kernel(run.mats, run.space, defect=dft)
+    else:  # a relation-violating tuple still gets its kernel, on the zero family
+        free = ideal_subspace(PolyIdealSpec(n=run.problem.n), run.space)
+        kernel = constrained_poisson_kernel(run.mats, free, defect=dft)
         report["kernel"] = {
             "constrained": False,
             "note": "tuple violates the relations; kernel computed without the constraint",

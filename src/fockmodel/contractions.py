@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,53 +37,7 @@ from .ideals import PolyIdealSpec
 from .linalg import adj, hermitize, opnorm, psd_root, psd_spectrum
 
 
-class RowContraction:
-    """Thin convenience wrapper around a tuple of same-size square matrices.
-
-    Iterates like a list of matrices, so library functions accept either a
-    RowContraction or a plain sequence of arrays.
-    """
-
-    def __init__(self, mats: Sequence[np.ndarray]):
-        mats = [np.asarray(t, dtype=complex) for t in mats]
-        if not mats:
-            raise ValueError("need at least one matrix")
-        m = mats[0].shape[0]
-        for k, t in enumerate(mats):
-            if t.shape != (m, m):
-                raise ValueError(
-                    f"entry {k} has shape {t.shape}, expected ({m}, {m}) like entry 0"
-                )
-        self.mats = mats
-        self.n = len(mats)
-        self.m = m
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.mats)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.mats[k]
-
-    def row_matrix(self) -> np.ndarray:
-        return row_matrix(self.mats)
-
-    def scaled(self, r: float) -> "RowContraction":
-        return RowContraction([r * t for t in self.mats])
-
-    def conjugated(self, u: np.ndarray) -> "RowContraction":
-        """The tuple (U T_1 U*, ..., U T_n U*)."""
-        return RowContraction([u @ t @ adj(u) for t in self.mats])
-
-    def __repr__(self) -> str:
-        return f"RowContraction(n={self.n}, m={self.m})"
-
-
-def as_matrices(tuple_like: Sequence[np.ndarray] | RowContraction) -> list[np.ndarray]:
-    if isinstance(tuple_like, RowContraction):
-        return tuple_like.mats
+def as_matrices(tuple_like: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [np.asarray(t, dtype=complex) for t in tuple_like]
 
 

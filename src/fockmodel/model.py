@@ -53,10 +53,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .charfn import CharFn, constrained_characteristic_function
+from .charfn import CharFn, _require_same_subspace, constrained_characteristic_function
 from .contractions import Classification, TriState, as_matrices
-from .fock import left_creation
-from .ideals import ConstrainedSubspace, constrained_creation
+from .ideals import ConstrainedSubspace, constrained_creation_tuple
 from .linalg import (
     adj,
     canonical_phase,
@@ -138,7 +137,9 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
     w, e_basis, kept = psd_spectrum(_defect_eigenvalues(sigma, q), v, rank_tol=1e-10)
     s = e_basis.shape[1]
     phihat = np.vstack([th, np.sqrt(kept)[:, None] * adj(e_basis)])
-    isometry_residual = opnorm(adj(phihat) @ phihat - np.eye(q, dtype=complex))
+    gram = adj(phihat) @ phihat
+    gram.flat[:: q + 1] -= 1.0  # Phihat* Phihat - I, without a second q x q array
+    isometry_residual = opnorm(gram)
 
     # w ascends, so the kept columns of V are its last s; those with k below
     # min(p, q) = sigma.size pair with a u_k whose sigma_k is not at 1.
@@ -166,12 +167,6 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
         H_pure_basis=h_pure,
         tail_bound=tail,
     )
-
-
-def _shift_tuple(theta: CharFn) -> list[np.ndarray]:
-    if theta.constrained:
-        return [constrained_creation(theta.sub, i, "left") for i in range(1, theta.space.n + 1)]
-    return [left_creation(theta.space, i) for i in range(1, theta.space.n + 1)]
 
 
 def _shift_rows(model_cols: np.ndarray, shift: np.ndarray, d_T: int, p: int) -> np.ndarray:
@@ -229,7 +224,7 @@ def model_operators(
     theta = model.theta
     d_T = theta.d_T
     p = model.p
-    shifts = _shift_tuple(theta)
+    shifts = constrained_creation_tuple(theta.sub, "left")
     h1 = model.H_basis[:p, :]
     if h1.shape[1]:
         sigma_min = float(np.linalg.svd(h1, compute_uv=False)[-1])
@@ -292,10 +287,10 @@ def model_unitary(model: ModelData, kernel: KernelMatrix, ops: ModelOperators) -
     norm of the model-space projection of (g, 0) (norm_identity_residual),
     and projecting Gamma's range back onto the shift summand recovers the
     kernel matrix (projection_residual).  All of these are zero at rounding
-    level when the truncation tail is.
+    level when the truncation tail is.  The kernel and the function must be
+    compressed to one subspace N.
     """
-    if kernel.constrained != model.theta.constrained:
-        raise ValueError("kernel and characteristic function disagree about the constraint")
+    _require_same_subspace(model.theta, kernel)
     k = kernel.matrix
     if k.shape[0] != model.p:
         raise ValueError(f"kernel has {k.shape[0]} rows, expected {model.p}")

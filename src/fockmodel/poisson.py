@@ -1,20 +1,21 @@
-"""Poisson kernels of row contractions, truncated and constrained.
+"""Poisson kernels of row contractions, truncated and compressed to N.
 
-For a row contraction T on C^m and 0 < r <= 1 the kernel maps C^m into
-(Fock space) (x) (defect space of rT):
+For a row contraction T on C^m the kernel maps C^m into
+(Fock space) (x) (defect space of T):
 
-    K h  =  sum_{|alpha| <= d}  e_alpha (x) [basis* Delta_r r^|alpha| T_alpha* h],
+    K h  =  sum_{|alpha| <= d}  e_alpha (x) [basis* Delta T_alpha* h],
 
-where Delta_r is the defect of the scaled tuple rT and basis is an
-orthonormal basis of its range.  Rows are Fock-major: the block of word
-alpha occupies rows [index(alpha)*d_T, (index(alpha)+1)*d_T).
+where Delta is the defect of T and basis is an orthonormal basis of its
+range.  Rows are Fock-major: the block of word alpha occupies rows
+[index(alpha)*d_T, (index(alpha)+1)*d_T).  The kernel of a scaled tuple rT
+is the kernel of the tuple [r T_1, ..., r T_n].
 
 Truncation is exact here, not an approximation with an unknown constant:
 
-    K* K = I - Phi_{rT}^(d+1)(I)
+    K* K = I - Phi_T^(d+1)(I)
 
 holds to rounding, so the kernel is an isometry up to exactly the tail the
-degree cap forgets.  That tail, |Phi_{rT}^(d+1)(I)|, is computed alongside
+degree cap forgets.  That tail, |Phi_T^(d+1)(I)|, is computed alongside
 the kernel and carried on the result; downstream comparisons consume it
 instead of a global fudge tolerance.
 
@@ -22,7 +23,10 @@ When T satisfies a family of polynomial relations, the kernel's range avoids
 the relation span M (x) defect entirely -- again exactly at truncation -- so
 compressing the rows to N = M-perp loses nothing.  The compressed kernel and
 the size of the discarded component (`subspace_leak`, which should be at
-rounding level) are produced by :func:`constrained_poisson_kernel`.
+rounding level) are produced by :func:`constrained_poisson_kernel`, the one
+builder.  The free (unconstrained) kernel is the same call on the zero
+family, ``ideal_subspace(PolyIdealSpec(n=n), space)``, where N is the whole
+space.
 """
 
 from __future__ import annotations
@@ -40,34 +44,35 @@ from .contractions import (
     truncation_tail,
     DefectData,
 )
-from .fock import TruncatedFockSpace, left_creation
+from .fock import TruncatedFockSpace
 from .ideals import ConstrainedSubspace, constrained_creation
 from .linalg import adj, opnorm
 
 
 @dataclasses.dataclass
 class KernelMatrix:
-    """A (possibly constrained) truncated Poisson kernel with its metadata."""
+    """A truncated Poisson kernel compressed to N (x) defect, with its metadata."""
 
     matrix: np.ndarray
-    mats: list[np.ndarray]          # the original (unscaled) tuple
-    r: float
-    space: TruncatedFockSpace
-    defect: DefectData              # defect data of the scaled tuple r*T
-    tail_bound: float               # |Phi_{rT}^(d+1)(I)|, exact
-    constrained: bool = False
-    sub: ConstrainedSubspace | None = None
-    subspace_leak: float | None = None
-    relation_residual: float | None = None
+    mats: list[np.ndarray]
+    sub: ConstrainedSubspace
+    defect: DefectData
+    tail_bound: float               # |Phi_T^(d+1)(I)|, exact
+    subspace_leak: float
+    relation_residual: float
+
+    @property
+    def space(self) -> TruncatedFockSpace:
+        return self.sub.space
 
     @property
     def d_T(self) -> int:
         return self.defect.d_T
 
     def gram_residual(self) -> float:
-        """| K*K - (I - Phi_{rT}^(d+1)(I)) |; rounding-level by construction."""
-        scaled = [self.r * t for t in self.mats]
-        target = np.eye(self.mats[0].shape[0], dtype=complex) - phi_power(scaled, self.space.d + 1)
+        """| K*K - (I - Phi_T^(d+1)(I)) |; rounding-level by construction."""
+        m = self.mats[0].shape[0]
+        target = np.eye(m, dtype=complex) - phi_power(self.mats, self.space.d + 1)
         return opnorm(adj(self.matrix) @ self.matrix - target)
 
 
@@ -76,8 +81,8 @@ def kernel_blocks(
 ) -> np.ndarray:
     """The block basis* Delta T_alpha* of every word alpha, shape (dim, d_T, m).
 
-    ``defect`` is the defect data of ``mats``.  These are the radius-1
-    Poisson-kernel blocks of ``mats``; times one row block of
+    ``defect`` is the defect data of ``mats``.  These are the Poisson-kernel
+    blocks of ``mats`` on the whole truncated space; times one row block of
     Delta_* basis_* they are also the Fourier blocks of its characteristic
     function.
     """
@@ -97,44 +102,21 @@ def kernel_blocks(
     return blocks
 
 
-def poisson_kernel(
-    ts,
-    space: TruncatedFockSpace,
-    *,
-    r: float = 1.0,
-    defect: DefectData | None = None,
-) -> KernelMatrix:
-    """Truncated Poisson kernel of T at radius r (an exact finite object)."""
-    mats = as_matrices(ts)
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"radius must lie in (0, 1], got {r}")
-    m = mats[0].shape[0]
-    scaled = [r * t for t in mats]
-    if defect is None or r != 1.0:
-        defect = defects(scaled)
-    return KernelMatrix(
-        matrix=kernel_blocks(scaled, space, defect).reshape(space.dim * defect.d_T, m),
-        mats=mats,
-        r=r,
-        space=space,
-        defect=defect,
-        tail_bound=truncation_tail(scaled, space.d),
-    )
-
-
 def constrained_poisson_kernel(
     ts,
     sub: ConstrainedSubspace,
     *,
     defect: DefectData | None = None,
 ) -> KernelMatrix:
-    """Poisson kernel (radius 1) compressed to the constrained rows N (x) defect.
+    """Poisson kernel compressed to the constrained rows N (x) defect.
 
-    Refuses tuples that do not satisfy the relations (residual above
-    1e-8): the compression is only meaningful -- and only lossless -- for
-    tuples in the constrained class.  The norm of the discarded M-component is
-    returned on the result as ``subspace_leak``.  ``defect`` reuses the
-    tuple's defect data when the caller already has it.
+    The blocks of :func:`kernel_blocks` are compressed by the N basis; on the
+    zero family N is the identity and this is the free kernel.  Refuses
+    tuples that do not satisfy the relations (residual above 1e-8): the
+    compression is only meaningful -- and only lossless -- for tuples in the
+    constrained class.  The norm of the discarded M-component is returned on
+    the result as ``subspace_leak``.  ``defect`` reuses the tuple's defect
+    data when the caller already has it.
     """
     mats = as_matrices(ts)
     residual = constraint_residual(mats, sub.spec)
@@ -143,62 +125,48 @@ def constrained_poisson_kernel(
             f"tuple violates the polynomial relations: residual {residual:.3e} "
             f"exceeds {_RELATION_TOL:.0e}"
         )
-    full = poisson_kernel(mats, sub.space, defect=defect)
-    d_T = full.d_T
-    resh = full.matrix.reshape(sub.space.dim, d_T, mats[0].shape[0])
-    compressed = np.tensordot(adj(sub.N_basis), resh, axes=(1, 0))
-    leak = np.tensordot(adj(sub.M_basis), resh, axes=(1, 0))
-    leak_norm = opnorm(leak.reshape(sub.dim_M * d_T, -1)) if sub.dim_M else 0.0
+    if defect is None:
+        defect = defects(mats)
+    blocks = kernel_blocks(mats, sub.space, defect)
+    compressed = np.tensordot(adj(sub.N_basis), blocks, axes=(1, 0))
+    leak = np.tensordot(adj(sub.M_basis), blocks, axes=(1, 0))
+    leak_norm = opnorm(leak.reshape(sub.dim_M * defect.d_T, -1)) if sub.dim_M else 0.0
     if leak_norm > 1e-6:
         raise RuntimeError(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
             "the tuple and the relation family are inconsistent"
         )
     return KernelMatrix(
-        matrix=compressed.reshape(sub.dim_N * d_T, mats[0].shape[0]),
+        matrix=compressed.reshape(sub.dim_N * defect.d_T, mats[0].shape[0]),
         mats=mats,
-        r=full.r,
-        space=sub.space,
-        defect=full.defect,
-        tail_bound=full.tail_bound,
-        constrained=True,
         sub=sub,
+        defect=defect,
+        tail_bound=truncation_tail(mats, sub.space.d),
         subspace_leak=leak_norm,
         relation_residual=residual,
     )
 
 
 def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
-    """Residuals of K (rT_i)* = (shift_i* (x) I) K on the rows where it holds.
+    """Residuals of K T_i* = (B_i* (x) I) K on the rows where it holds.
 
-    The identity is exact on row blocks of degree <= d-1 (top-degree rows see
-    truncated data on one side only, so they are excluded).  For constrained
-    kernels the shift is the compressed one and the rows are the N-columns of
-    degree <= d-1.  Returns one residual per generator index.
+    B_i is the left creation operator compressed to N (the full shift on the
+    zero family).  The identity is exact on the N-columns of degree <= d-1
+    (top-degree rows see truncated data on one side only, so they are
+    excluded).  Returns one residual per generator index.
     """
-    space = kernel.space
+    sub = kernel.sub
     d_T = kernel.d_T
-    scaled = [kernel.r * t for t in kernel.mats]
-    out: dict[int, float] = {}
     if d_T == 0:
         # the defect is trivial: the kernel is the empty map and the identity
         # holds vacuously for every generator
-        return {i: 0.0 for i in range(1, space.n + 1)}
-    if kernel.constrained:
-        sub = kernel.sub
-        rows = sub.n_cols_up_to(space.d - 1) * d_T
-        resh = kernel.matrix.reshape(sub.dim_N, d_T, -1)
-        for i in range(1, space.n + 1):
-            b = constrained_creation(sub, i, "left")
-            lhs = kernel.matrix @ adj(scaled[i - 1])
-            rhs = np.tensordot(adj(b), resh, axes=(1, 0)).reshape(kernel.matrix.shape)
-            out[i] = opnorm((lhs - rhs)[:rows, :])
-    else:
-        rows = space.dim_up_to(space.d - 1) * d_T
-        resh = kernel.matrix.reshape(space.dim, d_T, -1)
-        for i in range(1, space.n + 1):
-            s = left_creation(space, i)
-            lhs = kernel.matrix @ adj(scaled[i - 1])
-            rhs = np.tensordot(adj(s), resh, axes=(1, 0)).reshape(kernel.matrix.shape)
-            out[i] = opnorm((lhs - rhs)[:rows, :])
+        return {i: 0.0 for i in range(1, sub.space.n + 1)}
+    rows = sub.n_cols_up_to(sub.space.d - 1) * d_T
+    resh = kernel.matrix.reshape(sub.dim_N, d_T, -1)
+    out: dict[int, float] = {}
+    for i in range(1, sub.space.n + 1):
+        b = constrained_creation(sub, i, "left")
+        lhs = kernel.matrix @ adj(kernel.mats[i - 1])
+        rhs = np.tensordot(adj(b), resh, axes=(1, 0)).reshape(kernel.matrix.shape)
+        out[i] = opnorm((lhs - rhs)[:rows, :])
     return out

@@ -120,8 +120,12 @@ def _ideal(value: Any, n: int) -> PolyIdealSpec:
             ]
             if missing:
                 raise ProblemFormatError(f"ideal.q: missing pairs {missing}")
+        else:
+            q = _complex_entry(raw, "ideal.q")
+        try:
             return PolyIdealSpec(n=n, kind="q_commutative", q=q)
-        return PolyIdealSpec(n=n, kind="q_commutative", q=_complex_entry(raw, "ideal.q"))
+        except ValueError as exc:
+            raise ProblemFormatError(f"ideal.q: {exc}") from None
     if kind == "custom":
         raw_polys = value.get("polys")
         if not isinstance(raw_polys, list) or not raw_polys:

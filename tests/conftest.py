@@ -16,7 +16,6 @@ import pytest
 from fockmodel import (
     PolyIdealSpec,
     TruncatedFockSpace,
-    characteristic_function,
     constrained_characteristic_function,
     ideal_subspace,
 )
@@ -94,7 +93,8 @@ def subspace_factory(space_factory):
 def synthetic_theta(matrix, tail=0.0):
     """A CharFn carrying an arbitrary contraction matrix; build_model and
     delta_and_classify read only the matrix and the tail."""
-    base = characteristic_function([np.array([[0.5]])], TruncatedFockSpace(1, 1))
+    free = ideal_subspace(PolyIdealSpec(n=1), TruncatedFockSpace(1, 1))
+    base = constrained_characteristic_function([np.array([[0.5]])], free)
     return dataclasses.replace(base, matrix=np.asarray(matrix, dtype=complex), tail_bound=tail)
 
 

@@ -31,7 +31,6 @@ from fockmodel import (
     TriState,
     TruncatedFockSpace,
     build_model,
-    characteristic_function,
     classify,
     coincidence_from_unitary,
     coincidence_necessary_mismatch,
@@ -112,7 +111,6 @@ def corpus():
     if "entries" not in _STATE:
         space = TruncatedFockSpace(N_GEN, DEGREE)
         _STATE["entries"] = _build_corpus()
-        _STATE["space"] = space
         _STATE["subs"] = {
             "zero": ideal_subspace(PolyIdealSpec(n=N_GEN, kind="zero"), space),
             "commutative": ideal_subspace(PolyIdealSpec(n=N_GEN, kind="commutative"), space),
@@ -409,8 +407,7 @@ def test_criterion_8_structure_oracles():
 
 
 def test_criterion_9_commutative_symbol():
-    entries, _ = corpus()
-    space = _STATE["space"]
+    entries, subs = corpus()
     comm_idx = [i for i, (family, _) in enumerate(entries) if family == "commutative"]
     rng = np.random.default_rng(0x90)
     cf_cache: dict = {}
@@ -419,7 +416,7 @@ def test_criterion_9_commutative_symbol():
         i = comm_idx[k % len(comm_idx)]
         mats = entries[i][1]
         if i not in cf_cache:
-            cf_cache[i] = characteristic_function(mats, space)
+            cf_cache[i] = constrained_characteristic_function(mats, subs["zero"])
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         z *= rng.uniform(0.1, 0.7) / np.linalg.norm(z)
         r = float(np.linalg.norm(z))

@@ -7,6 +7,8 @@ Moebius map (z - a)/(1 - conj(a) z), whose coefficients are
     theta_(1^k)  = (1 - |a|^2) * conj(a)^(k-1),   k >= 1.
 
 With a = 1/2 the first few are -0.5, 0.75, 0.375, 0.1875, ...
+The free function is the function on the zero family, where N is the whole
+space.
 """
 
 import dataclasses
@@ -17,7 +19,6 @@ import pytest
 from conftest import Q_TEST, SPECTRAL_CASES, adj, make_spec, opnorm, spectral_theta
 from fockmodel import (
     TruncatedFockSpace,
-    characteristic_function,
     classify,
     coincidence_necessary_mismatch,
     constrained_characteristic_function,
@@ -42,9 +43,9 @@ PAIR = [np.array([[0.5]]), np.array([[0.5]])]
 
 
 @pytest.fixture(scope="module")
-def mobius_half():
-    space = TruncatedFockSpace(1, 10)
-    return characteristic_function([np.array([[0.5]])], space)
+def mobius_half(subspace_factory):
+    free = subspace_factory("zero", n=1, d=10)
+    return constrained_characteristic_function([np.array([[0.5]])], free)
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +67,16 @@ def test_mobius_blocks_follow_the_geometric_law(mobius_half):
         assert abs(got - want) < 1e-13
 
 
-def test_unilateral_shift_blocks():
-    space = TruncatedFockSpace(1, 6)
-    cf = characteristic_function([np.array([[0.0]])], space)
+def test_unilateral_shift_blocks(subspace_factory):
+    free = subspace_factory("zero", n=1, d=6)
+    cf = constrained_characteristic_function([np.array([[0.0]])], free)
     assert fourier_block(cf, ())[0, 0] == pytest.approx(0.0, abs=1e-14)
     assert fourier_block(cf, (1,))[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert fourier_block(cf, (1, 1))[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_zero_pair_blocks_are_coordinate_functionals():
-    space = TruncatedFockSpace(2, 4)
-    cf = characteristic_function([np.zeros((1, 1)), np.zeros((1, 1))], space)
+def test_zero_pair_blocks_are_coordinate_functionals(subspace_factory):
+    cf = constrained_characteristic_function([np.zeros((1, 1))] * 2, subspace_factory("zero", d=4))
     assert (cf.d_T, cf.d_star) == (1, 2)
     assert opnorm(fourier_block(cf, ())) < 1e-14
     b = np.vstack([fourier_block(cf, (1,)), fourier_block(cf, (2,))])
@@ -98,17 +98,18 @@ def test_blocks_match_the_dense_series_on_the_zero_family(n, d, kind):
         mats = commuting_nilpotent_tuple(rng, n, 0.7)
     else:
         mats = random_row_contraction(rng, n, 3, 0.7)
-    space = TruncatedFockSpace(n, d)
-    th = characteristic_function(mats, space)
+    sub = ideal_subspace(make_spec("zero", n=n), TruncatedFockSpace(n, d))
+    th = constrained_characteristic_function(mats, sub)
     assert (th.tail_bound == 0.0) == (kind == "nilpotent")
-    series = charfn._series_matrix(mats, ideal_subspace(make_spec("zero", n=n), space), th.defect)
+    series = charfn._series_matrix(mats, sub, th.defect)
     assert np.max(np.abs(th.matrix - series)) < 1e-13
-    vacuum_column = series[:, : th.d_star].reshape(space.dim, th.d_T, th.d_star)
+    vacuum_column = series[:, : th.d_star].reshape(sub.space.dim, th.d_T, th.d_star)
     assert np.max(np.abs(th.fourier_blocks - vacuum_column)) < 1e-13
 
 
 def test_block_count(mobius_half):
-    assert mobius_half.block_count == 11
+    # one word block per side for each of the 11 words, all of them in N
+    assert mobius_half.sub.dim_N == 11
     assert mobius_half.matrix.shape == (11, 11)
 
 
@@ -132,13 +133,12 @@ def test_eval_rejects_noncommuting_tuples():
         eval_commutative(bad, [0.1, 0.2])
 
 
-def test_partial_sum_approximates_eval_within_geometric_tail():
+def test_partial_sum_approximates_eval_within_geometric_tail(subspace_factory):
     d = 6
-    space = TruncatedFockSpace(2, d)
     rng = np.random.default_rng(77)
     mats = [np.diag([0.5, 0.1]).astype(complex), np.diag([0.2, 0.6]).astype(complex)]
     mats = [m * (0.8 / opnorm(np.hstack(mats)) ** 2) ** 0.5 for m in mats]
-    cf = characteristic_function(mats, space)
+    cf = constrained_characteristic_function(mats, subspace_factory("zero", d=d))
     for _ in range(8):
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         z *= rng.uniform(0.1, 0.7) / np.linalg.norm(z)
@@ -273,14 +273,6 @@ def test_a_leaking_relation_span_is_refused():
         constrained_characteristic_function(PAIR, corrupted)
 
 
-def test_zero_family_matches_the_unconstrained_function():
-    space = TruncatedFockSpace(2, 4)
-    sub = ideal_subspace(make_spec("zero"), space)
-    th_free = characteristic_function(PAIR, space)
-    th_sub = constrained_characteristic_function(PAIR, sub)
-    assert opnorm(th_free.matrix - th_sub.matrix) < 1e-14
-
-
 # ---------------------------------------------------------------------------
 # inner / outer classification
 
@@ -347,7 +339,7 @@ def test_fourier_blocks_match_a_contraction_per_word(kind, subspace_factory):
     else:
         mats = commuting_nilpotent_tuple(rng, 2, 0.7)
     th = constrained_characteristic_function(mats, sub)
-    b, nb = th.block_count, sub.N_basis
+    b, nb = sub.dim_N, sub.N_basis
     resh = th.matrix.reshape(b, th.d_T, b, th.d_star)
     for idx, w in enumerate(sub.space.words):
         want = np.einsum("j,jalb,l->ab", nb[idx, :], resh, nb[0, :].conj())
@@ -362,21 +354,21 @@ def test_fourier_blocks_match_a_contraction_per_word(kind, subspace_factory):
 # coincidence screen
 
 
-def test_necessary_mismatch(mobius_half):
+def test_necessary_mismatch(mobius_half, subspace_factory):
     assert coincidence_necessary_mismatch(mobius_half, mobius_half) == 0.0
-    space = TruncatedFockSpace(1, 10)
-    other = characteristic_function([np.array([[0.3]])], space)
+    other = constrained_characteristic_function([np.array([[0.3]])], mobius_half.sub)
     assert coincidence_necessary_mismatch(mobius_half, other) == pytest.approx(0.2)
-    sp2 = TruncatedFockSpace(2, 4)
-    shaped = characteristic_function([np.zeros((1, 1)), np.zeros((1, 1))], sp2)
+    free = subspace_factory("zero", d=4)
+    shaped = constrained_characteristic_function([np.zeros((1, 1))] * 2, free)
     assert coincidence_necessary_mismatch(mobius_half, shaped) == np.inf
 
 
-def test_necessary_mismatch_equals_the_per_word_loop():
+def test_necessary_mismatch_equals_the_per_word_loop(subspace_factory):
     rng = np.random.default_rng(61)
-    space = TruncatedFockSpace(2, 3)
+    sub = subspace_factory("zero", d=3)
     t1, t2 = (
-        characteristic_function(random_row_contraction(rng, 2, 3, 0.7), space) for _ in range(2)
+        constrained_characteristic_function(random_row_contraction(rng, 2, 3, 0.7), sub)
+        for _ in range(2)
     )
     want = max(
         np.max(np.abs(np.linalg.svd(b1, compute_uv=False) - np.linalg.svd(b2, compute_uv=False)))

@@ -6,7 +6,6 @@ import pytest
 from conftest import adj, make_spec, opnorm
 from fockmodel import (
     PolyIdealSpec,
-    RowContraction,
     TriState,
     classify,
     constrained_creation_tuple,
@@ -24,19 +23,6 @@ from fockmodel.linalg import NumericalRankWarning
 from fockmodel.sampling import nilpotent_pair_tuple, random_row_contraction
 
 SCALAR_PAIR = [np.array([[0.5]]), np.array([[0.5]])]
-
-
-def test_row_contraction_container():
-    rc = RowContraction(SCALAR_PAIR)
-    assert len(rc) == 2
-    assert rc.n == 2 and rc.m == 1
-    assert rc.row_matrix().shape == (1, 2)
-    assert [x.shape for x in rc] == [(1, 1), (1, 1)]
-    assert opnorm(rc[1] - SCALAR_PAIR[1]) == 0.0
-    assert validate(list(rc.scaled(0.5))).row_norm == pytest.approx(np.sqrt(0.5) / 2)
-    u = np.array([[1j]])
-    conj = rc.conjugated(u)
-    assert opnorm(conj[0] - SCALAR_PAIR[0]) < 1e-15  # scalars commute with phases
 
 
 def test_validate_accepts_contraction():

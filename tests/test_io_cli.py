@@ -126,6 +126,15 @@ def test_load_unitary_layouts(tmp_path):
         pytest.param(
             lambda d: d["ideal"].update(kind="q_commutative", q=True), "ideal.q", id="bool-q"
         ),
+        # a zero deformation parameter is refused by the relation family, named by field
+        pytest.param(
+            lambda d: d["ideal"].update(kind="q_commutative", q=0), "ideal.q", id="zero-q"
+        ),
+        pytest.param(
+            lambda d: d["ideal"].update(kind="q_commutative", q={"1,2": [0, 0]}),
+            "ideal.q",
+            id="zero-q-pair",
+        ),
         pytest.param(
             lambda d: d["ideal"].update(kind="custom", polys=[{"1.2": float("inf"), "2.1": -1}]),
             "ideal.polys[0]",
@@ -439,15 +448,26 @@ def test_cli_gate_verdicts(tmp_path, command, mats_a, mats_b, verdict, failing):
         assert "violates the relations" in rep["kernel"]["note"]
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0", "1", "tiny"])
-def test_cli_rejects_tolerances_outside_the_unit_interval(tmp_path, tol):
+@pytest.mark.parametrize(
+    "option,value",
+    [pytest.param("--tol", tol, id=tol) for tol in ["nan", "-1", "inf", "0", "1", "tiny"]]
+    + [
+        pytest.param("--degree", "-1", id="degree--1"),
+        pytest.param("--degree", "x", id="degree-x"),
+    ],
+)
+def test_cli_rejects_tolerances_outside_the_unit_interval(tmp_path, capsys, option, value):
+    # --tol must lie in (0, 1) and --degree be an integer >= 0; argparse refuses
+    # anything else before the problem is read, naming the option.  T = [1] is
+    # not c.n.c., so a degree that got through would end in exit 1 instead.
     prob = write_problem(
         tmp_path / "p.json", n=1, m=1, degree=4, mats=[[[1.0]]], ideal={"kind": "zero"}
     )
     out = tmp_path / "r.json"
     with pytest.raises(SystemExit) as exc:
-        run_cli(["model", "--problem", prob, "--out", str(out), "--tol", tol])
+        run_cli(["model", "--problem", prob, "--out", str(out), option, value])
     assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -20,12 +20,12 @@ from fockmodel import (
     TriState,
     TruncatedFockSpace,
     build_model,
-    characteristic_function,
     classify,
     coincidence_from_unitary,
     constrained_characteristic_function,
     constrained_creation_tuple,
     constrained_poisson_kernel,
+    factorization_defect,
     ideal_subspace,
     model_operators,
     model_unitary,
@@ -152,9 +152,30 @@ def test_model_unitary_identifications(scalar_half_model):
     assert max(g.intertwining.values()) < 1e-8 + 10 * tail
 
 
-def test_build_model_rejects_norm_preserving_tuples():
+def test_a_function_and_a_kernel_on_different_subspaces_are_refused(subspace_factory):
+    # ([0.5], [0]) satisfies both the commutative and the q-commutative
+    # relations, and the two families cut out subspaces of one dimension, so
+    # the function and the kernel have matching shapes; only N tells them apart
+    mats = [np.array([[0.5]]), np.array([[0.0]])]
+    comm, qcomm = subspace_factory("commutative", d=4), subspace_factory("q_commutative", d=4)
+    assert comm.dim_N == qcomm.dim_N
+    _, th, k, model, ops = _pipeline(mats, comm)
+    k_q = constrained_poisson_kernel(mats, qcomm)
+    assert k_q.matrix.shape == k.matrix.shape
+    with pytest.raises(ValueError, match="different subspaces"):
+        factorization_defect(th, k_q)
+    with pytest.raises(ValueError, match="different subspaces"):
+        model_unitary(model, k_q, ops)
+    # an equal N basis built separately is the same subspace
+    again = ideal_subspace(make_spec("commutative"), TruncatedFockSpace(2, 4))
+    assert again is not comm
+    assert factorization_defect(th, constrained_poisson_kernel(mats, again)) < 1e-9
+    assert model_unitary(model, k, ops).unitary_residual < 1e-8 + 10 * model.tail_bound
+
+
+def test_build_model_rejects_norm_preserving_tuples(subspace_factory):
     one = [np.array([[1.0]])]
-    th = characteristic_function(one, TruncatedFockSpace(1, 6))
+    th = constrained_characteristic_function(one, subspace_factory("zero", n=1, d=6))
     with pytest.raises(ValueError, match="noncoisometric"):
         build_model(th, classification=classify(one))
 
