@@ -55,7 +55,7 @@ from .charfn import (
     coincidence_necessary_mismatch,
     constrained_characteristic_function,
     delta_and_classify,
-    eval_commutative,
+    evaluate,
     factorization_defect,
     fourier_block,
     fourier_sum,

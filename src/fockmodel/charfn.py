@@ -24,8 +24,13 @@ and the empty word carries -basis* [T_1 ... T_n] basis_*.  (sel_i picks the
 i-th block of C^n (x) C^m.)  For alpha = (a) + beta this is the radius-1
 Poisson-kernel block basis* Delta T_beta* of beta times the a-th row block of
 Delta_* basis_*, so kernel and function share one parent-word recurrence
-(:func:`poisson.kernel_blocks`).  The blocks also drive the scalar evaluation
-in the commuting case and the cheap unitary-invariance checks.
+(:func:`poisson.kernel_blocks`).  The blocks also drive the cheap
+unitary-invariance checks.
+
+At a point X = (X_1, ..., X_n) each R_alpha becomes X_(reversed alpha) =
+X_{a_p} ... X_{a_1}, so the function lives on the variety V_(J~) of the
+reversed relations, p~(X) = p(X^T)^T, where Popescu's resolvent formula
+gives it in closed form (:func:`evaluate`).
 
 Constrained version: for T satisfying a family of polynomial relations, the
 relation span M (x) defect is invariant under the function (exactly, also at
@@ -38,10 +43,10 @@ survives compression verbatim.  The constrained function is that
 compression, and :func:`constrained_characteristic_function` is the one
 builder: on the zero family, ``ideal_subspace(PolyIdealSpec(n=n), space)``,
 N is the whole space and the result is the free function Theta_T.  For a
-graded family with relations the same matrix is also assembled directly on
-N as a Neumann series in the compressed shifts; the two routes share no
-subspace code beyond the N basis, so their agreement guards the whole
-constraint pipeline.
+graded family with relations the same matrix is also the closed form at the
+compressed right shifts on N, a nilpotent point of V_(J~); the two routes
+share no subspace code beyond the N basis, so their agreement guards the
+whole constraint pipeline.
 """
 
 from __future__ import annotations
@@ -52,19 +57,21 @@ from functools import cached_property
 import numpy as np
 
 from .contractions import (
-    _RELATION_TOL,
     as_matrices,
-    constraint_residual,
     defects,
+    phi_step,
+    require_relations,
+    row_norm,
     truncation_tail,
     DefectData,
 )
-from .fock import TruncatedFockSpace
+from .fock import TruncatedFockSpace, reversed_word_products
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
 from .linalg import adj, opnorm
 from .poisson import KernelMatrix, kernel_blocks
 
 _SERIES_AGREEMENT_TOL = 1e-10
+_NILPOTENT_TOL = 1e-24  # for sum_{|w| = j} |X_w|_F^2 at a point of row norm 1
 
 
 @dataclasses.dataclass
@@ -137,21 +144,68 @@ def fourier_block(cf: CharFn, word) -> np.ndarray:
     return cf.fourier_blocks[cf.space.index(tuple(word))].copy()
 
 
-def fourier_sum(cf: CharFn, z) -> np.ndarray:
-    """sum_alpha z^alpha theta_(alpha) over all truncated words.
+def fourier_sum(cf: CharFn, point) -> np.ndarray:
+    """sum_alpha X_(reversed alpha) (x) theta_(alpha) over all truncated words.
 
-    z is a point of C^n; z^alpha multiplies the letters along the word.
+    ``point`` holds n k x k matrices (1 x 1 for a scalar point).  At a point
+    of V_(J~) whose products of d + 1 letters vanish this equals
+    :func:`evaluate` exactly.
     """
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (cf.space.n,):
-        raise ValueError(f"need a point of C^{cf.space.n}, got shape {z.shape}")
-    coherent = np.empty(cf.space.dim, dtype=complex)
-    for iw, w in enumerate(cf.space.words):
-        val = 1.0 + 0.0j
-        for a in w:
-            val *= z[a - 1]
-        coherent[iw] = val
-    return np.tensordot(coherent, cf.fourier_blocks, axes=(0, 0))
+    xs = _point_matrices(point, cf.space.n)
+    k = xs[0].shape[0]
+    out = np.einsum("wij,wab->iajb", reversed_word_products(cf.space, xs), cf.fourier_blocks)
+    return out.reshape(k * cf.d_T, k * cf.d_star)
+
+
+def evaluate(ts, point, spec: PolyIdealSpec, *, defect: DefectData | None = None) -> np.ndarray:
+    """Theta_T(X) at a point X of V_(J~) (n k x k matrices), from one linear solve:
+
+        -I (x) basis* row basis_* + (I (x) basis* Delta)
+            (I - sum X_i (x) T_i*)^(-1) (sum X_i (x) sel_i Delta_* basis_*),
+
+    point-major on both sides.  Refused with ValueError: a point of the wrong
+    shape, a tuple violating ``spec``, a point whose transposes violate it,
+    and a point with |sum X_i X_i*| >= 1 that is not jointly nilpotent.
+    """
+    mats = as_matrices(ts)
+    xs = _point_matrices(point, len(mats))
+    require_relations(mats, spec)
+    require_relations([x.T for x in xs], spec, "transposed point")
+    norm = row_norm(xs)
+    if norm >= 1.0 and not _jointly_nilpotent([x / norm for x in xs]):
+        raise ValueError(f"point has row norm {norm:.4g} >= 1 and is not jointly nilpotent")
+    return _resolvent(mats, xs, defects(mats) if defect is None else defect)
+
+
+def _point_matrices(point, n: int) -> list[np.ndarray]:
+    """The point as n finite k x k complex matrices, or ValueError."""
+    xs = as_matrices(point)
+    k = xs[0].shape[0] if xs and xs[0].ndim == 2 else 0
+    if k == 0 or len(xs) != n or any(x.shape != (k, k) or not np.isfinite(x).all() for x in xs):
+        raise ValueError(f"need a point of {n} finite k x k matrices, got {[x.shape for x in xs]}")
+    return xs
+
+
+def _jointly_nilpotent(xs: list[np.ndarray]) -> bool:
+    """Whether trace Phi^j(I) = sum_{|w| = j} |X_w|_F^2 vanishes for some j <= k."""
+    q = np.eye(xs[0].shape[0], dtype=complex)
+    for _ in range(xs[0].shape[0]):
+        q = phi_step(xs, q)
+        if np.trace(q).real <= _NILPOTENT_TOL:
+            return True
+    return False
+
+
+def _resolvent(mats: list[np.ndarray], xs: list[np.ndarray], defect: DefectData) -> np.ndarray:
+    """The closed form of :func:`evaluate` at the point ``xs``, unchecked."""
+    n, m, k = len(mats), mats[0].shape[0], xs[0].shape[0]
+    row_blocks = (defect.delta_star @ defect.basis_star).reshape(n, m, defect.d_star)
+    system = np.eye(k * m, dtype=complex) - sum(np.kron(x, adj(t)) for x, t in zip(xs, mats))
+    rhs = sum(np.kron(x, r) for x, r in zip(xs, row_blocks))
+    solved = np.linalg.solve(system, rhs).reshape(k, m, k * defect.d_star)
+    value = (adj(defect.basis) @ defect.delta @ solved).reshape(k * defect.d_T, k * defect.d_star)
+    empty_word = adj(defect.basis) @ np.hstack(mats) @ defect.basis_star
+    return value - np.kron(np.eye(k), empty_word)
 
 
 def constrained_characteristic_function(
@@ -167,18 +221,13 @@ def constrained_characteristic_function(
     zero family, which gives the free function).  Whenever the family has
     relations (dim M > 0) the part that maps M into N is recorded as
     ``coinvariance_leak``; for a graded family it must stay below
-    max(1e-8, 100 * relation residual), and the matrix is also assembled
-    directly on N from the compressed shifts, which must agree with the
+    max(1e-8, 100 * relation residual), and the closed form of
+    :func:`evaluate` at the compressed right shifts on N must agree with the
     compression to 1e-10 (recorded as ``series_agreement``).  Tuples
     violating the relations (residual above 1e-8) are refused.
     """
     mats = as_matrices(ts)
-    residual = constraint_residual(mats, sub.spec)
-    if residual > _RELATION_TOL:
-        raise ValueError(
-            f"tuple violates the polynomial relations: residual {residual:.3e} "
-            f"exceeds {_RELATION_TOL:.0e}"
-        )
+    residual = require_relations(mats, sub.spec)
     if defect is None:
         defect = defects(mats)
     full_matrix = _block_matrix(mats, sub.space, defect)
@@ -187,7 +236,8 @@ def constrained_characteristic_function(
     series_agreement = leak = None
     if sub.dim_M:
         if sub.graded:
-            series_agreement = opnorm(matrix - _series_matrix(mats, sub, defect))
+            raising = constrained_creation_tuple(sub, "right")
+            series_agreement = opnorm(matrix - _resolvent(mats, raising, defect))
             if series_agreement > _SERIES_AGREEMENT_TOL:
                 raise RuntimeError(
                     f"compression and series routes disagree by {series_agreement:.3e}; "
@@ -241,39 +291,6 @@ def _block_matrix(
     theta = np.zeros((space.dim, d_T, space.dim, d_star), dtype=complex)
     theta[rows, :, cols, :] = blocks[alphas]
     return theta.reshape(space.dim * d_T, space.dim * d_star)
-
-
-def _series_matrix(mats: list[np.ndarray], sub: ConstrainedSubspace, defect: DefectData) -> np.ndarray:
-    """The constrained function assembled directly on N (the cross-check).
-
-    -I(x)row + I(x)Delta (sum_k A^k) R_amp I(x)Delta_*, compressed to the
-    defect bases, with A = sum_i B_i (x) T_i* for the compressed right shifts
-    B_i on N; nilpotency of degree raising makes the k-sum finite and exact.
-    """
-    raising = constrained_creation_tuple(sub, "right")
-    n, m = len(mats), mats[0].shape[0]
-    block_dim = sub.dim_N
-    row = np.hstack(mats)
-    a = sum(np.kron(r, adj(t)) for r, t in zip(raising, mats))
-    total = np.eye(block_dim * m, dtype=complex)
-    acc = np.eye(block_dim * m, dtype=complex)
-    for _ in range(sub.space.d):
-        acc = a @ acc
-        total += acc
-    sel = np.eye(n * m, dtype=complex).reshape(n, m, n * m)  # sel[i] picks letter i's block
-    r_amp = sum(np.kron(r, s) for r, s in zip(raising, sel))
-    eye_b = np.eye(block_dim, dtype=complex)
-    full = -np.kron(eye_b, row) + np.kron(eye_b, defect.delta) @ total @ r_amp @ np.kron(
-        eye_b, defect.delta_star
-    )
-    # Compress C^m -> defect and C^{nm} -> dual defect, blockwise.
-    resh = full.reshape(block_dim, m, block_dim, n * m)
-    resh = np.tensordot(adj(defect.basis), resh, axes=(1, 1))       # (d_T, blk, blk, nm)
-    resh = np.moveaxis(resh, 0, 1)                                   # (blk, d_T, blk, nm)
-    resh = np.tensordot(resh, defect.basis_star, axes=(3, 0))        # (blk, d_T, blk, d_star)
-    return np.ascontiguousarray(resh).reshape(
-        block_dim * defect.d_T, block_dim * defect.d_star
-    )
 
 
 def _compress_blocks(
@@ -370,43 +387,6 @@ def delta_and_classify(theta: CharFn) -> DeltaClassification:
         rank_deficiency=int(deficiency),
         norm=float(svals[0]) if svals.size else 0.0,
     )
-
-
-def eval_commutative(ts, z, *, defect: DefectData | None = None) -> np.ndarray:
-    """Value of the characteristic function at a scalar point (commuting case).
-
-    For a commuting tuple the Fourier expansion collapses to a function on
-    the unit ball of C^n; this evaluates it in closed form,
-
-        basis* ( -row + Delta (I - sum z_i T_i*)^(-1) [z_1 I ... z_n I] Delta_* ) basis_*,
-
-    requiring |z|_2 < 1.  For n = 1 this is the classical Moebius-type symbol.
-    The truncated Fourier sum approaches this value with an error controlled
-    by |z|^(d+1)/(1 - |z|).
-    """
-    mats = as_matrices(ts)
-    z = np.asarray(z, dtype=complex).ravel()
-    n, m = len(mats), mats[0].shape[0]
-    if z.shape != (n,):
-        raise ValueError(f"need a point of C^{n}, got shape {z.shape}")
-    if np.linalg.norm(z) >= 1.0:
-        raise ValueError(f"point must lie in the open unit ball, |z| = {np.linalg.norm(z):.4f}")
-    if n > 1:
-        residual = constraint_residual(mats, PolyIdealSpec(n=n, kind="commutative"))
-        if residual > _RELATION_TOL:
-            raise ValueError(
-                f"tuple does not commute (residual {residual:.3e}); "
-                "the scalar evaluation only makes sense for commuting tuples"
-            )
-    if defect is None:
-        defect = defects(mats)
-    row = np.hstack(mats)
-    core = np.eye(m, dtype=complex)
-    for i in range(n):
-        core = core - z[i] * adj(mats[i])
-    zrow = np.hstack([z[i] * np.eye(m, dtype=complex) for i in range(n)])
-    inner = -row + defect.delta @ np.linalg.solve(core, zrow) @ defect.delta_star
-    return adj(defect.basis) @ inner @ defect.basis_star
 
 
 def coincidence_necessary_mismatch(t1: CharFn, t2: CharFn) -> float:

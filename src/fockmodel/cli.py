@@ -212,7 +212,7 @@ def _gate(run: _Run, report: dict, checks: list, which: str = "") -> str | None:
     if not which:
         validation["messages"] = v.messages
     report["validation" + key] = validation
-    _check(checks, "row-contraction" + name, max(0.0, v.row_norm**2 - 1.0), 1e-10)
+    _check(checks, "row-contraction" + name, max(0.0, v.row_norm * v.row_norm - 1.0), 1e-10)
     if not v.is_row_contraction:
         return prefix + "not-a-row-contraction"
     report["constraint_residual" + key] = run.relation_residual

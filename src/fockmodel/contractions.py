@@ -69,6 +69,17 @@ def spectral_radius_of_phi(ts: Sequence[np.ndarray]) -> float:
     return opnorm(phi_step(ts, np.eye(as_matrices(ts)[0].shape[0], dtype=complex)))
 
 
+def row_norm(ts: Sequence[np.ndarray]) -> float:
+    """|[T_1 ... T_n]| = sqrt(rho(T)).
+
+    A tuple with an entry above 1, which no row contraction has, is scaled by
+    its largest entry first, so huge entries cannot overflow sum T_i T_i*.
+    """
+    mats = as_matrices(ts)
+    scale = max(1.0, max(float(np.max(np.abs(t))) for t in mats))
+    return scale * float(np.sqrt(max(spectral_radius_of_phi([t / scale for t in mats]), 0.0)))
+
+
 @dataclasses.dataclass
 class ValidationReport:
     n: int
@@ -88,10 +99,10 @@ def validate(ts: Sequence[np.ndarray], *, tol: float = 1e-10) -> ValidationRepor
             raise ValueError(f"entry {k} has shape {t.shape}, expected ({m}, {m})")
         if not np.all(np.isfinite(t)):
             raise ValueError(f"entry {k} contains non-finite values")
-    rn = float(np.sqrt(max(spectral_radius_of_phi(mats), 0.0)))
+    rn = row_norm(mats)
     ok = rn <= 1.0 + tol
     if not ok:
-        messages.append(f"row norm {rn:.6f} exceeds 1 (tolerance {tol:.0e})")
+        messages.append(f"row norm {rn:.6g} exceeds 1 (tolerance {tol:.0e})")
     return ValidationReport(n=len(mats), m=m, row_norm=rn, is_row_contraction=ok, messages=messages)
 
 
@@ -226,3 +237,14 @@ def constraint_residual(ts: Sequence[np.ndarray], spec: PolyIdealSpec) -> float:
     for p in spec.generators():
         worst = max(worst, opnorm(p.apply_to(mats)))
     return worst
+
+
+def require_relations(ts: Sequence[np.ndarray], spec: PolyIdealSpec, what: str = "tuple") -> float:
+    """constraint_residual, refused with ValueError above 1e-8."""
+    residual = constraint_residual(ts, spec)
+    if residual > _RELATION_TOL:
+        raise ValueError(
+            f"{what} violates the polynomial relations: residual {residual:.3e} "
+            f"exceeds {_RELATION_TOL:.0e}"
+        )
+    return residual

@@ -120,9 +120,6 @@ class TruncatedFockSpace:
     def vacuum(self) -> np.ndarray:
         return self.basis_vector(())
 
-    def basis_labels(self) -> list[str]:
-        return [word_label(w) for w in self.words]
-
 
 def left_creation(space: TruncatedFockSpace, i: int) -> np.ndarray:
     """Matrix of e_w -> e_{(i,) + w}, sending top-degree vectors to zero."""
@@ -176,6 +173,21 @@ def word_operator(space: TruncatedFockSpace, word: Sequence[int], mats: Sequence
     out = np.eye(dim, dtype=complex)
     for a in word:
         out = out @ mats[a - 1]
+    return out
+
+
+def reversed_word_products(space: TruncatedFockSpace, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """X_{a_p} ... X_{a_1} for every word (a_1, ..., a_p) of the space, shape (dim, k, k).
+
+    Each product is one factor times the product of its parent word
+    (a_1, ..., a_{p-1}), walking the graded order; the vacuum gets I.
+    """
+    k = mats[0].shape[0]
+    out = np.empty((space.dim, k, k), dtype=complex)
+    out[0] = np.eye(k, dtype=complex)
+    for iw in range(1, space.dim):
+        w = space.words[iw]
+        np.matmul(mats[w[-1] - 1], out[space.index(w[:-1])], out=out[iw])
     return out
 
 

@@ -36,15 +36,14 @@ import dataclasses
 import numpy as np
 
 from .contractions import (
-    _RELATION_TOL,
     as_matrices,
-    constraint_residual,
     defects,
     phi_power,
+    require_relations,
     truncation_tail,
     DefectData,
 )
-from .fock import TruncatedFockSpace
+from .fock import TruncatedFockSpace, reversed_word_products
 from .ideals import ConstrainedSubspace, constrained_creation
 from .linalg import adj, opnorm
 
@@ -88,14 +87,8 @@ def kernel_blocks(
     """
     m = mats[0].shape[0]
     lead = adj(defect.basis) @ defect.delta  # d_T x m, applied to every block
-
-    # T_alpha* built by one extra factor per word, walking the graded order.
-    coeffs: list[np.ndarray] = [np.eye(m, dtype=complex)]
-    for iw in range(1, space.dim):
-        w = space.words[iw]
-        parent = space.index(w[:-1])
-        coeffs.append(adj(mats[w[-1] - 1]) @ coeffs[parent])
-
+    # T_alpha* = T_{a_p}* ... T_{a_1}*, one extra factor per word
+    coeffs = reversed_word_products(space, [adj(t) for t in mats])
     blocks = np.empty((space.dim, defect.d_T, m), dtype=complex)
     for iw in range(space.dim):
         blocks[iw] = lead @ coeffs[iw]
@@ -119,12 +112,7 @@ def constrained_poisson_kernel(
     data when the caller already has it.
     """
     mats = as_matrices(ts)
-    residual = constraint_residual(mats, sub.spec)
-    if residual > _RELATION_TOL:
-        raise ValueError(
-            f"tuple violates the polynomial relations: residual {residual:.3e} "
-            f"exceeds {_RELATION_TOL:.0e}"
-        )
+    residual = require_relations(mats, sub.spec)
     if defect is None:
         defect = defects(mats)
     blocks = kernel_blocks(mats, sub.space, defect)

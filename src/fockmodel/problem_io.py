@@ -23,7 +23,8 @@ constant term) to coefficients.  A *unitary file* is either a bare matrix or
 
 Reports are plain JSON written with sorted keys; complex numbers serialize as
 [re, im] and arrays as nested lists, so repeated runs produce byte-identical
-files.
+files.  Reports are strict JSON: a non-finite float is written as the string
+"inf", "-inf" or "nan", never as a bare Infinity or NaN token.
 """
 
 from __future__ import annotations
@@ -193,23 +194,28 @@ def load_unitary(path: str | Path, m: int) -> np.ndarray:
     return _matrix(data, m, "matrix")
 
 
+def _float(value: float) -> float | str:
+    """A finite float as itself; inf, -inf and nan as strings, which strict JSON allows."""
+    return value if math.isfinite(value) else str(value)
+
+
 def encode_value(value: Any) -> Any:
-    """Recursively convert package values into JSON-encodable structures."""
-    if isinstance(value, (bool, int, float, str)) or value is None:
+    """Recursively convert package values into strict-JSON-encodable structures."""
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, complex):
-        return [value.real, value.imag]
+    if isinstance(value, (float, np.floating)):
+        return _float(float(value))
+    if isinstance(value, (complex, np.complexfloating)):
+        return [_float(float(value.real)), _float(float(value.imag))]
     if isinstance(value, TriState):
         return value.value
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.complexfloating):
-        return [float(value.real), float(value.imag)]
     if isinstance(value, np.ndarray):
+        if not np.all(np.isfinite(value)):
+            return encode_value(value.tolist())
         if np.iscomplexobj(value):
             return np.stack([value.real, value.imag], axis=-1).tolist()
         return value.tolist()
@@ -221,9 +227,10 @@ def encode_value(value: Any) -> Any:
 
 
 def save_report(path: str | Path, report: dict) -> None:
-    """Write a deterministic JSON report (sorted keys, [re, im] complexes)."""
+    """Write a deterministic, strict JSON report (sorted keys, [re, im] complexes)."""
     path = Path(path)
-    path.write_text(json.dumps(encode_value(report), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(encode_value(report), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def save_problem(path: str | Path, problem: Problem) -> None:

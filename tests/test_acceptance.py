@@ -38,7 +38,7 @@ from fockmodel import (
     constrained_creation_tuple,
     constrained_poisson_kernel,
     delta_and_classify,
-    eval_commutative,
+    evaluate,
     factorization_defect,
     flip_unitary,
     fourier_sum,
@@ -421,24 +421,41 @@ def test_criterion_9_commutative_symbol():
         z *= rng.uniform(0.1, 0.7) / np.linalg.norm(z)
         r = float(np.linalg.norm(z))
         bound = 2.0 * r ** (DEGREE + 1) / (1.0 - r)
-        diff = opnorm(fourier_sum(cf_cache[i], z) - eval_commutative(mats, z))
+        point = [np.array([[zi]]) for zi in z]
+        value = evaluate(mats, point, subs["commutative"].spec)
+        diff = opnorm(fourier_sum(cf_cache[i], point) - value)
         worst_excess = max(worst_excess, diff - bound)
         checked += 1
     worst_mobius = 0.0
     for a in (0.5, 0.37 + 0.21j):
         ts = [np.array([[a]])]
         for z in (0.35, -0.62, 0.55j, 0.3 - 0.45j, 0.69):
-            got = eval_commutative(ts, [z])[0, 0]
+            got = evaluate(ts, [np.array([[z]])], PolyIdealSpec(n=1))[0, 0]
             want = (z - a) / (1 - np.conj(a) * z)
             worst_mobius = max(worst_mobius, abs(got - want))
-    ok = worst_excess <= 0.0 and worst_mobius < 1e-12 and checked == 20
+    # Matrix points: at a nilpotent 3 x 3 point of the reversed variety the
+    # Fourier sum of every corpus function is exact.
+    points = {
+        "zero": [np.triu(rng.normal(size=(3, 3)), 1) for _ in range(2)],
+        "commutative": commuting_nilpotent_tuple(rng, 2, 2.0),
+        "q_commutative": q_commuting_nilpotent_tuple(rng, 1 / Q_ACC, 2.0),
+    }
+    worst_matrix = 0.0
+    for i in range(len(entries)):
+        family, mats, sub, theta, _ = pipeline(i)
+        value = evaluate(mats, points[family], sub.spec, defect=theta.defect)
+        worst_matrix = max(worst_matrix, opnorm(fourier_sum(theta, points[family]) - value))
+    ok = worst_excess <= 0.0 and worst_mobius < 1e-12 and worst_matrix < 1e-13 and checked == 20
     _report(
         9,
         "commutative symbol",
         ok,
         f"20 points: partial-sum excess over geometric bound {worst_excess:.3e} (<= 0); "
-        f"single-variable symbol error {worst_mobius:.3e} (< 1e-12)",
+        f"single-variable symbol error {worst_mobius:.3e} (< 1e-12); "
+        f"50 functions at nilpotent 3x3 points of the reversed variety: Fourier sum off "
+        f"by {worst_matrix:.3e} (< 1e-13)",
     )
     assert checked == 20
     assert worst_excess <= 0.0
     assert worst_mobius < 1e-12
+    assert worst_matrix < 1e-13

@@ -24,19 +24,24 @@ from fockmodel import (
     constrained_characteristic_function,
     constrained_creation_tuple,
     constrained_poisson_kernel,
+    PolyIdealSpec,
+    constraint_residual,
     delta_and_classify,
-    eval_commutative,
+    evaluate,
     factorization_defect,
     fourier_block,
     fourier_sum,
     ideal_subspace,
+    right_creation_tuple,
     truncation_tail,
 )
 from fockmodel import charfn
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
+    nilpotent_pair_tuple,
     q_commuting_nilpotent_tuple,
     random_row_contraction,
+    random_scalar_tuple,
 )
 
 PAIR = [np.array([[0.5]]), np.array([[0.5]])]
@@ -91,8 +96,8 @@ def test_zero_pair_blocks_are_coordinate_functionals(subspace_factory):
     [(2, 5, "nilpotent"), (2, 5, "dense"), (3, 3, "dense"), (2, 0, "dense")],
 )
 def test_blocks_match_the_dense_series_on_the_zero_family(n, d, kind):
-    # On the zero family N is the whole space, so the series route is the
-    # dense Neumann series sum_k (sum_i R_i (x) T_i*)^k on all words.
+    # On the zero family N is the whole space, so the closed form at the full
+    # right shifts (a nilpotent point) is the dense function on all words.
     rng = np.random.default_rng(53)
     if kind == "nilpotent":
         mats = commuting_nilpotent_tuple(rng, n, 0.7)
@@ -101,7 +106,7 @@ def test_blocks_match_the_dense_series_on_the_zero_family(n, d, kind):
     sub = ideal_subspace(make_spec("zero", n=n), TruncatedFockSpace(n, d))
     th = constrained_characteristic_function(mats, sub)
     assert (th.tail_bound == 0.0) == (kind == "nilpotent")
-    series = charfn._series_matrix(mats, sub, th.defect)
+    series = evaluate(mats, right_creation_tuple(sub.space), sub.spec)
     assert np.max(np.abs(th.matrix - series)) < 1e-13
     vacuum_column = series[:, : th.d_star].reshape(sub.space.dim, th.d_T, th.d_star)
     assert np.max(np.abs(th.fourier_blocks - vacuum_column)) < 1e-13
@@ -114,14 +119,18 @@ def test_block_count(mobius_half):
 
 
 # ---------------------------------------------------------------------------
-# commutative evaluation
+# evaluation at points of the variety V_(J~)
+
+
+def scalar_point(*z):
+    return [np.array([[zi]], dtype=complex) for zi in z]
 
 
 @pytest.mark.parametrize("a", [0.5, 0.37 + 0.21j])
 @pytest.mark.parametrize("z", [0.3, -0.62, 0.5j, 0.21 - 0.4j])
 def test_eval_reproduces_the_mobius_map(a, z):
     ts = [np.array([[a]])]
-    got = eval_commutative(ts, [z])[0, 0]
+    got = evaluate(ts, scalar_point(z), PolyIdealSpec(n=1))[0, 0]
     want = (z - a) / (1 - np.conj(a) * z)
     assert abs(got - want) < 1e-12
 
@@ -129,8 +138,8 @@ def test_eval_reproduces_the_mobius_map(a, z):
 def test_eval_rejects_noncommuting_tuples():
     rng = np.random.default_rng(5)
     bad = [m / 4 for m in (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))]
-    with pytest.raises(ValueError):
-        eval_commutative(bad, [0.1, 0.2])
+    with pytest.raises(ValueError, match="tuple violates"):
+        evaluate(bad, scalar_point(0.1, 0.2), make_spec("commutative"))
 
 
 def test_partial_sum_approximates_eval_within_geometric_tail(subspace_factory):
@@ -144,8 +153,92 @@ def test_partial_sum_approximates_eval_within_geometric_tail(subspace_factory):
         z *= rng.uniform(0.1, 0.7) / np.linalg.norm(z)
         r = np.linalg.norm(z)
         bound = 2 * r ** (d + 1) / (1 - r)
-        diff = opnorm(fourier_sum(cf, z) - eval_commutative(mats, z))
+        point = scalar_point(*z)
+        diff = opnorm(fourier_sum(cf, point) - evaluate(mats, point, make_spec("commutative")))
         assert diff <= bound
+
+
+def nilpotent_point(kind, k, rng):
+    """A jointly nilpotent k x k point of V_(J~), outside the unit ball."""
+    if k == 2:
+        return nilpotent_pair_tuple(rng, 2, 4.0)  # every product of two letters vanishes
+    if kind == "zero":
+        return [np.triu(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)), 1) for _ in range(2)]
+    if kind == "commutative":
+        return commuting_nilpotent_tuple(rng, 2, 4.0)
+    return q_commuting_nilpotent_tuple(rng, 1 / Q_TEST, 4.0)  # J~ is q^-1-commutation
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ["zero", "commutative", "q_commutative"])
+def test_evaluate_is_the_fourier_sum_at_nilpotent_points(kind, k, subspace_factory):
+    # products of k <= d + 1 letters vanish, so the Fourier sum is exact
+    rng = np.random.default_rng(83)
+    sub = subspace_factory(kind, d=4)
+    if kind == "zero":
+        mats = random_row_contraction(rng, 2, 3, 0.8)
+    elif kind == "commutative":
+        mats = [np.diag([0.5, 0.1, -0.3j]).astype(complex), np.diag([0.2, 0.6j, 0.4])]
+    else:
+        mats = q_commuting_nilpotent_tuple(rng, Q_TEST, 0.7)
+    th = constrained_characteristic_function(mats, sub)
+    point = nilpotent_point(kind, k, rng)
+    assert opnorm(np.hstack(point)) > 1.0
+    got = evaluate(mats, point, sub.spec)
+    assert got.shape == (k * th.d_T, k * th.d_star)
+    assert opnorm(got - fourier_sum(th, point)) < 1e-13
+
+
+def test_compressed_right_shifts_lie_on_the_reversed_variety(subspace_factory):
+    # theta_alpha pairs with the reversed word, so the right shifts on N
+    # satisfy the transposed relations, not the relations themselves
+    sub = subspace_factory("q_commutative", d=5)
+    shifts = constrained_creation_tuple(sub, "right")
+    assert constraint_residual(shifts, sub.spec) > 0.1
+    assert constraint_residual([b.T for b in shifts], sub.spec) < 1e-12
+    mats = q_commuting_nilpotent_tuple(np.random.default_rng(89), Q_TEST, 0.7)
+    th = constrained_characteristic_function(mats, sub)
+    assert opnorm(evaluate(mats, shifts, sub.spec) - th.matrix) < 1e-10
+
+
+def test_evaluate_is_contractive_on_the_ball():
+    rng = np.random.default_rng(97)
+    dense = random_row_contraction(rng, 2, 3, 0.8)
+    diagonal = [np.diag([0.5, 0.1]).astype(complex), np.diag([0.2, 0.6]).astype(complex)]
+    q_mats = q_commuting_nilpotent_tuple(rng, Q_TEST, 0.7)
+    worst = 0.0
+    for j in range(200):
+        r = rng.uniform(0.05, 0.99)
+        if j % 4 < 2:  # any 2 x 2 point lies on the free variety
+            mats, spec = dense, make_spec("zero")
+            point = random_row_contraction(rng, 2, 2, r**2)
+        elif j % 4 == 2:
+            mats, spec = diagonal, make_spec("commutative")
+            point = random_scalar_tuple(rng, 2, r**2)
+        else:
+            mats, spec = q_mats, make_spec("q_commutative")
+            point = q_commuting_nilpotent_tuple(rng, 1 / Q_TEST, r**2)
+        worst = max(worst, opnorm(evaluate(mats, point, spec)))
+    assert worst <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "point, kind, needle",
+    [
+        # a q-commuting point lies on V_J, not on V_(J~)
+        (q_commuting_nilpotent_tuple(np.random.default_rng(7), Q_TEST, 0.5), "q_commutative",
+         "transposed point violates"),
+        (scalar_point(0.8, 0.7), "zero", "not jointly nilpotent"),
+        ([np.eye(2) * 0.1, np.eye(3) * 0.1], "zero", "k x k"),
+        (scalar_point(0.1), "zero", "k x k"),
+        ([np.zeros((2, 3))] * 2, "zero", "k x k"),
+    ],
+    ids=["off-the-variety", "outside-the-ball", "mixed-sizes", "too-few", "not-square"],
+)
+def test_evaluate_refuses_points_it_cannot_take(point, kind, needle):
+    mats = q_commuting_nilpotent_tuple(np.random.default_rng(11), Q_TEST, 0.7)
+    with pytest.raises(ValueError, match=needle):
+        evaluate(mats, point, make_spec(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +352,8 @@ def test_series_route_agrees_with_compression():
 
 def test_routes_that_disagree_are_refused(monkeypatch):
     sub = ideal_subspace(make_spec("commutative"), TruncatedFockSpace(2, 3))
-    series = charfn._series_matrix
-    monkeypatch.setattr(charfn, "_series_matrix", lambda *args: series(*args) + 1e-6)
+    formula = charfn._resolvent
+    monkeypatch.setattr(charfn, "_resolvent", lambda *args: formula(*args) + 1e-6)
     with pytest.raises(RuntimeError, match="routes disagree"):
         constrained_characteristic_function(PAIR, sub)
 
@@ -347,7 +440,7 @@ def test_fourier_blocks_match_a_contraction_per_word(kind, subspace_factory):
     z = np.array([0.3, -0.2j])
     coherent = np.array([np.prod(z[np.array(w, dtype=int) - 1]) for w in sub.space.words])
     want = np.einsum("j,jalb,l->ab", coherent @ nb, resh, nb[0, :].conj())
-    assert opnorm(fourier_sum(th, z) - want) < 1e-14
+    assert opnorm(fourier_sum(th, [np.array([[zi]]) for zi in z]) - want) < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ A tiny valid problem (n, m <= 2, degree <= 3) gets one to three of its values
 replaced by arbitrary JSON, or deleted.  The loader must either return a
 Problem or raise ProblemFormatError; the CLI must exit 0, 1 or 2, print at
 most one line of its own to stderr, and write a report whenever it reaches a
-verdict.  (numpy's floating-point warnings go through the warnings module,
-which pytest captures, so the line count does not see them.)  Integers stay
-in [-3, 3], so no mutation can ask for a large space.  The examples are
+verdict.  pytest turns numpy's floating-point RuntimeWarnings into errors
+(pyproject.toml), so an overflow inside a command ends it with exit 2 and a
+"RuntimeWarning" line, which the CLI test refuses.  Integers stay in [-3, 3],
+so no mutation can ask for a large space; floats include huge values such as
+1e300, so mutations do reach the overflow paths.  The examples are
 derandomized, so every run of the suite checks the same ones.
 """
 
@@ -58,6 +60,7 @@ LEAVES = (
     | st.booleans()
     | st.integers(-3, 3)
     | st.floats()
+    | st.sampled_from([1e200, -1e300, 1e300])
     | st.text(max_size=4)
     | st.sampled_from(["zero", "commutative", "q_commutative", "custom", "1,2", "1.2", "2.1", ""])
 )
@@ -121,4 +124,5 @@ def test_the_cli_exits_0_1_or_2_with_at_most_one_stderr_line(tmp_path_factory, d
         code = main([command, "--problem", str(path), "--out", str(out)])
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1
+    assert "RuntimeWarning" not in err.getvalue()
     assert code == 2 or out.exists()

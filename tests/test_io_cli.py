@@ -200,6 +200,13 @@ def test_encode_value_coverage():
     assert encode_value({"a": (1, 2)}) == {"a": [1, 2]}
     with pytest.raises(TypeError):
         encode_value(object())
+    # non-finite floats become strings, which strict JSON allows
+    assert encode_value(float("inf")) == "inf"
+    assert encode_value(np.float64(-np.inf)) == "-inf"
+    assert encode_value(float("nan")) == "nan"
+    assert encode_value(complex(np.inf, 1.0)) == ["inf", 1.0]
+    assert encode_value(np.array([1.0, np.nan])) == [1.0, "nan"]
+    assert encode_value(np.array([[complex(0.5, -np.inf)]])) == [[[0.5, "-inf"]]]
 
 
 def test_save_report_is_deterministic(tmp_path):
@@ -269,6 +276,21 @@ def test_cli_analyze_rejects_expansive_tuples(tmp_path):
     assert rep["verdict"] == "not-a-row-contraction"
     cb = checks_by_name(rep)
     assert not cb["row-contraction"]["pass"]
+
+
+@pytest.mark.parametrize("entry", [1e300, 1e200])
+def test_cli_analyze_fails_huge_entries_quietly(tmp_path, capsys, entry):
+    prob = tmp_path / "p.json"
+    data = {"n": 1, "m": 2, "degree": 3, "tuple": [[[entry, 0], [0, entry]]],
+            "ideal": {"kind": "zero"}}
+    prob.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--problem", str(prob), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    rep = read(out)
+    assert rep["verdict"] == "not-a-row-contraction"
+    assert rep["validation"]["row_norm"] == pytest.approx(entry, rel=1e-12)
+    assert not checks_by_name(rep)["row-contraction"]["pass"]
 
 
 def test_cli_charfn(tmp_path):
@@ -384,6 +406,28 @@ def test_cli_equiv_screen_catches_mismatches(tmp_path):
     assert run_cli(["equiv", "--problem", pa, "--problem-b", pb, "--out", str(out)]) == 1
     rep = read(out)
     assert rep["equivalent"] is False
+    assert not checks_by_name(rep)["fourier-screen"]["pass"]
+
+
+def test_cli_reports_are_strict_json(tmp_path):
+    # different defect ranks: the screen's mismatch is infinite
+    pa = write_problem(
+        tmp_path / "a.json", n=2, m=1, degree=4, mats=PAIR, ideal={"kind": "commutative"}
+    )
+    pb = write_problem(
+        tmp_path / "b.json", n=2, m=1, degree=4, mats=[[[0.6]], [[0.8]]],
+        ideal={"kind": "commutative"},
+    )
+    out = tmp_path / "r.json"
+    assert run_cli(["equiv", "--problem", pa, "--problem-b", pb, "--out", str(out)]) == 1
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    rep = json.loads(out.read_text(), parse_constant=refuse)
+    assert rep["necessary_mismatch"] == "inf"
+    assert rep["residuals"]["com"] == "inf"
+    assert checks_by_name(rep)["fourier-screen"]["residual"] == "inf"
     assert not checks_by_name(rep)["fourier-screen"]["pass"]
 
 
