@@ -17,7 +17,7 @@ from fockmodel import (
     word_count,
     word_label,
 )
-from fockmodel.fock import parse_word, word_operator
+from fockmodel.fock import parse_word, reversed_word_products, word_operator
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,18 @@ def test_word_operator_moves_basis_vectors():
     space = TruncatedFockSpace(2, 4)
     out = word_operator(space, (2, 1)) @ space.basis_vector((1, 2))
     assert np.allclose(out, space.basis_vector((2, 1, 1, 2)))
+
+
+def test_reversed_word_products_are_the_reversed_word_operators():
+    # the parent-word recurrence multiplies from the other end than word_operator
+    space = TruncatedFockSpace(2, 4)
+    rng = np.random.default_rng(3)
+    mats = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+    products = reversed_word_products(space, mats)
+    assert products.shape == (space.dim, 3, 3)
+    for w, prod in zip(space.words, products):
+        want = word_operator(space, tuple(reversed(w)), mats)
+        assert opnorm(prod - want) <= 1e-13 * max(1.0, opnorm(want))
 
 
 def test_creation_rejects_bad_letter():
