@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .fock import (
     TruncatedFockSpace,
     Word,
+    creation_targets,
     enumerate_words,
     flip_unitary,
     left_creation,

@@ -122,13 +122,15 @@ class CharFn:
 
         Row j is the d_T x d_star block of the j-th word of ``space``.  The
         vacuum column is contracted once and the result mapped back to words
-        through the N basis.
+        through the N basis; when N is the whole space the vacuum column is
+        read off directly.
         """
         nb = self.sub.N_basis
         b = self.sub.dim_N
-        vacuum = np.tensordot(
-            self.matrix.reshape(b, self.d_T, b, self.d_star), nb[0, :].conj(), axes=(2, 0)
-        )
+        blocks = self.matrix.reshape(b, self.d_T, b, self.d_star)
+        if self.sub.is_whole_space:
+            return blocks[:, :, 0, :].copy()
+        vacuum = np.tensordot(blocks, nb[0, :].conj(), axes=(2, 0))
         return np.tensordot(nb, vacuum, axes=(1, 0))
 
 
@@ -217,8 +219,9 @@ def constrained_characteristic_function(
     """Characteristic function compressed to the constrained subspace.
 
     The function on the whole truncated space is built from its Fourier
-    blocks and both sides are compressed by the N basis (the identity on the
-    zero family, which gives the free function).  Whenever the family has
+    blocks and both sides are compressed by the N basis.  When N is the
+    whole space (the zero family, which gives the free function) N is exactly
+    the identity and no compression is formed.  Whenever the family has
     relations (dim M > 0) the part that maps M into N is recorded as
     ``coinvariance_leak``; for a graded family it must stay below
     max(1e-8, 100 * relation residual), and the closed form of
@@ -231,7 +234,10 @@ def constrained_characteristic_function(
     if defect is None:
         defect = defects(mats)
     full_matrix = _block_matrix(mats, sub.space, defect)
-    matrix = _compress_blocks(full_matrix, sub.N_basis, sub.N_basis, defect)
+    if sub.is_whole_space:
+        matrix = full_matrix
+    else:
+        matrix = _compress_blocks(full_matrix, sub.N_basis, sub.N_basis, defect)
 
     series_agreement = leak = None
     if sub.dim_M:

@@ -13,7 +13,9 @@ so each degree occupies one contiguous block and the vacuum sits at index 0.
 Operators are dense complex matrices in this basis.  The left creation
 operator for letter i prepends the letter; the right creation operator
 appends it; both send top-degree basis vectors to zero (the truncation
-convention used throughout the package).  Because they raise degree, any
+convention used throughout the package).  Both are partial permutations of
+the basis, so :func:`creation_targets` gives them as index maps, and the
+dense matrices are built from those maps.  Because they raise degree, any
 product of more than d of them vanishes identically.
 """
 
@@ -121,24 +123,43 @@ class TruncatedFockSpace:
         return self.basis_vector(())
 
 
+def creation_targets(space: TruncatedFockSpace, i: int, side: str = "left") -> np.ndarray:
+    """Flat index of (i,) + w (side "left") or w + (i,) (side "right") per word w of degree < d.
+
+    Entry c belongs to the c-th word of the basis; the words of degree < d
+    are the prefix of length ``dim_up_to(d - 1)``.  A word at position p of
+    its degree-k block lands at position (i - 1) n^k + p (left) or
+    p n + (i - 1) (right) of the degree-(k + 1) block.  The creation
+    operators are these partial permutations; top-degree words have no
+    target.
+    """
+    _check_letter(space, i)
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    n = space.n
+    out = []
+    for k in range(space.d):
+        p = np.arange(n**k)
+        shift = (i - 1) * n**k + p if side == "left" else p * n + (i - 1)
+        out.append(space.degree_slice(k + 1).start + shift)
+    return np.concatenate(out) if out else np.zeros(0, dtype=int)
+
+
+def _partial_permutation(space: TruncatedFockSpace, targets: np.ndarray) -> np.ndarray:
+    """Matrix of e_c -> e_(targets[c]) for the first len(targets) basis vectors."""
+    s = np.zeros((space.dim, space.dim), dtype=complex)
+    s[targets, np.arange(targets.size)] = 1.0
+    return s
+
+
 def left_creation(space: TruncatedFockSpace, i: int) -> np.ndarray:
     """Matrix of e_w -> e_{(i,) + w}, sending top-degree vectors to zero."""
-    _check_letter(space, i)
-    s = np.zeros((space.dim, space.dim), dtype=complex)
-    for col, w in enumerate(space.words):
-        if len(w) < space.d:
-            s[space.index((i,) + w), col] = 1.0
-    return s
+    return _partial_permutation(space, creation_targets(space, i, "left"))
 
 
 def right_creation(space: TruncatedFockSpace, i: int) -> np.ndarray:
     """Matrix of e_w -> e_{w + (i,)}, sending top-degree vectors to zero."""
-    _check_letter(space, i)
-    r = np.zeros((space.dim, space.dim), dtype=complex)
-    for col, w in enumerate(space.words):
-        if len(w) < space.d:
-            r[space.index(w + (i,)), col] = 1.0
-    return r
+    return _partial_permutation(space, creation_targets(space, i, "right"))
 
 
 def left_creation_tuple(space: TruncatedFockSpace) -> list[np.ndarray]:
@@ -154,11 +175,17 @@ def flip_unitary(space: TruncatedFockSpace) -> np.ndarray:
 
     U is a self-adjoint involution exchanging the left and right creation
     operators: U S_i U = R_i, exactly, including at the truncation boundary.
+    The reversal is built degree by degree from reversed(w + (i,)) =
+    (i,) + reversed(w).
     """
-    u = np.zeros((space.dim, space.dim), dtype=complex)
-    for col, w in enumerate(space.words):
-        u[space.index(tuple(reversed(w))), col] = 1.0
-    return u
+    reversal = np.zeros(space.dim, dtype=int)
+    left = [creation_targets(space, i, "left") for i in range(1, space.n + 1)]
+    right = [creation_targets(space, i, "right") for i in range(1, space.n + 1)]
+    for k in range(space.d):
+        block = space.degree_slice(k)
+        for lt, rt in zip(left, right):
+            reversal[rt[block]] = lt[reversal[block]]
+    return _partial_permutation(space, reversal)
 
 
 def word_operator(space: TruncatedFockSpace, word: Sequence[int], mats: Sequence[np.ndarray] | None = None) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import TruncatedFockSpace, Word, left_creation_tuple, right_creation, left_creation
+from .fock import TruncatedFockSpace, Word, creation_targets, left_creation_tuple
 from .linalg import adj, canonical_phase
 
 _CROSSCHECK_TOL = 1e-12
@@ -198,6 +198,10 @@ class ConstrainedSubspace:
     for graded relation families, otherwise the top degree carrying more than
     1e-10 of the column's mass.  N columns are sorted by degree either way, so
     the first ``n_cols_up_to(k)`` columns span the degree-window part of N.
+
+    When M is trivial (no relation fits below the degree cap, the zero family
+    among them) N_basis is exactly the identity; ``is_whole_space`` reports
+    it, and the builders then skip their products by N.
     """
 
     space: TruncatedFockSpace
@@ -215,6 +219,11 @@ class ConstrainedSubspace:
     @property
     def dim_M(self) -> int:
         return self.M_basis.shape[1]
+
+    @property
+    def is_whole_space(self) -> bool:
+        """N is the whole truncated space: dim M = 0 and N_basis is exactly I."""
+        return self.dim_M == 0
 
     @property
     def vacuum_in_N(self) -> bool:
@@ -241,18 +250,6 @@ def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> Constraine
     gens = spec.generators()
     n, d, dim = space.n, space.d, space.dim
 
-    if not gens:
-        eye = np.eye(dim, dtype=complex)
-        return ConstrainedSubspace(
-            space=space,
-            spec=spec,
-            N_basis=eye,
-            M_basis=np.zeros((dim, 0), dtype=complex),
-            graded=True,
-            N_degrees=space.degrees.copy(),
-            M_degrees=np.zeros(0, dtype=int),
-        )
-
     for p in gens:
         if p.max_letter > n:
             raise ValueError(f"relation {p!r} uses a generator beyond n={n}")
@@ -274,8 +271,17 @@ def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> Constraine
                         top_degrees.append(ka + t + kb)
                         meta.append((alpha, p, beta))
 
-    if vectors:
-        _crosscheck_spanning(space, vectors, meta)
+    if not vectors:  # no relations, or none fits below the degree cap
+        return ConstrainedSubspace(
+            space=space,
+            spec=spec,
+            N_basis=np.eye(dim, dtype=complex),
+            M_basis=np.zeros((dim, 0), dtype=complex),
+            graded=spec.is_graded,
+            N_degrees=space.degrees.copy(),
+            M_degrees=np.zeros(0, dtype=int),
+        )
+    _crosscheck_spanning(space, vectors, meta)
 
     graded = spec.is_graded
     if graded:
@@ -347,14 +353,13 @@ def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> Constraine
 
 
 def constrained_creation(sub: ConstrainedSubspace, i: int, side: str = "left") -> np.ndarray:
-    """Compression of a creation operator to the constrained subspace N."""
-    if side == "left":
-        mat = left_creation(sub.space, i)
-    elif side == "right":
-        mat = right_creation(sub.space, i)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return adj(sub.N_basis) @ mat @ sub.N_basis
+    """Compression N* S N of a creation operator to the constrained subspace N.
+
+    S sends the c-th word of degree < d to its target word, so S N has the
+    rows of N's prefix at the targets and N* S N = N[targets]* N[prefix].
+    """
+    targets = creation_targets(sub.space, i, side)
+    return adj(sub.N_basis[targets]) @ sub.N_basis[: targets.size]
 
 
 def constrained_creation_tuple(sub: ConstrainedSubspace, side: str = "left") -> list[np.ndarray]:

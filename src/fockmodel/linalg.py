@@ -23,11 +23,68 @@ def adj(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+_GRAM_SAFE = (1e-140, 1e140)  # entry scales whose squares neither overflow nor underflow
+_GRAM_ASPECT = 3  # rows per column from which G needs less memory than an SVD's copy
+
+
+def gram(a: np.ndarray) -> np.ndarray:
+    """a* a, from one symmetric rank-k product; a real or row-contiguous ``a`` is not copied.
+
+    For a = X + iY the product runs on the real view of ``a``, whose columns
+    come in (re, im) pairs, and a* a = X'X + Y'Y + i (X'Y - Y'X) is read off
+    its 2 x 2 blocks.
+    """
+    if not np.iscomplexobj(a):
+        return a.T @ a
+    if a.dtype != np.complex128 or not a.flags.c_contiguous:
+        return adj(a) @ a
+    c = a.shape[1]
+    parts = a.view(np.float64)
+    pairs = (parts.T @ parts).reshape(c, 2, c, 2)
+    out = np.empty((c, c), dtype=complex)
+    out.real = pairs[:, 0, :, 0] + pairs[:, 1, :, 1]
+    out.imag = pairs[:, 0, :, 1] - pairs[:, 1, :, 0]
+    return out
+
+
 def opnorm(a: np.ndarray) -> float:
-    """Operator (spectral) norm of a matrix."""
+    """Operator (spectral) norm of a matrix (a vector counts as one column).
+
+    A matrix whose tall orientation b (``a`` or its transpose) is
+    row-contiguous and at least three times as tall as wide takes the Gram
+    route: sqrt(lambda_max(b* b)), the Gram matrix of the smaller side, read
+    in place by :func:`gram` and accurate to relative eps for the largest
+    singular value.  Its entries are rescaled, on a copy, only when the
+    largest lies outside [1e-140, 1e140], so that G can neither overflow nor
+    underflow.  Any other matrix takes numpy's values-only SVD, which copies
+    it once; for a square-ish matrix that is less memory than G and the copy
+    its eigensolver makes.  Non-finite entries raise LinAlgError either way.
+    """
+    a = np.asarray(a)
+    if a.ndim == 1:
+        a = a[:, None]
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    b = a if a.flags.c_contiguous else a.T  # |b| = |a|
+    rows, cols = b.shape
+    if not (
+        b.flags.c_contiguous
+        and b.dtype in (np.float64, np.complex128)
+        and rows >= _GRAM_ASPECT * cols
+    ):
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
+        return float(np.linalg.norm(a, 2))
+    parts = b.view(np.float64)
+    scale = max(float(parts.max()), -float(parts.min()))
+    if not np.isfinite(scale):
+        raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
+    if scale == 0.0:
+        return 0.0
+    lo, hi = _GRAM_SAFE
+    if not lo <= scale <= hi:
+        return scale * opnorm(b / scale)
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram(b))[-1], 0.0)))
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

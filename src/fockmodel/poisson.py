@@ -40,12 +40,11 @@ from .contractions import (
     defects,
     phi_power,
     require_relations,
-    truncation_tail,
     DefectData,
 )
-from .fock import TruncatedFockSpace, reversed_word_products
-from .ideals import ConstrainedSubspace, constrained_creation
-from .linalg import adj, opnorm
+from .fock import TruncatedFockSpace, creation_targets
+from .ideals import ConstrainedSubspace
+from .linalg import adj, gram, opnorm
 
 
 @dataclasses.dataclass
@@ -56,7 +55,8 @@ class KernelMatrix:
     mats: list[np.ndarray]
     sub: ConstrainedSubspace
     defect: DefectData
-    tail_bound: float               # |Phi_T^(d+1)(I)|, exact
+    tail: np.ndarray                # Phi_T^(d+1)(I), exact
+    tail_bound: float               # |tail|
     subspace_leak: float
     relation_residual: float
 
@@ -71,8 +71,7 @@ class KernelMatrix:
     def gram_residual(self) -> float:
         """| K*K - (I - Phi_T^(d+1)(I)) |; rounding-level by construction."""
         m = self.mats[0].shape[0]
-        target = np.eye(m, dtype=complex) - phi_power(self.mats, self.space.d + 1)
-        return opnorm(adj(self.matrix) @ self.matrix - target)
+        return opnorm(gram(self.matrix) - (np.eye(m, dtype=complex) - self.tail))
 
 
 def kernel_blocks(
@@ -83,15 +82,17 @@ def kernel_blocks(
     ``defect`` is the defect data of ``mats``.  These are the Poisson-kernel
     blocks of ``mats`` on the whole truncated space; times one row block of
     Delta_* basis_* they are also the Fourier blocks of its characteristic
-    function.
+    function.  The block of (a) + beta is the block of beta times T_a*, so
+    each degree takes one product per letter, written through the left
+    creation targets.
     """
     m = mats[0].shape[0]
-    lead = adj(defect.basis) @ defect.delta  # d_T x m, applied to every block
-    # T_alpha* = T_{a_p}* ... T_{a_1}*, one extra factor per word
-    coeffs = reversed_word_products(space, [adj(t) for t in mats])
     blocks = np.empty((space.dim, defect.d_T, m), dtype=complex)
-    for iw in range(space.dim):
-        blocks[iw] = lead @ coeffs[iw]
+    blocks[0] = adj(defect.basis) @ defect.delta
+    for k in range(space.d):
+        parents = space.degree_slice(k)
+        for a, t in enumerate(mats, start=1):
+            blocks[creation_targets(space, a, "left")[parents]] = blocks[parents] @ adj(t)
     return blocks
 
 
@@ -104,10 +105,10 @@ def constrained_poisson_kernel(
     """Poisson kernel compressed to the constrained rows N (x) defect.
 
     The blocks of :func:`kernel_blocks` are compressed by the N basis; on the
-    zero family N is the identity and this is the free kernel.  Refuses
-    tuples that do not satisfy the relations (residual above 1e-8): the
-    compression is only meaningful -- and only lossless -- for tuples in the
-    constrained class.  The norm of the discarded M-component is returned on
+    zero family N is exactly the identity, nothing is compressed, and this is
+    the free kernel.  Refuses tuples that do not satisfy the relations
+    (residual above 1e-8): the compression is only meaningful -- and only
+    lossless -- for tuples in the constrained class.  The norm of the discarded M-component is returned on
     the result as ``subspace_leak``.  ``defect`` reuses the tuple's defect
     data when the caller already has it.
     """
@@ -116,20 +117,25 @@ def constrained_poisson_kernel(
     if defect is None:
         defect = defects(mats)
     blocks = kernel_blocks(mats, sub.space, defect)
-    compressed = np.tensordot(adj(sub.N_basis), blocks, axes=(1, 0))
-    leak = np.tensordot(adj(sub.M_basis), blocks, axes=(1, 0))
-    leak_norm = opnorm(leak.reshape(sub.dim_M * defect.d_T, -1)) if sub.dim_M else 0.0
+    if sub.is_whole_space:  # N = I: nothing to compress, nothing to leak
+        compressed, leak_norm = blocks, 0.0
+    else:
+        compressed = np.tensordot(adj(sub.N_basis), blocks, axes=(1, 0))
+        leak = np.tensordot(adj(sub.M_basis), blocks, axes=(1, 0))
+        leak_norm = opnorm(leak.reshape(sub.dim_M * defect.d_T, -1))
     if leak_norm > 1e-6:
         raise RuntimeError(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
             "the tuple and the relation family are inconsistent"
         )
+    tail = phi_power(mats, sub.space.d + 1)
     return KernelMatrix(
         matrix=compressed.reshape(sub.dim_N * defect.d_T, mats[0].shape[0]),
         mats=mats,
         sub=sub,
         defect=defect,
-        tail_bound=truncation_tail(mats, sub.space.d),
+        tail=tail,
+        tail_bound=opnorm(tail),
         subspace_leak=leak_norm,
         relation_residual=residual,
     )
@@ -141,7 +147,10 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
     B_i is the left creation operator compressed to N (the full shift on the
     zero family).  The identity is exact on the N-columns of degree <= d-1
     (top-degree rows see truncated data on one side only, so they are
-    excluded).  Returns one residual per generator index.
+    excluded), and only those rows are formed.  S_i* reads the row of the
+    target word (i,) + w into the row of w, so B_i* (x) I is a row gather of
+    K when N is the whole space and N* gather(N K) otherwise.  Returns one
+    residual per generator index.
     """
     sub = kernel.sub
     d_T = kernel.d_T
@@ -149,12 +158,16 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
         # the defect is trivial: the kernel is the empty map and the identity
         # holds vacuously for every generator
         return {i: 0.0 for i in range(1, sub.space.n + 1)}
-    rows = sub.n_cols_up_to(sub.space.d - 1) * d_T
+    checked = sub.n_cols_up_to(sub.space.d - 1)
     resh = kernel.matrix.reshape(sub.dim_N, d_T, -1)
+    whole = resh if sub.is_whole_space else np.tensordot(sub.N_basis, resh, axes=(1, 0))
     out: dict[int, float] = {}
     for i in range(1, sub.space.n + 1):
-        b = constrained_creation(sub, i, "left")
-        lhs = kernel.matrix @ adj(kernel.mats[i - 1])
-        rhs = np.tensordot(adj(b), resh, axes=(1, 0)).reshape(kernel.matrix.shape)
-        out[i] = opnorm((lhs - rhs)[:rows, :])
+        targets = creation_targets(sub.space, i, "left")
+        rhs = whole[targets]
+        if not sub.is_whole_space:
+            rhs = np.tensordot(adj(sub.N_basis[: targets.size, :checked]), rhs, axes=(1, 0))
+        residual = kernel.matrix[: checked * d_T] @ adj(kernel.mats[i - 1])
+        residual -= rhs.reshape(residual.shape)
+        out[i] = opnorm(residual)
     return out

@@ -78,6 +78,25 @@ def _complex_entry(value: Any, where: str) -> complex:
 
 
 def _matrix(value: Any, m: int, where: str) -> np.ndarray:
+    """An m x m complex matrix of bare reals or [re, im] pairs, every entry finite.
+
+    A matrix in one encoding throughout is converted in one numpy call; any
+    other value, valid or not, takes the walk of :func:`_matrix_entries`,
+    which names the first bad field.
+    """
+    raw = np.array(value, dtype=object) if isinstance(value, list) else None
+    if raw is not None and raw.shape in ((m, m), (m, m, 2)):
+        if set(map(type, raw.flat)) <= {int, float}:  # no bool, str, None or container
+            try:
+                parts = raw.astype(float)
+            except OverflowError:  # an integer beyond the float range
+                parts = None
+            if parts is not None and np.isfinite(parts).all():
+                return parts.astype(complex) if parts.ndim == 2 else parts.view(complex)[..., 0]
+    return _matrix_entries(value, m, where)
+
+
+def _matrix_entries(value: Any, m: int, where: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != m:
         raise ProblemFormatError(f"{where}: expected {m} rows")
     out = np.zeros((m, m), dtype=complex)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import adj, opnorm
 from fockmodel import (
     TruncatedFockSpace,
+    creation_targets,
     enumerate_words,
     flip_unitary,
     left_creation,
@@ -236,3 +237,32 @@ def test_flip_reverses_words(letters):
     u = flip_unitary(space)
     w = tuple(letters)
     assert np.allclose(u @ space.basis_vector(w), space.basis_vector(tuple(reversed(w))))
+
+
+# ---------------------------------------------------------------------------
+# creation operators as index maps
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("d", [0, 1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_creation_targets_are_the_dense_creation_operators(n, d, side):
+    # the oracle concatenates words through the dictionary index, not the offsets
+    space = TruncatedFockSpace(n, d)
+    dense = left_creation if side == "left" else right_creation
+    for i in range(1, n + 1):
+        targets = creation_targets(space, i, side)
+        short = [w for w in space.words if len(w) < d]
+        want = [space.index((i,) + w if side == "left" else w + (i,)) for w in short]
+        assert targets.tolist() == want
+        oracle = np.zeros((space.dim, space.dim))
+        oracle[want, np.arange(len(want))] = 1.0
+        assert np.array_equal(dense(space, i), oracle)
+
+
+def test_creation_targets_reject_bad_arguments():
+    space = TruncatedFockSpace(2, 2)
+    with pytest.raises(ValueError):
+        creation_targets(space, 3)
+    with pytest.raises(ValueError):
+        creation_targets(space, 1, "sideways")

@@ -8,8 +8,9 @@ verdict.  pytest turns numpy's floating-point RuntimeWarnings into errors
 (pyproject.toml), so an overflow inside a command ends it with exit 2 and a
 "RuntimeWarning" line, which the CLI test refuses.  Integers stay in [-3, 3],
 so no mutation can ask for a large space; floats include huge values such as
-1e300, so mutations do reach the overflow paths.  The examples are
-derandomized, so every run of the suite checks the same ones.
+1e300, so mutations do reach the overflow paths; explicit examples put such
+leaves into tuple entries, which is where validation must scale them.  The
+examples are derandomized, so every run of the suite checks the same ones.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ import copy
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fockmodel import Problem, ProblemFormatError, load_problem
 from fockmodel.cli import main
@@ -113,8 +114,17 @@ def test_the_loader_returns_a_problem_or_names_the_field(tmp_path_factory, data)
     assert isinstance(problem, Problem)
 
 
+def _huge_entry(base, leaf):
+    problem = copy.deepcopy(base)
+    problem["tuple"][0][0][0] = leaf
+    return problem
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=mutated_problems(), command=st.sampled_from(["analyze", "charfn", "model"]))
+@example(data=_huge_entry(BASES[0], 1e300), command="analyze")
+@example(data=_huge_entry(BASES[1], [0.0, -1e300]), command="charfn")
+@example(data=_huge_entry(BASES[3], 1e200), command="model")
 def test_the_cli_exits_0_1_or_2_with_at_most_one_stderr_line(tmp_path_factory, data, command):
     folder = tmp_path_factory.mktemp("fuzz")
     path, out = folder / "p.json", folder / "r.json"

@@ -139,9 +139,30 @@ def test_q_dims_equal_commutative_dims(d, space_factory):
 def test_zero_family_is_no_constraint(space_factory):
     space = space_factory(2, 4)
     sub = ideal_subspace(make_spec("zero"), space)
-    assert sub.dim_M == 0
+    assert sub.dim_M == 0 and sub.is_whole_space
     assert sub.dim_N == space.dim
-    assert opnorm(sub.N_basis - np.eye(space.dim)) == 0.0
+    assert np.array_equal(sub.N_basis, np.eye(space.dim))
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [{(1, 2, 1): 1.0}, {(1, 2, 1): 1.0, (2,): 1.0}],
+    ids=["graded", "non-graded"],
+)
+def test_relations_longer_than_the_degree_leave_exactly_the_identity(space_factory, poly):
+    # no two-sided multiple fits below degree 2, homogeneous or not
+    space = space_factory(2, 2)
+    spec = PolyIdealSpec(n=2, kind="custom", polys=[NCPoly(poly)])
+    sub = ideal_subspace(spec, space)
+    assert sub.dim_M == 0 and sub.is_whole_space
+    assert np.array_equal(sub.N_basis, np.eye(space.dim))
+    assert np.array_equal(sub.N_degrees, space.degrees)
+    assert sub.graded == spec.is_graded
+    assert brute_force_constraint_dims(spec, space) == (0, space.dim)
+
+
+def test_a_nontrivial_relation_span_is_not_the_whole_space(comm_sub):
+    assert comm_sub.dim_M > 0 and not comm_sub.is_whole_space
 
 
 # ---------------------------------------------------------------------------

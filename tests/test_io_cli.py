@@ -21,8 +21,13 @@ from fockmodel import (
     save_report,
 )
 from fockmodel.cli import main
-from fockmodel.problem_io import encode_value
-from fockmodel.sampling import commuting_nilpotent_tuple, conjugated_tuple, haar_unitary
+from fockmodel.problem_io import _matrix, _matrix_entries, encode_value
+from fockmodel.sampling import (
+    commuting_nilpotent_tuple,
+    conjugated_tuple,
+    haar_unitary,
+    random_row_contraction,
+)
 
 PAIR = [np.array([[0.5]], dtype=complex), np.array([[0.5]], dtype=complex)]
 
@@ -162,6 +167,25 @@ def test_malformed_problems_are_named(tmp_path, mutate, needle):
         load_problem(path)
 
 
+@pytest.mark.parametrize("encoding", ["pairs", "bare", "mixed"])
+def test_vectorized_matrix_is_bitwise_the_entry_walk(encoding):
+    rng = np.random.default_rng(12)
+    mat = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    mat[0, 0], mat[1, 1], mat[2, 2] = complex(-0.0, -0.0), complex(3, 0), complex(0.0, -0.0)
+    if encoding == "pairs":
+        raw = [[[z.real, z.imag] for z in row] for row in mat]
+        raw[3][3] = [2**60 + 1, -7]  # integers, one beyond the exact float range
+    elif encoding == "bare":
+        raw = [[z.real for z in row] for row in mat]
+        raw[3][3] = 10**300
+    else:
+        raw = [[[z.real, z.imag] if (r + c) % 2 else z.real for c, z in enumerate(row)]
+               for r, row in enumerate(mat)]
+    got, want = _matrix(json.loads(json.dumps(raw)), 5, "m"), _matrix_entries(raw, 5, "m")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_q_dict_validation(tmp_path):
     base = {"n": 2, "m": 1, "degree": 3, "tuple": [[[0.1]], [[0.1]]]}
     path = tmp_path / "q.json"
@@ -291,6 +315,42 @@ def test_cli_analyze_fails_huge_entries_quietly(tmp_path, capsys, entry):
     assert rep["verdict"] == "not-a-row-contraction"
     assert rep["validation"]["row_norm"] == pytest.approx(entry, rel=1e-12)
     assert not checks_by_name(rep)["row-contraction"]["pass"]
+
+
+def test_cli_relations_longer_than_the_degree_leave_the_whole_space(tmp_path):
+    # a non-homogeneous family none of whose multiples fits below degree 2
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({
+        "n": 2, "m": 1, "degree": 2, "tuple": [[[0.0]], [[0.0]]],
+        "ideal": {"kind": "custom", "polys": [{"1.2.1": [1, 0], "2": [1, 0]}]},
+    }))
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--problem", str(prob), "--out", str(out)]) == 0
+    rep = read(out)
+    assert (rep["subspace"]["dim_M"], rep["subspace"]["dim_N"]) == (0, 7)
+    assert run_cli(["charfn", "--problem", str(prob), "--out", str(out)]) == 0
+    assert read(out)["dims"]["dim_N"] == 7
+
+
+@pytest.mark.parametrize("command", ["analyze", "charfn"])
+def test_zero_family_builds_no_dense_shift_and_no_identity_product(
+    tmp_path, monkeypatch, command
+):
+    # on the zero family N = I: the creation operators act as index maps and
+    # no product by N is formed, so none of these may run
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense shift or product by N = I on the zero family")
+
+    monkeypatch.setattr("fockmodel.fock.left_creation", forbidden)
+    monkeypatch.setattr("fockmodel.fock.right_creation", forbidden)
+    monkeypatch.setattr(np, "tensordot", forbidden)
+    mats = random_row_contraction(np.random.default_rng(8), 2, 3, 0.7)
+    prob = write_problem(
+        tmp_path / "p.json", n=2, m=3, degree=4, mats=mats, ideal={"kind": "zero"}
+    )
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--problem", prob, "--out", str(out)]) == 0
+    assert all(c["pass"] for c in read(out)["checks"])
 
 
 def test_cli_charfn(tmp_path):
