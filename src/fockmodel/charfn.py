@@ -67,7 +67,7 @@ from .contractions import (
 )
 from .fock import TruncatedFockSpace, reversed_word_products
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
-from .linalg import adj, opnorm
+from .linalg import adj, hermitian_norm, opnorm
 from .poisson import KernelMatrix, kernel_blocks
 
 _SERIES_AGREEMENT_TOL = 1e-10
@@ -339,7 +339,8 @@ def factorization_defect(theta: CharFn, kernel: KernelMatrix) -> float:
             f"row spaces disagree: function has {p} rows, kernel {kernel.matrix.shape[0]}"
         )
     eye = np.eye(p, dtype=complex)
-    return opnorm(eye - theta.matrix @ adj(theta.matrix) - kernel.matrix @ adj(kernel.matrix))
+    th, k = theta.matrix, kernel.matrix
+    return hermitian_norm(eye - th @ adj(th) - k @ adj(k))
 
 
 @dataclasses.dataclass

@@ -43,7 +43,7 @@ from .charfn import (
 from .contractions import _RELATION_TOL, TriState, classify, constraint_residual, defects, validate
 from .fock import TruncatedFockSpace
 from .ideals import PolyIdealSpec, ideal_subspace
-from .linalg import opnorm
+from .linalg import hermitian_norm
 from .model import (
     build_model,
     coincidence_from_unitary,
@@ -456,8 +456,10 @@ def _cmd_equiv(args) -> int:
         }
     )
     tau_dev = max(
-        opnorm(witness.tau.conj().T @ witness.tau - np.eye(witness.tau.shape[1])),
-        opnorm(witness.tau_star.conj().T @ witness.tau_star - np.eye(witness.tau_star.shape[1])),
+        hermitian_norm(witness.tau.conj().T @ witness.tau - np.eye(witness.tau.shape[1])),
+        hermitian_norm(
+            witness.tau_star.conj().T @ witness.tau_star - np.eye(witness.tau_star.shape[1])
+        ),
     )
     _check(checks, "conjugation", witness.conjugation_residual, 1e-10)
     _check(checks, "tau-unitary", tau_dev, 1e-10)

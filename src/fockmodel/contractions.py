@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .ideals import PolyIdealSpec
-from .linalg import adj, hermitize, opnorm, psd_root, psd_spectrum
+from .linalg import adj, hermitian_norm, hermitize, opnorm, psd_root, psd_spectrum
 
 
 def as_matrices(tuple_like: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -66,7 +66,7 @@ def phi_power(ts: Sequence[np.ndarray], k: int, x: np.ndarray | None = None) -> 
 
 def spectral_radius_of_phi(ts: Sequence[np.ndarray]) -> float:
     """rho(T) = |sum_i T_i T_i*| (the squared row norm)."""
-    return opnorm(phi_step(ts, np.eye(as_matrices(ts)[0].shape[0], dtype=complex)))
+    return hermitian_norm(phi_step(ts, np.eye(as_matrices(ts)[0].shape[0], dtype=complex)))
 
 
 def row_norm(ts: Sequence[np.ndarray]) -> float:
@@ -182,46 +182,69 @@ class Classification:
         )
 
 
+# A diagonal bound settles a comparison only when it clears the threshold by
+# this relative margin, far beyond eigvalsh's backward error (m eps |Q_k|).
+_DIAGONAL_MARGIN = 1e-6
+
+
 def classify(ts: Sequence[np.ndarray], *, k_max: int = 500, tol: float = 1e-9) -> Classification:
     """Iterate Q_k = Phi^k(I) and certify purity / c.n.c. where possible.
 
     Q_k decreases monotonically, so |Q_k| < tol certifies pure = YES and
     lambda_max(Q_k) < 1 - tol certifies cnc = YES even before convergence.
     The negative answers need the limit, so they are only issued once the
-    iteration is numerically stationary; otherwise UNDETERMINED.
+    iteration is numerically stationary, |Q_(k-1) - Q_k| < 1e-14 max(1, rho);
+    otherwise UNDETERMINED.
+
+    No matrix has a norm below its largest diagonal entry, so the diagonals
+    settle two comparisons with no decomposition: a diagonal entry of the
+    step Q_(k-1) - Q_k at or above the stationarity threshold rules out
+    stationarity, and one of Q_k at or above tol rules out pure = YES.  A
+    diagonal bound counts only when it clears its threshold by a relative
+    1e-6, so verdicts and iteration counts are those of decomposing at every
+    step.  ``eigvalsh(Q_k)`` is therefore taken only while cnc is
+    undetermined, once the diagonal of Q_k is below tol, and at the
+    stationary step; the step's norm only once its diagonal is below the
+    threshold.  Both matrices are Hermitian, so each norm is an ``eigvalsh``.
     """
     mats = as_matrices(ts)
     m = mats[0].shape[0]
     q = np.eye(m, dtype=complex)
-    rho = opnorm(phi_step(mats, q))
+    rho = hermitian_norm(phi_step(mats, q))
+    still = 1e-14 * max(1.0, rho)
     pure = cnc = TriState.UNDETERMINED
     iterations = 0
-    stationary = False
     for k in range(1, k_max + 1):
         q_next = hermitize(phi_step(mats, q))
-        step = opnorm(q_next - q)
+        step = q - q_next
         q = q_next
         iterations = k
-        lam_max = float(np.linalg.eigvalsh(q)[-1]) if m else 0.0
-        if lam_max < tol:
-            pure = TriState.YES
-        if lam_max < 1.0 - tol:
-            cnc = TriState.YES
-        if step < 1e-14 * max(1.0, rho):
-            stationary = True
-            if pure is TriState.UNDETERMINED:
-                pure = TriState.NO if lam_max >= tol else TriState.YES
-            if cnc is TriState.UNDETERMINED:
-                cnc = TriState.NO if lam_max >= 1.0 - tol else TriState.YES
-            break
+        stationary = not _diagonal_reaches(step, still) and hermitian_norm(step) < still
+        if stationary or cnc is TriState.UNDETERMINED or not _diagonal_reaches(q, tol):
+            lam_max = float(np.linalg.eigvalsh(q)[-1]) if m else 0.0
+            if lam_max < tol:
+                pure = TriState.YES
+            if lam_max < 1.0 - tol:
+                cnc = TriState.YES
+            if stationary:
+                if pure is TriState.UNDETERMINED:
+                    pure = TriState.NO if lam_max >= tol else TriState.YES
+                if cnc is TriState.UNDETERMINED:
+                    cnc = TriState.NO if lam_max >= 1.0 - tol else TriState.YES
+                break
         if pure is TriState.YES and cnc is TriState.YES:
             break
-    return Classification(pure=pure, cnc=cnc, q_limit=q, iterations=iterations, rho=float(rho))
+    return Classification(pure=pure, cnc=cnc, q_limit=q, iterations=iterations, rho=rho)
+
+
+def _diagonal_reaches(a: np.ndarray, threshold: float) -> bool:
+    """Whether some |a_ii| clears ``threshold`` by the margin, which puts |a| above it."""
+    return bool(np.abs(np.diagonal(a)).max(initial=0.0) >= threshold * (1.0 + _DIAGONAL_MARGIN))
 
 
 def truncation_tail(ts: Sequence[np.ndarray], d: int) -> float:
     """|Phi^(d+1)(I)|: the exact size of what a degree-d truncation forgets."""
-    return opnorm(phi_power(ts, d + 1))
+    return hermitian_norm(phi_power(ts, d + 1))
 
 
 # A tuple whose constraint_residual exceeds this does not satisfy its relations.

@@ -3,7 +3,8 @@
 Everything here works on plain complex numpy arrays.  Rank decisions are made
 with explicit tolerances passed by the caller; functions that pick an
 orthonormal basis fix the phase of each column (largest-magnitude entry made
-real and positive) so repeated runs serialize identically.
+real and positive, or a positive pivot in :func:`projector_basis`) so
+repeated runs serialize identically.
 """
 
 from __future__ import annotations
@@ -85,6 +86,61 @@ def opnorm(a: np.ndarray) -> float:
     if not lo <= scale <= hi:
         return scale * opnorm(b / scale)
     return float(np.sqrt(max(np.linalg.eigvalsh(gram(b))[-1], 0.0)))
+
+
+def hermitian_norm(a: np.ndarray) -> float:
+    """Operator norm of a Hermitian matrix: max(-w[0], w[-1]) from ``eigvalsh``.
+
+    Only the lower triangle is read, so ``a`` must be Hermitian by
+    construction; its norm is then the largest |eigenvalue|, at about half
+    the cost of a values-only SVD.  Non-finite entries raise LinAlgError, as
+    in :func:`opnorm`; an empty matrix has norm 0.
+    """
+    a = np.asarray(a)
+    if a.size == 0:
+        return 0.0
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
+    w = np.linalg.eigvalsh(a)
+    return float(max(-w[0], w[-1]))
+
+
+_PIVOT_TIE = 1e-8  # residuals within this relative distance of the largest are tied
+
+
+def projector_basis(b: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """The orthonormal basis of span(b) fixed by the projector P = b b* alone.
+
+    ``b`` has orthonormal columns.  Pivot rows J are picked greedily among
+    the first ``rows`` rows (all rows by default): each step takes the row
+    whose part orthogonal to the rows already taken is largest, a choice that
+    depends only on P restricted to those rows.  Squared residuals within a
+    relative 1e-8 of the largest count as tied and the first such row wins,
+    so rounding cannot flip a choice between rows that tie exactly or nearly;
+    the basis jumps only where a residual crosses the edge of that band.
+    With Q R the QR factorization of b[J]* and R's diagonal made positive,
+    the result is b Q: its rows J form R*, lower triangular with a positive
+    diagonal, which fixes the basis and the phase of every column.  Its
+    first ``rows`` rows depend only on P restricted to them.
+    """
+    h = b.shape[1]
+    lead = np.array(b[:rows], dtype=complex)
+    picked: list[int] = []
+    for _ in range(min(h, lead.shape[0])):
+        residual = np.einsum("ij,ij->i", lead.real, lead.real)
+        residual += np.einsum("ij,ij->i", lead.imag, lead.imag)
+        residual[picked] = -1.0
+        top = residual.max()
+        if top <= 0.0:
+            break
+        j = int(np.flatnonzero(residual >= (1.0 - _PIVOT_TIE) * top)[0])
+        picked.append(j)
+        v = lead[j] / np.sqrt(residual[j])
+        lead -= np.outer(lead @ v.conj(), v)
+    q, r = np.linalg.qr(adj(b[picked]), mode="complete")
+    diag = np.diagonal(r)
+    q[:, : diag.size] *= np.exp(1j * np.angle(diag))
+    return b @ q
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

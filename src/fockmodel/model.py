@@ -20,6 +20,9 @@ V diag(sqrt(1 - sigma_k^2)) V*, E is spanned by the columns v_k of V with
     [ u_k ; 0 ]                                     for q <= k < p,
 
 each column orthogonal to every Phihat v_j, for h = p + s - q columns in all.
+The reported basis of that span is the one its shift rows, I - Theta Theta*
+in the model projector, fix (``linalg.projector_basis``), so the model
+operators do not depend on how the SVD splits a repeated singular value.
 
 Two independent reconstructions of the operators are available: the defining
 compression above ("general"), and, for a pure tuple, the compression of the
@@ -58,9 +61,10 @@ from .contractions import Classification, TriState, as_matrices
 from .ideals import ConstrainedSubspace, constrained_creation_tuple
 from .linalg import (
     adj,
-    canonical_phase,
+    hermitian_norm,
     opnorm,
     principal_angles,
+    projector_basis,
     psd_root,
     psd_spectrum,
     unitary_polar_factor,
@@ -111,6 +115,10 @@ def _defect_eigenvalues(sigma: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+# Columns of Phihat conjugated at once for its Gram matrix: 1.6 MB at p + s = 765.
+_GRAM_BLOCK = 128
+
+
 def build_model(theta: CharFn, *, classification: Classification | None = None) -> ModelData:
     """Assemble the model space of a characteristic function from its one SVD.
 
@@ -118,9 +126,17 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
     of the columns v_k with 1 - sigma_k^2 > 1e-10 (NumericalRankWarning when
     a value lies in [1e-12, 1e-8]), E* Delta = diag(sqrt(1 - sigma_k^2)) E*,
     and the model space basis is the closed form of the module docstring.
-    The pure basis is U[:, big:], past the singular values with
+    The pure basis spans U[:, big:], past the singular values with
     sigma^2 > (1 + tail)/2.  No other decomposition is taken; the isometry
     of Phihat is measured directly.
+
+    Inside a repeated singular value the SVD's basis is arbitrary, so both
+    reported bases are rechosen by :func:`linalg.projector_basis`, pivoting
+    on the p rows of the shift summand.  Those rows of the model projector
+    are I - Theta Theta*, and those of the pure one a spectral projector of
+    Theta Theta*, so the bases' shift rows -- all that the model operators
+    and Gamma read -- are functions of Theta (pivot rows whose squared
+    residuals lie within a relative 1e-8 count as tied).
 
     Refuses tuples certified not completely noncoisometric: the model space
     then misses part of the original space and nothing downstream would be
@@ -137,9 +153,13 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
     w, e_basis, kept = psd_spectrum(_defect_eigenvalues(sigma, q), v, rank_tol=1e-10)
     s = e_basis.shape[1]
     phihat = np.vstack([th, np.sqrt(kept)[:, None] * adj(e_basis)])
-    gram = adj(phihat) @ phihat
-    gram.flat[:: q + 1] -= 1.0  # Phihat* Phihat - I, without a second q x q array
-    isometry_residual = opnorm(gram)
+    # Phihat* Phihat - I, conjugating Phihat a block of columns at a time
+    # instead of copying all of it.
+    gram = np.empty((q, q), dtype=complex)
+    for j in range(0, q, _GRAM_BLOCK):
+        np.matmul(adj(phihat[:, j : j + _GRAM_BLOCK]), phihat, out=gram[j : j + _GRAM_BLOCK])
+    gram.flat[:: q + 1] -= 1.0
+    isometry_residual = hermitian_norm(gram)
 
     # w ascends, so the kept columns of V are its last s; those with k below
     # min(p, q) = sigma.size pair with a u_k whose sigma_k is not at 1.
@@ -148,14 +168,14 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
         [u[:, tilted] * np.sqrt(w[tilted]), -(adj(e_basis) @ v[:, tilted]) * sigma[tilted]]
     )
     cokernel = np.vstack([u[:, q:], np.zeros((s, max(p - q, 0)), dtype=complex)])
-    h_basis = canonical_phase(np.hstack([paired, cokernel]))
+    h_basis = projector_basis(np.hstack([paired, cokernel]), p)
     assert h_basis.shape[1] == p + s - q
 
     tail = theta.tail_bound
     h_pure = None
     if tail < 0.5:
         big = int(np.count_nonzero(sigma**2 > 0.5 * (1.0 + tail)))
-        pure_cols = canonical_phase(u[:, big:])
+        pure_cols = projector_basis(u[:, big:])
         h_pure = np.vstack([pure_cols, np.zeros((s, pure_cols.shape[1]), dtype=complex)])
 
     return ModelData(
@@ -302,8 +322,8 @@ def model_unitary(model: ModelData, kernel: KernelMatrix, ops: ModelOperators) -
     eye_h = np.eye(model.h, dtype=complex)
     eye_m = np.eye(gamma.shape[1], dtype=complex)
     unitary_residual = max(
-        opnorm(adj(gamma) @ gamma - eye_m),
-        opnorm(gamma @ adj(gamma) - eye_h) if model.h == gamma.shape[1] else np.inf,
+        hermitian_norm(adj(gamma) @ gamma - eye_m),
+        hermitian_norm(gamma @ adj(gamma) - eye_h) if model.h == gamma.shape[1] else np.inf,
     )
     mats = kernel.mats
     inter: dict[int, float] = {}
@@ -370,7 +390,7 @@ def coincidence_from_unitary(
     m = mats[0].shape[0]
     if u.shape != (m, m):
         raise ValueError(f"unitary has shape {u.shape}, expected ({m}, {m})")
-    if opnorm(u @ adj(u) - np.eye(m)) > 1e-10:
+    if hermitian_norm(u @ adj(u) - np.eye(m)) > 1e-10:
         raise ValueError("the supplied matrix is not unitary")
     conj_residual = max(
         opnorm(tp - u @ t @ adj(u)) for t, tp in zip(mats, mats_p)
@@ -495,7 +515,7 @@ def verify_coincidence_implies_equivalence(
     v = adj(gamma_p.gamma) @ u_h @ gamma.gamma
     rec_inter = max(opnorm(v @ t - tp @ v) for t, tp in zip(mats, mats_p))
     m = mats[0].shape[0]
-    rec_unit = opnorm(v @ adj(v) - np.eye(m, dtype=complex))
+    rec_unit = hermitian_norm(v @ adj(v) - np.eye(m, dtype=complex))
     tr = np.trace(v @ adj(witness.u))
     phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
     phase_dev = opnorm(v - phase * witness.u)

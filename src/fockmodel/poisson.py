@@ -44,7 +44,7 @@ from .contractions import (
 )
 from .fock import TruncatedFockSpace, creation_targets
 from .ideals import ConstrainedSubspace
-from .linalg import adj, gram, opnorm
+from .linalg import adj, gram, hermitian_norm, opnorm
 
 
 @dataclasses.dataclass
@@ -71,7 +71,7 @@ class KernelMatrix:
     def gram_residual(self) -> float:
         """| K*K - (I - Phi_T^(d+1)(I)) |; rounding-level by construction."""
         m = self.mats[0].shape[0]
-        return opnorm(gram(self.matrix) - (np.eye(m, dtype=complex) - self.tail))
+        return hermitian_norm(gram(self.matrix) - (np.eye(m, dtype=complex) - self.tail))
 
 
 def kernel_blocks(
@@ -135,7 +135,7 @@ def constrained_poisson_kernel(
         sub=sub,
         defect=defect,
         tail=tail,
-        tail_bound=opnorm(tail),
+        tail_bound=hermitian_norm(tail),
         subspace_leak=leak_norm,
         relation_residual=residual,
     )

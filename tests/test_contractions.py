@@ -20,7 +20,12 @@ from fockmodel import (
     validate,
 )
 from fockmodel.linalg import NumericalRankWarning
-from fockmodel.sampling import nilpotent_pair_tuple, random_row_contraction
+from fockmodel.sampling import (
+    commuting_nilpotent_tuple,
+    haar_unitary,
+    nilpotent_pair_tuple,
+    random_row_contraction,
+)
 
 SCALAR_PAIR = [np.array([[0.5]]), np.array([[0.5]])]
 
@@ -195,6 +200,113 @@ def test_classify_iteration_budget():
     c = classify([np.array([[0.9999]])], k_max=10)
     assert c.pure is TriState.UNDETERMINED
     assert c.iterations <= 10
+
+
+def _classify_oracle(mats, k_max=500, tol=1e-9):
+    """The classification loop that decomposes at every iteration: an SVD
+    norm of the step Q_k - Q_(k-1) and an eigvalsh of Q_k."""
+    m = mats[0].shape[0]
+    q = np.eye(m, dtype=complex)
+    rho = opnorm(phi_step(mats, q))
+    pure = cnc = TriState.UNDETERMINED
+    iterations = 0
+    for k in range(1, k_max + 1):
+        q_next = phi_step(mats, q)
+        q_next = 0.5 * (q_next + adj(q_next))
+        step = opnorm(q_next - q)
+        q = q_next
+        iterations = k
+        lam_max = float(np.linalg.eigvalsh(q)[-1]) if m else 0.0
+        if lam_max < tol:
+            pure = TriState.YES
+        if lam_max < 1.0 - tol:
+            cnc = TriState.YES
+        if step < 1e-14 * max(1.0, rho):
+            if pure is TriState.UNDETERMINED:
+                pure = TriState.NO if lam_max >= tol else TriState.YES
+            if cnc is TriState.UNDETERMINED:
+                cnc = TriState.NO if lam_max >= 1.0 - tol else TriState.YES
+            break
+        if pure is TriState.YES and cnc is TriState.YES:
+            break
+    return pure, cnc, iterations, q
+
+
+def _row_coisometry(rng, n, m):
+    """sum T_i T_i* = I: the rows of a Haar unitary, cut into n blocks."""
+    r = haar_unitary(n * m, rng)[:m]
+    return [r[:, i * m : (i + 1) * m] for i in range(n)]
+
+
+def _with_unitary_part(mats, u):
+    """T_i (+) U / sqrt(n): a pure part next to a norm-preserved one."""
+    n = len(mats)
+    m, k = mats[0].shape[0], u.shape[0]
+    out = []
+    for t in mats:
+        big = np.zeros((m + k, m + k), dtype=complex)
+        big[:m, :m] = t
+        big[m:, m:] = u / np.sqrt(n)
+        out.append(big)
+    return out
+
+
+def _classify_corpus():
+    rng = np.random.default_rng(61)
+    cases = {}
+    for rho in (0.5, 0.95, 0.99):
+        cases[f"nilpotent-{rho}"] = (commuting_nilpotent_tuple(rng, 2, rho), {})
+        cases[f"dense-{rho}"] = (random_row_contraction(rng, 2, 12, rho), {})
+    cases["row-coisometry"] = (_row_coisometry(rng, 2, 5), {})
+    cases["with-unitary-part"] = (
+        _with_unitary_part(random_row_contraction(rng, 2, 4, 0.5), haar_unitary(2, rng)), {}
+    )
+    cases["zero"] = ([np.zeros((3, 3)), np.zeros((3, 3))], {})
+    cases["m1"] = (SCALAR_PAIR, {})
+    cases["budget"] = ([np.array([[0.9999]])], {"k_max": 10})
+    for tol in (1e-12, 1e-6, 0.3):
+        cases[f"tol-{tol}"] = (random_row_contraction(rng, 2, 6, 0.9), {"tol": tol})
+    return cases
+
+
+CLASSIFY_CORPUS = _classify_corpus()
+
+
+@pytest.mark.parametrize("case", CLASSIFY_CORPUS)
+def test_classify_matches_the_decompose_every_step_oracle(case):
+    mats, kwargs = CLASSIFY_CORPUS[case]
+    pure, cnc, iterations, q = _classify_oracle(mats, **kwargs)
+    c = classify(mats, **kwargs)
+    assert (c.pure, c.cnc, c.iterations) == (pure, cnc, iterations)
+    assert np.abs(c.q_limit - q).max() <= 1e-15
+
+
+def test_the_corpus_reaches_every_verdict():
+    verdicts = {_classify_oracle(mats, **kw)[:2] for mats, kw in CLASSIFY_CORPUS.values()}
+    assert (TriState.YES, TriState.YES) in verdicts
+    assert (TriState.NO, TriState.NO) in verdicts
+    assert (TriState.UNDETERMINED, TriState.YES) in verdicts
+
+
+@pytest.mark.parametrize("seed, rho", [(0, 0.5), (1, 0.9), (2, 0.99)])
+def test_classify_decides_a_dense_pure_tuple_from_the_diagonal(seed, rho, monkeypatch):
+    mats = random_row_contraction(np.random.default_rng(seed), 2, 64, rho)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("classify took an SVD")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    c = classify(mats)
+    assert (c.pure, c.cnc) == (TriState.YES, TriState.YES)
+    assert c.iterations > 10
+    assert len(calls) <= 5
 
 
 # ---------------------------------------------------------------------------

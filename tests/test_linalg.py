@@ -1,9 +1,11 @@
-"""The Gram-route operator norm against numpy's SVD norm."""
+"""The operator norms against numpy's SVD norm, and the basis fixed by a projector."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from fockmodel.linalg import gram, opnorm
+from fockmodel.linalg import gram, hermitian_norm, opnorm, projector_basis
 
 SHAPES = {"tall": (37, 5), "wide": (4, 29), "square": (16, 16)}
 SCALES = [1.0, 1e-200, 1e200]
@@ -70,3 +72,95 @@ def test_gram_is_the_adjoint_product(complex_entries):
     want = a.conj().T @ a
     assert np.abs(gram(a) - want).max() <= 1e-13 * np.abs(want).max()
     assert np.abs(gram(np.asfortranarray(a)) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------------------
+# the Hermitian norm: the largest |eigenvalue|
+
+
+def _hermitian(m, kind, scale):
+    rng = np.random.default_rng(m)
+    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    a = {
+        "hermitian": g + g.conj().T,
+        "psd": g @ g.conj().T,
+        "negative-dominant": np.eye(m) - 3.0 * g @ g.conj().T,
+    }[kind]
+    return a * scale
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=["unit", "1e-200", "1e200"])
+@pytest.mark.parametrize("kind", ["hermitian", "psd", "negative-dominant"])
+@pytest.mark.parametrize("m", [1, 7, 40])
+def test_hermitian_norm_matches_the_svd_norm(m, kind, scale):
+    a = _hermitian(m, kind, scale)
+    if kind == "negative-dominant":
+        w = np.linalg.eigvalsh(a)
+        assert -w[0] > w[-1]
+    want = np.linalg.norm(a, 2)
+    assert abs(hermitian_norm(a) - want) <= 1e-14 * want
+
+
+def test_hermitian_norm_of_empty_and_zero_matrices():
+    assert hermitian_norm(np.zeros((0, 0), dtype=complex)) == 0.0
+    assert hermitian_norm(np.zeros((4, 4))) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_hermitian_norm_refuses_non_finite_entries(bad):
+    a = np.eye(5, dtype=complex)
+    a[3, 1] = bad  # strictly lower, where eigvalsh reads
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            hermitian_norm(a)
+        with pytest.raises(np.linalg.LinAlgError):
+            hermitian_norm(a.T)
+
+
+# ---------------------------------------------------------------------------
+# the basis fixed by a projector
+
+
+def _isometry(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return np.linalg.qr(g)[0]
+
+
+@pytest.mark.parametrize("rows", [None, 6])
+def test_projector_basis_depends_only_on_the_projector(rows):
+    b = _isometry(20, 4, 0)
+    c = projector_basis(b, rows)
+    assert np.abs(c.conj().T @ c - np.eye(4)).max() < 1e-14
+    assert np.abs(c @ c.conj().T - b @ b.conj().T).max() < 1e-14
+    for seed in range(3):
+        turned = projector_basis(b @ _isometry(4, 4, seed + 1), rows)
+        assert np.abs(turned - c).max() < 1e-13
+
+
+def test_projector_basis_leading_rows_ignore_the_trailing_ones():
+    # rotating the trailing rows by a unitary leaves the leading rows fixed
+    b = _isometry(20, 3, 4)
+    w = np.eye(20, dtype=complex)
+    w[8:, 8:] = _isometry(12, 12, 5)
+    c, turned = projector_basis(b, 8), projector_basis(w @ b @ _isometry(3, 3, 6), 8)
+    assert np.abs(turned[:8] - c[:8]).max() < 1e-13
+    assert np.abs(turned[8:] - w[8:, 8:] @ c[8:]).max() < 1e-13
+
+
+def test_projector_basis_breaks_exact_ties_by_the_first_row():
+    # rows 0 and 1 tie exactly and differ in phase; picking row 1 would give
+    # c[0, 0] = -i / sqrt(2), so a rounding-level tilt must not flip the pick
+    b = np.zeros((5, 1), dtype=complex)
+    b[:2, 0] = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    for tilt in (1e-15, -1e-15):
+        bent = b.copy()
+        bent[0, 0] += tilt
+        bent /= np.linalg.norm(bent)
+        c = projector_basis(bent * np.exp(0.7j))
+        assert abs(c[0, 0] - 1.0 / np.sqrt(2.0)) < 1e-14
+
+
+def test_projector_basis_of_an_empty_span():
+    assert projector_basis(np.zeros((5, 0), dtype=complex)).shape == (5, 0)

@@ -12,6 +12,9 @@ Dimension oracles (worked by hand):
   space, matching m).
 """
 
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,8 @@ from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     conjugated_tuple,
     haar_unitary,
+    q_commuting_nilpotent_tuple,
+    random_row_contraction,
     random_scalar_tuple,
 )
 
@@ -313,3 +318,36 @@ def test_defect_rank_warns_in_the_ambiguous_band(gap, s):
 def test_build_model_refuses_a_non_contractive_function():
     with pytest.raises(ValueError, match="not PSD"):
         build_model(synthetic_theta(np.diag([1.01, 0.5])))
+
+
+# ---------------------------------------------------------------------------
+# the reported operators are a function of Theta
+
+
+def _perturbation_case(case, subspace_factory):
+    if case == "zero-nil-seed-11":
+        # the tuple of the free-spectral benchmark's model-zero-nil-n2-d6 command at seed 11
+        rng = np.random.default_rng([zlib.crc32(b"free-spectral"), 11])
+        return commuting_nilpotent_tuple(rng, 2, 0.5), subspace_factory("zero", d=6)
+    rng = np.random.default_rng(41)
+    if case == "q-commuting":
+        q = 0.5j
+        return q_commuting_nilpotent_tuple(rng, q, 0.5), subspace_factory("q_commutative", q=q)
+    return random_row_contraction(rng, 2, 3, 0.4), subspace_factory("zero", d=5)
+
+
+@pytest.mark.parametrize("case", ["zero-nil-seed-11", "q-commuting", "dense"])
+def test_model_operators_move_with_theta_at_rounding_level(case, subspace_factory):
+    mats, sub = _perturbation_case(case, subspace_factory)
+    cls = classify(mats)
+    th = constrained_characteristic_function(mats, sub)
+    parts = np.random.default_rng(5).normal(size=(2, *th.matrix.shape))
+    noise = parts[0] + 1j * parts[1]
+    bent = dataclasses.replace(th, matrix=th.matrix + 1e-14 * noise / opnorm(noise))
+    ops, moved = (
+        model_operators(build_model(f, classification=cls), classification=cls) for f in (th, bent)
+    )
+    assert ops.pure is not None and ops.used == "pure"
+    for branch in ("general", "pure"):
+        for a, b in zip(getattr(ops, branch), getattr(moved, branch)):
+            assert np.abs(a - b).max() <= 1e-10
