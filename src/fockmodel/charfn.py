@@ -190,7 +190,7 @@ def _point_matrices(point, n: int) -> list[np.ndarray]:
 
 def _jointly_nilpotent(xs: list[np.ndarray]) -> bool:
     """Whether trace Phi^j(I) = sum_{|w| = j} |X_w|_F^2 vanishes for some j <= k."""
-    q = np.eye(xs[0].shape[0], dtype=complex)
+    q = None
     for _ in range(xs[0].shape[0]):
         q = phi_step(xs, q)
         if np.trace(q).real <= _NILPOTENT_TOL:

@@ -46,27 +46,27 @@ def row_matrix(ts: Sequence[np.ndarray]) -> np.ndarray:
     return np.hstack(as_matrices(ts))
 
 
-def phi_step(ts: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """One application of Phi(X) = sum_i T_i X T_i*."""
+def phi_step(ts: Sequence[np.ndarray], x: np.ndarray | None = None) -> np.ndarray:
+    """One application of Phi(X) = sum_i T_i X T_i*; X = None stands for I, Phi(I) = sum T_i T_i*."""
     mats = as_matrices(ts)
     out = np.zeros_like(mats[0])
     for t in mats:
-        out += t @ x @ adj(t)
+        out += (t if x is None else t @ x) @ adj(t)
     return out
 
 
 def phi_power(ts: Sequence[np.ndarray], k: int, x: np.ndarray | None = None) -> np.ndarray:
     """Phi^k(X), defaulting to X = I."""
     mats = as_matrices(ts)
-    out = np.eye(mats[0].shape[0], dtype=complex) if x is None else np.asarray(x, complex)
+    out = None if x is None else np.asarray(x, complex)
     for _ in range(k):
         out = phi_step(mats, out)
-    return hermitize(out)
+    return hermitize(np.eye(mats[0].shape[0], dtype=complex) if out is None else out)
 
 
 def spectral_radius_of_phi(ts: Sequence[np.ndarray]) -> float:
     """rho(T) = |sum_i T_i T_i*| (the squared row norm)."""
-    return hermitian_norm(phi_step(ts, np.eye(as_matrices(ts)[0].shape[0], dtype=complex)))
+    return hermitian_norm(phi_step(ts))
 
 
 def row_norm(ts: Sequence[np.ndarray]) -> float:
@@ -206,22 +206,26 @@ def classify(ts: Sequence[np.ndarray], *, k_max: int = 500, tol: float = 1e-9) -
     undetermined, once the diagonal of Q_k is below tol, and at the
     stationary step; the step's norm only once its diagonal is below the
     threshold.  Both matrices are Hermitian, so each norm is an ``eigvalsh``.
+    rho and lambda_max(Q_1), which the first iteration always needs since cnc
+    is still undetermined there, come from one ``eigvalsh`` of Q_1.
     """
     mats = as_matrices(ts)
     m = mats[0].shape[0]
     q = np.eye(m, dtype=complex)
-    rho = hermitian_norm(phi_step(mats, q))
+    q_1 = hermitize(phi_step(mats))
+    w_1 = np.linalg.eigvalsh(q_1) if m else np.zeros(1)
+    rho = float(max(-w_1[0], w_1[-1]))
     still = 1e-14 * max(1.0, rho)
     pure = cnc = TriState.UNDETERMINED
     iterations = 0
     for k in range(1, k_max + 1):
-        q_next = hermitize(phi_step(mats, q))
+        q_next = q_1 if k == 1 else hermitize(phi_step(mats, q))
         step = q - q_next
         q = q_next
         iterations = k
         stationary = not _diagonal_reaches(step, still) and hermitian_norm(step) < still
         if stationary or cnc is TriState.UNDETERMINED or not _diagonal_reaches(q, tol):
-            lam_max = float(np.linalg.eigvalsh(q)[-1]) if m else 0.0
+            lam_max = float((w_1 if k == 1 else np.linalg.eigvalsh(q))[-1]) if m else 0.0
             if lam_max < tol:
                 pure = TriState.YES
             if lam_max < 1.0 - tol:

@@ -1,6 +1,7 @@
 """Small dense linear-algebra helpers shared across the package.
 
-Everything here works on plain complex numpy arrays.  Rank decisions are made
+Everything here works on plain complex numpy arrays and calls only numpy's
+LAPACK, :func:`principal_angles` included.  Rank decisions are made
 with explicit tolerances passed by the caller; functions that pick an
 orthonormal basis fix the phase of each column (largest-magnitude entry made
 real and positive, or a positive pivot in :func:`projector_basis`) so
@@ -12,7 +13,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalRankWarning(UserWarning):
@@ -218,9 +218,36 @@ def psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hermitize((v * np.sqrt(w)) @ adj(v))
 
 
+def _orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(a): the left singular vectors above max(shape) eps s_max."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    cut = max(a.shape) * np.finfo(float).eps * s.max(initial=0.0)
+    return u[:, : int(np.count_nonzero(s > cut))]
+
+
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Principal angles (radians) between the column spans of a and b."""
-    return scipy.linalg.subspace_angles(np.asarray(a, complex), np.asarray(b, complex))
+    """Principal angles (radians, descending) between the column spans of a and b.
+
+    Bjorck & Golub (1973) with the sine/cosine split of Knyazev & Argentati
+    (2002): each span is orthonormalized by a thin SVD with the rank cut
+    max(shape) eps s_max, the cosines are the singular values of Qa* Qb, and
+    an angle whose cosine has sigma^2 >= 1/2 is taken instead from the
+    arcsine of the singular values of the smaller basis's residual against
+    the larger span, which resolves angles far below the 1e-8 that arccos
+    can tell from 0.  Each angle picks its branch by its own cosine.
+    """
+    qa = _orth(np.asarray(a, dtype=complex))
+    qb = _orth(np.asarray(b, dtype=complex))
+    if qa.shape[1] < qb.shape[1]:
+        qa, qb = qb, qa
+    overlap = adj(qa) @ qb
+    cosines = np.clip(np.linalg.svd(overlap, compute_uv=False)[::-1], -1.0, 1.0)
+    small = cosines**2 >= 0.5
+    angles = np.arccos(cosines)
+    if small.any():
+        sines = np.linalg.svd(qb - qa @ overlap, compute_uv=False)
+        angles[small] = np.arcsin(np.clip(sines, -1.0, 1.0))[small]
+    return angles
 
 
 def unitary_polar_factor(a: np.ndarray) -> np.ndarray:

@@ -491,19 +491,21 @@ def verify_coincidence_implies_equivalence(
     gamma = model_unitary(model, kernel, ops)
     gamma_p = model_unitary(model_p, kernel_p, ops_p)
 
-    p, s = model.p, model.s
-    p_p, s_p = model_p.p, model_p.s
-    psi = np.zeros((p_p + s_p, p + s), dtype=complex)
-    psi[:p_p, :p] = _kron_block(witness.tau, p // theta.d_T)
-    psi[p_p:, p:] = adj(model_p.E) @ _kron_block(witness.tau_star, model.q // theta.d_star) @ model.E
+    p = model.p
 
-    moved = psi @ ops.basis
+    def psi(x: np.ndarray) -> np.ndarray:
+        """Psi x, by the block reshapes: Psi itself is never formed."""
+        top = _kron_left(witness.tau, x[:p], theta.d_T)
+        bottom = adj(model_p.E) @ _kron_left(witness.tau_star, model.E @ x[p:], theta.d_star)
+        return np.vstack([top, bottom])
+
+    moved = psi(ops.basis)
     if model.h == model_p.h and model.h > 0:
         # The subspace comparison must stay within one branch: the general
         # bases transform exactly covariantly under psi, while the pure-branch
         # basis tilts away from the general one by the square root of the
         # tail, which is not an equivalence defect.
-        angles = principal_angles(psi @ model.H_basis, model_p.H_basis)
+        angles = principal_angles(psi(model.H_basis), model_p.H_basis)
         max_angle = float(np.max(angles)) if angles.size else 0.0
     else:
         max_angle = float("inf")
@@ -540,7 +542,3 @@ def verify_coincidence_implies_equivalence(
         phase_deviation=float(phase_dev),
         equivalent=equivalent,
     )
-
-
-def _kron_block(tau: np.ndarray, blocks: int) -> np.ndarray:
-    return np.kron(np.eye(blocks, dtype=complex), tau)

@@ -1,11 +1,17 @@
-"""The operator norms against numpy's SVD norm, and the basis fixed by a projector."""
+"""The operator norms against numpy's SVD norm, the basis fixed by a projector,
+and the principal angles against scipy's ``subspace_angles``.
+
+scipy is imported here and nowhere in the package: it is the independent
+oracle of ``principal_angles``.
+"""
 
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
-from fockmodel.linalg import gram, hermitian_norm, opnorm, projector_basis
+from fockmodel.linalg import gram, hermitian_norm, opnorm, principal_angles, projector_basis
 
 SHAPES = {"tall": (37, 5), "wide": (4, 29), "square": (16, 16)}
 SCALES = [1.0, 1e-200, 1e200]
@@ -164,3 +170,83 @@ def test_projector_basis_breaks_exact_ties_by_the_first_row():
 
 def test_projector_basis_of_an_empty_span():
     assert projector_basis(np.zeros((5, 0), dtype=complex)).shape == (5, 0)
+
+
+# ---------------------------------------------------------------------------
+# principal angles, against scipy's subspace_angles
+
+
+def _mixed(b, seed):
+    """The same span as b, through an invertible complex change of basis."""
+    rng = np.random.default_rng(seed)
+    k = b.shape[1]
+    return b @ (np.eye(k) + 0.3 * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))))
+
+
+def _rotated_pair(angles, m=12, seed=0):
+    """Spans at the given principal angles: A = Q1, B = Q1 cos + Q2 sin, both mixed."""
+    t = np.asarray(angles)
+    q = _isometry(m, 2 * t.size, seed)
+    a, w = q[:, : t.size], q[:, t.size :]
+    return _mixed(a, seed + 1), _mixed(a * np.cos(t) + w * np.sin(t), seed + 2)
+
+
+def _agrees_with_scipy(a, b):
+    got, want = principal_angles(a, b), subspace_angles(a, b)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-14
+    return got
+
+
+@pytest.mark.parametrize("p, q", [(2, 5), (5, 2), (3, 3), (1, 7), (7, 1)])
+def test_principal_angles_of_random_complex_spans(p, q):
+    rng = np.random.default_rng(10 * p + q)
+    a = rng.normal(size=(9, p)) + 1j * rng.normal(size=(9, p))
+    b = rng.normal(size=(9, q)) + 1j * rng.normal(size=(9, q))
+    got = _agrees_with_scipy(a, b)
+    assert got.shape == (min(p, q),)
+    assert np.all(np.diff(got) <= 0.0)
+
+
+def test_principal_angles_resolve_tiny_rotations():
+    # cos(t) rounds to 1 for all of these, so arccos alone reports 0 or about
+    # 1e-8: only the arcsine of the residual's singular values resolves them
+    t = np.array([1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
+    a, b = _rotated_pair(t)
+    got = _agrees_with_scipy(a, b)
+    assert np.abs(got - t).max() <= 1e-15
+
+
+def test_principal_angles_of_orthogonal_spans():
+    q = _isometry(8, 6, 3)
+    got = _agrees_with_scipy(_mixed(q[:, :3], 4), _mixed(q[:, 3:], 5))
+    assert np.abs(got - np.pi / 2).max() <= 1e-15
+
+
+def test_principal_angles_cut_the_rank():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+    a[:, 2] = a[:, 0] + 2.0 * a[:, 1]  # exactly dependent
+    a[:, 3] = 0.0
+    b = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    assert principal_angles(a, b).shape == (2,)
+    _agrees_with_scipy(a, b)
+    _agrees_with_scipy(b, a)
+    assert principal_angles(np.zeros((8, 2)), b).shape == (0,)
+
+
+def test_principal_angles_of_a_span_with_itself():
+    a = _mixed(_isometry(10, 4, 7), 8)
+    for b in (a, _mixed(a, 9)):
+        got = _agrees_with_scipy(a, b)
+        assert got.max() < 1e-14
+
+
+def test_principal_angles_pick_each_branch_by_its_own_cosine():
+    # one tiny and one wide angle in one pair: the tiny one must come from the
+    # arcsine (scipy's subspace_angles tests the cosines in reverse order here
+    # and reports 0 for it), the wide one from arccos
+    t = np.array([1.5, 1e-10])
+    a, b = _rotated_pair(t, seed=11)
+    got = principal_angles(a, b)
+    assert np.abs(got - t).max() <= 1e-15
