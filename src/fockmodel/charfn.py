@@ -98,22 +98,8 @@ class CharFn:
         return self.defect.d_star
 
     @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full SVD (U, sigma, V) of the matrix, computed once.
-
-        Theta = U[:, :r] diag(sigma) V[:, :r]* with r = min(p, q), sigma
-        descending; U is p x p and V is q x q, so their trailing columns span
-        ker Theta* and ker Theta.  Every spectral quantity of the model
-        (Delta, its range, the model space, the pure basis) derives from it.
-        """
-        u, sigma, vh = np.linalg.svd(self.matrix, full_matrices=True)
-        return u, sigma, adj(vh)
-
-    @cached_property
     def singular_values(self) -> np.ndarray:
-        """Singular values, descending: those of ``svd`` once that exists, else values only."""
-        if "svd" in self.__dict__:
-            return self.svd[1]
+        """Singular values, descending, from one values-only SVD."""
         return np.linalg.svd(self.matrix, compute_uv=False)
 
     @cached_property
@@ -215,6 +201,8 @@ def constrained_characteristic_function(
     sub: ConstrainedSubspace,
     *,
     defect: DefectData | None = None,
+    tail_bound: float | None = None,
+    relation_residual: float | None = None,
 ) -> CharFn:
     """Characteristic function compressed to the constrained subspace.
 
@@ -228,9 +216,13 @@ def constrained_characteristic_function(
     :func:`evaluate` at the compressed right shifts on N must agree with the
     compression to 1e-10 (recorded as ``series_agreement``).  Tuples
     violating the relations (residual above 1e-8) are refused.
+
+    ``defect``, ``tail_bound`` (|Phi^(d+1)(I)|) and ``relation_residual``
+    (the constraint_residual under ``sub.spec``) reuse what the caller
+    already has of the tuple.
     """
     mats = as_matrices(ts)
-    residual = require_relations(mats, sub.spec)
+    residual = require_relations(mats, sub.spec, residual=relation_residual)
     if defect is None:
         defect = defects(mats)
     full_matrix = _block_matrix(mats, sub.space, defect)
@@ -261,7 +253,7 @@ def constrained_characteristic_function(
         matrix=matrix,
         sub=sub,
         defect=defect,
-        tail_bound=truncation_tail(mats, sub.space.d),
+        tail_bound=truncation_tail(mats, sub.space.d) if tail_bound is None else tail_bound,
         coinvariance_leak=leak,
         series_agreement=series_agreement,
     )

@@ -12,10 +12,11 @@ Four subcommands, all reading JSON problem files and writing JSON reports:
            through the coincidence machinery
 
 Each problem gets one run object that builds its pipeline (defects, relation
-subspace, characteristic function, Poisson kernel, ...) on first use and
-keeps it, so no command computes an object twice.  The commands are report
-views over their runs; they share one gate (row contraction, then relations)
-and one way to write the report and pick the exit code.
+residual, truncation tail, relation subspace, characteristic function,
+Poisson kernel, ...) on first use, keeps it and passes each piece down to the
+builders that read it, so no command computes an object twice.  The commands
+are report views over their runs; they share one gate (row contraction, then
+relations) and one way to write the report and pick the exit code.
 
 Exit codes: 0 the command ran and every verdict it certifies came out
 positive; 1 the command ran and reached a definite negative verdict (not a
@@ -40,7 +41,15 @@ from .charfn import (
     delta_and_classify,
     factorization_defect,
 )
-from .contractions import _RELATION_TOL, TriState, classify, constraint_residual, defects, validate
+from .contractions import (
+    _RELATION_TOL,
+    TriState,
+    classify,
+    constraint_residual,
+    defects,
+    phi_power,
+    validate,
+)
 from .fock import TruncatedFockSpace
 from .ideals import PolyIdealSpec, ideal_subspace
 from .linalg import hermitian_norm
@@ -154,16 +163,33 @@ class _Run:
         return defects(self.mats)
 
     @cached_property
+    def tail(self) -> np.ndarray:
+        """Phi^(d+1)(I), which both the kernel and the tail bound of Theta read."""
+        return phi_power(self.mats, self.degree + 1)
+
+    @cached_property
     def sub(self):
         return ideal_subspace(self.problem.ideal, self.space)
 
     @cached_property
     def theta(self):
-        return constrained_characteristic_function(self.mats, self.sub, defect=self.defects)
+        return constrained_characteristic_function(
+            self.mats,
+            self.sub,
+            defect=self.defects,
+            tail_bound=hermitian_norm(self.tail),
+            relation_residual=self.relation_residual,
+        )
 
     @cached_property
     def kernel(self):
-        return constrained_poisson_kernel(self.mats, self.sub, defect=self.defects)
+        return constrained_poisson_kernel(
+            self.mats,
+            self.sub,
+            defect=self.defects,
+            tail=self.tail,
+            relation_residual=self.relation_residual,
+        )
 
 
 def _open(args) -> tuple[_Run, dict, list]:
@@ -248,7 +274,7 @@ def _cmd_analyze(args) -> int:
         report["kernel"] = {"constrained": True, "subspace_leak": kernel.subspace_leak}
     else:  # a relation-violating tuple still gets its kernel, on the zero family
         free = ideal_subspace(PolyIdealSpec(n=run.problem.n), run.space)
-        kernel = constrained_poisson_kernel(run.mats, free, defect=dft)
+        kernel = constrained_poisson_kernel(run.mats, free, defect=dft, tail=run.tail)
         report["kernel"] = {
             "constrained": False,
             "note": "tuple violates the relations; kernel computed without the constraint",
@@ -434,6 +460,8 @@ def _cmd_equiv(args) -> int:
         a.sub,
         classification=a.classification,
         classification_p=b.classification,
+        kernel=a.kernel,
+        kernel_p=b.kernel,
     )
     report.update(
         {

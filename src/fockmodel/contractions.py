@@ -266,9 +266,20 @@ def constraint_residual(ts: Sequence[np.ndarray], spec: PolyIdealSpec) -> float:
     return worst
 
 
-def require_relations(ts: Sequence[np.ndarray], spec: PolyIdealSpec, what: str = "tuple") -> float:
-    """constraint_residual, refused with ValueError above 1e-8."""
-    residual = constraint_residual(ts, spec)
+def require_relations(
+    ts: Sequence[np.ndarray],
+    spec: PolyIdealSpec,
+    what: str = "tuple",
+    *,
+    residual: float | None = None,
+) -> float:
+    """constraint_residual, refused with ValueError above 1e-8.
+
+    ``residual`` reuses the tuple's constraint_residual under ``spec`` when
+    the caller already has it.
+    """
+    if residual is None:
+        residual = constraint_residual(ts, spec)
     if residual > _RELATION_TOL:
         raise ValueError(
             f"{what} violates the polynomial relations: residual {residual:.3e} "

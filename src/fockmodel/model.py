@@ -1,35 +1,38 @@
 """Functional model reconstruction and unitary-equivalence certificates.
 
-From a (constrained) characteristic function Theta with pointwise defect
-Delta = (I - Theta*Theta)^(1/2), form the isometric column
+From a (constrained) characteristic function Theta : C^q -> C^p with
+pointwise defect Delta = (I - Theta*Theta)^(1/2), form the isometric column
 
-    Phihat = [ Theta ; E* Delta ] : C^q -> C^(p+s),
+    Phihat = [ Theta ; Delta ] : C^q -> C^p (+) C^q.
 
-where E is an orthonormal basis of the range of Delta (s = rank).  The model
-space is H = C^(p+s) (-) ran Phihat, and the model operators are the
+The model space is H = (C^p (+) ran Delta) (-) ran Phihat, of dimension
+h = p + s - q with s = rank Delta, and the model operators are the
 compressions to H of
 
-    M_i = (compressed shift_i (x) I_{d_T})  (+)  0_s.
+    M_i = (compressed shift_i (x) I_{d_T})  (+)  0.
 
-All of it comes from one SVD Theta = U Sigma V* (``CharFn.svd``): Delta =
-V diag(sqrt(1 - sigma_k^2)) V*, E is spanned by the columns v_k of V with
-1 - sigma_k^2 > 1e-10, and H has the orthonormal basis, in closed form,
+All of it comes from one eigendecomposition of the p x p matrix
+I - Theta Theta* = sum_k lambda_k u_k u_k*, whose eigenvalues other than 1
+are those of I - Theta*Theta: H has the orthonormal basis, in closed form,
 
-    [ sqrt(1 - sigma_k^2) u_k ; -sigma_k E* v_k ]   for each k < min(p, q)
-                                                    with sigma_k not at 1,
-    [ u_k ; 0 ]                                     for q <= k < p,
+    [ sqrt(lambda_k) u_k ; -Theta* u_k ]   for each lambda_k > 1e-10,
 
-each column orthogonal to every Phihat v_j, for h = p + s - q columns in all.
-The reported basis of that span is the one its shift rows, I - Theta Theta*
-in the model projector, fix (``linalg.projector_basis``), so the model
-operators do not depend on how the SVD splits a repeated singular value.
+each column of norm lambda_k + |Theta* u_k|^2 = 1 and orthogonal to every
+Phihat x, because Theta Delta = (I - Theta Theta*)^(1/2) Theta.  So h is the
+number of kept eigenvalues and s = q - p + h, both known before anything of
+size q exists.  The reported basis of that span is the one its shift rows,
+I - Theta Theta* in the model projector, fix (``linalg.projector_basis``), so
+the model operators do not depend on how the eigensolver splits a repeated
+eigenvalue.  Phihat itself, and the isometry residual |Phihat* Phihat - I|,
+are formed only when asked for, Delta from the same decomposition.
 
 Two independent reconstructions of the operators are available: the defining
 compression above ("general"), and, for a pure tuple, the compression of the
-shifts to the orthogonal complement of the large-singular-value range of
-Theta alone ("pure"), whose basis never touches the Delta block.  At exact
-truncation both agree to rounding; their disagreement is otherwise of the
-order of the truncation tail and is reported, never hidden.
+shifts to the span of the u_k with lambda_k >= (1 - tail)/2 -- the orthogonal
+complement of the large-singular-value range of Theta alone ("pure"), whose
+basis never touches the Delta block.  At exact truncation both agree to
+rounding; their disagreement is otherwise of the order of the truncation tail
+and is reported, never hidden.
 
 The unitary from the original space onto H sends h to (K h, 0) with K the
 constrained Poisson kernel; its matrix in the model basis, Gamma, is computed
@@ -43,10 +46,11 @@ functions then coincide,
     (I (x) tau) Theta_J = Theta'_J (I (x) tau_star),
 
 exactly at truncation.  Conversely, a coincidence witness transports the
-whole model: it maps Phihat-ranges onto each other, hence model space to
-model space, intertwines the model operators, and finally recovers a unitary
-V between the original spaces with V T_i = T'_i V.  Every one of these steps
-is verified numerically and reported.
+whole model: (I (x) tau) (+) (I (x) tau_star) carries Delta to Delta' and
+Phihat-ranges onto each other, hence model space to model space,
+intertwines the model operators, and finally recovers a unitary V between
+the original spaces with V T_i = T'_i V.  Every one of these steps is
+verified numerically and reported.
 """
 
 from __future__ import annotations
@@ -65,24 +69,35 @@ from .linalg import (
     opnorm,
     principal_angles,
     projector_basis,
-    psd_root,
     psd_spectrum,
     unitary_polar_factor,
 )
 from .poisson import KernelMatrix, constrained_poisson_kernel
 
 
+# Rows of Theta / columns of Phihat conjugated at once for a Gram matrix:
+# 1.6 MB of Theta, 2.3 MB of Phihat at q = 762.
+_GRAM_BLOCK = 128
+# Eigenvalues of I - Theta Theta* at or below this are zero: s, h and Delta's rank.
+_RANK_TOL = 1e-10
+
+
 @dataclasses.dataclass
 class ModelData:
-    """Model space data built from one characteristic function."""
+    """Model space data built from one eigendecomposition of I - Theta Theta*.
+
+    Bases live in the coordinates C^p (+) C^q of ``phihat``; the eigenvalues
+    (clipped at 0, ascending) and eigenvectors of I - Theta Theta* are kept
+    for the q-side objects, which are formed only when read.
+    """
 
     theta: CharFn
-    E: np.ndarray
-    phihat: np.ndarray
-    isometry_residual: float
+    s: int
     H_basis: np.ndarray
     H_pure_basis: np.ndarray | None
     tail_bound: float
+    defect_star_eigvals: np.ndarray
+    defect_star_eigvecs: np.ndarray
 
     @property
     def p(self) -> int:
@@ -93,44 +108,60 @@ class ModelData:
         return self.theta.matrix.shape[1]
 
     @property
-    def s(self) -> int:
-        return self.E.shape[1]
-
-    @property
     def h(self) -> int:
         return self.H_basis.shape[1]
 
     @cached_property
+    def phihat(self) -> np.ndarray:
+        """[Theta ; Delta], whose range is the complement of H in C^p (+) ran Delta.
+
+        With Y = U* Theta (U the eigenvectors of I - Theta Theta*), the rows
+        of Y are orthogonal with squared norms 1 - lambda_k, so
+        Delta = I - Y* diag(1 / (1 + sqrt(lambda))) Y needs no q-side
+        decomposition.  The lambda_k at or below the rank cut 1e-10 count as
+        0, so Delta has rank s, as the model space does.
+        """
+        th = self.theta.matrix
+        p, q = th.shape
+        out = np.empty((p + q, q), dtype=complex)
+        out[:p] = th
+        lam = np.where(self.defect_star_eigvals > _RANK_TOL, self.defect_star_eigvals, 0.0)
+        z = (adj(self.defect_star_eigvecs) @ th) / np.sqrt(1.0 + np.sqrt(lam))[:, None]
+        delta = out[p:]
+        np.matmul(adj(z), z, out=delta)
+        np.negative(delta, out=delta)
+        diagonal = np.arange(q)
+        delta[diagonal, diagonal] += 1.0
+        return out
+
+    @cached_property
     def delta(self) -> np.ndarray:
-        """Delta = (I - Theta*Theta)^(1/2) = V diag(sqrt(1 - sigma^2)) V*."""
-        _, sigma, v = self.theta.svd
-        return psd_root(np.clip(_defect_eigenvalues(sigma, self.q), 0.0, None), v)
+        """Delta = (I - Theta*Theta)^(1/2) at rank s, the bottom block of ``phihat``."""
+        return self.phihat[self.p :]
 
-
-def _defect_eigenvalues(sigma: np.ndarray, q: int) -> np.ndarray:
-    """1 - sigma_k^2 for k < q (sigma_k = 0 past min(p, q)): the spectrum of
-    I - Theta*Theta along the columns of V, ascending."""
-    out = np.ones(q)
-    out[: sigma.size] -= sigma**2
-    return out
-
-
-# Columns of Phihat conjugated at once for its Gram matrix: 1.6 MB at p + s = 765.
-_GRAM_BLOCK = 128
+    @cached_property
+    def isometry_residual(self) -> float:
+        """|Phihat* Phihat - I|, conjugating Phihat a block of columns at a time."""
+        phihat, q = self.phihat, self.q
+        gram = np.empty((q, q), dtype=complex)
+        for j in range(0, q, _GRAM_BLOCK):
+            np.matmul(adj(phihat[:, j : j + _GRAM_BLOCK]), phihat, out=gram[j : j + _GRAM_BLOCK])
+        gram.flat[:: q + 1] -= 1.0
+        return float(hermitian_norm(gram))
 
 
 def build_model(theta: CharFn, *, classification: Classification | None = None) -> ModelData:
-    """Assemble the model space of a characteristic function from its one SVD.
+    """Assemble the model space of a characteristic function from one p x p ``eigh``.
 
-    With Theta = U Sigma V* (``theta.svd``), the defect range E is the span
-    of the columns v_k with 1 - sigma_k^2 > 1e-10 (NumericalRankWarning when
-    a value lies in [1e-12, 1e-8]), E* Delta = diag(sqrt(1 - sigma_k^2)) E*,
-    and the model space basis is the closed form of the module docstring.
-    The pure basis spans U[:, big:], past the singular values with
-    sigma^2 > (1 + tail)/2.  No other decomposition is taken; the isometry
-    of Phihat is measured directly.
+    With I - Theta Theta* = sum_k lambda_k u_k u_k*, the model basis is the
+    closed form of the module docstring over the lambda_k > 1e-10
+    (NumericalRankWarning when an eigenvalue lies in [1e-12, 1e-8]), and
+    s = q - p + h.  The pure basis spans the u_k with
+    lambda_k >= (1 - tail)/2, that is sigma_k^2 <= (1 + tail)/2.  No other
+    decomposition is taken, and no q x q array is formed; ``phihat``, Delta
+    and the isometry residual are built on first access.
 
-    Inside a repeated singular value the SVD's basis is arbitrary, so both
+    Inside a repeated eigenvalue the eigenvectors are arbitrary, so both
     reported bases are rechosen by :func:`linalg.projector_basis`, pivoting
     on the p rows of the shift summand.  Those rows of the model projector
     are I - Theta Theta*, and those of the pure one a spectral projector of
@@ -149,43 +180,31 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
         )
     th = theta.matrix
     p, q = th.shape
-    u, sigma, v = theta.svd
-    w, e_basis, kept = psd_spectrum(_defect_eigenvalues(sigma, q), v, rank_tol=1e-10)
-    s = e_basis.shape[1]
-    phihat = np.vstack([th, np.sqrt(kept)[:, None] * adj(e_basis)])
-    # Phihat* Phihat - I, conjugating Phihat a block of columns at a time
-    # instead of copying all of it.
-    gram = np.empty((q, q), dtype=complex)
-    for j in range(0, q, _GRAM_BLOCK):
-        np.matmul(adj(phihat[:, j : j + _GRAM_BLOCK]), phihat, out=gram[j : j + _GRAM_BLOCK])
-    gram.flat[:: q + 1] -= 1.0
-    isometry_residual = hermitian_norm(gram)
-
-    # w ascends, so the kept columns of V are its last s; those with k below
-    # min(p, q) = sigma.size pair with a u_k whose sigma_k is not at 1.
-    tilted = slice(q - s, sigma.size)
-    paired = np.vstack(
-        [u[:, tilted] * np.sqrt(w[tilted]), -(adj(e_basis) @ v[:, tilted]) * sigma[tilted]]
-    )
-    cokernel = np.vstack([u[:, q:], np.zeros((s, max(p - q, 0)), dtype=complex)])
-    h_basis = projector_basis(np.hstack([paired, cokernel]), p)
-    assert h_basis.shape[1] == p + s - q
+    # I - Theta Theta*, only the lower triangle that eigh reads, a block of
+    # rows at a time so that Theta is never conjugated whole.
+    defect_star = np.zeros((p, p), dtype=complex)
+    for i in range(0, p, _GRAM_BLOCK):
+        rows = slice(i, min(i + _GRAM_BLOCK, p))
+        defect_star[rows, : rows.stop] = -adj(th[: rows.stop] @ adj(th[rows]))
+    defect_star.flat[:: p + 1] += 1.0
+    lam, u = np.linalg.eigh(defect_star, UPLO="L")
+    lam, kept_u, kept = psd_spectrum(lam, u, rank_tol=_RANK_TOL)
+    h_basis = projector_basis(np.vstack([kept_u * np.sqrt(kept), -adj(adj(kept_u) @ th)]), p)
 
     tail = theta.tail_bound
     h_pure = None
     if tail < 0.5:
-        big = int(np.count_nonzero(sigma**2 > 0.5 * (1.0 + tail)))
-        pure_cols = projector_basis(u[:, big:])
-        h_pure = np.vstack([pure_cols, np.zeros((s, pure_cols.shape[1]), dtype=complex)])
+        pure_cols = projector_basis(u[:, lam >= 0.5 * (1.0 - tail)])
+        h_pure = np.vstack([pure_cols, np.zeros((q, pure_cols.shape[1]), dtype=complex)])
 
     return ModelData(
         theta=theta,
-        E=e_basis,
-        phihat=phihat,
-        isometry_residual=float(isometry_residual),
+        s=q - p + kept.size,
         H_basis=h_basis,
         H_pure_basis=h_pure,
         tail_bound=tail,
+        defect_star_eigvals=lam,
+        defect_star_eigvecs=u,
     )
 
 
@@ -267,7 +286,7 @@ def model_operators(
     agreement = None
     if model.H_pure_basis is not None and model.H_pure_basis.shape[1] == model.h:
         pure = [_compress_to(model.H_pure_basis, s_i, d_T, p) for s_i in shifts]
-        omega = unitary_polar_factor(adj(model.H_basis) @ model.H_pure_basis)
+        omega = unitary_polar_factor(adj(h1) @ model.H_pure_basis[:p, :])  # pure: 0 below p
         agreement = [
             float(opnorm(omega @ tp @ adj(omega) - tg)) for tp, tg in zip(pure, general)
         ]
@@ -314,11 +333,12 @@ def model_unitary(model: ModelData, kernel: KernelMatrix, ops: ModelOperators) -
     k = kernel.matrix
     if k.shape[0] != model.p:
         raise ValueError(f"kernel has {k.shape[0]} rows, expected {model.p}")
-    emb = np.vstack([k, np.zeros((model.s, k.shape[1]), dtype=complex)])
-    # Gamma must live in the same coordinates as the chosen operator branch.
+    # Gamma must live in the same coordinates as the chosen operator branch;
+    # (K h, 0) has no component below the p rows of the shift summand.
     basis = ops.basis
-    gamma = adj(basis) @ emb
-    embedding_residual = opnorm(basis @ gamma - emb)
+    h1 = basis[: model.p, :]
+    gamma = adj(h1) @ k
+    embedding_residual = opnorm(np.vstack([h1 @ gamma - k, basis[model.p :, :] @ gamma]))
     eye_h = np.eye(model.h, dtype=complex)
     eye_m = np.eye(gamma.shape[1], dtype=complex)
     unitary_residual = max(
@@ -331,7 +351,6 @@ def model_unitary(model: ModelData, kernel: KernelMatrix, ops: ModelOperators) -
         co = opnorm(adj(tt) @ gamma - gamma @ adj(t))
         direct = opnorm(tt @ gamma - gamma @ t)
         inter[i] = float(max(co, direct))
-    h1 = basis[: model.p, :]
     # |K* g_j| vs |P_model (g_j, 0)| over the standard basis of the shift summand:
     # K* columns are conjugated kernel rows, the projections are basis rows.
     col_norms_k = np.linalg.norm(k, axis=1)
@@ -464,12 +483,14 @@ def verify_coincidence_implies_equivalence(
     *,
     classification: Classification | None = None,
     classification_p: Classification | None = None,
+    kernel: KernelMatrix | None = None,
+    kernel_p: KernelMatrix | None = None,
 ) -> EquivalenceReport:
     """Transport the model along a coincidence witness and recover the unitary.
 
     The witness unitaries are promoted to a map of model ambient spaces,
 
-        Psi = (I (x) tau)  (+)  E'* (I (x) tau_star) E,
+        Psi = (I (x) tau)  (+)  (I (x) tau_star)   on C^p (+) C^q,
 
     which must carry model space onto model space (checked via principal
     angles), intertwine the model operators (checked in norm), and induce --
@@ -477,7 +498,8 @@ def verify_coincidence_implies_equivalence(
     between the original spaces with V T_i = T'_i V.  V is also compared
     against the witness's own spatial unitary up to a global phase (a genuine
     equality only when the tuple is irreducible; it is reported, not
-    asserted).
+    asserted).  The Poisson kernels of the two tuples are built on ``sub``
+    unless the caller already has them.
     """
     mats = as_matrices(ts)
     mats_p = as_matrices(ts_p)
@@ -486,8 +508,10 @@ def verify_coincidence_implies_equivalence(
     model_p = build_model(theta_p, classification=classification_p)
     ops = model_operators(model, classification=classification)
     ops_p = model_operators(model_p, classification=classification_p)
-    kernel = constrained_poisson_kernel(mats, sub, defect=theta.defect)
-    kernel_p = constrained_poisson_kernel(mats_p, sub, defect=theta_p.defect)
+    if kernel is None:
+        kernel = constrained_poisson_kernel(mats, sub, defect=theta.defect)
+    if kernel_p is None:
+        kernel_p = constrained_poisson_kernel(mats_p, sub, defect=theta_p.defect)
     gamma = model_unitary(model, kernel, ops)
     gamma_p = model_unitary(model_p, kernel_p, ops_p)
 
@@ -496,7 +520,7 @@ def verify_coincidence_implies_equivalence(
     def psi(x: np.ndarray) -> np.ndarray:
         """Psi x, by the block reshapes: Psi itself is never formed."""
         top = _kron_left(witness.tau, x[:p], theta.d_T)
-        bottom = adj(model_p.E) @ _kron_left(witness.tau_star, model.E @ x[p:], theta.d_star)
+        bottom = _kron_left(witness.tau_star, x[p:], theta.d_star)
         return np.vstack([top, bottom])
 
     moved = psi(ops.basis)

@@ -101,6 +101,8 @@ def constrained_poisson_kernel(
     sub: ConstrainedSubspace,
     *,
     defect: DefectData | None = None,
+    tail: np.ndarray | None = None,
+    relation_residual: float | None = None,
 ) -> KernelMatrix:
     """Poisson kernel compressed to the constrained rows N (x) defect.
 
@@ -108,12 +110,14 @@ def constrained_poisson_kernel(
     zero family N is exactly the identity, nothing is compressed, and this is
     the free kernel.  Refuses tuples that do not satisfy the relations
     (residual above 1e-8): the compression is only meaningful -- and only
-    lossless -- for tuples in the constrained class.  The norm of the discarded M-component is returned on
-    the result as ``subspace_leak``.  ``defect`` reuses the tuple's defect
-    data when the caller already has it.
+    lossless -- for tuples in the constrained class.  The norm of the
+    discarded M-component is returned on the result as ``subspace_leak``.
+    ``defect``, ``tail`` (Phi^(d+1)(I)) and ``relation_residual`` (the
+    constraint_residual under ``sub.spec``) reuse what the caller already
+    has of the tuple.
     """
     mats = as_matrices(ts)
-    residual = require_relations(mats, sub.spec)
+    residual = require_relations(mats, sub.spec, residual=relation_residual)
     if defect is None:
         defect = defects(mats)
     blocks = kernel_blocks(mats, sub.space, defect)
@@ -128,7 +132,8 @@ def constrained_poisson_kernel(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
             "the tuple and the relation family are inconsistent"
         )
-    tail = phi_power(mats, sub.space.d + 1)
+    if tail is None:
+        tail = phi_power(mats, sub.space.d + 1)
     return KernelMatrix(
         matrix=compressed.reshape(sub.dim_N * defect.d_T, mats[0].shape[0]),
         mats=mats,

@@ -441,6 +441,45 @@ def test_cli_equiv_with_witness(equiv_files):
         assert cb[name]["pass"], name
 
 
+@pytest.mark.parametrize("command", ["model", "equiv"])
+def test_each_problem_forms_its_tail_and_relation_residual_once(
+    equiv_files, monkeypatch, command
+):
+    # the run passes Phi^(d+1)(I) and the relation residual down to Theta and
+    # the kernel, so each problem forms them once, in the gate and the run
+    import fockmodel.cli
+    import fockmodel.contractions
+    import fockmodel.poisson
+
+    tmp_path, pa, pb, uf = equiv_files
+    tails, residuals = [], []
+    phi_power, constraint_residual = (
+        fockmodel.contractions.phi_power,
+        fockmodel.contractions.constraint_residual,
+    )
+
+    def counted_phi_power(ts, k, x=None):
+        tails.append(k)
+        return phi_power(ts, k, x)
+
+    def counted_residual(ts, spec):
+        residuals.append(spec.kind)
+        return constraint_residual(ts, spec)
+
+    for module in (fockmodel.cli, fockmodel.contractions, fockmodel.poisson):
+        if hasattr(module, "phi_power"):
+            monkeypatch.setattr(module, "phi_power", counted_phi_power)
+        if hasattr(module, "constraint_residual"):
+            monkeypatch.setattr(module, "constraint_residual", counted_residual)
+    argv = ["model", "--problem", pa]
+    if command == "equiv":
+        argv = ["equiv", "--problem", pa, "--problem-b", pb, "--unitary", uf]
+    assert run_cli([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    problems = 1 if command == "model" else 2
+    assert tails == [6] * problems
+    assert residuals == ["commutative"] * problems
+
+
 def test_cli_equiv_screen_only(equiv_files):
     tmp_path, pa, pb, _ = equiv_files
     out = tmp_path / "r.json"

@@ -13,6 +13,7 @@ Dimension oracles (worked by hand):
 """
 
 import dataclasses
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -35,7 +36,7 @@ from fockmodel import (
     validate,
     verify_coincidence_implies_equivalence,
 )
-from fockmodel.linalg import NumericalRankWarning, principal_angles
+from fockmodel.linalg import NumericalRankWarning, principal_angles, projector_basis
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     conjugated_tuple,
@@ -266,32 +267,113 @@ def test_gamma_residuals_serializable_types(conjugated_pair):
 
 
 # ---------------------------------------------------------------------------
-# everything spectral comes from one SVD of Theta; the dense routes it
-# replaced serve as oracles
+# everything spectral comes from one eigh of I - Theta Theta*; a full SVD of
+# Theta, taken here, is the oracle
+
+
+def _full_svd_model(theta):
+    """The model bases of the full SVD Theta = U Sigma V*, in C^p (+) C^s coordinates.
+
+    E spans the v_k with 1 - sigma_k^2 > 1e-10 (sigma_k = 0 past min(p, q));
+    H is spanned by [sqrt(1 - sigma_k^2) u_k ; -sigma_k E* v_k] for those k
+    below min(p, q) and by [u_k ; 0] for k >= q; the pure basis spans the u_k
+    past the sigma_k^2 > (1 + tail)/2.  Returns (E, H, pure rows of C^p).
+    """
+    th = theta.matrix
+    p, q = th.shape
+    u, sigma, vh = np.linalg.svd(th, full_matrices=True)
+    v = adj(vh)
+    defect = np.ones(q)
+    defect[: sigma.size] -= sigma**2
+    e = v[:, defect > 1e-10]
+    paired = np.flatnonzero(defect[: sigma.size] > 1e-10)
+    tilted = np.vstack(
+        [u[:, paired] * np.sqrt(defect[paired]), -(adj(e) @ v[:, paired]) * sigma[paired]]
+    )
+    cokernel = np.vstack([u[:, q:], np.zeros((e.shape[1], max(p - q, 0)))])
+    big = int(np.count_nonzero(sigma**2 > 0.5 * (1.0 + theta.tail_bound)))
+    return e, projector_basis(np.hstack([tilted, cokernel]), p), projector_basis(u[:, big:])
 
 
 @pytest.mark.parametrize("case", SPECTRAL_CASES)
 def test_delta_squares_to_the_defect(case, subspace_factory):
     th = spectral_theta(case, subspace_factory)
     model = build_model(th)
+    e, h_svd, _ = _full_svd_model(th)
+    assert (model.s, model.h) == (e.shape[1], h_svd.shape[1])
+    assert model.h == model.p + model.s - model.q
     g = adj(th.matrix) @ th.matrix
     eye_q = np.eye(model.q)
     assert opnorm(model.delta @ model.delta - (eye_q - g)) < 1e-12
-    # E is an orthonormal basis of the range, of the rank eigh sees
-    assert opnorm(adj(model.E) @ model.E - np.eye(model.s)) < 1e-12
-    assert model.s == int(np.count_nonzero(np.linalg.eigvalsh(eye_q - g) > 1e-10))
-    assert opnorm(model.E @ adj(model.E) @ (eye_q - g) - (eye_q - g)) < 1e-12
+    assert opnorm(model.delta - adj(model.delta)) < 1e-12
+    # Delta lives on the range the SVD sees, E E*
+    assert opnorm(e @ adj(e) @ model.delta - model.delta) < 1e-12
 
 
 @pytest.mark.parametrize("case", SPECTRAL_CASES)
 def test_closed_form_model_basis_is_the_complement_of_phihat(case, subspace_factory):
     th = spectral_theta(case, subspace_factory)
     model = build_model(th)
+    p, q = model.p, model.q
     h, phihat = model.H_basis, model.phihat
-    assert model.h == model.p + model.s - model.q
+    assert h.shape == (p + q, model.h) and phihat.shape == (p + q, q)
     assert model.isometry_residual < 1e-12
     assert opnorm(adj(h) @ h - np.eye(model.h)) < 1e-12
-    assert opnorm(h @ adj(h) - (np.eye(model.p + model.s) - phihat @ adj(phihat))) < 1e-12
+    assert opnorm(adj(phihat) @ h) < 1e-12
+    # together they fill C^p (+) ran Delta, ran Delta = ran E from the SVD
+    e, _, _ = _full_svd_model(th)
+    target = np.zeros((p + q, p + q), dtype=complex)
+    target[:p, :p] = np.eye(p)
+    target[p:, p:] = e @ adj(e)
+    assert opnorm(h @ adj(h) + phihat @ adj(phihat) - target) < 1e-12
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_the_p_side_route_matches_the_full_svd_closed_form(case, subspace_factory):
+    th = spectral_theta(case, subspace_factory)
+    model = build_model(th)
+    p = model.p
+    e, h_svd, pure_svd = _full_svd_model(th)
+    assert np.max(np.abs(model.H_basis[:p] - h_svd[:p]), initial=0.0) < 1e-13
+    # below the shift rows, the C^q coordinates are E times the C^s ones
+    assert np.max(np.abs(model.H_basis[p:] - e @ h_svd[p:]), initial=0.0) < 1e-13
+    if th.tail_bound >= 0.5:
+        assert model.H_pure_basis is None
+        pure_svd = None
+    else:
+        assert np.max(np.abs(model.H_pure_basis[:p] - pure_svd), initial=0.0) < 1e-13
+        pure_svd = np.vstack([pure_svd, np.zeros((e.shape[1], pure_svd.shape[1]))])
+    if case == "tall":
+        return  # a bare matrix has no shifts to compress
+    ops = model_operators(model)
+    old = model_operators(dataclasses.replace(model, H_basis=h_svd, H_pure_basis=pure_svd))
+    for branch in ("general", "pure"):
+        for a, b in zip(getattr(ops, branch) or [], getattr(old, branch) or []):
+            assert np.max(np.abs(a - b), initial=0.0) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "matrix, dims",
+    [
+        (np.zeros((0, 3)), (0, 3, 3, 0)),
+        (np.zeros((3, 0)), (3, 0, 0, 3)),
+        (np.eye(3), (3, 3, 0, 0)),
+        (np.array([[0.5, 0.1j], [0.0, 0.3], [0.2, 0.0], [0.1, 0.4]]), (4, 2, 2, 4)),
+    ],
+    ids=["0x3", "3x0", "identity", "4x2"],
+)
+def test_empty_and_degenerate_shapes(matrix, dims):
+    th = synthetic_theta(matrix)
+    model = build_model(th)
+    p, q, s, h = dims
+    assert (model.p, model.q, model.s, model.h) == dims
+    e, h_svd, _ = _full_svd_model(th)
+    assert (e.shape[1], h_svd.shape[1]) == (s, h)
+    assert model.H_basis.shape == (p + q, h)
+    assert model.phihat.shape == (p + q, q)
+    assert model.isometry_residual < 1e-12
+    assert opnorm(adj(model.H_basis) @ model.H_basis - np.eye(h)) < 1e-12
+    assert opnorm(adj(model.phihat) @ model.H_basis) < 1e-12
 
 
 @pytest.mark.parametrize("case", ["nilpotent", "dense", "tall"])
@@ -351,3 +433,72 @@ def test_model_operators_move_with_theta_at_rounding_level(case, subspace_factor
     for branch in ("general", "pure"):
         for a, b in zip(getattr(ops, branch), getattr(moved, branch)):
             assert np.abs(a - b).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# decomposition sizes: nothing of size q x q unless the isometry is asked for
+
+
+def _record_decompositions(monkeypatch) -> list:
+    """Record (name, input shape) of every np.linalg svd / eigh / eigvalsh call."""
+    seen = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _original=original, **kwargs):
+            seen.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def zero_family_pair(subspace_factory):
+    """A conjugated pair of nilpotent triples on the zero family at (2, 6): p = 381, q = 762."""
+    sub = subspace_factory("zero", d=6)
+    rng = np.random.default_rng(23)
+    mats = commuting_nilpotent_tuple(rng, 2, 0.5)
+    u = haar_unitary(3, rng)
+    return sub, mats, conjugated_tuple(mats, u), u
+
+
+def test_build_model_takes_one_eigh_of_size_p(zero_family_pair, monkeypatch):
+    sub, mats, _, _ = zero_family_pair
+    th = constrained_characteristic_function(mats, sub)
+    p, q = th.matrix.shape
+    assert (p, q) == (381, 762)
+    seen = _record_decompositions(monkeypatch)
+    tracemalloc.start()
+    try:
+        model = build_model(th)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == [("eigh", (p, p))]
+    assert peak < q * q * 16  # no q x q complex array was allocated
+    assert (model.s, model.h) == (384, 3)
+    # reading the isometry residual is what takes the q-side work
+    assert model.isometry_residual < 1e-12
+    assert seen[1:] == [("eigvalsh", (q, q))]
+
+
+def test_the_equivalence_certificate_takes_no_q_side_work(zero_family_pair, monkeypatch):
+    sub, mats, mats_p, u = zero_family_pair
+    wit = coincidence_from_unitary(mats, mats_p, u, sub)
+    p, q = wit.theta.matrix.shape
+    kernels = [constrained_poisson_kernel(t, sub, defect=f.defect)
+               for t, f in ((mats, wit.theta), (mats_p, wit.theta_p))]
+    seen = _record_decompositions(monkeypatch)
+    tracemalloc.start()
+    try:
+        eq = verify_coincidence_implies_equivalence(
+            mats, mats_p, wit, sub, kernel=kernels[0], kernel_p=kernels[1]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eq.equivalent
+    assert seen.count(("eigh", (p, p))) == 2
+    assert all(min(shape) < p for name, shape in seen if shape != (p, p))
+    assert peak < q * q * 16
