@@ -67,7 +67,7 @@ from .contractions import (
 )
 from .fock import TruncatedFockSpace, reversed_word_products
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
-from .linalg import adj, hermitian_norm, opnorm
+from .linalg import adj, hermitian_norm, opnorm, row_gram
 from .poisson import KernelMatrix, kernel_blocks
 
 _SERIES_AGREEMENT_TOL = 1e-10
@@ -96,11 +96,6 @@ class CharFn:
     @property
     def d_star(self) -> int:
         return self.defect.d_star
-
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        """Singular values, descending, from one values-only SVD."""
-        return np.linalg.svd(self.matrix, compute_uv=False)
 
     @cached_property
     def fourier_blocks(self) -> np.ndarray:
@@ -330,31 +325,55 @@ def factorization_defect(theta: CharFn, kernel: KernelMatrix) -> float:
         raise ValueError(
             f"row spaces disagree: function has {p} rows, kernel {kernel.matrix.shape[0]}"
         )
-    eye = np.eye(p, dtype=complex)
-    th, k = theta.matrix, kernel.matrix
-    return hermitian_norm(eye - th @ adj(th) - k @ adj(k))
+    k = kernel.matrix
+    gap = defect_star_lower(theta)
+    gap -= k @ adj(k)  # only the lower triangle is read
+    return hermitian_norm(gap)
+
+
+def defect_star_lower(theta: CharFn) -> np.ndarray:
+    """I - Theta Theta*, p x p, with only the lower triangle that ``eigvalsh`` reads.
+
+    Theta is conjugated a block of rows at a time (:func:`linalg.row_gram`),
+    never whole.  Every caller forms it anew rather than keeping it on
+    ``theta``, which would hold one more p x p array for the life of the
+    function.
+    """
+    out = row_gram(theta.matrix, lower=True)
+    np.negative(out, out=out)
+    out.flat[:: out.shape[0] + 1] += 1.0
+    return out
 
 
 @dataclasses.dataclass
 class DeltaClassification:
-    """Inner/outer verdicts of the function, read off its singular values."""
+    """Inner/outer verdicts of the function, read off its squared singular values.
+
+    ``sigma_squared`` holds the min(p, q) values sigma^2 = 1 - lambda,
+    descending, from the eigenvalues lambda of the p x p matrix
+    I - Theta Theta*, clipped at 0.
+    """
 
     inner: bool
     outer: bool
     partial_isometry_residual: float
     inner_threshold: float
     outer_threshold: float
-    singular_values: np.ndarray
+    sigma_squared: np.ndarray
     rank_deficiency: int
     norm: float
 
 
 def delta_and_classify(theta: CharFn) -> DeltaClassification:
-    """Decide whether Theta is inner / outer, from its singular values alone.
+    """Decide whether Theta is inner / outer, from its squared singular values alone.
 
     Delta = (I - Theta*Theta)^(1/2) has the eigenvalues sqrt(1 - sigma^2),
-    so the singular values sigma of Theta carry every verdict and no
-    decomposition beyond ``theta.singular_values`` is taken.
+    so the squared singular values carry every verdict.  They come from the
+    p side (p <= q for every characteristic function): the eigenvalues
+    lambda of I - Theta Theta* are 1 - sigma^2, so one ``eigvalsh`` of that
+    p x p matrix (:func:`defect_star_lower`) is the only decomposition.
+    Only sigma^2 is kept: its square root would carry the rounding of lambda
+    (about 1e-16) up to about 1e-8 at a zero singular value.
 
     Inner means Theta is a partial isometry; at truncation the residual
     |(Theta*Theta)^2 - Theta*Theta| = max |sigma^4 - sigma^2| of an inner
@@ -365,26 +384,26 @@ def delta_and_classify(theta: CharFn) -> DeltaClassification:
     number the kernel-side route sees as dim ker(I - K*K).  The norm is the
     largest singular value.
     """
-    svals = theta.singular_values
-    sq = svals**2
-    residual = float(np.max(np.abs(sq * sq - sq))) if svals.size else 0.0
+    p, q = theta.matrix.shape
+    lam = np.linalg.eigvalsh(defect_star_lower(theta))
+    sq = np.clip(1.0 - lam[: min(p, q)], 0.0, None)
+    residual = float(np.max(np.abs(sq * sq - sq))) if sq.size else 0.0
     inner_threshold = 1e-8 + theta.tail_bound
     outer_threshold = 1e-8
-    rows = theta.matrix.shape[0]
     full_rank_count = int(np.count_nonzero(sq > outer_threshold))
     # Dense range fails exactly on ker(Theta*), so the deficiency is counted
     # against the codomain; this is the same number the kernel route sees as
     # dim ker(I - K*K).
-    deficiency = rows - full_rank_count
+    deficiency = p - full_rank_count
     return DeltaClassification(
         inner=bool(residual < inner_threshold),
         outer=bool(deficiency == 0),
         partial_isometry_residual=residual,
         inner_threshold=float(inner_threshold),
         outer_threshold=float(outer_threshold),
-        singular_values=svals,
+        sigma_squared=sq,
         rank_deficiency=int(deficiency),
-        norm=float(svals[0]) if svals.size else 0.0,
+        norm=float(np.sqrt(sq[0])) if sq.size else 0.0,
     )
 
 

@@ -168,6 +168,11 @@ class _Run:
         return phi_power(self.mats, self.degree + 1)
 
     @cached_property
+    def tail_bound(self) -> float:
+        """|Phi^(d+1)(I)|, from the one decomposition of the tail."""
+        return hermitian_norm(self.tail)
+
+    @cached_property
     def sub(self):
         return ideal_subspace(self.problem.ideal, self.space)
 
@@ -177,7 +182,7 @@ class _Run:
             self.mats,
             self.sub,
             defect=self.defects,
-            tail_bound=hermitian_norm(self.tail),
+            tail_bound=self.tail_bound,
             relation_residual=self.relation_residual,
         )
 
@@ -188,6 +193,7 @@ class _Run:
             self.sub,
             defect=self.defects,
             tail=self.tail,
+            tail_bound=self.tail_bound,
             relation_residual=self.relation_residual,
         )
 
@@ -274,7 +280,9 @@ def _cmd_analyze(args) -> int:
         report["kernel"] = {"constrained": True, "subspace_leak": kernel.subspace_leak}
     else:  # a relation-violating tuple still gets its kernel, on the zero family
         free = ideal_subspace(PolyIdealSpec(n=run.problem.n), run.space)
-        kernel = constrained_poisson_kernel(run.mats, free, defect=dft, tail=run.tail)
+        kernel = constrained_poisson_kernel(
+            run.mats, free, defect=dft, tail=run.tail, tail_bound=run.tail_bound
+        )
         report["kernel"] = {
             "constrained": False,
             "note": "tuple violates the relations; kernel computed without the constraint",

@@ -214,7 +214,7 @@ def classify(ts: Sequence[np.ndarray], *, k_max: int = 500, tol: float = 1e-9) -
     q = np.eye(m, dtype=complex)
     q_1 = hermitize(phi_step(mats))
     w_1 = np.linalg.eigvalsh(q_1) if m else np.zeros(1)
-    rho = float(max(-w_1[0], w_1[-1]))
+    rho = float(max(-w_1[0], w_1[-1])) + 0.0  # + 0.0: a zero tuple has rho 0.0, not -0.0
     still = 1e-14 * max(1.0, rho)
     pure = cnc = TriState.UNDETERMINED
     iterations = 0

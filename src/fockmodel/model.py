@@ -23,8 +23,11 @@ number of kept eigenvalues and s = q - p + h, both known before anything of
 size q exists.  The reported basis of that span is the one its shift rows,
 I - Theta Theta* in the model projector, fix (``linalg.projector_basis``), so
 the model operators do not depend on how the eigensolver splits a repeated
-eigenvalue.  Phihat itself, and the isometry residual |Phihat* Phihat - I|,
-are formed only when asked for, Delta from the same decomposition.
+eigenvalue.  Phihat and Delta are never formed.  The isometry residual
+|Phihat* Phihat - I| is measured, when asked for, on ran Theta*: it vanishes
+on ker Theta by construction, so its restriction there has the same norm,
+and one QR of the q x p matrix Theta* plus p x p products give it
+(:attr:`ModelData.isometry_residual`).
 
 Two independent reconstructions of the operators are available: the defining
 compression above ("general"), and, for a pure tuple, the compression of the
@@ -60,7 +63,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .charfn import CharFn, _require_same_subspace, constrained_characteristic_function
+from .charfn import (
+    CharFn,
+    _require_same_subspace,
+    constrained_characteristic_function,
+    defect_star_lower,
+)
 from .contractions import Classification, TriState, as_matrices
 from .ideals import ConstrainedSubspace, constrained_creation_tuple
 from .linalg import (
@@ -70,14 +78,12 @@ from .linalg import (
     principal_angles,
     projector_basis,
     psd_spectrum,
+    row_gram,
     unitary_polar_factor,
 )
 from .poisson import KernelMatrix, constrained_poisson_kernel
 
 
-# Rows of Theta / columns of Phihat conjugated at once for a Gram matrix:
-# 1.6 MB of Theta, 2.3 MB of Phihat at q = 762.
-_GRAM_BLOCK = 128
 # Eigenvalues of I - Theta Theta* at or below this are zero: s, h and Delta's rank.
 _RANK_TOL = 1e-10
 
@@ -86,9 +92,10 @@ _RANK_TOL = 1e-10
 class ModelData:
     """Model space data built from one eigendecomposition of I - Theta Theta*.
 
-    Bases live in the coordinates C^p (+) C^q of ``phihat``; the eigenvalues
-    (clipped at 0, ascending) and eigenvectors of I - Theta Theta* are kept
-    for the q-side objects, which are formed only when read.
+    Bases live in the coordinates C^p (+) C^q of Phihat = [Theta ; Delta];
+    the eigenvalues (clipped at 0, ascending) and eigenvectors of
+    I - Theta Theta* are kept for the isometry residual, which is measured
+    only when read.
     """
 
     theta: CharFn
@@ -112,42 +119,44 @@ class ModelData:
         return self.H_basis.shape[1]
 
     @cached_property
-    def phihat(self) -> np.ndarray:
-        """[Theta ; Delta], whose range is the complement of H in C^p (+) ran Delta.
-
-        With Y = U* Theta (U the eigenvectors of I - Theta Theta*), the rows
-        of Y are orthogonal with squared norms 1 - lambda_k, so
-        Delta = I - Y* diag(1 / (1 + sqrt(lambda))) Y needs no q-side
-        decomposition.  The lambda_k at or below the rank cut 1e-10 count as
-        0, so Delta has rank s, as the model space does.
-        """
-        th = self.theta.matrix
-        p, q = th.shape
-        out = np.empty((p + q, q), dtype=complex)
-        out[:p] = th
-        lam = np.where(self.defect_star_eigvals > _RANK_TOL, self.defect_star_eigvals, 0.0)
-        z = (adj(self.defect_star_eigvecs) @ th) / np.sqrt(1.0 + np.sqrt(lam))[:, None]
-        delta = out[p:]
-        np.matmul(adj(z), z, out=delta)
-        np.negative(delta, out=delta)
-        diagonal = np.arange(q)
-        delta[diagonal, diagonal] += 1.0
-        return out
-
-    @cached_property
-    def delta(self) -> np.ndarray:
-        """Delta = (I - Theta*Theta)^(1/2) at rank s, the bottom block of ``phihat``."""
-        return self.phihat[self.p :]
-
-    @cached_property
     def isometry_residual(self) -> float:
-        """|Phihat* Phihat - I|, conjugating Phihat a block of columns at a time."""
-        phihat, q = self.phihat, self.q
-        gram = np.empty((q, q), dtype=complex)
-        for j in range(0, q, _GRAM_BLOCK):
-            np.matmul(adj(phihat[:, j : j + _GRAM_BLOCK]), phihat, out=gram[j : j + _GRAM_BLOCK])
-        gram.flat[:: q + 1] -= 1.0
-        return float(hermitian_norm(gram))
+        """|Phihat* Phihat - I|, measured on ran Theta* by one QR and p x p work.
+
+        Delta = I - Z* Z with Z = D U* Theta, U the eigenvectors of
+        I - Theta Theta* and D = diag(1 / sqrt(1 + sqrt(lambda))), the
+        lambda at or below the rank cut 1e-10 counting as 0 (so Delta has
+        rank s); the rows of Z are orthogonal, so no q-side decomposition
+        defines Delta.  On ker Theta, Z x = 0 and Delta x = x, so
+        R = Phihat* Phihat - I vanishes there for any eigen-data: R = P R P
+        with P the projector onto ran Theta*.  One QR, Theta* = Q B with
+        Q of k = min(p, q) orthonormal columns, gives span Q containing
+        ran Theta*, so |Q* R Q| = |R| exactly: the norm of the same operator,
+        not an estimate.  Q is never formed: Theta Q = B*, and since ran Z*
+        lies in span Q, Delta Q = Q (I - G) with G = W* W, W = Z Q = D U* B*.
+        So
+
+            Q* R Q = B B* + (I - G)^2 - I,
+
+        k x k, from one ``eigvalsh``.  The Grams are taken a block of rows at
+        a time (:func:`linalg.row_gram`), and at most three k x k or k x p
+        arrays are alive at once.
+        """
+        # Theta^T is a view of Theta; its triangular factor is B conjugated.
+        b = np.linalg.qr(self.theta.matrix.T, mode="r")
+        np.conjugate(b, out=b)
+        lam = np.where(self.defect_star_eigvals > _RANK_TOL, self.defect_star_eigvals, 0.0)
+        w_adj = b @ self.defect_star_eigvecs
+        w_adj /= np.sqrt(1.0 + np.sqrt(lam))  # W* = B U D
+        eye_minus_g = row_gram(w_adj)
+        del w_adj
+        np.negative(eye_minus_g, out=eye_minus_g)
+        diagonal = np.arange(eye_minus_g.shape[0])
+        eye_minus_g[diagonal, diagonal] += 1.0
+        residual = row_gram(b)
+        del b
+        residual[diagonal, diagonal] -= 1.0
+        residual += eye_minus_g @ eye_minus_g
+        return hermitian_norm(residual)
 
 
 def build_model(theta: CharFn, *, classification: Classification | None = None) -> ModelData:
@@ -158,8 +167,8 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
     (NumericalRankWarning when an eigenvalue lies in [1e-12, 1e-8]), and
     s = q - p + h.  The pure basis spans the u_k with
     lambda_k >= (1 - tail)/2, that is sigma_k^2 <= (1 + tail)/2.  No other
-    decomposition is taken, and no q x q array is formed; ``phihat``, Delta
-    and the isometry residual are built on first access.
+    decomposition is taken, and no q x q array is formed; the isometry
+    residual is measured on first access.
 
     Inside a repeated eigenvalue the eigenvectors are arbitrary, so both
     reported bases are rechosen by :func:`linalg.projector_basis`, pivoting
@@ -180,14 +189,7 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
         )
     th = theta.matrix
     p, q = th.shape
-    # I - Theta Theta*, only the lower triangle that eigh reads, a block of
-    # rows at a time so that Theta is never conjugated whole.
-    defect_star = np.zeros((p, p), dtype=complex)
-    for i in range(0, p, _GRAM_BLOCK):
-        rows = slice(i, min(i + _GRAM_BLOCK, p))
-        defect_star[rows, : rows.stop] = -adj(th[: rows.stop] @ adj(th[rows]))
-    defect_star.flat[:: p + 1] += 1.0
-    lam, u = np.linalg.eigh(defect_star, UPLO="L")
+    lam, u = np.linalg.eigh(defect_star_lower(theta), UPLO="L")
     lam, kept_u, kept = psd_spectrum(lam, u, rank_tol=_RANK_TOL)
     h_basis = projector_basis(np.vstack([kept_u * np.sqrt(kept), -adj(adj(kept_u) @ th)]), p)
 

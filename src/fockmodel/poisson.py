@@ -102,6 +102,7 @@ def constrained_poisson_kernel(
     *,
     defect: DefectData | None = None,
     tail: np.ndarray | None = None,
+    tail_bound: float | None = None,
     relation_residual: float | None = None,
 ) -> KernelMatrix:
     """Poisson kernel compressed to the constrained rows N (x) defect.
@@ -112,9 +113,9 @@ def constrained_poisson_kernel(
     (residual above 1e-8): the compression is only meaningful -- and only
     lossless -- for tuples in the constrained class.  The norm of the
     discarded M-component is returned on the result as ``subspace_leak``.
-    ``defect``, ``tail`` (Phi^(d+1)(I)) and ``relation_residual`` (the
-    constraint_residual under ``sub.spec``) reuse what the caller already
-    has of the tuple.
+    ``defect``, ``tail`` (Phi^(d+1)(I)), ``tail_bound`` (its norm) and
+    ``relation_residual`` (the constraint_residual under ``sub.spec``) reuse
+    what the caller already has of the tuple.
     """
     mats = as_matrices(ts)
     residual = require_relations(mats, sub.spec, residual=relation_residual)
@@ -140,7 +141,7 @@ def constrained_poisson_kernel(
         sub=sub,
         defect=defect,
         tail=tail,
-        tail_bound=hermitian_norm(tail),
+        tail_bound=hermitian_norm(tail) if tail_bound is None else tail_bound,
         subspace_leak=leak_norm,
         relation_residual=residual,
     )

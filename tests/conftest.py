@@ -9,6 +9,7 @@ an SVD per degree.  The two share nothing beyond the generator polynomials.
 
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,25 @@ def opnorm(a):
 
 def adj(a):
     return np.conj(a.T)
+
+
+def record_decompositions(monkeypatch) -> list:
+    """Record (name, input shape) of every numpy svd / eigh / eigvalsh / qr call.
+
+    numpy's own calls are seen too, such as the SVD inside ``norm(a, 2)``.
+    """
+    seen = []
+    inner = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+    for name in ("svd", "eigh", "eigvalsh", "qr"):
+        original = getattr(inner, name)
+
+        def recorded(a, *args, _name=name, _original=original, **kwargs):
+            seen.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+        monkeypatch.setattr(inner, name, recorded)
+    return seen
 
 
 def brute_force_constraint_dims(spec: PolyIdealSpec, space: TruncatedFockSpace):

@@ -350,7 +350,7 @@ def test_criterion_7_outer_dual_route():
         # quantitative agreement: the m smallest squared singular values of
         # the function equal the spectrum of I - K*K within the tail margin
         m = mats[0].shape[0]
-        smallest = np.sort(dc.singular_values)[:m] ** 2
+        smallest = np.sort(dc.sigma_squared)[:m]
         gap = float(np.max(np.abs(smallest - eigs[:m])))
         worst_gap = max(worst_gap, gap - (10.0 * kernel.tail_bound + 1e-10))
     ok = not disagreements and worst_gap <= 0.0

@@ -375,7 +375,7 @@ def test_mobius_is_inner_and_outer(mobius_half):
     assert dc.inner and dc.outer
     tail = 0.25**11
     assert dc.partial_isometry_residual == pytest.approx(tail, rel=1e-5)
-    assert dc.singular_values.min() == pytest.approx(0.5**11, rel=1e-6)
+    assert dc.sigma_squared.min() == pytest.approx(0.25**11, rel=1e-6)
     assert dc.rank_deficiency == 0
 
 
@@ -407,14 +407,14 @@ def test_rank_deficiency_counts_the_kernel_of_one_minus_gram(subspace_factory):
 
 @pytest.mark.parametrize("case", SPECTRAL_CASES)
 def test_verdicts_read_off_the_singular_values(case, subspace_factory):
-    # the dense routes the singular values replaced are the oracles
+    # the dense routes the p-side spectrum replaced are the oracles
     th = spectral_theta(case, subspace_factory)
     dc = delta_and_classify(th)
     g = adj(th.matrix) @ th.matrix
     assert abs(dc.partial_isometry_residual - opnorm(g @ g - g)) < 1e-12
-    want = np.linalg.svd(th.matrix, compute_uv=False)
-    assert dc.singular_values.shape == want.shape
-    assert np.max(np.abs(dc.singular_values - want), initial=0.0) < 1e-12
+    want = np.linalg.svd(th.matrix, compute_uv=False) ** 2
+    assert dc.sigma_squared.shape == want.shape
+    assert np.max(np.abs(dc.sigma_squared - want), initial=0.0) < 1e-12
     assert abs(dc.norm - opnorm(th.matrix)) < 1e-12
 
 

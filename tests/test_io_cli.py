@@ -1,11 +1,12 @@
 """Problem/report serialization and the command-line entry points."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from conftest import opnorm
+from conftest import opnorm, record_decompositions
 from fockmodel import (
     NCPoly,
     PolyIdealSpec,
@@ -21,6 +22,7 @@ from fockmodel import (
     save_report,
 )
 from fockmodel.cli import main
+from fockmodel.linalg import hermitian_norm
 from fockmodel.problem_io import _matrix, _matrix_entries, encode_value
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
@@ -478,6 +480,81 @@ def test_each_problem_forms_its_tail_and_relation_residual_once(
     problems = 1 if command == "model" else 2
     assert tails == [6] * problems
     assert residuals == ["commutative"] * problems
+
+
+def test_a_charfn_command_decomposes_the_tail_once(tmp_path, monkeypatch):
+    # Theta's tail bound and the kernel's read one norm of Phi^(d+1)(I)
+    import fockmodel.cli
+
+    mats = random_row_contraction(np.random.default_rng(12), 2, 3, 0.7)
+    prob = write_problem(
+        tmp_path / "p.json", n=2, m=3, degree=4, mats=mats, ideal={"kind": "zero"}
+    )
+    tails, decomposed = [], []
+    phi_power = fockmodel.cli.phi_power
+
+    def kept_phi_power(ts, k, x=None):
+        tails.append(phi_power(ts, k, x))
+        return tails[-1]
+
+    monkeypatch.setattr(fockmodel.cli, "phi_power", kept_phi_power)
+    for name in ("svd", "eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _original=original, **kwargs):
+            decomposed.append(a)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    assert run_cli(["charfn", "--problem", prob, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(tails) == 1
+    assert sum(a is tails[0] for a in decomposed) == 1
+    assert hermitian_norm(tails[0]) > 0.0  # a tail that a norm can tell apart
+
+
+@pytest.mark.parametrize("command", ["charfn", "model"])
+def test_charfn_and_model_decompose_nothing_larger_than_p(tmp_path, monkeypatch, command):
+    # zero family at (2, 6), p = 381 < q = 762: the verdicts read the p x p
+    # spectrum of I - Theta Theta*, and the model's isometry residual one QR
+    # of the q x p matrix Theta*; nothing else sees a dimension above p
+    mats = commuting_nilpotent_tuple(np.random.default_rng(23), 2, 0.5)
+    prob = write_problem(
+        tmp_path / "p.json", n=2, m=3, degree=6, mats=mats, ideal={"kind": "zero"}
+    )
+    out = tmp_path / "r.json"
+    seen = record_decompositions(monkeypatch)
+    assert run_cli([command, "--problem", prob, "--out", str(out)]) == 0
+    p, q = 381, 762
+    dims = read(out)["dims"]
+    shape = (dims["rows"], dims["cols"]) if command == "charfn" else (dims["p"], dims["q"])
+    assert shape == (p, q)
+    large = [(name, shape) for name, shape in seen if max(shape[-2:]) > p]
+    assert large == ([] if command == "charfn" else [("qr", (q, p))])
+    assert ("eigvalsh", (p, p)) in seen
+
+
+def test_the_zero_tuple_reports_no_negative_zero(tmp_path):
+    zero = [np.zeros((2, 2)), np.zeros((2, 2))]
+    prob = write_problem(
+        tmp_path / "p.json", n=2, m=2, degree=2, mats=zero, ideal={"kind": "zero"}
+    )
+
+    def floats(value):
+        if isinstance(value, float):
+            yield value
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from floats(item)
+        elif isinstance(value, list):
+            for item in value:
+                yield from floats(item)
+
+    for command in ("analyze", "charfn", "model"):
+        out = tmp_path / f"{command}.json"
+        assert run_cli([command, "--problem", prob, "--out", str(out)]) == 0
+        assert "-0.0," not in out.read_text()
+        negative_zeros = [x for x in floats(read(out)) if x == 0.0 and math.copysign(1, x) < 0]
+        assert not negative_zeros, command
 
 
 def test_cli_equiv_screen_only(equiv_files):

@@ -5,13 +5,21 @@ scipy is imported here and nowhere in the package: it is the independent
 oracle of ``principal_angles``.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from fockmodel.linalg import gram, hermitian_norm, opnorm, principal_angles, projector_basis
+from fockmodel.linalg import (
+    gram,
+    hermitian_norm,
+    opnorm,
+    principal_angles,
+    projector_basis,
+    row_gram,
+)
 
 SHAPES = {"tall": (37, 5), "wide": (4, 29), "square": (16, 16)}
 SCALES = [1.0, 1e-200, 1e200]
@@ -110,6 +118,25 @@ def test_hermitian_norm_matches_the_svd_norm(m, kind, scale):
 def test_hermitian_norm_of_empty_and_zero_matrices():
     assert hermitian_norm(np.zeros((0, 0), dtype=complex)) == 0.0
     assert hermitian_norm(np.zeros((4, 4))) == 0.0
+
+
+def test_hermitian_norm_of_a_zero_matrix_is_positive_zero():
+    # max(-w[0], w[-1]) alone is -0.0 here, and json would print the sign
+    assert math.copysign(1, hermitian_norm(np.zeros((3, 3)))) == 1
+    assert math.copysign(1, hermitian_norm(np.zeros((3, 3), dtype=complex))) == 1
+
+
+@pytest.mark.parametrize("rows", [0, 1, 127, 128, 300])
+def test_row_gram_is_a_a_star(rows):
+    rng = np.random.default_rng(rows)
+    a = rng.normal(size=(rows, 50)) + 1j * rng.normal(size=(rows, 50))
+    want = a @ a.conj().T
+    assert np.max(np.abs(row_gram(a) - want), initial=0.0) < 1e-12
+    lower = row_gram(a, lower=True)
+    assert np.max(np.abs(np.tril(lower) - np.tril(want)), initial=0.0) < 1e-12
+    # what eigvalsh reads of the lower triangle is the whole matrix
+    if rows:
+        assert np.max(np.abs(np.linalg.eigvalsh(lower) - np.linalg.eigvalsh(want))) < 1e-10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

@@ -19,7 +19,15 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import SPECTRAL_CASES, adj, make_spec, opnorm, spectral_theta, synthetic_theta
+from conftest import (
+    SPECTRAL_CASES,
+    adj,
+    make_spec,
+    opnorm,
+    record_decompositions,
+    spectral_theta,
+    synthetic_theta,
+)
 from fockmodel import (
     TriState,
     TruncatedFockSpace,
@@ -268,7 +276,27 @@ def test_gamma_residuals_serializable_types(conjugated_pair):
 
 # ---------------------------------------------------------------------------
 # everything spectral comes from one eigh of I - Theta Theta*; a full SVD of
-# Theta, taken here, is the oracle
+# Theta, and the dense Phihat below, taken here, are the oracles
+
+
+def _dense_phihat(model):
+    """[Theta ; Delta] in full, with Delta = I - Z* Z and Z = D U* Theta from the model's eigen-data.
+
+    The rows of Z are orthogonal with squared norms 1 - lambda_k, so Delta
+    is (I - Theta*Theta)^(1/2) at rank s; the eigenvalues at or below the
+    rank cut 1e-10 count as 0.
+    """
+    th = model.theta.matrix
+    q = th.shape[1]
+    lam = np.where(model.defect_star_eigvals > 1e-10, model.defect_star_eigvals, 0.0)
+    z = (adj(model.defect_star_eigvecs) @ th) / np.sqrt(1.0 + np.sqrt(lam))[:, None]
+    return np.vstack([th, np.eye(q) - adj(z) @ z])
+
+
+def _dense_isometry_residual(model):
+    """|Phihat* Phihat - I| from the q x q Gram of the dense Phihat."""
+    phihat = _dense_phihat(model)
+    return opnorm(adj(phihat) @ phihat - np.eye(phihat.shape[1]))
 
 
 def _full_svd_model(theta):
@@ -304,10 +332,11 @@ def test_delta_squares_to_the_defect(case, subspace_factory):
     assert model.h == model.p + model.s - model.q
     g = adj(th.matrix) @ th.matrix
     eye_q = np.eye(model.q)
-    assert opnorm(model.delta @ model.delta - (eye_q - g)) < 1e-12
-    assert opnorm(model.delta - adj(model.delta)) < 1e-12
+    delta = _dense_phihat(model)[model.p :]
+    assert opnorm(delta @ delta - (eye_q - g)) < 1e-12
+    assert opnorm(delta - adj(delta)) < 1e-12
     # Delta lives on the range the SVD sees, E E*
-    assert opnorm(e @ adj(e) @ model.delta - model.delta) < 1e-12
+    assert opnorm(e @ adj(e) @ delta - delta) < 1e-12
 
 
 @pytest.mark.parametrize("case", SPECTRAL_CASES)
@@ -315,9 +344,10 @@ def test_closed_form_model_basis_is_the_complement_of_phihat(case, subspace_fact
     th = spectral_theta(case, subspace_factory)
     model = build_model(th)
     p, q = model.p, model.q
-    h, phihat = model.H_basis, model.phihat
+    h, phihat = model.H_basis, _dense_phihat(model)
     assert h.shape == (p + q, model.h) and phihat.shape == (p + q, q)
     assert model.isometry_residual < 1e-12
+    assert abs(model.isometry_residual - _dense_isometry_residual(model)) < 1e-13
     assert opnorm(adj(h) @ h - np.eye(model.h)) < 1e-12
     assert opnorm(adj(phihat) @ h) < 1e-12
     # together they fill C^p (+) ran Delta, ran Delta = ran E from the SVD
@@ -370,10 +400,12 @@ def test_empty_and_degenerate_shapes(matrix, dims):
     e, h_svd, _ = _full_svd_model(th)
     assert (e.shape[1], h_svd.shape[1]) == (s, h)
     assert model.H_basis.shape == (p + q, h)
-    assert model.phihat.shape == (p + q, q)
+    phihat = _dense_phihat(model)
+    assert phihat.shape == (p + q, q)
     assert model.isometry_residual < 1e-12
+    assert abs(model.isometry_residual - _dense_isometry_residual(model)) < 1e-13
     assert opnorm(adj(model.H_basis) @ model.H_basis - np.eye(h)) < 1e-12
-    assert opnorm(adj(model.phihat) @ model.H_basis) < 1e-12
+    assert opnorm(adj(phihat) @ model.H_basis) < 1e-12
 
 
 @pytest.mark.parametrize("case", ["nilpotent", "dense", "tall"])
@@ -386,6 +418,35 @@ def test_pure_basis_spans_what_a_full_svd_of_theta_gives(case, subspace_factory)
     assert pure.shape[1] == model.p - big
     assert not np.any(pure[model.p :])
     assert np.max(principal_angles(pure[: model.p], u[:, big:])) < 1e-10
+
+
+def _isometry_case(n, subspace_factory):
+    """Theta of a dense triple: p = q at n = 1, p < q at n = 2."""
+    rng = np.random.default_rng(37)
+    mats = random_row_contraction(rng, n, 3, 0.6)
+    return constrained_characteristic_function(mats, subspace_factory("zero", n=n, d=6 // n))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_isometry_residual_on_ran_theta_star_is_the_dense_norm(n, subspace_factory):
+    # Phihat* Phihat - I vanishes on ker Theta, so restricting it to the span
+    # of a QR basis of Theta* keeps its norm exactly
+    th = _isometry_case(n, subspace_factory)
+    p, q = th.matrix.shape
+    assert (p == q) if n == 1 else (p < q)
+    model = build_model(th)
+    assert abs(model.isometry_residual - _dense_isometry_residual(model)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_isometry_residual_on_ran_theta_star_holds_for_any_eigen_data(n, subspace_factory):
+    # with the eigenvalues moved by 1e-6, Phihat is no isometry; the residual
+    # is large and the two routes still measure the same norm
+    model = build_model(_isometry_case(n, subspace_factory))
+    bent = dataclasses.replace(model, defect_star_eigvals=model.defect_star_eigvals + 1e-6)
+    want = _dense_isometry_residual(bent)
+    assert want > 1e-7
+    assert abs(bent.isometry_residual - want) <= 1e-9 * want
 
 
 @pytest.mark.parametrize("gap, s", [(1e-9, 2), (5e-11, 1)])
@@ -436,21 +497,7 @@ def test_model_operators_move_with_theta_at_rounding_level(case, subspace_factor
 
 
 # ---------------------------------------------------------------------------
-# decomposition sizes: nothing of size q x q unless the isometry is asked for
-
-
-def _record_decompositions(monkeypatch) -> list:
-    """Record (name, input shape) of every np.linalg svd / eigh / eigvalsh call."""
-    seen = []
-    for name in ("svd", "eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def recorded(a, *args, _name=name, _original=original, **kwargs):
-            seen.append((_name, np.shape(a)))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recorded)
-    return seen
+# decomposition sizes: nothing of size q x q, and p-sized work only
 
 
 @pytest.fixture(scope="module")
@@ -468,19 +515,28 @@ def test_build_model_takes_one_eigh_of_size_p(zero_family_pair, monkeypatch):
     th = constrained_characteristic_function(mats, sub)
     p, q = th.matrix.shape
     assert (p, q) == (381, 762)
-    seen = _record_decompositions(monkeypatch)
+    seen = record_decompositions(monkeypatch)
     tracemalloc.start()
     try:
         model = build_model(th)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert seen == [("eigh", (p, p))]
+    # besides the eigh, only projector_basis's QRs of h x h pivot rows
+    assert [call for call in seen if call[0] != "qr"] == [("eigh", (p, p))]
+    assert all(max(shape) <= 3 for name, shape in seen if name == "qr")
     assert peak < q * q * 16  # no q x q complex array was allocated
     assert (model.s, model.h) == (384, 3)
-    # reading the isometry residual is what takes the q-side work
-    assert model.isometry_residual < 1e-12
-    assert seen[1:] == [("eigvalsh", (q, q))]
+    # reading the isometry residual: one QR of Theta*, then p x p work
+    built = len(seen)
+    tracemalloc.start()
+    try:
+        assert model.isometry_residual < 1e-12
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen[built:] == [("qr", (q, p)), ("eigvalsh", (p, p))]
+    assert peak < q * q * 16
 
 
 def test_the_equivalence_certificate_takes_no_q_side_work(zero_family_pair, monkeypatch):
@@ -489,7 +545,7 @@ def test_the_equivalence_certificate_takes_no_q_side_work(zero_family_pair, monk
     p, q = wit.theta.matrix.shape
     kernels = [constrained_poisson_kernel(t, sub, defect=f.defect)
                for t, f in ((mats, wit.theta), (mats_p, wit.theta_p))]
-    seen = _record_decompositions(monkeypatch)
+    seen = record_decompositions(monkeypatch)
     tracemalloc.start()
     try:
         eq = verify_coincidence_implies_equivalence(
