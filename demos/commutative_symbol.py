@@ -15,6 +15,7 @@ from fockmodel import (
     PolyIdealSpec,
     TruncatedFockSpace,
     constrained_characteristic_function,
+    constrained_poisson_kernel,
     evaluate,
     fourier_sum,
     ideal_subspace,
@@ -37,7 +38,7 @@ def main():
     d = 8
     # no relations (the zero family): N is the whole space and Theta the free function
     free = ideal_subspace(PolyIdealSpec(n=2), TruncatedFockSpace(2, d))
-    cf = constrained_characteristic_function(mats, free)
+    cf = constrained_characteristic_function(constrained_poisson_kernel(mats, free))
     commutative = PolyIdealSpec(n=2, kind="commutative")
 
     rng = np.random.default_rng(1)
@@ -55,7 +56,7 @@ def main():
     spec = PolyIdealSpec(n=2, kind="q_commutative", q=q)
     sub = ideal_subspace(spec, TruncatedFockSpace(2, 4))
     mats = q_commuting_nilpotent_tuple(rng, q, 0.7)
-    cf = constrained_characteristic_function(mats, sub)
+    cf = constrained_characteristic_function(constrained_poisson_kernel(mats, sub))
     point = q_commuting_nilpotent_tuple(rng, 1 / q, 2.0)
     err = np.linalg.norm(fourier_sum(cf, point) - evaluate(mats, point, spec), 2)
     print(f"\nq-commuting tuple at a nilpotent 3x3 point: Fourier sum off by {err:.1e}")

@@ -34,11 +34,11 @@ def main():
     for d in (3, 5, 7, 9):
         sub = ideal_subspace(spec, TruncatedFockSpace(2, d))
         k = constrained_poisson_kernel(mats, sub)
-        th = constrained_characteristic_function(mats, sub)
+        th = constrained_characteristic_function(k)
         p_th = th.matrix @ adj(th.matrix)
         idem = np.linalg.norm(p_th @ p_th - p_th, 2)
         print(f"  {d}      {k.tail_bound:.2e}    {k.gram_residual():.2e}       "
-              f"{factorization_defect(th, k):.2e}        {idem:.2e}")
+              f"{factorization_defect(th):.2e}        {idem:.2e}")
 
     d = 7
     sub = ideal_subspace(spec, TruncatedFockSpace(2, d))
@@ -51,11 +51,11 @@ def main():
     # a nilpotent tuple has zero tail: every identity becomes exact
     mats = commuting_nilpotent_tuple(np.random.default_rng(0), 2, 0.6)
     k = constrained_poisson_kernel(mats, sub)
-    th = constrained_characteristic_function(mats, sub)
+    th = constrained_characteristic_function(k)
     gram = adj(k.matrix) @ k.matrix
     print(f"\ncommuting nilpotent tuple: tail = {k.tail_bound}, |K*K - I| = "
           f"{np.linalg.norm(gram - np.eye(gram.shape[0]), 2):.2e}, factorization = "
-          f"{factorization_defect(th, k):.2e}")
+          f"{factorization_defect(th):.2e}")
 
 
 if __name__ == "__main__":

@@ -34,11 +34,10 @@ def main():
     sub = ideal_subspace(PolyIdealSpec(n=2, kind="commutative"), space)
 
     cls = classify(mats)
-    th = constrained_characteristic_function(mats, sub)
-    k = constrained_poisson_kernel(mats, sub)
+    th = constrained_characteristic_function(constrained_poisson_kernel(mats, sub))
     model = build_model(th, classification=cls)
     ops = model_operators(model, classification=cls)
-    gamma = model_unitary(model, k, ops)
+    gamma = model_unitary(model, ops)
 
     print(f"model space: dim {model.h}, cut out of shift summand {model.p} "
           f"(+) range summand {model.s}  (tail {model.tail_bound:.1e})")
@@ -52,11 +51,11 @@ def main():
     print("\n--- equivalence certificate ---")
     u = haar_unitary(mats[0].shape[0], rng)
     mats_p = conjugated_tuple(mats, u)
-    witness = coincidence_from_unitary(mats, mats_p, u, sub, theta=th)
+    th_p = constrained_characteristic_function(constrained_poisson_kernel(mats_p, sub))
+    witness = coincidence_from_unitary(th, th_p, u)
     print(f"coincidence residual: {witness.residual:.2e}")
 
-    report = verify_coincidence_implies_equivalence(mats, mats_p, witness, sub,
-                                                    classification=cls)
+    report = verify_coincidence_implies_equivalence(witness, classification=cls)
     print(f"model intertwining across the pair: {report.model_intertwining:.2e}")
     print(f"recovered intertwiner: unitarity {report.recovered_unitarity:.2e}, "
           f"conjugation residual {report.recovered_intertwining:.2e}")

@@ -31,12 +31,12 @@ def main():
     sub = ideal_subspace(PolyIdealSpec(n=2, kind="commutative"), space)
 
     b = constrained_creation_tuple(sub, "left")
-    th_shift = constrained_characteristic_function(b, sub)
+    th_shift = constrained_characteristic_function(constrained_poisson_kernel(b, sub))
     print(f"shift:        |Theta| = {np.linalg.norm(th_shift.matrix, 2):.2e}")
 
     rng = np.random.default_rng(7)
     mats = commuting_nilpotent_tuple(rng, 2, 0.6)
-    th = constrained_characteristic_function(mats, sub)
+    th = constrained_characteristic_function(constrained_poisson_kernel(mats, sub))
     print(f"random tuple: |Theta| = {np.linalg.norm(th.matrix, 2):.3f}")
 
     cls = classify(mats)
@@ -49,7 +49,7 @@ def main():
     print(f"outer (dense range):      {dc.outer}   "
           f"rank deficiency {dc.rank_deficiency}")
 
-    k = constrained_poisson_kernel(mats, sub)
+    k = th.kernel
     gram = k.matrix.conj().T @ k.matrix
     eigs = np.linalg.eigvalsh(np.eye(gram.shape[0]) - gram)
     print(f"dual route: dim ker(I - K*K) = {int(np.count_nonzero(eigs <= 1e-8))} "

@@ -23,9 +23,9 @@ is
 and the empty word carries -basis* [T_1 ... T_n] basis_*.  (sel_i picks the
 i-th block of C^n (x) C^m.)  For alpha = (a) + beta this is the radius-1
 Poisson-kernel block basis* Delta T_beta* of beta times the a-th row block of
-Delta_* basis_*, so kernel and function share one parent-word recurrence
-(:func:`poisson.kernel_blocks`).  The blocks also drive the cheap
-unitary-invariance checks.
+Delta_* basis_*, so Theta reads the kernel's blocks
+(:attr:`poisson.KernelMatrix.blocks`) and is built from the kernel.  The
+blocks also drive the cheap unitary-invariance checks.
 
 At a point X = (X_1, ..., X_n) each R_alpha becomes X_(reversed alpha) =
 X_{a_p} ... X_{a_1}, so the function lives on the variety V_(J~) of the
@@ -41,8 +41,11 @@ the factorization against the constrained Poisson kernel,
 
 survives compression verbatim.  The constrained function is that
 compression, and :func:`constrained_characteristic_function` is the one
-builder: on the zero family, ``ideal_subspace(PolyIdealSpec(n=n), space)``,
-N is the whole space and the result is the free function Theta_T.  For a
+builder.  It takes the constrained kernel and keeps it, so the function, its
+subspace N, its defect data and its tail all come from one kernel, and
+:func:`factorization_defect` needs nothing else.  On the zero family,
+``ideal_subspace(PolyIdealSpec(n=n), space)``, N is the whole space and the
+result is the free function Theta_T.  For a
 graded family with relations the same matrix is also the closed form at the
 compressed right shifts on N, a nilpotent point of V_(J~); the two routes
 share no subspace code beyond the N basis, so their agreement guards the
@@ -62,13 +65,12 @@ from .contractions import (
     phi_step,
     require_relations,
     row_norm,
-    truncation_tail,
     DefectData,
 )
 from .fock import TruncatedFockSpace, reversed_word_products
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
 from .linalg import adj, hermitian_norm, opnorm, row_gram
-from .poisson import KernelMatrix, kernel_blocks
+from .poisson import KernelMatrix
 
 _SERIES_AGREEMENT_TOL = 1e-10
 _NILPOTENT_TOL = 1e-24  # for sum_{|w| = j} |X_w|_F^2 at a point of row norm 1
@@ -76,14 +78,28 @@ _NILPOTENT_TOL = 1e-24  # for sum_{|w| = j} |X_w|_F^2 at a point of row norm 1
 
 @dataclasses.dataclass
 class CharFn:
-    """A truncated characteristic function compressed to N on both sides."""
+    """A truncated characteristic function compressed to N on both sides.
+
+    ``kernel`` is the constrained Poisson kernel the function was built
+    from; the subspace, the defect data and the tail bound are its.
+    """
 
     matrix: np.ndarray
-    sub: ConstrainedSubspace
-    defect: DefectData
-    tail_bound: float
+    kernel: KernelMatrix
     coinvariance_leak: float | None = None
     series_agreement: float | None = None
+
+    @property
+    def sub(self) -> ConstrainedSubspace:
+        return self.kernel.sub
+
+    @property
+    def defect(self) -> DefectData:
+        return self.kernel.defect
+
+    @property
+    def tail_bound(self) -> float:
+        return self.kernel.tail_bound
 
     @property
     def space(self) -> TruncatedFockSpace:
@@ -140,7 +156,7 @@ def fourier_sum(cf: CharFn, point) -> np.ndarray:
     return out.reshape(k * cf.d_T, k * cf.d_star)
 
 
-def evaluate(ts, point, spec: PolyIdealSpec, *, defect: DefectData | None = None) -> np.ndarray:
+def evaluate(ts, point, spec: PolyIdealSpec) -> np.ndarray:
     """Theta_T(X) at a point X of V_(J~) (n k x k matrices), from one linear solve:
 
         -I (x) basis* row basis_* + (I (x) basis* Delta)
@@ -157,7 +173,7 @@ def evaluate(ts, point, spec: PolyIdealSpec, *, defect: DefectData | None = None
     norm = row_norm(xs)
     if norm >= 1.0 and not _jointly_nilpotent([x / norm for x in xs]):
         raise ValueError(f"point has row norm {norm:.4g} >= 1 and is not jointly nilpotent")
-    return _resolvent(mats, xs, defects(mats) if defect is None else defect)
+    return _resolvent(mats, xs, defects(mats))
 
 
 def _point_matrices(point, n: int) -> list[np.ndarray]:
@@ -191,36 +207,23 @@ def _resolvent(mats: list[np.ndarray], xs: list[np.ndarray], defect: DefectData)
     return value - np.kron(np.eye(k), empty_word)
 
 
-def constrained_characteristic_function(
-    ts,
-    sub: ConstrainedSubspace,
-    *,
-    defect: DefectData | None = None,
-    tail_bound: float | None = None,
-    relation_residual: float | None = None,
-) -> CharFn:
-    """Characteristic function compressed to the constrained subspace.
+def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
+    """Characteristic function of the kernel's tuple, compressed to the kernel's N.
 
     The function on the whole truncated space is built from its Fourier
-    blocks and both sides are compressed by the N basis.  When N is the
-    whole space (the zero family, which gives the free function) N is exactly
-    the identity and no compression is formed.  Whenever the family has
-    relations (dim M > 0) the part that maps M into N is recorded as
-    ``coinvariance_leak``; for a graded family it must stay below
-    max(1e-8, 100 * relation residual), and the closed form of
-    :func:`evaluate` at the compressed right shifts on N must agree with the
-    compression to 1e-10 (recorded as ``series_agreement``).  Tuples
-    violating the relations (residual above 1e-8) are refused.
-
-    ``defect``, ``tail_bound`` (|Phi^(d+1)(I)|) and ``relation_residual``
-    (the constraint_residual under ``sub.spec``) reuse what the caller
-    already has of the tuple.
+    blocks, which are the kernel's uncompressed blocks times row blocks of
+    Delta_* basis_* (:func:`_block_matrix`), and both sides are compressed
+    by the N basis.  When N is the whole space (the zero family, which gives
+    the free function) N is exactly the identity and no compression is
+    formed.  Whenever the family has relations (dim M > 0) the part that
+    maps M into N is recorded as ``coinvariance_leak``; for a graded family
+    it must stay below max(1e-8, 100 * relation residual), and the closed
+    form of :func:`evaluate` at the compressed right shifts on N must agree
+    with the compression to 1e-10 (recorded as ``series_agreement``).  The
+    kernel builder has already refused tuples violating the relations.
     """
-    mats = as_matrices(ts)
-    residual = require_relations(mats, sub.spec, residual=relation_residual)
-    if defect is None:
-        defect = defects(mats)
-    full_matrix = _block_matrix(mats, sub.space, defect)
+    mats, sub, defect = kernel.mats, kernel.sub, kernel.defect
+    full_matrix = _block_matrix(kernel)
     if sub.is_whole_space:
         matrix = full_matrix
     else:
@@ -238,30 +241,25 @@ def constrained_characteristic_function(
                 )
         # Invariance of the relation span: rows in N, columns in M vanish.
         leak = opnorm(_compress_blocks(full_matrix, sub.N_basis, sub.M_basis, defect))
-        if leak > max(1e-8, 100.0 * max(residual, 1e-16)) and sub.graded:
+        if leak > max(1e-8, 100.0 * max(kernel.relation_residual, 1e-16)) and sub.graded:
             raise RuntimeError(
                 f"characteristic function leaks {leak:.3e} from the relation span "
                 "into the constrained subspace"
             )
 
     return CharFn(
-        matrix=matrix,
-        sub=sub,
-        defect=defect,
-        tail_bound=truncation_tail(mats, sub.space.d) if tail_bound is None else tail_bound,
-        coinvariance_leak=leak,
-        series_agreement=series_agreement,
+        matrix=matrix, kernel=kernel, coinvariance_leak=leak, series_agreement=series_agreement
     )
 
 
-def _block_matrix(
-    mats: list[np.ndarray], space: TruncatedFockSpace, defect: DefectData
-) -> np.ndarray:
+def _block_matrix(kernel: KernelMatrix) -> np.ndarray:
     """sum_alpha R_alpha (x) theta_(alpha) on the whole truncated space.
 
-    The vacuum-column blocks come from the Poisson-kernel recurrence; block
-    theta_(alpha) is then placed at row word gamma alpha, column word gamma.
+    The vacuum-column blocks are the kernel's blocks times row blocks of
+    Delta_* basis_*; block theta_(alpha) is then placed at row word
+    gamma alpha, column word gamma.
     """
+    mats, space, defect = kernel.mats, kernel.space, kernel.defect
     n, m = len(mats), mats[0].shape[0]
     d_T, d_star = defect.d_T, defect.d_star
     words = space.words
@@ -272,7 +270,7 @@ def _block_matrix(
         # theta_((a) + beta) = basis* Delta T_beta* (Delta_* basis_*)[rows of letter a]
         first = np.array([w[0] - 1 for w in words[1:]])
         rest = np.array([space.index(w[1:]) for w in words[1:]])
-        blocks[1:] = kernel_blocks(mats, space, defect)[rest] @ row_blocks[first]
+        blocks[1:] = kernel.blocks[rest] @ row_blocks[first]
 
     rows, cols, alphas = np.array(
         [
@@ -297,35 +295,14 @@ def _compress_blocks(
     return out.reshape(n_left * d_T, n_right * d_star)
 
 
-def _require_same_subspace(theta: CharFn, kernel: KernelMatrix) -> None:
-    """Refuse a function and a kernel compressed to different subspaces N.
-
-    The same subspace object, or an equal N basis of the same Fock space,
-    passes.  Equal dimensions do not: commutative and q-commutative families
-    share dim N.
-    """
-    a, b = theta.sub, kernel.sub
-    same_space = (a.space.n, a.space.d) == (b.space.n, b.space.d)
-    if a is not b and not (same_space and np.array_equal(a.N_basis, b.N_basis)):
-        raise ValueError(
-            "the characteristic function and the kernel are compressed to different subspaces"
-        )
-
-
-def factorization_defect(theta: CharFn, kernel: KernelMatrix) -> float:
+def factorization_defect(theta: CharFn) -> float:
     """| I - Theta Theta* - K K* |, the joint defect of the factorization.
 
-    For a pure tuple this is rounding-level at truncation; in general it is
-    bounded by the recorded truncation tails.  Both must live on one
-    subspace N.
+    K is the kernel ``theta`` was built from.  For a pure tuple this is
+    rounding-level at truncation; in general it is bounded by the recorded
+    truncation tails.
     """
-    _require_same_subspace(theta, kernel)
-    p = theta.matrix.shape[0]
-    if kernel.matrix.shape[0] != p:
-        raise ValueError(
-            f"row spaces disagree: function has {p} rows, kernel {kernel.matrix.shape[0]}"
-        )
-    k = kernel.matrix
+    k = theta.kernel.matrix
     gap = defect_star_lower(theta)
     gap -= k @ adj(k)  # only the lower triangle is read
     return hermitian_norm(gap)

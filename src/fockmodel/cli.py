@@ -11,10 +11,11 @@ Four subcommands, all reading JSON problem files and writing JSON reports:
   equiv    compare two problems; with --unitary, certify unitary equivalence
            through the coincidence machinery
 
-Each problem gets one run object that builds its pipeline (defects, relation
-residual, truncation tail, relation subspace, characteristic function,
-Poisson kernel, ...) on first use, keeps it and passes each piece down to the
-builders that read it, so no command computes an object twice.  The commands
+Each problem gets one run object that builds its pipeline on first use and
+keeps it: relation residual, relation subspace, then the Poisson kernel
+(which holds the defects and the truncation tail), then the characteristic
+function, which is built from the kernel.  Each stage reads the objects of
+the stage before it, so no command computes an object twice.  The commands
 are report views over their runs; they share one gate (row contraction, then
 relations) and one way to write the report and pick the exit code.
 
@@ -46,8 +47,6 @@ from .contractions import (
     TriState,
     classify,
     constraint_residual,
-    defects,
-    phi_power,
     validate,
 )
 from .fock import TruncatedFockSpace
@@ -159,43 +158,18 @@ class _Run:
         return classify(self.mats, tol=self.tol)
 
     @cached_property
-    def defects(self):
-        return defects(self.mats)
-
-    @cached_property
-    def tail(self) -> np.ndarray:
-        """Phi^(d+1)(I), which both the kernel and the tail bound of Theta read."""
-        return phi_power(self.mats, self.degree + 1)
-
-    @cached_property
-    def tail_bound(self) -> float:
-        """|Phi^(d+1)(I)|, from the one decomposition of the tail."""
-        return hermitian_norm(self.tail)
-
-    @cached_property
     def sub(self):
         return ideal_subspace(self.problem.ideal, self.space)
 
     @cached_property
-    def theta(self):
-        return constrained_characteristic_function(
-            self.mats,
-            self.sub,
-            defect=self.defects,
-            tail_bound=self.tail_bound,
-            relation_residual=self.relation_residual,
+    def kernel(self):
+        return constrained_poisson_kernel(
+            self.mats, self.sub, relation_residual=self.relation_residual
         )
 
     @cached_property
-    def kernel(self):
-        return constrained_poisson_kernel(
-            self.mats,
-            self.sub,
-            defect=self.defects,
-            tail=self.tail,
-            tail_bound=self.tail_bound,
-            relation_residual=self.relation_residual,
-        )
+    def theta(self):
+        return constrained_characteristic_function(self.kernel)
 
 
 def _open(args) -> tuple[_Run, dict, list]:
@@ -269,10 +243,8 @@ def _cmd_analyze(args) -> int:
     if verdict == "not-a-row-contraction":
         return _finish(report, checks, args.out, verdict)
 
-    dft, sub = run.defects, run.sub
+    sub = run.sub
     report["classification"] = _classification_dict(run.classification)
-    report["defects"] = {"d_T": dft.d_T, "d_star": dft.d_star,
-                         "eigenvalues": dft.eigvals, "eigenvalues_star": dft.eigvals_star}
     report["subspace"] = {"dim_N": sub.dim_N, "dim_M": sub.dim_M,
                           "graded": sub.graded, "vacuum_in_N": sub.vacuum_in_N}
     if verdict is None:
@@ -280,13 +252,14 @@ def _cmd_analyze(args) -> int:
         report["kernel"] = {"constrained": True, "subspace_leak": kernel.subspace_leak}
     else:  # a relation-violating tuple still gets its kernel, on the zero family
         free = ideal_subspace(PolyIdealSpec(n=run.problem.n), run.space)
-        kernel = constrained_poisson_kernel(
-            run.mats, free, defect=dft, tail=run.tail, tail_bound=run.tail_bound
-        )
+        kernel = constrained_poisson_kernel(run.mats, free)
         report["kernel"] = {
             "constrained": False,
             "note": "tuple violates the relations; kernel computed without the constraint",
         }
+    dft = kernel.defect
+    report["defects"] = {"d_T": dft.d_T, "d_star": dft.d_star,
+                         "eigenvalues": dft.eigvals, "eigenvalues_star": dft.eigvals_star}
     report["kernel"]["rows"] = kernel.matrix.shape[0]
     report["tail_bound"] = kernel.tail_bound
     report["residuals"] = {
@@ -304,7 +277,7 @@ def _cmd_charfn(args) -> int:
     if verdict is not None:
         return _finish(report, checks, args.out, verdict)
 
-    cls, sub, theta, kernel = run.classification, run.sub, run.theta, run.kernel
+    cls, sub, theta = run.classification, run.sub, run.theta
     dc = delta_and_classify(theta)
     block_norms = np.linalg.norm(theta.fourier_blocks, 2, axis=(1, 2))
     per_degree = {
@@ -332,8 +305,8 @@ def _cmd_charfn(args) -> int:
             "fourier_norms_by_degree": per_degree,
             "norm": dc.norm,
             "residuals": {
-                "J-fa": factorization_defect(theta, kernel),
-                "K*K": kernel.gram_residual(),
+                "J-fa": factorization_defect(theta),
+                "K*K": theta.kernel.gram_residual(),
             },
         }
     )
@@ -364,7 +337,7 @@ def _cmd_model(args) -> int:
 
     model = build_model(run.theta, classification=cls)
     ops = model_operators(model, classification=cls)
-    gamma = model_unitary(model, run.kernel, ops)
+    gamma = model_unitary(model, ops)
 
     report.update(
         {
@@ -456,20 +429,13 @@ def _cmd_equiv(args) -> int:
         )
     u = load_unitary(args.unitary, problem.m)
     try:
-        witness = coincidence_from_unitary(a.mats, b.mats, u, a.sub, theta=a.theta, theta_p=b.theta)
+        witness = coincidence_from_unitary(a.theta, b.theta, u)
     except ValueError as exc:
         report["detail"] = str(exc)
         return _finish(report, checks, args.out, "unitary-does-not-conjugate")
 
     eq = verify_coincidence_implies_equivalence(
-        a.mats,
-        b.mats,
-        witness,
-        a.sub,
-        classification=a.classification,
-        classification_p=b.classification,
-        kernel=a.kernel,
-        kernel_p=b.kernel,
+        witness, classification=a.classification, classification_p=b.classification
     )
     report.update(
         {

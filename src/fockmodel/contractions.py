@@ -55,10 +55,10 @@ def phi_step(ts: Sequence[np.ndarray], x: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def phi_power(ts: Sequence[np.ndarray], k: int, x: np.ndarray | None = None) -> np.ndarray:
-    """Phi^k(X), defaulting to X = I."""
+def phi_power(ts: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """Phi^k(I)."""
     mats = as_matrices(ts)
-    out = None if x is None else np.asarray(x, complex)
+    out = None
     for _ in range(k):
         out = phi_step(mats, out)
     return hermitize(np.eye(mats[0].shape[0], dtype=complex) if out is None else out)
@@ -89,7 +89,10 @@ class ValidationReport:
     messages: list[str]
 
 
-def validate(ts: Sequence[np.ndarray], *, tol: float = 1e-10) -> ValidationReport:
+_ROW_NORM_TOL = 1e-10  # how far above 1 a row contraction's row norm may round
+
+
+def validate(ts: Sequence[np.ndarray]) -> ValidationReport:
     """Check shapes and the row-contraction inequality sum T_i T_i* <= I."""
     mats = as_matrices(ts)
     m = mats[0].shape[0]
@@ -100,9 +103,9 @@ def validate(ts: Sequence[np.ndarray], *, tol: float = 1e-10) -> ValidationRepor
         if not np.all(np.isfinite(t)):
             raise ValueError(f"entry {k} contains non-finite values")
     rn = row_norm(mats)
-    ok = rn <= 1.0 + tol
+    ok = rn <= 1.0 + _ROW_NORM_TOL
     if not ok:
-        messages.append(f"row norm {rn:.6g} exceeds 1 (tolerance {tol:.0e})")
+        messages.append(f"row norm {rn:.6g} exceeds 1 (tolerance {_ROW_NORM_TOL:.0e})")
     return ValidationReport(n=len(mats), m=m, row_norm=rn, is_row_contraction=ok, messages=messages)
 
 

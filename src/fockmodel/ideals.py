@@ -20,8 +20,8 @@ hold on one fewer degree.  Both paths are implemented; the graded one is
 exact.
 
 The spanning vectors are assembled combinatorially (by word concatenation)
-and, as a guard against index bugs, a sample is re-derived through actual
-operator products and compared at 1e-12.
+and, as a guard against index bugs, every one is re-derived by walking the
+creation operators' index maps from the vacuum and compared at 1e-12.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import TruncatedFockSpace, Word, creation_targets, left_creation_tuple
+from .fock import TruncatedFockSpace, Word, creation_targets
 from .linalg import adj, canonical_phase
 
 _CROSSCHECK_TOL = 1e-12
@@ -371,31 +371,30 @@ def _crosscheck_spanning(
     vectors: list[np.ndarray],
     meta: list[tuple[Word, NCPoly, Word]],
 ) -> None:
-    """Re-derive a sample of spanning vectors through operator products.
+    """Re-derive every spanning vector by walking the creation index maps.
 
-    The main construction writes coefficients straight into word slots; this
-    guard recomputes S_alpha p(S) e_beta with dense matrices (p(S) built once
-    per relation, then applied to e_beta and to the letters of alpha as
-    matrix-vector products) and insists the two routes agree to 1e-12.
-    Disagreement means an indexing bug, so it raises rather than warns.
+    The main construction writes coefficients into the slots that
+    ``space.index`` gives the concatenated words; this guard instead walks
+    S_alpha p(S) e_beta from the vacuum through the left creation targets of
+    :func:`fock.creation_targets` -- the letters of beta, then those of each
+    term of p, then those of alpha, each word right to left -- and insists
+    the two routes agree to 1e-12.  Disagreement means an indexing bug, so it
+    raises rather than warns.
     """
-    count = len(vectors)
-    if count <= 200:
-        sample = range(count)
-    else:
-        step = max(1, count // 50)
-        sample = sorted(set(range(0, count, step)) | set(range(50)))
-    smats = left_creation_tuple(space)
-    p_of: dict[int, np.ndarray] = {}  # p(S) per relation, keyed by identity
+    targets = {i: creation_targets(space, i, "left") for i in range(1, space.n + 1)}
+
+    def walk(position: int, word: Word) -> int:
+        for a in reversed(word):
+            position = int(targets[a][position])
+        return position
+
     worst = 0.0
-    for idx in sample:
-        alpha, p, beta = meta[idx]
-        if id(p) not in p_of:
-            p_of[id(p)] = p.apply_to(smats)
-        via_matrices = p_of[id(p)] @ space.basis_vector(beta)
-        for a in reversed(alpha):
-            via_matrices = smats[a - 1] @ via_matrices
-        worst = max(worst, float(np.max(np.abs(via_matrices - vectors[idx]))))
+    for vec, (alpha, p, beta) in zip(vectors, meta):
+        derived = np.zeros(space.dim, dtype=complex)
+        at_beta = walk(0, beta)  # the vacuum is basis vector 0
+        for w, c in p.terms.items():
+            derived[walk(walk(at_beta, w), alpha)] += c
+        worst = max(worst, float(np.max(np.abs(derived - vec))))
     if worst > _CROSSCHECK_TOL:
         raise RuntimeError(
             f"spanning-vector routes disagree by {worst:.3e} (> {_CROSSCHECK_TOL:.0e}); "

@@ -192,46 +192,45 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def psd_spectrum(
-    w: np.ndarray,
-    v: np.ndarray,
-    *,
-    neg_tol: float = 1e-10,
-    rank_tol: float = 1e-10,
-    warn_band: tuple[float, float] = (1e-12, 1e-8),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+PSD_RANK_TOL = 1e-10  # eigenvalues of a PSD matrix at or below this are zero
+_PSD_NEG_TOL = 1e-10  # relative rounding allowed below zero
+_PSD_WARN_BAND = (1e-12, 1e-8)  # eigenvalues here make the computed rank suspect
+
+
+def psd_spectrum(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vet the eigen-decomposition v diag(w) v* of a positive semidefinite matrix.
 
     ``w`` is ascending, as ``eigh`` returns it, and ``v`` holds orthonormal
-    eigenvector columns.  Eigenvalues in [-neg_tol, 0) (relative to the top
+    eigenvector columns.  Eigenvalues in [-1e-10, 0) (relative to the top
     one when it exceeds 1) are clipped to zero; anything more negative
     raises, since the input was expected to be PSD up to rounding.
 
     The range is spanned by the eigenvectors whose eigenvalue exceeds
-    ``rank_tol``.  Eigenvalues falling inside ``warn_band`` are close enough
-    to the cutoff that the computed rank is suspect; a NumericalRankWarning
-    is emitted (the decision itself is still made by ``rank_tol``).
+    ``PSD_RANK_TOL`` = 1e-10.  Eigenvalues falling inside [1e-12, 1e-8] are
+    close enough to the cutoff that the computed rank is suspect; a
+    NumericalRankWarning is emitted (the decision itself is still made by
+    the cutoff).
 
     Returns (clipped w, range basis, kept eigenvalues), the basis and the
     kept eigenvalues in descending order.
     """
     w = np.asarray(w, dtype=float)
     scale = max(1.0, float(w[-1]) if w.size else 1.0)
-    if w.size and w[0] < -neg_tol * scale:
+    if w.size and w[0] < -_PSD_NEG_TOL * scale:
         raise ValueError(
-            f"matrix is not PSD: min eigenvalue {w[0]:.3e} (tol {neg_tol:.1e})"
+            f"matrix is not PSD: min eigenvalue {w[0]:.3e} (tol {_PSD_NEG_TOL:.1e})"
         )
-    lo, hi = warn_band
+    lo, hi = _PSD_WARN_BAND
     risky = [float(x) for x in w[::-1] if lo <= x <= hi]
     if risky:
         warnings.warn(
             f"{len(risky)} eigenvalue(s) in the ambiguous band [{lo:.0e}, {hi:.0e}] "
-            f"near the rank cutoff {rank_tol:.0e}: {risky[:4]}",
+            f"near the rank cutoff {PSD_RANK_TOL:.0e}: {risky[:4]}",
             NumericalRankWarning,
             stacklevel=2,
         )
     w = np.clip(w, 0.0, None)
-    keep = (w > rank_tol)[::-1]
+    keep = (w > PSD_RANK_TOL)[::-1]
     return w, canonical_phase(v[:, ::-1][:, keep]), w[::-1][keep]
 
 

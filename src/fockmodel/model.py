@@ -38,9 +38,10 @@ rounding; their disagreement is otherwise of the order of the truncation tail
 and is reported, never hidden.
 
 The unitary from the original space onto H sends h to (K h, 0) with K the
-constrained Poisson kernel; its matrix in the model basis, Gamma, is computed
-by projection and comes with unitarity / embedding / intertwining residuals,
-all rounding-level plus tail.
+constrained Poisson kernel that Theta was built from (``theta.kernel``); its
+matrix in the model basis, Gamma, is computed by projection and comes with
+unitarity / embedding / intertwining residuals, all rounding-level plus
+tail.
 
 Coincidence machinery: a spatial unitary U with T'_i = U T_i U* induces
 unitaries tau / tau_star between the defect spaces, and the characteristic
@@ -52,8 +53,9 @@ exactly at truncation.  Conversely, a coincidence witness transports the
 whole model: (I (x) tau) (+) (I (x) tau_star) carries Delta to Delta' and
 Phihat-ranges onto each other, hence model space to model space,
 intertwines the model operators, and finally recovers a unitary V between
-the original spaces with V T_i = T'_i V.  Every one of these steps is
-verified numerically and reported.
+the original spaces with V T_i = T'_i V, normalized by Gamma* Gamma, which
+is I only up to the truncation tail.  Every one of these steps is verified
+numerically and reported.
 """
 
 from __future__ import annotations
@@ -63,16 +65,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .charfn import (
-    CharFn,
-    _require_same_subspace,
-    constrained_characteristic_function,
-    defect_star_lower,
-)
-from .contractions import Classification, TriState, as_matrices
-from .ideals import ConstrainedSubspace, constrained_creation_tuple
+from .charfn import CharFn, defect_star_lower
+from .contractions import Classification, TriState
+from .ideals import constrained_creation_tuple
 from .linalg import (
+    PSD_RANK_TOL,
     adj,
+    gram,
     hermitian_norm,
     opnorm,
     principal_angles,
@@ -81,11 +80,6 @@ from .linalg import (
     row_gram,
     unitary_polar_factor,
 )
-from .poisson import KernelMatrix, constrained_poisson_kernel
-
-
-# Eigenvalues of I - Theta Theta* at or below this are zero: s, h and Delta's rank.
-_RANK_TOL = 1e-10
 
 
 @dataclasses.dataclass
@@ -102,7 +96,6 @@ class ModelData:
     s: int
     H_basis: np.ndarray
     H_pure_basis: np.ndarray | None
-    tail_bound: float
     defect_star_eigvals: np.ndarray
     defect_star_eigvecs: np.ndarray
 
@@ -117,6 +110,10 @@ class ModelData:
     @property
     def h(self) -> int:
         return self.H_basis.shape[1]
+
+    @property
+    def tail_bound(self) -> float:
+        return self.theta.tail_bound
 
     @cached_property
     def isometry_residual(self) -> float:
@@ -144,7 +141,7 @@ class ModelData:
         # Theta^T is a view of Theta; its triangular factor is B conjugated.
         b = np.linalg.qr(self.theta.matrix.T, mode="r")
         np.conjugate(b, out=b)
-        lam = np.where(self.defect_star_eigvals > _RANK_TOL, self.defect_star_eigvals, 0.0)
+        lam = np.where(self.defect_star_eigvals > PSD_RANK_TOL, self.defect_star_eigvals, 0.0)
         w_adj = b @ self.defect_star_eigvecs
         w_adj /= np.sqrt(1.0 + np.sqrt(lam))  # W* = B U D
         eye_minus_g = row_gram(w_adj)
@@ -190,7 +187,7 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
     th = theta.matrix
     p, q = th.shape
     lam, u = np.linalg.eigh(defect_star_lower(theta), UPLO="L")
-    lam, kept_u, kept = psd_spectrum(lam, u, rank_tol=_RANK_TOL)
+    lam, kept_u, kept = psd_spectrum(lam, u)
     h_basis = projector_basis(np.vstack([kept_u * np.sqrt(kept), -adj(adj(kept_u) @ th)]), p)
 
     tail = theta.tail_bound
@@ -204,7 +201,6 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
         s=q - p + kept.size,
         H_basis=h_basis,
         H_pure_basis=h_pure,
-        tail_bound=tail,
         defect_star_eigvals=lam,
         defect_star_eigvecs=u,
     )
@@ -318,7 +314,7 @@ class GammaResult:
     used_branch: str
 
 
-def model_unitary(model: ModelData, kernel: KernelMatrix, ops: ModelOperators) -> GammaResult:
+def model_unitary(model: ModelData, ops: ModelOperators) -> GammaResult:
     """Matrix of the canonical identification h -> (K h, 0) in the model basis.
 
     Returns Gamma together with how far (K h, 0) sticks out of the model
@@ -328,13 +324,11 @@ def model_unitary(model: ModelData, kernel: KernelMatrix, ops: ModelOperators) -
     norm of the model-space projection of (g, 0) (norm_identity_residual),
     and projecting Gamma's range back onto the shift summand recovers the
     kernel matrix (projection_residual).  All of these are zero at rounding
-    level when the truncation tail is.  The kernel and the function must be
-    compressed to one subspace N.
+    level when the truncation tail is.  K is the kernel the model's function
+    was built from.
     """
-    _require_same_subspace(model.theta, kernel)
+    kernel = model.theta.kernel
     k = kernel.matrix
-    if k.shape[0] != model.p:
-        raise ValueError(f"kernel has {k.shape[0]} rows, expected {model.p}")
     # Gamma must live in the same coordinates as the chosen operator branch;
     # (K h, 0) has no component below the p rows of the shift summand.
     basis = ops.basis
@@ -383,30 +377,28 @@ class CoincidenceWitness:
     theta_p: CharFn
 
 
-def coincidence_from_unitary(
-    ts,
-    ts_p,
-    u: np.ndarray,
-    sub: ConstrainedSubspace,
-    *,
-    theta: CharFn | None = None,
-    theta_p: CharFn | None = None,
-) -> CoincidenceWitness:
+def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> CoincidenceWitness:
     """Build the coincidence witness induced by a spatial unitary.
 
-    Verifies first that T'_i = U T_i U* actually holds (this is an input
-    contract, not something to silently repair), then forms the defect
+    The tuples are those of the kernels the two functions were built from.
+    Verifies first that both functions are compressed to one subspace N (the
+    same subspace object, or an equal N basis of the same Fock space; equal
+    dimensions do not do, since commutative and q-commutative families share
+    dim N) and that T'_i = U T_i U* actually holds (these are input
+    contracts, not something to silently repair), then forms the defect
     unitaries tau = basis'* U basis and tau_star = basis'* (I (x) U) basis_*
     and evaluates the coincidence residual
 
         | (I (x) tau) Theta - Theta' (I (x) tau_star) |,
 
     which vanishes at truncation up to rounding whenever the input contract
-    holds.  The defect bases are the ones the two functions carry, so a
-    supplied ``theta`` / ``theta_p`` must belong to ``ts`` / ``ts_p``.
+    holds.
     """
-    mats = as_matrices(ts)
-    mats_p = as_matrices(ts_p)
+    a, b = theta.sub, theta_p.sub
+    same_space = (a.space.n, a.space.d) == (b.space.n, b.space.d)
+    if a is not b and not (same_space and np.array_equal(a.N_basis, b.N_basis)):
+        raise ValueError("the two characteristic functions are compressed to different subspaces")
+    mats, mats_p = theta.kernel.mats, theta_p.kernel.mats
     u = np.asarray(u, dtype=complex)
     m = mats[0].shape[0]
     if u.shape != (m, m):
@@ -421,10 +413,6 @@ def coincidence_from_unitary(
             f"the tuples are not conjugated by the supplied unitary "
             f"(residual {conj_residual:.3e})"
         )
-    if theta is None:
-        theta = constrained_characteristic_function(mats, sub)
-    if theta_p is None:
-        theta_p = constrained_characteristic_function(mats_p, sub)
     dft, dft_p = theta.defect, theta_p.defect
     n = len(mats)
     tau = adj(dft_p.basis) @ u @ dft.basis
@@ -478,15 +466,10 @@ class EquivalenceReport:
 
 
 def verify_coincidence_implies_equivalence(
-    ts,
-    ts_p,
     witness: CoincidenceWitness,
-    sub: ConstrainedSubspace,
     *,
     classification: Classification | None = None,
     classification_p: Classification | None = None,
-    kernel: KernelMatrix | None = None,
-    kernel_p: KernelMatrix | None = None,
 ) -> EquivalenceReport:
     """Transport the model along a coincidence witness and recover the unitary.
 
@@ -497,25 +480,27 @@ def verify_coincidence_implies_equivalence(
     which must carry model space onto model space (checked via principal
     angles), intertwine the model operators (checked in norm), and induce --
     through the canonical identifications Gamma / Gamma' -- a unitary V
-    between the original spaces with V T_i = T'_i V.  V is also compared
-    against the witness's own spatial unitary up to a global phase (a genuine
-    equality only when the tuple is irreducible; it is reported, not
-    asserted).  The Poisson kernels of the two tuples are built on ``sub``
-    unless the caller already has them.
+    between the original spaces with V T_i = T'_i V.  Gamma is not an
+    isometry at truncation: Gamma* Gamma = K* P K, with P the shift rows of
+    the chosen model projector, is I - Phi^(d+1)(I) on the pure branch and
+    its square on the general one.  Transport gives U_h Gamma = Gamma' U, so
+
+        V = Gamma'* U_h Gamma (Gamma* Gamma)^(-1),
+
+    by one linear solve, is exactly U at any degree and on either branch.
+    Whatever the normalization, a unitary V with V T_i = T'_i V certifies
+    the equivalence by itself.  V is also compared against the witness's own
+    spatial unitary up to a global phase (a genuine equality only when the
+    tuple is irreducible; it is reported, not asserted).
     """
-    mats = as_matrices(ts)
-    mats_p = as_matrices(ts_p)
     theta, theta_p = witness.theta, witness.theta_p
+    mats, mats_p = theta.kernel.mats, theta_p.kernel.mats
     model = build_model(theta, classification=classification)
     model_p = build_model(theta_p, classification=classification_p)
     ops = model_operators(model, classification=classification)
     ops_p = model_operators(model_p, classification=classification_p)
-    if kernel is None:
-        kernel = constrained_poisson_kernel(mats, sub, defect=theta.defect)
-    if kernel_p is None:
-        kernel_p = constrained_poisson_kernel(mats_p, sub, defect=theta_p.defect)
-    gamma = model_unitary(model, kernel, ops)
-    gamma_p = model_unitary(model_p, kernel_p, ops_p)
+    gamma = model_unitary(model, ops)
+    gamma_p = model_unitary(model_p, ops_p)
 
     p = model.p
 
@@ -541,9 +526,9 @@ def verify_coincidence_implies_equivalence(
         inter = max(inter, opnorm(u_h @ tt - tt_p @ u_h))
 
     v = adj(gamma_p.gamma) @ u_h @ gamma.gamma
+    v = adj(np.linalg.solve(gram(gamma.gamma), adj(v)))  # v (Gamma* Gamma)^(-1)
     rec_inter = max(opnorm(v @ t - tp @ v) for t, tp in zip(mats, mats_p))
-    m = mats[0].shape[0]
-    rec_unit = hermitian_norm(v @ adj(v) - np.eye(m, dtype=complex))
+    rec_unit = hermitian_norm(v @ adj(v) - np.eye(v.shape[0], dtype=complex))
     tr = np.trace(v @ adj(witness.u))
     phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
     phase_dev = opnorm(v - phase * witness.u)

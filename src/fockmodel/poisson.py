@@ -27,6 +27,11 @@ rounding level) are produced by :func:`constrained_poisson_kernel`, the one
 builder.  The free (unconstrained) kernel is the same call on the zero
 family, ``ideal_subspace(PolyIdealSpec(n=n), space)``, where N is the whole
 space.
+
+The kernel is the first stage of the chain kernel -> Theta -> model -> Gamma:
+it holds the tuple, N, the defect data, the tail and its uncompressed blocks,
+and the characteristic function is built from it
+(:func:`charfn.constrained_characteristic_function`), reading its blocks.
 """
 
 from __future__ import annotations
@@ -49,9 +54,15 @@ from .linalg import adj, gram, hermitian_norm, opnorm
 
 @dataclasses.dataclass
 class KernelMatrix:
-    """A truncated Poisson kernel compressed to N (x) defect, with its metadata."""
+    """A truncated Poisson kernel compressed to N (x) defect, with its metadata.
+
+    ``blocks`` holds the uncompressed blocks of :func:`kernel_blocks`, which
+    the characteristic function reads; on the zero family ``matrix`` is the
+    same array, reshaped.
+    """
 
     matrix: np.ndarray
+    blocks: np.ndarray
     mats: list[np.ndarray]
     sub: ConstrainedSubspace
     defect: DefectData
@@ -97,13 +108,7 @@ def kernel_blocks(
 
 
 def constrained_poisson_kernel(
-    ts,
-    sub: ConstrainedSubspace,
-    *,
-    defect: DefectData | None = None,
-    tail: np.ndarray | None = None,
-    tail_bound: float | None = None,
-    relation_residual: float | None = None,
+    ts, sub: ConstrainedSubspace, *, relation_residual: float | None = None
 ) -> KernelMatrix:
     """Poisson kernel compressed to the constrained rows N (x) defect.
 
@@ -113,35 +118,34 @@ def constrained_poisson_kernel(
     (residual above 1e-8): the compression is only meaningful -- and only
     lossless -- for tuples in the constrained class.  The norm of the
     discarded M-component is returned on the result as ``subspace_leak``.
-    ``defect``, ``tail`` (Phi^(d+1)(I)), ``tail_bound`` (its norm) and
-    ``relation_residual`` (the constraint_residual under ``sub.spec``) reuse
+    ``relation_residual`` (the constraint_residual under ``sub.spec``) reuses
     what the caller already has of the tuple.
     """
     mats = as_matrices(ts)
+    m = mats[0].shape[0]
     residual = require_relations(mats, sub.spec, residual=relation_residual)
-    if defect is None:
-        defect = defects(mats)
+    defect = defects(mats)
     blocks = kernel_blocks(mats, sub.space, defect)
     if sub.is_whole_space:  # N = I: nothing to compress, nothing to leak
         compressed, leak_norm = blocks, 0.0
     else:
         compressed = np.tensordot(adj(sub.N_basis), blocks, axes=(1, 0))
         leak = np.tensordot(adj(sub.M_basis), blocks, axes=(1, 0))
-        leak_norm = opnorm(leak.reshape(sub.dim_M * defect.d_T, -1))
+        leak_norm = opnorm(leak.reshape(sub.dim_M * defect.d_T, m))
     if leak_norm > 1e-6:
         raise RuntimeError(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
             "the tuple and the relation family are inconsistent"
         )
-    if tail is None:
-        tail = phi_power(mats, sub.space.d + 1)
+    tail = phi_power(mats, sub.space.d + 1)
     return KernelMatrix(
-        matrix=compressed.reshape(sub.dim_N * defect.d_T, mats[0].shape[0]),
+        matrix=compressed.reshape(sub.dim_N * defect.d_T, m),
+        blocks=blocks,
         mats=mats,
         sub=sub,
         defect=defect,
         tail=tail,
-        tail_bound=hermitian_norm(tail) if tail_bound is None else tail_bound,
+        tail_bound=hermitian_norm(tail),
         subspace_leak=leak_norm,
         relation_residual=residual,
     )

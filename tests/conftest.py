@@ -18,6 +18,7 @@ from fockmodel import (
     PolyIdealSpec,
     TruncatedFockSpace,
     constrained_characteristic_function,
+    constrained_poisson_kernel,
     ideal_subspace,
 )
 from fockmodel.fock import left_creation_tuple, word_operator
@@ -110,12 +111,18 @@ def subspace_factory(space_factory):
     return make
 
 
+def theta_of(mats, sub):
+    """Theta of a tuple on ``sub``, built from its constrained kernel."""
+    return constrained_characteristic_function(constrained_poisson_kernel(mats, sub))
+
+
 def synthetic_theta(matrix, tail=0.0):
     """A CharFn carrying an arbitrary contraction matrix; build_model and
     delta_and_classify read only the matrix and the tail."""
     free = ideal_subspace(PolyIdealSpec(n=1), TruncatedFockSpace(1, 1))
-    base = constrained_characteristic_function([np.array([[0.5]])], free)
-    return dataclasses.replace(base, matrix=np.asarray(matrix, dtype=complex), tail_bound=tail)
+    kernel = constrained_poisson_kernel([np.array([[0.5]])], free)
+    base = constrained_characteristic_function(dataclasses.replace(kernel, tail_bound=tail))
+    return dataclasses.replace(base, matrix=np.asarray(matrix, dtype=complex))
 
 
 SPECTRAL_CASES = ["nilpotent", "dense", "tall", "unitary"]
@@ -134,5 +141,5 @@ def spectral_theta(case, subspace_factory):
         return synthetic_theta(0.9 * g / opnorm(g), tail=0.01)
     else:
         mats, sub = [np.array([[1.0]])], subspace_factory("zero", n=1, d=4)
-    return constrained_characteristic_function(mats, sub)
+    return theta_of(mats, sub)
 

@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import adj, brute_force_constraint_dims, opnorm
+from conftest import adj, brute_force_constraint_dims, opnorm, theta_of
 from fockmodel import (
     PolyIdealSpec,
     TriState,
@@ -128,8 +128,8 @@ def pipeline(i):
         entries, subs = corpus()
         family, mats = entries[i]
         sub = subs[family]
-        theta = constrained_characteristic_function(mats, sub)
         kernel = constrained_poisson_kernel(mats, sub)
+        theta = constrained_characteristic_function(kernel)
         cache[i] = (family, mats, sub, theta, kernel)
     return cache[i]
 
@@ -150,7 +150,7 @@ def model_stage(i):
         cls = classification(i)
         model = build_model(theta, classification=cls)
         ops = model_operators(model, classification=cls)
-        gamma = model_unitary(model, kernel, ops)
+        gamma = model_unitary(model, ops)
         cache[i] = (cls, model, ops, gamma)
     return cache[i]
 
@@ -167,8 +167,8 @@ def test_criterion_1_factorization_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for i in range(50):
-        _, _, _, theta, kernel = pipeline(i)
-        worst = max(worst, factorization_defect(theta, kernel))
+        theta = pipeline(i)[3]
+        worst = max(worst, factorization_defect(theta))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 30.0
     _report(
@@ -255,11 +255,11 @@ def test_criterion_4_shift_characterization():
         )
         sub4 = ideal_subspace(spec, space4)
         b = constrained_creation_tuple(sub4, "left")
-        th = constrained_characteristic_function(b, sub4)
+        th = theta_of(b, sub4)
         shift_norms[f"{kind}@4"] = opnorm(th.matrix)
     for kind in ("zero", "commutative", "q_commutative"):
         b = constrained_creation_tuple(subs[kind], "left")
-        th = constrained_characteristic_function(b, subs[kind])
+        th = theta_of(b, subs[kind])
         shift_norms[f"{kind}@{DEGREE}"] = opnorm(th.matrix)
     worst_shift = max(shift_norms.values())
     # separation: every (non-shift) corpus tuple is far from vanishing
@@ -284,10 +284,8 @@ def test_criterion_5_complete_unitary_invariant():
         m = mats[0].shape[0]
         u = haar_unitary(m, np.random.default_rng(0x5EED + i))
         mats_p = conjugated_tuple(mats, u)
-        witness = coincidence_from_unitary(mats, mats_p, u, sub, theta=theta)
-        eq = verify_coincidence_implies_equivalence(
-            mats, mats_p, witness, sub, classification=classification(i)
-        )
+        witness = coincidence_from_unitary(theta, theta_of(mats_p, sub), u)
+        eq = verify_coincidence_implies_equivalence(witness, classification=classification(i))
         worst_wit = max(worst_wit, witness.residual)
         worst_rec = max(worst_rec, eq.recovered_intertwining)
         if not eq.equivalent:
@@ -416,7 +414,7 @@ def test_criterion_9_commutative_symbol():
         i = comm_idx[k % len(comm_idx)]
         mats = entries[i][1]
         if i not in cf_cache:
-            cf_cache[i] = constrained_characteristic_function(mats, subs["zero"])
+            cf_cache[i] = theta_of(mats, subs["zero"])
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         z *= rng.uniform(0.1, 0.7) / np.linalg.norm(z)
         r = float(np.linalg.norm(z))
@@ -443,7 +441,7 @@ def test_criterion_9_commutative_symbol():
     worst_matrix = 0.0
     for i in range(len(entries)):
         family, mats, sub, theta, _ = pipeline(i)
-        value = evaluate(mats, points[family], sub.spec, defect=theta.defect)
+        value = evaluate(mats, points[family], sub.spec)
         worst_matrix = max(worst_matrix, opnorm(fourier_sum(theta, points[family]) - value))
     ok = worst_excess <= 0.0 and worst_mobius < 1e-12 and worst_matrix < 1e-13 and checked == 20
     _report(

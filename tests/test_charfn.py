@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import Q_TEST, SPECTRAL_CASES, adj, make_spec, opnorm, spectral_theta
+from conftest import Q_TEST, SPECTRAL_CASES, adj, make_spec, opnorm, spectral_theta, theta_of
 from fockmodel import (
     TruncatedFockSpace,
     classify,
@@ -50,7 +50,7 @@ PAIR = [np.array([[0.5]]), np.array([[0.5]])]
 @pytest.fixture(scope="module")
 def mobius_half(subspace_factory):
     free = subspace_factory("zero", n=1, d=10)
-    return constrained_characteristic_function([np.array([[0.5]])], free)
+    return theta_of([np.array([[0.5]])], free)
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +74,14 @@ def test_mobius_blocks_follow_the_geometric_law(mobius_half):
 
 def test_unilateral_shift_blocks(subspace_factory):
     free = subspace_factory("zero", n=1, d=6)
-    cf = constrained_characteristic_function([np.array([[0.0]])], free)
+    cf = theta_of([np.array([[0.0]])], free)
     assert fourier_block(cf, ())[0, 0] == pytest.approx(0.0, abs=1e-14)
     assert fourier_block(cf, (1,))[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert fourier_block(cf, (1, 1))[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_zero_pair_blocks_are_coordinate_functionals(subspace_factory):
-    cf = constrained_characteristic_function([np.zeros((1, 1))] * 2, subspace_factory("zero", d=4))
+    cf = theta_of([np.zeros((1, 1))] * 2, subspace_factory("zero", d=4))
     assert (cf.d_T, cf.d_star) == (1, 2)
     assert opnorm(fourier_block(cf, ())) < 1e-14
     b = np.vstack([fourier_block(cf, (1,)), fourier_block(cf, (2,))])
@@ -104,7 +104,7 @@ def test_blocks_match_the_dense_series_on_the_zero_family(n, d, kind):
     else:
         mats = random_row_contraction(rng, n, 3, 0.7)
     sub = ideal_subspace(make_spec("zero", n=n), TruncatedFockSpace(n, d))
-    th = constrained_characteristic_function(mats, sub)
+    th = theta_of(mats, sub)
     assert (th.tail_bound == 0.0) == (kind == "nilpotent")
     series = evaluate(mats, right_creation_tuple(sub.space), sub.spec)
     assert np.max(np.abs(th.matrix - series)) < 1e-13
@@ -147,7 +147,7 @@ def test_partial_sum_approximates_eval_within_geometric_tail(subspace_factory):
     rng = np.random.default_rng(77)
     mats = [np.diag([0.5, 0.1]).astype(complex), np.diag([0.2, 0.6]).astype(complex)]
     mats = [m * (0.8 / opnorm(np.hstack(mats)) ** 2) ** 0.5 for m in mats]
-    cf = constrained_characteristic_function(mats, subspace_factory("zero", d=d))
+    cf = theta_of(mats, subspace_factory("zero", d=d))
     for _ in range(8):
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         z *= rng.uniform(0.1, 0.7) / np.linalg.norm(z)
@@ -181,7 +181,7 @@ def test_evaluate_is_the_fourier_sum_at_nilpotent_points(kind, k, subspace_facto
         mats = [np.diag([0.5, 0.1, -0.3j]).astype(complex), np.diag([0.2, 0.6j, 0.4])]
     else:
         mats = q_commuting_nilpotent_tuple(rng, Q_TEST, 0.7)
-    th = constrained_characteristic_function(mats, sub)
+    th = theta_of(mats, sub)
     point = nilpotent_point(kind, k, rng)
     assert opnorm(np.hstack(point)) > 1.0
     got = evaluate(mats, point, sub.spec)
@@ -197,7 +197,7 @@ def test_compressed_right_shifts_lie_on_the_reversed_variety(subspace_factory):
     assert constraint_residual(shifts, sub.spec) > 0.1
     assert constraint_residual([b.T for b in shifts], sub.spec) < 1e-12
     mats = q_commuting_nilpotent_tuple(np.random.default_rng(89), Q_TEST, 0.7)
-    th = constrained_characteristic_function(mats, sub)
+    th = theta_of(mats, sub)
     assert opnorm(evaluate(mats, shifts, sub.spec) - th.matrix) < 1e-10
 
 
@@ -248,9 +248,9 @@ def test_evaluate_refuses_points_it_cannot_take(point, kind, needle):
 def test_factorization_scalar_pair_commutative():
     space = TruncatedFockSpace(2, 6)
     sub = ideal_subspace(make_spec("commutative"), space)
-    th = constrained_characteristic_function(PAIR, sub)
     k = constrained_poisson_kernel(PAIR, sub)
-    assert factorization_defect(th, k) < 1e-9
+    th = constrained_characteristic_function(k)
+    assert factorization_defect(th) < 1e-9
 
 
 def test_factorization_commuting_matrix_pair_high_degree():
@@ -260,9 +260,9 @@ def test_factorization_commuting_matrix_pair_high_degree():
     assert classify(mats).pure.value == "yes"
     space = TruncatedFockSpace(2, 8)
     sub = ideal_subspace(make_spec("commutative"), space)
-    th = constrained_characteristic_function(mats, sub)
     k = constrained_poisson_kernel(mats, sub)
-    assert factorization_defect(th, k) < 1e-9
+    th = constrained_characteristic_function(k)
+    assert factorization_defect(th) < 1e-9
 
 
 def test_factorization_q_nilpotent_exact():
@@ -270,17 +270,17 @@ def test_factorization_q_nilpotent_exact():
     mats = q_commuting_nilpotent_tuple(rng, Q_TEST, 0.75)
     space = TruncatedFockSpace(2, 4)
     sub = ideal_subspace(make_spec("q_commutative"), space)
-    th = constrained_characteristic_function(mats, sub)
     k = constrained_poisson_kernel(mats, sub)
+    th = constrained_characteristic_function(k)
     assert th.tail_bound == 0.0
-    assert factorization_defect(th, k) < 1e-9
+    assert factorization_defect(th) < 1e-9
 
 
 def test_complementary_projections_on_the_model_side():
     space = TruncatedFockSpace(2, 6)
     sub = ideal_subspace(make_spec("commutative"), space)
-    th = constrained_characteristic_function(PAIR, sub)
     k = constrained_poisson_kernel(PAIR, sub)
+    th = constrained_characteristic_function(k)
     p_th = th.matrix @ adj(th.matrix)
     p_k = k.matrix @ adj(k.matrix)
     eye = np.eye(p_th.shape[0])
@@ -301,7 +301,7 @@ def test_complementary_projections_on_the_model_side():
 def test_constrained_shift_theta_vanishes(kind, subspace_factory):
     sub = subspace_factory(kind, d=4)
     b = constrained_creation_tuple(sub, "left")
-    th = constrained_characteristic_function(b, sub)
+    th = theta_of(b, sub)
     assert opnorm(th.matrix) < 1e-12
 
 
@@ -309,7 +309,7 @@ def test_random_pure_tuple_is_far_from_a_shift(subspace_factory):
     rng = np.random.default_rng(23)
     mats = random_row_contraction(rng, 2, 2, 0.6)
     sub = subspace_factory("zero", d=4)
-    th = constrained_characteristic_function(mats, sub)
+    th = theta_of(mats, sub)
     assert opnorm(th.matrix) > 0.1
 
 
@@ -322,7 +322,7 @@ def comm_theta_d5(subspace_factory):
     sub = subspace_factory("commutative", d=5)
     rng = np.random.default_rng(41)
     mats = commuting_nilpotent_tuple(rng, 2, 0.7)
-    th = constrained_characteristic_function(mats, sub)
+    th = theta_of(mats, sub)
     return sub, th
 
 
@@ -345,7 +345,7 @@ def test_coinvariance_leak_is_tiny_for_graded_families(comm_theta_d5):
 def test_series_route_agrees_with_compression():
     space = TruncatedFockSpace(2, 6)
     sub = ideal_subspace(make_spec("commutative"), space)
-    th = constrained_characteristic_function(PAIR, sub)
+    th = theta_of(PAIR, sub)
     assert th.series_agreement is not None
     assert th.series_agreement < 1e-10
 
@@ -355,15 +355,16 @@ def test_routes_that_disagree_are_refused(monkeypatch):
     formula = charfn._resolvent
     monkeypatch.setattr(charfn, "_resolvent", lambda *args: formula(*args) + 1e-6)
     with pytest.raises(RuntimeError, match="routes disagree"):
-        constrained_characteristic_function(PAIR, sub)
+        theta_of(PAIR, sub)
 
 
 def test_a_leaking_relation_span_is_refused():
     # a relation "span" that overlaps N: the function maps it into N
     sub = ideal_subspace(make_spec("commutative"), TruncatedFockSpace(2, 3))
     corrupted = dataclasses.replace(sub, M_basis=sub.N_basis[:, :1])
+    kernel = dataclasses.replace(constrained_poisson_kernel(PAIR, sub), sub=corrupted)
     with pytest.raises(RuntimeError, match="leaks .* from the relation span"):
-        constrained_characteristic_function(PAIR, corrupted)
+        constrained_characteristic_function(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,7 @@ def test_mobius_is_inner_and_outer(mobius_half):
 def test_shift_function_is_inner_but_not_outer(subspace_factory):
     sub = subspace_factory("commutative", d=4)
     b = constrained_creation_tuple(sub, "left")
-    th = constrained_characteristic_function(b, sub)
+    th = theta_of(b, sub)
     dc = delta_and_classify(th)
     assert dc.inner  # the zero function is a (degenerate) partial isometry
     assert not dc.outer
@@ -395,8 +396,8 @@ def test_rank_deficiency_counts_the_kernel_of_one_minus_gram(subspace_factory):
     sub = subspace_factory("commutative", d=6)
     rng = np.random.default_rng(19)
     mats = commuting_nilpotent_tuple(rng, 2, 0.6)
-    th = constrained_characteristic_function(mats, sub)
     k = constrained_poisson_kernel(mats, sub)
+    th = constrained_characteristic_function(k)
     dc = delta_and_classify(th)
     gram = adj(k.matrix) @ k.matrix
     eigs = np.linalg.eigvalsh(np.eye(gram.shape[0]) - gram)
@@ -426,7 +427,7 @@ def test_fourier_blocks_match_a_contraction_per_word(kind, subspace_factory):
         mats = q_commuting_nilpotent_tuple(rng, Q_TEST, 0.7)
     else:
         mats = commuting_nilpotent_tuple(rng, 2, 0.7)
-    th = constrained_characteristic_function(mats, sub)
+    th = theta_of(mats, sub)
     b, nb = sub.dim_N, sub.N_basis
     resh = th.matrix.reshape(b, th.d_T, b, th.d_star)
     for idx, w in enumerate(sub.space.words):
@@ -444,10 +445,10 @@ def test_fourier_blocks_match_a_contraction_per_word(kind, subspace_factory):
 
 def test_necessary_mismatch(mobius_half, subspace_factory):
     assert coincidence_necessary_mismatch(mobius_half, mobius_half) == 0.0
-    other = constrained_characteristic_function([np.array([[0.3]])], mobius_half.sub)
+    other = theta_of([np.array([[0.3]])], mobius_half.sub)
     assert coincidence_necessary_mismatch(mobius_half, other) == pytest.approx(0.2)
     free = subspace_factory("zero", d=4)
-    shaped = constrained_characteristic_function([np.zeros((1, 1))] * 2, free)
+    shaped = theta_of([np.zeros((1, 1))] * 2, free)
     assert coincidence_necessary_mismatch(mobius_half, shaped) == np.inf
 
 
@@ -455,7 +456,7 @@ def test_necessary_mismatch_equals_the_per_word_loop(subspace_factory):
     rng = np.random.default_rng(61)
     sub = subspace_factory("zero", d=3)
     t1, t2 = (
-        constrained_characteristic_function(random_row_contraction(rng, 2, 3, 0.7), sub)
+        theta_of(random_row_contraction(rng, 2, 3, 0.7), sub)
         for _ in range(2)
     )
     want = max(

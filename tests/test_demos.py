@@ -19,3 +19,14 @@ def test_demo_exits_cleanly(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_runs(capsys):
+    # the first python block after the "Quick start" heading, run as written
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert printed[0] == "TriState.YES"
+    assert max(float(x) for x in printed[1:]) < 1e-12

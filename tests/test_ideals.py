@@ -286,8 +286,9 @@ def test_constrained_creation_side_argument(comm_sub):
 
 
 def test_spanning_crosscheck_catches_a_corrupted_vector(space_factory):
-    # the guard re-derives S_alpha p(S) e_beta through operators, so a vector
-    # written into the wrong word slot (or with a wrong coefficient) raises
+    # the guard re-derives S_alpha p(S) e_beta through the creation index
+    # maps, so a vector written into the wrong word slot (or with a wrong
+    # coefficient) raises
     space = space_factory(2, 3)
     p = NCPoly.commutator(1, 2)
     meta, vectors = [], []
@@ -302,3 +303,22 @@ def test_spanning_crosscheck_catches_a_corrupted_vector(space_factory):
     vectors[1][space.index((1, 2, 1))] += 1e-10
     with pytest.raises(RuntimeError, match="indexing bug"):
         _crosscheck_spanning(space, vectors, meta)
+
+
+def test_the_spanning_guard_checks_every_vector(space_factory, monkeypatch):
+    # vector 55 of the 321 at (2, 7) is neither among the first 50 nor a
+    # multiple of 6, so a guard that samples them would miss it
+    import fockmodel.ideals as ideals
+
+    guard, counts = ideals._crosscheck_spanning, []
+
+    def corrupted(space, vectors, meta):
+        counts.append(len(vectors))
+        vectors[55] = vectors[55].copy()
+        vectors[55][np.flatnonzero(vectors[55])[0]] += 1e-10
+        guard(space, vectors, meta)
+
+    monkeypatch.setattr(ideals, "_crosscheck_spanning", corrupted)
+    with pytest.raises(RuntimeError, match="indexing bug"):
+        ideal_subspace(make_spec("commutative"), space_factory(2, 7))
+    assert counts == [321]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import opnorm, record_decompositions
+from conftest import opnorm, record_decompositions, theta_of
 from fockmodel import (
     NCPoly,
     PolyIdealSpec,
@@ -14,7 +14,6 @@ from fockmodel import (
     ProblemFormatError,
     TriState,
     TruncatedFockSpace,
-    constrained_characteristic_function,
     ideal_subspace,
     load_problem,
     load_unitary,
@@ -365,9 +364,8 @@ def test_cli_charfn(tmp_path):
     assert set(rep["residuals"]) == {"J-fa", "K*K"}
     assert rep["inner"] is True
     assert set(rep["fourier_norms_by_degree"]) == {str(k) for k in range(6)}
-    th = constrained_characteristic_function(
-        PAIR, ideal_subspace(PolyIdealSpec(n=2, kind="commutative"), TruncatedFockSpace(2, 5))
-    )
+    sub = ideal_subspace(PolyIdealSpec(n=2, kind="commutative"), TruncatedFockSpace(2, 5))
+    th = theta_of(PAIR, sub)
     for k, got in rep["fourier_norms_by_degree"].items():
         blocks = [b for w, b in zip(th.space.words, th.fourier_blocks) if len(w) == int(k)]
         assert got == max(opnorm(b) for b in blocks)
@@ -443,12 +441,27 @@ def test_cli_equiv_with_witness(equiv_files):
         assert cb[name]["pass"], name
 
 
+def test_cli_equiv_certifies_a_pair_with_a_large_tail(tmp_path):
+    # [0.5] against itself at degree 0: the tail is 0.25
+    pa = write_problem(tmp_path / "a.json", n=1, m=1, degree=0, mats=[[[0.5]]],
+                       ideal={"kind": "zero"})
+    uf = tmp_path / "u.json"
+    uf.write_text(json.dumps({"matrix": [[1.0]]}))
+    out = tmp_path / "r.json"
+    argv = ["equiv", "--problem", pa, "--problem-b", pa, "--unitary", str(uf), "--out", str(out)]
+    assert run_cli(argv) == 0
+    rep = read(out)
+    assert rep["equivalent"] is True
+    assert rep["recovered_unitarity"] < 1e-15
+
+
 @pytest.mark.parametrize("command", ["model", "equiv"])
 def test_each_problem_forms_its_tail_and_relation_residual_once(
     equiv_files, monkeypatch, command
 ):
-    # the run passes Phi^(d+1)(I) and the relation residual down to Theta and
-    # the kernel, so each problem forms them once, in the gate and the run
+    # the kernel forms Phi^(d+1)(I), Theta reads it from the kernel, and the
+    # run passes the gate's relation residual down to the kernel, so each
+    # problem forms them once
     import fockmodel.cli
     import fockmodel.contractions
     import fockmodel.poisson
@@ -460,9 +473,9 @@ def test_each_problem_forms_its_tail_and_relation_residual_once(
         fockmodel.contractions.constraint_residual,
     )
 
-    def counted_phi_power(ts, k, x=None):
+    def counted_phi_power(ts, k):
         tails.append(k)
-        return phi_power(ts, k, x)
+        return phi_power(ts, k)
 
     def counted_residual(ts, spec):
         residuals.append(spec.kind)
@@ -482,22 +495,62 @@ def test_each_problem_forms_its_tail_and_relation_residual_once(
     assert residuals == ["commutative"] * problems
 
 
+@pytest.mark.parametrize("command", ["charfn", "model", "equiv"])
+def test_each_problem_builds_its_kernel_once_and_theta_from_it(equiv_files, monkeypatch, command):
+    # Theta is built from the run's kernel, so the kernel blocks and the
+    # defects of each problem are formed once, by the kernel builder
+    import sys
+
+    import fockmodel.cli
+
+    tmp_path, pa, pb, uf = equiv_files
+    calls = {"kernel_blocks": 0, "defects": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("fockmodel.")]:
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    runs = []
+
+    class RecordedRun(fockmodel.cli._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(fockmodel.cli, "_Run", RecordedRun)
+    argv = [command, "--problem", pa]
+    if command == "equiv":
+        argv = ["equiv", "--problem", pa, "--problem-b", pb, "--unitary", uf]
+    assert run_cli([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    problems = 2 if command == "equiv" else 1
+    assert len(runs) == problems
+    assert calls == {"kernel_blocks": problems, "defects": problems}
+    assert all(run.theta.kernel is run.kernel for run in runs)
+
+
 def test_a_charfn_command_decomposes_the_tail_once(tmp_path, monkeypatch):
     # Theta's tail bound and the kernel's read one norm of Phi^(d+1)(I)
-    import fockmodel.cli
+    import fockmodel.poisson
 
     mats = random_row_contraction(np.random.default_rng(12), 2, 3, 0.7)
     prob = write_problem(
         tmp_path / "p.json", n=2, m=3, degree=4, mats=mats, ideal={"kind": "zero"}
     )
     tails, decomposed = [], []
-    phi_power = fockmodel.cli.phi_power
+    phi_power = fockmodel.poisson.phi_power
 
-    def kept_phi_power(ts, k, x=None):
-        tails.append(phi_power(ts, k, x))
+    def kept_phi_power(ts, k):
+        tails.append(phi_power(ts, k))
         return tails[-1]
 
-    monkeypatch.setattr(fockmodel.cli, "phi_power", kept_phi_power)
+    monkeypatch.setattr(fockmodel.poisson, "phi_power", kept_phi_power)
     for name in ("svd", "eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
@@ -605,6 +658,18 @@ def test_cli_reports_are_strict_json(tmp_path):
     assert rep["residuals"]["com"] == "inf"
     assert checks_by_name(rep)["fourier-screen"]["residual"] == "inf"
     assert not checks_by_name(rep)["fourier-screen"]["pass"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "charfn"])
+def test_a_coisometric_tuple_under_relations_has_an_empty_kernel(tmp_path, command):
+    # d_T = 0: the kernel and its relation-span component have no rows
+    prob = write_problem(
+        tmp_path / "p.json", n=2, m=1, degree=4, mats=[[[0.6]], [[0.8]]],
+        ideal={"kind": "commutative"},
+    )
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--problem", prob, "--out", str(out)]) == 0
+    assert checks_by_name(read(out))["K*K"]["residual"] == 0.0
 
 
 def test_cli_equiv_rejects_non_conjugating_unitary(equiv_files):

@@ -27,6 +27,7 @@ from conftest import (
     record_decompositions,
     spectral_theta,
     synthetic_theta,
+    theta_of,
 )
 from fockmodel import (
     TriState,
@@ -37,7 +38,6 @@ from fockmodel import (
     constrained_characteristic_function,
     constrained_creation_tuple,
     constrained_poisson_kernel,
-    factorization_defect,
     ideal_subspace,
     model_operators,
     model_unitary,
@@ -52,13 +52,14 @@ from fockmodel.sampling import (
     q_commuting_nilpotent_tuple,
     random_row_contraction,
     random_scalar_tuple,
+    scale_to_rho,
 )
 
 
 def _pipeline(mats, sub):
     cls = classify(mats)
-    th = constrained_characteristic_function(mats, sub)
     k = constrained_poisson_kernel(mats, sub)
+    th = constrained_characteristic_function(k)
     model = build_model(th, classification=cls)
     ops = model_operators(model, classification=cls)
     return cls, th, k, model, ops
@@ -77,7 +78,7 @@ def test_unilateral_shift_model_is_one_dimensional(subspace_factory):
     assert abs(ops.Tt[0][0, 0]) < 1e-14
     assert ops.injectivity_margin == pytest.approx(1.0)
     assert max(ops.defining_residual) == 0.0
-    g = model_unitary(model, k, ops)
+    g = model_unitary(model, ops)
     assert g.unitary_residual == 0.0
     assert max(g.intertwining.values()) == 0.0
 
@@ -118,7 +119,7 @@ def test_shift_model_reproduces_the_shift(subspace_factory):
     assert opnorm(adj(w) @ w - np.eye(model.h)) < 1e-12
     for i in range(2):
         assert opnorm(ops.Tt[i] - adj(w) @ b[i] @ w) < 1e-12
-    g = model_unitary(model, k, ops)
+    g = model_unitary(model, ops)
     assert g.unitary_residual < 1e-12
     assert max(g.intertwining.values()) < 1e-12
 
@@ -157,7 +158,7 @@ def test_defining_residual_scales_with_the_subspace_tilt(scalar_half_model):
 
 def test_model_unitary_identifications(scalar_half_model):
     cls, th, k, model, ops, _ = scalar_half_model
-    g = model_unitary(model, k, ops)
+    g = model_unitary(model, ops)
     tail = model.tail_bound
     assert g.unitary_residual < 1e-8 + 10 * tail
     assert g.embedding_residual < 1e-8 + 10 * tail
@@ -166,30 +167,27 @@ def test_model_unitary_identifications(scalar_half_model):
     assert max(g.intertwining.values()) < 1e-8 + 10 * tail
 
 
-def test_a_function_and_a_kernel_on_different_subspaces_are_refused(subspace_factory):
+def test_functions_on_different_subspaces_are_refused(subspace_factory):
     # ([0.5], [0]) satisfies both the commutative and the q-commutative
     # relations, and the two families cut out subspaces of one dimension, so
-    # the function and the kernel have matching shapes; only N tells them apart
+    # the two functions have matching shapes; only N tells them apart
     mats = [np.array([[0.5]]), np.array([[0.0]])]
     comm, qcomm = subspace_factory("commutative", d=4), subspace_factory("q_commutative", d=4)
     assert comm.dim_N == qcomm.dim_N
-    _, th, k, model, ops = _pipeline(mats, comm)
-    k_q = constrained_poisson_kernel(mats, qcomm)
-    assert k_q.matrix.shape == k.matrix.shape
+    th, th_q = theta_of(mats, comm), theta_of(mats, qcomm)
+    assert th_q.matrix.shape == th.matrix.shape
+    u = np.eye(1)
     with pytest.raises(ValueError, match="different subspaces"):
-        factorization_defect(th, k_q)
-    with pytest.raises(ValueError, match="different subspaces"):
-        model_unitary(model, k_q, ops)
+        coincidence_from_unitary(th, th_q, u)
     # an equal N basis built separately is the same subspace
     again = ideal_subspace(make_spec("commutative"), TruncatedFockSpace(2, 4))
     assert again is not comm
-    assert factorization_defect(th, constrained_poisson_kernel(mats, again)) < 1e-9
-    assert model_unitary(model, k, ops).unitary_residual < 1e-8 + 10 * model.tail_bound
+    assert coincidence_from_unitary(th, theta_of(mats, again), u).residual < 1e-12
 
 
 def test_build_model_rejects_norm_preserving_tuples(subspace_factory):
     one = [np.array([[1.0]])]
-    th = constrained_characteristic_function(one, subspace_factory("zero", n=1, d=6))
+    th = theta_of(one, subspace_factory("zero", n=1, d=6))
     with pytest.raises(ValueError, match="noncoisometric"):
         build_model(th, classification=classify(one))
 
@@ -209,7 +207,7 @@ def conjugated_pair(subspace_factory):
 
 def test_witness_from_a_true_conjugation(conjugated_pair):
     sub, mats, mats_p, u = conjugated_pair
-    wit = coincidence_from_unitary(mats, mats_p, u, sub)
+    wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(mats_p, sub), u)
     assert wit.residual < 1e-12
     assert wit.conjugation_residual < 1e-12
     assert opnorm(adj(wit.tau) @ wit.tau - np.eye(wit.tau.shape[1])) < 1e-12
@@ -219,7 +217,7 @@ def test_witness_from_a_true_conjugation(conjugated_pair):
 def test_witness_rejects_non_unitaries(conjugated_pair):
     sub, mats, mats_p, _ = conjugated_pair
     with pytest.raises(ValueError, match="unitary"):
-        coincidence_from_unitary(mats, mats_p, np.eye(3) * 1.5, sub)
+        coincidence_from_unitary(theta_of(mats, sub), theta_of(mats_p, sub), np.eye(3) * 1.5)
 
 
 def test_witness_rejects_non_conjugating_unitaries(conjugated_pair):
@@ -227,7 +225,7 @@ def test_witness_rejects_non_conjugating_unitaries(conjugated_pair):
     rng = np.random.default_rng(99)
     other = commuting_nilpotent_tuple(rng, 2, 0.5)
     with pytest.raises(ValueError, match="not conjugated"):
-        coincidence_from_unitary(mats, other, u, sub)
+        coincidence_from_unitary(theta_of(mats, sub), theta_of(other, sub), u)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +234,8 @@ def test_witness_rejects_non_conjugating_unitaries(conjugated_pair):
 
 def test_full_equivalence_certificate(conjugated_pair):
     sub, mats, mats_p, u = conjugated_pair
-    wit = coincidence_from_unitary(mats, mats_p, u, sub)
-    eq = verify_coincidence_implies_equivalence(mats, mats_p, wit, sub)
+    wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(mats_p, sub), u)
+    eq = verify_coincidence_implies_equivalence(wit)
     assert eq.equivalent
     assert eq.coincidence_residual < 1e-12
     assert eq.max_principal_angle < 1e-8
@@ -256,18 +254,71 @@ def test_equivalence_without_any_relations(subspace_factory):
     mats = random_scalar_tuple(rng, 2, 0.04)
     u = haar_unitary(1, rng)
     mats_p = conjugated_tuple(mats, u)
-    wit = coincidence_from_unitary(mats, mats_p, u, sub)
-    eq = verify_coincidence_implies_equivalence(mats, mats_p, wit, sub)
+    wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(mats_p, sub), u)
+    eq = verify_coincidence_implies_equivalence(wit)
     assert eq.equivalent
     # scalars are irreducible, so the recovered unitary can only differ from
     # the witness by a global phase
     assert eq.phase_deviation < 1e-6
 
 
+_CUBE_ROOT = np.exp(2j * np.pi / 3)
+
+
+def _dense_tuple(family, rng):
+    """A pure m = 3 pair in the family that is not nilpotent: its tail is > 0 at every d."""
+    if family == "zero":
+        return random_row_contraction(rng, 2, 3, 0.5)
+    if family == "commutative":
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return scale_to_rho([a, a @ a + (0.3 + 0.2j) * a + 0.5 * np.eye(3)], 0.5)
+    # the clock and shift matrices q-commute for q^3 = 1, and so does any similar pair
+    s = np.eye(3) + 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    clock, shift = np.diag([1, _CUBE_ROOT, _CUBE_ROOT**2]), np.roll(np.eye(3), 1, axis=0)
+    return scale_to_rho([s @ clock @ np.linalg.inv(s), s @ shift @ np.linalg.inv(s)], 0.9)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("family", ["zero", "commutative", "q_commutative"])
+def test_dense_conjugate_pairs_recover_the_unitary_exactly(family, d, subspace_factory):
+    # Gamma* Gamma is I - tail on the pure branch and (I - tail)^2 on the
+    # general one, not I: unnormalized, V is off unitary by about the tail
+    rng = np.random.default_rng([d, len(family)])
+    mats = _dense_tuple(family, rng)
+    sub = subspace_factory(family, d=d, q=_CUBE_ROOT if family == "q_commutative" else None)
+    u = haar_unitary(3, rng)
+    mats_p = conjugated_tuple(mats, u)
+    th = theta_of(mats, sub)
+    assert th.tail_bound > 1e-5
+    wit = coincidence_from_unitary(th, theta_of(mats_p, sub), u)
+    for cls, cls_p in ((None, None), (classify(mats), classify(mats_p))):
+        eq = verify_coincidence_implies_equivalence(
+            wit, classification=cls, classification_p=cls_p
+        )
+        assert eq.equivalent
+        assert eq.recovered_unitarity < 1e-13
+        assert eq.recovered_intertwining < 1e-13
+        assert opnorm(eq.recovered_unitary - u) < 1e-13
+
+
+def test_a_scalar_with_the_largest_tail_recovers_the_identity(subspace_factory):
+    # T = [0.5] at d = 0: the tail is 0.25, and Gamma is 0.75 = 1 - tail on
+    # the general branch and sqrt(0.75) on the pure one
+    th = theta_of([np.array([[0.5]])], subspace_factory("zero", n=1, d=0))
+    assert th.tail_bound == 0.25
+    wit = coincidence_from_unitary(th, th, np.eye(1))
+    cls = classify([np.array([[0.5]])])
+    for c, gamma in ((None, 0.75), (cls, np.sqrt(0.75))):
+        eq = verify_coincidence_implies_equivalence(wit, classification=c, classification_p=c)
+        assert eq.gamma.gamma[0, 0] == pytest.approx(gamma, abs=1e-15)
+        assert eq.equivalent
+        assert abs(eq.recovered_unitary[0, 0] - 1.0) < 1e-15
+
+
 def test_gamma_residuals_serializable_types(conjugated_pair):
     sub, mats, _, _ = conjugated_pair
     cls, th, k, model, ops = _pipeline(mats, sub)
-    g = model_unitary(model, k, ops)
+    g = model_unitary(model, ops)
     assert isinstance(g.unitary_residual, float)
     assert isinstance(g.norm_identity_residual, float)
     assert isinstance(g.projection_residual, float)
@@ -424,7 +475,7 @@ def _isometry_case(n, subspace_factory):
     """Theta of a dense triple: p = q at n = 1, p < q at n = 2."""
     rng = np.random.default_rng(37)
     mats = random_row_contraction(rng, n, 3, 0.6)
-    return constrained_characteristic_function(mats, subspace_factory("zero", n=n, d=6 // n))
+    return theta_of(mats, subspace_factory("zero", n=n, d=6 // n))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -483,7 +534,7 @@ def _perturbation_case(case, subspace_factory):
 def test_model_operators_move_with_theta_at_rounding_level(case, subspace_factory):
     mats, sub = _perturbation_case(case, subspace_factory)
     cls = classify(mats)
-    th = constrained_characteristic_function(mats, sub)
+    th = theta_of(mats, sub)
     parts = np.random.default_rng(5).normal(size=(2, *th.matrix.shape))
     noise = parts[0] + 1j * parts[1]
     bent = dataclasses.replace(th, matrix=th.matrix + 1e-14 * noise / opnorm(noise))
@@ -512,7 +563,7 @@ def zero_family_pair(subspace_factory):
 
 def test_build_model_takes_one_eigh_of_size_p(zero_family_pair, monkeypatch):
     sub, mats, _, _ = zero_family_pair
-    th = constrained_characteristic_function(mats, sub)
+    th = theta_of(mats, sub)
     p, q = th.matrix.shape
     assert (p, q) == (381, 762)
     seen = record_decompositions(monkeypatch)
@@ -541,16 +592,12 @@ def test_build_model_takes_one_eigh_of_size_p(zero_family_pair, monkeypatch):
 
 def test_the_equivalence_certificate_takes_no_q_side_work(zero_family_pair, monkeypatch):
     sub, mats, mats_p, u = zero_family_pair
-    wit = coincidence_from_unitary(mats, mats_p, u, sub)
+    wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(mats_p, sub), u)
     p, q = wit.theta.matrix.shape
-    kernels = [constrained_poisson_kernel(t, sub, defect=f.defect)
-               for t, f in ((mats, wit.theta), (mats_p, wit.theta_p))]
     seen = record_decompositions(monkeypatch)
     tracemalloc.start()
     try:
-        eq = verify_coincidence_implies_equivalence(
-            mats, mats_p, wit, sub, kernel=kernels[0], kernel_p=kernels[1]
-        )
+        eq = verify_coincidence_implies_equivalence(wit)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

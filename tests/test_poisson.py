@@ -75,12 +75,6 @@ def test_strict_contraction_scaling(free_1_10):
     assert k.tail_bound == pytest.approx(0.81**11)
 
 
-def test_defect_passthrough_changes_nothing(free_1_10):
-    base = constrained_poisson_kernel(SCALAR, free_1_10)
-    again = constrained_poisson_kernel(SCALAR, free_1_10, defect=defects(SCALAR))
-    assert opnorm(base.matrix - again.matrix) == 0.0
-
-
 def test_multivariate_gram_and_intertwining(subspace_factory):
     rng = np.random.default_rng(21)
     mats = random_row_contraction(rng, 2, 3, 0.8)
@@ -201,6 +195,21 @@ def test_kernel_keeps_the_tail_operator(subspace_factory):
     k = constrained_poisson_kernel(mats, subspace_factory("zero", d=5))
     assert np.array_equal(k.tail, phi_power(mats, 6))
     assert k.tail_bound == truncation_tail(mats, 5)
+
+
+@pytest.mark.parametrize("kind", ["zero", "commutative"])
+def test_kernel_keeps_its_uncompressed_blocks(kind, subspace_factory):
+    rng = np.random.default_rng(47)
+    mats = random_row_contraction(rng, 2, 3, 0.8) if kind == "zero" else PAIR
+    sub = subspace_factory(kind, d=4)
+    k = constrained_poisson_kernel(mats, sub)
+    assert np.array_equal(k.blocks, kernel_blocks(mats, sub.space, k.defect))
+    # on the zero family the compressed matrix is the same array, reshaped
+    assert np.shares_memory(k.blocks, k.matrix) == (kind == "zero")
+    if kind != "zero":
+        nb = sub.N_basis
+        want = np.tensordot(adj(nb), k.blocks, axes=(1, 0)).reshape(k.matrix.shape)
+        assert np.array_equal(k.matrix, want)
 
 
 def test_kernel_blocks_are_the_word_products():
