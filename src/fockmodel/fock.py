@@ -15,8 +15,10 @@ operator for letter i prepends the letter; the right creation operator
 appends it; both send top-degree basis vectors to zero (the truncation
 convention used throughout the package).  Both are partial permutations of
 the basis, so :func:`creation_targets` gives them as index maps, and the
-dense matrices are built from those maps.  Because they raise degree, any
-product of more than d of them vanishes identically.
+dense matrices are built from those maps.  On one degree block a left
+creation is a contiguous range of the next block, :func:`left_target_slice`.
+Because they raise degree, any product of more than d of them vanishes
+identically.
 """
 
 from __future__ import annotations
@@ -143,6 +145,22 @@ def creation_targets(space: TruncatedFockSpace, i: int, side: str = "left") -> n
         shift = (i - 1) * n**k + p if side == "left" else p * n + (i - 1)
         out.append(space.degree_slice(k + 1).start + shift)
     return np.concatenate(out) if out else np.zeros(0, dtype=int)
+
+
+def left_target_slice(space: TruncatedFockSpace, i: int, k: int) -> slice:
+    """Flat indices of (i,) + w for the words w of degree k < d, in order: one slice.
+
+    Left creation by letter i maps the degree-k block onto positions
+    (i - 1) n^k + [0, n^k) of the degree-(k + 1) block, keeping the order of
+    the words, so on one degree block the partial permutation is a
+    contiguous range.  It is ``creation_targets(space, i, "left")`` on
+    ``space.degree_slice(k)``, with no index array.
+    """
+    _check_letter(space, i)
+    if not 0 <= k < space.d:
+        raise ValueError(f"degree {k} has no left creation targets in 0..{space.d - 1}")
+    start = space.degree_slice(k + 1).start + (i - 1) * space.n**k
+    return slice(start, start + space.n**k)
 
 
 def _partial_permutation(space: TruncatedFockSpace, targets: np.ndarray) -> np.ndarray:

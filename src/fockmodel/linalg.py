@@ -26,6 +26,7 @@ def adj(a: np.ndarray) -> np.ndarray:
 
 _GRAM_SAFE = (1e-140, 1e140)  # entry scales whose squares neither overflow nor underflow
 _GRAM_ASPECT = 3  # rows per column from which G needs less memory than an SVD's copy
+_ROW_GRAM_ASPECT = 2  # columns per row from which a a* needs no more memory than that copy
 
 
 def gram(a: np.ndarray) -> np.ndarray:
@@ -63,7 +64,7 @@ def row_gram(a: np.ndarray, *, lower: bool = False) -> np.ndarray:
     for i in range(0, rows_total, _ROW_BLOCK):
         rows = slice(i, min(i + _ROW_BLOCK, rows_total))
         if lower:
-            out[rows, : rows.stop] = adj(a[: rows.stop] @ adj(a[rows]))
+            np.conjugate((a[: rows.stop] @ adj(a[rows])).T, out=out[rows, : rows.stop])
         else:
             np.matmul(a, adj(a[rows]), out=out[:, rows])
     return out
@@ -72,15 +73,20 @@ def row_gram(a: np.ndarray, *, lower: bool = False) -> np.ndarray:
 def opnorm(a: np.ndarray) -> float:
     """Operator (spectral) norm of a matrix (a vector counts as one column).
 
-    A matrix whose tall orientation b (``a`` or its transpose) is
-    row-contiguous and at least three times as tall as wide takes the Gram
-    route: sqrt(lambda_max(b* b)), the Gram matrix of the smaller side, read
-    in place by :func:`gram` and accurate to relative eps for the largest
-    singular value.  Its entries are rescaled, on a copy, only when the
-    largest lies outside [1e-140, 1e140], so that G can neither overflow nor
-    underflow.  Any other matrix takes numpy's values-only SVD, which copies
-    it once; for a square-ish matrix that is less memory than G and the copy
-    its eigensolver makes.  Non-finite entries raise LinAlgError either way.
+    Let b be the row-contiguous orientation of ``a`` (``a`` or its
+    transpose).  If b is at least three times as tall as wide, the norm is
+    sqrt(lambda_max(b* b)), the Gram matrix of the smaller side, read in
+    place by :func:`gram`.  If b is complex and at least twice as wide as
+    tall, it is sqrt(lambda_max(b b*)), whose lower triangle
+    :func:`row_gram` forms conjugating one block of rows of b at a time; it
+    and the copy its eigensolver makes are together no larger than b, the
+    copy an SVD would make.  Either Gram route is accurate to relative eps
+    for the largest singular value.  The entries are rescaled, on a copy,
+    only when the largest lies outside [1e-140, 1e140], so that the Gram
+    matrix can neither overflow nor underflow.  Any other matrix takes
+    numpy's values-only SVD, which copies it once; for a square-ish matrix
+    that is less memory than a Gram matrix and the copy its eigensolver
+    makes.  Non-finite entries raise LinAlgError on every route.
     """
     a = np.asarray(a)
     if a.ndim == 1:
@@ -89,11 +95,9 @@ def opnorm(a: np.ndarray) -> float:
         return 0.0
     b = a if a.flags.c_contiguous else a.T  # |b| = |a|
     rows, cols = b.shape
-    if not (
-        b.flags.c_contiguous
-        and b.dtype in (np.float64, np.complex128)
-        and rows >= _GRAM_ASPECT * cols
-    ):
+    tall = b.dtype in (np.float64, np.complex128) and rows >= _GRAM_ASPECT * cols
+    wide = b.dtype == np.complex128 and cols >= _ROW_GRAM_ASPECT * rows
+    if not (b.flags.c_contiguous and (tall or wide)):
         if not np.isfinite(a).all():
             raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
         return float(np.linalg.norm(a, 2))
@@ -106,7 +110,8 @@ def opnorm(a: np.ndarray) -> float:
     lo, hi = _GRAM_SAFE
     if not lo <= scale <= hi:
         return scale * opnorm(b / scale)
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram(b))[-1], 0.0)))
+    g = row_gram(b, lower=True) if wide else gram(b)
+    return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
 
 
 def hermitian_norm(a: np.ndarray) -> float:

@@ -47,7 +47,7 @@ from .contractions import (
     require_relations,
     DefectData,
 )
-from .fock import TruncatedFockSpace, creation_targets
+from .fock import TruncatedFockSpace, left_target_slice
 from .ideals import ConstrainedSubspace
 from .linalg import adj, gram, hermitian_norm, opnorm
 
@@ -94,16 +94,18 @@ def kernel_blocks(
     blocks of ``mats`` on the whole truncated space; times one row block of
     Delta_* basis_* they are also the Fourier blocks of its characteristic
     function.  The block of (a) + beta is the block of beta times T_a*, so
-    each degree takes one product per letter, written through the left
-    creation targets.
+    each degree takes one product per letter.  The words (a) + beta of one
+    degree of beta are a contiguous range (:func:`fock.left_target_slice`),
+    and each product is written straight into it: the blocks are the only
+    array of their size that is allocated.
     """
     m = mats[0].shape[0]
     blocks = np.empty((space.dim, defect.d_T, m), dtype=complex)
     blocks[0] = adj(defect.basis) @ defect.delta
     for k in range(space.d):
-        parents = space.degree_slice(k)
+        parents = blocks[space.degree_slice(k)]
         for a, t in enumerate(mats, start=1):
-            blocks[creation_targets(space, a, "left")[parents]] = blocks[parents] @ adj(t)
+            np.matmul(parents, adj(t), out=blocks[left_target_slice(space, a, k)])
     return blocks
 
 
@@ -158,26 +160,37 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
     zero family).  The identity is exact on the N-columns of degree <= d-1
     (top-degree rows see truncated data on one side only, so they are
     excluded), and only those rows are formed.  S_i* reads the row of the
-    target word (i,) + w into the row of w, so B_i* (x) I is a row gather of
-    K when N is the whole space and N* gather(N K) otherwise.  Returns one
+    target word (i,) + w into the row of w, and the targets of one degree
+    are a contiguous range of the next (:func:`fock.left_target_slice`).
+    When N is the whole space, K T_i* is written into one residual buffer
+    that every generator reuses, and the target slices of K are subtracted
+    from it in place, degree by degree; otherwise B_i* (x) I is
+    N* gather(N K), the gather joined from those slices.  Returns one
     residual per generator index.
     """
     sub = kernel.sub
+    space = sub.space
     d_T = kernel.d_T
-    if d_T == 0:
-        # the defect is trivial: the kernel is the empty map and the identity
-        # holds vacuously for every generator
-        return {i: 0.0 for i in range(1, sub.space.n + 1)}
-    checked = sub.n_cols_up_to(sub.space.d - 1)
-    resh = kernel.matrix.reshape(sub.dim_N, d_T, -1)
+    checked = sub.n_cols_up_to(space.d - 1)
+    if d_T == 0 or checked == 0:
+        # the defect is trivial (the kernel is the empty map) or no row is
+        # checked: the identity holds vacuously for every generator
+        return {i: 0.0 for i in range(1, space.n + 1)}
+    m = kernel.matrix.shape[1]
+    resh = kernel.matrix.reshape(sub.dim_N, d_T, m)
     whole = resh if sub.is_whole_space else np.tensordot(sub.N_basis, resh, axes=(1, 0))
+    residual = np.empty((checked * d_T, m), dtype=complex)
+    by_word = residual.reshape(checked, d_T, m)
     out: dict[int, float] = {}
-    for i in range(1, sub.space.n + 1):
-        targets = creation_targets(sub.space, i, "left")
-        rhs = whole[targets]
-        if not sub.is_whole_space:
-            rhs = np.tensordot(adj(sub.N_basis[: targets.size, :checked]), rhs, axes=(1, 0))
-        residual = kernel.matrix[: checked * d_T] @ adj(kernel.mats[i - 1])
-        residual -= rhs.reshape(residual.shape)
+    for i in range(1, space.n + 1):
+        np.matmul(kernel.matrix[: checked * d_T], adj(kernel.mats[i - 1]), out=residual)
+        targets = [left_target_slice(space, i, k) for k in range(space.d)]
+        if sub.is_whole_space:
+            for k, target in enumerate(targets):
+                by_word[space.degree_slice(k)] -= whole[target]
+        else:
+            rhs = np.concatenate([whole[target] for target in targets])
+            rhs = np.tensordot(adj(sub.N_basis[: rhs.shape[0], :checked]), rhs, axes=(1, 0))
+            residual -= rhs.reshape(residual.shape)
         out[i] = opnorm(residual)
     return out

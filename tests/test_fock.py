@@ -13,6 +13,7 @@ from fockmodel import (
     flip_unitary,
     left_creation,
     left_creation_tuple,
+    left_target_slice,
     right_creation,
     right_creation_tuple,
     word_count,
@@ -258,6 +259,24 @@ def test_creation_targets_are_the_dense_creation_operators(n, d, side):
         oracle = np.zeros((space.dim, space.dim))
         oracle[want, np.arange(len(want))] = 1.0
         assert np.array_equal(dense(space, i), oracle)
+
+
+@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_left_target_slice_is_a_degree_block_of_the_targets(n, d):
+    space = TruncatedFockSpace(n, d)
+    for i in range(1, n + 1):
+        targets = creation_targets(space, i, "left")
+        for k in range(d):
+            got = np.arange(space.dim)[left_target_slice(space, i, k)]
+            assert np.array_equal(got, targets[space.degree_slice(k)])
+
+
+def test_left_target_slice_rejects_bad_arguments():
+    space = TruncatedFockSpace(2, 3)
+    for i, k in [(0, 0), (3, 0), (1, -1), (1, 3)]:
+        with pytest.raises(ValueError):
+            left_target_slice(space, i, k)
 
 
 def test_creation_targets_reject_bad_arguments():

@@ -21,8 +21,9 @@ from fockmodel.linalg import (
     row_gram,
 )
 
-SHAPES = {"tall": (37, 5), "wide": (4, 29), "square": (16, 16)}
-SCALES = [1.0, 1e-200, 1e200]
+SHAPES = {"tall": (37, 5), "wide": (4, 29), "square": (16, 16),
+          "wide-2": (19, 38), "wide-3": (13, 39)}
+SCALES = [1.0, 1e-200, 1e200, 1e-150, 1e150]
 
 
 def _sample(shape, complex_entries, scale):
@@ -33,7 +34,7 @@ def _sample(shape, complex_entries, scale):
     return a * scale
 
 
-@pytest.mark.parametrize("scale", SCALES, ids=["unit", "1e-200", "1e200"])
+@pytest.mark.parametrize("scale", SCALES, ids=["unit", "1e-200", "1e200", "1e-150", "1e150"])
 @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
 def test_opnorm_matches_the_svd_norm(shape, complex_entries, scale):
@@ -80,6 +81,38 @@ def test_opnorm_does_not_copy_a_tall_operand(complex_entries):
     assert peak < a.nbytes / 4
 
 
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("shape", [(40, 80), (40, 79), (30, 90)], ids=["aspect-2", "below-2", "aspect-3"])
+@pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
+def test_opnorm_takes_the_row_gram_of_a_wide_complex_operand(complex_entries, shape, layout, monkeypatch):
+    from fockmodel import linalg
+
+    seen = []
+    real_row_gram = linalg.row_gram
+    monkeypatch.setattr(linalg, "row_gram", lambda a, **kw: seen.append(a.shape) or real_row_gram(a, **kw))
+    a = np.asarray(_sample(shape, complex_entries, 1.0), order=layout)
+    got = opnorm(a)
+    assert abs(got - np.linalg.norm(a, 2)) <= 1e-14 * got
+    # only a row-contiguous complex operand at least twice as wide as tall
+    wide = complex_entries and layout == "C" and shape[1] >= 2 * shape[0]
+    assert seen == ([shape] if wide else [])
+
+
+def test_opnorm_of_a_wide_operand_conjugates_one_row_block_at_a_time():
+    import tracemalloc
+
+    a = _sample((600, 1200), True, 1.0)  # 11.5 MB; its 600 x 600 Gram is 5.8 MB
+    tracemalloc.start()
+    try:
+        opnorm(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the Gram matrix, one conjugated block of 128 rows and one block product
+    assert peak <= 16 * (600 * 600 + 128 * (1200 + 600)) * 1.01
+    assert peak < a.nbytes  # less than the copy an SVD makes
+
+
 @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
 def test_gram_is_the_adjoint_product(complex_entries):
     a = _sample((23, 6), complex_entries, 1.0)
@@ -103,7 +136,7 @@ def _hermitian(m, kind, scale):
     return a * scale
 
 
-@pytest.mark.parametrize("scale", SCALES, ids=["unit", "1e-200", "1e200"])
+@pytest.mark.parametrize("scale", SCALES, ids=["unit", "1e-200", "1e200", "1e-150", "1e150"])
 @pytest.mark.parametrize("kind", ["hermitian", "psd", "negative-dominant"])
 @pytest.mark.parametrize("m", [1, 7, 40])
 def test_hermitian_norm_matches_the_svd_norm(m, kind, scale):

@@ -7,6 +7,7 @@ The free kernel is the kernel on the zero family, where N is the whole space.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fockmodel import (
     PolyIdealSpec,
     TruncatedFockSpace,
     constrained_creation,
+    creation_targets,
     constrained_poisson_kernel,
     defects,
     ideal_subspace,
@@ -30,6 +32,7 @@ from fockmodel.fock import word_operator
 from fockmodel.poisson import kernel_blocks
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
+    haar_unitary,
     nilpotent_pair_tuple,
     q_commuting_nilpotent_tuple,
     random_row_contraction,
@@ -223,3 +226,77 @@ def test_kernel_blocks_are_the_word_products():
     for w, block in zip(space.words, blocks):
         want = lead @ word_operator(space, tuple(reversed(w)), [adj(t) for t in mats])
         assert opnorm(block - want) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the in-place recursion against the gathered one, and what it allocates
+
+
+def gathered_kernel_blocks(mats, space, defect):
+    """The blocks by fancy indexing: each product formed, then scattered to its target rows."""
+    m = mats[0].shape[0]
+    blocks = np.empty((space.dim, defect.d_T, m), dtype=complex)
+    blocks[0] = adj(defect.basis) @ defect.delta
+    for k in range(space.d):
+        parents = space.degree_slice(k)
+        for a, t in enumerate(mats, start=1):
+            blocks[creation_targets(space, a, "left")[parents]] = blocks[parents] @ adj(t)
+    return blocks
+
+
+def _jordan_pair():
+    # T1 = the nilpotent Jordan block, T2 = 0: I - T1 T1* = diag(0, 0, 1)
+    return [np.eye(3, k=1, dtype=complex), np.zeros((3, 3), dtype=complex)]
+
+
+def _coisometry(n, m):
+    # the rows [T_1 ... T_n] of a Haar unitary: sum T_i T_i* = I
+    rows = haar_unitary(n * m, np.random.default_rng(49))[:m]
+    return [rows[:, i * m : (i + 1) * m] for i in range(n)]
+
+
+ORACLE_CASES = {
+    "d0": (lambda: random_row_contraction(np.random.default_rng(51), 2, 3, 0.8), 2, 0, 3),
+    "n1": (lambda: random_row_contraction(np.random.default_rng(52), 1, 3, 0.8), 1, 6, 3),
+    "dense-n3": (lambda: random_row_contraction(np.random.default_rng(53), 3, 4, 0.8), 3, 3, 4),
+    "rank-deficient": (_jordan_pair, 2, 5, 1),
+    "co-isometric": (lambda: _coisometry(2, 3), 2, 4, 0),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_in_place_blocks_equal_the_gathered_recursion(case):
+    make, n, d, d_T = case
+    mats = make()
+    space = TruncatedFockSpace(n, d)
+    dft = defects(mats)
+    assert dft.d_T == d_T
+    got = kernel_blocks(mats, space, dft)
+    assert got.shape == (space.dim, d_T, mats[0].shape[0])
+    assert np.array_equal(got, gathered_kernel_blocks(mats, space, dft))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,d,m", [(2, 6, 24), (3, 4, 16)])
+def test_kernel_and_intertwining_allocate_no_gathered_copies(n, d, m, subspace_factory):
+    mats = random_row_contraction(np.random.default_rng(55), n, m, 0.9)
+    sub = subspace_factory("zero", n=n, d=d)
+    dft = defects(mats)
+    assert dft.d_T == m
+    blocks, peak = _traced_peak(kernel_blocks, mats, sub.space, dft)
+    # the blocks themselves, and nothing of their size besides
+    assert peak <= 1.05 * blocks.nbytes
+    kernel = constrained_poisson_kernel(mats, sub)
+    residuals, peak = _traced_peak(verify_intertwining, kernel)
+    assert set(residuals) == set(range(1, n + 1))
+    # one residual buffer of the checked rows, which every generator reuses
+    checked = sub.n_cols_up_to(d - 1)
+    assert peak <= 1.1 * checked * dft.d_T * m * 16
