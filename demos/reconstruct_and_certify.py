@@ -20,8 +20,6 @@ from fockmodel import (
     constrained_characteristic_function,
     constrained_poisson_kernel,
     ideal_subspace,
-    model_operators,
-    model_unitary,
     verify_coincidence_implies_equivalence,
 )
 from fockmodel.sampling import conjugated_tuple, haar_unitary, nilpotent_pair_tuple
@@ -36,8 +34,7 @@ def main():
     cls = classify(mats)
     th = constrained_characteristic_function(constrained_poisson_kernel(mats, sub))
     model = build_model(th, classification=cls)
-    ops = model_operators(model, classification=cls)
-    gamma = model_unitary(model, ops)
+    ops, gamma = model.operators, model.gamma
 
     print(f"model space: dim {model.h}, cut out of shift summand {model.p} "
           f"(+) range summand {model.s}  (tail {model.tail_bound:.1e})")
@@ -55,7 +52,8 @@ def main():
     witness = coincidence_from_unitary(th, th_p, u)
     print(f"coincidence residual: {witness.residual:.2e}")
 
-    report = verify_coincidence_implies_equivalence(witness, classification=cls)
+    model_p = build_model(th_p, classification=classify(mats_p))
+    report = verify_coincidence_implies_equivalence(witness, model, model_p)
     print(f"model intertwining across the pair: {report.model_intertwining:.2e}")
     print(f"recovered intertwiner: unitarity {report.recovered_unitarity:.2e}, "
           f"conjugation residual {report.recovered_intertwining:.2e}")

@@ -70,8 +70,6 @@ from .model import (
     ModelOperators,
     build_model,
     coincidence_from_unitary,
-    model_operators,
-    model_unitary,
     verify_coincidence_implies_equivalence,
 )
 from .problem_io import (

@@ -67,7 +67,7 @@ from .contractions import (
     row_norm,
     DefectData,
 )
-from .fock import TruncatedFockSpace, reversed_word_products
+from .fock import TruncatedFockSpace, left_target_slice, reversed_word_products
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
 from .linalg import adj, hermitian_norm, opnorm, row_gram
 from .poisson import KernelMatrix
@@ -255,32 +255,31 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
 def _block_matrix(kernel: KernelMatrix) -> np.ndarray:
     """sum_alpha R_alpha (x) theta_(alpha) on the whole truncated space.
 
-    The vacuum-column blocks are the kernel's blocks times row blocks of
-    Delta_* basis_*; block theta_(alpha) is then placed at row word
-    gamma alpha, column word gamma.
+    theta_((a) + beta) is the kernel block of beta times the a-th row block
+    of Delta_* basis_*, written into the slice of the words (a) + beta
+    (:func:`fock.left_target_slice`), as in the kernel's own recurrence.
+    theta_(alpha) sits at row word gamma alpha, column word gamma: for each
+    degree pair (j, k) = (|gamma|, |alpha|) the rows of degree j + k, viewed
+    as (n^j, n^k), are gamma-major, so each pair is one strided assignment.
     """
     mats, space, defect = kernel.mats, kernel.space, kernel.defect
-    n, m = len(mats), mats[0].shape[0]
+    n, m, d = len(mats), mats[0].shape[0], space.d
     d_T, d_star = defect.d_T, defect.d_star
-    words = space.words
     row_blocks = (defect.delta_star @ defect.basis_star).reshape(n, m, d_star)
     blocks = np.empty((space.dim, d_T, d_star), dtype=complex)
     blocks[0] = -adj(defect.basis) @ np.hstack(mats) @ defect.basis_star
-    if space.d:
-        # theta_((a) + beta) = basis* Delta T_beta* (Delta_* basis_*)[rows of letter a]
-        first = np.array([w[0] - 1 for w in words[1:]])
-        rest = np.array([space.index(w[1:]) for w in words[1:]])
-        blocks[1:] = kernel.blocks[rest] @ row_blocks[first]
+    for k in range(d):
+        parents = kernel.blocks[space.degree_slice(k)]
+        for a in range(1, n + 1):
+            np.matmul(parents, row_blocks[a - 1], out=blocks[left_target_slice(space, a, k)])
 
-    rows, cols, alphas = np.array(
-        [
-            (space.index(gamma + alpha), col, ia)
-            for col, gamma in enumerate(words)
-            for ia, alpha in enumerate(words[: space.dim_up_to(space.d - len(gamma))])
-        ]
-    ).T
     theta = np.zeros((space.dim, d_T, space.dim, d_star), dtype=complex)
-    theta[rows, :, cols, :] = blocks[alphas]
+    for j in range(d + 1):
+        gammas = np.arange(n**j)
+        cols = space.degree_slice(j)
+        for k in range(d + 1 - j):
+            rows = theta[space.degree_slice(j + k), :, cols].reshape(n**j, n**k, d_T, n**j, d_star)
+            rows[gammas, :, :, gammas] = blocks[space.degree_slice(k)]
     return theta.reshape(space.dim * d_T, space.dim * d_star)
 
 

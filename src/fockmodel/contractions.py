@@ -165,10 +165,6 @@ class TriState(enum.Enum):
     NO = "no"
     UNDETERMINED = "undetermined"
 
-    @property
-    def certain(self) -> bool:
-        return self is not TriState.UNDETERMINED
-
 
 @dataclasses.dataclass
 class Classification:

@@ -16,8 +16,10 @@ per-degree blocks and each N-basis column has an exact degree; the degree-k
 slice of N then agrees with the degree-<= k theory exactly.  Non-homogeneous
 relations lose that alignment near the top degree: N-basis columns only get a
 support-based degree, and downstream identities that rely on degree windows
-hold on one fewer degree.  Both paths are implemented; the graded one is
-exact.
+hold on one fewer degree.  One loop serves both: it splits each block --
+one degree block of a graded family, else the whole space -- by one SVD, and
+reads every column's degree off its support, which for a graded family is
+the exact degree.
 
 The spanning vectors are assembled combinatorially (by word concatenation)
 and, as a guard against index bugs, every one is re-derived by walking the
@@ -241,9 +243,10 @@ class ConstrainedSubspace:
 def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> ConstrainedSubspace:
     """Compute the relation span M and constrained subspace N at truncation.
 
-    Graded relation families are processed one degree block at a time (an SVD
-    per degree), which keeps every basis column at an exact degree.  Mixed
-    families fall back to a single global SVD with support-based degrees.
+    One SVD per block splits the spanning vectors at the relative rank cut
+    1e-10.  The blocks are the degree blocks for a graded family, which keeps
+    every basis column at an exact degree, and the whole space otherwise.
+    Each column's degree is the top degree of its support; N is sorted by it.
     """
     if spec.n != space.n:
         raise ValueError(f"relation family has n={spec.n} but the space has n={space.n}")
@@ -254,8 +257,9 @@ def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> Constraine
         if p.max_letter > n:
             raise ValueError(f"relation {p!r} uses a generator beyond n={n}")
 
-    # Spanning vectors e_{alpha w beta} summed with the relation coefficients.
-    vectors: list[np.ndarray] = []
+    # Spanning vectors e_{alpha w beta} summed with the relation coefficients,
+    # one column each: (row, column, coefficient) per term.
+    entries: list[tuple[int, int, complex]] = []
     top_degrees: list[int] = []  # |alpha| + deg p + |beta|
     meta: list[tuple[Word, NCPoly, Word]] = []
     for p in gens:
@@ -264,91 +268,52 @@ def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> Constraine
             for alpha in itertools.product(range(1, n + 1), repeat=ka):
                 for kb in range(0, d - t - ka + 1):
                     for beta in itertools.product(range(1, n + 1), repeat=kb):
-                        vec = np.zeros(dim, dtype=complex)
                         for w, c in p.terms.items():
-                            vec[space.index(alpha + w + beta)] += c
-                        vectors.append(vec)
+                            entries.append((space.index(alpha + w + beta), len(meta), c))
                         top_degrees.append(ka + t + kb)
                         meta.append((alpha, p, beta))
 
-    if not vectors:  # no relations, or none fits below the degree cap
+    graded = spec.is_graded
+    if not meta:  # no relations, or none fits below the degree cap
         return ConstrainedSubspace(
             space=space,
             spec=spec,
             N_basis=np.eye(dim, dtype=complex),
             M_basis=np.zeros((dim, 0), dtype=complex),
-            graded=spec.is_graded,
+            graded=graded,
             N_degrees=space.degrees.copy(),
             M_degrees=np.zeros(0, dtype=int),
         )
-    _crosscheck_spanning(space, vectors, meta)
+    rows, cols, coefs = zip(*entries)
+    span = np.zeros((dim, len(meta)), dtype=complex)
+    np.add.at(span, (rows, cols), coefs)
+    _crosscheck_spanning(space, list(span.T), meta)
 
-    graded = spec.is_graded
-    if graded:
-        n_cols, m_cols, n_degs, m_degs = [], [], [], []
-        span_by_degree: dict[int, list[np.ndarray]] = {}
-        for vec, k in zip(vectors, top_degrees):
-            span_by_degree.setdefault(k, []).append(vec)
-        for k in range(d + 1):
-            block = space.degree_slice(k)
-            block_dim = block.stop - block.start
-            vecs = span_by_degree.get(k)
-            if not vecs:
-                comp = np.eye(block_dim, dtype=complex)
-                rank = 0
-                u = comp
-            else:
-                a = np.column_stack([v[block] for v in vecs])
-                u, s, _ = np.linalg.svd(a, full_matrices=True)
-                rank = int(np.count_nonzero(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-            for j in range(rank):
-                col = np.zeros(dim, dtype=complex)
-                col[block] = u[:, j]
-                m_cols.append(col)
-                m_degs.append(k)
-            for j in range(rank, block_dim):
-                col = np.zeros(dim, dtype=complex)
-                col[block] = u[:, j]
-                n_cols.append(col)
-                n_degs.append(k)
-        N = canonical_phase(np.column_stack(n_cols)) if n_cols else np.zeros((dim, 0), complex)
-        M = canonical_phase(np.column_stack(m_cols)) if m_cols else np.zeros((dim, 0), complex)
-        return ConstrainedSubspace(
-            space=space,
-            spec=spec,
-            N_basis=N,
-            M_basis=M,
-            graded=True,
-            N_degrees=np.array(n_degs, dtype=int),
-            M_degrees=np.array(m_degs, dtype=int),
-        )
-
-    a = np.column_stack(vectors)
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.count_nonzero(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-    M = u[:, :rank]
-    N = u[:, rank:]
-
-    def support_degree(col: np.ndarray) -> int:
-        deg = 0
-        for k in range(d + 1):
-            if np.linalg.norm(col[space.degree_slice(k)]) > 1e-10:
-                deg = k
-        return deg
-
-    n_degs = np.array([support_degree(N[:, j]) for j in range(N.shape[1])], dtype=int)
-    order = np.argsort(n_degs, kind="stable")
-    N = canonical_phase(N[:, order])
-    n_degs = n_degs[order]
-    m_degs = np.array([support_degree(M[:, j]) for j in range(M.shape[1])], dtype=int)
+    # A graded family's vectors live in the degree block of their top degree;
+    # otherwise the whole space is one block.  Each block's left singular
+    # vectors fill its diagonal block of u, so u is block diagonal.
+    blocks = [space.degree_slice(k) for k in range(d + 1)] if graded else [slice(0, dim)]
+    block_of = np.array(top_degrees) if graded else np.zeros(len(meta), dtype=int)
+    u = np.zeros((dim, dim), dtype=complex)
+    in_m = np.zeros(dim, dtype=bool)
+    for b, block in enumerate(blocks):
+        # a block no vector reaches has no columns; its SVD gives I and rank 0
+        u[block, block], s, _ = np.linalg.svd(span[block][:, block_of == b], full_matrices=True)
+        rank = int(np.count_nonzero(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+        in_m[block.start : block.start + rank] = True
+    degrees = np.zeros(dim, dtype=int)  # per column, the top degree carrying more than 1e-10
+    for k in range(1, d + 1):
+        degrees[np.linalg.norm(u[space.degree_slice(k)], axis=0) > 1e-10] = k
+    n_cols = np.flatnonzero(~in_m)
+    n_cols = n_cols[np.argsort(degrees[n_cols], kind="stable")]
     return ConstrainedSubspace(
         space=space,
         spec=spec,
-        N_basis=N,
-        M_basis=canonical_phase(M),
-        graded=False,
-        N_degrees=n_degs,
-        M_degrees=m_degs,
+        N_basis=canonical_phase(u[:, n_cols]),
+        M_basis=canonical_phase(u[:, in_m]),
+        graded=graded,
+        N_degrees=degrees[n_cols],
+        M_degrees=degrees[in_m],
     )
 
 

@@ -29,19 +29,21 @@ on ker Theta by construction, so its restriction there has the same norm,
 and one QR of the q x p matrix Theta* plus p x p products give it
 (:attr:`ModelData.isometry_residual`).
 
-Two independent reconstructions of the operators are available: the defining
+The operators (:attr:`ModelData.operators`) and Gamma
+(:attr:`ModelData.gamma`) are later stages of the model, built on first use.
+There are two independent reconstructions of the operators: the defining
 compression above ("general"), and, for a pure tuple, the compression of the
 shifts to the span of the u_k with lambda_k >= (1 - tail)/2 -- the orthogonal
 complement of the large-singular-value range of Theta alone ("pure"), whose
-basis never touches the Delta block.  At exact truncation both agree to
-rounding; their disagreement is otherwise of the order of the truncation tail
-and is reported, never hidden.
+basis never touches the Delta block.  The model's classification picks one.
+At exact truncation both agree to rounding; their disagreement is otherwise
+of the order of the truncation tail and is reported, never hidden.
 
 The unitary from the original space onto H sends h to (K h, 0) with K the
 constrained Poisson kernel that Theta was built from (``theta.kernel``); its
-matrix in the model basis, Gamma, is computed by projection and comes with
-unitarity / embedding / intertwining residuals, all rounding-level plus
-tail.
+matrix in the model basis of the chosen branch, Gamma, is computed by
+projection and comes with unitarity / embedding / intertwining residuals,
+all rounding-level plus tail.
 
 Coincidence machinery: a spatial unitary U with T'_i = U T_i U* induces
 unitaries tau / tau_star between the defect spaces, and the characteristic
@@ -54,7 +56,8 @@ whole model: (I (x) tau) (+) (I (x) tau_star) carries Delta to Delta' and
 Phihat-ranges onto each other, hence model space to model space,
 intertwines the model operators, and finally recovers a unitary V between
 the original spaces with V T_i = T'_i V, normalized by Gamma* Gamma, which
-is I only up to the truncation tail.  Every one of these steps is verified
+is I only up to the truncation tail.  The certificate reads the two models
+it is given and builds none.  Every one of these steps is verified
 numerically and reported.
 """
 
@@ -89,7 +92,9 @@ class ModelData:
     Bases live in the coordinates C^p (+) C^q of Phihat = [Theta ; Delta];
     the eigenvalues (clipped at 0, ascending) and eigenvectors of
     I - Theta Theta* are kept for the isometry residual, which is measured
-    only when read.
+    only when read.  ``classification`` is the one the model was built with;
+    it picks the operator branch of the later stages, :attr:`operators` and
+    :attr:`gamma`, each built on first use and kept.
     """
 
     theta: CharFn
@@ -98,6 +103,7 @@ class ModelData:
     H_pure_basis: np.ndarray | None
     defect_star_eigvals: np.ndarray
     defect_star_eigvecs: np.ndarray
+    classification: Classification | None = None
 
     @property
     def p(self) -> int:
@@ -155,6 +161,114 @@ class ModelData:
         residual += eye_minus_g @ eye_minus_g
         return hermitian_norm(residual)
 
+    @cached_property
+    def operators(self) -> ModelOperators:
+        """The ambient shifts realized on the model space, on both branches.
+
+        The general branch solves the defining relation of the adjoint model
+        operators -- (project to the first summand) o Tt_i* = (raising
+        adjoint) o (project to the first summand) on the model space -- in
+        the least squares sense, recording the per-generator residual.  That
+        residual measures how far the truncation tilted the model space and
+        scales with sqrt(tail_bound); the solution itself is accurate to the
+        tail, as the branch agreement shows.  The projection must be
+        injective on the model space; its smallest singular value is the
+        margin, and falling under 1e-8 means the input is numerically not
+        completely noncoisometric (or the truncation degree too small),
+        which is an error.
+
+        The pure branch is the direct compression of the shifts, used as the
+        canonical answer when the model's classification certifies purity
+        (its basis is independent of the defect block); otherwise the
+        general solution is.  When both exist with matching dimensions their
+        disagreement after a polar alignment of the bases is recorded per
+        generator -- a real measure of how much the truncation tilted the
+        model space, vanishing at rounding level when the tail does.
+        """
+        d_T, p = self.theta.d_T, self.p
+        shifts = constrained_creation_tuple(self.theta.sub, "left")
+        h1 = self.H_basis[:p, :]
+        sigma_min = float(np.linalg.svd(h1, compute_uv=False)[-1]) if h1.shape[1] else 0.0
+        if h1.shape[1] and sigma_min <= 1e-8:
+            raise ValueError(
+                "the model space projects degenerately onto its shift summand "
+                f"(smallest singular value {sigma_min:.3e}); the tuple is numerically "
+                "not completely noncoisometric or the truncation degree is too small"
+            )
+        general, defining = [], []
+        for s_i in shifts:
+            rhs = _shift_rows(self.H_basis, adj(s_i), d_T, p)
+            x, *_ = np.linalg.lstsq(h1, rhs, rcond=None)
+            general.append(adj(x))
+            defining.append(float(opnorm(h1 @ x - rhs)))
+        pure = agreement = None
+        if self.H_pure_basis is not None and self.H_pure_basis.shape[1] == self.h:
+            pure = [_compress_to(self.H_pure_basis, s_i, d_T, p) for s_i in shifts]
+            omega = unitary_polar_factor(adj(h1) @ self.H_pure_basis[:p, :])  # pure: 0 below p
+            agreement = [
+                float(opnorm(omega @ tp @ adj(omega) - tg)) for tp, tg in zip(pure, general)
+            ]
+        cls = self.classification
+        certified_pure = cls is not None and cls.pure is TriState.YES
+        used = "pure" if pure is not None and certified_pure else "general"
+        return ModelOperators(
+            general=general,
+            pure=pure,
+            branch_agreement=agreement,
+            defining_residual=defining,
+            injectivity_margin=sigma_min,
+            used=used,
+            basis=self.H_pure_basis if used == "pure" else self.H_basis,
+        )
+
+    @cached_property
+    def gamma(self) -> GammaResult:
+        """Matrix of the canonical identification h -> (K h, 0) in the model basis.
+
+        Gamma is written in the basis of the chosen operator branch
+        (:attr:`operators`) and comes with how far (K h, 0) sticks out of the
+        model space, how far Gamma is from unitary, and the intertwining
+        residuals against those operators.  Two defining identities of the
+        identification are verified on the side: column-wise |K* g| equals
+        the norm of the model-space projection of (g, 0)
+        (norm_identity_residual), and projecting Gamma's range back onto the
+        shift summand recovers the kernel matrix (projection_residual).  All
+        of these are zero at rounding level when the truncation tail is.  K
+        is the kernel the model's function was built from.
+        """
+        kernel = self.theta.kernel
+        k = kernel.matrix
+        ops = self.operators
+        # (K h, 0) has no component below the p rows of the shift summand.
+        basis = ops.basis
+        h1 = basis[: self.p, :]
+        gamma = adj(h1) @ k
+        embedding_residual = opnorm(np.vstack([h1 @ gamma - k, basis[self.p :, :] @ gamma]))
+        eye_h = np.eye(self.h, dtype=complex)
+        eye_m = np.eye(gamma.shape[1], dtype=complex)
+        unitary_residual = max(
+            hermitian_norm(adj(gamma) @ gamma - eye_m),
+            hermitian_norm(gamma @ adj(gamma) - eye_h) if self.h == gamma.shape[1] else np.inf,
+        )
+        inter: dict[int, float] = {}
+        for i, (tt, t) in enumerate(zip(ops.Tt, kernel.mats), start=1):
+            co = opnorm(adj(tt) @ gamma - gamma @ adj(t))
+            direct = opnorm(tt @ gamma - gamma @ t)
+            inter[i] = float(max(co, direct))
+        # |K* g_j| vs |P_model (g_j, 0)| over the standard basis of the shift summand:
+        # K* columns are conjugated kernel rows, the projections are basis rows.
+        col_norms_k = np.linalg.norm(k, axis=1)
+        col_norms_p = np.linalg.norm(h1, axis=1)
+        norm_identity = float(np.max(np.abs(col_norms_k - col_norms_p))) if self.p else 0.0
+        return GammaResult(
+            gamma=gamma,
+            embedding_residual=float(embedding_residual),
+            unitary_residual=float(unitary_residual),
+            intertwining=inter,
+            norm_identity_residual=norm_identity,
+            projection_residual=float(opnorm(h1 @ gamma - k)),
+        )
+
 
 def build_model(theta: CharFn, *, classification: Classification | None = None) -> ModelData:
     """Assemble the model space of a characteristic function from one p x p ``eigh``.
@@ -175,9 +289,11 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
     and Gamma read -- are functions of Theta (pivot rows whose squared
     residuals lie within a relative 1e-8 count as tied).
 
-    Refuses tuples certified not completely noncoisometric: the model space
-    then misses part of the original space and nothing downstream would be
-    meaningful.  (UNDETERMINED is allowed through; residuals will tell.)
+    ``classification`` is kept on the model, where it picks the operator
+    branch.  Refuses tuples it certifies not completely noncoisometric: the
+    model space then misses part of the original space and nothing
+    downstream would be meaningful.  (UNDETERMINED is allowed through;
+    residuals will tell.)
     """
     if classification is not None and classification.cnc is TriState.NO:
         raise ValueError(
@@ -203,6 +319,7 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
         H_pure_basis=h_pure,
         defect_star_eigvals=lam,
         defect_star_eigvecs=u,
+        classification=classification,
     )
 
 
@@ -234,75 +351,6 @@ class ModelOperators:
         return self.pure if self.used == "pure" else self.general
 
 
-def model_operators(
-    model: ModelData, *, classification: Classification | None = None
-) -> ModelOperators:
-    """Realize the ambient shifts on the model space, on both branches.
-
-    The general branch solves the defining relation of the adjoint model
-    operators -- (project to the first summand) o Tt_i* = (raising adjoint)
-    o (project to the first summand) on the model space -- in the least
-    squares sense, recording the per-generator residual.  That residual
-    measures how far the truncation tilted the model space and scales with
-    sqrt(tail_bound); the solution itself is accurate to the tail, as the
-    branch agreement shows.  The projection must be injective on the model
-    space; its smallest singular value is the margin, and falling under 1e-8
-    means the input is numerically not completely noncoisometric (or the
-    truncation degree too small), which is an error.
-
-    The pure branch is the direct compression of the shifts, used as the
-    canonical answer when purity is certified (its basis is independent of
-    the defect block); otherwise the general solution is.  When both exist
-    with matching dimensions their disagreement after a polar alignment of
-    the bases is recorded per generator -- a real measure of how much the
-    truncation tilted the model space, vanishing at rounding level when the
-    tail does.
-    """
-    theta = model.theta
-    d_T = theta.d_T
-    p = model.p
-    shifts = constrained_creation_tuple(theta.sub, "left")
-    h1 = model.H_basis[:p, :]
-    if h1.shape[1]:
-        sigma_min = float(np.linalg.svd(h1, compute_uv=False)[-1])
-    else:
-        sigma_min = 0.0
-    if h1.shape[1] and sigma_min <= 1e-8:
-        raise ValueError(
-            "the model space projects degenerately onto its shift summand "
-            f"(smallest singular value {sigma_min:.3e}); the tuple is numerically "
-            "not completely noncoisometric or the truncation degree is too small"
-        )
-    general = []
-    defining = []
-    for s_i in shifts:
-        rhs = _shift_rows(model.H_basis, adj(s_i), d_T, p)
-        x, *_ = np.linalg.lstsq(h1, rhs, rcond=None)
-        general.append(adj(x))
-        defining.append(float(opnorm(h1 @ x - rhs)))
-    pure = None
-    agreement = None
-    if model.H_pure_basis is not None and model.H_pure_basis.shape[1] == model.h:
-        pure = [_compress_to(model.H_pure_basis, s_i, d_T, p) for s_i in shifts]
-        omega = unitary_polar_factor(adj(h1) @ model.H_pure_basis[:p, :])  # pure: 0 below p
-        agreement = [
-            float(opnorm(omega @ tp @ adj(omega) - tg)) for tp, tg in zip(pure, general)
-        ]
-    used = "general"
-    if pure is not None and classification is not None and classification.pure is TriState.YES:
-        used = "pure"
-    basis = model.H_pure_basis if used == "pure" else model.H_basis
-    return ModelOperators(
-        general=general,
-        pure=pure,
-        branch_agreement=agreement,
-        defining_residual=defining,
-        injectivity_margin=sigma_min,
-        used=used,
-        basis=basis,
-    )
-
-
 @dataclasses.dataclass
 class GammaResult:
     gamma: np.ndarray
@@ -311,57 +359,6 @@ class GammaResult:
     intertwining: dict[int, float]
     norm_identity_residual: float
     projection_residual: float
-    used_branch: str
-
-
-def model_unitary(model: ModelData, ops: ModelOperators) -> GammaResult:
-    """Matrix of the canonical identification h -> (K h, 0) in the model basis.
-
-    Returns Gamma together with how far (K h, 0) sticks out of the model
-    space, how far Gamma is from unitary, and the intertwining residuals
-    against the chosen model operators.  Two defining identities of the
-    identification are verified on the side: column-wise |K* g| equals the
-    norm of the model-space projection of (g, 0) (norm_identity_residual),
-    and projecting Gamma's range back onto the shift summand recovers the
-    kernel matrix (projection_residual).  All of these are zero at rounding
-    level when the truncation tail is.  K is the kernel the model's function
-    was built from.
-    """
-    kernel = model.theta.kernel
-    k = kernel.matrix
-    # Gamma must live in the same coordinates as the chosen operator branch;
-    # (K h, 0) has no component below the p rows of the shift summand.
-    basis = ops.basis
-    h1 = basis[: model.p, :]
-    gamma = adj(h1) @ k
-    embedding_residual = opnorm(np.vstack([h1 @ gamma - k, basis[model.p :, :] @ gamma]))
-    eye_h = np.eye(model.h, dtype=complex)
-    eye_m = np.eye(gamma.shape[1], dtype=complex)
-    unitary_residual = max(
-        hermitian_norm(adj(gamma) @ gamma - eye_m),
-        hermitian_norm(gamma @ adj(gamma) - eye_h) if model.h == gamma.shape[1] else np.inf,
-    )
-    mats = kernel.mats
-    inter: dict[int, float] = {}
-    for i, (tt, t) in enumerate(zip(ops.Tt, mats), start=1):
-        co = opnorm(adj(tt) @ gamma - gamma @ adj(t))
-        direct = opnorm(tt @ gamma - gamma @ t)
-        inter[i] = float(max(co, direct))
-    # |K* g_j| vs |P_model (g_j, 0)| over the standard basis of the shift summand:
-    # K* columns are conjugated kernel rows, the projections are basis rows.
-    col_norms_k = np.linalg.norm(k, axis=1)
-    col_norms_p = np.linalg.norm(h1, axis=1)
-    norm_identity = float(np.max(np.abs(col_norms_k - col_norms_p))) if model.p else 0.0
-    projection_residual = float(opnorm(h1 @ gamma - k))
-    return GammaResult(
-        gamma=gamma,
-        embedding_residual=float(embedding_residual),
-        unitary_residual=float(unitary_residual),
-        intertwining=inter,
-        norm_identity_residual=norm_identity,
-        projection_residual=projection_residual,
-        used_branch=ops.used,
-    )
 
 
 @dataclasses.dataclass
@@ -373,6 +370,7 @@ class CoincidenceWitness:
     tau_star: np.ndarray
     residual: float
     conjugation_residual: float
+    tau_unitary_residual: float
     theta: CharFn
     theta_p: CharFn
 
@@ -392,7 +390,8 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
         | (I (x) tau) Theta - Theta' (I (x) tau_star) |,
 
     which vanishes at truncation up to rounding whenever the input contract
-    holds.
+    holds, and how far tau and tau_star are from isometries
+    (``tau_unitary_residual``).
     """
     a, b = theta.sub, theta_p.sub
     same_space = (a.space.n, a.space.d) == (b.space.n, b.space.d)
@@ -420,12 +419,17 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
     lhs = _kron_left(tau, theta.matrix, theta.d_T)
     rhs = _kron_right(theta_p.matrix, tau_star, theta_p.d_star)
     residual = opnorm(lhs - rhs)
+    tau_dev = max(
+        hermitian_norm(tau.conj().T @ tau - np.eye(tau.shape[1])),
+        hermitian_norm(tau_star.conj().T @ tau_star - np.eye(tau_star.shape[1])),
+    )
     return CoincidenceWitness(
         u=u,
         tau=tau,
         tau_star=tau_star,
         residual=float(residual),
         conjugation_residual=float(conj_residual),
+        tau_unitary_residual=tau_dev,
         theta=theta,
         theta_p=theta_p,
     )
@@ -466,14 +470,14 @@ class EquivalenceReport:
 
 
 def verify_coincidence_implies_equivalence(
-    witness: CoincidenceWitness,
-    *,
-    classification: Classification | None = None,
-    classification_p: Classification | None = None,
+    witness: CoincidenceWitness, model: ModelData, model_p: ModelData
 ) -> EquivalenceReport:
     """Transport the model along a coincidence witness and recover the unitary.
 
-    The witness unitaries are promoted to a map of model ambient spaces,
+    ``model`` and ``model_p`` are the models of the witness's two functions
+    (:func:`build_model`); their classifications pick the operator branches.
+    A model of any other function is refused with ValueError.  The witness
+    unitaries are promoted to a map of model ambient spaces,
 
         Psi = (I (x) tau)  (+)  (I (x) tau_star)   on C^p (+) C^q,
 
@@ -494,13 +498,11 @@ def verify_coincidence_implies_equivalence(
     tuple is irreducible; it is reported, not asserted).
     """
     theta, theta_p = witness.theta, witness.theta_p
+    if model.theta is not theta or model_p.theta is not theta_p:
+        raise ValueError("the models are not built from the witness's characteristic functions")
     mats, mats_p = theta.kernel.mats, theta_p.kernel.mats
-    model = build_model(theta, classification=classification)
-    model_p = build_model(theta_p, classification=classification_p)
-    ops = model_operators(model, classification=classification)
-    ops_p = model_operators(model_p, classification=classification_p)
-    gamma = model_unitary(model, ops)
-    gamma_p = model_unitary(model_p, ops_p)
+    ops, ops_p = model.operators, model_p.operators
+    gamma, gamma_p = model.gamma, model_p.gamma
 
     p = model.p
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from fockmodel import (
+    NCPoly,
     PolyIdealSpec,
     TruncatedFockSpace,
     constrained_characteristic_function,
@@ -22,7 +23,11 @@ from fockmodel import (
     ideal_subspace,
 )
 from fockmodel.fock import left_creation_tuple, word_operator
-from fockmodel.sampling import commuting_nilpotent_tuple, random_row_contraction
+from fockmodel.sampling import (
+    commuting_nilpotent_tuple,
+    nilpotent_pair_tuple,
+    random_row_contraction,
+)
 
 Q_TEST = np.exp(1j * np.pi / 3)
 
@@ -143,3 +148,55 @@ def spectral_theta(case, subspace_factory):
         mats, sub = [np.array([[1.0]])], subspace_factory("zero", n=1, d=4)
     return theta_of(mats, sub)
 
+
+
+# Relation families and sizes on which the production routes are compared
+# with the oracles kept in the tests (the two-path relation subspace, the
+# comprehension-built Theta).
+ORACLE_FAMILIES = [
+    "zero",
+    "commutative",
+    "q-uniform",
+    "q-per-pair",
+    "custom-homogeneous",
+    "custom-constant-term",
+    "longer-than-d",
+]
+ORACLE_SIZES = [(1, 3), (2, 0), (2, 5), (3, 3)]
+
+
+def oracle_family(name: str, n: int, d: int) -> PolyIdealSpec:
+    """The relation family ``name`` on n generators; "longer-than-d" adds one of degree d + 2."""
+    if name == "zero":
+        return PolyIdealSpec(n=n)
+    if name == "commutative":
+        return PolyIdealSpec(n=n, kind="commutative")
+    if name == "q-uniform":
+        return PolyIdealSpec(n=n, kind="q_commutative", q=Q_TEST)
+    if name == "q-per-pair":
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        q = {(i, j): np.exp(1j * (i + 2 * j)) for i, j in pairs}
+        return PolyIdealSpec(n=n, kind="q_commutative", q=q)
+    if name == "custom-homogeneous":
+        polys = [NCPoly({(1, n): 1.0, (n, 1): -0.3 + 0.2j})]
+    elif name == "custom-constant-term":
+        polys = [NCPoly({(): 0.5, (1,): 1.0, (n, 1): 2j})]
+    else:
+        polys = [NCPoly({(n,) + (1,) * (d + 1): 1.0}), NCPoly({(1, n): 1.0, (n, 1): -0.5})]
+    return PolyIdealSpec(n=n, kind="custom", polys=polys)
+
+
+def oracle_tuple(name: str, n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """A row contraction satisfying the relations of ``oracle_family(name, n, d)``."""
+    if name == "zero":
+        return random_row_contraction(rng, n, 3, 0.6)
+    if name == "commutative":
+        return commuting_nilpotent_tuple(rng, n, 0.6)
+    if name == "custom-constant-term":
+        # 0.5 + x1 + 2i x_n x1 = 0: a root t of 2i t^2 + t + 0.5 for n = 1,
+        # else x1 = -0.5 with every other generator 0
+        if n == 1:
+            t = min(np.roots([2j, 1.0, 0.5]), key=abs)
+            return [t * np.eye(2, dtype=complex)]
+        return [-0.5 * np.eye(2, dtype=complex)] + [np.zeros((2, 2), dtype=complex)] * (n - 1)
+    return nilpotent_pair_tuple(rng, n, 0.6)  # every product of two letters vanishes

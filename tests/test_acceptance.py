@@ -44,8 +44,6 @@ from fockmodel import (
     fourier_sum,
     ideal_subspace,
     left_creation_tuple,
-    model_operators,
-    model_unitary,
     right_creation_tuple,
     verify_coincidence_implies_equivalence,
     verify_intertwining,
@@ -149,9 +147,7 @@ def model_stage(i):
         family, mats, sub, theta, kernel = pipeline(i)
         cls = classification(i)
         model = build_model(theta, classification=cls)
-        ops = model_operators(model, classification=cls)
-        gamma = model_unitary(model, ops)
-        cache[i] = (cls, model, ops, gamma)
+        cache[i] = (cls, model, model.operators, model.gamma)
     return cache[i]
 
 
@@ -285,7 +281,8 @@ def test_criterion_5_complete_unitary_invariant():
         u = haar_unitary(m, np.random.default_rng(0x5EED + i))
         mats_p = conjugated_tuple(mats, u)
         witness = coincidence_from_unitary(theta, theta_of(mats_p, sub), u)
-        eq = verify_coincidence_implies_equivalence(witness, classification=classification(i))
+        model = model_stage(i)[1]  # the model of ``theta``, built with its classification
+        eq = verify_coincidence_implies_equivalence(witness, model, build_model(witness.theta_p))
         worst_wit = max(worst_wit, witness.residual)
         worst_rec = max(worst_rec, eq.recovered_intertwining)
         if not eq.equivalent:

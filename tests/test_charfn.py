@@ -16,7 +16,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import Q_TEST, SPECTRAL_CASES, adj, make_spec, opnorm, spectral_theta, theta_of
+from conftest import (
+    ORACLE_FAMILIES,
+    ORACLE_SIZES,
+    Q_TEST,
+    SPECTRAL_CASES,
+    adj,
+    make_spec,
+    opnorm,
+    oracle_family,
+    oracle_tuple,
+    spectral_theta,
+    theta_of,
+)
 from fockmodel import (
     TruncatedFockSpace,
     classify,
@@ -464,3 +476,68 @@ def test_necessary_mismatch_equals_the_per_word_loop(subspace_factory):
         for b1, b2 in zip(t1.fourier_blocks, t2.fourier_blocks)
     )
     assert coincidence_necessary_mismatch(t1, t2) == want
+
+
+# ---------------------------------------------------------------------------
+# Theta placed by degree slices, against the comprehension-built oracle
+
+
+def _comprehension_block_matrix(kernel):
+    """sum_alpha R_alpha (x) theta_(alpha), every word looked up in ``space.index``.
+
+    Kept as the oracle of :func:`charfn._block_matrix`: each block is placed
+    at row word gamma alpha, column word gamma, by one index triple per
+    (gamma, alpha) pair.
+    """
+    mats, space, defect = kernel.mats, kernel.space, kernel.defect
+    n, m = len(mats), mats[0].shape[0]
+    d_T, d_star = defect.d_T, defect.d_star
+    words = space.words
+    row_blocks = (defect.delta_star @ defect.basis_star).reshape(n, m, d_star)
+    blocks = np.empty((space.dim, d_T, d_star), dtype=complex)
+    blocks[0] = -adj(defect.basis) @ np.hstack(mats) @ defect.basis_star
+    if space.d:
+        first = np.array([w[0] - 1 for w in words[1:]])
+        rest = np.array([space.index(w[1:]) for w in words[1:]])
+        blocks[1:] = kernel.blocks[rest] @ row_blocks[first]
+    rows, cols, alphas = np.array(
+        [
+            (space.index(gamma + alpha), col, ia)
+            for col, gamma in enumerate(words)
+            for ia, alpha in enumerate(words[: space.dim_up_to(space.d - len(gamma))])
+        ]
+    ).T
+    theta = np.zeros((space.dim, d_T, space.dim, d_star), dtype=complex)
+    theta[rows, :, cols, :] = blocks[alphas]
+    return theta.reshape(space.dim * d_T, space.dim * d_star)
+
+
+def _assert_theta_matches_the_oracle(mats, sub):
+    kernel = constrained_poisson_kernel(mats, sub)
+    want = _comprehension_block_matrix(kernel)
+    assert np.array_equal(charfn._block_matrix(kernel), want)
+    compressed = constrained_characteristic_function(kernel).matrix
+    if not sub.is_whole_space:
+        want = charfn._compress_blocks(want, sub.N_basis, sub.N_basis, kernel.defect)
+    assert np.array_equal(compressed, want)
+    return kernel
+
+
+@pytest.mark.parametrize("n, d", ORACLE_SIZES)
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_theta_by_degree_slices_matches_the_comprehension_oracle(family, n, d, space_factory):
+    sub = ideal_subspace(oracle_family(family, n, d), space_factory(n, d))
+    _assert_theta_matches_the_oracle(oracle_tuple(family, n, np.random.default_rng([n, d])), sub)
+
+
+@pytest.mark.parametrize("d", [0, 1, 4])
+def test_theta_by_degree_slices_on_degenerate_defects(d, subspace_factory):
+    free = subspace_factory("zero", d=d)
+    e12 = np.zeros((2, 2), dtype=complex)
+    e12[0, 1] = 1.0
+    # T_1 T_1* = E_11 has the eigenvalue 1: the defect has rank d_T = 1 < m = 2
+    kernel = _assert_theta_matches_the_oracle([e12, np.zeros((2, 2))], free)
+    assert (kernel.d_T, kernel.defect.d_star) == (1, 3)
+    # a co-isometric tuple, T_1 T_1* + T_2 T_2* = I: no defect at all, d_T = 0
+    kernel = _assert_theta_matches_the_oracle([np.eye(2) / np.sqrt(2)] * 2, free)
+    assert kernel.d_T == 0

@@ -5,12 +5,22 @@ closed-form count of commutative monomials (binomials) and the brute-force
 operator-span oracle in conftest.  The production code must match both.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import Q_TEST, adj, brute_force_constraint_dims, make_spec, opnorm
+from conftest import (
+    ORACLE_FAMILIES,
+    ORACLE_SIZES,
+    Q_TEST,
+    adj,
+    brute_force_constraint_dims,
+    make_spec,
+    opnorm,
+    oracle_family,
+)
 from fockmodel import (
     NCPoly,
     PolyIdealSpec,
@@ -20,7 +30,8 @@ from fockmodel import (
     ideal_subspace,
 )
 from fockmodel.fock import left_creation_tuple, word_operator
-from fockmodel.ideals import _crosscheck_spanning
+from fockmodel.ideals import _RANK_TOL, ConstrainedSubspace, _crosscheck_spanning
+from fockmodel.linalg import canonical_phase
 
 # dim N for the commutative family, n=2 d=0..6 and n=3 d=0..4
 COMM_DIMS_N2 = [1, 3, 6, 10, 15, 21, 28]
@@ -322,3 +333,86 @@ def test_the_spanning_guard_checks_every_vector(space_factory, monkeypatch):
     with pytest.raises(RuntimeError, match="indexing bug"):
         ideal_subspace(make_spec("commutative"), space_factory(2, 7))
     assert counts == [321]
+
+
+# ---------------------------------------------------------------------------
+# the one block loop against the two paths it replaced
+
+
+def _two_path_ideal_subspace(spec, space):
+    """The relation subspace by a graded path (an SVD per degree) and a global one.
+
+    Graded families split each degree block by its own SVD; other families
+    take one SVD of every spanning vector and a column-by-column support
+    degree.  Kept as the oracle of :func:`ideals.ideal_subspace`.
+    """
+    n, d, dim = space.n, space.d, space.dim
+    vectors, top_degrees = [], []
+    for p in spec.generators():
+        t = p.degree
+        for ka in range(0, d - t + 1):
+            for alpha in itertools.product(range(1, n + 1), repeat=ka):
+                for kb in range(0, d - t - ka + 1):
+                    for beta in itertools.product(range(1, n + 1), repeat=kb):
+                        vec = np.zeros(dim, dtype=complex)
+                        for w, c in p.terms.items():
+                            vec[space.index(alpha + w + beta)] += c
+                        vectors.append(vec)
+                        top_degrees.append(ka + t + kb)
+    if not vectors:
+        return ConstrainedSubspace(space, spec, np.eye(dim, dtype=complex),
+                                   np.zeros((dim, 0), dtype=complex), spec.is_graded,
+                                   space.degrees.copy(), np.zeros(0, dtype=int))
+
+    if spec.is_graded:
+        n_cols, m_cols, n_degs, m_degs = [], [], [], []
+        for k in range(d + 1):
+            block = space.degree_slice(k)
+            vecs = [v[block] for v, t in zip(vectors, top_degrees) if t == k]
+            if not vecs:
+                u, rank = np.eye(block.stop - block.start, dtype=complex), 0
+            else:
+                u, s, _ = np.linalg.svd(np.column_stack(vecs), full_matrices=True)
+                rank = int(np.count_nonzero(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+            for j in range(u.shape[1]):
+                col = np.zeros(dim, dtype=complex)
+                col[block] = u[:, j]
+                (m_cols if j < rank else n_cols).append(col)
+                (m_degs if j < rank else n_degs).append(k)
+
+        def stack(cols):
+            return np.column_stack(cols) if cols else np.zeros((dim, 0), complex)
+
+        return ConstrainedSubspace(space, spec, canonical_phase(stack(n_cols)),
+                                   canonical_phase(stack(m_cols)), True,
+                                   np.array(n_degs, dtype=int), np.array(m_degs, dtype=int))
+
+    u, s, _ = np.linalg.svd(np.column_stack(vectors), full_matrices=True)
+    rank = int(np.count_nonzero(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+
+    def support_degree(col):
+        deg = 0
+        for k in range(d + 1):
+            if np.linalg.norm(col[space.degree_slice(k)]) > 1e-10:
+                deg = k
+        return deg
+
+    m, n_ = u[:, :rank], u[:, rank:]
+    n_degs = np.array([support_degree(n_[:, j]) for j in range(n_.shape[1])], dtype=int)
+    order = np.argsort(n_degs, kind="stable")
+    m_degs = np.array([support_degree(m[:, j]) for j in range(m.shape[1])], dtype=int)
+    return ConstrainedSubspace(space, spec, canonical_phase(n_[:, order]), canonical_phase(m),
+                               False, n_degs[order], m_degs)
+
+
+@pytest.mark.parametrize("n, d", ORACLE_SIZES)
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_the_block_loop_reproduces_the_two_path_subspace_exactly(family, n, d, space_factory):
+    spec = oracle_family(family, n, d)
+    sub = ideal_subspace(spec, space_factory(n, d))
+    want = _two_path_ideal_subspace(spec, space_factory(n, d))
+    assert sub.graded is want.graded
+    for name in ("N_basis", "M_basis", "N_degrees", "M_degrees"):
+        got, expected = getattr(sub, name), getattr(want, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name

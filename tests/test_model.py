@@ -39,8 +39,6 @@ from fockmodel import (
     constrained_creation_tuple,
     constrained_poisson_kernel,
     ideal_subspace,
-    model_operators,
-    model_unitary,
     validate,
     verify_coincidence_implies_equivalence,
 )
@@ -61,8 +59,14 @@ def _pipeline(mats, sub):
     k = constrained_poisson_kernel(mats, sub)
     th = constrained_characteristic_function(k)
     model = build_model(th, classification=cls)
-    ops = model_operators(model, classification=cls)
-    return cls, th, k, model, ops
+    return cls, th, k, model, model.operators
+
+
+def _certify(wit, cls=None, cls_p=None):
+    """The certificate of a witness, from models built with the given classifications."""
+    model = build_model(wit.theta, classification=cls)
+    model_p = build_model(wit.theta_p, classification=cls_p)
+    return verify_coincidence_implies_equivalence(wit, model, model_p)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +82,7 @@ def test_unilateral_shift_model_is_one_dimensional(subspace_factory):
     assert abs(ops.Tt[0][0, 0]) < 1e-14
     assert ops.injectivity_margin == pytest.approx(1.0)
     assert max(ops.defining_residual) == 0.0
-    g = model_unitary(model, ops)
+    g = model.gamma
     assert g.unitary_residual == 0.0
     assert max(g.intertwining.values()) == 0.0
 
@@ -119,7 +123,7 @@ def test_shift_model_reproduces_the_shift(subspace_factory):
     assert opnorm(adj(w) @ w - np.eye(model.h)) < 1e-12
     for i in range(2):
         assert opnorm(ops.Tt[i] - adj(w) @ b[i] @ w) < 1e-12
-    g = model_unitary(model, ops)
+    g = model.gamma
     assert g.unitary_residual < 1e-12
     assert max(g.intertwining.values()) < 1e-12
 
@@ -158,7 +162,7 @@ def test_defining_residual_scales_with_the_subspace_tilt(scalar_half_model):
 
 def test_model_unitary_identifications(scalar_half_model):
     cls, th, k, model, ops, _ = scalar_half_model
-    g = model_unitary(model, ops)
+    g = model.gamma
     tail = model.tail_bound
     assert g.unitary_residual < 1e-8 + 10 * tail
     assert g.embedding_residual < 1e-8 + 10 * tail
@@ -183,6 +187,21 @@ def test_functions_on_different_subspaces_are_refused(subspace_factory):
     again = ideal_subspace(make_spec("commutative"), TruncatedFockSpace(2, 4))
     assert again is not comm
     assert coincidence_from_unitary(th, theta_of(mats, again), u).residual < 1e-12
+
+
+def test_the_model_stages_are_built_once_and_read_each_other(scalar_half_model):
+    cls, th, k, model, ops, _ = scalar_half_model
+    assert model.classification is cls
+    assert model.operators is ops and model.operators is model.operators
+    assert model.gamma is model.gamma
+    # Gamma is written in the basis of the operators' branch
+    assert ops.used == "pure"
+    assert np.array_equal(model.gamma.gamma, adj(ops.basis[: model.p]) @ k.matrix)
+    # without a classification the general branch is used, and Gamma follows it
+    general = build_model(th)
+    assert general.classification is None and general.operators.used == "general"
+    assert general.operators.basis is general.H_basis
+    assert np.array_equal(general.gamma.gamma, adj(general.H_basis[: general.p]) @ k.matrix)
 
 
 def test_build_model_rejects_norm_preserving_tuples(subspace_factory):
@@ -212,6 +231,22 @@ def test_witness_from_a_true_conjugation(conjugated_pair):
     assert wit.conjugation_residual < 1e-12
     assert opnorm(adj(wit.tau) @ wit.tau - np.eye(wit.tau.shape[1])) < 1e-12
     assert opnorm(adj(wit.tau_star) @ wit.tau_star - np.eye(wit.tau_star.shape[1])) < 1e-12
+    # the witness measures the same deviation itself
+    want = max(opnorm(adj(t) @ t - np.eye(t.shape[1])) for t in (wit.tau, wit.tau_star))
+    assert wit.tau_unitary_residual == pytest.approx(want, abs=1e-15)
+
+
+def test_the_certificate_refuses_models_of_other_functions(conjugated_pair):
+    sub, mats, mats_p, u = conjugated_pair
+    wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(mats_p, sub), u)
+    model, model_p = build_model(wit.theta), build_model(wit.theta_p)
+    # an equal function built a second time is still another function
+    again = build_model(theta_of(mats, sub))
+    assert np.array_equal(again.theta.matrix, wit.theta.matrix)
+    for pair in ((again, model_p), (model, build_model(theta_of(mats_p, sub))), (model_p, model)):
+        with pytest.raises(ValueError, match="witness's characteristic functions"):
+            verify_coincidence_implies_equivalence(wit, *pair)
+    assert verify_coincidence_implies_equivalence(wit, model, model_p).equivalent
 
 
 def test_witness_rejects_non_unitaries(conjugated_pair):
@@ -235,7 +270,7 @@ def test_witness_rejects_non_conjugating_unitaries(conjugated_pair):
 def test_full_equivalence_certificate(conjugated_pair):
     sub, mats, mats_p, u = conjugated_pair
     wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(mats_p, sub), u)
-    eq = verify_coincidence_implies_equivalence(wit)
+    eq = _certify(wit)
     assert eq.equivalent
     assert eq.coincidence_residual < 1e-12
     assert eq.max_principal_angle < 1e-8
@@ -255,7 +290,7 @@ def test_equivalence_without_any_relations(subspace_factory):
     u = haar_unitary(1, rng)
     mats_p = conjugated_tuple(mats, u)
     wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(mats_p, sub), u)
-    eq = verify_coincidence_implies_equivalence(wit)
+    eq = _certify(wit)
     assert eq.equivalent
     # scalars are irreducible, so the recovered unitary can only differ from
     # the witness by a global phase
@@ -292,9 +327,7 @@ def test_dense_conjugate_pairs_recover_the_unitary_exactly(family, d, subspace_f
     assert th.tail_bound > 1e-5
     wit = coincidence_from_unitary(th, theta_of(mats_p, sub), u)
     for cls, cls_p in ((None, None), (classify(mats), classify(mats_p))):
-        eq = verify_coincidence_implies_equivalence(
-            wit, classification=cls, classification_p=cls_p
-        )
+        eq = _certify(wit, cls, cls_p)
         assert eq.equivalent
         assert eq.recovered_unitarity < 1e-13
         assert eq.recovered_intertwining < 1e-13
@@ -309,7 +342,7 @@ def test_a_scalar_with_the_largest_tail_recovers_the_identity(subspace_factory):
     wit = coincidence_from_unitary(th, th, np.eye(1))
     cls = classify([np.array([[0.5]])])
     for c, gamma in ((None, 0.75), (cls, np.sqrt(0.75))):
-        eq = verify_coincidence_implies_equivalence(wit, classification=c, classification_p=c)
+        eq = _certify(wit, c, c)
         assert eq.gamma.gamma[0, 0] == pytest.approx(gamma, abs=1e-15)
         assert eq.equivalent
         assert abs(eq.recovered_unitary[0, 0] - 1.0) < 1e-15
@@ -318,7 +351,7 @@ def test_a_scalar_with_the_largest_tail_recovers_the_identity(subspace_factory):
 def test_gamma_residuals_serializable_types(conjugated_pair):
     sub, mats, _, _ = conjugated_pair
     cls, th, k, model, ops = _pipeline(mats, sub)
-    g = model_unitary(model, ops)
+    g = model.gamma
     assert isinstance(g.unitary_residual, float)
     assert isinstance(g.norm_identity_residual, float)
     assert isinstance(g.projection_residual, float)
@@ -426,8 +459,8 @@ def test_the_p_side_route_matches_the_full_svd_closed_form(case, subspace_factor
         pure_svd = np.vstack([pure_svd, np.zeros((e.shape[1], pure_svd.shape[1]))])
     if case == "tall":
         return  # a bare matrix has no shifts to compress
-    ops = model_operators(model)
-    old = model_operators(dataclasses.replace(model, H_basis=h_svd, H_pure_basis=pure_svd))
+    ops = model.operators
+    old = dataclasses.replace(model, H_basis=h_svd, H_pure_basis=pure_svd).operators
     for branch in ("general", "pure"):
         for a, b in zip(getattr(ops, branch) or [], getattr(old, branch) or []):
             assert np.max(np.abs(a - b), initial=0.0) < 1e-13
@@ -538,9 +571,7 @@ def test_model_operators_move_with_theta_at_rounding_level(case, subspace_factor
     parts = np.random.default_rng(5).normal(size=(2, *th.matrix.shape))
     noise = parts[0] + 1j * parts[1]
     bent = dataclasses.replace(th, matrix=th.matrix + 1e-14 * noise / opnorm(noise))
-    ops, moved = (
-        model_operators(build_model(f, classification=cls), classification=cls) for f in (th, bent)
-    )
+    ops, moved = (build_model(f, classification=cls).operators for f in (th, bent))
     assert ops.pure is not None and ops.used == "pure"
     for branch in ("general", "pure"):
         for a, b in zip(getattr(ops, branch), getattr(moved, branch)):
@@ -596,8 +627,8 @@ def test_the_equivalence_certificate_takes_no_q_side_work(zero_family_pair, monk
     p, q = wit.theta.matrix.shape
     seen = record_decompositions(monkeypatch)
     tracemalloc.start()
-    try:
-        eq = verify_coincidence_implies_equivalence(wit)
+    try:  # both models and the certificate, which builds none of its own
+        eq = _certify(wit)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
