@@ -14,6 +14,9 @@ series is ever cut off mid-air.
 Layout: with d_T / d_star the defect ranks, the matrix maps
 (words) (x) C^{d_star} -> (words) (x) C^{d_T}, word-major on both sides, so
 entry blocks are read off by reshaping to (words, d_T, words, d_star).
+Products by an operator on the words or on a defect space are taken by the
+helpers of :mod:`linalg` (:func:`linalg.kron_left` and its siblings), the
+one place that layout is applied.
 
 Fourier data: the block of word alpha = (a_1, ..., a_p) in the vacuum column
 is
@@ -69,7 +72,7 @@ from .contractions import (
 )
 from .fock import TruncatedFockSpace, left_target_slice, reversed_word_products
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
-from .linalg import adj, hermitian_norm, opnorm, row_gram
+from .linalg import adj, hermitian_norm, kron_left, kron_right, opnorm, row_gram
 from .poisson import KernelMatrix
 
 _SERIES_AGREEMENT_TOL = 1e-10
@@ -118,17 +121,14 @@ class CharFn:
         """The vacuum-column Fourier block of every word, shape (dim, d_T, d_star).
 
         Row j is the d_T x d_star block of the j-th word of ``space``.  The
-        vacuum column is contracted once and the result mapped back to words
-        through the N basis; when N is the whole space the vacuum column is
-        read off directly.
+        vacuum column, Theta (N* e_0 (x) I), is formed once and mapped back to
+        words by N (x) I; when N is the whole space it is read off directly.
         """
-        nb = self.sub.N_basis
-        b = self.sub.dim_N
-        blocks = self.matrix.reshape(b, self.d_T, b, self.d_star)
+        nb, dim = self.sub.N_basis, self.space.dim
         if self.sub.is_whole_space:
-            return blocks[:, :, 0, :].copy()
-        vacuum = np.tensordot(blocks, nb[0, :].conj(), axes=(2, 0))
-        return np.tensordot(nb, vacuum, axes=(1, 0))
+            return self.matrix.reshape(dim, self.d_T, dim, self.d_star)[:, :, 0, :].copy()
+        vacuum = kron_right(self.matrix, adj(nb[:1]), self.d_star)
+        return kron_left(nb, vacuum, self.d_T).reshape(dim, self.d_T, self.d_star)
 
 
 def fourier_block(cf: CharFn, word) -> np.ndarray:
@@ -212,25 +212,24 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
 
     The function on the whole truncated space is built from its Fourier
     blocks, which are the kernel's uncompressed blocks times row blocks of
-    Delta_* basis_* (:func:`_block_matrix`), and both sides are compressed
-    by the N basis.  When N is the whole space (the zero family, which gives
-    the free function) N is exactly the identity and no compression is
-    formed.  Whenever the family has relations (dim M > 0) the part that
-    maps M into N is recorded as ``coinvariance_leak``; for a graded family
-    it must stay below max(1e-8, 100 * relation residual), and the closed
-    form of :func:`evaluate` at the compressed right shifts on N must agree
-    with the compression to 1e-10 (recorded as ``series_agreement``).  The
-    kernel builder has already refused tuples violating the relations.
+    Delta_* basis_* (:func:`_block_matrix`).  When N is the whole space (the
+    zero family, which gives the free function) N is exactly the identity
+    and no compression is formed.  Otherwise (dim M > 0) the rows
+    (N* (x) I) Theta are formed once, the whole-space function is released,
+    and the rows give the compression (their product by N (x) I) and the
+    part that maps M into N (by M (x) I), recorded as
+    ``coinvariance_leak``.  For a graded family the closed form of
+    :func:`evaluate` at the compressed right shifts on N must agree with the
+    compression to 1e-10 (recorded as ``series_agreement``), and then the
+    leak must stay below max(1e-8, 100 * relation residual).  The kernel
+    builder has already refused tuples violating the relations.
     """
     mats, sub, defect = kernel.mats, kernel.sub, kernel.defect
-    full_matrix = _block_matrix(kernel)
-    if sub.is_whole_space:
-        matrix = full_matrix
-    else:
-        matrix = _compress_blocks(full_matrix, sub.N_basis, sub.N_basis, defect)
-
+    matrix = _block_matrix(kernel)
     series_agreement = leak = None
-    if sub.dim_M:
+    if not sub.is_whole_space:
+        rows = kron_left(adj(sub.N_basis), matrix, defect.d_T)
+        matrix = kron_right(rows, sub.N_basis, defect.d_star)  # drops the whole-space Theta
         if sub.graded:
             raising = constrained_creation_tuple(sub, "right")
             series_agreement = opnorm(matrix - _resolvent(mats, raising, defect))
@@ -240,7 +239,7 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
                     "the constrained-subspace machinery is inconsistent"
                 )
         # Invariance of the relation span: rows in N, columns in M vanish.
-        leak = opnorm(_compress_blocks(full_matrix, sub.N_basis, sub.M_basis, defect))
+        leak = opnorm(kron_right(rows, sub.M_basis, defect.d_star))
         if leak > max(1e-8, 100.0 * max(kernel.relation_residual, 1e-16)) and sub.graded:
             raise RuntimeError(
                 f"characteristic function leaks {leak:.3e} from the relation span "
@@ -281,17 +280,6 @@ def _block_matrix(kernel: KernelMatrix) -> np.ndarray:
             rows = theta[space.degree_slice(j + k), :, cols].reshape(n**j, n**k, d_T, n**j, d_star)
             rows[gammas, :, :, gammas] = blocks[space.degree_slice(k)]
     return theta.reshape(space.dim * d_T, space.dim * d_star)
-
-
-def _compress_blocks(
-    theta: np.ndarray, left: np.ndarray, right: np.ndarray, defect: DefectData
-) -> np.ndarray:
-    """(left* (x) I_dT) theta (right (x) I_dstar) via reshapes."""
-    dim, d_T, d_star = left.shape[0], defect.d_T, defect.d_star
-    n_left, n_right = left.shape[1], right.shape[1]
-    rows = adj(left) @ theta.reshape(dim, d_T * dim * d_star)          # (L, d_T * dim * d_star)
-    out = right.T @ rows.reshape(n_left * d_T, dim, d_star)            # (L * d_T, R, d_star)
-    return out.reshape(n_left * d_T, n_right * d_star)
 
 
 def factorization_defect(theta: CharFn) -> float:

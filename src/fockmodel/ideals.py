@@ -287,7 +287,7 @@ def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> Constraine
     rows, cols, coefs = zip(*entries)
     span = np.zeros((dim, len(meta)), dtype=complex)
     np.add.at(span, (rows, cols), coefs)
-    _crosscheck_spanning(space, list(span.T), meta)
+    _crosscheck_spanning(space, span, meta)
 
     # A graded family's vectors live in the degree block of their top degree;
     # otherwise the whole space is one block.  Each block's left singular
@@ -333,18 +333,18 @@ def constrained_creation_tuple(sub: ConstrainedSubspace, side: str = "left") -> 
 
 def _crosscheck_spanning(
     space: TruncatedFockSpace,
-    vectors: list[np.ndarray],
+    span: np.ndarray,
     meta: list[tuple[Word, NCPoly, Word]],
 ) -> None:
-    """Re-derive every spanning vector by walking the creation index maps.
+    """Re-derive every spanning vector, a column of ``span``, by walking the index maps.
 
     The main construction writes coefficients into the slots that
     ``space.index`` gives the concatenated words; this guard instead walks
     S_alpha p(S) e_beta from the vacuum through the left creation targets of
     :func:`fock.creation_targets` -- the letters of beta, then those of each
-    term of p, then those of alpha, each word right to left -- and insists
-    the two routes agree to 1e-12.  Disagreement means an indexing bug, so it
-    raises rather than warns.
+    term of p, then those of alpha, each word right to left -- into one
+    matrix, and insists the two routes agree to 1e-12.  Disagreement means an
+    indexing bug, so it raises rather than warns.
     """
     targets = {i: creation_targets(space, i, "left") for i in range(1, space.n + 1)}
 
@@ -353,13 +353,14 @@ def _crosscheck_spanning(
             position = int(targets[a][position])
         return position
 
-    worst = 0.0
-    for vec, (alpha, p, beta) in zip(vectors, meta):
-        derived = np.zeros(space.dim, dtype=complex)
-        at_beta = walk(0, beta)  # the vacuum is basis vector 0
-        for w, c in p.terms.items():
-            derived[walk(walk(at_beta, w), alpha)] += c
-        worst = max(worst, float(np.max(np.abs(derived - vec))))
+    rows, cols, coefs = zip(*(
+        (walk(walk(walk(0, beta), w), alpha), col, c)  # the vacuum is basis vector 0
+        for col, (alpha, p, beta) in enumerate(meta)
+        for w, c in p.terms.items()
+    ))
+    derived = np.zeros(span.shape, dtype=complex)
+    np.add.at(derived, (rows, cols), coefs)
+    worst = float(np.max(np.abs(derived - span)))
     if worst > _CROSSCHECK_TOL:
         raise RuntimeError(
             f"spanning-vector routes disagree by {worst:.3e} (> {_CROSSCHECK_TOL:.0e}); "

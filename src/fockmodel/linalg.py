@@ -6,6 +6,10 @@ with explicit tolerances passed by the caller; functions that pick an
 orthonormal basis fix the phase of each column (largest-magnitude entry made
 real and positive, or a positive pivot in :func:`projector_basis`) so
 repeated runs serialize identically.
+
+The package's operators act on (words) (x) (defect space), word-major; the
+four ``kron_*`` helpers take their block products by one matmul on a reshape,
+never forming a Kronecker matrix, and give empty operands empty results.
 """
 
 from __future__ import annotations
@@ -22,6 +26,26 @@ class NumericalRankWarning(UserWarning):
 def adj(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
+
+
+def kron_left(a: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
+    """(A (x) I_d) X: the rows of X come in blocks of d, one block per column of A."""
+    return (a @ x.reshape(a.shape[1], d * x.shape[1])).reshape(a.shape[0] * d, x.shape[1])
+
+
+def kron_right(x: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
+    """X (A (x) I_d): the columns of X come in blocks of d, one block per row of A."""
+    return (a.T @ x.reshape(x.shape[0], a.shape[0], d)).reshape(x.shape[0], a.shape[1] * d)
+
+
+def kron_inner(b: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """(I_k (x) B) X: the rows of X come in k blocks, each mapped by B."""
+    return (b @ x.reshape(k, b.shape[1], x.shape[1])).reshape(k * b.shape[0], x.shape[1])
+
+
+def kron_inner_right(x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """X (I_k (x) B): the columns of X come in k blocks, each mapped by B."""
+    return (x.reshape(x.shape[0] * k, b.shape[0]) @ b).reshape(x.shape[0], k * b.shape[1])
 
 
 _GRAM_SAFE = (1e-140, 1e140)  # entry scales whose squares neither overflow nor underflow
@@ -180,21 +204,18 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
 
     Leaves (near-)zero columns untouched.  This removes the U(1) gauge freedom
     of eigenvector / singular-vector columns and makes serialized bases
-    deterministic across runs and BLAS builds.
+    deterministic across runs and BLAS builds.  A pivot's magnitude is
+    ``np.hypot`` of its parts, bit for bit the scalar ``abs`` (not ``np.abs``).
     """
     out = np.array(v, dtype=complex, copy=True)
-    if out.ndim == 1:
-        out = out[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 1e-300:
-            out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out[:, 0] if squeeze else out
+    cols = out if out.ndim == 2 else out[:, None]  # a view: a vector is one column
+    if cols.size == 0:
+        return out
+    pivot = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    size = np.hypot(pivot.real, pivot.imag)
+    big = size > 1e-300
+    np.multiply(cols, pivot.conjugate() / np.where(big, size, 1.0), out=cols, where=big)
+    return out
 
 
 PSD_RANK_TOL = 1e-10  # eigenvalues of a PSD matrix at or below this are zero

@@ -76,6 +76,9 @@ from .linalg import (
     adj,
     gram,
     hermitian_norm,
+    kron_inner,
+    kron_inner_right,
+    kron_left,
     opnorm,
     principal_angles,
     projector_basis,
@@ -197,14 +200,15 @@ class ModelData:
             )
         general, defining = [], []
         for s_i in shifts:
-            rhs = _shift_rows(self.H_basis, adj(s_i), d_T, p)
+            rhs = kron_left(adj(s_i), h1, d_T)
             x, *_ = np.linalg.lstsq(h1, rhs, rcond=None)
             general.append(adj(x))
             defining.append(float(opnorm(h1 @ x - rhs)))
         pure = agreement = None
         if self.H_pure_basis is not None and self.H_pure_basis.shape[1] == self.h:
-            pure = [_compress_to(self.H_pure_basis, s_i, d_T, p) for s_i in shifts]
-            omega = unitary_polar_factor(adj(h1) @ self.H_pure_basis[:p, :])  # pure: 0 below p
+            pure_h1 = self.H_pure_basis[:p, :]  # the pure basis is 0 below p
+            pure = [adj(pure_h1) @ kron_left(s_i, pure_h1, d_T) for s_i in shifts]
+            omega = unitary_polar_factor(adj(h1) @ pure_h1)
             agreement = [
                 float(opnorm(omega @ tp @ adj(omega) - tg)) for tp, tg in zip(pure, general)
             ]
@@ -323,19 +327,6 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
     )
 
 
-def _shift_rows(model_cols: np.ndarray, shift: np.ndarray, d_T: int, p: int) -> np.ndarray:
-    """(shift (x) I_dT) applied to the first p rows of a model basis."""
-    h1 = model_cols[:p, :]
-    blocks = shift.shape[0]
-    resh = h1.reshape(blocks, d_T, h1.shape[1])
-    return np.tensordot(shift, resh, axes=(1, 0)).reshape(p, h1.shape[1])
-
-
-def _compress_to(model_cols: np.ndarray, shift: np.ndarray, d_T: int, p: int) -> np.ndarray:
-    """H* (shift (x) I_dT (+) 0) H for a basis whose first p rows matter."""
-    return adj(model_cols[:p, :]) @ _shift_rows(model_cols, shift, d_T, p)
-
-
 @dataclasses.dataclass
 class ModelOperators:
     general: list[np.ndarray]
@@ -413,11 +404,11 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
             f"(residual {conj_residual:.3e})"
         )
     dft, dft_p = theta.defect, theta_p.defect
-    n = len(mats)
+    words = a.dim_N
     tau = adj(dft_p.basis) @ u @ dft.basis
-    tau_star = adj(dft_p.basis_star) @ np.kron(np.eye(n, dtype=complex), u) @ dft.basis_star
-    lhs = _kron_left(tau, theta.matrix, theta.d_T)
-    rhs = _kron_right(theta_p.matrix, tau_star, theta_p.d_star)
+    tau_star = adj(dft_p.basis_star) @ kron_inner(u, dft.basis_star, len(mats))
+    lhs = kron_inner(tau, theta.matrix, words)
+    rhs = kron_inner_right(theta_p.matrix, tau_star, words)
     residual = opnorm(lhs - rhs)
     tau_dev = max(
         hermitian_norm(tau.conj().T @ tau - np.eye(tau.shape[1])),
@@ -433,23 +424,6 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
         theta=theta,
         theta_p=theta_p,
     )
-
-
-def _kron_left(tau: np.ndarray, mat: np.ndarray, d_in: int) -> np.ndarray:
-    """(I_blocks (x) tau) @ mat, where mat rows come in blocks of size d_in."""
-    blocks = mat.shape[0] // d_in
-    resh = mat.reshape(blocks, d_in, mat.shape[1])
-    out = np.tensordot(tau, resh, axes=(1, 1))          # (d_out, blocks, cols)
-    out = np.moveaxis(out, 0, 1)
-    return np.ascontiguousarray(out).reshape(blocks * tau.shape[0], mat.shape[1])
-
-
-def _kron_right(mat: np.ndarray, tau: np.ndarray, d_out: int) -> np.ndarray:
-    """mat @ (I_blocks (x) tau), where mat columns come in blocks of size d_out."""
-    blocks = mat.shape[1] // d_out
-    resh = mat.reshape(mat.shape[0], blocks, d_out)
-    out = np.tensordot(resh, tau, axes=(2, 0))          # (rows, blocks, d_in)
-    return np.ascontiguousarray(out).reshape(mat.shape[0], blocks * tau.shape[1])
 
 
 @dataclasses.dataclass
@@ -504,12 +478,12 @@ def verify_coincidence_implies_equivalence(
     ops, ops_p = model.operators, model_p.operators
     gamma, gamma_p = model.gamma, model_p.gamma
 
-    p = model.p
+    p, words = model.p, theta.sub.dim_N
 
     def psi(x: np.ndarray) -> np.ndarray:
         """Psi x, by the block reshapes: Psi itself is never formed."""
-        top = _kron_left(witness.tau, x[:p], theta.d_T)
-        bottom = _kron_left(witness.tau_star, x[p:], theta.d_star)
+        top = kron_inner(witness.tau, x[:p], words)
+        bottom = kron_inner(witness.tau_star, x[p:], words)
         return np.vstack([top, bottom])
 
     moved = psi(ops.basis)

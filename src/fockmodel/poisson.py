@@ -48,8 +48,8 @@ from .contractions import (
     DefectData,
 )
 from .fock import TruncatedFockSpace, left_target_slice
-from .ideals import ConstrainedSubspace
-from .linalg import adj, gram, hermitian_norm, opnorm
+from .ideals import ConstrainedSubspace, constrained_creation
+from .linalg import adj, gram, hermitian_norm, kron_left, opnorm
 
 
 @dataclasses.dataclass
@@ -131,9 +131,8 @@ def constrained_poisson_kernel(
     if sub.is_whole_space:  # N = I: nothing to compress, nothing to leak
         compressed, leak_norm = blocks, 0.0
     else:
-        compressed = np.tensordot(adj(sub.N_basis), blocks, axes=(1, 0))
-        leak = np.tensordot(adj(sub.M_basis), blocks, axes=(1, 0))
-        leak_norm = opnorm(leak.reshape(sub.dim_M * defect.d_T, m))
+        compressed = kron_left(adj(sub.N_basis), blocks.reshape(-1, m), defect.d_T)
+        leak_norm = opnorm(kron_left(adj(sub.M_basis), blocks.reshape(-1, m), defect.d_T))
     if leak_norm > 1e-6:
         raise RuntimeError(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
@@ -156,17 +155,17 @@ def constrained_poisson_kernel(
 def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
     """Residuals of K T_i* = (B_i* (x) I) K on the rows where it holds.
 
-    B_i is the left creation operator compressed to N (the full shift on the
-    zero family).  The identity is exact on the N-columns of degree <= d-1
+    B_i = N* S_i N is the left creation operator compressed to N
+    (:func:`ideals.constrained_creation`; the full shift on the zero
+    family).  The identity is exact on the N-columns of degree <= d-1
     (top-degree rows see truncated data on one side only, so they are
-    excluded), and only those rows are formed.  S_i* reads the row of the
-    target word (i,) + w into the row of w, and the targets of one degree
-    are a contiguous range of the next (:func:`fock.left_target_slice`).
-    When N is the whole space, K T_i* is written into one residual buffer
-    that every generator reuses, and the target slices of K are subtracted
-    from it in place, degree by degree; otherwise B_i* (x) I is
-    N* gather(N K), the gather joined from those slices.  Returns one
-    residual per generator index.
+    excluded), and only those rows are formed.  When N is the whole space,
+    S_i* reads the row of the target word (i,) + w into the row of w, the
+    targets of one degree are a contiguous range of the next
+    (:func:`fock.left_target_slice`), and K T_i* is written into one buffer
+    that every generator reuses, from which the target slices of K are
+    subtracted in place; otherwise the checked rows of B_i* (x) I multiply K
+    once.  Returns one residual per generator index.
     """
     sub = kernel.sub
     space = sub.space
@@ -177,20 +176,16 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
         # checked: the identity holds vacuously for every generator
         return {i: 0.0 for i in range(1, space.n + 1)}
     m = kernel.matrix.shape[1]
-    resh = kernel.matrix.reshape(sub.dim_N, d_T, m)
-    whole = resh if sub.is_whole_space else np.tensordot(sub.N_basis, resh, axes=(1, 0))
+    whole = kernel.matrix.reshape(sub.dim_N, d_T, m)
     residual = np.empty((checked * d_T, m), dtype=complex)
     by_word = residual.reshape(checked, d_T, m)
     out: dict[int, float] = {}
     for i in range(1, space.n + 1):
         np.matmul(kernel.matrix[: checked * d_T], adj(kernel.mats[i - 1]), out=residual)
-        targets = [left_target_slice(space, i, k) for k in range(space.d)]
         if sub.is_whole_space:
-            for k, target in enumerate(targets):
-                by_word[space.degree_slice(k)] -= whole[target]
+            for k in range(space.d):
+                by_word[space.degree_slice(k)] -= whole[left_target_slice(space, i, k)]
         else:
-            rhs = np.concatenate([whole[target] for target in targets])
-            rhs = np.tensordot(adj(sub.N_basis[: rhs.shape[0], :checked]), rhs, axes=(1, 0))
-            residual -= rhs.reshape(residual.shape)
+            residual -= kron_left(adj(constrained_creation(sub, i))[:checked], kernel.matrix, d_T)
         out[i] = opnorm(residual)
     return out

@@ -18,8 +18,7 @@ from .linalg import adj
 
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_ginibre(rng, m))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 

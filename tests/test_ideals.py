@@ -309,11 +309,11 @@ def test_spanning_crosscheck_catches_a_corrupted_vector(space_factory):
             vec[space.index(alpha + w + beta)] += c
         meta.append((alpha, p, beta))
         vectors.append(vec)
-    _crosscheck_spanning(space, vectors, meta)
+    _crosscheck_spanning(space, np.column_stack(vectors), meta)
     vectors[1] = vectors[1].copy()
     vectors[1][space.index((1, 2, 1))] += 1e-10
     with pytest.raises(RuntimeError, match="indexing bug"):
-        _crosscheck_spanning(space, vectors, meta)
+        _crosscheck_spanning(space, np.column_stack(vectors), meta)
 
 
 def test_the_spanning_guard_checks_every_vector(space_factory, monkeypatch):
@@ -323,11 +323,11 @@ def test_the_spanning_guard_checks_every_vector(space_factory, monkeypatch):
 
     guard, counts = ideals._crosscheck_spanning, []
 
-    def corrupted(space, vectors, meta):
-        counts.append(len(vectors))
-        vectors[55] = vectors[55].copy()
-        vectors[55][np.flatnonzero(vectors[55])[0]] += 1e-10
-        guard(space, vectors, meta)
+    def corrupted(space, span, meta):
+        counts.append(span.shape[1])
+        span = span.copy()
+        span[np.flatnonzero(span[:, 55])[0], 55] += 1e-10
+        guard(space, span, meta)
 
     monkeypatch.setattr(ideals, "_crosscheck_spanning", corrupted)
     with pytest.raises(RuntimeError, match="indexing bug"):

@@ -344,7 +344,11 @@ def test_zero_family_builds_no_dense_shift_and_no_identity_product(
 
     monkeypatch.setattr("fockmodel.fock.left_creation", forbidden)
     monkeypatch.setattr("fockmodel.fock.right_creation", forbidden)
+    monkeypatch.setattr("fockmodel.poisson.constrained_creation", forbidden)
     monkeypatch.setattr(np, "tensordot", forbidden)
+    for module in ("fockmodel.charfn", "fockmodel.poisson"):
+        for helper in ("kron_left", "kron_right", "kron_inner", "kron_inner_right"):
+            monkeypatch.setattr(f"{module}.{helper}", forbidden, raising=False)
     mats = random_row_contraction(np.random.default_rng(8), 2, 3, 0.7)
     prob = write_problem(
         tmp_path / "p.json", n=2, m=3, degree=4, mats=mats, ideal={"kind": "zero"}
@@ -670,6 +674,24 @@ def test_a_coisometric_tuple_under_relations_has_an_empty_kernel(tmp_path, comma
     out = tmp_path / "r.json"
     assert run_cli([command, "--problem", prob, "--out", str(out)]) == 0
     assert checks_by_name(read(out))["K*K"]["residual"] == 0.0
+
+
+def test_cli_equiv_on_a_coisometric_pair_exits_2(tmp_path, capsys):
+    # [T_1 T_2] is three rows of a unitary, so sum T_i T_i* = I and d_T = 0:
+    # the tuple admits no model, which is a refusal (exit 2), not a verdict
+    rng = np.random.default_rng(6)
+    rows = haar_unitary(6, rng)[:3]
+    mats = [rows[:, :3], rows[:, 3:]]
+    u = haar_unitary(3, rng)
+    pa = write_problem(tmp_path / "a.json", n=2, m=3, degree=3, mats=mats, ideal={"kind": "zero"})
+    pb = write_problem(tmp_path / "b.json", n=2, m=3, degree=3, mats=conjugated_tuple(mats, u),
+                       ideal={"kind": "zero"})
+    uf = tmp_path / "u.json"
+    uf.write_text(json.dumps({"matrix": encode_value(u)}))
+    out = tmp_path / "r.json"
+    argv = ["equiv", "--problem", pa, "--problem-b", pb, "--unitary", str(uf), "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert "noncoisometric" in capsys.readouterr().err
 
 
 def test_cli_equiv_rejects_non_conjugating_unitary(equiv_files):

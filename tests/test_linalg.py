@@ -1,5 +1,6 @@
 """The operator norms against numpy's SVD norm, the basis fixed by a projector,
-and the principal angles against scipy's ``subspace_angles``.
+the principal angles against scipy's ``subspace_angles``, the Kronecker
+helpers against ``np.kron`` and the column phases against their loop.
 
 scipy is imported here and nowhere in the package: it is the independent
 oracle of ``principal_angles``.
@@ -13,8 +14,13 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from fockmodel.linalg import (
+    canonical_phase,
     gram,
     hermitian_norm,
+    kron_inner,
+    kron_inner_right,
+    kron_left,
+    kron_right,
     opnorm,
     principal_angles,
     projector_basis,
@@ -310,3 +316,62 @@ def test_principal_angles_pick_each_branch_by_its_own_cosine():
     a, b = _rotated_pair(t, seed=11)
     got = principal_angles(a, b)
     assert np.abs(got - t).max() <= 1e-15
+
+
+# (rows, cols) of the operator A or B, the identity size and the free side of X
+KRON_CASES = {
+    "d-1": (3, 3, 1, 4),
+    "rectangular": (2, 5, 3, 4),
+    "empty-identity": (3, 4, 0, 5),
+    "empty-operator": (0, 0, 3, 4),
+    "no-rows": (0, 4, 2, 3),
+    "no-cols": (4, 0, 2, 3),
+    "empty-x": (3, 2, 2, 0),
+}
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("rows, cols, d, free", KRON_CASES.values(), ids=KRON_CASES.keys())
+def test_kron_helpers_match_the_explicit_kronecker_products(rows, cols, d, free):
+    rng = np.random.default_rng([rows, cols, d, free])
+    a = _complex(rng, rows, cols)
+    eye = np.eye(d)
+    cases = [
+        (kron_left(a, x := _complex(rng, cols * d, free), d), np.kron(a, eye) @ x),
+        (kron_right(x := _complex(rng, free, rows * d), a, d), x @ np.kron(a, eye)),
+        (kron_inner(a, x := _complex(rng, d * cols, free), d), np.kron(eye, a) @ x),
+        (kron_inner_right(x := _complex(rng, free, d * rows), a, d), x @ np.kron(eye, a)),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def _canonical_phase_by_columns(v):
+    """The column-by-column rotation canonical_phase replaced."""
+    out = np.array(v, dtype=complex, copy=True)
+    squeeze = out.ndim == 1
+    if squeeze:
+        out = out[:, None]
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        pivot = col[int(np.argmax(np.abs(col)))]
+        if abs(pivot) > 1e-300:
+            out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return out[:, 0] if squeeze else out
+
+
+def test_canonical_phase_matches_the_column_loop():
+    rng = np.random.default_rng(12)
+    v = _complex(rng, 255, 255)
+    v[:, 3] = 0.0  # a zero column
+    v[:, 4] = 1e-301 * v[:, 4]  # a column below the cutoff
+    v[:, 5] = np.exp(2j * np.pi * rng.random(255))  # every entry ties
+    v[[7, 2], 6] = [3.0 + 4.0j, 5.0j]  # two pivots of equal magnitude
+    for x in (v, v[:, 0], v[:, 5], np.zeros(4), v[:, :0], v.real):
+        got = canonical_phase(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, _canonical_phase_by_columns(x))
