@@ -46,7 +46,9 @@ survives compression verbatim.  The constrained function is that
 compression, and :func:`constrained_characteristic_function` is the one
 builder.  It takes the constrained kernel and keeps it, so the function, its
 subspace N, its defect data and its tail all come from one kernel, and
-:func:`factorization_defect` needs nothing else.  On the zero family,
+:func:`factorization_defect` needs nothing else.  Where the factorization
+holds to rounding, the p x p spectrum of I - Theta Theta* is read off the
+m x m Gram K*K (:func:`defect_star_spectrum`).  On the zero family,
 ``ideal_subspace(PolyIdealSpec(n=n), space)``, N is the whole space and the
 result is the free function Theta_T.  For a
 graded family with relations the same matrix is also the closed form at the
@@ -72,7 +74,17 @@ from .contractions import (
 )
 from .fock import TruncatedFockSpace, left_target_slice, reversed_word_products
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
-from .linalg import adj, hermitian_norm, kron_left, kron_right, opnorm, row_gram
+from .linalg import (
+    PSD_RANK_TOL,
+    adj,
+    gap_frobenius,
+    gram,
+    hermitian_norm,
+    kron_left,
+    kron_right,
+    opnorm,
+    row_gram,
+)
 from .poisson import KernelMatrix
 
 _SERIES_AGREEMENT_TOL = 1e-10
@@ -309,13 +321,83 @@ def defect_star_lower(theta: CharFn) -> np.ndarray:
     return out
 
 
+# |G|_F up to which the spectrum of I - Theta Theta* is read off K*K.  By
+# Weyl's inequality every eigenvalue then lies within 1e-12 of the dense one,
+# so a rank decision at PSD_RANK_TOL = 1e-10 the two routes could disagree on
+# needs an eigenvalue in [1e-10 - 1e-12, 1e-10 + 1e-12], deep inside the
+# [1e-12, 1e-8] band where psd_spectrum warns on either route.  Rounding
+# leaves |G|_F below 1e-13 on the zero and graded families up to p = 1533.
+_GRAM_ROUTE_TOL = 1e-12
+
+
+@dataclasses.dataclass
+class DefectStarSpectrum:
+    """The spectrum of the p x p matrix I - Theta Theta*, from K*K where that is certified.
+
+    ``gap`` is |G|_F for G = I - Theta Theta* - K K*, K the Poisson kernel
+    the function was built from (p x m).  On the Gram route (``gap`` at most
+    1e-12) ``kernel_eigh`` holds K*K = V diag(L) V*, and the spectrum of
+    K K* is L padded with p - min(p, m) zeros; otherwise ``lower`` holds the
+    lower triangle of I - Theta Theta* for the dense route.
+    """
+
+    gap: float
+    kernel: np.ndarray
+    kernel_eigh: tuple[np.ndarray, np.ndarray] | None
+    lower: np.ndarray | None
+
+    def eigvals(self) -> np.ndarray:
+        """The p eigenvalues, ascending: one ``eigvalsh`` on the dense route."""
+        if self.lower is not None:
+            return np.linalg.eigvalsh(self.lower)
+        ell = self.kernel_eigh[0]
+        p = self.kernel.shape[0]
+        top = ell[ell.size - min(p, ell.size) :]  # K*K has m - p more zeros when p < m
+        return np.sort(np.concatenate([np.zeros(p - top.size), top]))
+
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The p eigenvalues, ascending, and the p x h eigenvectors of those above 1e-10.
+
+        On the Gram route they are u_k = K v_k / sqrt(l_k); on the dense
+        route they come from one ``eigh``.  Either way in ascending order.
+        """
+        if self.lower is not None:
+            lam, u = np.linalg.eigh(self.lower, UPLO="L")
+            return lam, u[:, lam > PSD_RANK_TOL]
+        ell, v = self.kernel_eigh
+        keep = ell > PSD_RANK_TOL
+        return self.eigvals(), (self.kernel @ v[:, keep]) / np.sqrt(ell[keep])
+
+
+def defect_star_spectrum(theta: CharFn) -> DefectStarSpectrum:
+    """The spectrum of I - Theta Theta*, from the m x m Gram K*K when the factorization holds.
+
+    The gap G = I - Theta Theta* - K K* is formed once, a block of rows at a
+    time, and only its Frobenius norm is kept (:func:`linalg.gap_frobenius`).
+    Since |G|_2 <= |G|_F, Weyl's inequality puts every eigenvalue of
+    I - Theta Theta* within |G|_F of the matching one of K K*.  When that
+    certified bound is at most 1e-12 the spectrum comes from one ``eigh`` of
+    K*K = I - Phi^(d+1)(I), and nothing p x p is decomposed.  Otherwise --
+    relation families that are not graded, which break the factorization
+    at the top degree, and bare matrices carrying no kernel of their own --
+    the dense route decomposes I - Theta Theta* as before, from the same
+    unchanged array.
+    """
+    k = theta.kernel.matrix
+    lower = defect_star_lower(theta)
+    gap = gap_frobenius(lower, k)
+    if gap > _GRAM_ROUTE_TOL:
+        return DefectStarSpectrum(gap=gap, kernel=k, kernel_eigh=None, lower=lower)
+    return DefectStarSpectrum(gap=gap, kernel=k, kernel_eigh=np.linalg.eigh(gram(k)), lower=None)
+
+
 @dataclasses.dataclass
 class DeltaClassification:
     """Inner/outer verdicts of the function, read off its squared singular values.
 
     ``sigma_squared`` holds the min(p, q) values sigma^2 = 1 - lambda,
     descending, from the eigenvalues lambda of the p x p matrix
-    I - Theta Theta*, clipped at 0.
+    I - Theta Theta* (:func:`defect_star_spectrum`), clipped at 0.
     """
 
     inner: bool
@@ -334,8 +416,11 @@ def delta_and_classify(theta: CharFn) -> DeltaClassification:
     Delta = (I - Theta*Theta)^(1/2) has the eigenvalues sqrt(1 - sigma^2),
     so the squared singular values carry every verdict.  They come from the
     p side (p <= q for every characteristic function): the eigenvalues
-    lambda of I - Theta Theta* are 1 - sigma^2, so one ``eigvalsh`` of that
-    p x p matrix (:func:`defect_star_lower`) is the only decomposition.
+    lambda of I - Theta Theta* are 1 - sigma^2.  Where the factorization
+    I - Theta Theta* = K K* holds to 1e-12 in Frobenius norm, lambda is the
+    spectrum of the m x m Gram K*K padded with zeros, each value within that
+    certified bound of the dense one (Weyl); otherwise one ``eigvalsh`` of
+    the p x p matrix gives it (:func:`defect_star_spectrum`).
     Only sigma^2 is kept: its square root would carry the rounding of lambda
     (about 1e-16) up to about 1e-8 at a zero singular value.
 
@@ -349,7 +434,7 @@ def delta_and_classify(theta: CharFn) -> DeltaClassification:
     largest singular value.
     """
     p, q = theta.matrix.shape
-    lam = np.linalg.eigvalsh(defect_star_lower(theta))
+    lam = defect_star_spectrum(theta).eigvals()
     sq = np.clip(1.0 - lam[: min(p, q)], 0.0, None)
     residual = float(np.max(np.abs(sq * sq - sq))) if sq.size else 0.0
     inner_threshold = 1e-8 + theta.tail_bound

@@ -343,7 +343,7 @@ def _cmd_model(args) -> int:
             "branch": ops.used,
             "branch_agreement": ops.branch_agreement,
             "injectivity_margin": ops.injectivity_margin,
-            "model_operators": ops.Tt,
+            "model_operators": [t + 0.0 for t in ops.Tt],  # + 0.0 turns -0.0 into 0.0
             "gamma": {
                 "embedding_residual": gamma.embedding_residual,
                 "unitary_residual": gamma.unitary_residual,

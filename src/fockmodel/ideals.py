@@ -342,27 +342,55 @@ def _crosscheck_spanning(
     ``space.index`` gives the concatenated words; this guard instead walks
     S_alpha p(S) e_beta from the vacuum through the left creation targets of
     :func:`fock.creation_targets` -- the letters of beta, then those of each
-    term of p, then those of alpha, each word right to left -- into one
-    matrix, and insists the two routes agree to 1e-12.  Disagreement means an
+    term of p, then those of alpha, each word right to left -- to the
+    entries of every vector (:func:`_walk_spanning`), and insists the two
+    routes agree to 1e-12 on every entry of ``span``.  Disagreement means an
     indexing bug, so it raises rather than warns.
     """
-    targets = {i: creation_targets(space, i, "left") for i in range(1, space.n + 1)}
-
-    def walk(position: int, word: Word) -> int:
-        for a in reversed(word):
-            position = int(targets[a][position])
-        return position
-
-    rows, cols, coefs = zip(*(
-        (walk(walk(walk(0, beta), w), alpha), col, c)  # the vacuum is basis vector 0
-        for col, (alpha, p, beta) in enumerate(meta)
-        for w, c in p.terms.items()
-    ))
-    derived = np.zeros(span.shape, dtype=complex)
-    np.add.at(derived, (rows, cols), coefs)
-    worst = float(np.max(np.abs(derived - span)))
+    rows, cols, coefs = _walk_spanning(space, meta)
+    walked = span[rows, cols]
+    worst = float(np.max(np.abs(walked - coefs), initial=0.0))
+    # The walked entries are distinct, so they hold every nonzero part of
+    # ``span`` exactly when the counts agree; otherwise compare in full.
+    if np.count_nonzero(span.view(float)) != np.count_nonzero(walked.view(float)):
+        derived = np.zeros_like(span)
+        derived[rows, cols] = coefs
+        worst = float(np.max(np.abs(derived - span)))
     if worst > _CROSSCHECK_TOL:
         raise RuntimeError(
             f"spanning-vector routes disagree by {worst:.3e} (> {_CROSSCHECK_TOL:.0e}); "
             "this indicates an internal indexing bug"
         )
+
+
+def _walk_spanning(
+    space: TruncatedFockSpace, meta: list[tuple[Word, NCPoly, Word]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, coefficient) of every entry of the spanning vectors S_alpha p(S) e_beta.
+
+    Column j is the vector of ``meta[j]``, one entry per term of p, and no
+    two entries share a slot.  The vectors of one shape (p, |alpha|, |beta|)
+    are walked together: each letter is one gather
+    ``targets[letter - 1, positions]`` over all of them.
+    """
+    targets = np.stack([creation_targets(space, i, "left") for i in range(1, space.n + 1)])
+
+    def walk(positions: np.ndarray, letters) -> np.ndarray:
+        for a in reversed(letters):  # a letter, or one letter per vector
+            positions = targets[np.subtract(a, 1), positions]
+        return positions
+
+    shapes: dict[tuple[int, int, int], list[int]] = {}
+    for col, (alpha, p, beta) in enumerate(meta):
+        shapes.setdefault((id(p), len(alpha), len(beta)), []).append(col)
+    rows, columns, coefs = [], [], []
+    for (_, ka, kb), cols in shapes.items():
+        p = meta[cols[0]][1]
+        alphas = np.array([meta[c][0] for c in cols], dtype=int).reshape(len(cols), ka)
+        betas = np.array([meta[c][2] for c in cols], dtype=int).reshape(len(cols), kb)
+        start = walk(np.zeros(len(cols), dtype=int), betas.T)  # the vacuum is basis vector 0
+        for w, c in p.terms.items():
+            rows.append(walk(walk(start, w), alphas.T))
+            columns.append(cols)
+            coefs.append(np.full(len(cols), c))
+    return np.concatenate(rows), np.concatenate(columns), np.concatenate(coefs)

@@ -94,6 +94,22 @@ def row_gram(a: np.ndarray, *, lower: bool = False) -> np.ndarray:
     return out
 
 
+def gap_frobenius(lower: np.ndarray, k: np.ndarray) -> float:
+    """|A - K K*|_F of the Hermitian A whose lower triangle ``lower`` holds.
+
+    The difference is formed 128 rows at a time, only on and below the
+    diagonal, and each strictly lower entry counts twice; ``lower`` is not
+    changed and K K* is never formed whole.
+    """
+    total = 0.0
+    for i in range(0, lower.shape[0], _ROW_BLOCK):
+        rows = slice(i, min(i + _ROW_BLOCK, lower.shape[0]))
+        block = np.tril(lower[rows, : rows.stop] - k[rows] @ adj(k[: rows.stop]), i)
+        diagonal = np.diagonal(block, i)
+        total += 2.0 * np.vdot(block, block).real - np.vdot(diagonal, diagonal).real
+    return float(np.sqrt(total))
+
+
 def opnorm(a: np.ndarray) -> float:
     """Operator (spectral) norm of a matrix (a vector counts as one column).
 
@@ -227,7 +243,8 @@ def psd_spectrum(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """Vet the eigen-decomposition v diag(w) v* of a positive semidefinite matrix.
 
     ``w`` is ascending, as ``eigh`` returns it, and ``v`` holds orthonormal
-    eigenvector columns.  Eigenvalues in [-1e-10, 0) (relative to the top
+    eigenvector columns of its last ``v.shape[1]`` values, at least of all
+    above ``PSD_RANK_TOL``.  Eigenvalues in [-1e-10, 0) (relative to the top
     one when it exceeds 1) are clipped to zero; anything more negative
     raises, since the input was expected to be PSD up to rounding.
 
@@ -256,8 +273,8 @@ def psd_spectrum(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
             stacklevel=2,
         )
     w = np.clip(w, 0.0, None)
-    keep = (w > PSD_RANK_TOL)[::-1]
-    return w, canonical_phase(v[:, ::-1][:, keep]), w[::-1][keep]
+    kept = w[::-1][: int(np.count_nonzero(w > PSD_RANK_TOL))]
+    return w, canonical_phase(v[:, ::-1][:, : kept.size]), kept
 
 
 def psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:

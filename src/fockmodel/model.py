@@ -11,23 +11,31 @@ compressions to H of
 
     M_i = (compressed shift_i (x) I_{d_T})  (+)  0.
 
-All of it comes from one eigendecomposition of the p x p matrix
-I - Theta Theta* = sum_k lambda_k u_k u_k*, whose eigenvalues other than 1
-are those of I - Theta*Theta: H has the orthonormal basis, in closed form,
+All of it comes from the eigenpairs of the p x p matrix
+I - Theta Theta* = sum_k lambda_k u_k u_k* with lambda_k > 1e-10, whose
+eigenvalues other than 1 are those of I - Theta*Theta: H has the orthonormal
+basis, in closed form,
 
     [ sqrt(lambda_k) u_k ; -Theta* u_k ]   for each lambda_k > 1e-10,
 
 each column of norm lambda_k + |Theta* u_k|^2 = 1 and orthogonal to every
 Phihat x, because Theta Delta = (I - Theta Theta*)^(1/2) Theta.  So h is the
 number of kept eigenvalues and s = q - p + h, both known before anything of
-size q exists.  The reported basis of that span is the one its shift rows,
-I - Theta Theta* in the model projector, fix (``linalg.projector_basis``), so
-the model operators do not depend on how the eigensolver splits a repeated
-eigenvalue.  Phihat and Delta are never formed.  The isometry residual
-|Phihat* Phihat - I| is measured, when asked for, on ran Theta*: it vanishes
-on ker Theta by construction, so its restriction there has the same norm,
-and one QR of the q x p matrix Theta* plus p x p products give it
-(:attr:`ModelData.isometry_residual`).
+size q exists.  The eigenpairs come from the factorization
+I - Theta Theta* = K K* against the Poisson kernel K (p x m) wherever it is
+certified: with K*K = V diag(l) V* (an m x m ``eigh``), lambda_k = l_k and
+u_k = K v_k / sqrt(l_k), and no p x p matrix is decomposed.  The certificate
+is the Frobenius norm of the gap I - Theta Theta* - K K*, which by Weyl's
+inequality bounds how far each eigenvalue can be from the dense one; above
+1e-12 one dense ``eigh`` of I - Theta Theta* is taken instead
+(:func:`charfn.defect_star_spectrum`).  The reported basis of that span is
+the one its shift rows, I - Theta Theta* in the model projector, fix
+(``linalg.projector_basis``), so the model operators do not depend on how
+the eigensolver splits a repeated eigenvalue.  Phihat and Delta are never
+formed.  The isometry residual |Phihat* Phihat - I| is measured, when asked
+for, on ran Theta*: it vanishes on ker Theta by construction, so its
+restriction there has the same norm, and one QR of the q x p matrix Theta*
+plus p x p products give it (:attr:`ModelData.isometry_residual`).
 
 The operators (:attr:`ModelData.operators`) and Gamma
 (:attr:`ModelData.gamma`) are later stages of the model, built on first use.
@@ -68,11 +76,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .charfn import CharFn, defect_star_lower
+from .charfn import CharFn, defect_star_spectrum
 from .contractions import Classification, TriState
 from .ideals import constrained_creation_tuple
 from .linalg import (
-    PSD_RANK_TOL,
     adj,
     gram,
     hermitian_norm,
@@ -90,11 +97,11 @@ from .linalg import (
 
 @dataclasses.dataclass
 class ModelData:
-    """Model space data built from one eigendecomposition of I - Theta Theta*.
+    """Model space data built from the kept eigenpairs of I - Theta Theta*.
 
     Bases live in the coordinates C^p (+) C^q of Phihat = [Theta ; Delta];
-    the eigenvalues (clipped at 0, ascending) and eigenvectors of
-    I - Theta Theta* are kept for the isometry residual, which is measured
+    the h eigenvalues of I - Theta Theta* above 1e-10 (ascending) and their
+    p x h eigenvectors are kept for the isometry residual, which is measured
     only when read.  ``classification`` is the one the model was built with;
     it picks the operator branch of the later stages, :attr:`operators` and
     :attr:`gamma`, each built on first use and kept.
@@ -132,34 +139,36 @@ class ModelData:
         I - Theta Theta* and D = diag(1 / sqrt(1 + sqrt(lambda))), the
         lambda at or below the rank cut 1e-10 counting as 0 (so Delta has
         rank s); the rows of Z are orthogonal, so no q-side decomposition
-        defines Delta.  On ker Theta, Z x = 0 and Delta x = x, so
+        defines Delta.  D is 1 off the h kept eigenpairs (lambda_h, U_h), so
+        U D^2 U* = I + U_h E U_h* with E = D_h^2 - I, and only they are
+        needed.  On ker Theta, Z x = 0 and Delta x = x, so
         R = Phihat* Phihat - I vanishes there for any eigen-data: R = P R P
         with P the projector onto ran Theta*.  One QR, Theta* = Q B with
         Q of k = min(p, q) orthonormal columns, gives span Q containing
         ran Theta*, so |Q* R Q| = |R| exactly: the norm of the same operator,
         not an estimate.  Q is never formed: Theta Q = B*, and since ran Z*
-        lies in span Q, Delta Q = Q (I - G) with G = W* W, W = Z Q = D U* B*.
-        So
+        lies in span Q, Delta Q = Q (I - G) with
+        G = B U D^2 U* B* = B B* + C E C*, C = B U_h.  So
 
             Q* R Q = B B* + (I - G)^2 - I,
 
-        k x k, from one ``eigvalsh``.  The Grams are taken a block of rows at
-        a time (:func:`linalg.row_gram`), and at most three k x k or k x p
-        arrays are alive at once.
+        k x k, from one k x k product and one ``eigvalsh``.  B B* is taken a
+        block of rows at a time (:func:`linalg.row_gram`), and at most three
+        k x k or k x p arrays are alive at once.  On the Gram route of
+        :func:`charfn.defect_star_spectrum` U_h comes from K, so the residual
+        also measures how well K's eigenvectors fit Theta.
         """
         # Theta^T is a view of Theta; its triangular factor is B conjugated.
         b = np.linalg.qr(self.theta.matrix.T, mode="r")
         np.conjugate(b, out=b)
-        lam = np.where(self.defect_star_eigvals > PSD_RANK_TOL, self.defect_star_eigvals, 0.0)
-        w_adj = b @ self.defect_star_eigvecs
-        w_adj /= np.sqrt(1.0 + np.sqrt(lam))  # W* = B U D
-        eye_minus_g = row_gram(w_adj)
-        del w_adj
-        np.negative(eye_minus_g, out=eye_minus_g)
-        diagonal = np.arange(eye_minus_g.shape[0])
-        eye_minus_g[diagonal, diagonal] += 1.0
+        c = b @ self.defect_star_eigvecs
+        minus_e = 1.0 - 1.0 / (1.0 + np.sqrt(self.defect_star_eigvals))  # -E >= 0
         residual = row_gram(b)
         del b
+        eye_minus_g = (c * minus_e) @ adj(c)
+        eye_minus_g -= residual
+        diagonal = np.arange(eye_minus_g.shape[0])
+        eye_minus_g[diagonal, diagonal] += 1.0
         residual[diagonal, diagonal] -= 1.0
         residual += eye_minus_g @ eye_minus_g
         return hermitian_norm(residual)
@@ -275,15 +284,19 @@ class ModelData:
 
 
 def build_model(theta: CharFn, *, classification: Classification | None = None) -> ModelData:
-    """Assemble the model space of a characteristic function from one p x p ``eigh``.
+    """Assemble the model space of a characteristic function from its kept eigenpairs.
 
     With I - Theta Theta* = sum_k lambda_k u_k u_k*, the model basis is the
     closed form of the module docstring over the lambda_k > 1e-10
     (NumericalRankWarning when an eigenvalue lies in [1e-12, 1e-8]), and
     s = q - p + h.  The pure basis spans the u_k with
-    lambda_k >= (1 - tail)/2, that is sigma_k^2 <= (1 + tail)/2.  No other
-    decomposition is taken, and no q x q array is formed; the isometry
-    residual is measured on first access.
+    lambda_k >= (1 - tail)/2, that is sigma_k^2 <= (1 + tail)/2.  The
+    eigenpairs come from :func:`charfn.defect_star_spectrum`: from the
+    m x m Gram K*K of the Poisson kernel when |I - Theta Theta* - K K*|_F is
+    at most 1e-12 (the Weyl bound on every eigenvalue), so that nothing
+    p x p is decomposed, and from one dense p x p ``eigh`` otherwise.  No
+    q x q array is formed, and only the p x h kept eigenvectors are kept;
+    the isometry residual is measured on first access.
 
     Inside a repeated eigenvalue the eigenvectors are arbitrary, so both
     reported bases are rechosen by :func:`linalg.projector_basis`, pivoting
@@ -306,9 +319,10 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
         )
     th = theta.matrix
     p, q = th.shape
-    lam, u = np.linalg.eigh(defect_star_lower(theta), UPLO="L")
+    lam, u = defect_star_spectrum(theta).eigenpairs()
     lam, kept_u, kept = psd_spectrum(lam, u)
     h_basis = projector_basis(np.vstack([kept_u * np.sqrt(kept), -adj(adj(kept_u) @ th)]), p)
+    lam = kept[::-1]  # ascending, as the columns of u
 
     tail = theta.tail_bound
     h_pure = None

@@ -122,12 +122,20 @@ def theta_of(mats, sub):
 
 
 def synthetic_theta(matrix, tail=0.0):
-    """A CharFn carrying an arbitrary contraction matrix; build_model and
-    delta_and_classify read only the matrix and the tail."""
+    """A CharFn carrying an arbitrary contraction matrix and the tail.
+
+    Its kernel is a zero p x 1 matrix, so I - Theta Theta* - K K* is
+    I - Theta Theta* itself: every matrix but a co-isometry is decomposed by
+    the dense route of ``defect_star_spectrum``.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
     free = ideal_subspace(PolyIdealSpec(n=1), TruncatedFockSpace(1, 1))
     kernel = constrained_poisson_kernel([np.array([[0.5]])], free)
     base = constrained_characteristic_function(dataclasses.replace(kernel, tail_bound=tail))
-    return dataclasses.replace(base, matrix=np.asarray(matrix, dtype=complex))
+    zero_kernel = np.zeros((matrix.shape[0], 1), dtype=complex)
+    return dataclasses.replace(
+        base, matrix=matrix, kernel=dataclasses.replace(base.kernel, matrix=zero_kernel)
+    )
 
 
 SPECTRAL_CASES = ["nilpotent", "dense", "tall", "unitary"]

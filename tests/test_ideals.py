@@ -29,7 +29,7 @@ from fockmodel import (
     constrained_creation_tuple,
     ideal_subspace,
 )
-from fockmodel.fock import left_creation_tuple, word_operator
+from fockmodel.fock import creation_targets, left_creation_tuple, word_operator
 from fockmodel.ideals import _RANK_TOL, ConstrainedSubspace, _crosscheck_spanning
 from fockmodel.linalg import canonical_phase
 
@@ -310,10 +310,57 @@ def test_spanning_crosscheck_catches_a_corrupted_vector(space_factory):
         meta.append((alpha, p, beta))
         vectors.append(vec)
     _crosscheck_spanning(space, np.column_stack(vectors), meta)
-    vectors[1] = vectors[1].copy()
-    vectors[1][space.index((1, 2, 1))] += 1e-10
-    with pytest.raises(RuntimeError, match="indexing bug"):
-        _crosscheck_spanning(space, np.column_stack(vectors), meta)
+    for word in [(1, 2, 1), (2, 2)]:  # a slot the vector has, and one it has not
+        bad = [v.copy() for v in vectors]
+        bad[1][space.index(word)] += 1e-10
+        with pytest.raises(RuntimeError, match="indexing bug"):
+            _crosscheck_spanning(space, np.column_stack(bad), meta)
+
+
+def _walk_one_vector_at_a_time(space, meta):
+    """The spanning vectors by walking each word through the index maps, one letter per lookup."""
+    targets = {i: creation_targets(space, i, "left") for i in range(1, space.n + 1)}
+
+    def walk(position, word):
+        for a in reversed(word):
+            position = int(targets[a][position])
+        return position
+
+    rows, cols, coefs = zip(*(
+        (walk(walk(walk(0, beta), w), alpha), col, c)
+        for col, (alpha, p, beta) in enumerate(meta)
+        for w, c in p.terms.items()
+    ))
+    derived = np.zeros((space.dim, len(meta)), dtype=complex)
+    np.add.at(derived, (rows, cols), coefs)
+    return derived
+
+
+@pytest.mark.parametrize(
+    "kind, n, d", [("commutative", 2, 7), ("q_commutative", 3, 4), ("custom", 2, 5)]
+)
+def test_the_shape_batched_walk_is_the_one_vector_walk(kind, n, d, space_factory, monkeypatch):
+    import fockmodel.ideals as ideals
+
+    if kind == "custom":
+        polys = [NCPoly({(): 0.5, (1,): 1.0, (2, 1): 2j}), NCPoly({(1, 2, 2): 1.0, (2,): -0.5})]
+        spec = PolyIdealSpec(n=n, kind="custom", polys=polys)
+    else:
+        spec = make_spec(kind, n=n)
+    captured = []
+    guard = ideals._crosscheck_spanning
+    monkeypatch.setattr(
+        ideals, "_crosscheck_spanning", lambda *args: (captured.append(args), guard(*args))
+    )
+    ideal_subspace(spec, space_factory(n, d))
+    (space, span, meta), = captured
+    want = _walk_one_vector_at_a_time(space, meta)
+    rows, cols, coefs = ideals._walk_spanning(space, meta)
+    assert len(set(zip(rows, cols))) == rows.size  # no two entries share a slot
+    got = np.zeros_like(want)
+    got[rows, cols] = coefs
+    assert np.array_equal(got, want)
+    assert np.array_equal(want, span)
 
 
 def test_the_spanning_guard_checks_every_vector(space_factory, monkeypatch):

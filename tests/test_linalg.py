@@ -15,6 +15,7 @@ from scipy.linalg import subspace_angles
 
 from fockmodel.linalg import (
     canonical_phase,
+    gap_frobenius,
     gram,
     hermitian_norm,
     kron_inner,
@@ -176,6 +177,20 @@ def test_row_gram_is_a_a_star(rows):
     # what eigvalsh reads of the lower triangle is the whole matrix
     if rows:
         assert np.max(np.abs(np.linalg.eigvalsh(lower) - np.linalg.eigvalsh(want))) < 1e-10
+
+
+@pytest.mark.parametrize("rows", [0, 1, 127, 128, 300])
+def test_gap_frobenius_reads_the_lower_triangle_only(rows):
+    rng = np.random.default_rng(rows)
+    a = rng.normal(size=(rows, 50)) + 1j * rng.normal(size=(rows, 50))
+    k = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
+    lower = row_gram(a, lower=True)
+    kept = lower.copy()
+    want = np.linalg.norm(a @ a.conj().T - k @ k.conj().T)
+    assert abs(gap_frobenius(lower, k) - want) <= 1e-12 * max(want, 1.0)
+    assert np.array_equal(lower, kept)
+    # the lower triangle of K K* itself leaves a gap at rounding level
+    assert gap_frobenius(row_gram(k, lower=True), k) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

@@ -20,10 +20,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ORACLE_FAMILIES,
+    ORACLE_SIZES,
     SPECTRAL_CASES,
     adj,
     make_spec,
     opnorm,
+    oracle_family,
+    oracle_tuple,
     record_decompositions,
     spectral_theta,
     synthetic_theta,
@@ -38,11 +42,14 @@ from fockmodel import (
     constrained_characteristic_function,
     constrained_creation_tuple,
     constrained_poisson_kernel,
+    constraint_residual,
+    delta_and_classify,
     ideal_subspace,
     validate,
     verify_coincidence_implies_equivalence,
 )
-from fockmodel.linalg import NumericalRankWarning, principal_angles, projector_basis
+from fockmodel.charfn import defect_star_lower, defect_star_spectrum
+from fockmodel.linalg import NumericalRankWarning, principal_angles, projector_basis, psd_spectrum
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     conjugated_tuple,
@@ -367,14 +374,15 @@ def _dense_phihat(model):
     """[Theta ; Delta] in full, with Delta = I - Z* Z and Z = D U* Theta from the model's eigen-data.
 
     The rows of Z are orthogonal with squared norms 1 - lambda_k, so Delta
-    is (I - Theta*Theta)^(1/2) at rank s; the eigenvalues at or below the
-    rank cut 1e-10 count as 0.
+    is (I - Theta*Theta)^(1/2) at rank s.  D is 1 off the kept eigenpairs
+    (lambda_h, U_h), so Z* Z = Theta* Theta + (U_h* Theta)* E (U_h* Theta)
+    with E = D_h^2 - I, the p x h form the model keeps.
     """
     th = model.theta.matrix
     q = th.shape[1]
-    lam = np.where(model.defect_star_eigvals > 1e-10, model.defect_star_eigvals, 0.0)
-    z = (adj(model.defect_star_eigvecs) @ th) / np.sqrt(1.0 + np.sqrt(lam))[:, None]
-    return np.vstack([th, np.eye(q) - adj(z) @ z])
+    e = 1.0 / (1.0 + np.sqrt(model.defect_star_eigvals)) - 1.0
+    z = adj(model.defect_star_eigvecs) @ th
+    return np.vstack([th, np.eye(q) - adj(th) @ th - adj(z) @ (e[:, None] * z)])
 
 
 def _dense_isometry_residual(model):
@@ -524,10 +532,10 @@ def test_isometry_residual_on_ran_theta_star_is_the_dense_norm(n, subspace_facto
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_isometry_residual_on_ran_theta_star_holds_for_any_eigen_data(n, subspace_factory):
-    # with the eigenvalues moved by 1e-6, Phihat is no isometry; the residual
-    # is large and the two routes still measure the same norm
+    # with the h kept eigenvalues moved by 1e-3, Phihat is no isometry; the
+    # residual is large and the two routes still measure the same norm
     model = build_model(_isometry_case(n, subspace_factory))
-    bent = dataclasses.replace(model, defect_star_eigvals=model.defect_star_eigvals + 1e-6)
+    bent = dataclasses.replace(model, defect_star_eigvals=model.defect_star_eigvals + 1e-3)
     want = _dense_isometry_residual(bent)
     assert want > 1e-7
     assert abs(bent.isometry_residual - want) <= 1e-9 * want
@@ -592,11 +600,12 @@ def zero_family_pair(subspace_factory):
     return sub, mats, conjugated_tuple(mats, u), u
 
 
-def test_build_model_takes_one_eigh_of_size_p(zero_family_pair, monkeypatch):
+def test_build_model_decomposes_nothing_larger_than_m(zero_family_pair, monkeypatch):
     sub, mats, _, _ = zero_family_pair
     th = theta_of(mats, sub)
     p, q = th.matrix.shape
-    assert (p, q) == (381, 762)
+    m = mats[0].shape[0]
+    assert (p, q, m) == (381, 762, 3)
     seen = record_decompositions(monkeypatch)
     tracemalloc.start()
     try:
@@ -604,11 +613,13 @@ def test_build_model_takes_one_eigh_of_size_p(zero_family_pair, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # besides the eigh, only projector_basis's QRs of h x h pivot rows
-    assert [call for call in seen if call[0] != "qr"] == [("eigh", (p, p))]
-    assert all(max(shape) <= 3 for name, shape in seen if name == "qr")
+    # the Gram route: one eigh of K*K, then projector_basis's QRs of h x h pivot rows
+    assert [call for call in seen if call[0] != "qr"] == [("eigh", (m, m))]
+    assert all(max(shape) <= m for name, shape in seen)
     assert peak < q * q * 16  # no q x q complex array was allocated
     assert (model.s, model.h) == (384, 3)
+    assert model.defect_star_eigvecs.shape == (p, model.h)
+    assert model.defect_star_eigvals.shape == (model.h,)
     # reading the isometry residual: one QR of Theta*, then p x p work
     built = len(seen)
     tracemalloc.start()
@@ -619,6 +630,15 @@ def test_build_model_takes_one_eigh_of_size_p(zero_family_pair, monkeypatch):
         tracemalloc.stop()
     assert seen[built:] == [("qr", (q, p)), ("eigvalsh", (p, p))]
     assert peak < q * q * 16
+
+
+def test_delta_and_classify_decomposes_nothing_larger_than_m(zero_family_pair, monkeypatch):
+    sub, mats, _, _ = zero_family_pair
+    th = theta_of(mats, sub)
+    seen = record_decompositions(monkeypatch)
+    dc = delta_and_classify(th)
+    assert seen == [("eigh", (3, 3))]
+    assert dc.sigma_squared.shape == (381,)
 
 
 def test_the_equivalence_certificate_takes_no_q_side_work(zero_family_pair, monkeypatch):
@@ -633,6 +653,152 @@ def test_the_equivalence_certificate_takes_no_q_side_work(zero_family_pair, monk
     finally:
         tracemalloc.stop()
     assert eq.equivalent
-    assert seen.count(("eigh", (p, p))) == 2
-    assert all(min(shape) < p for name, shape in seen if shape != (p, p))
+    # each model takes one eigh of the m x m Gram K*K, and nothing sees p on both sides
+    assert seen.count(("eigh", (3, 3))) >= 2
+    assert all(min(shape) < p for name, shape in seen)
     assert peak < q * q * 16
+
+
+# ---------------------------------------------------------------------------
+# the m x m Gram route of defect_star_spectrum against the dense p x p route
+
+
+def _dense_route(theta):
+    """Verdicts, model bases and isometry residual by the dense p x p route.
+
+    One ``eigvalsh`` of I - Theta Theta* gives sigma^2 and the verdicts, one
+    ``eigh`` the model bases, and Delta is formed in full from all p
+    eigenpairs, whose Phihat gives the isometry residual.
+    """
+    th = theta.matrix
+    p, q = th.shape
+    lower = defect_star_lower(theta)
+    sq = np.clip(1.0 - np.linalg.eigvalsh(lower)[: min(p, q)], 0.0, None)
+    residual = float(np.max(np.abs(sq * sq - sq))) if sq.size else 0.0
+    deficiency = p - int(np.count_nonzero(sq > 1e-8))
+    verdicts = (bool(residual < 1e-8 + theta.tail_bound), deficiency == 0, deficiency)
+
+    lam, u = np.linalg.eigh(lower, UPLO="L")
+    lam, kept_u, kept = psd_spectrum(lam, u)
+    h_basis = projector_basis(np.vstack([kept_u * np.sqrt(kept), -adj(adj(kept_u) @ th)]), p)
+    h_pure = None
+    if theta.tail_bound < 0.5:
+        pure_cols = projector_basis(u[:, lam >= 0.5 * (1.0 - theta.tail_bound)])
+        h_pure = np.vstack([pure_cols, np.zeros((q, pure_cols.shape[1]), dtype=complex)])
+
+    z = (adj(u) @ th) / np.sqrt(1.0 + np.sqrt(np.where(lam > 1e-10, lam, 0.0)))[:, None]
+    phihat = np.vstack([th, np.eye(q) - adj(z) @ z])
+    isometry = opnorm(adj(phihat) @ phihat - np.eye(q))
+    return sq, verdicts, h_basis, h_pure, isometry
+
+
+def _dense_graded_tuple(family, n, rng):
+    """A dense tuple (tail > 0) satisfying the relations of a graded family.
+
+    The zero family takes a generic triple; the others T_i = c_i E_ii on
+    C^(n + 1), |c_i|^2 = 0.95, whose products of two different letters vanish.
+    """
+    if family == "zero":
+        return random_row_contraction(rng, n, 3, 0.9)
+    phases = np.exp(2j * np.pi * rng.random(n))
+    return [np.sqrt(0.95) * c * np.diag(np.eye(n + 1)[i]) for i, c in enumerate(phases)]
+
+
+def _gram_route_cases():
+    """(id, tuple, family spec, space) over the graded oracle families and sizes."""
+    cases = []
+    for family in ORACLE_FAMILIES:
+        if family == "custom-constant-term":
+            continue
+        for n, d in ORACLE_SIZES:
+            spec = oracle_family(family, n, d)
+            for kind in ("nilpotent", "dense"):
+                rng = np.random.default_rng(3)
+                if kind == "dense":
+                    mats = _dense_graded_tuple(family, n, rng)
+                elif family == "zero":
+                    mats = commuting_nilpotent_tuple(rng, n, 0.6)
+                else:
+                    mats = oracle_tuple(family, n, rng)
+                if constraint_residual(mats, spec) <= 1e-10:  # T_i = c_i E_ii needs n >= 2 here
+                    cases.append((f"{family}-{kind}-n{n}-d{d}", mats, spec, (n, d)))
+    rng = np.random.default_rng(5)
+    cases += [
+        # tail 0.2 and above with a generic dense tuple
+        ("zero-dense-rho0.999-n2-d3", random_row_contraction(rng, 2, 4, 0.999), None, (2, 3)),
+        # co-isometric: d_T = 0, so p = 0
+        ("co-isometric-n2-d3", [np.array([[0.6]]), np.array([[0.8j]])], None, (2, 3)),
+        # E_12 with row norm 1: d_T = 1, so p = 1 < m = 2 at degree 0
+        ("p-below-m-n1-d0", [np.array([[0.0, 1.0], [0.0, 0.0]])], None, (1, 0)),
+    ]
+    return cases
+
+
+_GRAM_CASES = _gram_route_cases()
+
+
+@pytest.mark.parametrize("case", _GRAM_CASES, ids=[c[0] for c in _GRAM_CASES])
+def test_the_gram_route_matches_the_dense_route(case, space_factory):
+    name, mats, spec, (n, d) = case
+    sub = ideal_subspace(spec or oracle_family("zero", n, d), space_factory(n, d))
+    th = theta_of(mats, sub)
+    p, m = th.matrix.shape[0], mats[0].shape[0]
+    spectrum = defect_star_spectrum(th)
+    assert spectrum.lower is None and spectrum.gap <= 1e-12
+    if name.startswith("co-isometric"):
+        assert p == 0
+    if name.startswith("p-below-m"):
+        assert p < m
+    if "rho0.999" in name:
+        assert th.tail_bound >= 0.2
+    sq, verdicts, h_basis, h_pure, isometry = _dense_route(th)
+    dc = delta_and_classify(th)
+    assert np.max(np.abs(dc.sigma_squared - sq), initial=0.0) <= 1e-12
+    assert (dc.inner, dc.outer, dc.rank_deficiency) == verdicts
+    model = build_model(th)
+    assert model.defect_star_eigvecs.shape == (p, model.h)
+    assert model.H_basis.shape == h_basis.shape
+    assert np.max(np.abs(model.H_basis - h_basis), initial=0.0) <= 1e-13
+    assert (model.H_pure_basis is None) == (h_pure is None)
+    if h_pure is not None:
+        assert model.H_pure_basis.shape == h_pure.shape
+        assert np.max(np.abs(model.H_pure_basis - h_pure), initial=0.0) <= 1e-13
+    assert abs(model.isometry_residual - isometry) <= 1e-13
+
+
+def _fallback_cases():
+    cases = []
+    for n, d in ORACLE_SIZES:
+        if d == 0:
+            continue  # no relation fits below the degree cap: N is the whole space
+        mats = oracle_tuple("custom-constant-term", n, np.random.default_rng(3))
+        cases.append((f"custom-constant-term-n{n}-d{d}", mats, (n, d)))
+    return cases + [("tall", None, None)]
+
+
+_FALLBACK_CASES = _fallback_cases()
+
+
+@pytest.mark.parametrize("case", _FALLBACK_CASES, ids=[c[0] for c in _FALLBACK_CASES])
+def test_the_dense_fallback_is_the_dense_route(case, space_factory, subspace_factory):
+    # where the factorization fails, the route is the dense one, bit for bit
+    name, mats, size = case
+    if mats is None:
+        th = spectral_theta(name, subspace_factory)
+    else:
+        n, d = size
+        spec = oracle_family("custom-constant-term", n, d)
+        th = theta_of(mats, ideal_subspace(spec, space_factory(n, d)))
+    spectrum = defect_star_spectrum(th)
+    assert spectrum.lower is not None and spectrum.gap > 1e-12
+    sq, verdicts, h_basis, h_pure, isometry = _dense_route(th)
+    dc = delta_and_classify(th)
+    assert np.array_equal(dc.sigma_squared, sq)
+    assert (dc.inner, dc.outer, dc.rank_deficiency) == verdicts
+    model = build_model(th)
+    assert np.array_equal(model.H_basis, h_basis)
+    assert (model.H_pure_basis is None) == (h_pure is None)
+    if h_pure is not None:
+        assert np.array_equal(model.H_pure_basis, h_pure)
+    # Delta is now formed from the h kept eigenpairs, not all p
+    assert abs(model.isometry_residual - isometry) <= 1e-13
