@@ -46,15 +46,24 @@ survives compression verbatim.  The constrained function is that
 compression, and :func:`constrained_characteristic_function` is the one
 builder.  It takes the constrained kernel and keeps it, so the function, its
 subspace N, its defect data and its tail all come from one kernel, and
-:func:`factorization_defect` needs nothing else.  Where the factorization
-holds to rounding, the p x p spectrum of I - Theta Theta* is read off the
-m x m Gram K*K (:func:`defect_star_spectrum`).  On the zero family,
+:func:`factorization_defect` needs nothing else.  On the zero family,
 ``ideal_subspace(PolyIdealSpec(n=n), space)``, N is the whole space and the
-result is the free function Theta_T.  For a
-graded family with relations the same matrix is also the closed form at the
-compressed right shifts on N, a nilpotent point of V_(J~); the two routes
-share no subspace code beyond the N basis, so their agreement guards the
-whole constraint pipeline.
+blocks are placed into the free function Theta_T.  With relations
+(dim M > 0) the whole-space function is never formed: the rows
+(N* (x) I) Theta are contracted straight from the Fourier blocks, one matmul
+per degree pair, and the compression and the coinvariance leak
+|(N* (x) I) Theta ((I - N N*) (x) I)| are read off them, so no array is
+indexed by the whole word space on both sides.  For a graded family with
+relations the same matrix is also the closed form at the compressed right
+shifts on N, a nilpotent point of V_(J~); the two routes share no subspace
+code beyond the N basis, so their agreement guards the whole constraint
+pipeline.
+
+Where the factorization holds to rounding, the p x p spectrum of
+I - Theta Theta* is read off the m x m Gram K*K (:func:`defect_star_spectrum`).
+That spectrum holds I - Theta Theta* itself until :func:`factorization_defect`
+takes it, so a command that reads the verdicts (:func:`delta_and_classify`)
+and then J-fa forms the p x p matrix once.
 """
 
 from __future__ import annotations
@@ -222,68 +231,81 @@ def _resolvent(mats: list[np.ndarray], xs: list[np.ndarray], defect: DefectData)
 def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
     """Characteristic function of the kernel's tuple, compressed to the kernel's N.
 
-    The function on the whole truncated space is built from its Fourier
-    blocks, which are the kernel's uncompressed blocks times row blocks of
-    Delta_* basis_* (:func:`_block_matrix`).  When N is the whole space (the
-    zero family, which gives the free function) N is exactly the identity
-    and no compression is formed.  Otherwise (dim M > 0) the rows
-    (N* (x) I) Theta are formed once, the whole-space function is released,
-    and the rows give the compression (their product by N (x) I) and the
-    part that maps M into N (by M (x) I), recorded as
-    ``coinvariance_leak``.  For a graded family the closed form of
+    The Fourier blocks on the whole truncated space are the kernel's
+    uncompressed blocks times row blocks of Delta_* basis_*
+    (:func:`_theta_blocks`).  When N is the whole space (the zero family,
+    which gives the free function) N is exactly the identity and the blocks
+    are placed into the dense function (:func:`_block_matrix`).  Otherwise
+    (dim M > 0) the rows (N* (x) I) Theta are contracted from the blocks
+    directly (:func:`_compressed_rows`), so the whole-space function is
+    never formed.  The rows give the compression, their product by N (x) I,
+    and the part that maps M into N,
+
+        |(N* (x) I) Theta ((I - N N*) (x) I)| = |rows - Theta_N (N* (x) I)|,
+
+    recorded as ``coinvariance_leak``; for a graded family it must stay
+    below max(1e-8, 100 * relation residual).  Then the closed form of
     :func:`evaluate` at the compressed right shifts on N must agree with the
-    compression to 1e-10 (recorded as ``series_agreement``), and then the
-    leak must stay below max(1e-8, 100 * relation residual).  The kernel
+    compression to 1e-10 (recorded as ``series_agreement``).  The kernel
     builder has already refused tuples violating the relations.
     """
     mats, sub, defect = kernel.mats, kernel.sub, kernel.defect
-    matrix = _block_matrix(kernel)
-    series_agreement = leak = None
-    if not sub.is_whole_space:
-        rows = kron_left(adj(sub.N_basis), matrix, defect.d_T)
-        matrix = kron_right(rows, sub.N_basis, defect.d_star)  # drops the whole-space Theta
-        if sub.graded:
-            raising = constrained_creation_tuple(sub, "right")
-            series_agreement = opnorm(matrix - _resolvent(mats, raising, defect))
-            if series_agreement > _SERIES_AGREEMENT_TOL:
-                raise RuntimeError(
-                    f"compression and series routes disagree by {series_agreement:.3e}; "
-                    "the constrained-subspace machinery is inconsistent"
-                )
-        # Invariance of the relation span: rows in N, columns in M vanish.
-        leak = opnorm(kron_right(rows, sub.M_basis, defect.d_star))
-        if leak > max(1e-8, 100.0 * max(kernel.relation_residual, 1e-16)) and sub.graded:
+    if sub.is_whole_space:
+        return CharFn(matrix=_block_matrix(kernel), kernel=kernel)
+    rows = _compressed_rows(kernel)
+    matrix = kron_right(rows, sub.N_basis, defect.d_star)
+    off_n = kron_right(matrix, adj(sub.N_basis), defect.d_star)  # rows ((N N*) (x) I)
+    leak = opnorm(np.subtract(rows, off_n, out=off_n))
+    series_agreement = None
+    if sub.graded:
+        if leak > max(1e-8, 100.0 * max(kernel.relation_residual, 1e-16)):
             raise RuntimeError(
                 f"characteristic function leaks {leak:.3e} from the relation span "
                 "into the constrained subspace"
             )
-
+        raising = constrained_creation_tuple(sub, "right")
+        series_agreement = opnorm(matrix - _resolvent(mats, raising, defect))
+        if series_agreement > _SERIES_AGREEMENT_TOL:
+            raise RuntimeError(
+                f"compression and series routes disagree by {series_agreement:.3e}; "
+                "the constrained-subspace machinery is inconsistent"
+            )
     return CharFn(
         matrix=matrix, kernel=kernel, coinvariance_leak=leak, series_agreement=series_agreement
     )
 
 
-def _block_matrix(kernel: KernelMatrix) -> np.ndarray:
-    """sum_alpha R_alpha (x) theta_(alpha) on the whole truncated space.
+def _theta_blocks(kernel: KernelMatrix) -> np.ndarray:
+    """The Fourier block theta_(alpha) of every word alpha on the whole space, (dim, d_T, d_star).
 
     theta_((a) + beta) is the kernel block of beta times the a-th row block
     of Delta_* basis_*, written into the slice of the words (a) + beta
     (:func:`fock.left_target_slice`), as in the kernel's own recurrence.
-    theta_(alpha) sits at row word gamma alpha, column word gamma: for each
-    degree pair (j, k) = (|gamma|, |alpha|) the rows of degree j + k, viewed
-    as (n^j, n^k), are gamma-major, so each pair is one strided assignment.
     """
     mats, space, defect = kernel.mats, kernel.space, kernel.defect
-    n, m, d = len(mats), mats[0].shape[0], space.d
-    d_T, d_star = defect.d_T, defect.d_star
-    row_blocks = (defect.delta_star @ defect.basis_star).reshape(n, m, d_star)
-    blocks = np.empty((space.dim, d_T, d_star), dtype=complex)
+    n, m = len(mats), mats[0].shape[0]
+    row_blocks = (defect.delta_star @ defect.basis_star).reshape(n, m, defect.d_star)
+    blocks = np.empty((space.dim, defect.d_T, defect.d_star), dtype=complex)
     blocks[0] = -adj(defect.basis) @ np.hstack(mats) @ defect.basis_star
-    for k in range(d):
+    for k in range(space.d):
         parents = kernel.blocks[space.degree_slice(k)]
         for a in range(1, n + 1):
             np.matmul(parents, row_blocks[a - 1], out=blocks[left_target_slice(space, a, k)])
+    return blocks
 
+
+def _block_matrix(kernel: KernelMatrix) -> np.ndarray:
+    """sum_alpha R_alpha (x) theta_(alpha) on the whole truncated space.
+
+    theta_(alpha) (:func:`_theta_blocks`) sits at row word gamma alpha,
+    column word gamma: for each degree pair (j, k) = (|gamma|, |alpha|) the
+    rows of degree j + k, viewed as (n^j, n^k), are gamma-major, so each pair
+    is one strided assignment.  Only the zero family, whose N is the whole
+    space, takes this route.
+    """
+    space, d_T, d_star = kernel.space, kernel.d_T, kernel.defect.d_star
+    n, d = space.n, space.d
+    blocks = _theta_blocks(kernel)
     theta = np.zeros((space.dim, d_T, space.dim, d_star), dtype=complex)
     for j in range(d + 1):
         gammas = np.arange(n**j)
@@ -294,15 +316,52 @@ def _block_matrix(kernel: KernelMatrix) -> np.ndarray:
     return theta.reshape(space.dim * d_T, space.dim * d_star)
 
 
-def factorization_defect(theta: CharFn) -> float:
+def _compressed_rows(kernel: KernelMatrix) -> np.ndarray:
+    """(N* (x) I) Theta, (dim_N d_T) x (dim d_star), from the Fourier blocks alone.
+
+    The entry at N column c and column word gamma is
+    sum_alpha conj(N[gamma alpha, c]) theta_(alpha).  For each degree pair
+    (j, k) = (|gamma|, |alpha|) the rows of N at degree j + k, viewed as
+    (n^j, n^k, columns), are contracted with the degree-k blocks in one
+    matmul and added at the column words of degree j.  A graded family's N
+    is block diagonal, so only its columns of degree j + k take part, and
+    each pair writes a block of its own (assigning, not adding, touches each
+    page of the freshly zeroed rows once).
+    """
+    sub, space = kernel.sub, kernel.space
+    n, d, d_T, d_star = space.n, space.d, kernel.d_T, kernel.defect.d_star
+    blocks = _theta_blocks(kernel).reshape(space.dim, d_T * d_star)
+    conj_n = sub.N_basis.conj()
+    rows = np.zeros((sub.dim_N, d_T, space.dim, d_star), dtype=complex)
+    for r in range(d + 1):
+        cols = slice(sub.n_cols_up_to(r - 1), sub.n_cols_up_to(r)) if sub.graded else slice(None)
+        part = conj_n[space.degree_slice(r), cols]
+        width = part.shape[1]
+        for j in range(r + 1):
+            k = r - j
+            left = part.reshape(n**j, n**k, width).transpose(2, 0, 1).reshape(-1, n**k)
+            product = (left @ blocks[space.degree_slice(k)]).reshape(width, n**j, d_T, d_star)
+            target = rows[cols, :, space.degree_slice(j)]
+            if sub.graded:  # each degree pair fills its own block, written once
+                target[...] = product.transpose(0, 2, 1, 3)
+            else:
+                target += product.transpose(0, 2, 1, 3)
+    return rows.reshape(sub.dim_N * d_T, space.dim * d_star)
+
+
+def factorization_defect(theta: CharFn | DefectStarSpectrum) -> float:
     """| I - Theta Theta* - K K* |, the joint defect of the factorization.
 
     K is the kernel ``theta`` was built from.  For a pure tuple this is
     rounding-level at truncation; in general it is bounded by the recorded
-    truncation tails.
+    truncation tails.  Given the function's :class:`DefectStarSpectrum`
+    instead, it subtracts K K* in place from the I - Theta Theta* that the
+    spectrum holds, so a command that has taken its verdicts forms that
+    p x p matrix once; the spectrum has then given it up.
     """
-    k = theta.kernel.matrix
-    gap = defect_star_lower(theta)
+    spectrum = theta if isinstance(theta, DefectStarSpectrum) else defect_star_spectrum(theta)
+    gap, spectrum.lower = spectrum.dense_lower(), None
+    k = spectrum.kernel
     gap -= k @ adj(k)  # only the lower triangle is read
     return hermitian_norm(gap)
 
@@ -311,9 +370,9 @@ def defect_star_lower(theta: CharFn) -> np.ndarray:
     """I - Theta Theta*, p x p, with only the lower triangle that ``eigvalsh`` reads.
 
     Theta is conjugated a block of rows at a time (:func:`linalg.row_gram`),
-    never whole.  Every caller forms it anew rather than keeping it on
-    ``theta``, which would hold one more p x p array for the life of the
-    function.
+    never whole.  It is never kept on ``theta``, which would hold one more
+    p x p array for the life of the function; a command shares it through
+    one :class:`DefectStarSpectrum`.
     """
     out = row_gram(theta.matrix, lower=True)
     np.negative(out, out=out)
@@ -337,19 +396,31 @@ class DefectStarSpectrum:
     ``gap`` is |G|_F for G = I - Theta Theta* - K K*, K the Poisson kernel
     the function was built from (p x m).  On the Gram route (``gap`` at most
     1e-12) ``kernel_eigh`` holds K*K = V diag(L) V*, and the spectrum of
-    K K* is L padded with p - min(p, m) zeros; otherwise ``lower`` holds the
-    lower triangle of I - Theta Theta* for the dense route.
+    K K* is L padded with p - min(p, m) zeros; on the dense route it is
+    None.  ``lower`` holds the lower triangle of I - Theta Theta* on either
+    route until :func:`factorization_defect` takes it (and sets it to
+    None), so on the dense route the spectrum must be read first.
     """
 
+    theta: CharFn
     gap: float
-    kernel: np.ndarray
     kernel_eigh: tuple[np.ndarray, np.ndarray] | None
     lower: np.ndarray | None
 
+    @property
+    def kernel(self) -> np.ndarray:
+        return self.theta.kernel.matrix
+
+    def dense_lower(self) -> np.ndarray:
+        """``lower``, or RuntimeError once :func:`factorization_defect` has taken it."""
+        if self.lower is None:
+            raise RuntimeError("factorization_defect has already consumed I - Theta Theta*")
+        return self.lower
+
     def eigvals(self) -> np.ndarray:
         """The p eigenvalues, ascending: one ``eigvalsh`` on the dense route."""
-        if self.lower is not None:
-            return np.linalg.eigvalsh(self.lower)
+        if self.kernel_eigh is None:
+            return np.linalg.eigvalsh(self.dense_lower())
         ell = self.kernel_eigh[0]
         p = self.kernel.shape[0]
         top = ell[ell.size - min(p, ell.size) :]  # K*K has m - p more zeros when p < m
@@ -361,8 +432,8 @@ class DefectStarSpectrum:
         On the Gram route they are u_k = K v_k / sqrt(l_k); on the dense
         route they come from one ``eigh``.  Either way in ascending order.
         """
-        if self.lower is not None:
-            lam, u = np.linalg.eigh(self.lower, UPLO="L")
+        if self.kernel_eigh is None:
+            lam, u = np.linalg.eigh(self.dense_lower(), UPLO="L")
             return lam, u[:, lam > PSD_RANK_TOL]
         ell, v = self.kernel_eigh
         keep = ell > PSD_RANK_TOL
@@ -372,23 +443,23 @@ class DefectStarSpectrum:
 def defect_star_spectrum(theta: CharFn) -> DefectStarSpectrum:
     """The spectrum of I - Theta Theta*, from the m x m Gram K*K when the factorization holds.
 
-    The gap G = I - Theta Theta* - K K* is formed once, a block of rows at a
-    time, and only its Frobenius norm is kept (:func:`linalg.gap_frobenius`).
-    Since |G|_2 <= |G|_F, Weyl's inequality puts every eigenvalue of
+    I - Theta Theta* is formed once (:func:`defect_star_lower`), and the gap
+    G = I - Theta Theta* - K K* is read off it a block of rows at a time,
+    keeping only its Frobenius norm (:func:`linalg.gap_frobenius`).  Since
+    |G|_2 <= |G|_F, Weyl's inequality puts every eigenvalue of
     I - Theta Theta* within |G|_F of the matching one of K K*.  When that
     certified bound is at most 1e-12 the spectrum comes from one ``eigh`` of
     K*K = I - Phi^(d+1)(I), and nothing p x p is decomposed.  Otherwise --
     relation families that are not graded, which break the factorization
     at the top degree, and bare matrices carrying no kernel of their own --
-    the dense route decomposes I - Theta Theta* as before, from the same
-    unchanged array.
+    the dense route decomposes I - Theta Theta*, from the same unchanged
+    array, which the result keeps for :func:`factorization_defect`.
     """
     k = theta.kernel.matrix
     lower = defect_star_lower(theta)
     gap = gap_frobenius(lower, k)
-    if gap > _GRAM_ROUTE_TOL:
-        return DefectStarSpectrum(gap=gap, kernel=k, kernel_eigh=None, lower=lower)
-    return DefectStarSpectrum(gap=gap, kernel=k, kernel_eigh=np.linalg.eigh(gram(k)), lower=None)
+    kernel_eigh = np.linalg.eigh(gram(k)) if gap <= _GRAM_ROUTE_TOL else None
+    return DefectStarSpectrum(theta=theta, gap=gap, kernel_eigh=kernel_eigh, lower=lower)
 
 
 @dataclasses.dataclass
@@ -410,7 +481,7 @@ class DeltaClassification:
     norm: float
 
 
-def delta_and_classify(theta: CharFn) -> DeltaClassification:
+def delta_and_classify(theta: CharFn | DefectStarSpectrum) -> DeltaClassification:
     """Decide whether Theta is inner / outer, from its squared singular values alone.
 
     Delta = (I - Theta*Theta)^(1/2) has the eigenvalues sqrt(1 - sigma^2),
@@ -420,7 +491,8 @@ def delta_and_classify(theta: CharFn) -> DeltaClassification:
     I - Theta Theta* = K K* holds to 1e-12 in Frobenius norm, lambda is the
     spectrum of the m x m Gram K*K padded with zeros, each value within that
     certified bound of the dense one (Weyl); otherwise one ``eigvalsh`` of
-    the p x p matrix gives it (:func:`defect_star_spectrum`).
+    the p x p matrix gives it (:func:`defect_star_spectrum`; pass the
+    function's spectrum to share it with :func:`factorization_defect`).
     Only sigma^2 is kept: its square root would carry the rounding of lambda
     (about 1e-16) up to about 1e-8 at a zero singular value.
 
@@ -433,8 +505,10 @@ def delta_and_classify(theta: CharFn) -> DeltaClassification:
     number the kernel-side route sees as dim ker(I - K*K).  The norm is the
     largest singular value.
     """
+    spectrum = theta if isinstance(theta, DefectStarSpectrum) else defect_star_spectrum(theta)
+    theta = spectrum.theta
     p, q = theta.matrix.shape
-    lam = defect_star_spectrum(theta).eigvals()
+    lam = spectrum.eigvals()
     sq = np.clip(1.0 - lam[: min(p, q)], 0.0, None)
     residual = float(np.max(np.abs(sq * sq - sq))) if sq.size else 0.0
     inner_threshold = 1e-8 + theta.tail_bound

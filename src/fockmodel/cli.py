@@ -40,6 +40,7 @@ from . import __version__
 from .charfn import (
     coincidence_necessary_mismatch,
     constrained_characteristic_function,
+    defect_star_spectrum,
     delta_and_classify,
     factorization_defect,
 )
@@ -276,7 +277,9 @@ def _cmd_charfn(args) -> int:
         return _finish(report, checks, args.out, verdict)
 
     cls, sub, theta = run.classification, run.sub, run.theta
-    dc = delta_and_classify(theta)
+    # I - Theta Theta* is formed once: the verdicts read it, then J-fa takes it
+    spectrum = defect_star_spectrum(theta)
+    dc = delta_and_classify(spectrum)
     block_norms = np.linalg.norm(theta.fourier_blocks, 2, axis=(1, 2))
     per_degree = {
         str(k): float(np.max(block_norms[run.space.degree_slice(k)], initial=0.0))
@@ -303,7 +306,7 @@ def _cmd_charfn(args) -> int:
             "fourier_norms_by_degree": per_degree,
             "norm": dc.norm,
             "residuals": {
-                "J-fa": factorization_defect(theta),
+                "J-fa": factorization_defect(spectrum),
                 "K*K": theta.kernel.gram_residual(),
             },
         }

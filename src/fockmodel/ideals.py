@@ -9,36 +9,53 @@ spans, inside the truncated Fock space, the subspace
 i.e. all two-sided word multiples of the relations that fit under the degree
 cap.  Its orthogonal complement N carries the constrained theory: the
 compressions of the left/right creation operators to N are the constrained
-shift operators.
+shift operators.  Only N is built; M enters as I - N N*, and dim M is
+dim - dim N.
 
-When every relation is homogeneous ("graded"), M and N split cleanly into
-per-degree blocks and each N-basis column has an exact degree; the degree-k
-slice of N then agrees with the degree-<= k theory exactly.  Non-homogeneous
-relations lose that alignment near the top degree: N-basis columns only get a
-support-based degree, and downstream identities that rely on degree windows
-hold on one fewer degree.  One loop serves both: it splits each block --
-one degree block of a graded family, else the whole space -- by one SVD, and
-reads every column's degree off its support, which for a graded family is
-the exact degree.
+When every relation is homogeneous ("graded"), M and N split into degree
+blocks, and N is fixed degree by degree by the recurrence of a graded
+algebra's ideal (Polishchuk and Positselski, *Quadratic Algebras*, ch. 1):
 
-The spanning vectors are assembled combinatorially (by word concatenation)
-and, as a guard against index bugs, every one is re-derived by walking the
-creation operators' index maps from the vacuum and compared at 1e-12.
+    N_0 = C (or 0 under a constant relation),
+    N_k = (N_(k-1) (x) C^n)  ∩  (C^n (x) N_(k-1))  ∩  R_k-perp,
+
+with R_k the span of the relations of degree k.  It holds because every
+spanning vector alpha p beta with |alpha| + |beta| >= 1 lies in
+M_(k-1) (x) C^n or in C^n (x) M_(k-1).  The intersection comes from the SVD
+of the a x a cosine matrix (N_(k-1) (x) I)* (I (x) N_(k-1)), a = n dim
+N_(k-1): its cosines equal to 1 (up to 1e-10) span it, and the largest
+cosine rejected is recorded as the subspace's ``margin``, with a
+NumericalRankWarning when it comes within 1e-8 of 1.  For the commutative
+family this N is the symmetric Fock space (Arveson, "Subalgebras of
+C*-algebras III", 1998).  Every N_k has its own basis, so N is block
+diagonal and each column has an exact degree; nothing indexed by the whole
+word space on both sides is formed.
+
+Relations that are not homogeneous have no such recurrence: their spanning
+vectors, assembled combinatorially (by word concatenation), are split by one
+SVD on the whole space, and each N column gets the top degree of its support.
+Downstream identities that rely on degree windows then hold on one fewer
+degree.  As a guard against index bugs, every spanning vector is re-derived
+by walking the creation operators' index maps from the vacuum and compared
+at 1e-12.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import warnings
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .fock import TruncatedFockSpace, Word, creation_targets
-from .linalg import adj, canonical_phase
+from .linalg import NumericalRankWarning, adj, canonical_phase, kron_left
 
 _CROSSCHECK_TOL = 1e-12
-_RANK_TOL = 1e-10  # relative singular-value cutoff for the rank of the relation span
+_RANK_TOL = 1e-10  # singular-value cutoff for the rank of the relation span (relative on the spanning route)
+_COSINE_CUT = 1e-10  # a cosine within this of 1 spans the intersection of the recurrence
+_COSINE_WARN = 1e-8  # a rejected cosine within this of 1 makes that cut suspect
 
 
 class NCPoly:
@@ -194,12 +211,18 @@ class PolyIdealSpec:
 
 @dataclasses.dataclass
 class ConstrainedSubspace:
-    """Orthonormal bases of the relation span M and its complement N.
+    """An orthonormal basis of the constrained subspace N, the complement of the relation span M.
 
-    N_degrees / M_degrees give one integer per basis column: the exact degree
-    for graded relation families, otherwise the top degree carrying more than
-    1e-10 of the column's mass.  N columns are sorted by degree either way, so
-    the first ``n_cols_up_to(k)`` columns span the degree-window part of N.
+    N_degrees gives one integer per basis column: the exact degree for graded
+    relation families, otherwise the top degree carrying more than 1e-10 of
+    the column's mass.  N columns are sorted by degree either way, so the
+    first ``n_cols_up_to(k)`` columns span the degree-window part of N; for
+    a graded family N_basis is block diagonal, the columns of degree k
+    vanishing off the degree-k rows.
+
+    ``margin`` is the largest cosine the degree recurrence rejected (0.0 when
+    it rejected none, the recurrence's cut lying at 1 - 1e-10); it is None
+    for families that are not graded, which take the spanning route.
 
     When M is trivial (no relation fits below the degree cap, the zero family
     among them) N_basis is exactly the identity; ``is_whole_space`` reports
@@ -209,10 +232,9 @@ class ConstrainedSubspace:
     space: TruncatedFockSpace
     spec: PolyIdealSpec
     N_basis: np.ndarray
-    M_basis: np.ndarray
     graded: bool
     N_degrees: np.ndarray
-    M_degrees: np.ndarray
+    margin: float | None
 
     @property
     def dim_N(self) -> int:
@@ -220,7 +242,7 @@ class ConstrainedSubspace:
 
     @property
     def dim_M(self) -> int:
-        return self.M_basis.shape[1]
+        return self.space.dim - self.dim_N
 
     @property
     def is_whole_space(self) -> bool:
@@ -241,26 +263,149 @@ class ConstrainedSubspace:
 
 
 def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> ConstrainedSubspace:
-    """Compute the relation span M and constrained subspace N at truncation.
+    """Compute the constrained subspace N at truncation.
 
-    One SVD per block splits the spanning vectors at the relative rank cut
-    1e-10.  The blocks are the degree blocks for a graded family, which keeps
-    every basis column at an exact degree, and the whole space otherwise.
-    Each column's degree is the top degree of its support; N is sorted by it.
+    A graded family takes the degree recurrence of the module docstring
+    (:func:`_degree_recurrence`); any other family splits its spanning
+    vectors by one SVD at the relative rank cut 1e-10 and sorts N by the top
+    degree of each column's support (:func:`_spanning_complement`).  When no
+    relation fits below the degree cap N is exactly the identity.
     """
     if spec.n != space.n:
         raise ValueError(f"relation family has n={spec.n} but the space has n={space.n}")
     gens = spec.generators()
-    n, d, dim = space.n, space.d, space.dim
-
     for p in gens:
-        if p.max_letter > n:
-            raise ValueError(f"relation {p!r} uses a generator beyond n={n}")
+        if p.max_letter > space.n:
+            raise ValueError(f"relation {p!r} uses a generator beyond n={space.n}")
 
-    # Spanning vectors e_{alpha w beta} summed with the relation coefficients,
-    # one column each: (row, column, coefficient) per term.
-    entries: list[tuple[int, int, complex]] = []
-    top_degrees: list[int] = []  # |alpha| + deg p + |beta|
+    graded = spec.is_graded
+    if all(p.degree > space.d for p in gens):  # no relations, or none fits below the cap
+        return ConstrainedSubspace(
+            space=space,
+            spec=spec,
+            N_basis=np.eye(space.dim, dtype=complex),
+            graded=graded,
+            N_degrees=space.degrees.copy(),
+            margin=0.0 if graded else None,
+        )
+    if not graded:
+        n_basis, n_degrees = _spanning_complement(gens, space)
+        return ConstrainedSubspace(space, spec, n_basis, False, n_degrees, None)
+
+    blocks, margin = _degree_recurrence(gens, space)
+    n_degrees = np.repeat(np.arange(space.d + 1), [b.shape[1] for b in blocks])
+    n_basis = np.zeros((space.dim, n_degrees.size), dtype=complex)
+    col = 0
+    for k, block in enumerate(blocks):
+        n_basis[space.degree_slice(k), col : col + block.shape[1]] = block
+        col += block.shape[1]
+    return ConstrainedSubspace(space, spec, n_basis, True, n_degrees, margin)
+
+
+def _degree_recurrence(
+    gens: list[NCPoly], space: TruncatedFockSpace
+) -> tuple[list[np.ndarray], float]:
+    """The blocks N_k, k = 0..d, of a graded family (n^k x dim N_k each) and the margin.
+
+    Each step intersects (:func:`_intersection`), then drops the relations
+    of degree k (:func:`_drop_relations`).  While N_(k-1) is the whole
+    degree block it is kept as None, the identity, and no SVD is taken.
+    The margin is the largest cosine any intersection rejected.
+    """
+    n, d = space.n, space.d
+    relations: dict[int, list[np.ndarray]] = {}
+    for p in gens:
+        if p.degree <= d:
+            vec = np.zeros(n**p.degree, dtype=complex)
+            start = space.degree_slice(p.degree).start
+            for w, c in p.terms.items():
+                vec[space.index(w) - start] = c
+            relations.setdefault(p.degree, []).append(vec / np.linalg.norm(vec))
+
+    blocks: list[np.ndarray] = []
+    margin = 0.0
+    basis = None  # N_(k-1); None while it is the whole degree block
+    for k in range(d + 1):
+        if basis is not None:
+            basis, rejected = _intersection(basis, n)
+            margin = max(margin, rejected)
+        if k in relations:
+            basis = _drop_relations(basis, np.column_stack(relations[k]))
+        blocks.append(np.eye(n**k, dtype=complex) if basis is None else basis)
+    if margin > 1.0 - _COSINE_WARN:
+        warnings.warn(
+            f"a cosine of {margin:.12f} was rejected from a degree intersection, "
+            f"within {_COSINE_WARN:.0e} of the cut at 1 - {_COSINE_CUT:.0e}",
+            NumericalRankWarning,
+            stacklevel=3,
+        )
+    return blocks, margin
+
+
+def _intersection(basis: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """(N (x) C^n) ∩ (C^n (x) N) for the orthonormal columns N of ``basis``, and the largest rejected cosine.
+
+    P = N (x) I and Q = I (x) N have orthonormal columns, so the singular
+    values of the a x a matrix P* Q = U S V* are the cosines of the
+    principal angles between their spans, and the columns of P U whose
+    cosine is 1 up to 1e-10 are an orthonormal basis of the intersection.
+    P is applied by :func:`linalg.kron_left`, never formed.
+    """
+    rows, a0 = basis.shape
+    q = np.zeros((n, rows, n, a0), dtype=complex)  # I (x) N: n diagonal copies of N
+    q[np.arange(n), :, np.arange(n), :] = basis
+    cosine = kron_left(adj(basis), q.reshape(n * rows, n * a0), n)  # (N (x) I)* (I (x) N)
+    u, s, _ = np.linalg.svd(cosine)
+    kept = int(np.count_nonzero(s >= 1.0 - _COSINE_CUT))
+    rejected = float(s[kept]) if kept < s.size else 0.0
+    return canonical_phase(kron_left(basis, u[:, :kept], n)), rejected
+
+
+def _drop_relations(basis: np.ndarray | None, relations: np.ndarray) -> np.ndarray:
+    """The part of span(``basis``) orthogonal to the unit relation vectors (None: the whole block).
+
+    With X = ``basis``, the left singular vectors of X* R beyond its rank
+    (singular values above 1e-10) are the coordinates of that part; R's
+    columns have norm 1, so the cut does not depend on how a relation is
+    scaled.
+    """
+    overlap = relations if basis is None else adj(basis) @ relations
+    u, s, _ = np.linalg.svd(overlap, full_matrices=True)
+    rank = int(np.count_nonzero(s > _RANK_TOL))
+    kept = u[:, rank:]
+    return canonical_phase(kept if basis is None else basis @ kept)
+
+
+def _spanning_complement(
+    gens: list[NCPoly], space: TruncatedFockSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """N and its column degrees from one SVD of every spanning vector, for any family.
+
+    The spanning vectors are checked by :func:`_crosscheck_spanning` first.
+    The relative rank cut is 1e-10; each N column's degree is the top degree
+    carrying more than 1e-10 of its mass, and N is sorted by it.
+    """
+    span, meta = _spanning_vectors(gens, space)
+    _crosscheck_spanning(space, span, meta)
+    u, s, _ = np.linalg.svd(span, full_matrices=True)
+    rank = int(np.count_nonzero(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+    n_part = u[:, rank:]
+    degrees = np.zeros(n_part.shape[1], dtype=int)
+    for k in range(1, space.d + 1):
+        degrees[np.linalg.norm(n_part[space.degree_slice(k)], axis=0) > 1e-10] = k
+    order = np.argsort(degrees, kind="stable")
+    return canonical_phase(n_part[:, order]), degrees[order]
+
+
+def _spanning_vectors(
+    gens: list[NCPoly], space: TruncatedFockSpace
+) -> tuple[np.ndarray, list[tuple[Word, NCPoly, Word]]]:
+    """The spanning vectors e_(alpha w beta) summed with the relation coefficients, one column each.
+
+    Returns the dim x count array and the (alpha, p, beta) of every column.
+    """
+    n, d = space.n, space.d
+    entries: list[tuple[int, int, complex]] = []  # (row, column, coefficient) per term
     meta: list[tuple[Word, NCPoly, Word]] = []
     for p in gens:
         t = p.degree
@@ -270,51 +415,11 @@ def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> Constraine
                     for beta in itertools.product(range(1, n + 1), repeat=kb):
                         for w, c in p.terms.items():
                             entries.append((space.index(alpha + w + beta), len(meta), c))
-                        top_degrees.append(ka + t + kb)
                         meta.append((alpha, p, beta))
-
-    graded = spec.is_graded
-    if not meta:  # no relations, or none fits below the degree cap
-        return ConstrainedSubspace(
-            space=space,
-            spec=spec,
-            N_basis=np.eye(dim, dtype=complex),
-            M_basis=np.zeros((dim, 0), dtype=complex),
-            graded=graded,
-            N_degrees=space.degrees.copy(),
-            M_degrees=np.zeros(0, dtype=int),
-        )
     rows, cols, coefs = zip(*entries)
-    span = np.zeros((dim, len(meta)), dtype=complex)
+    span = np.zeros((space.dim, len(meta)), dtype=complex)
     np.add.at(span, (rows, cols), coefs)
-    _crosscheck_spanning(space, span, meta)
-
-    # A graded family's vectors live in the degree block of their top degree;
-    # otherwise the whole space is one block.  Each block's left singular
-    # vectors fill its diagonal block of u, so u is block diagonal.
-    blocks = [space.degree_slice(k) for k in range(d + 1)] if graded else [slice(0, dim)]
-    block_of = np.array(top_degrees) if graded else np.zeros(len(meta), dtype=int)
-    u = np.zeros((dim, dim), dtype=complex)
-    in_m = np.zeros(dim, dtype=bool)
-    for b, block in enumerate(blocks):
-        # a block no vector reaches has no columns; its SVD gives I and rank 0
-        u[block, block], s, _ = np.linalg.svd(span[block][:, block_of == b], full_matrices=True)
-        rank = int(np.count_nonzero(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-        in_m[block.start : block.start + rank] = True
-    degrees = np.zeros(dim, dtype=int)  # per column, the top degree carrying more than 1e-10
-    for k in range(1, d + 1):
-        degrees[np.linalg.norm(u[space.degree_slice(k)], axis=0) > 1e-10] = k
-    n_cols = np.flatnonzero(~in_m)
-    n_cols = n_cols[np.argsort(degrees[n_cols], kind="stable")]
-    return ConstrainedSubspace(
-        space=space,
-        spec=spec,
-        N_basis=canonical_phase(u[:, n_cols]),
-        M_basis=canonical_phase(u[:, in_m]),
-        graded=graded,
-        N_degrees=degrees[n_cols],
-        M_degrees=degrees[in_m],
-    )
+    return span, meta
 
 
 def constrained_creation(sub: ConstrainedSubspace, i: int, side: str = "left") -> np.ndarray:

@@ -206,7 +206,8 @@ def projector_basis(b: np.ndarray, rows: int | None = None) -> np.ndarray:
         lead -= np.outer(lead @ v.conj(), v)
     q, r = np.linalg.qr(adj(b[picked]), mode="complete")
     diag = np.diagonal(r)
-    q[:, : diag.size] *= np.exp(1j * np.angle(diag))
+    size = np.abs(diag)  # the phase diag / |diag| is exactly -1 at a negative real pivot
+    q[:, : diag.size] *= np.divide(diag, size, out=np.ones_like(diag), where=size > 0)
     return b @ q
 
 

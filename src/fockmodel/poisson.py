@@ -119,7 +119,8 @@ def constrained_poisson_kernel(
     the free kernel.  Refuses tuples that do not satisfy the relations
     (residual above 1e-8): the compression is only meaningful -- and only
     lossless -- for tuples in the constrained class.  The norm of the
-    discarded M-component is returned on the result as ``subspace_leak``.
+    discarded M-component, |((I - N N*) (x) I) K| with K the uncompressed
+    kernel, is returned on the result as ``subspace_leak``.
     ``relation_residual`` (the constraint_residual under ``sub.spec``) reuses
     what the caller already has of the tuple.
     """
@@ -130,9 +131,10 @@ def constrained_poisson_kernel(
     blocks = kernel_blocks(mats, sub.space, defect)
     if sub.is_whole_space:  # N = I: nothing to compress, nothing to leak
         compressed, leak_norm = blocks, 0.0
-    else:
-        compressed = kron_left(adj(sub.N_basis), blocks.reshape(-1, m), defect.d_T)
-        leak_norm = opnorm(kron_left(adj(sub.M_basis), blocks.reshape(-1, m), defect.d_T))
+    else:  # the leak is |((I - N N*) (x) I) K|, the part of the blocks off N
+        flat = blocks.reshape(-1, m)
+        compressed = kron_left(adj(sub.N_basis), flat, defect.d_T)
+        leak_norm = opnorm(flat - kron_left(sub.N_basis, compressed, defect.d_T))
     if leak_norm > 1e-6:
         raise RuntimeError(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "

@@ -3,8 +3,11 @@
 The constraint-dimension oracle here deliberately avoids the production
 route: it spans the relation subspace by *acting with explicit operator
 products on basis vectors* and takes a single numpy matrix_rank, whereas
-ideal_subspace assembles coefficient vectors by index arithmetic and splits
-an SVD per degree.  The two share nothing beyond the generator polynomials.
+ideal_subspace runs a degree recurrence (graded families) or assembles
+coefficient vectors by index arithmetic (the others).  The two share nothing
+beyond the generator polynomials.  :func:`spanning_svd_subspace` keeps the
+spanning-vector SVD, by degree block for graded families, as the oracle of
+both routes, with the relation span M that production no longer builds.
 """
 
 import dataclasses
@@ -23,6 +26,7 @@ from fockmodel import (
     ideal_subspace,
 )
 from fockmodel.fock import left_creation_tuple, word_operator
+from fockmodel.linalg import canonical_phase
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     nilpotent_pair_tuple,
@@ -82,6 +86,99 @@ def brute_force_constraint_dims(spec: PolyIdealSpec, space: TruncatedFockSpace):
         return 0, space.dim
     rank = int(np.linalg.matrix_rank(np.column_stack(cols)))
     return rank, space.dim - rank
+
+
+@dataclasses.dataclass
+class SpanningOracle:
+    """Bases of N and of the relation span M from an SVD of the spanning vectors."""
+
+    graded: bool
+    N_basis: np.ndarray
+    M_basis: np.ndarray
+    N_degrees: np.ndarray
+    M_degrees: np.ndarray
+
+
+def spanning_svd_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> SpanningOracle:
+    """N and M by a graded path (an SVD per degree) and a global one.
+
+    Graded families split each degree block by an SVD of the spanning
+    vectors alpha p beta of that degree, written on the block alone; other
+    families take one SVD of every spanning vector and a column-by-column
+    support degree, as ``ideal_subspace`` does.  The rank cut is 1e-10
+    relative to the largest singular value.
+    """
+    n, d, dim = space.n, space.d, space.dim
+    vectors, top_degrees = [], []
+    for p in spec.generators():
+        t = p.degree
+        for ka in range(0, d - t + 1):
+            for alpha in itertools.product(range(1, n + 1), repeat=ka):
+                for kb in range(0, d - t - ka + 1):
+                    for beta in itertools.product(range(1, n + 1), repeat=kb):
+                        vectors.append([(space.index(alpha + w + beta), c) for w, c in p.terms.items()])
+                        top_degrees.append(ka + t + kb)
+    if not vectors:
+        return SpanningOracle(spec.is_graded, np.eye(dim, dtype=complex),
+                              np.zeros((dim, 0), dtype=complex), space.degrees.copy(),
+                              np.zeros(0, dtype=int))
+
+    def rank_of(s):
+        return int(np.count_nonzero(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
+
+    if spec.is_graded:
+        n_cols, m_cols, n_degs, m_degs = [], [], [], []
+        for k in range(d + 1):
+            block = space.degree_slice(k)
+            vecs = [v for v, t in zip(vectors, top_degrees) if t == k]
+            span = np.zeros((block.stop - block.start, len(vecs)), dtype=complex)
+            for col, entries in enumerate(vecs):
+                for row, c in entries:
+                    span[row - block.start, col] += c
+            # the left singular vectors, all of them: thin when there are more vectors than rows
+            u, s, _ = np.linalg.svd(span, full_matrices=span.shape[0] > span.shape[1])
+            rank = rank_of(s)
+            for j in range(u.shape[1]):
+                col = np.zeros(dim, dtype=complex)
+                col[block] = u[:, j]
+                (m_cols if j < rank else n_cols).append(col)
+                (m_degs if j < rank else n_degs).append(k)
+
+        def stack(cols):
+            return np.column_stack(cols) if cols else np.zeros((dim, 0), complex)
+
+        return SpanningOracle(True, canonical_phase(stack(n_cols)), canonical_phase(stack(m_cols)),
+                              np.array(n_degs, dtype=int), np.array(m_degs, dtype=int))
+
+    span = np.zeros((dim, len(vectors)), dtype=complex)
+    for col, entries in enumerate(vectors):
+        for row, c in entries:
+            span[row, col] += c
+    u, s, _ = np.linalg.svd(span, full_matrices=True)
+    rank = rank_of(s)
+
+    def support_degree(col):
+        deg = 0
+        for k in range(d + 1):
+            if np.linalg.norm(col[space.degree_slice(k)]) > 1e-10:
+                deg = k
+        return deg
+
+    m, n_ = u[:, :rank], u[:, rank:]
+    n_degs = np.array([support_degree(n_[:, j]) for j in range(n_.shape[1])], dtype=int)
+    order = np.argsort(n_degs, kind="stable")
+    m_degs = np.array([support_degree(m[:, j]) for j in range(m.shape[1])], dtype=int)
+    return SpanningOracle(False, canonical_phase(n_[:, order]), canonical_phase(m),
+                          n_degs[order], m_degs)
+
+
+def degree_projectors(basis: np.ndarray, degrees: np.ndarray, space: TruncatedFockSpace):
+    """The projector onto the span of the degree-k columns, on the degree-k rows, per k."""
+    out = []
+    for k in range(space.d + 1):
+        block = basis[space.degree_slice(k)][:, degrees == k]
+        out.append(block @ adj(block))
+    return out
 
 
 @pytest.fixture(scope="session")
@@ -167,6 +264,7 @@ ORACLE_FAMILIES = [
     "q-uniform",
     "q-per-pair",
     "custom-homogeneous",
+    "custom-mixed-degree",
     "custom-constant-term",
     "longer-than-d",
 ]
@@ -187,6 +285,9 @@ def oracle_family(name: str, n: int, d: int) -> PolyIdealSpec:
         return PolyIdealSpec(n=n, kind="q_commutative", q=q)
     if name == "custom-homogeneous":
         polys = [NCPoly({(1, n): 1.0, (n, 1): -0.3 + 0.2j})]
+    elif name == "custom-mixed-degree":  # homogeneous of degrees 2 and 3: R_k enters twice
+        polys = [NCPoly({(1, n): 1.0, (n, 1): -0.5j}),
+                 NCPoly({(1, 1, n): 1.0, (n, 1, 1): 0.4 - 0.3j, (1, n, 1): -0.7})]
     elif name == "custom-constant-term":
         polys = [NCPoly({(): 0.5, (1,): 1.0, (n, 1): 2j})]
     else:

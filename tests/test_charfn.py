@@ -26,6 +26,8 @@ from conftest import (
     opnorm,
     oracle_family,
     oracle_tuple,
+    record_decompositions,
+    spanning_svd_subspace,
     spectral_theta,
     theta_of,
 )
@@ -371,9 +373,10 @@ def test_routes_that_disagree_are_refused(monkeypatch):
 
 
 def test_a_leaking_relation_span_is_refused():
-    # a relation "span" that overlaps N: the function maps it into N
+    # an N without the vacuum column: its complement, the relation "span",
+    # then holds the vacuum, which the function maps into N
     sub = ideal_subspace(make_spec("commutative"), TruncatedFockSpace(2, 3))
-    corrupted = dataclasses.replace(sub, M_basis=sub.N_basis[:, :1])
+    corrupted = dataclasses.replace(sub, N_basis=sub.N_basis[:, 1:], N_degrees=sub.N_degrees[1:])
     kernel = dataclasses.replace(constrained_poisson_kernel(PAIR, sub), sub=corrupted)
     with pytest.raises(RuntimeError, match="leaks .* from the relation span"):
         constrained_characteristic_function(kernel)
@@ -544,3 +547,103 @@ def test_theta_by_degree_slices_on_degenerate_defects(d, subspace_factory):
     # a co-isometric tuple, T_1 T_1* + T_2 T_2* = I: no defect at all, d_T = 0
     kernel = _assert_theta_matches_the_oracle([np.eye(2) / np.sqrt(2)] * 2, free)
     assert kernel.d_T == 0
+
+
+# ---------------------------------------------------------------------------
+# (N* (x) I) Theta from the Fourier blocks against the whole-space Theta
+# compressed by Kronecker products, and both leaks against the oracle's M
+
+
+def _rows_route_cases():
+    """The oracle families and sizes with relations below the degree cap, and larger ones."""
+    cases = [(family, n, d) for family in ORACLE_FAMILIES for n, d in ORACLE_SIZES
+             if not ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d)).is_whole_space]
+    return cases + [("commutative", 2, 7), ("q-uniform", 2, 7), ("custom-mixed-degree", 2, 7),
+                    ("q-per-pair", 3, 4), ("custom-constant-term", 2, 5)]
+
+
+@pytest.mark.parametrize("family, n, d", _rows_route_cases())
+def test_the_rows_route_matches_the_kronecker_compression(family, n, d, space_factory):
+    space = space_factory(n, d)
+    spec = oracle_family(family, n, d)
+    sub = ideal_subspace(spec, space)
+    kernel = constrained_poisson_kernel(oracle_tuple(family, n, np.random.default_rng([n, d])), sub)
+    d_T, d_star = kernel.d_T, kernel.defect.d_star
+    whole = _comprehension_block_matrix(kernel)
+    rows = np.kron(adj(sub.N_basis), np.eye(d_T)) @ whole
+    theta_n = rows @ np.kron(sub.N_basis, np.eye(d_star))
+    assert np.max(np.abs(charfn._compressed_rows(kernel) - rows), initial=0.0) < 1e-14
+    th = constrained_characteristic_function(kernel)
+    assert np.max(np.abs(th.matrix - theta_n), initial=0.0) < 1e-14
+    # the leaks as they were measured, through the oracle's N and a basis of
+    # the relation span M orthogonal to it
+    oracle = spanning_svd_subspace(spec, space)
+    m_basis = oracle.M_basis
+    assert m_basis.shape[1] == sub.dim_M
+    flat = kernel.blocks.reshape(space.dim * d_T, -1)
+    kernel_leak = opnorm(np.kron(adj(m_basis), np.eye(d_T)) @ flat)
+    assert abs(kernel.subspace_leak - kernel_leak) < 1e-14
+    oracle_rows = np.kron(adj(oracle.N_basis), np.eye(d_T)) @ whole
+    coinvariance_leak = opnorm(oracle_rows @ np.kron(m_basis, np.eye(d_star)))
+    assert abs(th.coinvariance_leak - coinvariance_leak) < 1e-14
+
+
+def test_a_constrained_theta_is_never_formed_on_the_whole_space(monkeypatch):
+    # the budget of a constrained charfn and model: no whole-space Theta, no
+    # dim x dim array, and no SVD in ideal_subspace larger than a x a with
+    # a = n dim N_(k-1)
+    import tracemalloc
+
+    from fockmodel import build_model
+    from fockmodel.sampling import commuting_nilpotent_tuple
+
+    block_matrix = charfn._block_matrix
+
+    def whole_space_only(kernel):
+        assert kernel.sub.is_whole_space, "Theta was built on the whole space"
+        return block_matrix(kernel)
+
+    monkeypatch.setattr(charfn, "_block_matrix", whole_space_only)
+    space = TruncatedFockSpace(2, 7)
+    mats = commuting_nilpotent_tuple(np.random.default_rng(11), 2, 0.5)
+    seen = record_decompositions(monkeypatch)
+    tracemalloc.start()
+    try:
+        sub = ideal_subspace(make_spec("commutative"), space)
+        _, subspace_peak = tracemalloc.get_traced_memory()
+        subspace_calls = list(seen)
+        tracemalloc.reset_peak()
+        th = theta_of(mats, sub)
+        dc = delta_and_classify(th)
+        jfa = factorization_defect(th)
+        model = build_model(th)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    largest_a = space.n * max(np.count_nonzero(sub.N_degrees == k) for k in range(space.d))
+    assert subspace_calls and all(name == "svd" for name, _ in subspace_calls)
+    assert max(max(shape) for _, shape in subspace_calls) <= largest_a
+    assert subspace_peak < space.dim * space.dim * 16  # no dim x dim complex array
+    # the whole-space Theta alone would take 16 (dim d_T) (dim d_star) bytes
+    assert th.matrix.shape == (sub.dim_N * th.d_T, sub.dim_N * th.d_star)
+    assert peak < 16 * (space.dim * th.d_T) * (space.dim * th.d_star) / 2
+    assert dc.inner and jfa < 1e-9 and model.h == 3
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES + ["fallback"])
+def test_the_shared_spectrum_gives_the_same_verdicts_and_j_fa(case, subspace_factory):
+    # delta_and_classify and factorization_defect on one spectrum agree bit
+    # for bit with each forming I - Theta Theta* anew, on both routes
+    if case == "fallback":
+        sub = ideal_subspace(oracle_family("custom-constant-term", 2, 5), TruncatedFockSpace(2, 5))
+        th = theta_of(oracle_tuple("custom-constant-term", 2, None), sub)
+    else:
+        th = spectral_theta(case, subspace_factory)
+    spectrum = charfn.defect_star_spectrum(th)
+    dc = delta_and_classify(spectrum)
+    assert np.array_equal(dc.sigma_squared, delta_and_classify(th).sigma_squared)
+    assert factorization_defect(spectrum) == factorization_defect(th)
+    assert spectrum.lower is None  # taken by factorization_defect
+    if spectrum.kernel_eigh is None:
+        with pytest.raises(RuntimeError, match="consumed"):
+            spectrum.eigvals()

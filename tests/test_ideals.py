@@ -17,9 +17,11 @@ from conftest import (
     Q_TEST,
     adj,
     brute_force_constraint_dims,
+    degree_projectors,
     make_spec,
     opnorm,
     oracle_family,
+    spanning_svd_subspace,
 )
 from fockmodel import (
     NCPoly,
@@ -30,8 +32,8 @@ from fockmodel import (
     ideal_subspace,
 )
 from fockmodel.fock import creation_targets, left_creation_tuple, word_operator
-from fockmodel.ideals import _RANK_TOL, ConstrainedSubspace, _crosscheck_spanning
-from fockmodel.linalg import canonical_phase
+from fockmodel.ideals import _COSINE_CUT, _crosscheck_spanning
+from fockmodel.linalg import NumericalRankWarning
 
 # dim N for the commutative family, n=2 d=0..6 and n=3 d=0..4
 COMM_DIMS_N2 = [1, 3, 6, 10, 15, 21, 28]
@@ -191,10 +193,13 @@ def q_sub(subspace_factory):
 
 
 def test_bases_are_orthonormal_and_complementary(comm_sub):
-    n_basis, m_basis = comm_sub.N_basis, comm_sub.M_basis
+    import fockmodel.ideals as ideals
+
+    n_basis = comm_sub.N_basis
+    span, _ = ideals._spanning_vectors(comm_sub.spec.generators(), comm_sub.space)
     assert opnorm(adj(n_basis) @ n_basis - np.eye(comm_sub.dim_N)) < 1e-12
-    assert opnorm(adj(m_basis) @ m_basis - np.eye(comm_sub.dim_M)) < 1e-12
-    assert opnorm(adj(n_basis) @ m_basis) < 1e-12
+    assert opnorm(adj(n_basis) @ span) < 1e-12  # N is orthogonal to every spanning vector
+    assert comm_sub.dim_M == np.linalg.matrix_rank(span) == comm_sub.space.dim - comm_sub.dim_N
     p = comm_sub.projector_N()
     assert opnorm(p @ p - p) < 1e-12
     assert opnorm(p - adj(p)) < 1e-12
@@ -339,7 +344,7 @@ def _walk_one_vector_at_a_time(space, meta):
 @pytest.mark.parametrize(
     "kind, n, d", [("commutative", 2, 7), ("q_commutative", 3, 4), ("custom", 2, 5)]
 )
-def test_the_shape_batched_walk_is_the_one_vector_walk(kind, n, d, space_factory, monkeypatch):
+def test_the_shape_batched_walk_is_the_one_vector_walk(kind, n, d, space_factory):
     import fockmodel.ideals as ideals
 
     if kind == "custom":
@@ -347,13 +352,8 @@ def test_the_shape_batched_walk_is_the_one_vector_walk(kind, n, d, space_factory
         spec = PolyIdealSpec(n=n, kind="custom", polys=polys)
     else:
         spec = make_spec(kind, n=n)
-    captured = []
-    guard = ideals._crosscheck_spanning
-    monkeypatch.setattr(
-        ideals, "_crosscheck_spanning", lambda *args: (captured.append(args), guard(*args))
-    )
-    ideal_subspace(spec, space_factory(n, d))
-    (space, span, meta), = captured
+    space = space_factory(n, d)
+    span, meta = ideals._spanning_vectors(spec.generators(), space)
     want = _walk_one_vector_at_a_time(space, meta)
     rows, cols, coefs = ideals._walk_spanning(space, meta)
     assert len(set(zip(rows, cols))) == rows.size  # no two entries share a slot
@@ -364,8 +364,9 @@ def test_the_shape_batched_walk_is_the_one_vector_walk(kind, n, d, space_factory
 
 
 def test_the_spanning_guard_checks_every_vector(space_factory, monkeypatch):
-    # vector 55 of the 321 at (2, 7) is neither among the first 50 nor a
-    # multiple of 6, so a guard that samples them would miss it
+    # vector 55 of the 129 of a family that is not graded at (2, 6) is
+    # neither among the first 50 nor a multiple of 6, so a guard that
+    # samples them would miss it
     import fockmodel.ideals as ideals
 
     guard, counts = ideals._crosscheck_spanning, []
@@ -378,88 +379,126 @@ def test_the_spanning_guard_checks_every_vector(space_factory, monkeypatch):
 
     monkeypatch.setattr(ideals, "_crosscheck_spanning", corrupted)
     with pytest.raises(RuntimeError, match="indexing bug"):
-        ideal_subspace(make_spec("commutative"), space_factory(2, 7))
-    assert counts == [321]
+        ideal_subspace(oracle_family("custom-constant-term", 2, 6), space_factory(2, 6))
+    assert counts == [129]
+
+
+def test_graded_families_build_no_spanning_vectors(space_factory, monkeypatch):
+    import fockmodel.ideals as ideals
+
+    def refuse(*args):
+        raise AssertionError("a graded family took the spanning route")
+
+    monkeypatch.setattr(ideals, "_spanning_vectors", refuse)
+    sub = ideal_subspace(make_spec("commutative"), space_factory(2, 7))
+    assert sub.graded and sub.dim_N == 36
 
 
 # ---------------------------------------------------------------------------
-# the one block loop against the two paths it replaced
+# the degree recurrence and the spanning route against the spanning-SVD oracle
 
 
-def _two_path_ideal_subspace(spec, space):
-    """The relation subspace by a graded path (an SVD per degree) and a global one.
-
-    Graded families split each degree block by its own SVD; other families
-    take one SVD of every spanning vector and a column-by-column support
-    degree.  Kept as the oracle of :func:`ideals.ideal_subspace`.
-    """
-    n, d, dim = space.n, space.d, space.dim
-    vectors, top_degrees = [], []
-    for p in spec.generators():
-        t = p.degree
-        for ka in range(0, d - t + 1):
-            for alpha in itertools.product(range(1, n + 1), repeat=ka):
-                for kb in range(0, d - t - ka + 1):
-                    for beta in itertools.product(range(1, n + 1), repeat=kb):
-                        vec = np.zeros(dim, dtype=complex)
-                        for w, c in p.terms.items():
-                            vec[space.index(alpha + w + beta)] += c
-                        vectors.append(vec)
-                        top_degrees.append(ka + t + kb)
-    if not vectors:
-        return ConstrainedSubspace(space, spec, np.eye(dim, dtype=complex),
-                                   np.zeros((dim, 0), dtype=complex), spec.is_graded,
-                                   space.degrees.copy(), np.zeros(0, dtype=int))
-
-    if spec.is_graded:
-        n_cols, m_cols, n_degs, m_degs = [], [], [], []
-        for k in range(d + 1):
-            block = space.degree_slice(k)
-            vecs = [v[block] for v, t in zip(vectors, top_degrees) if t == k]
-            if not vecs:
-                u, rank = np.eye(block.stop - block.start, dtype=complex), 0
-            else:
-                u, s, _ = np.linalg.svd(np.column_stack(vecs), full_matrices=True)
-                rank = int(np.count_nonzero(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-            for j in range(u.shape[1]):
-                col = np.zeros(dim, dtype=complex)
-                col[block] = u[:, j]
-                (m_cols if j < rank else n_cols).append(col)
-                (m_degs if j < rank else n_degs).append(k)
-
-        def stack(cols):
-            return np.column_stack(cols) if cols else np.zeros((dim, 0), complex)
-
-        return ConstrainedSubspace(space, spec, canonical_phase(stack(n_cols)),
-                                   canonical_phase(stack(m_cols)), True,
-                                   np.array(n_degs, dtype=int), np.array(m_degs, dtype=int))
-
-    u, s, _ = np.linalg.svd(np.column_stack(vectors), full_matrices=True)
-    rank = int(np.count_nonzero(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-
-    def support_degree(col):
-        deg = 0
-        for k in range(d + 1):
-            if np.linalg.norm(col[space.degree_slice(k)]) > 1e-10:
-                deg = k
-        return deg
-
-    m, n_ = u[:, :rank], u[:, rank:]
-    n_degs = np.array([support_degree(n_[:, j]) for j in range(n_.shape[1])], dtype=int)
-    order = np.argsort(n_degs, kind="stable")
-    m_degs = np.array([support_degree(m[:, j]) for j in range(m.shape[1])], dtype=int)
-    return ConstrainedSubspace(space, spec, canonical_phase(n_[:, order]), canonical_phase(m),
-                               False, n_degs[order], m_degs)
+def _assert_matches_the_oracle(sub, want, exact):
+    """Exact bases off the recurrence; per-degree projectors to 1e-13 on it."""
+    space = sub.space
+    assert sub.graded is want.graded
+    assert sub.N_basis.dtype == want.N_basis.dtype
+    assert np.array_equal(sub.N_degrees, want.N_degrees)
+    assert sub.dim_M == want.M_basis.shape[1]
+    if exact:
+        assert np.array_equal(sub.N_basis, want.N_basis)
+        return
+    for got, expected in zip(degree_projectors(sub.N_basis, sub.N_degrees, space),
+                             degree_projectors(want.N_basis, want.N_degrees, space)):
+        assert np.max(np.abs(got - expected), initial=0.0) < 1e-13
+    # block diagonal: each column vanishes exactly off the rows of its degree
+    assert not np.any(sub.N_basis[space.degrees[:, None] != sub.N_degrees[None, :]])
+    assert sub.margin < 1.0 - _COSINE_CUT
 
 
 @pytest.mark.parametrize("n, d", ORACLE_SIZES)
 @pytest.mark.parametrize("family", ORACLE_FAMILIES)
 def test_the_block_loop_reproduces_the_two_path_subspace_exactly(family, n, d, space_factory):
+    # the spanning route (families that are not graded, and N = I) is
+    # bit-identical to the oracle; the recurrence picks its own basis inside
+    # each N_k, so graded families with relations compare projectors
     spec = oracle_family(family, n, d)
     sub = ideal_subspace(spec, space_factory(n, d))
-    want = _two_path_ideal_subspace(spec, space_factory(n, d))
-    assert sub.graded is want.graded
-    for name in ("N_basis", "M_basis", "N_degrees", "M_degrees"):
-        got, expected = getattr(sub, name), getattr(want, name)
-        assert got.dtype == expected.dtype, name
-        assert np.array_equal(got, expected), name
+    _assert_matches_the_oracle(sub, spanning_svd_subspace(spec, space_factory(n, d)),
+                               exact=not spec.is_graded or sub.is_whole_space)
+
+
+def _symmetrizer(n, k):
+    """The projector onto the symmetric tensors of degree k: 1 / #rearrangements of w on each class."""
+    classes = {}
+    for i, w in enumerate(itertools.product(range(n), repeat=k)):
+        classes.setdefault(tuple(sorted(w)), []).append(i)
+    out = np.zeros((n**k, n**k))
+    for members in classes.values():
+        out[np.ix_(members, members)] = 1.0 / len(members)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, n, d, q",
+    [
+        ("commutative", 2, 7, None),
+        ("commutative", 3, 6, None),
+        ("q_commutative", 2, 8, 0.5j),
+        ("q_commutative", 3, 5, None),
+        ("q_commutative", 2, 7, 0.99),
+        ("q_commutative", 2, 7, 2.0),
+        ("custom-mixed-degree", 2, 7, None),
+        ("custom-mixed-degree", 3, 5, None),
+    ],
+)
+def test_the_degree_recurrence_matches_the_spanning_svd(kind, n, d, q, space_factory):
+    if kind == "custom-mixed-degree":
+        spec = oracle_family(kind, n, d)
+    else:
+        spec = make_spec(kind, n=n, q=q)
+    space = space_factory(n, d)
+    _assert_matches_the_oracle(ideal_subspace(spec, space), spanning_svd_subspace(spec, space),
+                               exact=False)
+
+
+@pytest.mark.parametrize("n, d", [(2, 7), (3, 6), (2, 10)])
+def test_the_commutative_recurrence_is_the_symmetric_fock_space(n, d, space_factory):
+    # Arveson's symmetric Fock space: on degree k, N is the range of the
+    # symmetrizer, whose entry at (w, v) is 1 / #rearrangements of w when v
+    # rearranges w
+    space = space_factory(n, d)
+    sub = ideal_subspace(make_spec("commutative", n=n), space)
+    assert sub.dim_N == commutative_dim(n, d)
+    for k, got in enumerate(degree_projectors(sub.N_basis, sub.N_degrees, space)):
+        assert np.max(np.abs(got - _symmetrizer(n, k))) < 1e-13
+    assert 0.0 < sub.margin < 1.0 - _COSINE_CUT
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [
+        [NCPoly({(): 1.0})],  # a constant: N_0 = 0, and every N_k after it
+        [NCPoly({(1,): 1.0}), NCPoly({(2,): 1.0})],  # both letters: N is the vacuum
+        [NCPoly({(1, 1): 1.0}), NCPoly({(2,): 1.0})],
+    ],
+    ids=["constant", "letters", "square-and-letter"],
+)
+def test_relations_that_empty_a_degree_empty_every_later_one(polys, space_factory):
+    spec = PolyIdealSpec(n=2, kind="custom", polys=polys)
+    sub = ideal_subspace(spec, space_factory(2, 3))
+    assert sub.graded and sub.margin == 0.0
+    assert (sub.dim_M, sub.dim_N) == brute_force_constraint_dims(spec, space_factory(2, 3))
+    assert np.array_equal(sub.N_degrees, np.arange(sub.dim_N))
+
+
+def test_a_rejected_cosine_near_one_warns(space_factory, monkeypatch):
+    import fockmodel.ideals as ideals
+
+    intersection = ideals._intersection
+    monkeypatch.setattr(
+        ideals, "_intersection", lambda *args: (intersection(*args)[0], 1.0 - 1e-9)
+    )
+    with pytest.warns(NumericalRankWarning, match="cosine"):
+        sub = ideal_subspace(make_spec("commutative"), space_factory(2, 4))
+    assert sub.margin == 1.0 - 1e-9 and sub.dim_N == commutative_dim(2, 4)

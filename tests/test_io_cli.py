@@ -581,8 +581,18 @@ def test_charfn_and_model_decompose_nothing_larger_than_p(tmp_path, monkeypatch,
     )
     out = tmp_path / "r.json"
     seen = record_decompositions(monkeypatch)
+    grams = []  # the shape of every row_gram operand
+    import fockmodel.charfn as charfn_module
+    import fockmodel.linalg as linalg_module
+    import fockmodel.model as model_module
+
+    row_gram = linalg_module.row_gram
+    for module in (charfn_module, linalg_module, model_module):
+        monkeypatch.setattr(module, "row_gram", lambda a, **kw: grams.append(a.shape) or row_gram(a, **kw))
     assert run_cli([command, "--problem", prob, "--out", str(out)]) == 0
     p, q = 381, 762
+    # I - Theta Theta* is formed once per command: the verdicts and J-fa share it
+    assert grams.count((p, q)) == 1
     dims = read(out)["dims"]
     shape = (dims["rows"], dims["cols"]) if command == "charfn" else (dims["p"], dims["q"])
     assert shape == (p, q)
@@ -590,6 +600,31 @@ def test_charfn_and_model_decompose_nothing_larger_than_p(tmp_path, monkeypatch,
     assert large == ([] if command == "charfn" else [("qr", (q, p))])
     p_sized = [(name, shape) for name, shape in seen if min(shape[-2:]) >= p]
     assert p_sized == [*large, ("eigvalsh", (p, p))]
+
+
+@pytest.mark.parametrize("command", ["charfn", "model"])
+def test_constrained_commands_never_build_theta_on_the_whole_space(tmp_path, monkeypatch, command):
+    import fockmodel.charfn as charfn_module
+
+    block_matrix = charfn_module._block_matrix
+
+    def whole_space_only(kernel):
+        if not kernel.sub.is_whole_space:
+            raise AssertionError("Theta was built on the whole space")
+        return block_matrix(kernel)
+
+    monkeypatch.setattr(charfn_module, "_block_matrix", whole_space_only)
+    mats = commuting_nilpotent_tuple(np.random.default_rng(11), 2, 0.5)
+    prob = write_problem(
+        tmp_path / "p.json", n=2, m=3, degree=7, mats=mats, ideal={"kind": "commutative"}
+    )
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--problem", prob, "--out", str(out)]) == 0
+    dims = read(out)["dims"]
+    if command == "charfn":
+        assert (dims["dim_N"], dims["rows"], dims["cols"]) == (36, 108, 216)
+    else:
+        assert (dims["p"], dims["q"]) == (108, 216)
 
 
 def test_the_zero_tuple_reports_no_negative_zero(tmp_path):

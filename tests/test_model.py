@@ -744,7 +744,7 @@ def test_the_gram_route_matches_the_dense_route(case, space_factory):
     th = theta_of(mats, sub)
     p, m = th.matrix.shape[0], mats[0].shape[0]
     spectrum = defect_star_spectrum(th)
-    assert spectrum.lower is None and spectrum.gap <= 1e-12
+    assert spectrum.kernel_eigh is not None and spectrum.gap <= 1e-12
     if name.startswith("co-isometric"):
         assert p == 0
     if name.startswith("p-below-m"):
@@ -790,7 +790,7 @@ def test_the_dense_fallback_is_the_dense_route(case, space_factory, subspace_fac
         spec = oracle_family("custom-constant-term", n, d)
         th = theta_of(mats, ideal_subspace(spec, space_factory(n, d)))
     spectrum = defect_star_spectrum(th)
-    assert spectrum.lower is not None and spectrum.gap > 1e-12
+    assert spectrum.kernel_eigh is None and spectrum.gap > 1e-12
     sq, verdicts, h_basis, h_pure, isometry = _dense_route(th)
     dc = delta_and_classify(th)
     assert np.array_equal(dc.sigma_squared, sq)
@@ -802,3 +802,14 @@ def test_the_dense_fallback_is_the_dense_route(case, space_factory, subspace_fac
         assert np.array_equal(model.H_pure_basis, h_pure)
     # Delta is now formed from the h kept eigenpairs, not all p
     assert abs(model.isometry_residual - isometry) <= 1e-13
+
+
+def test_the_zero_tuple_model_basis_has_an_exactly_real_diagonal(subspace_factory):
+    # projector_basis turns each column by diag(R) / |diag(R)|, which is
+    # exactly -1 at a negative real pivot (exp(i angle) gave -1 + 1.2e-16j)
+    th = theta_of([np.zeros((2, 2)), np.zeros((2, 2))], subspace_factory("zero", d=2))
+    assert defect_star_spectrum(th).kernel_eigh is not None  # the Gram route
+    pure = build_model(th).H_pure_basis
+    diagonal = np.diagonal(pure)
+    assert diagonal.size and np.all(diagonal.imag == 0.0)
+    assert np.all(np.abs(diagonal.real) == 1.0)

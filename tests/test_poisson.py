@@ -107,6 +107,16 @@ def test_constrained_kernel_of_commuting_pair(comm_sub_d4):
     assert max(verify_intertwining(k).values()) < 1e-12
 
 
+def test_a_kernel_leaking_off_n_is_refused(comm_sub_d4):
+    # an N without the vacuum column: the kernel's vacuum block basis* Delta
+    # then lies off N, and |((I - N N*) (x) I) K| measures it
+    corrupted = dataclasses.replace(
+        comm_sub_d4, N_basis=comm_sub_d4.N_basis[:, 1:], N_degrees=comm_sub_d4.N_degrees[1:]
+    )
+    with pytest.raises(RuntimeError, match="kernel leaks"):
+        constrained_poisson_kernel(PAIR, corrupted)
+
+
 def test_constrained_kernel_rejects_relation_violators(comm_sub_d4):
     rng = np.random.default_rng(5)
     bad = [m / 4 for m in (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))]
