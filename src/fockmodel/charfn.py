@@ -36,28 +36,30 @@ reversed relations, p~(X) = p(X^T)^T, where Popescu's resolvent formula
 gives it in closed form (:func:`evaluate`).
 
 Constrained version: for T satisfying a family of polynomial relations, the
-relation span M (x) defect is invariant under the function (exactly, also at
-truncation), so compressing rows and columns to N = M-perp loses nothing:
-the factorization against the constrained Poisson kernel,
+relation span M comes from a two-sided ideal, so it is invariant under every
+right creation R_i and N = M-perp is co-invariant (Popescu, "Operator theory
+on noncommutative varieties", 2006).  The compression of Theta_T to
+N (x) defect is then multi-analytic,
+
+    Theta_N = sum_alpha (N* R_alpha N) (x) theta_(alpha),
+
+and the factorization against the constrained Poisson kernel,
 
     I - Theta_J Theta_J* = K_J K_J*    (plus the exact truncation tail),
 
-survives compression verbatim.  The constrained function is that
-compression, and :func:`constrained_characteristic_function` is the one
-builder.  It takes the constrained kernel and keeps it, so the function, its
-subspace N, its defect data and its tail all come from one kernel, and
-:func:`factorization_defect` needs nothing else.  On the zero family,
-``ideal_subspace(PolyIdealSpec(n=n), space)``, N is the whole space and the
-blocks are placed into the free function Theta_T.  With relations
-(dim M > 0) the whole-space function is never formed: the rows
-(N* (x) I) Theta are contracted straight from the Fourier blocks, one matmul
-per degree pair, and the compression and the coinvariance leak
-|(N* (x) I) Theta ((I - N N*) (x) I)| are read off them, so no array is
-indexed by the whole word space on both sides.  For a graded family with
-relations the same matrix is also the closed form at the compressed right
-shifts on N, a nilpotent point of V_(J~); the two routes share no subspace
-code beyond the N basis, so their agreement guards the whole constraint
-pipeline.
+survives compression verbatim.  :func:`constrained_characteristic_function`
+is the one builder; it takes the constrained kernel and keeps it, so the
+function, N, the defect data and the tail all come from one kernel.  It
+contracts Theta_N from the Fourier blocks, two matmuls per degree pair, for
+every family; on the zero family N is exactly I and the blocks are placed
+into the free function Theta_T.  With relations no array is indexed by the
+whole word space on both sides, and coinvariance is measured on N itself:
+exact at truncation for graded families, lost at the top degree otherwise,
+where the truncated R_i cuts the top part off a relation.  For a graded
+family with relations Theta_N is also the closed form at the compressed
+right shifts B_i = N* R_i N, a nilpotent point of V_(J~); the two routes
+share no subspace code beyond the N basis, so their agreement guards the
+whole constraint pipeline.
 
 Where the factorization holds to rounding, the p x p spectrum of
 I - Theta Theta* is read off the m x m Gram K*K (:func:`defect_star_spectrum`).
@@ -81,7 +83,7 @@ from .contractions import (
     row_norm,
     DefectData,
 )
-from .fock import TruncatedFockSpace, left_target_slice, reversed_word_products
+from .fock import TruncatedFockSpace, creation_targets, left_target_slice, reversed_word_products
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
 from .linalg import (
     PSD_RANK_TOL,
@@ -155,11 +157,13 @@ class CharFn:
 def fourier_block(cf: CharFn, word) -> np.ndarray:
     """The d_T x d_star coefficient block of the given word.
 
-    This is the block of the compressed expansion; it agrees with the block of
-    the free function because the compression is exact (and is near-zero for
-    every word when the tuple is the constrained shift itself).  If the
-    vacuum is not in N the expansion is empty and blocks are zero by
-    convention.
+    This is the block of the compressed expansion, read in the vacuum column
+    and mapped back to words by N (x) I.  When the vacuum lies in N the
+    blocks are the free function's blocks projected onto N, (N N* (x) I)
+    applied to them, which is not the free blocks themselves unless N is the
+    whole space (they are near-zero for every word when the tuple is the
+    constrained shift itself).  If the vacuum is not in N the expansion is
+    empty and blocks are zero by convention.
     """
     return cf.fourier_blocks[cf.space.index(tuple(word))].copy()
 
@@ -231,48 +235,58 @@ def _resolvent(mats: list[np.ndarray], xs: list[np.ndarray], defect: DefectData)
 def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
     """Characteristic function of the kernel's tuple, compressed to the kernel's N.
 
-    The Fourier blocks on the whole truncated space are the kernel's
-    uncompressed blocks times row blocks of Delta_* basis_*
-    (:func:`_theta_blocks`).  When N is the whole space (the zero family,
-    which gives the free function) N is exactly the identity and the blocks
-    are placed into the dense function (:func:`_block_matrix`).  Otherwise
-    (dim M > 0) the rows (N* (x) I) Theta are contracted from the blocks
-    directly (:func:`_compressed_rows`), so the whole-space function is
-    never formed.  The rows give the compression, their product by N (x) I,
-    and the part that maps M into N,
+    Theta_N = sum_alpha (N* R_alpha N) (x) theta_(alpha) is contracted from
+    the whole-space Fourier blocks for every family (:func:`_theta_n`); on
+    the zero family it is the free function.  With relations (dim M > 0)
+    that compression is multi-analytic because N is co-invariant under the
+    right shifts, and that is measured on N itself,
 
-        |(N* (x) I) Theta ((I - N N*) (x) I)| = |rows - Theta_N (N* (x) I)|,
+        max_i |R_i* N - N B_i*|,   B_i = N* R_i N,
 
     recorded as ``coinvariance_leak``; for a graded family it must stay
-    below max(1e-8, 100 * relation residual).  Then the closed form of
-    :func:`evaluate` at the compressed right shifts on N must agree with the
-    compression to 1e-10 (recorded as ``series_agreement``).  The kernel
-    builder has already refused tuples violating the relations.
+    below 1e-8.  Then the closed form of :func:`evaluate` at the compressed
+    right shifts B_i must agree with Theta_N to 1e-10 (recorded as
+    ``series_agreement``).  The kernel builder has already refused tuples
+    violating the relations.
     """
     mats, sub, defect = kernel.mats, kernel.sub, kernel.defect
-    if sub.is_whole_space:
-        return CharFn(matrix=_block_matrix(kernel), kernel=kernel)
-    rows = _compressed_rows(kernel)
-    matrix = kron_right(rows, sub.N_basis, defect.d_star)
-    off_n = kron_right(matrix, adj(sub.N_basis), defect.d_star)  # rows ((N N*) (x) I)
-    leak = opnorm(np.subtract(rows, off_n, out=off_n))
-    series_agreement = None
-    if sub.graded:
-        if leak > max(1e-8, 100.0 * max(kernel.relation_residual, 1e-16)):
-            raise RuntimeError(
-                f"characteristic function leaks {leak:.3e} from the relation span "
-                "into the constrained subspace"
-            )
+    matrix = _theta_n(kernel)
+    leak = series_agreement = None
+    if not sub.is_whole_space:
         raising = constrained_creation_tuple(sub, "right")
-        series_agreement = opnorm(matrix - _resolvent(mats, raising, defect))
-        if series_agreement > _SERIES_AGREEMENT_TOL:
-            raise RuntimeError(
-                f"compression and series routes disagree by {series_agreement:.3e}; "
-                "the constrained-subspace machinery is inconsistent"
-            )
+        leak = _coinvariance_leak(sub, raising)
+        if sub.graded:
+            if leak > 1e-8:
+                raise RuntimeError(
+                    f"a right shift leaks {leak:.3e} from the relation span "
+                    "into the constrained subspace"
+                )
+            series_agreement = opnorm(matrix - _resolvent(mats, raising, defect))
+            if series_agreement > _SERIES_AGREEMENT_TOL:
+                raise RuntimeError(
+                    f"compression and series routes disagree by {series_agreement:.3e}; "
+                    "the constrained-subspace machinery is inconsistent"
+                )
     return CharFn(
         matrix=matrix, kernel=kernel, coinvariance_leak=leak, series_agreement=series_agreement
     )
+
+
+def _coinvariance_leak(sub: ConstrainedSubspace, raising: list[np.ndarray]) -> float:
+    """max_i |R_i* N - N B_i*| = max_i |(I - N N*) R_i* N|, with B_i = N* R_i N in ``raising``.
+
+    R_i* reads the row of the word w + (i,) into the row of w, so R_i* N is
+    N's rows at the right creation targets on the words of degree < d, and
+    zero on the top degree.
+    """
+    nb = sub.N_basis
+    leak = 0.0
+    for i, b in enumerate(raising, start=1):
+        targets = creation_targets(sub.space, i, "right")
+        residual = nb @ adj(b)
+        residual[: targets.size] -= nb[targets]
+        leak = max(leak, opnorm(residual))
+    return leak
 
 
 def _theta_blocks(kernel: KernelMatrix) -> np.ndarray:
@@ -294,59 +308,40 @@ def _theta_blocks(kernel: KernelMatrix) -> np.ndarray:
     return blocks
 
 
-def _block_matrix(kernel: KernelMatrix) -> np.ndarray:
-    """sum_alpha R_alpha (x) theta_(alpha) on the whole truncated space.
+def _theta_n(kernel: KernelMatrix) -> np.ndarray:
+    """Theta_N = sum_alpha (N* R_alpha N) (x) theta_(alpha), (dim_N d_T) x (dim_N d_star).
 
-    theta_(alpha) (:func:`_theta_blocks`) sits at row word gamma alpha,
-    column word gamma: for each degree pair (j, k) = (|gamma|, |alpha|) the
-    rows of degree j + k, viewed as (n^j, n^k), are gamma-major, so each pair
-    is one strided assignment.  Only the zero family, whose N is the whole
-    space, takes this route.
-    """
-    space, d_T, d_star = kernel.space, kernel.d_T, kernel.defect.d_star
-    n, d = space.n, space.d
-    blocks = _theta_blocks(kernel)
-    theta = np.zeros((space.dim, d_T, space.dim, d_star), dtype=complex)
-    for j in range(d + 1):
-        gammas = np.arange(n**j)
-        cols = space.degree_slice(j)
-        for k in range(d + 1 - j):
-            rows = theta[space.degree_slice(j + k), :, cols].reshape(n**j, n**k, d_T, n**j, d_star)
-            rows[gammas, :, :, gammas] = blocks[space.degree_slice(k)]
-    return theta.reshape(space.dim * d_T, space.dim * d_star)
-
-
-def _compressed_rows(kernel: KernelMatrix) -> np.ndarray:
-    """(N* (x) I) Theta, (dim_N d_T) x (dim d_star), from the Fourier blocks alone.
-
-    The entry at N column c and column word gamma is
-    sum_alpha conj(N[gamma alpha, c]) theta_(alpha).  For each degree pair
-    (j, k) = (|gamma|, |alpha|) the rows of N at degree j + k, viewed as
-    (n^j, n^k, columns), are contracted with the degree-k blocks in one
-    matmul and added at the column words of degree j.  A graded family's N
-    is block diagonal, so only its columns of degree j + k take part, and
-    each pair writes a block of its own (assigning, not adding, touches each
-    page of the freshly zeroed rows once).
+    For each degree pair (j, k) = (|gamma|, |alpha|) the conjugated rows of N
+    at degree j + k, viewed as (n^j, n^k, columns), are contracted over gamma
+    with the rows of N at degree j, then over alpha with the degree-k blocks
+    of :func:`_theta_blocks`.  A graded N is block diagonal, so only its
+    columns of degree j + k and j take part.  When N is exactly I the blocks
+    are placed at (gamma alpha, gamma) by one strided assignment instead.
     """
     sub, space = kernel.sub, kernel.space
     n, d, d_T, d_star = space.n, space.d, kernel.d_T, kernel.defect.d_star
-    blocks = _theta_blocks(kernel).reshape(space.dim, d_T * d_star)
-    conj_n = sub.N_basis.conj()
-    rows = np.zeros((sub.dim_N, d_T, space.dim, d_star), dtype=complex)
-    for r in range(d + 1):
-        cols = slice(sub.n_cols_up_to(r - 1), sub.n_cols_up_to(r)) if sub.graded else slice(None)
-        part = conj_n[space.degree_slice(r), cols]
-        width = part.shape[1]
-        for j in range(r + 1):
-            k = r - j
-            left = part.reshape(n**j, n**k, width).transpose(2, 0, 1).reshape(-1, n**k)
-            product = (left @ blocks[space.degree_slice(k)]).reshape(width, n**j, d_T, d_star)
-            target = rows[cols, :, space.degree_slice(j)]
-            if sub.graded:  # each degree pair fills its own block, written once
-                target[...] = product.transpose(0, 2, 1, 3)
+    blocks = _theta_blocks(kernel)
+    nb, by_degree = sub.N_basis, sub.graded or sub.is_whole_space
+    cols = [slice(sub.n_cols_up_to(r - 1), sub.n_cols_up_to(r)) if by_degree else slice(None)
+            for r in range(d + 1)]
+    outer = None if sub.is_whole_space else [
+        nb[space.degree_slice(r), c].conj() for r, c in enumerate(cols)
+    ]
+    theta = np.zeros((sub.dim_N, d_T, sub.dim_N, d_star), dtype=complex)
+    for j in range(d + 1):
+        gammas = np.arange(n**j)
+        for r in range(j, d + 1):
+            k, alphas, target = r - j, blocks[space.degree_slice(r - j)], theta[cols[r], :, cols[j]]
+            if outer is None:  # N = I: rows of degree j + k, viewed as (n^j, n^k), are gamma-major
+                rows = target.reshape(n**j, n**k, d_T, n**j, d_star)
+                rows[gammas, :, :, gammas] = alphas
             else:
-                target += product.transpose(0, 2, 1, 3)
-    return rows.reshape(sub.dim_N * d_T, space.dim * d_star)
+                inner = nb[space.degree_slice(j), cols[j]]
+                wide, narrow = outer[r].shape[1], inner.shape[1]
+                pairs = (inner.T @ outer[r].reshape(n**j, n**k * wide)).reshape(narrow, n**k, wide)
+                product = pairs.transpose(0, 2, 1) @ alphas.reshape(n**k, d_T * d_star)
+                target += product.reshape(narrow, wide, d_T, d_star).transpose(1, 2, 0, 3)
+    return theta.reshape(sub.dim_N * d_T, sub.dim_N * d_star)
 
 
 def factorization_defect(theta: CharFn | DefectStarSpectrum) -> float:

@@ -313,8 +313,10 @@ def _cmd_charfn(args) -> int:
     )
     tail = theta.tail_bound
     # The factorization is exact at truncation only for certified-pure tuples
-    # under a graded (or empty) relation family; otherwise it drifts with the
-    # tail, so the cited tolerance widens accordingly.
+    # under a graded (or empty) relation family; otherwise the tolerance adds
+    # ten tails.  A family that is not graded leaves N short of co-invariance
+    # at the top degree (coinvariance_leak 0.74 on 0.5 + x1 + 2i x2 x1 at
+    # (2, 5)), so J-fa there is O(1), not tail-sized, and fails.
     exact_case = cls.pure is TriState.YES and (sub.graded or sub.dim_M == 0)
     _check(checks, "J-fa", report["residuals"]["J-fa"], 1e-9 if exact_case else 1e-9 + 10 * tail)
     _check(checks, "K*K", report["residuals"]["K*K"], tail + 1e-10)

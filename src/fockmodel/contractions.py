@@ -271,8 +271,8 @@ def require_relations(
     what: str = "tuple",
     *,
     residual: float | None = None,
-) -> float:
-    """constraint_residual, refused with ValueError above 1e-8.
+) -> None:
+    """Refuse with ValueError a tuple whose constraint_residual exceeds 1e-8.
 
     ``residual`` reuses the tuple's constraint_residual under ``spec`` when
     the caller already has it.
@@ -284,4 +284,3 @@ def require_relations(
             f"{what} violates the polynomial relations: residual {residual:.3e} "
             f"exceeds {_RELATION_TOL:.0e}"
         )
-    return residual

@@ -200,19 +200,20 @@ class ModelData:
         d_T, p = self.theta.d_T, self.p
         shifts = constrained_creation_tuple(self.theta.sub, "left")
         h1 = self.H_basis[:p, :]
-        sigma_min = float(np.linalg.svd(h1, compute_uv=False)[-1]) if h1.shape[1] else 0.0
-        if h1.shape[1] and sigma_min <= 1e-8:
+        h = h1.shape[1]
+        rhs = [kron_left(adj(s_i), h1, d_T) for s_i in shifts]
+        # one factorization of h1 for every generator; its singular values give the margin
+        solved, _, _, sigma = np.linalg.lstsq(h1, np.hstack(rhs), rcond=None)
+        sigma_min = float(sigma[-1]) if h else 0.0
+        if h and sigma_min <= 1e-8:
             raise ValueError(
                 "the model space projects degenerately onto its shift summand "
                 f"(smallest singular value {sigma_min:.3e}); the tuple is numerically "
                 "not completely noncoisometric or the truncation degree is too small"
             )
-        general, defining = [], []
-        for s_i in shifts:
-            rhs = kron_left(adj(s_i), h1, d_T)
-            x, *_ = np.linalg.lstsq(h1, rhs, rcond=None)
-            general.append(adj(x))
-            defining.append(float(opnorm(h1 @ x - rhs)))
+        xs = np.split(solved, len(shifts), axis=1)
+        general = [adj(x) for x in xs]
+        defining = [float(opnorm(h1 @ x - r)) for x, r in zip(xs, rhs)]
         pure = agreement = None
         if self.H_pure_basis is not None and self.H_pure_basis.shape[1] == self.h:
             pure_h1 = self.H_pure_basis[:p, :]  # the pure basis is 0 below p

@@ -69,7 +69,6 @@ class KernelMatrix:
     tail: np.ndarray                # Phi_T^(d+1)(I), exact
     tail_bound: float               # |tail|
     subspace_leak: float
-    relation_residual: float
 
     @property
     def space(self) -> TruncatedFockSpace:
@@ -126,7 +125,7 @@ def constrained_poisson_kernel(
     """
     mats = as_matrices(ts)
     m = mats[0].shape[0]
-    residual = require_relations(mats, sub.spec, residual=relation_residual)
+    require_relations(mats, sub.spec, residual=relation_residual)
     defect = defects(mats)
     blocks = kernel_blocks(mats, sub.space, defect)
     if sub.is_whole_space:  # N = I: nothing to compress, nothing to leak
@@ -150,7 +149,6 @@ def constrained_poisson_kernel(
         tail=tail,
         tail_bound=hermitian_norm(tail),
         subspace_leak=leak_norm,
-        relation_residual=residual,
     )
 
 

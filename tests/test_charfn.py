@@ -126,6 +126,24 @@ def test_blocks_match_the_dense_series_on_the_zero_family(n, d, kind):
     assert np.max(np.abs(th.fourier_blocks - vacuum_column)) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "family, n, d",
+    [(family, n, d) for family in ORACLE_FAMILIES for n, d in ORACLE_SIZES
+     if ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d)).vacuum_in_N],
+)
+def test_fourier_blocks_are_the_free_blocks_projected_onto_n(family, n, d, space_factory):
+    # with the vacuum in N, Theta_N (N* e_0 (x) I) mapped back by N (x) I is
+    # (N N* (x) I) Theta (e_0 (x) I): the free blocks projected onto N
+    sub = ideal_subspace(oracle_family(family, n, d), space_factory(n, d))
+    kernel = constrained_poisson_kernel(oracle_tuple(family, n, np.random.default_rng([n, d])), sub)
+    th = constrained_characteristic_function(kernel)
+    free = charfn._theta_blocks(kernel).reshape(sub.space.dim, -1)
+    want = (sub.N_basis @ adj(sub.N_basis) @ free).reshape(th.fourier_blocks.shape)
+    assert np.max(np.abs(th.fourier_blocks - want), initial=0.0) < 1e-14
+    if (family, n, d) == ("commutative", 2, 5):  # and they are not the free blocks
+        assert np.max(np.abs(th.fourier_blocks.reshape(free.shape) - free)) > 0.1
+
+
 def test_block_count(mobius_half):
     # one word block per side for each of the 11 words, all of them in N
     assert mobius_half.sub.dim_N == 11
@@ -488,8 +506,9 @@ def test_necessary_mismatch_equals_the_per_word_loop(subspace_factory):
 def _comprehension_block_matrix(kernel):
     """sum_alpha R_alpha (x) theta_(alpha), every word looked up in ``space.index``.
 
-    Kept as the oracle of :func:`charfn._block_matrix`: each block is placed
-    at row word gamma alpha, column word gamma, by one index triple per
+    The oracle of the whole-space function that :func:`charfn._theta_n`
+    places when N = I, and compresses otherwise: each block is placed at row
+    word gamma alpha, column word gamma, by one index triple per
     (gamma, alpha) pair.
     """
     mats, space, defect = kernel.mats, kernel.space, kernel.defect
@@ -518,7 +537,6 @@ def _comprehension_block_matrix(kernel):
 def _assert_theta_matches_the_oracle(mats, sub):
     kernel = constrained_poisson_kernel(mats, sub)
     want = _comprehension_block_matrix(kernel)
-    assert np.array_equal(charfn._block_matrix(kernel), want)
     compressed = constrained_characteristic_function(kernel).matrix
     if sub.is_whole_space:
         assert np.array_equal(compressed, want)
@@ -550,8 +568,8 @@ def test_theta_by_degree_slices_on_degenerate_defects(d, subspace_factory):
 
 
 # ---------------------------------------------------------------------------
-# (N* (x) I) Theta from the Fourier blocks against the whole-space Theta
-# compressed by Kronecker products, and both leaks against the oracle's M
+# Theta_N from the Fourier blocks against the whole-space Theta compressed by
+# Kronecker products, and the leaks against dense oracles
 
 
 def _rows_route_cases():
@@ -572,39 +590,57 @@ def test_the_rows_route_matches_the_kronecker_compression(family, n, d, space_fa
     whole = _comprehension_block_matrix(kernel)
     rows = np.kron(adj(sub.N_basis), np.eye(d_T)) @ whole
     theta_n = rows @ np.kron(sub.N_basis, np.eye(d_star))
-    assert np.max(np.abs(charfn._compressed_rows(kernel) - rows), initial=0.0) < 1e-14
     th = constrained_characteristic_function(kernel)
     assert np.max(np.abs(th.matrix - theta_n), initial=0.0) < 1e-14
-    # the leaks as they were measured, through the oracle's N and a basis of
-    # the relation span M orthogonal to it
+    # the kernel leak through the oracle's N and a basis of the relation span
+    # M orthogonal to it
     oracle = spanning_svd_subspace(spec, space)
     m_basis = oracle.M_basis
     assert m_basis.shape[1] == sub.dim_M
     flat = kernel.blocks.reshape(space.dim * d_T, -1)
     kernel_leak = opnorm(np.kron(adj(m_basis), np.eye(d_T)) @ flat)
     assert abs(kernel.subspace_leak - kernel_leak) < 1e-14
+    # coinvariance on N, |(I - N N*) R_i* N| by dense right shifts
+    off_n = np.eye(space.dim) - sub.N_basis @ adj(sub.N_basis)
+    dense_leak = max(opnorm(off_n @ adj(r) @ sub.N_basis) for r in right_creation_tuple(space))
+    assert abs(th.coinvariance_leak - dense_leak) < 1e-14
+    # the leak as it was measured on Theta, |(N* (x) I) Theta (M (x) I)|
     oracle_rows = np.kron(adj(oracle.N_basis), np.eye(d_T)) @ whole
-    coinvariance_leak = opnorm(oracle_rows @ np.kron(m_basis, np.eye(d_star)))
-    assert abs(th.coinvariance_leak - coinvariance_leak) < 1e-14
+    theta_leak = opnorm(oracle_rows @ np.kron(m_basis, np.eye(d_star)))
+    if sub.graded:
+        assert max(th.coinvariance_leak, theta_leak) <= 1e-14
+    else:  # the truncated right shifts cut the top degree off a relation
+        assert min(th.coinvariance_leak, theta_leak) >= 0.1
+
+
+def test_a_rotated_top_block_of_n_is_refused():
+    # the kernel of a tuple whose products of two letters vanish is zero
+    # above degree 1, so it cannot see N's degree-4 block turned off the
+    # symmetric tensors; the coinvariance of N does
+    space = TruncatedFockSpace(2, 5)
+    sub = ideal_subspace(make_spec("commutative"), space)
+    rng = np.random.default_rng(5)
+    unitary, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    rotated = sub.N_basis.copy()
+    rotated[space.degree_slice(4)] = unitary @ rotated[space.degree_slice(4)]
+    corrupted = dataclasses.replace(sub, N_basis=rotated)
+    kernel = constrained_poisson_kernel(nilpotent_pair_tuple(rng, 2, 0.6), corrupted)
+    assert kernel.subspace_leak < 1e-14
+    with pytest.raises(RuntimeError, match="leaks .* from the relation span"):
+        constrained_characteristic_function(kernel)
 
 
 def test_a_constrained_theta_is_never_formed_on_the_whole_space(monkeypatch):
     # the budget of a constrained charfn and model: no whole-space Theta, no
     # dim x dim array, and no SVD in ideal_subspace larger than a x a with
-    # a = n dim N_(k-1)
+    # a = n dim N_(k-1).  At commutative (2, 12) the whole-space Theta would
+    # take 16 (8191 d_T) (8191 d_star) bytes, 19 GB for d_T = 3, d_star = 6.
     import tracemalloc
 
     from fockmodel import build_model
     from fockmodel.sampling import commuting_nilpotent_tuple
 
-    block_matrix = charfn._block_matrix
-
-    def whole_space_only(kernel):
-        assert kernel.sub.is_whole_space, "Theta was built on the whole space"
-        return block_matrix(kernel)
-
-    monkeypatch.setattr(charfn, "_block_matrix", whole_space_only)
-    space = TruncatedFockSpace(2, 7)
+    space = TruncatedFockSpace(2, 12)
     mats = commuting_nilpotent_tuple(np.random.default_rng(11), 2, 0.5)
     seen = record_decompositions(monkeypatch)
     tracemalloc.start()
@@ -614,6 +650,8 @@ def test_a_constrained_theta_is_never_formed_on_the_whole_space(monkeypatch):
         subspace_calls = list(seen)
         tracemalloc.reset_peak()
         th = theta_of(mats, sub)
+        _, theta_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         dc = delta_and_classify(th)
         jfa = factorization_defect(th)
         model = build_model(th)
@@ -624,9 +662,9 @@ def test_a_constrained_theta_is_never_formed_on_the_whole_space(monkeypatch):
     assert subspace_calls and all(name == "svd" for name, _ in subspace_calls)
     assert max(max(shape) for _, shape in subspace_calls) <= largest_a
     assert subspace_peak < space.dim * space.dim * 16  # no dim x dim complex array
-    # the whole-space Theta alone would take 16 (dim d_T) (dim d_star) bytes
-    assert th.matrix.shape == (sub.dim_N * th.d_T, sub.dim_N * th.d_star)
-    assert peak < 16 * (space.dim * th.d_T) * (space.dim * th.d_star) / 2
+    assert th.matrix.shape == (sub.dim_N * th.d_T, sub.dim_N * th.d_star) == (273, 546)
+    assert theta_peak < 64e6
+    assert peak < 64e6
     assert dc.inner and jfa < 1e-9 and model.h == 3
 
 

@@ -107,6 +107,28 @@ def test_commuting_nilpotent_triple_dims(subspace_factory):
     assert ops.injectivity_margin == pytest.approx(1.0, abs=1e-10)
 
 
+def test_general_operators_match_one_solve_per_generator(subspace_factory):
+    # one least-squares factorization of the shift summand h1 serves every
+    # generator: each solution, residual and the margin match their own solve
+    sub = subspace_factory("commutative", d=5)
+    mats = commuting_nilpotent_tuple(np.random.default_rng(43), 2, 0.7)
+    model = build_model(theta_of(mats, sub), classification=classify(mats))
+    ops, h1 = model.operators, model.H_basis[: model.p]
+    assert ops.injectivity_margin == pytest.approx(np.linalg.svd(h1, compute_uv=False)[-1], abs=1e-14)
+    for s_i, general, defining in zip(constrained_creation_tuple(sub, "left"), ops.general,
+                                      ops.defining_residual):
+        rhs = np.kron(adj(s_i), np.eye(model.theta.d_T)) @ h1
+        x = np.linalg.lstsq(h1, rhs, rcond=None)[0]
+        assert opnorm(general - adj(x)) < 1e-14
+        assert defining == pytest.approx(opnorm(h1 @ x - rhs), abs=1e-14)
+    # a model basis column with no shift part makes h1 singular: refused
+    degenerate = model.H_basis.copy()
+    degenerate[:, 0] = 0.0
+    degenerate[model.p, 0] = 1.0
+    with pytest.raises(ValueError, match="projects degenerately"):
+        dataclasses.replace(model, H_basis=degenerate).operators
+
+
 def test_model_operators_inherit_the_relations(subspace_factory):
     sub = subspace_factory("commutative", d=5)
     rng = np.random.default_rng(41)
