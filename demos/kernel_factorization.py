@@ -30,7 +30,7 @@ def main():
     mats = [np.array([[0.5]]), np.array([[0.5]])]  # commuting pair, rho = 0.5
     spec = PolyIdealSpec(n=2, kind="commutative")
 
-    print("degree   tail        gram residual   factorization   |P_theta^2 - P_theta|")
+    print("degree   tail        gram residual   J-fa-F (Frob.)  |P_theta^2 - P_theta|")
     for d in (3, 5, 7, 9):
         sub = ideal_subspace(spec, TruncatedFockSpace(2, d))
         k = constrained_poisson_kernel(mats, sub)
@@ -54,7 +54,7 @@ def main():
     th = constrained_characteristic_function(k)
     gram = adj(k.matrix) @ k.matrix
     print(f"\ncommuting nilpotent tuple: tail = {k.tail_bound}, |K*K - I| = "
-          f"{np.linalg.norm(gram - np.eye(gram.shape[0]), 2):.2e}, factorization = "
+          f"{np.linalg.norm(gram - np.eye(gram.shape[0]), 2):.2e}, J-fa-F (Frobenius) = "
           f"{factorization_defect(th):.2e}")
 
 

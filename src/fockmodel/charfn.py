@@ -63,9 +63,10 @@ whole constraint pipeline.
 
 Where the factorization holds to rounding, the p x p spectrum of
 I - Theta Theta* is read off the m x m Gram K*K (:func:`defect_star_spectrum`).
-That spectrum holds I - Theta Theta* itself until :func:`factorization_defect`
-takes it, so a command that reads the verdicts (:func:`delta_and_classify`)
-and then J-fa forms the p x p matrix once.
+That spectrum also carries |I - Theta Theta* - K K*|_F, its certificate,
+which :func:`factorization_defect` reports: a command that reads the verdicts
+(:func:`delta_and_classify`) and J-fa-F forms the p x p matrix once, and
+where the factorization holds it decomposes nothing p x p.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ from .linalg import (
     adj,
     gap_frobenius,
     gram,
-    hermitian_norm,
     kron_left,
     kron_right,
     opnorm,
@@ -345,20 +345,17 @@ def _theta_n(kernel: KernelMatrix) -> np.ndarray:
 
 
 def factorization_defect(theta: CharFn | DefectStarSpectrum) -> float:
-    """| I - Theta Theta* - K K* |, the joint defect of the factorization.
+    """|I - Theta Theta* - K K*|_F, the joint defect of the factorization.
 
     K is the kernel ``theta`` was built from.  For a pure tuple this is
     rounding-level at truncation; in general it is bounded by the recorded
-    truncation tails.  Given the function's :class:`DefectStarSpectrum`
-    instead, it subtracts K K* in place from the I - Theta Theta* that the
-    spectrum holds, so a command that has taken its verdicts forms that
-    p x p matrix once; the spectrum has then given it up.
+    truncation tails.  It is the Frobenius norm, never smaller than the
+    spectral norm, and it is the ``gap`` that :func:`defect_star_spectrum`
+    already measured, so nothing is decomposed; pass the function's
+    :class:`DefectStarSpectrum` to share it with the verdicts.
     """
     spectrum = theta if isinstance(theta, DefectStarSpectrum) else defect_star_spectrum(theta)
-    gap, spectrum.lower = spectrum.dense_lower(), None
-    k = spectrum.kernel
-    gap -= k @ adj(k)  # only the lower triangle is read
-    return hermitian_norm(gap)
+    return spectrum.gap
 
 
 def defect_star_lower(theta: CharFn) -> np.ndarray:
@@ -389,12 +386,12 @@ class DefectStarSpectrum:
     """The spectrum of the p x p matrix I - Theta Theta*, from K*K where that is certified.
 
     ``gap`` is |G|_F for G = I - Theta Theta* - K K*, K the Poisson kernel
-    the function was built from (p x m).  On the Gram route (``gap`` at most
-    1e-12) ``kernel_eigh`` holds K*K = V diag(L) V*, and the spectrum of
-    K K* is L padded with p - min(p, m) zeros; on the dense route it is
-    None.  ``lower`` holds the lower triangle of I - Theta Theta* on either
-    route until :func:`factorization_defect` takes it (and sets it to
-    None), so on the dense route the spectrum must be read first.
+    the function was built from (p x m), measured on both routes; it is the
+    value J-fa-F reports (:func:`factorization_defect`).  On the Gram route
+    (``gap`` at most 1e-12) ``kernel_eigh`` holds K*K = V diag(L) V*, the
+    spectrum of K K* is L padded with p - min(p, m) zeros, and ``lower`` is
+    None.  On the dense route ``kernel_eigh`` is None and ``lower`` holds
+    the lower triangle of I - Theta Theta*, which the spectrum decomposes.
     """
 
     theta: CharFn
@@ -406,16 +403,10 @@ class DefectStarSpectrum:
     def kernel(self) -> np.ndarray:
         return self.theta.kernel.matrix
 
-    def dense_lower(self) -> np.ndarray:
-        """``lower``, or RuntimeError once :func:`factorization_defect` has taken it."""
-        if self.lower is None:
-            raise RuntimeError("factorization_defect has already consumed I - Theta Theta*")
-        return self.lower
-
     def eigvals(self) -> np.ndarray:
         """The p eigenvalues, ascending: one ``eigvalsh`` on the dense route."""
         if self.kernel_eigh is None:
-            return np.linalg.eigvalsh(self.dense_lower())
+            return np.linalg.eigvalsh(self.lower)
         ell = self.kernel_eigh[0]
         p = self.kernel.shape[0]
         top = ell[ell.size - min(p, ell.size) :]  # K*K has m - p more zeros when p < m
@@ -428,7 +419,7 @@ class DefectStarSpectrum:
         route they come from one ``eigh``.  Either way in ascending order.
         """
         if self.kernel_eigh is None:
-            lam, u = np.linalg.eigh(self.dense_lower(), UPLO="L")
+            lam, u = np.linalg.eigh(self.lower, UPLO="L")
             return lam, u[:, lam > PSD_RANK_TOL]
         ell, v = self.kernel_eigh
         keep = ell > PSD_RANK_TOL
@@ -448,13 +439,14 @@ def defect_star_spectrum(theta: CharFn) -> DefectStarSpectrum:
     relation families that are not graded, which break the factorization
     at the top degree, and bare matrices carrying no kernel of their own --
     the dense route decomposes I - Theta Theta*, from the same unchanged
-    array, which the result keeps for :func:`factorization_defect`.
+    array, which the result keeps only on that route.
     """
     k = theta.kernel.matrix
     lower = defect_star_lower(theta)
     gap = gap_frobenius(lower, k)
-    kernel_eigh = np.linalg.eigh(gram(k)) if gap <= _GRAM_ROUTE_TOL else None
-    return DefectStarSpectrum(theta=theta, gap=gap, kernel_eigh=kernel_eigh, lower=lower)
+    if gap > _GRAM_ROUTE_TOL:
+        return DefectStarSpectrum(theta=theta, gap=gap, kernel_eigh=None, lower=lower)
+    return DefectStarSpectrum(theta=theta, gap=gap, kernel_eigh=np.linalg.eigh(gram(k)), lower=None)
 
 
 @dataclasses.dataclass

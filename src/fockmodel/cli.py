@@ -277,7 +277,8 @@ def _cmd_charfn(args) -> int:
         return _finish(report, checks, args.out, verdict)
 
     cls, sub, theta = run.classification, run.sub, run.theta
-    # I - Theta Theta* is formed once: the verdicts read it, then J-fa takes it
+    # I - Theta Theta* is formed once: the verdicts read its spectrum, and J-fa-F
+    # is the Frobenius norm |I - Theta Theta* - K K*|_F that certified it
     spectrum = defect_star_spectrum(theta)
     dc = delta_and_classify(spectrum)
     block_norms = np.linalg.norm(theta.fourier_blocks, 2, axis=(1, 2))
@@ -306,7 +307,7 @@ def _cmd_charfn(args) -> int:
             "fourier_norms_by_degree": per_degree,
             "norm": dc.norm,
             "residuals": {
-                "J-fa": factorization_defect(spectrum),
+                "J-fa-F": factorization_defect(spectrum),
                 "K*K": theta.kernel.gram_residual(),
             },
         }
@@ -316,9 +317,10 @@ def _cmd_charfn(args) -> int:
     # under a graded (or empty) relation family; otherwise the tolerance adds
     # ten tails.  A family that is not graded leaves N short of co-invariance
     # at the top degree (coinvariance_leak 0.74 on 0.5 + x1 + 2i x2 x1 at
-    # (2, 5)), so J-fa there is O(1), not tail-sized, and fails.
+    # (2, 5)), so J-fa-F there is O(1), not tail-sized, and fails.
     exact_case = cls.pure is TriState.YES and (sub.graded or sub.dim_M == 0)
-    _check(checks, "J-fa", report["residuals"]["J-fa"], 1e-9 if exact_case else 1e-9 + 10 * tail)
+    jfa = report["residuals"]["J-fa-F"]
+    _check(checks, "J-fa-F", jfa, 1e-9 if exact_case else 1e-9 + 10 * tail)
     _check(checks, "K*K", report["residuals"]["K*K"], tail + 1e-10)
     if theta.series_agreement is not None:
         _check(checks, "series-agree", theta.series_agreement, 1e-10)
@@ -344,7 +346,7 @@ def _cmd_model(args) -> int:
     report.update(
         {
             "dims": {"p": model.p, "q": model.q, "s": model.s, "h": model.h},
-            "isometry_residual": model.isometry_residual,
+            "isometry_residual_F": model.isometry_residual,
             "branch": ops.used,
             "branch_agreement": ops.branch_agreement,
             "injectivity_margin": ops.injectivity_margin,
@@ -364,7 +366,7 @@ def _cmd_model(args) -> int:
         }
     )
     tail = model.tail_bound
-    _check(checks, "isometry", model.isometry_residual, 1e-9)
+    _check(checks, "isometry-F", model.isometry_residual, 1e-9)
     # The least-squares residual of the defining relation measures the tilt of
     # the truncated model space, which scales with sqrt(tail), not tail.
     _check(checks, "def", max(ops.defining_residual), 1e-7 + 10 * tail**0.5)

@@ -32,8 +32,8 @@ inequality bounds how far each eigenvalue can be from the dense one; above
 the one its shift rows, I - Theta Theta* in the model projector, fix
 (``linalg.projector_basis``), so the model operators do not depend on how
 the eigensolver splits a repeated eigenvalue.  Phihat and Delta are never
-formed.  The isometry residual |Phihat* Phihat - I| is measured, when asked
-for, on ran Theta*: it vanishes on ker Theta by construction, so its
+formed.  The isometry residual |Phihat* Phihat - I|_F is measured, when
+asked for, on ran Theta*: it vanishes on ker Theta by construction, so its
 restriction there has the same norm, and one QR of the q x p matrix Theta*
 plus p x p products give it (:attr:`ModelData.isometry_residual`).
 
@@ -133,7 +133,7 @@ class ModelData:
 
     @cached_property
     def isometry_residual(self) -> float:
-        """|Phihat* Phihat - I|, measured on ran Theta* by one QR and p x p work.
+        """|Phihat* Phihat - I|_F, measured on ran Theta* by one QR and p x p products.
 
         Delta = I - Z* Z with Z = D U* Theta, U the eigenvectors of
         I - Theta Theta* and D = diag(1 / sqrt(1 + sqrt(lambda))), the
@@ -145,16 +145,18 @@ class ModelData:
         R = Phihat* Phihat - I vanishes there for any eigen-data: R = P R P
         with P the projector onto ran Theta*.  One QR, Theta* = Q B with
         Q of k = min(p, q) orthonormal columns, gives span Q containing
-        ran Theta*, so |Q* R Q| = |R| exactly: the norm of the same operator,
-        not an estimate.  Q is never formed: Theta Q = B*, and since ran Z*
-        lies in span Q, Delta Q = Q (I - G) with
+        ran Theta*, so |Q* R Q|_F = |R|_F exactly: the norm of the same
+        operator, not an estimate.  Q is never formed: Theta Q = B*, and
+        since ran Z* lies in span Q, Delta Q = Q (I - G) with
         G = B U D^2 U* B* = B B* + C E C*, C = B U_h.  So
 
             Q* R Q = B B* + (I - G)^2 - I,
 
-        k x k, from one k x k product and one ``eigvalsh``.  B B* is taken a
-        block of rows at a time (:func:`linalg.row_gram`), and at most three
-        k x k or k x p arrays are alive at once.  On the Gram route of
+        k x k, from one k x k product; no eigensolver is needed.  The
+        Frobenius norm is never smaller than the spectral norm, so a
+        tolerance on it is no easier to pass.  B B* is taken a block of rows
+        at a time (:func:`linalg.row_gram`), and at most three k x k or
+        k x p arrays are alive at once.  On the Gram route of
         :func:`charfn.defect_star_spectrum` U_h comes from K, so the residual
         also measures how well K's eigenvectors fit Theta.
         """
@@ -171,7 +173,7 @@ class ModelData:
         eye_minus_g[diagonal, diagonal] += 1.0
         residual[diagonal, diagonal] -= 1.0
         residual += eye_minus_g @ eye_minus_g
-        return hermitian_norm(residual)
+        return float(np.linalg.norm(residual))
 
     @cached_property
     def operators(self) -> ModelOperators:

@@ -308,6 +308,34 @@ def test_factorization_q_nilpotent_exact():
     assert factorization_defect(th) < 1e-9
 
 
+def _dense_factorization_gap(th):
+    """I - Theta Theta* - K K*, formed densely from the function and its kernel."""
+    k = th.kernel.matrix
+    return np.eye(th.matrix.shape[0]) - th.matrix @ adj(th.matrix) - k @ adj(k)
+
+
+@pytest.mark.parametrize("n, d", [(2, 5), (3, 3)])
+@pytest.mark.parametrize(
+    "family", ["zero", "commutative", "q-uniform", "custom-homogeneous", "custom-constant-term"]
+)
+def test_j_fa_f_is_the_frobenius_norm_of_the_dense_gap(family, n, d, space_factory):
+    # J-fa-F reads |G|_F off the spectrum's certificate, with no p x p
+    # decomposition; it is the dense Frobenius norm and bounds the spectral
+    # one.  Rounding-level on the graded families; the family that is not
+    # graded breaks the factorization at the top degree, where the two norms
+    # differ visibly
+    sub = ideal_subspace(oracle_family(family, n, d), space_factory(n, d))
+    th = theta_of(oracle_tuple(family, n, np.random.default_rng(3)), sub)
+    gap = _dense_factorization_gap(th)
+    jfa, spectral = factorization_defect(th), np.max(np.abs(np.linalg.eigvalsh(gap)))
+    assert abs(jfa - np.linalg.norm(gap)) <= 1e-13
+    assert jfa >= spectral
+    if family == "custom-constant-term":
+        assert jfa > 2 * spectral > 0.1
+    else:
+        assert jfa < 1e-12
+
+
 def test_complementary_projections_on_the_model_side():
     space = TruncatedFockSpace(2, 6)
     sub = ideal_subspace(make_spec("commutative"), space)
@@ -671,7 +699,8 @@ def test_a_constrained_theta_is_never_formed_on_the_whole_space(monkeypatch):
 @pytest.mark.parametrize("case", SPECTRAL_CASES + ["fallback"])
 def test_the_shared_spectrum_gives_the_same_verdicts_and_j_fa(case, subspace_factory):
     # delta_and_classify and factorization_defect on one spectrum agree bit
-    # for bit with each forming I - Theta Theta* anew, on both routes
+    # for bit with each forming I - Theta Theta* anew, on both routes; J-fa-F
+    # is the spectrum's certificate |I - Theta Theta* - K K*|_F
     if case == "fallback":
         sub = ideal_subspace(oracle_family("custom-constant-term", 2, 5), TruncatedFockSpace(2, 5))
         th = theta_of(oracle_tuple("custom-constant-term", 2, None), sub)
@@ -680,8 +709,7 @@ def test_the_shared_spectrum_gives_the_same_verdicts_and_j_fa(case, subspace_fac
     spectrum = charfn.defect_star_spectrum(th)
     dc = delta_and_classify(spectrum)
     assert np.array_equal(dc.sigma_squared, delta_and_classify(th).sigma_squared)
-    assert factorization_defect(spectrum) == factorization_defect(th)
-    assert spectrum.lower is None  # taken by factorization_defect
-    if spectrum.kernel_eigh is None:
-        with pytest.raises(RuntimeError, match="consumed"):
-            spectrum.eigvals()
+    assert factorization_defect(spectrum) == factorization_defect(th) == spectrum.gap
+    # only the dense route keeps I - Theta Theta*, and reading J-fa-F leaves it there
+    assert (spectrum.lower is None) == (spectrum.kernel_eigh is not None)
+    assert np.array_equal(spectrum.eigvals(), charfn.defect_star_spectrum(th).eigvals())
