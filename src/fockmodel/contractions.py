@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -115,16 +116,21 @@ class DefectData:
 
     delta / delta_star are the PSD square roots; basis / basis_star hold the
     kept eigenvectors of the *squared* defects (eigenvalue > rank cutoff,
-    descending), so d_T = basis.shape[1] and d_star = basis_star.shape[1] are
-    the defect ranks.
+    descending), so d_T = basis.shape[1] is the rank of Delta.
+
+    I - R*R has the spectrum of the m x m matrix I - R R* padded with
+    (n - 1) m exact ones, so eigvals_star and d_star = eigvals_star.size are
+    read off the one m x m ``eigh`` that gives delta.  delta_star and
+    basis_star, which only Theta and the model read, come from the
+    nm x nm ``eigh`` of I - R*R, taken the first time either is read; it
+    must keep d_star eigenvectors, else RuntimeError.
     """
 
     delta: np.ndarray
-    delta_star: np.ndarray
     basis: np.ndarray
-    basis_star: np.ndarray
     eigvals: np.ndarray
     eigvals_star: np.ndarray
+    row: np.ndarray  # R = [T_1 ... T_n]
 
     @property
     def d_T(self) -> int:
@@ -132,7 +138,26 @@ class DefectData:
 
     @property
     def d_star(self) -> int:
-        return self.basis_star.shape[1]
+        return self.eigvals_star.size
+
+    @property
+    def delta_star(self) -> np.ndarray:
+        return self._star[0]
+
+    @property
+    def basis_star(self) -> np.ndarray:
+        return self._star[1]
+
+    @functools.cached_property
+    def _star(self) -> tuple[np.ndarray, np.ndarray]:
+        row = self.row
+        delta_star, basis_star, _ = _defect(np.eye(row.shape[1], dtype=complex) - adj(row) @ row)
+        if basis_star.shape[1] != self.d_star:
+            raise RuntimeError(
+                f"the defect-star decomposition keeps {basis_star.shape[1]} eigenvectors "
+                f"but the spectrum of I - R R* gives d_star = {self.d_star}"
+            )
+        return delta_star, basis_star
 
 
 def defects(ts: Sequence[np.ndarray]) -> DefectData:
@@ -140,16 +165,10 @@ def defects(ts: Sequence[np.ndarray]) -> DefectData:
     m = mats[0].shape[0]
     row = row_matrix(mats)
     delta, basis, eigvals = _defect(np.eye(m, dtype=complex) - row @ adj(row))  # I - sum T_i T_i*
-    delta_star, basis_star, eigvals_star = _defect(
-        np.eye(row.shape[1], dtype=complex) - adj(row) @ row  # I - R*R
-    )
+    # the kept spectrum of I - R*R: that of I - R R* and (n - 1) m ones, all above the cut
+    eigvals_star = np.sort(np.concatenate([eigvals, np.ones(row.shape[1] - m)]))[::-1]
     return DefectData(
-        delta=delta,
-        delta_star=delta_star,
-        basis=basis,
-        basis_star=basis_star,
-        eigvals=eigvals,
-        eigvals_star=eigvals_star,
+        delta=delta, basis=basis, eigvals=eigvals, eigvals_star=eigvals_star, row=row
     )
 
 

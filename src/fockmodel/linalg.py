@@ -15,6 +15,7 @@ never forming a Kronecker matrix, and give empty operands empty results.
 from __future__ import annotations
 
 import warnings
+from typing import Iterable
 
 import numpy as np
 
@@ -141,10 +142,7 @@ def opnorm(a: np.ndarray) -> float:
         if not np.isfinite(a).all():
             raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
         return float(np.linalg.norm(a, 2))
-    parts = b.view(np.float64)
-    scale = max(float(parts.max()), -float(parts.min()))
-    if not np.isfinite(scale):
-        raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
+    scale = _entry_scale(b)
     if scale == 0.0:
         return 0.0
     lo, hi = _GRAM_SAFE
@@ -152,6 +150,46 @@ def opnorm(a: np.ndarray) -> float:
         return scale * opnorm(b / scale)
     g = row_gram(b, lower=True) if wide else gram(b)
     return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
+
+
+def stacked_opnorm(chunks: Iterable[np.ndarray], cols: int) -> float:
+    """Operator norm of the tall matrix whose row blocks ``chunks`` yields in turn.
+
+    Each chunk, a row-contiguous float64 or complex128 array with ``cols``
+    columns, is read once, before the next is asked for, so a producer may
+    reuse one buffer for all of them.  The norm is sqrt(lambda_max) of the
+    sum of the chunks' Gram matrices (:func:`gram`), the route
+    :func:`opnorm` takes on a tall matrix; an exactly-zero chunk adds exactly
+    nothing and is skipped.  While the largest entry seen so far lies outside
+    [1e-140, 1e140], the chunks are divided by it, on a copy, and the sum is
+    rescaled whenever it grows, so the Gram matrices can neither overflow nor
+    underflow.  Non-finite entries raise LinAlgError, as in :func:`opnorm`.
+    """
+    lo, hi = _GRAM_SAFE
+    total = np.zeros((cols, cols), dtype=complex)
+    top, divisor = 0.0, 1.0  # total is the Gram of the chunks seen so far, each divided by divisor
+    for chunk in chunks:
+        scale = _entry_scale(chunk) if chunk.size else 0.0
+        if scale == 0.0:
+            continue
+        top = max(top, scale)
+        rescaled = 1.0 if lo <= top <= hi else top
+        if rescaled > divisor:  # a smaller divisor is only ever taken while total is 0
+            total *= (divisor / rescaled) ** 2
+        divisor = rescaled
+        total += gram(chunk if divisor == 1.0 else chunk / divisor)
+    if top == 0.0:
+        return 0.0
+    return divisor * float(np.sqrt(max(np.linalg.eigvalsh(total)[-1], 0.0)))
+
+
+def _entry_scale(b: np.ndarray) -> float:
+    """The largest |real or imaginary part| of a row-contiguous float64 / complex128 ``b``."""
+    parts = b.view(np.float64)
+    scale = max(float(parts.max()), -float(parts.min()))
+    if not np.isfinite(scale):
+        raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
+    return scale
 
 
 def hermitian_norm(a: np.ndarray) -> float:

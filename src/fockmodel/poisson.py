@@ -49,7 +49,7 @@ from .contractions import (
 )
 from .fock import TruncatedFockSpace, left_target_slice
 from .ideals import ConstrainedSubspace, constrained_creation
-from .linalg import adj, gram, hermitian_norm, kron_left, opnorm
+from .linalg import adj, gram, hermitian_norm, kron_left, stacked_opnorm
 
 
 @dataclasses.dataclass
@@ -130,10 +130,9 @@ def constrained_poisson_kernel(
     blocks = kernel_blocks(mats, sub.space, defect)
     if sub.is_whole_space:  # N = I: nothing to compress, nothing to leak
         compressed, leak_norm = blocks, 0.0
-    else:  # the leak is |((I - N N*) (x) I) K|, the part of the blocks off N
-        flat = blocks.reshape(-1, m)
-        compressed = kron_left(adj(sub.N_basis), flat, defect.d_T)
-        leak_norm = opnorm(flat - kron_left(sub.N_basis, compressed, defect.d_T))
+    else:
+        compressed = kron_left(adj(sub.N_basis), blocks.reshape(-1, m), defect.d_T)
+        leak_norm = leak_off_n(blocks, compressed, sub)
     if leak_norm > 1e-6:
         raise RuntimeError(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
@@ -152,6 +151,42 @@ def constrained_poisson_kernel(
     )
 
 
+# complex entries of one row chunk of a streamed residual (4 MB): the eq-ker
+# residual and the subspace leak are formed one chunk of words at a time
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _word_chunks(words: int, width: int) -> list[tuple[int, int]]:
+    """Consecutive word ranges [w0, w1) that cover range(words), one chunk each.
+
+    ``width`` is the number of entries in the rows of one word; a chunk has
+    at most _CHUNK_ENTRIES // width words, and at least one.
+    """
+    step = max(1, _CHUNK_ENTRIES // max(width, 1))
+    return [(w0, min(w0 + step, words)) for w0 in range(0, words, step)]
+
+
+def leak_off_n(blocks: np.ndarray, compressed: np.ndarray, sub: ConstrainedSubspace) -> float:
+    """|((I - N N*) (x) I) K|, the part of the kernel blocks off N.
+
+    ``blocks`` are the uncompressed blocks of :func:`kernel_blocks` and
+    ``compressed`` is (N* (x) I) K.  The difference K - (N (x) I) compressed
+    is formed a chunk of words at a time (:func:`_word_chunks`), never
+    whole, and its spectral norm taken from the stacked chunks
+    (:func:`linalg.stacked_opnorm`).
+    """
+    d_T, m = blocks.shape[1:]
+    flat = blocks.reshape(-1, m)
+
+    def residual_chunks():
+        for w0, w1 in _word_chunks(sub.space.dim, d_T * m):
+            chunk = kron_left(sub.N_basis[w0:w1], compressed, d_T)
+            chunk -= flat[w0 * d_T : w1 * d_T]
+            yield chunk
+
+    return stacked_opnorm(residual_chunks(), m)
+
+
 def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
     """Residuals of K T_i* = (B_i* (x) I) K on the rows where it holds.
 
@@ -159,13 +194,16 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
     (:func:`ideals.constrained_creation`; the full shift on the zero
     family).  The identity is exact on the N-columns of degree <= d-1
     (top-degree rows see truncated data on one side only, so they are
-    excluded), and only those rows are formed.  When N is the whole space,
-    S_i* reads the row of the target word (i,) + w into the row of w, the
-    targets of one degree are a contiguous range of the next
-    (:func:`fock.left_target_slice`), and K T_i* is written into one buffer
-    that every generator reuses, from which the target slices of K are
-    subtracted in place; otherwise the checked rows of B_i* (x) I multiply K
-    once.  Returns one residual per generator index.
+    excluded), and only those rows are formed, a chunk of words at a time
+    (:func:`_word_chunks`), into one buffer that every chunk and generator
+    reuses.  Each chunk is K T_i* on its rows minus the same rows of
+    (B_i* (x) I) K.  When N is the whole space, S_i* reads the row of the
+    target word (i,) + w into the row of w, the targets of one degree are a
+    contiguous range of the next (:func:`fock.left_target_slice`), and the
+    target rows of K are subtracted in place; otherwise the chunk's rows of
+    B_i* (x) I multiply K.  The residual is the spectral norm of the stacked
+    chunks (:func:`linalg.stacked_opnorm`).  Returns one residual per
+    generator index.
     """
     sub = kernel.sub
     space = sub.space
@@ -175,17 +213,29 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
         # the defect is trivial (the kernel is the empty map) or no row is
         # checked: the identity holds vacuously for every generator
         return {i: 0.0 for i in range(1, space.n + 1)}
-    m = kernel.matrix.shape[1]
-    whole = kernel.matrix.reshape(sub.dim_N, d_T, m)
-    residual = np.empty((checked * d_T, m), dtype=complex)
-    by_word = residual.reshape(checked, d_T, m)
-    out: dict[int, float] = {}
-    for i in range(1, space.n + 1):
-        np.matmul(kernel.matrix[: checked * d_T], adj(kernel.mats[i - 1]), out=residual)
-        if sub.is_whole_space:
-            for k in range(space.d):
-                by_word[space.degree_slice(k)] -= whole[left_target_slice(space, i, k)]
+    k_mat = kernel.matrix
+    m = k_mat.shape[1]
+    chunks = _word_chunks(checked, d_T * m)
+    buffer = np.empty((chunks[0][1] * d_T, m), dtype=complex)  # the first chunk is the largest
+
+    def residual_chunks(i: int):
+        t_adj = adj(kernel.mats[i - 1])
+        if sub.is_whole_space:  # a word w of degree k < d has its target (i,) + w at w + shift
+            degrees = [space.degree_slice(k) for k in range(space.d)]
+            shifts = [left_target_slice(space, i, k).start - degrees[k].start for k in range(space.d)]
         else:
-            residual -= kron_left(adj(constrained_creation(sub, i))[:checked], kernel.matrix, d_T)
-        out[i] = opnorm(residual)
-    return out
+            b_adj = adj(constrained_creation(sub, i))[:checked]
+        for w0, w1 in chunks:
+            chunk = buffer[: (w1 - w0) * d_T]
+            np.matmul(k_mat[w0 * d_T : w1 * d_T], t_adj, out=chunk)
+            if sub.is_whole_space:
+                for words, shift in zip(degrees, shifts):
+                    lo, hi = max(w0, words.start), min(w1, words.stop)
+                    if lo < hi:
+                        chunk[(lo - w0) * d_T : (hi - w0) * d_T] -= (
+                            k_mat[(lo + shift) * d_T : (hi + shift) * d_T])
+            else:
+                chunk -= kron_left(b_adj[w0:w1], k_mat, d_T)
+            yield chunk
+
+    return {i: stacked_opnorm(residual_chunks(i), m) for i in range(1, space.n + 1)}

@@ -19,6 +19,7 @@ from fockmodel import (
     truncation_tail,
     validate,
 )
+import fockmodel.contractions as contractions
 from fockmodel.linalg import NumericalRankWarning
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
@@ -109,6 +110,23 @@ def test_defect_rank_warns_in_the_ambiguous_band(gap, rank):
         d = defects([np.array([[np.sqrt(1.0 - gap)]])])
     assert d.d_T == d.d_star == rank  # the cutoff 1e-10 still decides
     assert d.delta[0, 0] == pytest.approx(np.sqrt(gap), rel=1e-5)
+
+
+def test_the_lazy_star_basis_must_keep_the_derived_rank(monkeypatch):
+    rng = np.random.default_rng(13)
+    d = defects(random_row_contraction(rng, 2, 3, 0.8))
+    assert d.d_star == 6
+    cut = contractions.psd_spectrum
+
+    def one_short(w, v):  # a rank cut that drops the smallest kept eigenvalue
+        w, basis, kept = cut(w, v)
+        return w, basis[:, :-1], kept[:-1]
+
+    monkeypatch.setattr(contractions, "psd_spectrum", one_short)
+    with pytest.raises(RuntimeError, match=r"keeps 5 eigenvectors .* d_star = 6"):
+        d.basis_star
+    with pytest.raises(RuntimeError, match="keeps 5"):
+        d.delta_star
 
 
 def test_defects_refuse_a_non_contraction():

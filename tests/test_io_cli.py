@@ -620,6 +620,43 @@ def test_charfn_and_model_decompose_nothing_larger_than_p(tmp_path, monkeypatch,
     assert p_sized == ([] if command == "charfn" else [("qr", (q, p))])
 
 
+def test_analyze_decomposes_nothing_larger_than_m(tmp_path, monkeypatch):
+    # zero family at (2, 6), m = 3: d_star and its spectrum come from the
+    # m x m eigh of I - R R*, and eq-ker from the m x m Gram of its residual;
+    # the nm x nm defect-star decomposition is left to charfn and model
+    mats = random_row_contraction(np.random.default_rng(23), 2, 3, 0.8)
+    prob = write_problem(
+        tmp_path / "p.json", n=2, m=3, degree=6, mats=mats, ideal={"kind": "zero"}
+    )
+    out = tmp_path / "r.json"
+    seen = record_decompositions(monkeypatch)
+    assert run_cli(["analyze", "--problem", prob, "--out", str(out)]) == 0
+    assert read(out)["defects"]["d_star"] == 6
+    assert seen and all(max(shape[-2:]) <= 3 for _, shape in seen)
+
+
+def test_a_star_decomposition_short_of_d_star_exits_2(tmp_path, monkeypatch, capsys):
+    import fockmodel.contractions as contractions_module
+
+    cut = contractions_module.psd_spectrum
+
+    def one_short_on_nm(w, v):  # drops a kept eigenvector of the 6 x 6 I - R*R only
+        w, basis, kept = cut(w, v)
+        return (w, basis[:, :-1], kept[:-1]) if v.shape[0] == 6 else (w, basis, kept)
+
+    monkeypatch.setattr(contractions_module, "psd_spectrum", one_short_on_nm)
+    mats = random_row_contraction(np.random.default_rng(23), 2, 3, 0.8)
+    prob = write_problem(
+        tmp_path / "p.json", n=2, m=3, degree=3, mats=mats, ideal={"kind": "zero"}
+    )
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--problem", prob, "--out", str(out)]) == 0
+    assert run_cli(["charfn", "--problem", prob, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "RuntimeError" in err
+    assert "keeps 5 eigenvectors" in err and "d_star = 6" in err
+
+
 @pytest.mark.parametrize("command", ["charfn", "model"])
 def test_constrained_commands_never_build_theta_on_the_whole_space(tmp_path, command):
     # commutative (2, 12): the whole-space Theta would take 19 GB, and the

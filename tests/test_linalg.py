@@ -26,6 +26,7 @@ from fockmodel.linalg import (
     principal_angles,
     projector_basis,
     row_gram,
+    stacked_opnorm,
 )
 
 SHAPES = {"tall": (37, 5), "wide": (4, 29), "square": (16, 16),
@@ -71,6 +72,52 @@ def test_opnorm_refuses_non_finite_entries(bad, shape):
         opnorm(a)
     with pytest.raises(np.linalg.LinAlgError):
         opnorm(a.T)
+
+
+CHUNK_SCALES = {
+    "unit": (1.0, 1.0, 1.0),
+    "1e-200": (1e-200, 1e-200, 1e-200),
+    "1e200": (1e200, 1e200, 1e200),
+    "tiny-then-unit": (1e-200, 1.0, 1e-150),
+    "growing-tiny": (1e-200, 1e-190, 1e-180),
+    "zero-tiny-huge": (0.0, 1e-150, 1e200),
+}
+
+
+@pytest.mark.parametrize("scales", CHUNK_SCALES.values(), ids=CHUNK_SCALES.keys())
+@pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
+def test_stacked_opnorm_is_the_svd_norm_of_the_stacked_chunks(scales, complex_entries):
+    rng = np.random.default_rng(61)
+    chunks = []
+    for rows, scale in zip((7, 1, 12), scales):
+        a = rng.normal(size=(rows, 5))
+        if complex_entries:
+            a = a + 1j * rng.normal(size=(rows, 5))
+        chunks.append(a * scale)
+    want = np.linalg.norm(np.vstack(chunks), 2)
+    assert abs(stacked_opnorm(iter(chunks), 5) - want) <= 1e-14 * want
+
+    def one_buffer():  # every chunk written into the same array
+        buffer = np.empty((12, 5), dtype=chunks[0].dtype)
+        for chunk in chunks:
+            view = buffer[: chunk.shape[0]]
+            view[...] = chunk
+            yield view
+
+    assert abs(stacked_opnorm(one_buffer(), 5) - want) <= 1e-14 * want
+
+
+def test_stacked_opnorm_of_zero_and_no_chunks():
+    assert stacked_opnorm(iter([np.zeros((4, 3), complex), np.zeros((0, 3), complex)]), 3) == 0.0
+    assert stacked_opnorm(iter([]), 3) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_stacked_opnorm_refuses_non_finite_entries(bad):
+    a = np.ones((6, 3), dtype=complex)
+    a[2, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        stacked_opnorm(iter([np.ones((4, 3), dtype=complex), a]), 3)
 
 
 @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])

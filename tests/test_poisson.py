@@ -12,7 +12,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import Q_TEST, adj, make_spec, opnorm
+from conftest import (
+    ORACLE_FAMILIES,
+    ORACLE_SIZES,
+    Q_TEST,
+    adj,
+    make_spec,
+    opnorm,
+    oracle_family,
+    oracle_tuple,
+)
+import fockmodel.poisson as poisson_module
 from fockmodel import (
     NCPoly,
     PolyIdealSpec,
@@ -29,7 +39,8 @@ from fockmodel import (
     verify_intertwining,
 )
 from fockmodel.fock import word_operator
-from fockmodel.poisson import kernel_blocks
+from fockmodel.linalg import psd_spectrum
+from fockmodel.poisson import kernel_blocks, leak_off_n
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     haar_unitary,
@@ -114,6 +125,27 @@ def test_a_kernel_leaking_off_n_is_refused(comm_sub_d4):
     )
     with pytest.raises(RuntimeError, match="kernel leaks"):
         constrained_poisson_kernel(PAIR, corrupted)
+    blocks = kernel_blocks(PAIR, corrupted.space, defects(PAIR))
+    compressed = np.tensordot(adj(corrupted.N_basis), blocks, axes=(1, 0)).reshape(-1, 1)
+    want = dense_leak(blocks, corrupted)
+    assert want > 0.1
+    assert abs(leak_off_n(blocks, compressed, corrupted) - want) <= 1e-13 * want
+
+
+def dense_leak(blocks, sub):
+    """|((I - N N*) (x) I) K| with the projector and the Kronecker product formed densely."""
+    off_n = np.eye(sub.space.dim) - sub.N_basis @ adj(sub.N_basis)
+    return opnorm(np.kron(off_n, np.eye(blocks.shape[1])) @ blocks.reshape(-1, blocks.shape[2]))
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_the_streamed_leak_is_the_dense_part_off_n(family, monkeypatch):
+    # one word per chunk, so that every case is streamed over several chunks
+    monkeypatch.setattr(poisson_module, "_CHUNK_ENTRIES", 1)
+    for n, d in ORACLE_SIZES:
+        sub = ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d))
+        k = constrained_poisson_kernel(oracle_tuple(family, n, np.random.default_rng([n, d])), sub)
+        assert abs(k.subspace_leak - dense_leak(k.blocks, sub)) < 1e-14
 
 
 def test_constrained_kernel_rejects_relation_violators(comm_sub_d4):
@@ -144,6 +176,8 @@ NON_GRADED_TUPLE = [np.array([[0, 0], [0.6, 0]], complex), np.array([[1, 0], [0,
 def _family(kind):
     """(tuple, subspace) of one relation family, at a degree with checked rows."""
     rng = np.random.default_rng(41)
+    if kind == "jordan-pair":  # d_T = 1 < m = 3
+        return _jordan_pair(), ideal_subspace(make_spec("zero"), TruncatedFockSpace(2, 5))
     if kind == "zero":
         return random_row_contraction(rng, 2, 3, 0.8), ideal_subspace(
             make_spec("zero"), TruncatedFockSpace(2, 4))
@@ -182,11 +216,28 @@ def test_constrained_creation_is_the_dense_compression(kind):
             assert opnorm(constrained_creation(sub, i, side) - want) < 1e-14
 
 
-@pytest.mark.parametrize("kind", FAMILIES)
-def test_intertwining_matches_the_dense_route(kind):
+# (family, words per chunk, None for the default chunks): the families, two
+# of them in chunks whose boundaries fall inside degree blocks, and d_T < m
+INTERTWINING_CASES = {kind: (kind, None) for kind in FAMILIES} | {
+    "zero-chunked": ("zero", 5),
+    "commutative-chunked": ("commutative", 2),
+    "jordan-pair": ("jordan-pair", None),
+}
+
+
+@pytest.mark.parametrize("case", INTERTWINING_CASES.values(), ids=INTERTWINING_CASES.keys())
+def test_intertwining_matches_the_dense_route(case, monkeypatch):
+    kind, words_per_chunk = case
     mats, sub = _family(kind)
     kernel = constrained_poisson_kernel(mats, sub)
-    assert sub.n_cols_up_to(sub.space.d - 1) > 0  # some rows are checked
+    checked = sub.n_cols_up_to(sub.space.d - 1)
+    assert checked > 0  # some rows are checked
+    if words_per_chunk is not None:
+        # chunks of a few words, whose boundaries fall inside degree blocks
+        word_entries = kernel.d_T * kernel.matrix.shape[1]
+        monkeypatch.setattr(poisson_module, "_CHUNK_ENTRIES", words_per_chunk * word_entries)
+        starts = range(words_per_chunk, checked, words_per_chunk)
+        assert any(w not in sub.N_degrees.searchsorted(range(sub.space.d + 1)) for w in starts)
     got, want = verify_intertwining(kernel), dense_intertwining(kernel)
     assert set(got) == set(want) == {1, 2}
     assert all(got[i] < 1e-13 and want[i] < 1e-13 for i in got)
@@ -285,6 +336,23 @@ def test_in_place_blocks_equal_the_gathered_recursion(case):
     assert np.array_equal(got, gathered_kernel_blocks(mats, space, dft))
 
 
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_the_derived_star_spectrum_is_the_nm_eigh(case):
+    # I - R*R has the spectrum of I - R R* padded with (n - 1) m ones; the
+    # oracle decomposes the nm x nm matrix itself under the same cut
+    make, n, _, _ = case
+    mats = make()
+    m = mats[0].shape[0]
+    row = np.hstack(mats)
+    w, v = np.linalg.eigh(np.eye(n * m) - adj(row) @ row)
+    _, _, want = psd_spectrum(w, v)
+    dft = defects(mats)
+    assert dft.d_star == want.size
+    assert np.max(np.abs(dft.eigvals_star - want), initial=0.0) <= 1e-13
+    assert np.count_nonzero(dft.eigvals_star == 1.0) >= (n - 1) * m  # the padding, exactly
+    assert dft.basis_star.shape == (n * m, dft.d_star)  # the lazy eigh keeps as many
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -295,7 +363,7 @@ def _traced_peak(fn, *args):
 
 
 @pytest.mark.parametrize("n,d,m", [(2, 6, 24), (3, 4, 16)])
-def test_kernel_and_intertwining_allocate_no_gathered_copies(n, d, m, subspace_factory):
+def test_kernel_and_intertwining_allocate_no_gathered_copies(n, d, m, subspace_factory, monkeypatch):
     mats = random_row_contraction(np.random.default_rng(55), n, m, 0.9)
     sub = subspace_factory("zero", n=n, d=d)
     dft = defects(mats)
@@ -304,8 +372,14 @@ def test_kernel_and_intertwining_allocate_no_gathered_copies(n, d, m, subspace_f
     # the blocks themselves, and nothing of their size besides
     assert peak <= 1.05 * blocks.nbytes
     kernel = constrained_poisson_kernel(mats, sub)
+    # chunks of three words, far fewer than the checked rows
+    monkeypatch.setattr(poisson_module, "_CHUNK_ENTRIES", 3 * m * m)
     residuals, peak = _traced_peak(verify_intertwining, kernel)
     assert set(residuals) == set(range(1, n + 1))
-    # one residual buffer of the checked rows, which every generator reuses
-    checked = sub.n_cols_up_to(d - 1)
-    assert peak <= 1.1 * checked * dft.d_T * m * 16
+    # one chunk buffer, which every chunk and generator reuses, and the m x m
+    # work of the Gram route: at most five m x m complex arrays at once (T_i*,
+    # the running sum, a chunk's Gram and the 2m x 2m real product it comes
+    # from), of which the bound allows six
+    chunk, work = 3 * dft.d_T * m * 16, 6 * m * m * 16
+    assert peak <= 1.1 * chunk + work
+    assert chunk + work < sub.n_cols_up_to(d - 1) * dft.d_T * m * 16 / 2  # not the checked rows
