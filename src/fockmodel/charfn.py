@@ -67,6 +67,17 @@ That spectrum also carries |I - Theta Theta* - K K*|_F, its certificate,
 which :func:`factorization_defect` reports: a command that reads the verdicts
 (:func:`delta_and_classify`) and J-fa-F forms the p x p matrix once, and
 where the factorization holds it decomposes nothing p x p.
+
+Gram by the Stein recursion: since Theta is multi-analytic, its Gram
+A = Theta Theta* satisfies A = F F* + sum_a (L_a (x) I) A (L_a (x) I)*, F
+the vacuum column and L_a the left creation, so the blocks fix A too
+(:func:`stein_gram`, O(p^2 d_star) against O(p^2 q) for a product of
+Theta).  The identity holds where N is the whole space, and only a function
+built there keeps its whole-space blocks (``CharFn.whole_space_blocks``);
+:func:`theta_gram` takes the recursion exactly then, and a row Gram of the
+matrix for relation families and bare matrices.  The gate here, the
+model's isometry residual and the coincidence residual of two functions
+(:func:`model.coincidence_residual`) all read it.
 """
 
 from __future__ import annotations
@@ -108,12 +119,18 @@ class CharFn:
 
     ``kernel`` is the constrained Poisson kernel the function was built
     from; the subspace, the defect data and the tail bound are its.
+    ``whole_space_blocks`` holds the Fourier blocks (dim, d_T, d_star) only
+    when N is the whole space.  It is the route marker: with it,
+    Theta Theta* is built from the blocks by the Stein recursion
+    (:func:`theta_gram`); a function without it (a relation family, or a
+    bare matrix) takes products of ``matrix``.
     """
 
     matrix: np.ndarray
     kernel: KernelMatrix
     coinvariance_leak: float | None = None
     series_agreement: float | None = None
+    whole_space_blocks: np.ndarray | None = None
 
     @property
     def sub(self) -> ConstrainedSubspace:
@@ -143,13 +160,14 @@ class CharFn:
     def fourier_blocks(self) -> np.ndarray:
         """The vacuum-column Fourier block of every word, shape (dim, d_T, d_star).
 
-        Row j is the d_T x d_star block of the j-th word of ``space``.  The
-        vacuum column, Theta (N* e_0 (x) I), is formed once and mapped back to
-        words by N (x) I; when N is the whole space it is read off directly.
+        Row j is the d_T x d_star block of the j-th word of ``space``.  When
+        N is the whole space they are the stored ``whole_space_blocks``;
+        otherwise the vacuum column, Theta (N* e_0 (x) I), is formed once and
+        mapped back to words by N (x) I.
         """
+        if self.whole_space_blocks is not None:
+            return self.whole_space_blocks
         nb, dim = self.sub.N_basis, self.space.dim
-        if self.sub.is_whole_space:
-            return self.matrix.reshape(dim, self.d_T, dim, self.d_star)[:, :, 0, :].copy()
         vacuum = kron_right(self.matrix, adj(nb[:1]), self.d_star)
         return kron_left(nb, vacuum, self.d_T).reshape(dim, self.d_T, self.d_star)
 
@@ -250,7 +268,8 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
     violating the relations.
     """
     mats, sub, defect = kernel.mats, kernel.sub, kernel.defect
-    matrix = _theta_n(kernel)
+    blocks = _theta_blocks(kernel)
+    matrix = _theta_n(kernel, blocks)
     leak = series_agreement = None
     if not sub.is_whole_space:
         raising = constrained_creation_tuple(sub, "right")
@@ -268,7 +287,11 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
                     "the constrained-subspace machinery is inconsistent"
                 )
     return CharFn(
-        matrix=matrix, kernel=kernel, coinvariance_leak=leak, series_agreement=series_agreement
+        matrix=matrix,
+        kernel=kernel,
+        coinvariance_leak=leak,
+        series_agreement=series_agreement,
+        whole_space_blocks=blocks if sub.is_whole_space else None,
     )
 
 
@@ -308,19 +331,18 @@ def _theta_blocks(kernel: KernelMatrix) -> np.ndarray:
     return blocks
 
 
-def _theta_n(kernel: KernelMatrix) -> np.ndarray:
+def _theta_n(kernel: KernelMatrix, blocks: np.ndarray) -> np.ndarray:
     """Theta_N = sum_alpha (N* R_alpha N) (x) theta_(alpha), (dim_N d_T) x (dim_N d_star).
 
     For each degree pair (j, k) = (|gamma|, |alpha|) the conjugated rows of N
     at degree j + k, viewed as (n^j, n^k, columns), are contracted over gamma
-    with the rows of N at degree j, then over alpha with the degree-k blocks
-    of :func:`_theta_blocks`.  A graded N is block diagonal, so only its
-    columns of degree j + k and j take part.  When N is exactly I the blocks
+    with the rows of N at degree j, then over alpha with the degree-k
+    ``blocks`` of :func:`_theta_blocks`.  A graded N is block diagonal, so
+    only its columns of degree j + k and j take part.  When N is exactly I the blocks
     are placed at (gamma alpha, gamma) by one strided assignment instead.
     """
     sub, space = kernel.sub, kernel.space
     n, d, d_T, d_star = space.n, space.d, kernel.d_T, kernel.defect.d_star
-    blocks = _theta_blocks(kernel)
     nb, by_degree = sub.N_basis, sub.graded or sub.is_whole_space
     cols = [slice(sub.n_cols_up_to(r - 1), sub.n_cols_up_to(r)) if by_degree else slice(None)
             for r in range(d + 1)]
@@ -344,6 +366,55 @@ def _theta_n(kernel: KernelMatrix) -> np.ndarray:
     return theta.reshape(sub.dim_N * d_T, sub.dim_N * d_star)
 
 
+def stein_gram(space: TruncatedFockSpace, blocks: np.ndarray) -> np.ndarray:
+    """G G* of the multi-analytic G on the whole ``space`` with the vacuum-column ``blocks``.
+
+    ``blocks`` has shape (dim, r, c); G's block at (gamma alpha, gamma) is
+    the block of alpha, so the (w, v) block of G G* sums
+    g_(w / gamma) g_(v / gamma)* over the common prefixes gamma of w and v.
+    That is the Stein identity
+
+        G G* = F F* + sum_a (L_a (x) I) G G* (L_a (x) I)*,
+
+    F the vacuum column (the stacked blocks) and L_a the left creation.
+    Starting from F F*, a degree pair (j, k) with max(j, k) = r - 1 is
+    complete after step r - 1, and step r adds it into the rows (a) + w and
+    the columns (a) + v of the degree pair (j + 1, k + 1), one contiguous
+    range on each side per letter (:func:`fock.left_target_slice`).  That is
+    O(p^2 c) for F F* plus copies, where a product of G costs O(p^2 q).
+    Returns the whole (dim r) x (dim r) matrix.
+    """
+    dim, r, c = blocks.shape
+    vacuum = blocks.reshape(dim * r, c)
+    out = vacuum @ adj(vacuum)
+
+    def rows(words: slice) -> slice:
+        return slice(words.start * r, words.stop * r)
+
+    for top in range(space.d):  # the source pairs (j, k) with max(j, k) = top
+        for j, k in [(j, top) for j in range(top + 1)] + [(top, k) for k in range(top)]:
+            source = out[rows(space.degree_slice(j)), rows(space.degree_slice(k))]
+            for a in range(1, space.n + 1):
+                row_targets, col_targets = (rows(left_target_slice(space, a, g)) for g in (j, k))
+                out[row_targets, col_targets] += source
+    return out
+
+
+def theta_gram(theta: CharFn, *, lower: bool = False) -> np.ndarray:
+    """Theta Theta*, p x p.
+
+    When the function keeps its whole-space Fourier blocks (N is the whole
+    space) this is :func:`stein_gram` of them, the whole matrix, and no
+    product of Theta is taken.  Otherwise -- a relation family, or a bare
+    matrix that carries no blocks -- Theta is conjugated a block of rows at
+    a time (:func:`linalg.row_gram`); with ``lower`` only the lower triangle
+    that ``eigh`` / ``eigvalsh`` read is complete there.
+    """
+    if theta.whole_space_blocks is not None:
+        return stein_gram(theta.space, theta.whole_space_blocks)
+    return row_gram(theta.matrix, lower=lower)
+
+
 def factorization_defect(theta: CharFn | DefectStarSpectrum) -> float:
     """|I - Theta Theta* - K K*|_F, the joint defect of the factorization.
 
@@ -359,14 +430,15 @@ def factorization_defect(theta: CharFn | DefectStarSpectrum) -> float:
 
 
 def defect_star_lower(theta: CharFn) -> np.ndarray:
-    """I - Theta Theta*, p x p, with only the lower triangle that ``eigvalsh`` reads.
+    """I - Theta Theta*, p x p, complete at least on and below the diagonal (what eigvalsh reads).
 
-    Theta is conjugated a block of rows at a time (:func:`linalg.row_gram`),
-    never whole.  It is never kept on ``theta``, which would hold one more
-    p x p array for the life of the function; a command shares it through
-    one :class:`DefectStarSpectrum`.
+    Theta Theta* comes from :func:`theta_gram`: by the Stein recursion on
+    the whole space, a block of rows of Theta at a time otherwise.  It is
+    never kept on ``theta``, which would hold one more p x p array for the
+    life of the function; a command shares it through one
+    :class:`DefectStarSpectrum`.
     """
-    out = row_gram(theta.matrix, lower=True)
+    out = theta_gram(theta, lower=True)
     np.negative(out, out=out)
     out.flat[:: out.shape[0] + 1] += 1.0
     return out

@@ -12,10 +12,12 @@ Four subcommands, all reading JSON problem files and writing JSON reports:
            through the coincidence machinery
 
 Each problem gets one run object that builds its pipeline on first use and
-keeps it: relation residual, relation subspace, then the Poisson kernel
-(which holds the defects and the truncation tail), then the characteristic
-function, which is built from the kernel, then its model.  Each stage reads
-the objects of the stage before it, so no command computes an object twice.
+keeps it: relation residual, relation subspace, the classification (whose
+iteration of Phi also gives the truncation tail Phi^(d+1)(I)), then the
+Poisson kernel (which holds the defects and that tail), then the
+characteristic function, which is built from the kernel, then its model.
+Each stage reads the objects of the stage before it, so no command computes
+an object twice.
 The commands are report views over their runs; they share one gate (row
 contraction, then relations) and one way to write the report and pick the
 exit code.
@@ -150,7 +152,7 @@ class _Run:
 
     @cached_property
     def classification(self):
-        return classify(self.mats, tol=self.tol)
+        return classify(self.mats, tol=self.tol, degree=self.degree)
 
     @cached_property
     def sub(self):
@@ -159,7 +161,10 @@ class _Run:
     @cached_property
     def kernel(self):
         return constrained_poisson_kernel(
-            self.mats, self.sub, relation_residual=self.relation_residual
+            self.mats,
+            self.sub,
+            relation_residual=self.relation_residual,
+            tail=self.classification.tail,
         )
 
     @cached_property
@@ -251,7 +256,7 @@ def _cmd_analyze(args) -> int:
         report["kernel"] = {"constrained": True, "subspace_leak": kernel.subspace_leak}
     else:  # a relation-violating tuple still gets its kernel, on the zero family
         free = ideal_subspace(PolyIdealSpec(n=run.problem.n), run.space)
-        kernel = constrained_poisson_kernel(run.mats, free)
+        kernel = constrained_poisson_kernel(run.mats, free, tail=run.classification.tail)
         report["kernel"] = {
             "constrained": False,
             "note": "tuple violates the relations; kernel computed without the constraint",

@@ -192,6 +192,7 @@ class Classification:
     q_limit: np.ndarray
     iterations: int
     rho: float
+    tail: np.ndarray | None = None  # Phi^(d+1)(I), when classify was given the degree d
 
     def __str__(self) -> str:
         return (
@@ -205,7 +206,9 @@ class Classification:
 _DIAGONAL_MARGIN = 1e-6
 
 
-def classify(ts: Sequence[np.ndarray], *, k_max: int = 500, tol: float = 1e-9) -> Classification:
+def classify(
+    ts: Sequence[np.ndarray], *, k_max: int = 500, tol: float = 1e-9, degree: int | None = None
+) -> Classification:
     """Iterate Q_k = Phi^k(I) and certify purity / c.n.c. where possible.
 
     Q_k decreases monotonically, so |Q_k| < tol certifies pure = YES and
@@ -226,6 +229,13 @@ def classify(ts: Sequence[np.ndarray], *, k_max: int = 500, tol: float = 1e-9) -
     threshold.  Both matrices are Hermitian, so each norm is an ``eigvalsh``.
     rho and lambda_max(Q_1), which the first iteration always needs since cnc
     is still undetermined there, come from one ``eigvalsh`` of Q_1.
+
+    With a truncation ``degree`` d the iterate Q_(d+1) = Phi^(d+1)(I), the
+    truncation tail, is kept as ``tail`` for the Poisson kernel; when the
+    verdicts settle before step d + 1 the iteration continues to it, and
+    those steps count in neither ``iterations`` nor ``q_limit``.  Every
+    iterate is hermitized, so ``tail`` differs from :func:`phi_power`, which
+    hermitizes once at the end, by rounding only.
     """
     mats = as_matrices(ts)
     m = mats[0].shape[0]
@@ -236,11 +246,14 @@ def classify(ts: Sequence[np.ndarray], *, k_max: int = 500, tol: float = 1e-9) -
     still = 1e-14 * max(1.0, rho)
     pure = cnc = TriState.UNDETERMINED
     iterations = 0
+    tail = None
     for k in range(1, k_max + 1):
         q_next = q_1 if k == 1 else hermitize(phi_step(mats, q))
         step = q - q_next
         q = q_next
         iterations = k
+        if degree is not None and k == degree + 1:
+            tail = q
         stationary = not _diagonal_reaches(step, still) and hermitian_norm(step) < still
         if stationary or cnc is TriState.UNDETERMINED or not _diagonal_reaches(q, tol):
             lam_max = float((w_1 if k == 1 else np.linalg.eigvalsh(q))[-1]) if m else 0.0
@@ -256,7 +269,13 @@ def classify(ts: Sequence[np.ndarray], *, k_max: int = 500, tol: float = 1e-9) -
                 break
         if pure is TriState.YES and cnc is TriState.YES:
             break
-    return Classification(pure=pure, cnc=cnc, q_limit=q, iterations=iterations, rho=rho)
+    if degree is not None and tail is None:  # the verdicts settled before step d + 1
+        tail = q
+        for _ in range(iterations, degree + 1):
+            tail = hermitize(phi_step(mats, tail))
+    return Classification(
+        pure=pure, cnc=cnc, q_limit=q, iterations=iterations, rho=rho, tail=tail
+    )
 
 
 def _diagonal_reaches(a: np.ndarray, threshold: float) -> bool:

@@ -33,9 +33,12 @@ the one its shift rows, I - Theta Theta* in the model projector, fix
 (``linalg.projector_basis``), so the model operators do not depend on how
 the eigensolver splits a repeated eigenvalue.  Phihat and Delta are never
 formed.  The isometry residual |Phihat* Phihat - I|_F is measured, when
-asked for, on ran Theta*: it vanishes on ker Theta by construction, so its
-restriction there has the same norm, and one QR of the q x p matrix Theta*
-plus p x p products give it (:attr:`ModelData.isometry_residual`).
+asked for, as the square root of tr((Y A)^2) with A = Theta Theta* and Y a
+rank-2h update of A - I: p x p work, one p x p product and no decomposition
+(:attr:`ModelData.isometry_residual`).  On the zero family A itself comes
+from the Fourier blocks by the Stein recursion (:func:`charfn.stein_gram`),
+with no product of Theta, and so does the Gram of the coincidence
+difference that the certificate's ``com`` reads.
 
 The operators (:attr:`ModelData.operators`) and Gamma
 (:attr:`ModelData.gamma`) are later stages of the model, built on first use.
@@ -76,10 +79,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .charfn import CharFn, defect_star_spectrum
+from .charfn import CharFn, defect_star_spectrum, stein_gram, theta_gram
 from .contractions import Classification, TriState
 from .ideals import constrained_creation_tuple
 from .linalg import (
+    _ROW_BLOCK,
     adj,
     gram,
     hermitian_norm,
@@ -90,7 +94,6 @@ from .linalg import (
     principal_angles,
     projector_basis,
     psd_spectrum,
-    row_gram,
     unitary_polar_factor,
 )
 
@@ -133,47 +136,47 @@ class ModelData:
 
     @cached_property
     def isometry_residual(self) -> float:
-        """|Phihat* Phihat - I|_F, measured on ran Theta* by one QR and p x p products.
+        """|Phihat* Phihat - I|_F, from p x p arrays: Theta Theta* and one p x p product.
 
         Delta = I - Z* Z with Z = D U* Theta, U the eigenvectors of
         I - Theta Theta* and D = diag(1 / sqrt(1 + sqrt(lambda))), the
         lambda at or below the rank cut 1e-10 counting as 0 (so Delta has
         rank s); the rows of Z are orthogonal, so no q-side decomposition
-        defines Delta.  D is 1 off the h kept eigenpairs (lambda_h, U_h), so
-        U D^2 U* = I + U_h E U_h* with E = D_h^2 - I, and only they are
-        needed.  On ker Theta, Z x = 0 and Delta x = x, so
-        R = Phihat* Phihat - I vanishes there for any eigen-data: R = P R P
-        with P the projector onto ran Theta*.  One QR, Theta* = Q B with
-        Q of k = min(p, q) orthonormal columns, gives span Q containing
-        ran Theta*, so |Q* R Q|_F = |R|_F exactly: the norm of the same
-        operator, not an estimate.  Q is never formed: Theta Q = B*, and
-        since ran Z* lies in span Q, Delta Q = Q (I - G) with
-        G = B U D^2 U* B* = B B* + C E C*, C = B U_h.  So
+        defines Delta.  D is 1 off the h kept eigenpairs (lambda_h, P = U_h),
+        so M = U D^2 U* = I + P E P* with E = D_h^2 - I, and only they are
+        needed.  With A = Theta Theta*, Z* Z = Theta* M Theta gives
 
-            Q* R Q = B B* + (I - G)^2 - I,
+            Phihat* Phihat - I = Theta* Y Theta,   Y = I - 2M + M A M,
 
-        k x k, from one k x k product; no eigensolver is needed.  The
+        so |Phihat* Phihat - I|_F^2 = tr((Y A)^2), the norm of the same
+        operator, not an estimate.  With Q = A P,
+
+            Y = A - I + P E Q* + Q E P* + P (E (P* Q) E - 2E) P*,
+
+        A plus one rank-2h product.  Y vanishes in exact arithmetic, so the
+        trace is >= 0 up to rounding and its square root is taken at 0 or
+        above.  A comes from :func:`charfn.theta_gram`: the Stein recursion
+        of the Fourier blocks when N is the whole space, a row Gram of Theta
+        otherwise; then one p x p product Y A, and no decomposition.  Only
+        the two p x p arrays A and Y are alive: Y A overwrites Y a block of
+        128 rows at a time, since its rows need only Y's same rows.  The
         Frobenius norm is never smaller than the spectral norm, so a
-        tolerance on it is no easier to pass.  B B* is taken a block of rows
-        at a time (:func:`linalg.row_gram`), and at most three k x k or
-        k x p arrays are alive at once.  On the Gram route of
-        :func:`charfn.defect_star_spectrum` U_h comes from K, so the residual
-        also measures how well K's eigenvectors fit Theta.
+        tolerance on it is no easier to pass.  On the Gram route of
+        :func:`charfn.defect_star_spectrum` U_h comes from K, so the
+        residual also measures how well K's eigenvectors fit Theta.
         """
-        # Theta^T is a view of Theta; its triangular factor is B conjugated.
-        b = np.linalg.qr(self.theta.matrix.T, mode="r")
-        np.conjugate(b, out=b)
-        c = b @ self.defect_star_eigvecs
-        minus_e = 1.0 - 1.0 / (1.0 + np.sqrt(self.defect_star_eigvals))  # -E >= 0
-        residual = row_gram(b)
-        del b
-        eye_minus_g = (c * minus_e) @ adj(c)
-        eye_minus_g -= residual
-        diagonal = np.arange(eye_minus_g.shape[0])
-        eye_minus_g[diagonal, diagonal] += 1.0
-        residual[diagonal, diagonal] -= 1.0
-        residual += eye_minus_g @ eye_minus_g
-        return float(np.linalg.norm(residual))
+        gram_a = theta_gram(self.theta)
+        p_h = self.defect_star_eigvecs
+        e = np.diag(1.0 / (1.0 + np.sqrt(self.defect_star_eigvals)) - 1.0)
+        q_h = gram_a @ p_h
+        low_rank = np.hstack([p_h, q_h])
+        core = np.block([[e @ (adj(p_h) @ q_h) @ e - 2.0 * e, e], [e, np.zeros_like(e)]])
+        y = (low_rank @ core) @ adj(low_rank)
+        y += gram_a
+        y.flat[:: y.shape[0] + 1] -= 1.0
+        for i in range(0, y.shape[0], _ROW_BLOCK):  # a block of rows of Y A only needs Y's
+            y[i : i + _ROW_BLOCK] = y[i : i + _ROW_BLOCK] @ gram_a
+        return float(np.sqrt(max(np.einsum("ij,ji->", y, y).real, 0.0)))
 
     @cached_property
     def operators(self) -> ModelOperators:
@@ -395,11 +398,12 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
     unitaries tau = basis'* U basis and tau_star = basis'* (I (x) U) basis_*
     and evaluates the coincidence residual
 
-        | (I (x) tau) Theta - Theta' (I (x) tau_star) |,
+        | (I (x) tau) Theta - Theta' (I (x) tau_star) |
 
-    which vanishes at truncation up to rounding whenever the input contract
-    holds, and how far tau and tau_star are from isometries
-    (``tau_unitary_residual``).
+    (:func:`coincidence_residual`; on the whole space from the Stein
+    recursion, never a p x q difference), which vanishes at truncation up to
+    rounding whenever the input contract holds, and how far tau and tau_star
+    are from isometries (``tau_unitary_residual``).
     """
     a, b = theta.sub, theta_p.sub
     same_space = (a.space.n, a.space.d) == (b.space.n, b.space.d)
@@ -421,12 +425,9 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
             f"(residual {conj_residual:.3e})"
         )
     dft, dft_p = theta.defect, theta_p.defect
-    words = a.dim_N
     tau = adj(dft_p.basis) @ u @ dft.basis
     tau_star = adj(dft_p.basis_star) @ kron_inner(u, dft.basis_star, len(mats))
-    lhs = kron_inner(tau, theta.matrix, words)
-    rhs = kron_inner_right(theta_p.matrix, tau_star, words)
-    residual = opnorm(lhs - rhs)
+    residual = coincidence_residual(theta, theta_p, tau, tau_star)
     tau_dev = max(
         hermitian_norm(tau.conj().T @ tau - np.eye(tau.shape[1])),
         hermitian_norm(tau_star.conj().T @ tau_star - np.eye(tau_star.shape[1])),
@@ -441,6 +442,29 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
         theta=theta,
         theta_p=theta_p,
     )
+
+
+def coincidence_residual(
+    theta: CharFn, theta_p: CharFn, tau: np.ndarray, tau_star: np.ndarray
+) -> float:
+    """The spectral norm |D| of D = (I (x) tau) Theta - Theta' (I (x) tau_star).
+
+    When both functions keep their whole-space Fourier blocks (N is the
+    whole space), D is multi-analytic with the blocks
+    tau theta_alpha - theta'_alpha tau_star, so |D| = sqrt(lambda_max(D D*))
+    with D D* by the Stein recursion (:func:`charfn.stein_gram`): still the
+    exact spectral norm, from one p x p ``eigvalsh``, and nothing of size
+    p x q is formed.  Otherwise (relation families) the difference is formed
+    and its norm taken by :func:`linalg.opnorm`.
+    """
+    blocks, blocks_p = theta.whole_space_blocks, theta_p.whole_space_blocks
+    if blocks is not None and blocks_p is not None:
+        gram_d = stein_gram(theta.space, tau @ blocks - blocks_p @ tau_star)
+        return float(np.sqrt(max(np.linalg.eigvalsh(gram_d)[-1], 0.0))) if gram_d.size else 0.0
+    words = theta.sub.dim_N
+    lhs = kron_inner(tau, theta.matrix, words)
+    rhs = kron_inner_right(theta_p.matrix, tau_star, words)
+    return opnorm(lhs - rhs)
 
 
 @dataclasses.dataclass

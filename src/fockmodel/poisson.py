@@ -109,7 +109,11 @@ def kernel_blocks(
 
 
 def constrained_poisson_kernel(
-    ts, sub: ConstrainedSubspace, *, relation_residual: float | None = None
+    ts,
+    sub: ConstrainedSubspace,
+    *,
+    relation_residual: float | None = None,
+    tail: np.ndarray | None = None,
 ) -> KernelMatrix:
     """Poisson kernel compressed to the constrained rows N (x) defect.
 
@@ -120,8 +124,10 @@ def constrained_poisson_kernel(
     lossless -- for tuples in the constrained class.  The norm of the
     discarded M-component, |((I - N N*) (x) I) K| with K the uncompressed
     kernel, is returned on the result as ``subspace_leak``.
-    ``relation_residual`` (the constraint_residual under ``sub.spec``) reuses
-    what the caller already has of the tuple.
+    ``relation_residual`` (the constraint_residual under ``sub.spec``) and
+    ``tail`` (Phi^(d+1)(I), which :func:`contractions.classify` keeps when
+    given the degree) reuse what the caller already has of the tuple; a
+    missing tail is computed by :func:`contractions.phi_power`.
     """
     mats = as_matrices(ts)
     m = mats[0].shape[0]
@@ -138,7 +144,8 @@ def constrained_poisson_kernel(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
             "the tuple and the relation family are inconsistent"
         )
-    tail = phi_power(mats, sub.space.d + 1)
+    if tail is None:
+        tail = phi_power(mats, sub.space.d + 1)
     return KernelMatrix(
         matrix=compressed.reshape(sub.dim_N * defect.d_T, m),
         blocks=blocks,

@@ -223,7 +223,8 @@ def synthetic_theta(matrix, tail=0.0):
 
     Its kernel is a zero p x 1 matrix, so I - Theta Theta* - K K* is
     I - Theta Theta* itself: every matrix but a co-isometry is decomposed by
-    the dense route of ``defect_star_spectrum``.
+    the dense route of ``defect_star_spectrum``.  It keeps no whole-space
+    Fourier blocks, so Theta Theta* is a product of the matrix itself.
     """
     matrix = np.asarray(matrix, dtype=complex)
     free = ideal_subspace(PolyIdealSpec(n=1), TruncatedFockSpace(1, 1))
@@ -231,7 +232,10 @@ def synthetic_theta(matrix, tail=0.0):
     base = constrained_characteristic_function(dataclasses.replace(kernel, tail_bound=tail))
     zero_kernel = np.zeros((matrix.shape[0], 1), dtype=complex)
     return dataclasses.replace(
-        base, matrix=matrix, kernel=dataclasses.replace(base.kernel, matrix=zero_kernel)
+        base,
+        matrix=matrix,
+        kernel=dataclasses.replace(base.kernel, matrix=zero_kernel),
+        whole_space_blocks=None,
     )
 
 

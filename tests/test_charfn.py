@@ -29,6 +29,7 @@ from conftest import (
     record_decompositions,
     spanning_svd_subspace,
     spectral_theta,
+    synthetic_theta,
     theta_of,
 )
 from fockmodel import (
@@ -52,6 +53,7 @@ from fockmodel import (
 from fockmodel import charfn
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
+    haar_unitary,
     nilpotent_pair_tuple,
     q_commuting_nilpotent_tuple,
     random_row_contraction,
@@ -124,6 +126,52 @@ def test_blocks_match_the_dense_series_on_the_zero_family(n, d, kind):
     assert np.max(np.abs(th.matrix - series)) < 1e-13
     vacuum_column = series[:, : th.d_star].reshape(sub.space.dim, th.d_T, th.d_star)
     assert np.max(np.abs(th.fourier_blocks - vacuum_column)) < 1e-13
+
+
+def _stein_tuple(kind, n, rng):
+    """A nilpotent, a dense, a Jordan-pair (d_T = 1 < m) or a row co-isometry (d_T = 0) tuple."""
+    if kind == "nilpotent":
+        return commuting_nilpotent_tuple(rng, n, 0.6)
+    if kind == "dense":
+        return random_row_contraction(rng, n, 3, 0.9)
+    if kind == "jordan-pair":
+        return [np.eye(3, k=1, dtype=complex)] + [np.zeros((3, 3), dtype=complex)] * (n - 1)
+    rows = haar_unitary(3 * n, rng)[:3]  # sum T_i T_i* = I: a unitary when n = 1
+    return [rows[:, 3 * i : 3 * (i + 1)] for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["nilpotent", "dense", "jordan-pair", "unitary"])
+@pytest.mark.parametrize("n, d", ORACLE_SIZES + [(2, 8)])
+def test_the_stein_recursion_is_the_gram_of_the_dense_theta(n, d, kind, space_factory):
+    # A = F F* + sum_a (L_a (x) I) A (L_a (x) I)* built from the Fourier blocks
+    # against the product of the dense Theta
+    mats = _stein_tuple(kind, n, np.random.default_rng(59))
+    sub = ideal_subspace(make_spec("zero", n=n), space_factory(n, d))
+    th = theta_of(mats, sub)
+    assert th.whole_space_blocks is not None
+    if kind == "jordan-pair":
+        assert th.d_T == 1
+    if kind == "unitary":
+        assert th.d_T == 0
+    got = charfn.stein_gram(sub.space, th.whole_space_blocks)
+    assert np.array_equal(charfn.theta_gram(th), got)
+    want = th.matrix @ adj(th.matrix)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+
+
+def test_only_a_whole_space_function_keeps_its_blocks(subspace_factory):
+    # the blocks are the route marker of the Stein recursion: a relation
+    # family maps its vacuum column back through N, and a bare matrix keeps none
+    rng = np.random.default_rng(61)
+    free = theta_of(random_row_contraction(rng, 2, 3, 0.7), subspace_factory("zero", d=3))
+    assert free.fourier_blocks is free.whole_space_blocks
+    comm = theta_of(commuting_nilpotent_tuple(rng, 2, 0.6), subspace_factory("commutative", d=3))
+    assert comm.whole_space_blocks is None
+    assert comm.fourier_blocks.shape == (comm.space.dim, comm.d_T, comm.d_star)
+    bare = synthetic_theta(np.diag([0.5, 0.25]))
+    assert bare.whole_space_blocks is None
+    assert np.array_equal(charfn.theta_gram(bare), np.diag([0.25, 0.0625]))
 
 
 @pytest.mark.parametrize(

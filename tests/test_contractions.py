@@ -299,6 +299,21 @@ def test_classify_matches_the_decompose_every_step_oracle(case):
     assert np.abs(c.q_limit - q).max() <= 1e-15
 
 
+@pytest.mark.parametrize("degree", [0, 3, 12])
+@pytest.mark.parametrize("case", CLASSIFY_CORPUS)
+def test_classify_keeps_the_truncation_tail(case, degree):
+    # Q_(d+1) is kept whether the verdicts settle before step d + 1 (the
+    # iteration then continues to it) or after; the verdicts, the iteration
+    # count and q_limit are those of a call without the degree
+    mats, kwargs = CLASSIFY_CORPUS[case]
+    plain, c = classify(mats, **kwargs), classify(mats, degree=degree, **kwargs)
+    assert plain.tail is None
+    assert (c.pure, c.cnc, c.iterations, c.rho) == (plain.pure, plain.cnc, plain.iterations, plain.rho)
+    assert np.array_equal(c.q_limit, plain.q_limit)
+    assert np.abs(c.tail - phi_power(mats, degree + 1)).max() <= 1e-14
+    assert np.array_equal(c.tail, adj(c.tail))
+
+
 def test_the_corpus_reaches_every_verdict():
     verdicts = {_classify_oracle(mats, **kw)[:2] for mats, kw in CLASSIFY_CORPUS.values()}
     assert (TriState.YES, TriState.YES) in verdicts

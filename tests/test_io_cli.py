@@ -483,23 +483,28 @@ def test_cli_equiv_certifies_a_pair_with_a_large_tail(tmp_path):
 def test_each_problem_forms_its_tail_and_relation_residual_once(
     equiv_files, monkeypatch, command
 ):
-    # the kernel forms Phi^(d+1)(I), Theta reads it from the kernel, and the
-    # run passes the gate's relation residual down to the kernel, so each
-    # problem forms them once
+    # classify iterates Phi up to Phi^(d+1)(I) and the run hands it to the
+    # kernel, Theta reads it from the kernel, and the run passes the gate's
+    # relation residual down to the kernel, so each problem forms them once
     import fockmodel.cli
     import fockmodel.contractions
     import fockmodel.poisson
 
     tmp_path, pa, pb, uf = equiv_files
     tails, residuals = [], []
-    phi_power, constraint_residual = (
+    phi_power, constraint_residual, classify = (
         fockmodel.contractions.phi_power,
         fockmodel.contractions.constraint_residual,
+        fockmodel.cli.classify,
     )
 
     def counted_phi_power(ts, k):
         tails.append(k)
         return phi_power(ts, k)
+
+    def counted_classify(ts, **kwargs):
+        tails.append(kwargs["degree"] + 1)
+        return classify(ts, **kwargs)
 
     def counted_residual(ts, spec):
         residuals.append(spec.kind)
@@ -510,6 +515,7 @@ def test_each_problem_forms_its_tail_and_relation_residual_once(
             monkeypatch.setattr(module, "phi_power", counted_phi_power)
         if hasattr(module, "constraint_residual"):
             monkeypatch.setattr(module, "constraint_residual", counted_residual)
+    monkeypatch.setattr(fockmodel.cli, "classify", counted_classify)
     argv = ["model", "--problem", pa]
     if command == "equiv":
         argv = ["equiv", "--problem", pa, "--problem-b", pb, "--unitary", uf]
@@ -560,7 +566,9 @@ def test_each_problem_builds_its_kernel_once_and_theta_from_it(equiv_files, monk
 
 
 def test_a_charfn_command_decomposes_the_tail_once(tmp_path, monkeypatch):
-    # Theta's tail bound and the kernel's read one norm of Phi^(d+1)(I)
+    # Theta's tail bound and the kernel's read one norm of Phi^(d+1)(I),
+    # which classify formed and the kernel did not form again
+    import fockmodel.cli
     import fockmodel.poisson
 
     mats = random_row_contraction(np.random.default_rng(12), 2, 3, 0.7)
@@ -568,12 +576,18 @@ def test_a_charfn_command_decomposes_the_tail_once(tmp_path, monkeypatch):
         tmp_path / "p.json", n=2, m=3, degree=4, mats=mats, ideal={"kind": "zero"}
     )
     tails, decomposed = [], []
-    phi_power = fockmodel.poisson.phi_power
+    classify, phi_power = fockmodel.cli.classify, fockmodel.poisson.phi_power
+
+    def kept_classify(ts, **kwargs):
+        cls = classify(ts, **kwargs)
+        tails.append(cls.tail)
+        return cls
 
     def kept_phi_power(ts, k):
         tails.append(phi_power(ts, k))
         return tails[-1]
 
+    monkeypatch.setattr(fockmodel.cli, "classify", kept_classify)
     monkeypatch.setattr(fockmodel.poisson, "phi_power", kept_phi_power)
     for name in ("svd", "eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -593,8 +607,10 @@ def test_a_charfn_command_decomposes_the_tail_once(tmp_path, monkeypatch):
 def test_charfn_and_model_decompose_nothing_larger_than_p(tmp_path, monkeypatch, command):
     # zero family at (2, 6), p = 381 < q = 762: the verdicts and the model
     # read the spectrum of I - Theta Theta* off the m x m Gram K*K, and J-fa-F
-    # is the Frobenius norm that certified it; the only decomposition of size
-    # p or more is the isometry residual's QR of the q x p matrix Theta*
+    # is the Frobenius norm that certified it; Theta Theta* comes from the
+    # Fourier blocks by the Stein recursion, for the gate and the isometry
+    # residual alike, so Theta is never a row_gram operand and nothing of
+    # size p is decomposed
     mats = commuting_nilpotent_tuple(np.random.default_rng(23), 2, 0.5)
     prob = write_problem(
         tmp_path / "p.json", n=2, m=3, degree=6, mats=mats, ideal={"kind": "zero"}
@@ -604,20 +620,24 @@ def test_charfn_and_model_decompose_nothing_larger_than_p(tmp_path, monkeypatch,
     grams = []  # the shape of every row_gram operand
     import fockmodel.charfn as charfn_module
     import fockmodel.linalg as linalg_module
-    import fockmodel.model as model_module
 
-    row_gram = linalg_module.row_gram
-    for module in (charfn_module, linalg_module, model_module):
+    row_gram, stein_gram, steins = linalg_module.row_gram, charfn_module.stein_gram, []
+    for module in (charfn_module, linalg_module):
         monkeypatch.setattr(module, "row_gram", lambda a, **kw: grams.append(a.shape) or row_gram(a, **kw))
+    monkeypatch.setattr(
+        charfn_module, "stein_gram", lambda sp, b: steins.append(b.shape) or stein_gram(sp, b)
+    )
     assert run_cli([command, "--problem", prob, "--out", str(out)]) == 0
     p, q = 381, 762
-    # I - Theta Theta* is formed once per command: the verdicts and J-fa-F share it
-    assert grams.count((p, q)) == 1
+    assert (p, q) not in grams
+    # Theta Theta* is built once per consumer: the gate (verdicts and J-fa-F
+    # share it), and in a model command the isometry residual
+    assert steins == [(127, 3, 6)] * (1 if command == "charfn" else 2)
     dims = read(out)["dims"]
     shape = (dims["rows"], dims["cols"]) if command == "charfn" else (dims["p"], dims["q"])
     assert shape == (p, q)
     p_sized = [(name, shape) for name, shape in seen if max(shape[-2:]) >= p]
-    assert p_sized == ([] if command == "charfn" else [("qr", (q, p))])
+    assert p_sized == []
 
 
 def test_analyze_decomposes_nothing_larger_than_m(tmp_path, monkeypatch):
@@ -680,6 +700,31 @@ def test_constrained_commands_never_build_theta_on_the_whole_space(tmp_path, com
         assert (dims["dim_N"], dims["rows"], dims["cols"]) == (91, 273, 546)
     else:
         assert (dims["p"], dims["q"]) == (273, 546)
+
+
+@pytest.mark.parametrize("command", ["charfn", "model"])
+def test_whole_space_commands_peak_below_theta_and_three_p_by_p_arrays(tmp_path, command):
+    # zero family (2, 7), p = 765, q = 1530: Theta Theta* comes from the
+    # Fourier blocks, the isometry residual holds A and Y (Y A overwrites Y),
+    # and no q x p copy of Theta is made, so the traced peak stays below
+    # Theta plus three p x p arrays (the QR route held Theta twice)
+    import tracemalloc
+
+    mats = random_row_contraction(np.random.default_rng(11), 2, 3, 0.9)
+    prob = write_problem(
+        tmp_path / "p.json", n=2, m=3, degree=7, mats=mats, ideal={"kind": "zero"}
+    )
+    out = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        assert run_cli([command, "--problem", prob, "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    p, q = 765, 1530
+    dims = read(out)["dims"]
+    assert (dims.get("p", dims.get("rows")), dims.get("q", dims.get("cols"))) == (p, q)
+    assert peak < 16 * p * q + 3 * 16 * p * p
 
 
 def test_the_zero_tuple_reports_no_negative_zero(tmp_path):

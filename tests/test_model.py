@@ -49,7 +49,15 @@ from fockmodel import (
     verify_coincidence_implies_equivalence,
 )
 from fockmodel.charfn import defect_star_lower, defect_star_spectrum
-from fockmodel.linalg import NumericalRankWarning, principal_angles, projector_basis, psd_spectrum
+from fockmodel.linalg import (
+    NumericalRankWarning,
+    kron_inner,
+    kron_inner_right,
+    principal_angles,
+    projector_basis,
+    psd_spectrum,
+)
+from fockmodel.model import coincidence_residual
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     conjugated_tuple,
@@ -290,6 +298,63 @@ def test_witness_rejects_non_conjugating_unitaries(conjugated_pair):
     other = commuting_nilpotent_tuple(rng, 2, 0.5)
     with pytest.raises(ValueError, match="not conjugated"):
         coincidence_from_unitary(theta_of(mats, sub), theta_of(other, sub), u)
+
+
+def _dense_coincidence_residual(theta, theta_p, tau, tau_star):
+    """|(I (x) tau) Theta - Theta' (I (x) tau_star)| from the formed difference, by an SVD."""
+    words = theta.sub.dim_N
+    lhs = kron_inner(tau, theta.matrix, words)
+    return opnorm(lhs - kron_inner_right(theta_p.matrix, tau_star, words))
+
+
+@pytest.mark.parametrize("kind", ["nilpotent", "dense", "jordan-pair", "coisometry"])
+def test_the_zero_family_com_is_the_dense_norm(kind, subspace_factory):
+    # on the whole space com is sqrt(lambda_max(D D*)) with D D* by the Stein
+    # recursion; against the SVD of the formed p x q difference it agrees to
+    # a relative 1e-12 of the operands' scale, for a conjugate pair
+    # (rounding-level com) and for two unrelated tuples (com of order 1)
+    rng = np.random.default_rng(67)
+    sub = subspace_factory("zero", d=5)
+    if kind == "jordan-pair":
+        mats = [np.eye(3, k=1, dtype=complex), np.zeros((3, 3), dtype=complex)]
+    elif kind == "nilpotent":
+        mats = commuting_nilpotent_tuple(rng, 2, 0.6)
+    elif kind == "coisometry":  # sum T_i T_i* = I: d_T = 0, so p = 0
+        rows = haar_unitary(6, rng)[:3]
+        mats = [rows[:, :3], rows[:, 3:]]
+    else:
+        mats = random_row_contraction(rng, 2, 3, 0.8)
+    u = haar_unitary(3, rng)
+    th, th_p = theta_of(mats, sub), theta_of(conjugated_tuple(mats, u), sub)
+    wit = coincidence_from_unitary(th, th_p, u)
+    want = _dense_coincidence_residual(th, th_p, wit.tau, wit.tau_star)
+    if kind == "coisometry":
+        assert th.d_T == 0 and wit.residual == want == 0.0
+        return
+    assert wit.residual < 1e-13 and want < 1e-13
+    assert abs(wit.residual - want) <= 1e-12 * opnorm(th.matrix)
+    if kind == "jordan-pair":  # d_T = 1: a turned Jordan pair, which tau = I does not undo
+        other = theta_of(conjugated_tuple(mats, haar_unitary(3, rng)), sub)
+    else:
+        other = theta_of(random_row_contraction(rng, 2, 3, 0.8), sub)
+    assert (other.d_T, other.d_star) == (th.d_T, th.d_star)
+    tau, tau_star = np.eye(th.d_T), np.eye(th.d_star)
+    got = coincidence_residual(th, other, tau, tau_star)
+    want = _dense_coincidence_residual(th, other, tau, tau_star)
+    assert want > 0.1
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_com_of_a_relation_family_is_the_formed_difference(conjugated_pair):
+    # N is not the whole space: no blocks are kept, and com is opnorm of the difference
+    sub, mats, mats_p, u = conjugated_pair
+    wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(mats_p, sub), u)
+    assert wit.theta.whole_space_blocks is None
+    tau, tau_star = np.eye(wit.tau.shape[0]), np.eye(wit.tau_star.shape[0])
+    got = coincidence_residual(wit.theta, wit.theta_p, tau, tau_star)
+    want = _dense_coincidence_residual(wit.theta, wit.theta_p, tau, tau_star)
+    assert want > 0.1
+    assert abs(got - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +608,9 @@ def _isometry_case(n, subspace_factory):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_isometry_residual_on_ran_theta_star_is_the_dense_norm(n, subspace_factory):
-    # Phihat* Phihat - I vanishes on ker Theta, so restricting it to the span
-    # of a QR basis of Theta* keeps its Frobenius norm exactly, which bounds
-    # the spectral norm
+    # Phihat* Phihat - I = Theta* Y Theta lives on ran Theta*, and
+    # tr((Y A)^2) is its Frobenius norm squared exactly, which bounds the
+    # spectral norm
     th = _isometry_case(n, subspace_factory)
     p, q = th.matrix.shape
     assert (p == q) if n == 1 else (p < q)
@@ -564,6 +629,47 @@ def test_isometry_residual_on_ran_theta_star_holds_for_any_eigen_data(n, subspac
     assert want > 1e-7
     assert abs(bent.isometry_residual - want) <= 1e-9 * want
     assert bent.isometry_residual >= _dense_isometry_residual(bent, 2)
+
+
+def _qr_isometry_residual(model):
+    """|Phihat* Phihat - I|_F on ran Theta*, from one QR Theta* = Q B.
+
+    R = Phihat* Phihat - I vanishes on ker Theta, so |Q* R Q|_F = |R|_F, and
+    with G = B B* + C E C*, C = B U_h and E = D_h^2 - I over the h kept
+    eigenpairs, Q* R Q = B B* + (I - G)^2 - I (Q is never formed).
+    """
+    b = np.linalg.qr(model.theta.matrix.T, mode="r").conj()
+    c = b @ model.defect_star_eigvecs
+    e = 1.0 / (1.0 + np.sqrt(model.defect_star_eigvals)) - 1.0
+    bb = b @ adj(b)
+    eye_minus_g = np.eye(bb.shape[0]) - bb - (c * e) @ adj(c)
+    return np.linalg.norm(bb + eye_minus_g @ eye_minus_g - np.eye(bb.shape[0]))
+
+
+def _oracle_isometry_case(case, subspace_factory):
+    """The zero family at n = 1 (p = q) and n = 2 (p < q), and a commutative scalar pair."""
+    if case == "commutative":  # not nilpotent, so Theta* moves the kept eigenvectors
+        mats = random_scalar_tuple(np.random.default_rng(37), 2, 0.6)
+        return theta_of(mats, subspace_factory("commutative", d=5))
+    return _isometry_case(int(case[-1]), subspace_factory)
+
+
+@pytest.mark.parametrize("bend", [0.0, 1e-3])
+@pytest.mark.parametrize("case", ["zero-n1", "zero-n2", "commutative"])
+def test_isometry_residual_is_the_qr_route(case, bend, subspace_factory):
+    # tr((Y A)^2) against the QR of Theta* it replaced: rounding-level on the
+    # model's own eigen-data, and a relative 1e-9 with the h kept eigenvalues
+    # moved by 1e-3, where Phihat is no isometry
+    model = build_model(_oracle_isometry_case(case, subspace_factory))
+    assert (model.theta.whole_space_blocks is None) == (case == "commutative")
+    model = dataclasses.replace(model, defect_star_eigvals=model.defect_star_eigvals + bend)
+    want = _qr_isometry_residual(model)
+    if bend:
+        assert want > 1e-7
+        assert abs(model.isometry_residual - want) <= 1e-9 * want
+    else:
+        assert max(model.isometry_residual, want) < 1e-12
+        assert abs(model.isometry_residual - want) < 1e-13
 
 
 @pytest.mark.parametrize("gap, s", [(1e-9, 2), (5e-11, 1)])
@@ -645,7 +751,8 @@ def test_build_model_decomposes_nothing_larger_than_m(zero_family_pair, monkeypa
     assert (model.s, model.h) == (384, 3)
     assert model.defect_star_eigvecs.shape == (p, model.h)
     assert model.defect_star_eigvals.shape == (model.h,)
-    # reading the isometry residual: one QR of Theta*, then p x p products
+    # reading the isometry residual: Theta Theta* by the Stein recursion,
+    # then p x p products and no decomposition
     built = len(seen)
     tracemalloc.start()
     try:
@@ -653,7 +760,7 @@ def test_build_model_decomposes_nothing_larger_than_m(zero_family_pair, monkeypa
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert seen[built:] == [("qr", (q, p))]
+    assert seen[built:] == []
     assert peak < q * q * 16
 
 
