@@ -49,10 +49,11 @@ and the factorization against the constrained Poisson kernel,
 
 survives compression verbatim.  :func:`constrained_characteristic_function`
 is the one builder; it takes the constrained kernel and keeps it, so the
-function, N, the defect data and the tail all come from one kernel.  It
-contracts Theta_N from the Fourier blocks, two matmuls per degree pair, for
-every family; on the zero family N is exactly I and the blocks are placed
-into the free function Theta_T.  With relations no array is indexed by the
+function, N, the defect data and the tail all come from one kernel.  A
+function holds the whole-space Fourier blocks and nothing else of Theta
+(``CharFn.blocks``); Theta_N itself, the matrix, is contracted from them on
+first read, two matmuls per degree pair (:func:`_theta_n`), and no command
+reads it on the zero family.  With relations no array is indexed by the
 whole word space on both sides, and coinvariance is measured on N itself:
 exact at truncation for graded families, lost at the top degree otherwise,
 where the truncated R_i cuts the top part off a relation.  For a graded
@@ -65,19 +66,19 @@ Where the factorization holds to rounding, the p x p spectrum of
 I - Theta Theta* is read off the m x m Gram K*K (:func:`defect_star_spectrum`).
 That spectrum also carries |I - Theta Theta* - K K*|_F, its certificate,
 which :func:`factorization_defect` reports: a command that reads the verdicts
-(:func:`delta_and_classify`) and J-fa-F forms the p x p matrix once, and
-where the factorization holds it decomposes nothing p x p.
+(:func:`delta_and_classify`) and J-fa-F forms Theta Theta* once, and where
+the factorization holds it decomposes nothing p x p.
 
 Gram by the Stein recursion: since Theta is multi-analytic, its Gram
 A = Theta Theta* satisfies A = F F* + sum_a (L_a (x) I) A (L_a (x) I)*, F
 the vacuum column and L_a the left creation, so the blocks fix A too
 (:func:`stein_gram`, O(p^2 d_star) against O(p^2 q) for a product of
-Theta).  The identity holds where N is the whole space, and only a function
-built there keeps its whole-space blocks (``CharFn.whole_space_blocks``);
-:func:`theta_gram` takes the recursion exactly then, and a row Gram of the
-matrix for relation families and bare matrices.  The gate here, the
-model's isometry residual and the coincidence residual of two functions
-(:func:`model.coincidence_residual`) all read it.
+Theta).  The identity holds where N is the whole space, and there
+:func:`theta_gram` takes the recursion; relation families take a row Gram
+of the matrix.  The gate here, the model's isometry residual and the
+coincidence residual of two functions (:func:`model.coincidence_residual`)
+all read it.  Theta* u is one matmul per degree pair on the blocks, between
+products by N (:func:`theta_star`), for every family.
 """
 
 from __future__ import annotations
@@ -115,22 +116,18 @@ _NILPOTENT_TOL = 1e-24  # for sum_{|w| = j} |X_w|_F^2 at a point of row norm 1
 
 @dataclasses.dataclass
 class CharFn:
-    """A truncated characteristic function compressed to N on both sides.
+    """A truncated characteristic function compressed to N on both sides, held as its blocks.
 
+    ``blocks`` holds the whole-space Fourier block of every word, shape
+    (dim, d_T, d_star) (:func:`_theta_blocks`); they fix the function.
     ``kernel`` is the constrained Poisson kernel the function was built
     from; the subspace, the defect data and the tail bound are its.
-    ``whole_space_blocks`` holds the Fourier blocks (dim, d_T, d_star) only
-    when N is the whole space.  It is the route marker: with it,
-    Theta Theta* is built from the blocks by the Stein recursion
-    (:func:`theta_gram`); a function without it (a relation family, or a
-    bare matrix) takes products of ``matrix``.
     """
 
-    matrix: np.ndarray
+    blocks: np.ndarray
     kernel: KernelMatrix
     coinvariance_leak: float | None = None
     series_agreement: float | None = None
-    whole_space_blocks: np.ndarray | None = None
 
     @property
     def sub(self) -> ConstrainedSubspace:
@@ -150,23 +147,33 @@ class CharFn:
 
     @property
     def d_T(self) -> int:
-        return self.defect.d_T
+        return self.blocks.shape[1]
 
     @property
     def d_star(self) -> int:
-        return self.defect.d_star
+        return self.blocks.shape[2]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(p, q) = (dim_N d_T, dim_N d_star), the shape of ``matrix``."""
+        return self.sub.dim_N * self.d_T, self.sub.dim_N * self.d_star
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Theta_N, p x q, contracted from the blocks on first read (:func:`_theta_n`)."""
+        return _theta_n(self.sub, self.blocks)
 
     @cached_property
     def fourier_blocks(self) -> np.ndarray:
         """The vacuum-column Fourier block of every word, shape (dim, d_T, d_star).
 
         Row j is the d_T x d_star block of the j-th word of ``space``.  When
-        N is the whole space they are the stored ``whole_space_blocks``;
-        otherwise the vacuum column, Theta (N* e_0 (x) I), is formed once and
-        mapped back to words by N (x) I.
+        N is the whole space they are the stored ``blocks``; otherwise the
+        vacuum column, Theta_N (N* e_0 (x) I), is formed once and mapped back
+        to words by N (x) I.
         """
-        if self.whole_space_blocks is not None:
-            return self.whole_space_blocks
+        if self.sub.is_whole_space:
+            return self.blocks
         nb, dim = self.sub.N_basis, self.space.dim
         vacuum = kron_right(self.matrix, adj(nb[:1]), self.d_star)
         return kron_left(nb, vacuum, self.d_T).reshape(dim, self.d_T, self.d_star)
@@ -253,11 +260,13 @@ def _resolvent(mats: list[np.ndarray], xs: list[np.ndarray], defect: DefectData)
 def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
     """Characteristic function of the kernel's tuple, compressed to the kernel's N.
 
-    Theta_N = sum_alpha (N* R_alpha N) (x) theta_(alpha) is contracted from
-    the whole-space Fourier blocks for every family (:func:`_theta_n`); on
-    the zero family it is the free function.  With relations (dim M > 0)
-    that compression is multi-analytic because N is co-invariant under the
-    right shifts, and that is measured on N itself,
+    The function is held as the whole-space Fourier blocks
+    (:func:`_theta_blocks`); Theta_N = sum_alpha (N* R_alpha N) (x)
+    theta_(alpha) is contracted from them only where it is read
+    (:attr:`CharFn.matrix`).  On the zero family it is the free function.
+    With relations (dim M > 0) that compression is multi-analytic because N
+    is co-invariant under the right shifts, and that is measured on N
+    itself,
 
         max_i |R_i* N - N B_i*|,   B_i = N* R_i N,
 
@@ -267,32 +276,25 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
     ``series_agreement``).  The kernel builder has already refused tuples
     violating the relations.
     """
-    mats, sub, defect = kernel.mats, kernel.sub, kernel.defect
-    blocks = _theta_blocks(kernel)
-    matrix = _theta_n(kernel, blocks)
-    leak = series_agreement = None
+    sub = kernel.sub
+    theta = CharFn(blocks=_theta_blocks(kernel), kernel=kernel)
     if not sub.is_whole_space:
         raising = constrained_creation_tuple(sub, "right")
-        leak = _coinvariance_leak(sub, raising)
+        leak = theta.coinvariance_leak = _coinvariance_leak(sub, raising)
         if sub.graded:
             if leak > 1e-8:
                 raise RuntimeError(
                     f"a right shift leaks {leak:.3e} from the relation span "
                     "into the constrained subspace"
                 )
-            series_agreement = opnorm(matrix - _resolvent(mats, raising, defect))
-            if series_agreement > _SERIES_AGREEMENT_TOL:
+            agreement = opnorm(theta.matrix - _resolvent(kernel.mats, raising, kernel.defect))
+            theta.series_agreement = agreement
+            if agreement > _SERIES_AGREEMENT_TOL:
                 raise RuntimeError(
-                    f"compression and series routes disagree by {series_agreement:.3e}; "
+                    f"compression and series routes disagree by {agreement:.3e}; "
                     "the constrained-subspace machinery is inconsistent"
                 )
-    return CharFn(
-        matrix=matrix,
-        kernel=kernel,
-        coinvariance_leak=leak,
-        series_agreement=series_agreement,
-        whole_space_blocks=blocks if sub.is_whole_space else None,
-    )
+    return theta
 
 
 def _coinvariance_leak(sub: ConstrainedSubspace, raising: list[np.ndarray]) -> float:
@@ -331,39 +333,53 @@ def _theta_blocks(kernel: KernelMatrix) -> np.ndarray:
     return blocks
 
 
-def _theta_n(kernel: KernelMatrix, blocks: np.ndarray) -> np.ndarray:
+def _theta_n(sub: ConstrainedSubspace, blocks: np.ndarray) -> np.ndarray:
     """Theta_N = sum_alpha (N* R_alpha N) (x) theta_(alpha), (dim_N d_T) x (dim_N d_star).
 
     For each degree pair (j, k) = (|gamma|, |alpha|) the conjugated rows of N
     at degree j + k, viewed as (n^j, n^k, columns), are contracted over gamma
     with the rows of N at degree j, then over alpha with the degree-k
-    ``blocks`` of :func:`_theta_blocks`.  A graded N is block diagonal, so
-    only its columns of degree j + k and j take part.  When N is exactly I the blocks
-    are placed at (gamma alpha, gamma) by one strided assignment instead.
+    ``blocks`` of :func:`_theta_blocks`.  A graded N, and N = I, is block
+    diagonal, so only its columns of degree j + k and j take part.
     """
-    sub, space = kernel.sub, kernel.space
-    n, d, d_T, d_star = space.n, space.d, kernel.d_T, kernel.defect.d_star
+    space = sub.space
+    n, d, (_, d_T, d_star) = space.n, space.d, blocks.shape
     nb, by_degree = sub.N_basis, sub.graded or sub.is_whole_space
     cols = [slice(sub.n_cols_up_to(r - 1), sub.n_cols_up_to(r)) if by_degree else slice(None)
             for r in range(d + 1)]
-    outer = None if sub.is_whole_space else [
-        nb[space.degree_slice(r), c].conj() for r, c in enumerate(cols)
-    ]
+    outer = [nb[space.degree_slice(r), c].conj() for r, c in enumerate(cols)]
     theta = np.zeros((sub.dim_N, d_T, sub.dim_N, d_star), dtype=complex)
     for j in range(d + 1):
-        gammas = np.arange(n**j)
+        inner = nb[space.degree_slice(j), cols[j]]
         for r in range(j, d + 1):
             k, alphas, target = r - j, blocks[space.degree_slice(r - j)], theta[cols[r], :, cols[j]]
-            if outer is None:  # N = I: rows of degree j + k, viewed as (n^j, n^k), are gamma-major
-                rows = target.reshape(n**j, n**k, d_T, n**j, d_star)
-                rows[gammas, :, :, gammas] = alphas
-            else:
-                inner = nb[space.degree_slice(j), cols[j]]
-                wide, narrow = outer[r].shape[1], inner.shape[1]
-                pairs = (inner.T @ outer[r].reshape(n**j, n**k * wide)).reshape(narrow, n**k, wide)
-                product = pairs.transpose(0, 2, 1) @ alphas.reshape(n**k, d_T * d_star)
-                target += product.reshape(narrow, wide, d_T, d_star).transpose(1, 2, 0, 3)
+            wide, narrow = outer[r].shape[1], inner.shape[1]
+            pairs = (inner.T @ outer[r].reshape(n**j, n**k * wide)).reshape(narrow, n**k, wide)
+            product = pairs.transpose(0, 2, 1) @ alphas.reshape(n**k, d_T * d_star)
+            target += product.reshape(narrow, wide, d_T, d_star).transpose(1, 2, 0, 3)
     return theta.reshape(sub.dim_N * d_T, sub.dim_N * d_star)
+
+
+def theta_star(theta: CharFn, u: np.ndarray) -> np.ndarray:
+    """Theta_N* u for the p x h ``u``, q x h, as (N* (x) I) Theta* ((N (x) I) u).
+
+    The whole-space Theta has the block theta_(alpha) at (gamma alpha, gamma),
+    so (Theta* v)_gamma = sum_alpha theta_(alpha)* v_(gamma alpha).  For a
+    degree pair (j, k) = (|gamma|, |alpha|) the rows of v at degree j + k,
+    viewed as (n^j, n^k d_T, h), meet the stacked degree-k blocks in one
+    matmul.  On the whole space N is I and its products are skipped.
+    """
+    sub, space, (dim, d_T, d_star), h = theta.sub, theta.space, theta.blocks.shape, u.shape[1]
+    v = (u if sub.is_whole_space else kron_left(sub.N_basis, u, d_T)).reshape(dim, d_T, h)
+    out = np.zeros((dim, d_star, h), dtype=complex)
+    for r in range(space.d + 1):
+        rows = v[space.degree_slice(r)]
+        for j in range(r + 1):
+            width = space.n ** (r - j) * d_T
+            alphas = adj(theta.blocks[space.degree_slice(r - j)].reshape(width, d_star))
+            out[space.degree_slice(j)] += alphas @ rows.reshape(space.n**j, width, h)
+    out = out.reshape(dim * d_star, h)
+    return out if sub.is_whole_space else kron_left(adj(sub.N_basis), out, d_star)
 
 
 def stein_gram(space: TruncatedFockSpace, blocks: np.ndarray) -> np.ndarray:
@@ -400,19 +416,16 @@ def stein_gram(space: TruncatedFockSpace, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def theta_gram(theta: CharFn, *, lower: bool = False) -> np.ndarray:
-    """Theta Theta*, p x p.
+def theta_gram(theta: CharFn) -> np.ndarray:
+    """Theta Theta*, p x p, the whole Hermitian matrix.
 
-    When the function keeps its whole-space Fourier blocks (N is the whole
-    space) this is :func:`stein_gram` of them, the whole matrix, and no
-    product of Theta is taken.  Otherwise -- a relation family, or a bare
-    matrix that carries no blocks -- Theta is conjugated a block of rows at
-    a time (:func:`linalg.row_gram`); with ``lower`` only the lower triangle
-    that ``eigh`` / ``eigvalsh`` read is complete there.
+    When N is the whole space this is :func:`stein_gram` of the blocks, and
+    no product of Theta is taken; for a relation family Theta_N is
+    conjugated a block of rows at a time (:func:`linalg.row_gram`).
     """
-    if theta.whole_space_blocks is not None:
-        return stein_gram(theta.space, theta.whole_space_blocks)
-    return row_gram(theta.matrix, lower=lower)
+    if theta.sub.is_whole_space:
+        return stein_gram(theta.space, theta.blocks)
+    return row_gram(theta.matrix)
 
 
 def factorization_defect(theta: CharFn | DefectStarSpectrum) -> float:
@@ -427,21 +440,6 @@ def factorization_defect(theta: CharFn | DefectStarSpectrum) -> float:
     """
     spectrum = theta if isinstance(theta, DefectStarSpectrum) else defect_star_spectrum(theta)
     return spectrum.gap
-
-
-def defect_star_lower(theta: CharFn) -> np.ndarray:
-    """I - Theta Theta*, p x p, complete at least on and below the diagonal (what eigvalsh reads).
-
-    Theta Theta* comes from :func:`theta_gram`: by the Stein recursion on
-    the whole space, a block of rows of Theta at a time otherwise.  It is
-    never kept on ``theta``, which would hold one more p x p array for the
-    life of the function; a command shares it through one
-    :class:`DefectStarSpectrum`.
-    """
-    out = theta_gram(theta, lower=True)
-    np.negative(out, out=out)
-    out.flat[:: out.shape[0] + 1] += 1.0
-    return out
 
 
 # |G|_F up to which the spectrum of I - Theta Theta* is read off K*K.  By
@@ -461,24 +459,25 @@ class DefectStarSpectrum:
     the function was built from (p x m), measured on both routes; it is the
     value J-fa-F reports (:func:`factorization_defect`).  On the Gram route
     (``gap`` at most 1e-12) ``kernel_eigh`` holds K*K = V diag(L) V*, the
-    spectrum of K K* is L padded with p - min(p, m) zeros, and ``lower`` is
-    None.  On the dense route ``kernel_eigh`` is None and ``lower`` holds
-    the lower triangle of I - Theta Theta*, which the spectrum decomposes.
+    spectrum of K K* is L padded with p - min(p, m) zeros, and ``gram_a`` is
+    None.  On the dense route ``kernel_eigh`` is None and ``gram_a`` holds
+    A = Theta Theta*, which the spectrum decomposes: the eigenvalues of
+    I - A are 1 - mu for the eigenvalues mu of A, in reverse order.
     """
 
     theta: CharFn
     gap: float
     kernel_eigh: tuple[np.ndarray, np.ndarray] | None
-    lower: np.ndarray | None
+    gram_a: np.ndarray | None
 
     @property
     def kernel(self) -> np.ndarray:
         return self.theta.kernel.matrix
 
     def eigvals(self) -> np.ndarray:
-        """The p eigenvalues, ascending: one ``eigvalsh`` on the dense route."""
+        """The p eigenvalues, ascending: one ``eigvalsh`` of A on the dense route."""
         if self.kernel_eigh is None:
-            return np.linalg.eigvalsh(self.lower)
+            return 1.0 - np.linalg.eigvalsh(self.gram_a)[::-1]
         ell = self.kernel_eigh[0]
         p = self.kernel.shape[0]
         top = ell[ell.size - min(p, ell.size) :]  # K*K has m - p more zeros when p < m
@@ -488,11 +487,13 @@ class DefectStarSpectrum:
         """The p eigenvalues, ascending, and the p x h eigenvectors of those above 1e-10.
 
         On the Gram route they are u_k = K v_k / sqrt(l_k); on the dense
-        route they come from one ``eigh``.  Either way in ascending order.
+        route they come from one ``eigh`` of A.  Either way in ascending
+        order.
         """
         if self.kernel_eigh is None:
-            lam, u = np.linalg.eigh(self.lower, UPLO="L")
-            return lam, u[:, lam > PSD_RANK_TOL]
+            mu, u = np.linalg.eigh(self.gram_a)
+            lam = 1.0 - mu[::-1]
+            return lam, u[:, ::-1][:, lam > PSD_RANK_TOL]
         ell, v = self.kernel_eigh
         keep = ell > PSD_RANK_TOL
         return self.eigvals(), (self.kernel @ v[:, keep]) / np.sqrt(ell[keep])
@@ -501,24 +502,26 @@ class DefectStarSpectrum:
 def defect_star_spectrum(theta: CharFn) -> DefectStarSpectrum:
     """The spectrum of I - Theta Theta*, from the m x m Gram K*K when the factorization holds.
 
-    I - Theta Theta* is formed once (:func:`defect_star_lower`), and the gap
-    G = I - Theta Theta* - K K* is read off it a block of rows at a time,
-    keeping only its Frobenius norm (:func:`linalg.gap_frobenius`).  Since
+    A = Theta Theta* is formed once (:func:`theta_gram`), and the gap
+    G = I - A - K K* is read off it a block of rows at a time, keeping only
+    its Frobenius norm (:func:`linalg.gap_frobenius`).  Since
     |G|_2 <= |G|_F, Weyl's inequality puts every eigenvalue of
     I - Theta Theta* within |G|_F of the matching one of K K*.  When that
     certified bound is at most 1e-12 the spectrum comes from one ``eigh`` of
     K*K = I - Phi^(d+1)(I), and nothing p x p is decomposed.  Otherwise --
     relation families that are not graded, which break the factorization
-    at the top degree, and bare matrices carrying no kernel of their own --
-    the dense route decomposes I - Theta Theta*, from the same unchanged
-    array, which the result keeps only on that route.
+    at the top degree, and any function its kernel does not factor -- the
+    dense route decomposes A, the same unchanged array, which the result
+    keeps only on that route.  A is never kept on ``theta``, which would
+    hold one more p x p array for the life of the function.
     """
     k = theta.kernel.matrix
-    lower = defect_star_lower(theta)
-    gap = gap_frobenius(lower, k)
+    gram_a = theta_gram(theta)
+    gap = gap_frobenius(gram_a, k)
     if gap > _GRAM_ROUTE_TOL:
-        return DefectStarSpectrum(theta=theta, gap=gap, kernel_eigh=None, lower=lower)
-    return DefectStarSpectrum(theta=theta, gap=gap, kernel_eigh=np.linalg.eigh(gram(k)), lower=None)
+        return DefectStarSpectrum(theta=theta, gap=gap, kernel_eigh=None, gram_a=gram_a)
+    kernel_eigh = np.linalg.eigh(gram(k))
+    return DefectStarSpectrum(theta=theta, gap=gap, kernel_eigh=kernel_eigh, gram_a=None)
 
 
 @dataclasses.dataclass
@@ -550,8 +553,8 @@ def delta_and_classify(theta: CharFn | DefectStarSpectrum) -> DeltaClassificatio
     I - Theta Theta* = K K* holds to 1e-12 in Frobenius norm, lambda is the
     spectrum of the m x m Gram K*K padded with zeros, each value within that
     certified bound of the dense one (Weyl); otherwise one ``eigvalsh`` of
-    the p x p matrix gives it (:func:`defect_star_spectrum`; pass the
-    function's spectrum to share it with :func:`factorization_defect`).
+    the p x p matrix Theta Theta* gives it (:func:`defect_star_spectrum`;
+    pass the function's spectrum to share it with :func:`factorization_defect`).
     Only sigma^2 is kept: its square root would carry the rounding of lambda
     (about 1e-16) up to about 1e-8 at a zero singular value.
 
@@ -566,7 +569,7 @@ def delta_and_classify(theta: CharFn | DefectStarSpectrum) -> DeltaClassificatio
     """
     spectrum = theta if isinstance(theta, DefectStarSpectrum) else defect_star_spectrum(theta)
     theta = spectrum.theta
-    p, q = theta.matrix.shape
+    p, q = theta.shape
     lam = spectrum.eigvals()
     sq = np.clip(1.0 - lam[: min(p, q)], 0.0, None)
     residual = float(np.max(np.abs(sq * sq - sq))) if sq.size else 0.0

@@ -282,8 +282,8 @@ def _cmd_charfn(args) -> int:
         return _finish(report, checks, args.out, verdict)
 
     cls, sub, theta = run.classification, run.sub, run.theta
-    # I - Theta Theta* is formed once: the verdicts read its spectrum, and J-fa-F
-    # is the Frobenius norm |I - Theta Theta* - K K*|_F that certified it
+    # Theta Theta* is formed once: the verdicts read the spectrum of I - Theta Theta*,
+    # and J-fa-F is the Frobenius norm |I - Theta Theta* - K K*|_F that certified it
     spectrum = defect_star_spectrum(theta)
     dc = delta_and_classify(spectrum)
     block_norms = np.linalg.norm(theta.fourier_blocks, 2, axis=(1, 2))
@@ -297,8 +297,8 @@ def _cmd_charfn(args) -> int:
             "dims": {
                 "d_T": theta.d_T,
                 "d_star": theta.d_star,
-                "rows": theta.matrix.shape[0],
-                "cols": theta.matrix.shape[1],
+                "rows": theta.shape[0],
+                "cols": theta.shape[1],
                 "dim_N": sub.dim_N,
             },
             "method": "compression",

@@ -95,19 +95,20 @@ def row_gram(a: np.ndarray, *, lower: bool = False) -> np.ndarray:
     return out
 
 
-def gap_frobenius(lower: np.ndarray, k: np.ndarray) -> float:
-    """|A - K K*|_F of the Hermitian A whose lower triangle ``lower`` holds.
+def gap_frobenius(a: np.ndarray, k: np.ndarray) -> float:
+    """|I - A - K K*|_F for the square A, which is not changed.
 
-    The difference is formed 128 rows at a time, only on and below the
-    diagonal, and each strictly lower entry counts twice; ``lower`` is not
-    changed and K K* is never formed whole.
+    The difference is formed 128 whole rows at a time, and K K* is never
+    formed whole.
     """
-    total = 0.0
-    for i in range(0, lower.shape[0], _ROW_BLOCK):
-        rows = slice(i, min(i + _ROW_BLOCK, lower.shape[0]))
-        block = np.tril(lower[rows, : rows.stop] - k[rows] @ adj(k[: rows.stop]), i)
-        diagonal = np.diagonal(block, i)
-        total += 2.0 * np.vdot(block, block).real - np.vdot(diagonal, diagonal).real
+    total, k_adj = 0.0, adj(k)
+    for i in range(0, a.shape[0], _ROW_BLOCK):
+        rows = slice(i, min(i + _ROW_BLOCK, a.shape[0]))
+        block = k[rows] @ k_adj  # A + K K* - I has the same norm
+        block += a[rows]
+        diagonal = np.arange(block.shape[0])
+        block[diagonal, diagonal + i] -= 1.0
+        total += np.vdot(block, block).real
     return float(np.sqrt(total))
 
 

@@ -27,7 +27,7 @@ certified: with K*K = V diag(l) V* (an m x m ``eigh``), lambda_k = l_k and
 u_k = K v_k / sqrt(l_k), and no p x p matrix is decomposed.  The certificate
 is the Frobenius norm of the gap I - Theta Theta* - K K*, which by Weyl's
 inequality bounds how far each eigenvalue can be from the dense one; above
-1e-12 one dense ``eigh`` of I - Theta Theta* is taken instead
+1e-12 one dense ``eigh`` of Theta Theta* is taken instead
 (:func:`charfn.defect_star_spectrum`).  The reported basis of that span is
 the one its shift rows, I - Theta Theta* in the model projector, fix
 (``linalg.projector_basis``), so the model operators do not depend on how
@@ -38,7 +38,9 @@ rank-2h update of A - I: p x p work, one p x p product and no decomposition
 (:attr:`ModelData.isometry_residual`).  On the zero family A itself comes
 from the Fourier blocks by the Stein recursion (:func:`charfn.stein_gram`),
 with no product of Theta, and so does the Gram of the coincidence
-difference that the certificate's ``com`` reads.
+difference that the certificate's ``com`` reads.  Theta* u_k is taken on
+the Fourier blocks for every family (:func:`charfn.theta_star`), so the
+model never reads the p x q matrix of Theta.
 
 The operators (:attr:`ModelData.operators`) and Gamma
 (:attr:`ModelData.gamma`) are later stages of the model, built on first use.
@@ -79,7 +81,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charfn import CharFn, defect_star_spectrum, stein_gram, theta_gram
+from .charfn import CharFn, defect_star_spectrum, stein_gram, theta_gram, theta_star
 from .contractions import Classification, TriState
 from .ideals import constrained_creation_tuple
 from .linalg import (
@@ -120,11 +122,11 @@ class ModelData:
 
     @property
     def p(self) -> int:
-        return self.theta.matrix.shape[0]
+        return self.theta.shape[0]
 
     @property
     def q(self) -> int:
-        return self.theta.matrix.shape[1]
+        return self.theta.shape[1]
 
     @property
     def h(self) -> int:
@@ -300,8 +302,9 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
     eigenpairs come from :func:`charfn.defect_star_spectrum`: from the
     m x m Gram K*K of the Poisson kernel when |I - Theta Theta* - K K*|_F is
     at most 1e-12 (the Weyl bound on every eigenvalue), so that nothing
-    p x p is decomposed, and from one dense p x p ``eigh`` otherwise.  No
-    q x q array is formed, and only the p x h kept eigenvectors are kept;
+    p x p is decomposed, and from one dense p x p ``eigh`` otherwise.
+    Theta* u_k comes from the Fourier blocks (:func:`charfn.theta_star`).
+    No q x q array is formed, and only the p x h kept eigenvectors are kept;
     the isometry residual is measured on first access.
 
     Inside a repeated eigenvalue the eigenvectors are arbitrary, so both
@@ -323,11 +326,10 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
             "the tuple has a norm-preserved vector (not completely noncoisometric); "
             "it admits no model of this kind"
         )
-    th = theta.matrix
-    p, q = th.shape
+    p, q = theta.shape
     lam, u = defect_star_spectrum(theta).eigenpairs()
     lam, kept_u, kept = psd_spectrum(lam, u)
-    h_basis = projector_basis(np.vstack([kept_u * np.sqrt(kept), -adj(adj(kept_u) @ th)]), p)
+    h_basis = projector_basis(np.vstack([kept_u * np.sqrt(kept), -theta_star(theta, kept_u)]), p)
     lam = kept[::-1]  # ascending, as the columns of u
 
     tail = theta.tail_bound
@@ -449,17 +451,15 @@ def coincidence_residual(
 ) -> float:
     """The spectral norm |D| of D = (I (x) tau) Theta - Theta' (I (x) tau_star).
 
-    When both functions keep their whole-space Fourier blocks (N is the
-    whole space), D is multi-analytic with the blocks
+    When N is the whole space D is multi-analytic with the blocks
     tau theta_alpha - theta'_alpha tau_star, so |D| = sqrt(lambda_max(D D*))
     with D D* by the Stein recursion (:func:`charfn.stein_gram`): still the
     exact spectral norm, from one p x p ``eigvalsh``, and nothing of size
     p x q is formed.  Otherwise (relation families) the difference is formed
     and its norm taken by :func:`linalg.opnorm`.
     """
-    blocks, blocks_p = theta.whole_space_blocks, theta_p.whole_space_blocks
-    if blocks is not None and blocks_p is not None:
-        gram_d = stein_gram(theta.space, tau @ blocks - blocks_p @ tau_star)
+    if theta.sub.is_whole_space:
+        gram_d = stein_gram(theta.space, tau @ theta.blocks - theta_p.blocks @ tau_star)
         return float(np.sqrt(max(np.linalg.eigvalsh(gram_d)[-1], 0.0))) if gram_d.size else 0.0
     words = theta.sub.dim_N
     lhs = kron_inner(tau, theta.matrix, words)

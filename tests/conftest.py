@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from fockmodel import (
+    CharFn,
     NCPoly,
     PolyIdealSpec,
     TruncatedFockSpace,
@@ -219,24 +220,20 @@ def theta_of(mats, sub):
 
 
 def synthetic_theta(matrix, tail=0.0):
-    """A CharFn carrying an arbitrary contraction matrix and the tail.
+    """The degree-0 CharFn whose one Fourier block is an arbitrary contraction matrix.
 
-    Its kernel is a zero p x 1 matrix, so I - Theta Theta* - K K* is
+    It lives on the one-word space (n, d) = (1, 0), so Theta is the matrix
+    and its Gram is M M* by the Stein route.  Its kernel is a zero p x 1
+    matrix with the given tail, so I - Theta Theta* - K K* is
     I - Theta Theta* itself: every matrix but a co-isometry is decomposed by
-    the dense route of ``defect_star_spectrum``.  It keeps no whole-space
-    Fourier blocks, so Theta Theta* is a product of the matrix itself.
+    the dense route of ``defect_star_spectrum``.
     """
     matrix = np.asarray(matrix, dtype=complex)
-    free = ideal_subspace(PolyIdealSpec(n=1), TruncatedFockSpace(1, 1))
-    kernel = constrained_poisson_kernel([np.array([[0.5]])], free)
-    base = constrained_characteristic_function(dataclasses.replace(kernel, tail_bound=tail))
+    vacuum = ideal_subspace(PolyIdealSpec(n=1), TruncatedFockSpace(1, 0))
+    kernel = constrained_poisson_kernel([np.array([[0.5]])], vacuum)
     zero_kernel = np.zeros((matrix.shape[0], 1), dtype=complex)
-    return dataclasses.replace(
-        base,
-        matrix=matrix,
-        kernel=dataclasses.replace(base.kernel, matrix=zero_kernel),
-        whole_space_blocks=None,
-    )
+    kernel = dataclasses.replace(kernel, matrix=zero_kernel, tail_bound=tail)
+    return CharFn(blocks=matrix[None], kernel=kernel)
 
 
 SPECTRAL_CASES = ["nilpotent", "dense", "tall", "unitary"]

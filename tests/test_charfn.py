@@ -148,29 +148,49 @@ def test_the_stein_recursion_is_the_gram_of_the_dense_theta(n, d, kind, space_fa
     mats = _stein_tuple(kind, n, np.random.default_rng(59))
     sub = ideal_subspace(make_spec("zero", n=n), space_factory(n, d))
     th = theta_of(mats, sub)
-    assert th.whole_space_blocks is not None
+    assert th.sub.is_whole_space
     if kind == "jordan-pair":
         assert th.d_T == 1
     if kind == "unitary":
         assert th.d_T == 0
-    got = charfn.stein_gram(sub.space, th.whole_space_blocks)
+    got = charfn.stein_gram(sub.space, th.blocks)
     assert np.array_equal(charfn.theta_gram(th), got)
     want = th.matrix @ adj(th.matrix)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
 
 
-def test_only_a_whole_space_function_keeps_its_blocks(subspace_factory):
-    # the blocks are the route marker of the Stein recursion: a relation
-    # family maps its vacuum column back through N, and a bare matrix keeps none
+@pytest.mark.parametrize(
+    "family, n, d",
+    [(family, n, d) for family in ORACLE_FAMILIES for n, d in ORACLE_SIZES] + [("zero", 2, 8)],
+)
+def test_theta_star_on_the_blocks_is_the_adjoint_of_the_matrix(family, n, d, space_factory):
+    # (N* (x) I) Theta* ((N (x) I) u), one matmul per degree pair on the
+    # blocks, against the dense Theta_N* applied to orthonormal columns
+    sub = ideal_subspace(oracle_family(family, n, d), space_factory(n, d))
+    rng = np.random.default_rng([n, d])
+    th = theta_of(oracle_tuple(family, n, rng), sub)
+    p, q = th.shape
+    u, _ = np.linalg.qr(rng.normal(size=(p, 3)) + 1j * rng.normal(size=(p, 3)))
+    got = charfn.theta_star(th, u)
+    assert got.shape == (q, u.shape[1])
+    assert np.max(np.abs(got - adj(th.matrix) @ u), initial=0.0) <= 1e-13
+
+
+def test_only_a_whole_space_function_reads_its_blocks_as_fourier_blocks(subspace_factory):
+    # on the whole space the stored blocks are the Fourier blocks; a relation
+    # family maps its vacuum column back through N; a bare matrix is the
+    # degree-0 function whose one block it is, with the Stein Gram M M*
     rng = np.random.default_rng(61)
     free = theta_of(random_row_contraction(rng, 2, 3, 0.7), subspace_factory("zero", d=3))
-    assert free.fourier_blocks is free.whole_space_blocks
+    assert free.sub.is_whole_space and free.fourier_blocks is free.blocks
     comm = theta_of(commuting_nilpotent_tuple(rng, 2, 0.6), subspace_factory("commutative", d=3))
-    assert comm.whole_space_blocks is None
+    assert not comm.sub.is_whole_space
     assert comm.fourier_blocks.shape == (comm.space.dim, comm.d_T, comm.d_star)
+    assert comm.fourier_blocks is not comm.blocks
     bare = synthetic_theta(np.diag([0.5, 0.25]))
-    assert bare.whole_space_blocks is None
+    assert bare.sub.is_whole_space and bare.shape == (2, 2)
+    assert np.array_equal(bare.matrix, np.diag([0.5, 0.25]))
     assert np.array_equal(charfn.theta_gram(bare), np.diag([0.25, 0.0625]))
 
 
@@ -758,6 +778,6 @@ def test_the_shared_spectrum_gives_the_same_verdicts_and_j_fa(case, subspace_fac
     dc = delta_and_classify(spectrum)
     assert np.array_equal(dc.sigma_squared, delta_and_classify(th).sigma_squared)
     assert factorization_defect(spectrum) == factorization_defect(th) == spectrum.gap
-    # only the dense route keeps I - Theta Theta*, and reading J-fa-F leaves it there
-    assert (spectrum.lower is None) == (spectrum.kernel_eigh is not None)
+    # only the dense route keeps Theta Theta*, and reading J-fa-F leaves it there
+    assert (spectrum.gram_a is None) == (spectrum.kernel_eigh is not None)
     assert np.array_equal(spectrum.eigvals(), charfn.defect_star_spectrum(th).eigvals())

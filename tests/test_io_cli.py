@@ -702,12 +702,39 @@ def test_constrained_commands_never_build_theta_on_the_whole_space(tmp_path, com
         assert (dims["p"], dims["q"]) == (273, 546)
 
 
+@pytest.mark.parametrize("command", ["charfn", "model", "equiv"])
+def test_whole_space_commands_never_build_the_dense_theta(tmp_path, monkeypatch, command):
+    # zero family: the gate, J-fa-F, the model's Theta* u_k, isometry-F and
+    # com all read the Fourier blocks, so Theta_N is never contracted
+    import fockmodel.charfn
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense Theta was built on the zero family")
+
+    monkeypatch.setattr(fockmodel.charfn, "_theta_n", forbidden)
+    rng = np.random.default_rng(13)
+    mats = random_row_contraction(rng, 2, 3, 0.7)
+    u = haar_unitary(3, rng)
+    pa, pb = (write_problem(tmp_path / f"{name}.json", n=2, m=3, degree=5, mats=tup,
+                            ideal={"kind": "zero"})
+              for name, tup in (("a", mats), ("b", conjugated_tuple(mats, u))))
+    uf = tmp_path / "u.json"
+    uf.write_text(json.dumps({"matrix": encode_value(u)}))
+    argv = [command, "--problem", pa]
+    if command == "equiv":
+        argv += ["--problem-b", pb, "--unitary", str(uf)]
+    out = tmp_path / "r.json"
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    assert all(c["pass"] for c in read(out)["checks"])
+
+
 @pytest.mark.parametrize("command", ["charfn", "model"])
 def test_whole_space_commands_peak_below_theta_and_three_p_by_p_arrays(tmp_path, command):
     # zero family (2, 7), p = 765, q = 1530: Theta Theta* comes from the
     # Fourier blocks, the isometry residual holds A and Y (Y A overwrites Y),
-    # and no q x p copy of Theta is made, so the traced peak stays below
-    # Theta plus three p x p arrays (the QR route held Theta twice)
+    # Theta* u_k is taken on the blocks and the p x q Theta is never built,
+    # so the traced peak stays below three p x p arrays (the QR route held
+    # Theta twice, and Theta alone is 16 p q bytes)
     import tracemalloc
 
     mats = random_row_contraction(np.random.default_rng(11), 2, 3, 0.9)
@@ -724,7 +751,7 @@ def test_whole_space_commands_peak_below_theta_and_three_p_by_p_arrays(tmp_path,
     p, q = 765, 1530
     dims = read(out)["dims"]
     assert (dims.get("p", dims.get("rows")), dims.get("q", dims.get("cols"))) == (p, q)
-    assert peak < 16 * p * q + 3 * 16 * p * p
+    assert peak < 3 * 16 * p * p
 
 
 def test_the_zero_tuple_reports_no_negative_zero(tmp_path):

@@ -227,17 +227,17 @@ def test_row_gram_is_a_a_star(rows):
 
 
 @pytest.mark.parametrize("rows", [0, 1, 127, 128, 300])
-def test_gap_frobenius_reads_the_lower_triangle_only(rows):
+def test_gap_frobenius_is_the_norm_of_i_minus_a_minus_k_k_star(rows):
     rng = np.random.default_rng(rows)
     a = rng.normal(size=(rows, 50)) + 1j * rng.normal(size=(rows, 50))
     k = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
-    lower = row_gram(a, lower=True)
-    kept = lower.copy()
-    want = np.linalg.norm(a @ a.conj().T - k @ k.conj().T)
-    assert abs(gap_frobenius(lower, k) - want) <= 1e-12 * max(want, 1.0)
-    assert np.array_equal(lower, kept)
-    # the lower triangle of K K* itself leaves a gap at rounding level
-    assert gap_frobenius(row_gram(k, lower=True), k) <= 1e-12
+    gram_a = row_gram(a)
+    kept = gram_a.copy()
+    want = np.linalg.norm(np.eye(rows) - a @ a.conj().T - k @ k.conj().T)
+    assert abs(gap_frobenius(gram_a, k) - want) <= 1e-12 * max(want, 1.0)
+    assert np.array_equal(gram_a, kept)
+    # A = I - K K* leaves a gap at rounding level
+    assert gap_frobenius(np.eye(rows) - k @ k.conj().T, k) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

@@ -48,7 +48,7 @@ from fockmodel import (
     validate,
     verify_coincidence_implies_equivalence,
 )
-from fockmodel.charfn import defect_star_lower, defect_star_spectrum
+from fockmodel.charfn import defect_star_spectrum
 from fockmodel.linalg import (
     NumericalRankWarning,
     kron_inner,
@@ -346,10 +346,10 @@ def test_the_zero_family_com_is_the_dense_norm(kind, subspace_factory):
 
 
 def test_com_of_a_relation_family_is_the_formed_difference(conjugated_pair):
-    # N is not the whole space: no blocks are kept, and com is opnorm of the difference
+    # N is not the whole space: com is opnorm of the formed difference
     sub, mats, mats_p, u = conjugated_pair
     wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(mats_p, sub), u)
-    assert wit.theta.whole_space_blocks is None
+    assert not wit.theta.sub.is_whole_space
     tau, tau_star = np.eye(wit.tau.shape[0]), np.eye(wit.tau_star.shape[0])
     got = coincidence_residual(wit.theta, wit.theta_p, tau, tau_star)
     want = _dense_coincidence_residual(wit.theta, wit.theta_p, tau, tau_star)
@@ -661,7 +661,7 @@ def test_isometry_residual_is_the_qr_route(case, bend, subspace_factory):
     # model's own eigen-data, and a relative 1e-9 with the h kept eigenvalues
     # moved by 1e-3, where Phihat is no isometry
     model = build_model(_oracle_isometry_case(case, subspace_factory))
-    assert (model.theta.whole_space_blocks is None) == (case == "commutative")
+    assert model.theta.sub.is_whole_space == (case != "commutative")
     model = dataclasses.replace(model, defect_star_eigvals=model.defect_star_eigvals + bend)
     want = _qr_isometry_residual(model)
     if bend:
@@ -707,9 +707,9 @@ def test_model_operators_move_with_theta_at_rounding_level(case, subspace_factor
     mats, sub = _perturbation_case(case, subspace_factory)
     cls = classify(mats)
     th = theta_of(mats, sub)
-    parts = np.random.default_rng(5).normal(size=(2, *th.matrix.shape))
+    parts = np.random.default_rng(5).normal(size=(2, *th.blocks.shape))
     noise = parts[0] + 1j * parts[1]
-    bent = dataclasses.replace(th, matrix=th.matrix + 1e-14 * noise / opnorm(noise))
+    bent = dataclasses.replace(th, blocks=th.blocks + 1e-14 * noise / np.linalg.norm(noise))
     ops, moved = (build_model(f, classification=cls).operators for f in (th, bent))
     assert ops.pure is not None and ops.used == "pure"
     for branch in ("general", "pure"):
@@ -734,7 +734,7 @@ def zero_family_pair(subspace_factory):
 def test_build_model_decomposes_nothing_larger_than_m(zero_family_pair, monkeypatch):
     sub, mats, _, _ = zero_family_pair
     th = theta_of(mats, sub)
-    p, q = th.matrix.shape
+    p, q = th.shape
     m = mats[0].shape[0]
     assert (p, q, m) == (381, 762, 3)
     seen = record_decompositions(monkeypatch)
@@ -798,19 +798,20 @@ def test_the_equivalence_certificate_takes_no_q_side_work(zero_family_pair, monk
 def _dense_route(theta):
     """Verdicts, model bases and isometry residual by the dense p x p route.
 
-    One ``eigvalsh`` of I - Theta Theta* gives sigma^2 and the verdicts, one
-    ``eigh`` the model bases, and Delta is formed in full from all p
-    eigenpairs, whose Phihat gives the isometry residual (Frobenius norm).
+    One ``eigvalsh`` of I - Theta Theta*, formed from the dense Theta, gives
+    sigma^2 and the verdicts, one ``eigh`` the model bases, and Delta is
+    formed in full from all p eigenpairs, whose Phihat gives the isometry
+    residual (Frobenius norm).
     """
     th = theta.matrix
     p, q = th.shape
-    lower = defect_star_lower(theta)
-    sq = np.clip(1.0 - np.linalg.eigvalsh(lower)[: min(p, q)], 0.0, None)
+    defect = np.eye(p) - th @ adj(th)
+    sq = np.clip(1.0 - np.linalg.eigvalsh(defect)[: min(p, q)], 0.0, None)
     residual = float(np.max(np.abs(sq * sq - sq))) if sq.size else 0.0
     deficiency = p - int(np.count_nonzero(sq > 1e-8))
     verdicts = (bool(residual < 1e-8 + theta.tail_bound), deficiency == 0, deficiency)
 
-    lam, u = np.linalg.eigh(lower, UPLO="L")
+    lam, u = np.linalg.eigh(defect)
     lam, kept_u, kept = psd_spectrum(lam, u)
     h_basis = projector_basis(np.vstack([kept_u * np.sqrt(kept), -adj(adj(kept_u) @ th)]), p)
     h_pure = None
@@ -913,7 +914,8 @@ _FALLBACK_CASES = _fallback_cases()
 
 @pytest.mark.parametrize("case", _FALLBACK_CASES, ids=[c[0] for c in _FALLBACK_CASES])
 def test_the_dense_fallback_is_the_dense_route(case, space_factory, subspace_factory):
-    # where the factorization fails, the route is the dense one, bit for bit
+    # where the factorization fails, the route is the dense one: one eigh of
+    # Theta Theta*, against the oracle's own I - Theta Theta* to rounding
     name, mats, size = case
     if mats is None:
         th = spectral_theta(name, subspace_factory)
@@ -925,13 +927,15 @@ def test_the_dense_fallback_is_the_dense_route(case, space_factory, subspace_fac
     assert spectrum.kernel_eigh is None and spectrum.gap > 1e-12
     sq, verdicts, h_basis, h_pure, isometry = _dense_route(th)
     dc = delta_and_classify(th)
-    assert np.array_equal(dc.sigma_squared, sq)
+    assert np.max(np.abs(dc.sigma_squared - sq), initial=0.0) <= 1e-12
     assert (dc.inner, dc.outer, dc.rank_deficiency) == verdicts
     model = build_model(th)
-    assert np.array_equal(model.H_basis, h_basis)
+    assert model.H_basis.shape == h_basis.shape
+    assert np.max(np.abs(model.H_basis - h_basis), initial=0.0) <= 1e-13
     assert (model.H_pure_basis is None) == (h_pure is None)
     if h_pure is not None:
-        assert np.array_equal(model.H_pure_basis, h_pure)
+        assert model.H_pure_basis.shape == h_pure.shape
+        assert np.max(np.abs(model.H_pure_basis - h_pure), initial=0.0) <= 1e-13
     # Delta is now formed from the h kept eigenpairs, not all p
     assert abs(model.isometry_residual - isometry) <= 1e-13
 
