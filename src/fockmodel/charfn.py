@@ -75,9 +75,13 @@ the vacuum column and L_a the left creation, so the blocks fix A too
 (:func:`stein_gram`, O(p^2 d_star) against O(p^2 q) for a product of
 Theta).  The identity holds where N is the whole space, and there
 :func:`theta_gram` takes the recursion; relation families take a row Gram
-of the matrix.  The gate here, the model's isometry residual and the
-coincidence residual of two functions (:func:`model.coincidence_residual`)
-all read it.  Theta* u is one matmul per degree pair on the blocks, between
+of the matrix.  The gate here and the model's isometry residual read it.
+The coincidence residual of two functions
+(:func:`model.coincidence_residual`) needs only the top eigenvalue of such
+a Gram, and takes it from the recursion deflated at a level k
+(:func:`stein_lambda_max`): an ``eigh`` of the Gram at degree d - k, about
+p / n^k rows, and a secular equation of width d_star dim_(k-1), with no
+p x p array.  Theta* u is one matmul per degree pair on the blocks, between
 products by N (:func:`theta_star`), for every family.
 """
 
@@ -96,7 +100,13 @@ from .contractions import (
     row_norm,
     DefectData,
 )
-from .fock import TruncatedFockSpace, creation_targets, left_target_slice, reversed_word_products
+from .fock import (
+    TruncatedFockSpace,
+    creation_targets,
+    left_target_slice,
+    prefixed_words,
+    reversed_word_products,
+)
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
 from .linalg import (
     PSD_RANK_TOL,
@@ -414,6 +424,125 @@ def stein_gram(space: TruncatedFockSpace, blocks: np.ndarray) -> np.ndarray:
                 row_targets, col_targets = (rows(left_target_slice(space, a, g)) for g in (j, k))
                 out[row_targets, col_targets] += source
     return out
+
+
+def stein_lambda_max(space: TruncatedFockSpace, blocks: np.ndarray) -> float:
+    """lambda_max(G G*) of the multi-analytic G of :func:`stein_gram`, with no p x p array.
+
+    Group G's columns by their words gamma.  Those of degree >= k split by
+    the length-k prefix w, and the columns with prefix w are L_w G_(d-k):
+    G truncated at degree d - k, moved by the left creation L_w onto the
+    words w + alpha.  Those ranges are disjoint, so
+
+        G G* = C C* + sum_(|w| = k) L_w A_k L_w*,
+
+    C the columns of G at the words of degree < k (c dim_(k-1) of them) and
+    A_k = G_(d-k) G_(d-k)*, the Stein Gram at degree d - k (p_k =
+    r dim_(d-k) rows); k = 1 is one level of the Stein identity, C = F.
+    One ``eigh`` A_k = V diag(mu) V* and W = I (+) V (+) ... (+) V, V on
+    each prefix's rows, turn G G* into Lambda + H H* with
+    Lambda = diag(0, mu, ..., mu) and H = W* C, whose largest eigenvalue
+    solves a secular equation of size c dim_(k-1)
+    (:func:`_secular_lambda_max`): the modified eigenproblem of Golub ("Some
+    modified matrix eigenvalue problems", SIAM Rev., 1973) and of Bunch,
+    Nielsen and Sorensen (Numer. Math., 1978).  Each level divides p_k by
+    about n and multiplies the width by about n, so k is the deepest level
+    whose width is at most p_k / 2, near where the ``eigh`` and the secular
+    steps cost the same: at zero (2, 9), m = 3, on a 2-core box, one level
+    (p_1 = 1533) took 2.8 s and the chosen k = 4 (p_4 = 189, width 90)
+    0.07 s.  Only A_k and V are p_k x p_k.  r = 0 or c = 0 gives 0.0; at d = 0, G is I (x) theta_()
+    on the vacuum and the value comes from the c x c Gram of that block.
+    """
+    dim, r, c = blocks.shape
+    if r == 0 or c == 0:
+        return 0.0
+    if space.d == 0:
+        return float(np.linalg.eigvalsh(gram(blocks[0]))[-1])
+    k = 1
+    while k < space.d and 2 * c * space.dim_up_to(k) <= r * space.dim_up_to(space.d - k - 1):
+        k += 1
+    return _deflated_lambda_max(space, blocks, k)
+
+
+def _deflated_lambda_max(space: TruncatedFockSpace, blocks: np.ndarray, k: int) -> float:
+    """:func:`stein_lambda_max` deflated at the level 1 <= k <= d."""
+    n, d, (dim, r, c) = space.n, space.d, blocks.shape
+    inner = TruncatedFockSpace(n, d - k)
+    mu, v = np.linalg.eigh(stein_gram(inner, blocks[: inner.dim]))
+    head = space.dim_up_to(k - 1)
+    cols = np.zeros((dim, r, head, c), dtype=complex)  # C, the columns at the words of degree < k
+    for j in range(k):
+        gammas = space.degree_slice(j)
+        rows = prefixed_words(space, j, d - j)
+        cols[rows, :, np.arange(gammas.start, gammas.stop)[:, None]] = blocks[: rows.shape[1]]
+    cols = cols.reshape(dim, r, head * c)
+    tails = adj(v) @ cols[prefixed_words(space, k, d - k)].reshape(n**k, inner.dim * r, head * c)
+    lam = np.concatenate([np.zeros(head * r)] + [np.clip(mu, 0.0, None)] * n**k)
+    return _secular_lambda_max(lam, np.vstack([cols[:head].reshape(head * r, -1), *tails]))
+
+
+def _secular_lambda_max(lam: np.ndarray, h: np.ndarray) -> float:
+    """lambda_max(diag(lam) + h h*) for lam >= 0 and the p x c ``h``, from a c x c secular equation.
+
+    With top = max(lam), an x > top is an eigenvalue exactly when 1 is an
+    eigenvalue of M(x) = h* (x - diag(lam))^(-1) h.  phi(x) = lambda_max(M(x))
+    falls from its limit at top to 0, and x - diag(lam) - h h* is positive
+    definite exactly when phi(x) < 1, so lambda_max is the root of
+    phi(x) = 1 when there is one above top, and top otherwise; by Weyl it
+    lies in [top, top + |h|_F^2].  A root within 4 eps of top
+    (phi(top (1 + 4 eps)) <= 1) is read as top.
+
+    The search keeps a bracket lo < root <= hi, phi(lo) >= 1 > phi(hi), and
+    steps by the side of the root it stands on:
+
+    - above it, by Newton on 1 / phi.  1 / phi is concave and increasing (a
+      minimum over unit y of parallel sums of the affine
+      (x - lam_i) / |h_i* y|^2), so the step lands at or below the root, and
+      it is exact when one pole carries the weight, where Newton on the
+      convex phi itself creeps;
+    - below it, by the root of the pole model a / (x - top) + b through
+      phi(x) and phi'(x), which for c = 1 lies at or above the root (the
+      fixed-pole rational step of Bunch, Nielsen and Sorensen).
+
+    A step that leaves the bracket is replaced by bisection, and the search
+    ends when a step makes no floating-point progress or the bracket holds
+    no float: it is deterministic and has no tolerance.
+    """
+    top = float(lam.max())
+    if top == 0.0:  # Lambda = 0
+        return float(np.linalg.eigvalsh(gram(h))[-1])
+
+    def secular(x: float) -> tuple[float, float]:
+        """phi(x) and -phi'(x), the latter along the top eigenvector y of M(x)."""
+        s = 1.0 / (x - lam)
+        values, vectors = np.linalg.eigh((adj(h) * s) @ h)
+        hy = h @ vectors[:, -1]
+        return float(values[-1]), float(np.sum(s * s * (hy.real**2 + hy.imag**2)))
+
+    lo, hi = top * (1.0 + 4.0 * np.finfo(float).eps), top + float(np.vdot(h, h).real)
+    x, hi_is_bound = lo, True  # hi is Weyl's bound until it is evaluated
+    phi, slope = secular(x)
+    if phi <= 1.0:
+        return top
+    while True:
+        below, b = phi >= 1.0, phi - slope * (x - top)
+        if below and b < 1.0:  # the root of the pole model
+            step = min(top + slope * (x - top) ** 2 / (1.0 - b), hi)
+        else:  # Newton on 1 / phi
+            step = x + (phi - 1.0) * phi / slope if slope > 0.0 else lo
+        if step <= x if below else step >= x:  # no floating-point progress: x is the root
+            return x
+        if not (lo < step < hi or step == hi and hi_is_bound):
+            step = lo + 0.5 * (hi - lo)
+            if not lo < step < hi:
+                return lo
+        hi_is_bound &= step != hi
+        x = step
+        phi, slope = secular(x)
+        if phi >= 1.0:
+            lo = x
+        else:
+            hi = x
 
 
 def theta_gram(theta: CharFn) -> np.ndarray:

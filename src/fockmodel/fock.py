@@ -163,6 +163,22 @@ def left_target_slice(space: TruncatedFockSpace, i: int, k: int) -> slice:
     return slice(start, start + space.n**k)
 
 
+def prefixed_words(space: TruncatedFockSpace, j: int, k: int) -> np.ndarray:
+    """Flat indices of gamma + w, gamma of degree j (rows) and w of degree <= k (columns).
+
+    Row g is the left creation by the g-th word gamma of degree j on the
+    words of degree <= k, in their order: on each degree l it is the range
+    of n^l positions from g n^l in the degree-(j + l) block, as
+    :func:`left_target_slice` is for one letter and one degree.  Needs
+    j + k <= d.
+    """
+    if not (j >= 0 and k >= 0 and j + k <= space.d):
+        raise ValueError(f"prefixes of degree {j} on words of degree <= {k} exceed d = {space.d}")
+    n, g = space.n, np.arange(space.n**j)[:, None]
+    starts = [space.degree_slice(j + l).start for l in range(k + 1)]
+    return np.concatenate([s + g * n**l + np.arange(n**l) for l, s in enumerate(starts)], axis=1)
+
+
 def _partial_permutation(space: TruncatedFockSpace, targets: np.ndarray) -> np.ndarray:
     """Matrix of e_c -> e_(targets[c]) for the first len(targets) basis vectors."""
     s = np.zeros((space.dim, space.dim), dtype=complex)

@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import warnings
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -225,20 +226,28 @@ class ConstrainedSubspace:
     for families that are not graded, which take the spanning route.
 
     When M is trivial (no relation fits below the degree cap, the zero family
-    among them) N_basis is exactly the identity; ``is_whole_space`` reports
-    it, and the builders then skip their products by N.
+    among them) N is the whole space: ``basis`` is None, ``is_whole_space``
+    reports it, ``dim_N`` and ``vacuum_in_N`` read the space, and the
+    builders skip their products by N.  ``N_basis`` is then the exact
+    identity, built on first read (67 MB at (2, 10)); only tests and the
+    contracted ``CharFn.matrix`` read it there.
     """
 
     space: TruncatedFockSpace
     spec: PolyIdealSpec
-    N_basis: np.ndarray
+    basis: np.ndarray | None
     graded: bool
     N_degrees: np.ndarray
     margin: float | None
 
+    @cached_property
+    def N_basis(self) -> np.ndarray:
+        """The dim x dim_N orthonormal basis of N: ``basis``, or I on the whole space."""
+        return np.eye(self.space.dim, dtype=complex) if self.basis is None else self.basis
+
     @property
     def dim_N(self) -> int:
-        return self.N_basis.shape[1]
+        return self.space.dim if self.basis is None else self.basis.shape[1]
 
     @property
     def dim_M(self) -> int:
@@ -246,12 +255,14 @@ class ConstrainedSubspace:
 
     @property
     def is_whole_space(self) -> bool:
-        """N is the whole truncated space: dim M = 0 and N_basis is exactly I."""
-        return self.dim_M == 0
+        """N is the whole truncated space (dim M = 0), held as no basis at all."""
+        return self.basis is None
 
     @property
     def vacuum_in_N(self) -> bool:
-        v = self.N_basis[0, :]  # vacuum row: index 0 in graded-lex order
+        if self.basis is None:
+            return True
+        v = self.basis[0, :]  # vacuum row: index 0 in graded-lex order
         return abs(float(np.linalg.norm(v)) - 1.0) < 1e-10
 
     def projector_N(self) -> np.ndarray:
@@ -269,7 +280,8 @@ def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> Constraine
     (:func:`_degree_recurrence`); any other family splits its spanning
     vectors by one SVD at the relative rank cut 1e-10 and sorts N by the top
     degree of each column's support (:func:`_spanning_complement`).  When no
-    relation fits below the degree cap N is exactly the identity.
+    relation fits below the degree cap N is the whole space, held without a
+    basis.
     """
     if spec.n != space.n:
         raise ValueError(f"relation family has n={spec.n} but the space has n={space.n}")
@@ -283,7 +295,7 @@ def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> Constraine
         return ConstrainedSubspace(
             space=space,
             spec=spec,
-            N_basis=np.eye(space.dim, dtype=complex),
+            basis=None,
             graded=graded,
             N_degrees=space.degrees.copy(),
             margin=0.0 if graded else None,

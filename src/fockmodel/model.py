@@ -37,10 +37,12 @@ asked for, as the square root of tr((Y A)^2) with A = Theta Theta* and Y a
 rank-2h update of A - I: p x p work, one p x p product and no decomposition
 (:attr:`ModelData.isometry_residual`).  On the zero family A itself comes
 from the Fourier blocks by the Stein recursion (:func:`charfn.stein_gram`),
-with no product of Theta, and so does the Gram of the coincidence
-difference that the certificate's ``com`` reads.  Theta* u_k is taken on
-the Fourier blocks for every family (:func:`charfn.theta_star`), so the
-model never reads the p x q matrix of Theta.
+with no product of Theta, and the certificate's ``com`` takes the top
+eigenvalue of the coincidence difference's Gram from that recursion
+deflated at a level k (:func:`charfn.stein_lambda_max`), forming no p x p
+array.  Theta* u_k is taken on the Fourier blocks for every family
+(:func:`charfn.theta_star`), so the model never reads the p x q matrix of
+Theta.
 
 The operators (:attr:`ModelData.operators`) and Gamma
 (:attr:`ModelData.gamma`) are later stages of the model, built on first use.
@@ -81,7 +83,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charfn import CharFn, defect_star_spectrum, stein_gram, theta_gram, theta_star
+from .charfn import CharFn, defect_star_spectrum, stein_lambda_max, theta_gram, theta_star
 from .contractions import Classification, TriState
 from .ideals import constrained_creation_tuple
 from .linalg import (
@@ -393,10 +395,11 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
 
     The tuples are those of the kernels the two functions were built from.
     Verifies first that both functions are compressed to one subspace N (the
-    same subspace object, or an equal N basis of the same Fock space; equal
-    dimensions do not do, since commutative and q-commutative families share
-    dim N) and that T'_i = U T_i U* actually holds (these are input
-    contracts, not something to silently repair), then forms the defect
+    same subspace object, the whole space of the same (n, d) on both sides,
+    or an equal N basis of the same Fock space; equal dimensions do not do,
+    since commutative and q-commutative families share dim N) and that
+    T'_i = U T_i U* actually holds (these are input contracts, not something
+    to silently repair), then forms the defect
     unitaries tau = basis'* U basis and tau_star = basis'* (I (x) U) basis_*
     and evaluates the coincidence residual
 
@@ -409,7 +412,11 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
     """
     a, b = theta.sub, theta_p.sub
     same_space = (a.space.n, a.space.d) == (b.space.n, b.space.d)
-    if a is not b and not (same_space and np.array_equal(a.N_basis, b.N_basis)):
+    if a.is_whole_space or b.is_whole_space:
+        same_n = a.is_whole_space and b.is_whole_space
+    else:
+        same_n = np.array_equal(a.N_basis, b.N_basis)
+    if a is not b and not (same_space and same_n):
         raise ValueError("the two characteristic functions are compressed to different subspaces")
     mats, mats_p = theta.kernel.mats, theta_p.kernel.mats
     u = np.asarray(u, dtype=complex)
@@ -452,15 +459,17 @@ def coincidence_residual(
     """The spectral norm |D| of D = (I (x) tau) Theta - Theta' (I (x) tau_star).
 
     When N is the whole space D is multi-analytic with the blocks
-    tau theta_alpha - theta'_alpha tau_star, so |D| = sqrt(lambda_max(D D*))
-    with D D* by the Stein recursion (:func:`charfn.stein_gram`): still the
-    exact spectral norm, from one p x p ``eigvalsh``, and nothing of size
-    p x q is formed.  Otherwise (relation families) the difference is formed
-    and its norm taken by :func:`linalg.opnorm`.
+    tau theta_alpha - theta'_alpha tau_star, so |D| = sqrt(lambda_max(D D*)),
+    still the exact spectral norm, with lambda_max from the Stein recursion
+    deflated at a level k (:func:`charfn.stein_lambda_max`): an ``eigh`` of
+    the Gram of D at degree d - k, about p / n^k rows, and a secular
+    equation of width d_star dim_(k-1).  Nothing p x p or p x q is formed.
+    Otherwise (relation families) the difference is formed and its norm
+    taken by :func:`linalg.opnorm`.
     """
     if theta.sub.is_whole_space:
-        gram_d = stein_gram(theta.space, tau @ theta.blocks - theta_p.blocks @ tau_star)
-        return float(np.sqrt(max(np.linalg.eigvalsh(gram_d)[-1], 0.0))) if gram_d.size else 0.0
+        top = stein_lambda_max(theta.space, tau @ theta.blocks - theta_p.blocks @ tau_star)
+        return float(np.sqrt(max(top, 0.0)))
     words = theta.sub.dim_N
     lhs = kron_inner(tau, theta.matrix, words)
     rhs = kron_inner_right(theta_p.matrix, tau_star, words)

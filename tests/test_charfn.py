@@ -35,6 +35,7 @@ from conftest import (
 from fockmodel import (
     TruncatedFockSpace,
     classify,
+    coincidence_from_unitary,
     coincidence_necessary_mismatch,
     constrained_characteristic_function,
     constrained_creation_tuple,
@@ -53,6 +54,7 @@ from fockmodel import (
 from fockmodel import charfn
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
+    conjugated_tuple,
     haar_unitary,
     nilpotent_pair_tuple,
     q_commuting_nilpotent_tuple,
@@ -158,6 +160,63 @@ def test_the_stein_recursion_is_the_gram_of_the_dense_theta(n, d, kind, space_fa
     want = th.matrix @ adj(th.matrix)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+
+
+def _lambda_max_blocks(case, n, d, space, rng):
+    """The vacuum-column blocks of a multi-analytic G on ``space`` for a named case."""
+    sub = ideal_subspace(make_spec("zero", n=n), space)
+    kind = {"jordan": "jordan-pair", "coisometry": "unitary"}.get(case, "dense")
+    mats = _stein_tuple(kind, n, rng)
+    th = theta_of(mats, sub)
+    if case == "conjugate":  # (I (x) tau) Theta - Theta' (I (x) tau_*): rounding level
+        u = haar_unitary(3, rng)
+        wit = coincidence_from_unitary(th, theta_of(conjugated_tuple(mats, u), sub), u)
+        return wit.tau @ th.blocks - wit.theta_p.blocks @ wit.tau_star
+    if case == "jordan":  # a turned Jordan pair, d_T = 1
+        return th.blocks - theta_of(conjugated_tuple(mats, haar_unitary(3, rng)), sub).blocks
+    if case in ("distinct", "coisometry"):
+        return th.blocks - theta_of(_stein_tuple(kind, n, rng), sub).blocks
+    blocks = np.zeros_like(th.blocks)
+    if case == "zero-vacuum":
+        blocks[1:] = th.blocks[1:]
+    elif case == "top-degree":
+        blocks[space.degree_slice(d)] = th.blocks[space.degree_slice(d)]
+    elif case == "vacuum-only":
+        blocks[0] = th.blocks[0]
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "case, n, d",
+    [(case, 2, 5) for case in ("conjugate", "distinct", "jordan", "zero-vacuum", "top-degree",
+                               "vacuum-only", "all-zero", "coisometry")]
+    + [(case, n, d) for case in ("conjugate", "distinct") for n, d in ((2, 0), (2, 1), (3, 3))],
+)
+def test_stein_lambda_max_is_the_top_eigenvalue_of_the_stein_gram(case, n, d, space_factory):
+    # the recursion deflated at level k by an eigh of the degree-(d - k)
+    # Gram, then a secular equation of width d_star dim_(k-1), against
+    # eigvalsh of the whole p x p Gram, at the chosen level and at every other
+    space = space_factory(n, d)
+    blocks = _lambda_max_blocks(case, n, d, space, np.random.default_rng([n, d, 71]))
+    c = blocks.shape[2]
+    want = np.linalg.eigvalsh(charfn.stein_gram(space, blocks))[-1] if blocks.size else 0.0
+    got = charfn.stein_lambda_max(space, blocks)
+    assert abs(got - want) <= 1e-12 * want
+    if blocks.size:
+        for k in range(1, d + 1):
+            assert abs(charfn._deflated_lambda_max(space, blocks, k) - want) <= 1e-12 * want
+    if case == "conjugate":
+        assert 0.0 < want < 1e-25
+    elif case in ("distinct", "jordan", "zero-vacuum"):
+        assert want > 0.1
+    elif case == "top-degree":  # every deflated Gram is 0: the d_star x d_star Gram of F
+        assert abs(got - np.linalg.norm(blocks.reshape(-1, c), 2) ** 2) <= 1e-12 * got
+    elif case == "vacuum-only":  # I (x) theta_(): no root above mu_top = |theta_()|^2
+        assert got > 0.1
+        assert abs(got - np.linalg.norm(blocks[0], 2) ** 2) <= 1e-12 * got
+    else:  # all zero, or d_T = 0
+        assert got == 0.0
+        assert case == "all-zero" or blocks.shape[1] == 0
 
 
 @pytest.mark.parametrize(
@@ -490,7 +549,7 @@ def test_a_leaking_relation_span_is_refused():
     # an N without the vacuum column: its complement, the relation "span",
     # then holds the vacuum, which the function maps into N
     sub = ideal_subspace(make_spec("commutative"), TruncatedFockSpace(2, 3))
-    corrupted = dataclasses.replace(sub, N_basis=sub.N_basis[:, 1:], N_degrees=sub.N_degrees[1:])
+    corrupted = dataclasses.replace(sub, basis=sub.N_basis[:, 1:], N_degrees=sub.N_degrees[1:])
     kernel = dataclasses.replace(constrained_poisson_kernel(PAIR, sub), sub=corrupted)
     with pytest.raises(RuntimeError, match="leaks .* from the relation span"):
         constrained_characteristic_function(kernel)
@@ -719,7 +778,7 @@ def test_a_rotated_top_block_of_n_is_refused():
     unitary, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
     rotated = sub.N_basis.copy()
     rotated[space.degree_slice(4)] = unitary @ rotated[space.degree_slice(4)]
-    corrupted = dataclasses.replace(sub, N_basis=rotated)
+    corrupted = dataclasses.replace(sub, basis=rotated)
     kernel = constrained_poisson_kernel(nilpotent_pair_tuple(rng, 2, 0.6), corrupted)
     assert kernel.subspace_leak < 1e-14
     with pytest.raises(RuntimeError, match="leaks .* from the relation span"):

@@ -19,7 +19,7 @@ from fockmodel import (
     word_count,
     word_label,
 )
-from fockmodel.fock import parse_word, reversed_word_products, word_operator
+from fockmodel.fock import parse_word, prefixed_words, reversed_word_products, word_operator
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +277,21 @@ def test_left_target_slice_rejects_bad_arguments():
     for i, k in [(0, 0), (3, 0), (1, -1), (1, 3)]:
         with pytest.raises(ValueError):
             left_target_slice(space, i, k)
+
+
+@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_prefixed_words_are_the_concatenated_words(n, d):
+    space = TruncatedFockSpace(n, d)
+    for j in range(d + 1):
+        for k in range(d - j + 1):
+            got = prefixed_words(space, j, k)
+            gammas = space.words[space.degree_slice(j)]
+            tails = space.words[: space.dim_up_to(k)]
+            assert got.tolist() == [[space.index(g + w) for w in tails] for g in gammas]
+    for j, k in [(-1, 0), (0, -1), (1, d)]:
+        with pytest.raises(ValueError):
+            prefixed_words(space, j, k)
 
 
 def test_creation_targets_reject_bad_arguments():

@@ -640,6 +640,32 @@ def test_charfn_and_model_decompose_nothing_larger_than_p(tmp_path, monkeypatch,
     assert p_sized == []
 
 
+def test_equiv_decomposes_nothing_larger_than_the_deflated_gram(tmp_path, monkeypatch):
+    # zero family at (2, 6), p = 381, d_T = 3, d_star = 6: com takes
+    # lambda_max of D D* deflated at level 2, from one eigh of the Gram of D
+    # at degree 4 (p_2 = 31 d_T = 93, below the one-level p' = 189) and a
+    # secular equation of width 3 d_star = 18; the models decompose nothing
+    # of size p, and the principal angles are thin (p + q) x h SVDs
+    rng = np.random.default_rng(23)
+    mats = random_row_contraction(rng, 2, 3, 0.8)
+    u = haar_unitary(3, rng)
+    pa, pb = (write_problem(tmp_path / f"{name}.json", n=2, m=3, degree=6, mats=tup,
+                            ideal={"kind": "zero"})
+              for name, tup in (("a", mats), ("b", conjugated_tuple(mats, u))))
+    uf = tmp_path / "u.json"
+    uf.write_text(json.dumps({"matrix": encode_value(u)}))
+    out = tmp_path / "r.json"
+    seen = record_decompositions(monkeypatch)
+    argv = ["equiv", "--problem", pa, "--problem-b", pb, "--unitary", str(uf), "--out", str(out)]
+    assert run_cli(argv) == 0
+    p_2 = 93
+    assert [(name, shape) for name, shape in seen if min(shape[-2:]) > p_2] == []
+    assert seen.count(("eigh", (p_2, p_2))) == 1
+    rep = read(out)
+    assert checks_by_name(rep)["com"]["pass"]
+    assert rep["equivalent"] is True
+
+
 def test_analyze_decomposes_nothing_larger_than_m(tmp_path, monkeypatch):
     # zero family at (2, 6), m = 3: d_star and its spectrum come from the
     # m x m eigh of I - R R*, and eq-ker from the m x m Gram of its residual;
@@ -702,16 +728,28 @@ def test_constrained_commands_never_build_theta_on_the_whole_space(tmp_path, com
         assert (dims["p"], dims["q"]) == (273, 546)
 
 
-@pytest.mark.parametrize("command", ["charfn", "model", "equiv"])
+@pytest.mark.parametrize("command", ["analyze", "charfn", "model", "equiv"])
 def test_whole_space_commands_never_build_the_dense_theta(tmp_path, monkeypatch, command):
     # zero family: the gate, J-fa-F, the model's Theta* u_k, isometry-F and
-    # com all read the Fourier blocks, so Theta_N is never contracted
+    # com all read the Fourier blocks, so Theta_N is never contracted; and N
+    # is the whole space, held without a basis: dim_N and vacuum_in_N
+    # (analyze) read the space and equiv matches two whole-space subspaces
+    # by (n, d), so the dim x dim identity N_basis is never built either
     import fockmodel.charfn
+    from fockmodel.ideals import ConstrainedSubspace
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the dense Theta was built on the zero family")
 
+    built, lazy = [], ConstrainedSubspace.N_basis
+
+    def recorded(sub):
+        if sub.is_whole_space:
+            built.append(sub.space.dim)
+        return lazy.func(sub)
+
     monkeypatch.setattr(fockmodel.charfn, "_theta_n", forbidden)
+    monkeypatch.setattr(ConstrainedSubspace, "N_basis", property(recorded))
     rng = np.random.default_rng(13)
     mats = random_row_contraction(rng, 2, 3, 0.7)
     u = haar_unitary(3, rng)
@@ -726,6 +764,7 @@ def test_whole_space_commands_never_build_the_dense_theta(tmp_path, monkeypatch,
     out = tmp_path / "r.json"
     assert run_cli([*argv, "--out", str(out)]) == 0
     assert all(c["pass"] for c in read(out)["checks"])
+    assert built == []
 
 
 @pytest.mark.parametrize("command", ["charfn", "model"])

@@ -309,21 +309,26 @@ def _dense_coincidence_residual(theta, theta_p, tau, tau_star):
 
 @pytest.mark.parametrize("kind", ["nilpotent", "dense", "jordan-pair", "coisometry"])
 def test_the_zero_family_com_is_the_dense_norm(kind, subspace_factory):
-    # on the whole space com is sqrt(lambda_max(D D*)) with D D* by the Stein
-    # recursion; against the SVD of the formed p x q difference it agrees to
-    # a relative 1e-12 of the operands' scale, for a conjugate pair
-    # (rounding-level com) and for two unrelated tuples (com of order 1)
+    # on the whole space com is sqrt(lambda_max(D D*)), from the Stein
+    # recursion deflated at a level k and a secular equation; against the SVD
+    # of the formed p x q difference it agrees to a relative 1e-12 of the
+    # operands' scale, for a conjugate pair (rounding-level com) and for two
+    # unrelated tuples (com of order 1), with two letters and with three
+    for n, d in [(2, 5), (3, 3)]:
+        _check_the_zero_family_com(kind, n, d, subspace_factory("zero", n=n, d=d))
+
+
+def _check_the_zero_family_com(kind, n, d, sub):
     rng = np.random.default_rng(67)
-    sub = subspace_factory("zero", d=5)
     if kind == "jordan-pair":
-        mats = [np.eye(3, k=1, dtype=complex), np.zeros((3, 3), dtype=complex)]
+        mats = [np.eye(3, k=1, dtype=complex)] + [np.zeros((3, 3), dtype=complex)] * (n - 1)
     elif kind == "nilpotent":
-        mats = commuting_nilpotent_tuple(rng, 2, 0.6)
+        mats = commuting_nilpotent_tuple(rng, n, 0.6)
     elif kind == "coisometry":  # sum T_i T_i* = I: d_T = 0, so p = 0
-        rows = haar_unitary(6, rng)[:3]
-        mats = [rows[:, :3], rows[:, 3:]]
+        rows = haar_unitary(3 * n, rng)[:3]
+        mats = [rows[:, 3 * i : 3 * (i + 1)] for i in range(n)]
     else:
-        mats = random_row_contraction(rng, 2, 3, 0.8)
+        mats = random_row_contraction(rng, n, 3, 0.8)
     u = haar_unitary(3, rng)
     th, th_p = theta_of(mats, sub), theta_of(conjugated_tuple(mats, u), sub)
     wit = coincidence_from_unitary(th, th_p, u)
@@ -336,7 +341,7 @@ def test_the_zero_family_com_is_the_dense_norm(kind, subspace_factory):
     if kind == "jordan-pair":  # d_T = 1: a turned Jordan pair, which tau = I does not undo
         other = theta_of(conjugated_tuple(mats, haar_unitary(3, rng)), sub)
     else:
-        other = theta_of(random_row_contraction(rng, 2, 3, 0.8), sub)
+        other = theta_of(random_row_contraction(rng, n, 3, 0.8), sub)
     assert (other.d_T, other.d_star) == (th.d_T, th.d_star)
     tau, tau_star = np.eye(th.d_T), np.eye(th.d_star)
     got = coincidence_residual(th, other, tau, tau_star)

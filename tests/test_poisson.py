@@ -121,7 +121,7 @@ def test_a_kernel_leaking_off_n_is_refused(comm_sub_d4):
     # an N without the vacuum column: the kernel's vacuum block basis* Delta
     # then lies off N, and |((I - N N*) (x) I) K| measures it
     corrupted = dataclasses.replace(
-        comm_sub_d4, N_basis=comm_sub_d4.N_basis[:, 1:], N_degrees=comm_sub_d4.N_degrees[1:]
+        comm_sub_d4, basis=comm_sub_d4.N_basis[:, 1:], N_degrees=comm_sub_d4.N_degrees[1:]
     )
     with pytest.raises(RuntimeError, match="kernel leaks"):
         constrained_poisson_kernel(PAIR, corrupted)
