@@ -5,7 +5,9 @@ truncation tail |Phi^(d+1)(I)|; together with the characteristic function
 Theta it satisfies  Theta Theta* + K K* = I  on the constrained space.
 Individually the two summands are only *approximately* projections -- the
 defect is exactly the tail -- which the printout makes visible by running
-the same tuple at increasing degree.
+the same tuple at increasing degree.  J-fa-F, |I - Theta Theta* - K K*|_F,
+is the certificate on the function's spectrum record (``th.spectrum.gap``),
+the record the inner/outer verdicts and the model read too.
 """
 
 import numpy as np
@@ -15,7 +17,6 @@ from fockmodel import (
     TruncatedFockSpace,
     constrained_characteristic_function,
     constrained_poisson_kernel,
-    factorization_defect,
     ideal_subspace,
     verify_intertwining,
 )
@@ -38,7 +39,7 @@ def main():
         p_th = th.matrix @ adj(th.matrix)
         idem = np.linalg.norm(p_th @ p_th - p_th, 2)
         print(f"  {d}      {k.tail_bound:.2e}    {k.gram_residual():.2e}       "
-              f"{factorization_defect(th):.2e}        {idem:.2e}")
+              f"{th.spectrum.gap:.2e}        {idem:.2e}")
 
     d = 7
     sub = ideal_subspace(spec, TruncatedFockSpace(2, d))
@@ -55,7 +56,7 @@ def main():
     gram = adj(k.matrix) @ k.matrix
     print(f"\ncommuting nilpotent tuple: tail = {k.tail_bound}, |K*K - I| = "
           f"{np.linalg.norm(gram - np.eye(gram.shape[0]), 2):.2e}, J-fa-F (Frobenius) = "
-          f"{factorization_defect(th):.2e}")
+          f"{th.spectrum.gap:.2e}")
 
 
 if __name__ == "__main__":

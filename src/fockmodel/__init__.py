@@ -58,7 +58,6 @@ from .charfn import (
     constrained_characteristic_function,
     delta_and_classify,
     evaluate,
-    factorization_defect,
     fourier_block,
     fourier_sum,
 )

@@ -27,8 +27,12 @@ and the empty word carries -basis* [T_1 ... T_n] basis_*.  (sel_i picks the
 i-th block of C^n (x) C^m.)  For alpha = (a) + beta this is the radius-1
 Poisson-kernel block basis* Delta T_beta* of beta times the a-th row block of
 Delta_* basis_*, so Theta reads the kernel's blocks
-(:attr:`poisson.KernelMatrix.blocks`) and is built from the kernel.  The
-blocks also drive the cheap unitary-invariance checks.
+(:attr:`poisson.KernelMatrix.blocks`) and is built from the kernel.  Neither
+defect root is formed: the defects are held as eigen-data
+(:class:`contractions.DefectData`), so basis* Delta is
+sqrt(eigvals)[:, None] * basis* and Delta_* basis_* is
+basis_star * sqrt(eigvals_star).  The blocks also drive the cheap
+unitary-invariance checks.
 
 At a point X = (X_1, ..., X_n) each R_alpha becomes X_(reversed alpha) =
 X_{a_p} ... X_{a_1}, so the function lives on the variety V_(J~) of the
@@ -62,12 +66,14 @@ right shifts B_i = N* R_i N, a nilpotent point of V_(J~); the two routes
 share no subspace code beyond the N basis, so their agreement guards the
 whole constraint pipeline.
 
-Where the factorization holds to rounding, the p x p spectrum of
-I - Theta Theta* is read off the m x m Gram K*K (:func:`defect_star_spectrum`).
-That spectrum also carries |I - Theta Theta* - K K*|_F, its certificate,
-which :func:`factorization_defect` reports: a command that reads the verdicts
-(:func:`delta_and_classify`) and J-fa-F forms Theta Theta* once, and where
-the factorization holds it decomposes nothing p x p.
+The spectrum of I - Theta Theta* is one record per function,
+:attr:`CharFn.spectrum` (:class:`DefectStarSpectrum`): its certificate
+|I - Theta Theta* - K K*|_F, which J-fa-F reports, the p eigenvalues and the
+eigenvectors of those above the rank cut, all from one decomposition taken
+when the record is built (:func:`defect_star_spectrum`).  Where the
+factorization holds to rounding that is the m x m Gram K*K, and nothing
+p x p is decomposed.  The verdicts (:func:`delta_and_classify`), the model
+and its isometry residual read the record.
 
 Gram by the Stein recursion: since Theta is multi-analytic, its Gram
 A = Theta Theta* satisfies A = F F* + sum_a (L_a (x) I) A (L_a (x) I)*, F
@@ -131,7 +137,9 @@ class CharFn:
     ``blocks`` holds the whole-space Fourier block of every word, shape
     (dim, d_T, d_star) (:func:`_theta_blocks`); they fix the function.
     ``kernel`` is the constrained Poisson kernel the function was built
-    from; the subspace, the defect data and the tail bound are its.
+    from; the subspace, the defect data and the tail bound are its.  The
+    spectrum of I - Theta Theta* is built on first read and kept
+    (:attr:`spectrum`).
     """
 
     blocks: np.ndarray
@@ -172,6 +180,11 @@ class CharFn:
     def matrix(self) -> np.ndarray:
         """Theta_N, p x q, contracted from the blocks on first read (:func:`_theta_n`)."""
         return _theta_n(self.sub, self.blocks)
+
+    @cached_property
+    def spectrum(self) -> DefectStarSpectrum:
+        """The eigen-data of I - Theta Theta* with its certificate (:func:`defect_star_spectrum`)."""
+        return defect_star_spectrum(self)
 
     @cached_property
     def fourier_blocks(self) -> np.ndarray:
@@ -258,13 +271,19 @@ def _jointly_nilpotent(xs: list[np.ndarray]) -> bool:
 def _resolvent(mats: list[np.ndarray], xs: list[np.ndarray], defect: DefectData) -> np.ndarray:
     """The closed form of :func:`evaluate` at the point ``xs``, unchecked."""
     n, m, k = len(mats), mats[0].shape[0], xs[0].shape[0]
-    row_blocks = (defect.delta_star @ defect.basis_star).reshape(n, m, defect.d_star)
+    row_blocks = _star_row_blocks(defect, n, m)
     system = np.eye(k * m, dtype=complex) - sum(np.kron(x, adj(t)) for x, t in zip(xs, mats))
     rhs = sum(np.kron(x, r) for x, r in zip(xs, row_blocks))
     solved = np.linalg.solve(system, rhs).reshape(k, m, k * defect.d_star)
-    value = (adj(defect.basis) @ defect.delta @ solved).reshape(k * defect.d_T, k * defect.d_star)
+    lead = np.sqrt(defect.eigvals)[:, None] * adj(defect.basis)  # basis* Delta
+    value = (lead @ solved).reshape(k * defect.d_T, k * defect.d_star)
     empty_word = adj(defect.basis) @ np.hstack(mats) @ defect.basis_star
     return value - np.kron(np.eye(k), empty_word)
+
+
+def _star_row_blocks(defect: DefectData, n: int, m: int) -> np.ndarray:
+    """The n row blocks of Delta_* basis_* = basis_star * sqrt(eigvals_star), (n, m, d_star)."""
+    return (defect.basis_star * np.sqrt(defect.eigvals_star)).reshape(n, m, defect.d_star)
 
 
 def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
@@ -333,7 +352,7 @@ def _theta_blocks(kernel: KernelMatrix) -> np.ndarray:
     """
     mats, space, defect = kernel.mats, kernel.space, kernel.defect
     n, m = len(mats), mats[0].shape[0]
-    row_blocks = (defect.delta_star @ defect.basis_star).reshape(n, m, defect.d_star)
+    row_blocks = _star_row_blocks(defect, n, m)
     blocks = np.empty((space.dim, defect.d_T, defect.d_star), dtype=complex)
     blocks[0] = -adj(defect.basis) @ np.hstack(mats) @ defect.basis_star
     for k in range(space.d):
@@ -557,20 +576,6 @@ def theta_gram(theta: CharFn) -> np.ndarray:
     return row_gram(theta.matrix)
 
 
-def factorization_defect(theta: CharFn | DefectStarSpectrum) -> float:
-    """|I - Theta Theta* - K K*|_F, the joint defect of the factorization.
-
-    K is the kernel ``theta`` was built from.  For a pure tuple this is
-    rounding-level at truncation; in general it is bounded by the recorded
-    truncation tails.  It is the Frobenius norm, never smaller than the
-    spectral norm, and it is the ``gap`` that :func:`defect_star_spectrum`
-    already measured, so nothing is decomposed; pass the function's
-    :class:`DefectStarSpectrum` to share it with the verdicts.
-    """
-    spectrum = theta if isinstance(theta, DefectStarSpectrum) else defect_star_spectrum(theta)
-    return spectrum.gap
-
-
 # |G|_F up to which the spectrum of I - Theta Theta* is read off K*K.  By
 # Weyl's inequality every eigenvalue then lies within 1e-12 of the dense one,
 # so a rank decision at PSD_RANK_TOL = 1e-10 the two routes could disagree on
@@ -580,77 +585,63 @@ def factorization_defect(theta: CharFn | DefectStarSpectrum) -> float:
 _GRAM_ROUTE_TOL = 1e-12
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class DefectStarSpectrum:
-    """The spectrum of the p x p matrix I - Theta Theta*, from K*K where that is certified.
+    """The eigen-data of the p x p matrix I - Theta Theta*, with its certificate.
 
     ``gap`` is |G|_F for G = I - Theta Theta* - K K*, K the Poisson kernel
-    the function was built from (p x m), measured on both routes; it is the
-    value J-fa-F reports (:func:`factorization_defect`).  On the Gram route
-    (``gap`` at most 1e-12) ``kernel_eigh`` holds K*K = V diag(L) V*, the
-    spectrum of K K* is L padded with p - min(p, m) zeros, and ``gram_a`` is
-    None.  On the dense route ``kernel_eigh`` is None and ``gram_a`` holds
-    A = Theta Theta*, which the spectrum decomposes: the eigenvalues of
-    I - A are 1 - mu for the eigenvalues mu of A, in reverse order.
+    the function was built from (p x m); it is the value J-fa-F reports.
+    For a pure tuple under a graded relation family it is rounding-level at
+    truncation, and as a Frobenius norm it is never smaller than the
+    spectral norm.  ``eigvals`` holds the p eigenvalues, ascending, and
+    ``eigvecs`` the p x h orthonormal eigenvectors of the h of them above the
+    rank cut 1e-10, in the same order: the last h of ``eigvals``
+    (:attr:`kept`).
     """
 
-    theta: CharFn
     gap: float
-    kernel_eigh: tuple[np.ndarray, np.ndarray] | None
-    gram_a: np.ndarray | None
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
 
     @property
-    def kernel(self) -> np.ndarray:
-        return self.theta.kernel.matrix
-
-    def eigvals(self) -> np.ndarray:
-        """The p eigenvalues, ascending: one ``eigvalsh`` of A on the dense route."""
-        if self.kernel_eigh is None:
-            return 1.0 - np.linalg.eigvalsh(self.gram_a)[::-1]
-        ell = self.kernel_eigh[0]
-        p = self.kernel.shape[0]
-        top = ell[ell.size - min(p, ell.size) :]  # K*K has m - p more zeros when p < m
-        return np.sort(np.concatenate([np.zeros(p - top.size), top]))
-
-    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The p eigenvalues, ascending, and the p x h eigenvectors of those above 1e-10.
-
-        On the Gram route they are u_k = K v_k / sqrt(l_k); on the dense
-        route they come from one ``eigh`` of A.  Either way in ascending
-        order.
-        """
-        if self.kernel_eigh is None:
-            mu, u = np.linalg.eigh(self.gram_a)
-            lam = 1.0 - mu[::-1]
-            return lam, u[:, ::-1][:, lam > PSD_RANK_TOL]
-        ell, v = self.kernel_eigh
-        keep = ell > PSD_RANK_TOL
-        return self.eigvals(), (self.kernel @ v[:, keep]) / np.sqrt(ell[keep])
+    def kept(self) -> np.ndarray:
+        """The eigenvalues of ``eigvecs``, ascending."""
+        return self.eigvals[self.eigvals.size - self.eigvecs.shape[1] :]
 
 
 def defect_star_spectrum(theta: CharFn) -> DefectStarSpectrum:
-    """The spectrum of I - Theta Theta*, from the m x m Gram K*K when the factorization holds.
+    """The eigen-data of I - Theta Theta*, from the m x m Gram K*K when the factorization holds.
 
     A = Theta Theta* is formed once (:func:`theta_gram`), and the gap
     G = I - A - K K* is read off it a block of rows at a time, keeping only
     its Frobenius norm (:func:`linalg.gap_frobenius`).  Since
     |G|_2 <= |G|_F, Weyl's inequality puts every eigenvalue of
     I - Theta Theta* within |G|_F of the matching one of K K*.  When that
-    certified bound is at most 1e-12 the spectrum comes from one ``eigh`` of
-    K*K = I - Phi^(d+1)(I), and nothing p x p is decomposed.  Otherwise --
-    relation families that are not graded, which break the factorization
-    at the top degree, and any function its kernel does not factor -- the
-    dense route decomposes A, the same unchanged array, which the result
-    keeps only on that route.  A is never kept on ``theta``, which would
-    hold one more p x p array for the life of the function.
+    certified bound is at most 1e-12 the record comes from one ``eigh`` of
+    K*K = V diag(l) V* = I - Phi^(d+1)(I): the eigenvalues are l padded with
+    p - min(p, m) zeros, and u_k = K v_k / sqrt(l_k); nothing p x p is
+    decomposed.  Otherwise -- relation families that are not graded, which
+    break the factorization at the top degree, and any function its kernel
+    does not factor -- one ``eigh`` of A gives 1 - mu and the eigenvectors,
+    and A is dropped.  Either way exactly one matrix is decomposed, once;
+    :attr:`CharFn.spectrum` keeps the result.
     """
     k = theta.kernel.matrix
-    gram_a = theta_gram(theta)
-    gap = gap_frobenius(gram_a, k)
+    p = k.shape[0]
+    a = theta_gram(theta)
+    gap = gap_frobenius(a, k)
     if gap > _GRAM_ROUTE_TOL:
-        return DefectStarSpectrum(theta=theta, gap=gap, kernel_eigh=None, gram_a=gram_a)
-    kernel_eigh = np.linalg.eigh(gram(k))
-    return DefectStarSpectrum(theta=theta, gap=gap, kernel_eigh=kernel_eigh, gram_a=None)
+        mu, u = np.linalg.eigh(a)
+        lam = 1.0 - mu[::-1]
+        return DefectStarSpectrum(gap=gap, eigvals=lam, eigvecs=u[:, ::-1][:, lam > PSD_RANK_TOL])
+    ell, v = np.linalg.eigh(gram(k))
+    top = ell[ell.size - min(p, ell.size) :]  # K*K has m - p more zeros when p < m
+    keep = ell > PSD_RANK_TOL
+    return DefectStarSpectrum(
+        gap=gap,
+        eigvals=np.sort(np.concatenate([np.zeros(p - top.size), top])),
+        eigvecs=(k @ v[:, keep]) / np.sqrt(ell[keep]),
+    )
 
 
 @dataclasses.dataclass
@@ -659,7 +650,7 @@ class DeltaClassification:
 
     ``sigma_squared`` holds the min(p, q) values sigma^2 = 1 - lambda,
     descending, from the eigenvalues lambda of the p x p matrix
-    I - Theta Theta* (:func:`defect_star_spectrum`), clipped at 0.
+    I - Theta Theta* (:attr:`CharFn.spectrum`), clipped at 0.
     """
 
     inner: bool
@@ -672,7 +663,7 @@ class DeltaClassification:
     norm: float
 
 
-def delta_and_classify(theta: CharFn | DefectStarSpectrum) -> DeltaClassification:
+def delta_and_classify(theta: CharFn) -> DeltaClassification:
     """Decide whether Theta is inner / outer, from its squared singular values alone.
 
     Delta = (I - Theta*Theta)^(1/2) has the eigenvalues sqrt(1 - sigma^2),
@@ -681,9 +672,9 @@ def delta_and_classify(theta: CharFn | DefectStarSpectrum) -> DeltaClassificatio
     lambda of I - Theta Theta* are 1 - sigma^2.  Where the factorization
     I - Theta Theta* = K K* holds to 1e-12 in Frobenius norm, lambda is the
     spectrum of the m x m Gram K*K padded with zeros, each value within that
-    certified bound of the dense one (Weyl); otherwise one ``eigvalsh`` of
-    the p x p matrix Theta Theta* gives it (:func:`defect_star_spectrum`;
-    pass the function's spectrum to share it with :func:`factorization_defect`).
+    certified bound of the dense one (Weyl); otherwise one ``eigh`` of the
+    p x p matrix Theta Theta* gave it.  Both are read off the function's one
+    record, :attr:`CharFn.spectrum`.
     Only sigma^2 is kept: its square root would carry the rounding of lambda
     (about 1e-16) up to about 1e-8 at a zero singular value.
 
@@ -696,10 +687,8 @@ def delta_and_classify(theta: CharFn | DefectStarSpectrum) -> DeltaClassificatio
     number the kernel-side route sees as dim ker(I - K*K).  The norm is the
     largest singular value.
     """
-    spectrum = theta if isinstance(theta, DefectStarSpectrum) else defect_star_spectrum(theta)
-    theta = spectrum.theta
     p, q = theta.shape
-    lam = spectrum.eigvals()
+    lam = theta.spectrum.eigvals
     sq = np.clip(1.0 - lam[: min(p, q)], 0.0, None)
     residual = float(np.max(np.abs(sq * sq - sq))) if sq.size else 0.0
     inner_threshold = 1e-8 + theta.tail_bound

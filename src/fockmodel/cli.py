@@ -42,9 +42,7 @@ from . import __version__
 from .charfn import (
     coincidence_necessary_mismatch,
     constrained_characteristic_function,
-    defect_star_spectrum,
     delta_and_classify,
-    factorization_defect,
 )
 from .contractions import (
     _RELATION_TOL,
@@ -282,10 +280,9 @@ def _cmd_charfn(args) -> int:
         return _finish(report, checks, args.out, verdict)
 
     cls, sub, theta = run.classification, run.sub, run.theta
-    # Theta Theta* is formed once: the verdicts read the spectrum of I - Theta Theta*,
-    # and J-fa-F is the Frobenius norm |I - Theta Theta* - K K*|_F that certified it
-    spectrum = defect_star_spectrum(theta)
-    dc = delta_and_classify(spectrum)
+    # the verdicts read the spectrum of I - Theta Theta*, and J-fa-F is the
+    # Frobenius norm |I - Theta Theta* - K K*|_F that certified it: one record
+    dc = delta_and_classify(theta)
     block_norms = np.linalg.norm(theta.fourier_blocks, 2, axis=(1, 2))
     per_degree = {
         str(k): float(np.max(block_norms[run.space.degree_slice(k)], initial=0.0))
@@ -312,7 +309,7 @@ def _cmd_charfn(args) -> int:
             "fourier_norms_by_degree": per_degree,
             "norm": dc.norm,
             "residuals": {
-                "J-fa-F": factorization_defect(spectrum),
+                "J-fa-F": theta.spectrum.gap,
                 "K*K": theta.kernel.gram_residual(),
             },
         }

@@ -8,9 +8,11 @@ major, so block i of a length-n*m vector occupies entries [(i-1)*m, i*m).
 Two defect operators control the dilation theory:
 
     Delta   = (I - sum_i T_i T_i*)^(1/2)     on C^m,
-    Delta_* = (I - R* R)^(1/2),  R = [T_1 ... T_n],  on C^n (x) C^m,
+    Delta_* = (I - R* R)^(1/2),  R = [T_1 ... T_n],  on C^n (x) C^m.
 
-together with orthonormal bases of their ranges (the defect spaces).
+Both are held as eigen-data, never as matrices: orthonormal bases of their
+ranges (the defect spaces) and the kept eigenvalues of the squared defects,
+so Delta basis = basis diag(sqrt(eigvals)) and likewise for Delta_*.
 
 The completely positive map Phi(X) = sum_i T_i X T_i* drives everything
 asymptotic: its iterates Q_k = Phi^k(I) decrease monotonically, T is *pure*
@@ -35,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .ideals import PolyIdealSpec
-from .linalg import adj, hermitian_norm, hermitize, opnorm, psd_root, psd_spectrum
+from .linalg import adj, hermitian_norm, hermitize, opnorm, psd_spectrum
 
 
 def as_matrices(tuple_like: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -57,12 +59,12 @@ def phi_step(ts: Sequence[np.ndarray], x: np.ndarray | None = None) -> np.ndarra
 
 
 def phi_power(ts: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """Phi^k(I)."""
+    """Phi^k(I), each iterate hermitized, as :func:`classify` iterates it."""
     mats = as_matrices(ts)
     out = None
     for _ in range(k):
-        out = phi_step(mats, out)
-    return hermitize(np.eye(mats[0].shape[0], dtype=complex) if out is None else out)
+        out = hermitize(phi_step(mats, out))
+    return np.eye(mats[0].shape[0], dtype=complex) if out is None else out
 
 
 def spectral_radius_of_phi(ts: Sequence[np.ndarray]) -> float:
@@ -112,21 +114,22 @@ def validate(ts: Sequence[np.ndarray]) -> ValidationReport:
 
 @dataclasses.dataclass
 class DefectData:
-    """Both defect operators with orthonormal range bases.
+    """Both defects as eigen-data: orthonormal range bases and kept eigenvalues.
 
-    delta / delta_star are the PSD square roots; basis / basis_star hold the
-    kept eigenvectors of the *squared* defects (eigenvalue > rank cutoff,
-    descending), so d_T = basis.shape[1] is the rank of Delta.
+    ``basis`` holds the kept eigenvectors of I - sum T_i T_i* (eigenvalue
+    above the rank cutoff, descending) and ``eigvals`` their eigenvalues, so
+    d_T = basis.shape[1] is the rank of Delta and
+    basis* Delta = sqrt(eigvals)[:, None] * basis*.
 
     I - R*R has the spectrum of the m x m matrix I - R R* padded with
     (n - 1) m exact ones, so eigvals_star and d_star = eigvals_star.size are
-    read off the one m x m ``eigh`` that gives delta.  delta_star and
-    basis_star, which only Theta and the model read, come from the
-    nm x nm ``eigh`` of I - R*R, taken the first time either is read; it
-    must keep d_star eigenvectors, else RuntimeError.
+    read off the one m x m ``eigh`` that gives basis.  basis_star, which
+    only Theta and the model read, comes from the nm x nm ``eigh`` of
+    I - R*R, taken the first time it is read; it must keep d_star
+    eigenvectors, else RuntimeError.  Delta_* basis_* is
+    basis_star * sqrt(eigvals_star).
     """
 
-    delta: np.ndarray
     basis: np.ndarray
     eigvals: np.ndarray
     eigvals_star: np.ndarray
@@ -140,43 +143,32 @@ class DefectData:
     def d_star(self) -> int:
         return self.eigvals_star.size
 
-    @property
-    def delta_star(self) -> np.ndarray:
-        return self._star[0]
-
-    @property
-    def basis_star(self) -> np.ndarray:
-        return self._star[1]
-
     @functools.cached_property
-    def _star(self) -> tuple[np.ndarray, np.ndarray]:
+    def basis_star(self) -> np.ndarray:
         row = self.row
-        delta_star, basis_star, _ = _defect(np.eye(row.shape[1], dtype=complex) - adj(row) @ row)
+        basis_star, _ = _defect(np.eye(row.shape[1], dtype=complex) - adj(row) @ row)
         if basis_star.shape[1] != self.d_star:
             raise RuntimeError(
                 f"the defect-star decomposition keeps {basis_star.shape[1]} eigenvectors "
                 f"but the spectrum of I - R R* gives d_star = {self.d_star}"
             )
-        return delta_star, basis_star
+        return basis_star
 
 
 def defects(ts: Sequence[np.ndarray]) -> DefectData:
     mats = as_matrices(ts)
     m = mats[0].shape[0]
     row = row_matrix(mats)
-    delta, basis, eigvals = _defect(np.eye(m, dtype=complex) - row @ adj(row))  # I - sum T_i T_i*
+    basis, eigvals = _defect(np.eye(m, dtype=complex) - row @ adj(row))  # I - sum T_i T_i*
     # the kept spectrum of I - R*R: that of I - R R* and (n - 1) m ones, all above the cut
     eigvals_star = np.sort(np.concatenate([eigvals, np.ones(row.shape[1] - m)]))[::-1]
-    return DefectData(
-        delta=delta, basis=basis, eigvals=eigvals, eigvals_star=eigvals_star, row=row
-    )
+    return DefectData(basis=basis, eigvals=eigvals, eigvals_star=eigvals_star, row=row)
 
 
-def _defect(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Square root, range basis and kept eigenvalues of a squared defect, from one eigh."""
-    w, v = np.linalg.eigh(hermitize(g))
-    w, basis, kept = psd_spectrum(w, v)
-    return psd_root(w, v), basis, kept
+def _defect(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Range basis and kept eigenvalues of a squared defect, from one eigh."""
+    _, basis, kept = psd_spectrum(*np.linalg.eigh(hermitize(g)))
+    return basis, kept
 
 
 class TriState(enum.Enum):
@@ -234,8 +226,8 @@ def classify(
     truncation tail, is kept as ``tail`` for the Poisson kernel; when the
     verdicts settle before step d + 1 the iteration continues to it, and
     those steps count in neither ``iterations`` nor ``q_limit``.  Every
-    iterate is hermitized, so ``tail`` differs from :func:`phi_power`, which
-    hermitizes once at the end, by rounding only.
+    iterate is hermitized, as in :func:`phi_power`, so ``tail`` is bit for
+    bit phi_power(ts, d + 1).
     """
     mats = as_matrices(ts)
     m = mats[0].shape[0]

@@ -317,11 +317,6 @@ def psd_spectrum(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return w, canonical_phase(v[:, ::-1][:, : kept.size]), kept
 
 
-def psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Hermitian square root v diag(w)^(1/2) v* of a vetted PSD decomposition."""
-    return hermitize((v * np.sqrt(w)) @ adj(v))
-
-
 def _orth(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(a): the left singular vectors above max(shape) eps s_max."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)

@@ -27,8 +27,10 @@ certified: with K*K = V diag(l) V* (an m x m ``eigh``), lambda_k = l_k and
 u_k = K v_k / sqrt(l_k), and no p x p matrix is decomposed.  The certificate
 is the Frobenius norm of the gap I - Theta Theta* - K K*, which by Weyl's
 inequality bounds how far each eigenvalue can be from the dense one; above
-1e-12 one dense ``eigh`` of Theta Theta* is taken instead
-(:func:`charfn.defect_star_spectrum`).  The reported basis of that span is
+1e-12 one dense ``eigh`` of Theta Theta* is taken instead.  Either way the
+eigenpairs are the function's one record, :attr:`charfn.CharFn.spectrum`
+(:func:`charfn.defect_star_spectrum`), which the verdicts read too, and the
+model keeps no copy of them.  The reported basis of that span is
 the one its shift rows, I - Theta Theta* in the model projector, fix
 (``linalg.projector_basis``), so the model operators do not depend on how
 the eigensolver splits a repeated eigenvalue.  Phihat and Delta are never
@@ -83,7 +85,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charfn import CharFn, defect_star_spectrum, stein_lambda_max, theta_gram, theta_star
+from .charfn import CharFn, stein_lambda_max, theta_gram, theta_star
 from .contractions import Classification, TriState
 from .ideals import constrained_creation_tuple
 from .linalg import (
@@ -106,20 +108,18 @@ from .linalg import (
 class ModelData:
     """Model space data built from the kept eigenpairs of I - Theta Theta*.
 
-    Bases live in the coordinates C^p (+) C^q of Phihat = [Theta ; Delta];
-    the h eigenvalues of I - Theta Theta* above 1e-10 (ascending) and their
-    p x h eigenvectors are kept for the isometry residual, which is measured
-    only when read.  ``classification`` is the one the model was built with;
-    it picks the operator branch of the later stages, :attr:`operators` and
-    :attr:`gamma`, each built on first use and kept.
+    Bases live in the coordinates C^p (+) C^q of Phihat = [Theta ; Delta].
+    The eigenpairs stay on the function's record
+    (:attr:`charfn.CharFn.spectrum`), which the isometry residual reads; it
+    is measured only when read.  ``classification`` is the one the model was
+    built with; it picks the operator branch of the later stages,
+    :attr:`operators` and :attr:`gamma`, each built on first use and kept.
     """
 
     theta: CharFn
     s: int
     H_basis: np.ndarray
     H_pure_basis: np.ndarray | None
-    defect_star_eigvals: np.ndarray
-    defect_star_eigvecs: np.ndarray
     classification: Classification | None = None
 
     @property
@@ -165,21 +165,23 @@ class ModelData:
         the two p x p arrays A and Y are alive: Y A overwrites Y a block of
         128 rows at a time, since its rows need only Y's same rows.  The
         Frobenius norm is never smaller than the spectral norm, so a
-        tolerance on it is no easier to pass.  On the Gram route of
-        :func:`charfn.defect_star_spectrum` U_h comes from K, so the
-        residual also measures how well K's eigenvectors fit Theta.
+        tolerance on it is no easier to pass.  lambda_h and U_h are the
+        function's record (:attr:`charfn.CharFn.spectrum`); on its Gram route
+        U_h comes from K, so the residual also measures how well K's
+        eigenvectors fit Theta.
         """
-        gram_a = theta_gram(self.theta)
-        p_h = self.defect_star_eigvecs
-        e = np.diag(1.0 / (1.0 + np.sqrt(self.defect_star_eigvals)) - 1.0)
-        q_h = gram_a @ p_h
+        spectrum = self.theta.spectrum
+        a = theta_gram(self.theta)
+        p_h = spectrum.eigvecs
+        e = np.diag(1.0 / (1.0 + np.sqrt(spectrum.kept)) - 1.0)
+        q_h = a @ p_h
         low_rank = np.hstack([p_h, q_h])
         core = np.block([[e @ (adj(p_h) @ q_h) @ e - 2.0 * e, e], [e, np.zeros_like(e)]])
         y = (low_rank @ core) @ adj(low_rank)
-        y += gram_a
+        y += a
         y.flat[:: y.shape[0] + 1] -= 1.0
         for i in range(0, y.shape[0], _ROW_BLOCK):  # a block of rows of Y A only needs Y's
-            y[i : i + _ROW_BLOCK] = y[i : i + _ROW_BLOCK] @ gram_a
+            y[i : i + _ROW_BLOCK] = y[i : i + _ROW_BLOCK] @ a
         return float(np.sqrt(max(np.einsum("ij,ji->", y, y).real, 0.0)))
 
     @cached_property
@@ -301,13 +303,15 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
     (NumericalRankWarning when an eigenvalue lies in [1e-12, 1e-8]), and
     s = q - p + h.  The pure basis spans the u_k with
     lambda_k >= (1 - tail)/2, that is sigma_k^2 <= (1 + tail)/2.  The
-    eigenpairs come from :func:`charfn.defect_star_spectrum`: from the
-    m x m Gram K*K of the Poisson kernel when |I - Theta Theta* - K K*|_F is
-    at most 1e-12 (the Weyl bound on every eigenvalue), so that nothing
-    p x p is decomposed, and from one dense p x p ``eigh`` otherwise.
-    Theta* u_k comes from the Fourier blocks (:func:`charfn.theta_star`).
-    No q x q array is formed, and only the p x h kept eigenvectors are kept;
-    the isometry residual is measured on first access.
+    eigenpairs are read off the function's record
+    (:attr:`charfn.CharFn.spectrum`): from the m x m Gram K*K of the Poisson
+    kernel when |I - Theta Theta* - K K*|_F is at most 1e-12 (the Weyl bound
+    on every eigenvalue), so that nothing p x p is decomposed, and from one
+    dense p x p ``eigh`` otherwise; reading the verdicts too takes no second
+    decomposition.  Theta* u_k comes from the Fourier blocks
+    (:func:`charfn.theta_star`).  No q x q array is formed, and the record
+    keeps only the p x h kept eigenvectors; the isometry residual is
+    measured on first access.
 
     Inside a repeated eigenvalue the eigenvectors are arbitrary, so both
     reported bases are rechosen by :func:`linalg.projector_basis`, pivoting
@@ -329,15 +333,14 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
             "it admits no model of this kind"
         )
     p, q = theta.shape
-    lam, u = defect_star_spectrum(theta).eigenpairs()
-    lam, kept_u, kept = psd_spectrum(lam, u)
+    spectrum = theta.spectrum
+    _, kept_u, kept = psd_spectrum(spectrum.eigvals, spectrum.eigvecs)
     h_basis = projector_basis(np.vstack([kept_u * np.sqrt(kept), -theta_star(theta, kept_u)]), p)
-    lam = kept[::-1]  # ascending, as the columns of u
 
     tail = theta.tail_bound
     h_pure = None
     if tail < 0.5:
-        pure_cols = projector_basis(u[:, lam >= 0.5 * (1.0 - tail)])
+        pure_cols = projector_basis(spectrum.eigvecs[:, spectrum.kept >= 0.5 * (1.0 - tail)])
         h_pure = np.vstack([pure_cols, np.zeros((q, pure_cols.shape[1]), dtype=complex)])
 
     return ModelData(
@@ -345,8 +348,6 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
         s=q - p + kept.size,
         H_basis=h_basis,
         H_pure_basis=h_pure,
-        defect_star_eigvals=lam,
-        defect_star_eigvecs=u,
         classification=classification,
     )
 

@@ -6,7 +6,9 @@ For a row contraction T on C^m the kernel maps C^m into
     K h  =  sum_{|alpha| <= d}  e_alpha (x) [basis* Delta T_alpha* h],
 
 where Delta is the defect of T and basis is an orthonormal basis of its
-range.  Rows are Fock-major: the block of word alpha occupies rows
+range.  Delta is never formed: with eigvals the kept eigenvalues of
+Delta^2 (:class:`contractions.DefectData`), basis* Delta is
+sqrt(eigvals)[:, None] * basis*.  Rows are Fock-major: the block of word alpha occupies rows
 [index(alpha)*d_T, (index(alpha)+1)*d_T).  The kernel of a scaled tuple rT
 is the kernel of the tuple [r T_1, ..., r T_n].
 
@@ -89,18 +91,20 @@ def kernel_blocks(
 ) -> np.ndarray:
     """The block basis* Delta T_alpha* of every word alpha, shape (dim, d_T, m).
 
-    ``defect`` is the defect data of ``mats``.  These are the Poisson-kernel
-    blocks of ``mats`` on the whole truncated space; times one row block of
-    Delta_* basis_* they are also the Fourier blocks of its characteristic
-    function.  The block of (a) + beta is the block of beta times T_a*, so
-    each degree takes one product per letter.  The words (a) + beta of one
-    degree of beta are a contiguous range (:func:`fock.left_target_slice`),
+    ``defect`` is the defect data of ``mats``; the vacuum block
+    basis* Delta is sqrt(eigvals)[:, None] * basis*.  These are the
+    Poisson-kernel blocks of ``mats`` on the whole truncated space; times one
+    row block of Delta_* basis_* = basis_star * sqrt(eigvals_star) they are
+    also the Fourier blocks of its characteristic function.  The block of
+    (a) + beta is the block of beta times T_a*, so each degree takes one
+    product per letter.  The words (a) + beta of one degree of beta are a
+    contiguous range (:func:`fock.left_target_slice`),
     and each product is written straight into it: the blocks are the only
     array of their size that is allocated.
     """
     m = mats[0].shape[0]
     blocks = np.empty((space.dim, defect.d_T, m), dtype=complex)
-    blocks[0] = adj(defect.basis) @ defect.delta
+    blocks[0] = np.sqrt(defect.eigvals)[:, None] * adj(defect.basis)
     for k in range(space.d):
         parents = blocks[space.degree_slice(k)]
         for a, t in enumerate(mats, start=1):

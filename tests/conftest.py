@@ -48,6 +48,12 @@ def adj(a):
     return np.conj(a.T)
 
 
+def psd_sqrt(g):
+    """The Hermitian square root of a PSD matrix, formed densely: the oracle of the defect roots."""
+    w, v = np.linalg.eigh(g)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ adj(v)
+
+
 def record_decompositions(monkeypatch) -> list:
     """Record (name, input shape) of every numpy svd / eigh / eigvalsh / qr call.
 

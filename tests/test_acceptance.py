@@ -39,7 +39,6 @@ from fockmodel import (
     constrained_poisson_kernel,
     delta_and_classify,
     evaluate,
-    factorization_defect,
     flip_unitary,
     fourier_sum,
     ideal_subspace,
@@ -164,7 +163,7 @@ def test_criterion_1_factorization_identity():
     worst = 0.0
     for i in range(50):
         theta = pipeline(i)[3]
-        worst = max(worst, factorization_defect(theta))
+        worst = max(worst, theta.spectrum.gap)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 30.0
     _report(

@@ -44,7 +44,6 @@ from fockmodel import (
     constraint_residual,
     delta_and_classify,
     evaluate,
-    factorization_defect,
     fourier_block,
     fourier_sum,
     ideal_subspace,
@@ -409,7 +408,7 @@ def test_factorization_scalar_pair_commutative():
     sub = ideal_subspace(make_spec("commutative"), space)
     k = constrained_poisson_kernel(PAIR, sub)
     th = constrained_characteristic_function(k)
-    assert factorization_defect(th) < 1e-9
+    assert th.spectrum.gap < 1e-9
 
 
 def test_factorization_commuting_matrix_pair_high_degree():
@@ -421,7 +420,7 @@ def test_factorization_commuting_matrix_pair_high_degree():
     sub = ideal_subspace(make_spec("commutative"), space)
     k = constrained_poisson_kernel(mats, sub)
     th = constrained_characteristic_function(k)
-    assert factorization_defect(th) < 1e-9
+    assert th.spectrum.gap < 1e-9
 
 
 def test_factorization_q_nilpotent_exact():
@@ -432,7 +431,7 @@ def test_factorization_q_nilpotent_exact():
     k = constrained_poisson_kernel(mats, sub)
     th = constrained_characteristic_function(k)
     assert th.tail_bound == 0.0
-    assert factorization_defect(th) < 1e-9
+    assert th.spectrum.gap < 1e-9
 
 
 def _dense_factorization_gap(th):
@@ -454,7 +453,7 @@ def test_j_fa_f_is_the_frobenius_norm_of_the_dense_gap(family, n, d, space_facto
     sub = ideal_subspace(oracle_family(family, n, d), space_factory(n, d))
     th = theta_of(oracle_tuple(family, n, np.random.default_rng(3)), sub)
     gap = _dense_factorization_gap(th)
-    jfa, spectral = factorization_defect(th), np.max(np.abs(np.linalg.eigvalsh(gap)))
+    jfa, spectral = th.spectrum.gap, np.max(np.abs(np.linalg.eigvalsh(gap)))
     assert abs(jfa - np.linalg.norm(gap)) <= 1e-13
     assert jfa >= spectral
     if family == "custom-constant-term":
@@ -670,7 +669,7 @@ def _comprehension_block_matrix(kernel):
     n, m = len(mats), mats[0].shape[0]
     d_T, d_star = defect.d_T, defect.d_star
     words = space.words
-    row_blocks = (defect.delta_star @ defect.basis_star).reshape(n, m, d_star)
+    row_blocks = (defect.basis_star * np.sqrt(defect.eigvals_star)).reshape(n, m, d_star)
     blocks = np.empty((space.dim, d_T, d_star), dtype=complex)
     blocks[0] = -adj(defect.basis) @ np.hstack(mats) @ defect.basis_star
     if space.d:
@@ -808,7 +807,7 @@ def test_a_constrained_theta_is_never_formed_on_the_whole_space(monkeypatch):
         _, theta_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         dc = delta_and_classify(th)
-        jfa = factorization_defect(th)
+        jfa = th.spectrum.gap
         model = build_model(th)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -825,18 +824,27 @@ def test_a_constrained_theta_is_never_formed_on_the_whole_space(monkeypatch):
 
 @pytest.mark.parametrize("case", SPECTRAL_CASES + ["fallback"])
 def test_the_shared_spectrum_gives_the_same_verdicts_and_j_fa(case, subspace_factory):
-    # delta_and_classify and factorization_defect on one spectrum agree bit
-    # for bit with each forming I - Theta Theta* anew, on both routes; J-fa-F
-    # is the spectrum's certificate |I - Theta Theta* - K K*|_F
+    # the function keeps one frozen record (gap, eigvals, eigvecs), which the
+    # verdicts and J-fa-F read; a fresh build agrees bit for bit on both
+    # routes, and the record holds nothing p x p
     if case == "fallback":
         sub = ideal_subspace(oracle_family("custom-constant-term", 2, 5), TruncatedFockSpace(2, 5))
         th = theta_of(oracle_tuple("custom-constant-term", 2, None), sub)
     else:
         th = spectral_theta(case, subspace_factory)
-    spectrum = charfn.defect_star_spectrum(th)
-    dc = delta_and_classify(spectrum)
-    assert np.array_equal(dc.sigma_squared, delta_and_classify(th).sigma_squared)
-    assert factorization_defect(spectrum) == factorization_defect(th) == spectrum.gap
-    # only the dense route keeps Theta Theta*, and reading J-fa-F leaves it there
-    assert (spectrum.gram_a is None) == (spectrum.kernel_eigh is not None)
-    assert np.array_equal(spectrum.eigvals(), charfn.defect_star_spectrum(th).eigvals())
+    spectrum = th.spectrum
+    dc = delta_and_classify(th)
+    assert th.spectrum is spectrum
+    assert [f.name for f in dataclasses.fields(spectrum)] == ["gap", "eigvals", "eigvecs"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spectrum.gap = 0.0
+    fresh = charfn.defect_star_spectrum(th)
+    assert fresh.gap == spectrum.gap
+    assert np.array_equal(fresh.eigvals, spectrum.eigvals)
+    assert np.array_equal(fresh.eigvecs, spectrum.eigvecs)
+    p, q = th.shape
+    h = spectrum.eigvecs.shape[1]
+    assert spectrum.eigvals.shape == (p,) and spectrum.eigvecs.shape == (p, h)
+    assert np.array_equal(spectrum.kept, spectrum.eigvals[p - h :])
+    assert np.array_equal(dc.sigma_squared, np.clip(1.0 - spectrum.eigvals[: min(p, q)], 0.0, None))
+    assert (spectrum.gap > 1e-12) == (case == "fallback" or case == "tall")

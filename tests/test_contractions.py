@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import adj, make_spec, opnorm
+from conftest import adj, make_spec, opnorm, psd_sqrt
 from fockmodel import (
     PolyIdealSpec,
     TriState,
@@ -66,10 +66,24 @@ def test_row_matrix_layout():
 # defect operators
 
 
+def _assert_eigen_data(mats, d):
+    """The defects' eigen-data against the dense squared defects, each to 1e-14.
+
+    basis diag(eigvals) basis* is I - sum T_i T_i* on the kept range, and
+    basis_star * sqrt(eigvals_star) is (I - R*R)^(1/2) basis_star with the
+    root formed here.
+    """
+    r = row_matrix(mats)
+    g, g_star = np.eye(r.shape[0]) - r @ adj(r), np.eye(r.shape[1]) - adj(r) @ r
+    kept = d.basis @ adj(d.basis)
+    assert opnorm((d.basis * d.eigvals) @ adj(d.basis) - kept @ g @ kept) <= 1e-14
+    root_star = psd_sqrt(g_star) @ d.basis_star
+    assert opnorm(d.basis_star * np.sqrt(d.eigvals_star) - root_star) <= 1e-14
+
+
 def test_defects_of_the_scalar_pair():
     d = defects(SCALAR_PAIR)
-    assert d.delta.shape == (1, 1)
-    assert d.delta[0, 0] == pytest.approx(np.sqrt(0.5))
+    _assert_eigen_data(SCALAR_PAIR, d)
     # squared-defect spectra, descending
     assert np.allclose(d.eigvals, [0.5])
     assert np.allclose(d.eigvals_star, [1.0, 0.5])
@@ -82,13 +96,16 @@ def test_defects_of_the_scalar_pair():
 
 
 def test_defects_of_zero_and_coisometric_tuples():
-    dz = defects([np.zeros((1, 1)), np.zeros((1, 1))])
-    assert np.allclose(dz.delta, 1.0)
-    assert opnorm(dz.delta_star - np.eye(2)) < 1e-14
+    zero = [np.zeros((1, 1)), np.zeros((1, 1))]
+    dz = defects(zero)
+    assert np.array_equal(dz.eigvals, [1.0]) and np.array_equal(dz.eigvals_star, [1.0, 1.0])
+    assert opnorm((dz.basis_star * dz.eigvals_star) @ adj(dz.basis_star) - np.eye(2)) < 1e-14
     assert (dz.d_T, dz.d_star) == (1, 2)
+    _assert_eigen_data(zero, dz)
     dc = defects([np.array([[1.0]])])
     assert (dc.d_T, dc.d_star) == (0, 0)
-    assert opnorm(dc.delta) < 1e-12
+    assert dc.eigvals.size == dc.eigvals_star.size == 0
+    _assert_eigen_data([np.array([[1.0]])], dc)
 
 
 def test_defects_conjugation_covariance():
@@ -99,9 +116,13 @@ def test_defects_conjugation_covariance():
     u = haar_unitary(3, rng)
     d = defects(mats)
     du = defects(conjugated_tuple(mats, u))
-    assert opnorm(du.delta - u @ d.delta @ adj(u)) < 1e-12
+    square = (d.basis * d.eigvals) @ adj(d.basis)
+    assert opnorm((du.basis * du.eigvals) @ adj(du.basis) - u @ square @ adj(u)) <= 1e-14
     ubig = np.kron(np.eye(2), u)
-    assert opnorm(du.delta_star - ubig @ d.delta_star @ adj(ubig)) < 1e-12
+    square_star = (d.basis_star * d.eigvals_star) @ adj(d.basis_star)
+    moved = (du.basis_star * du.eigvals_star) @ adj(du.basis_star)
+    assert opnorm(moved - ubig @ square_star @ adj(ubig)) <= 1e-14
+    _assert_eigen_data(conjugated_tuple(mats, u), du)
 
 
 @pytest.mark.parametrize("gap, rank", [(1e-9, 1), (5e-11, 0)])
@@ -109,7 +130,7 @@ def test_defect_rank_warns_in_the_ambiguous_band(gap, rank):
     with pytest.warns(NumericalRankWarning):
         d = defects([np.array([[np.sqrt(1.0 - gap)]])])
     assert d.d_T == d.d_star == rank  # the cutoff 1e-10 still decides
-    assert d.delta[0, 0] == pytest.approx(np.sqrt(gap), rel=1e-5)
+    assert np.allclose(d.eigvals, [gap] * rank, rtol=1e-5, atol=0.0)
 
 
 def test_the_lazy_star_basis_must_keep_the_derived_rank(monkeypatch):
@@ -125,8 +146,8 @@ def test_the_lazy_star_basis_must_keep_the_derived_rank(monkeypatch):
     monkeypatch.setattr(contractions, "psd_spectrum", one_short)
     with pytest.raises(RuntimeError, match=r"keeps 5 eigenvectors .* d_star = 6"):
         d.basis_star
-    with pytest.raises(RuntimeError, match="keeps 5"):
-        d.delta_star
+    with pytest.raises(RuntimeError, match="keeps 5"):  # a failed build is not kept
+        d.basis_star
 
 
 def test_defects_refuse_a_non_contraction():
@@ -310,7 +331,7 @@ def test_classify_keeps_the_truncation_tail(case, degree):
     assert plain.tail is None
     assert (c.pure, c.cnc, c.iterations, c.rho) == (plain.pure, plain.cnc, plain.iterations, plain.rho)
     assert np.array_equal(c.q_limit, plain.q_limit)
-    assert np.abs(c.tail - phi_power(mats, degree + 1)).max() <= 1e-14
+    assert np.array_equal(c.tail, phi_power(mats, degree + 1))
     assert np.array_equal(c.tail, adj(c.tail))
 
 

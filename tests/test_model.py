@@ -48,7 +48,6 @@ from fockmodel import (
     validate,
     verify_coincidence_implies_equivalence,
 )
-from fockmodel.charfn import defect_star_spectrum
 from fockmodel.linalg import (
     NumericalRankWarning,
     kron_inner,
@@ -472,8 +471,9 @@ def _dense_phihat(model):
     """
     th = model.theta.matrix
     q = th.shape[1]
-    e = 1.0 / (1.0 + np.sqrt(model.defect_star_eigvals)) - 1.0
-    z = adj(model.defect_star_eigvecs) @ th
+    spectrum = model.theta.spectrum
+    e = 1.0 / (1.0 + np.sqrt(spectrum.kept)) - 1.0
+    z = adj(spectrum.eigvecs) @ th
     return np.vstack([th, np.eye(q) - adj(th) @ th - adj(z) @ (e[:, None] * z)])
 
 
@@ -604,6 +604,18 @@ def test_pure_basis_spans_what_a_full_svd_of_theta_gives(case, subspace_factory)
     assert np.max(principal_angles(pure[: model.p], u[:, big:])) < 1e-10
 
 
+def _bent(model, bend):
+    """The model on a copy of its function whose record has every eigenvalue moved by ``bend``.
+
+    The model reads only the h kept ones, the last h of the record's
+    eigenvalues, so exactly those move.
+    """
+    spectrum = model.theta.spectrum
+    theta = dataclasses.replace(model.theta)
+    theta.spectrum = dataclasses.replace(spectrum, eigvals=spectrum.eigvals + bend)
+    return dataclasses.replace(model, theta=theta)
+
+
 def _isometry_case(n, subspace_factory):
     """Theta of a dense triple: p = q at n = 1, p < q at n = 2."""
     rng = np.random.default_rng(37)
@@ -629,7 +641,7 @@ def test_isometry_residual_on_ran_theta_star_holds_for_any_eigen_data(n, subspac
     # with the h kept eigenvalues moved by 1e-3, Phihat is no isometry; the
     # residual is large and the two routes still measure the same norm
     model = build_model(_isometry_case(n, subspace_factory))
-    bent = dataclasses.replace(model, defect_star_eigvals=model.defect_star_eigvals + 1e-3)
+    bent = _bent(model, 1e-3)
     want = _dense_isometry_residual(bent)
     assert want > 1e-7
     assert abs(bent.isometry_residual - want) <= 1e-9 * want
@@ -644,8 +656,9 @@ def _qr_isometry_residual(model):
     eigenpairs, Q* R Q = B B* + (I - G)^2 - I (Q is never formed).
     """
     b = np.linalg.qr(model.theta.matrix.T, mode="r").conj()
-    c = b @ model.defect_star_eigvecs
-    e = 1.0 / (1.0 + np.sqrt(model.defect_star_eigvals)) - 1.0
+    spectrum = model.theta.spectrum
+    c = b @ spectrum.eigvecs
+    e = 1.0 / (1.0 + np.sqrt(spectrum.kept)) - 1.0
     bb = b @ adj(b)
     eye_minus_g = np.eye(bb.shape[0]) - bb - (c * e) @ adj(c)
     return np.linalg.norm(bb + eye_minus_g @ eye_minus_g - np.eye(bb.shape[0]))
@@ -667,7 +680,7 @@ def test_isometry_residual_is_the_qr_route(case, bend, subspace_factory):
     # moved by 1e-3, where Phihat is no isometry
     model = build_model(_oracle_isometry_case(case, subspace_factory))
     assert model.theta.sub.is_whole_space == (case != "commutative")
-    model = dataclasses.replace(model, defect_star_eigvals=model.defect_star_eigvals + bend)
+    model = _bent(model, bend)
     want = _qr_isometry_residual(model)
     if bend:
         assert want > 1e-7
@@ -754,8 +767,8 @@ def test_build_model_decomposes_nothing_larger_than_m(zero_family_pair, monkeypa
     assert all(max(shape) <= m for name, shape in seen)
     assert peak < q * q * 16  # no q x q complex array was allocated
     assert (model.s, model.h) == (384, 3)
-    assert model.defect_star_eigvecs.shape == (p, model.h)
-    assert model.defect_star_eigvals.shape == (model.h,)
+    assert th.spectrum.eigvecs.shape == (p, model.h)
+    assert th.spectrum.kept.shape == (model.h,)
     # reading the isometry residual: Theta Theta* by the Stein recursion,
     # then p x p products and no decomposition
     built = len(seen)
@@ -776,6 +789,40 @@ def test_delta_and_classify_decomposes_nothing_larger_than_m(zero_family_pair, m
     dc = delta_and_classify(th)
     assert seen == [("eigh", (3, 3))]
     assert dc.sigma_squared.shape == (381,)
+
+
+_BUDGET_CASES = {
+    "zero-n2-d6": ("zero", (2, 6), lambda rng: random_row_contraction(rng, 2, 3, 0.9)),
+    "commutative-n2-d7": ("commutative", (2, 7), lambda rng: commuting_nilpotent_tuple(rng, 2, 0.5)),
+    "custom-constant-term-n2-d5": (
+        "custom-constant-term", (2, 5), lambda rng: oracle_tuple("custom-constant-term", 2, rng)),
+}
+
+
+@pytest.mark.parametrize("case", _BUDGET_CASES.values(), ids=_BUDGET_CASES.keys())
+def test_every_reader_of_the_spectrum_shares_one_decomposition(case, space_factory, monkeypatch):
+    # the verdicts, J-fa-F, the model and its isometry residual read the
+    # function's one record: on the Gram route one eigh of size m and
+    # nothing of size p, on the dense route one eigh of size p and no
+    # eigvalsh of that size
+    family, (n, d), make = case
+    mats = make(np.random.default_rng(7))
+    th = theta_of(mats, ideal_subspace(oracle_family(family, n, d), space_factory(n, d)))
+    p, m = th.shape[0], mats[0].shape[0]
+    seen = record_decompositions(monkeypatch)
+    delta_and_classify(th)
+    gap = th.spectrum.gap
+    model = build_model(th)
+    assert model.isometry_residual >= 0.0
+    delta_and_classify(th)
+    decompositions = [call for call in seen if call[0] != "qr"]  # projector_basis: h x h pivots
+    if family == "custom-constant-term":
+        assert gap > 1e-12
+        assert decompositions == [("eigh", (p, p))]
+    else:
+        assert gap <= 1e-12
+        assert decompositions == [("eigh", (m, m))]
+    assert all(max(shape) < p for name, shape in seen if name == "qr")
 
 
 def test_the_equivalence_certificate_takes_no_q_side_work(zero_family_pair, monkeypatch):
@@ -830,6 +877,21 @@ def _dense_route(theta):
     return sq, verdicts, h_basis, h_pure, isometry
 
 
+def _assert_the_record_is_the_dense_spectrum(theta):
+    """The function's record against I - Theta Theta* formed and decomposed here.
+
+    The eigenvalues agree to 1e-12, the eigenvectors are orthonormal, and
+    U diag(kept) U* is I - Theta Theta* up to the eigenvalues below the rank
+    cut, which are rounding-level on every case.
+    """
+    th, spectrum = theta.matrix, theta.spectrum
+    defect = np.eye(th.shape[0]) - th @ adj(th)
+    u, kept = spectrum.eigvecs, spectrum.kept
+    assert np.max(np.abs(spectrum.eigvals - np.linalg.eigvalsh(defect)), initial=0.0) <= 1e-12
+    assert opnorm(adj(u) @ u - np.eye(u.shape[1])) <= 1e-12
+    assert opnorm((u * kept) @ adj(u) - defect) <= 1e-12
+
+
 def _dense_graded_tuple(family, n, rng):
     """A dense tuple (tail > 0) satisfying the relations of a graded family.
 
@@ -881,8 +943,8 @@ def test_the_gram_route_matches_the_dense_route(case, space_factory):
     sub = ideal_subspace(spec or oracle_family("zero", n, d), space_factory(n, d))
     th = theta_of(mats, sub)
     p, m = th.matrix.shape[0], mats[0].shape[0]
-    spectrum = defect_star_spectrum(th)
-    assert spectrum.kernel_eigh is not None and spectrum.gap <= 1e-12
+    spectrum = th.spectrum
+    assert spectrum.gap <= 1e-12
     if name.startswith("co-isometric"):
         assert p == 0
     if name.startswith("p-below-m"):
@@ -893,8 +955,9 @@ def test_the_gram_route_matches_the_dense_route(case, space_factory):
     dc = delta_and_classify(th)
     assert np.max(np.abs(dc.sigma_squared - sq), initial=0.0) <= 1e-12
     assert (dc.inner, dc.outer, dc.rank_deficiency) == verdicts
+    _assert_the_record_is_the_dense_spectrum(th)
     model = build_model(th)
-    assert model.defect_star_eigvecs.shape == (p, model.h)
+    assert spectrum.eigvecs.shape == (p, model.h)
     assert model.H_basis.shape == h_basis.shape
     assert np.max(np.abs(model.H_basis - h_basis), initial=0.0) <= 1e-13
     assert (model.H_pure_basis is None) == (h_pure is None)
@@ -928,8 +991,8 @@ def test_the_dense_fallback_is_the_dense_route(case, space_factory, subspace_fac
         n, d = size
         spec = oracle_family("custom-constant-term", n, d)
         th = theta_of(mats, ideal_subspace(spec, space_factory(n, d)))
-    spectrum = defect_star_spectrum(th)
-    assert spectrum.kernel_eigh is None and spectrum.gap > 1e-12
+    assert th.spectrum.gap > 1e-12
+    _assert_the_record_is_the_dense_spectrum(th)
     sq, verdicts, h_basis, h_pure, isometry = _dense_route(th)
     dc = delta_and_classify(th)
     assert np.max(np.abs(dc.sigma_squared - sq), initial=0.0) <= 1e-12
@@ -949,7 +1012,7 @@ def test_the_zero_tuple_model_basis_has_an_exactly_real_diagonal(subspace_factor
     # projector_basis turns each column by diag(R) / |diag(R)|, which is
     # exactly -1 at a negative real pivot (exp(i angle) gave -1 + 1.2e-16j)
     th = theta_of([np.zeros((2, 2)), np.zeros((2, 2))], subspace_factory("zero", d=2))
-    assert defect_star_spectrum(th).kernel_eigh is not None  # the Gram route
+    assert th.spectrum.gap <= 1e-12  # the Gram route
     pure = build_model(th).H_pure_basis
     diagonal = np.diagonal(pure)
     assert diagonal.size and np.all(diagonal.imag == 0.0)

@@ -21,12 +21,14 @@ from conftest import (
     opnorm,
     oracle_family,
     oracle_tuple,
+    psd_sqrt,
 )
 import fockmodel.poisson as poisson_module
 from fockmodel import (
     NCPoly,
     PolyIdealSpec,
     TruncatedFockSpace,
+    classify,
     constrained_creation,
     creation_targets,
     constrained_poisson_kernel,
@@ -146,6 +148,19 @@ def test_the_streamed_leak_is_the_dense_part_off_n(family, monkeypatch):
         sub = ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d))
         k = constrained_poisson_kernel(oracle_tuple(family, n, np.random.default_rng([n, d])), sub)
         assert abs(k.subspace_leak - dense_leak(k.blocks, sub)) < 1e-14
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_a_kernel_without_a_given_tail_has_classify_s_tail(family):
+    # phi_power hermitizes every iterate as classify does, so the tail a
+    # kernel computes for itself is bit for bit the one classify hands it
+    for n, d in ORACLE_SIZES:
+        sub = ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d))
+        mats = oracle_tuple(family, n, np.random.default_rng([n, d]))
+        own = constrained_poisson_kernel(mats, sub)
+        given = constrained_poisson_kernel(mats, sub, tail=classify(mats, degree=d).tail)
+        assert np.array_equal(own.tail, given.tail)
+        assert own.tail_bound == given.tail_bound == truncation_tail(mats, d)
 
 
 def test_constrained_kernel_rejects_relation_violators(comm_sub_d4):
@@ -287,7 +302,9 @@ def test_kernel_blocks_are_the_word_products():
     space = TruncatedFockSpace(2, 4)
     dft = defects(mats)
     blocks = kernel_blocks(mats, space, dft)
-    lead = adj(dft.basis) @ dft.delta
+    row = np.hstack(mats)
+    lead = adj(dft.basis) @ psd_sqrt(np.eye(3) - row @ adj(row))  # basis* Delta, formed here
+    assert opnorm(blocks[0] - lead) <= 1e-14
     for w, block in zip(space.words, blocks):
         want = lead @ word_operator(space, tuple(reversed(w)), [adj(t) for t in mats])
         assert opnorm(block - want) < 1e-14
@@ -301,7 +318,7 @@ def gathered_kernel_blocks(mats, space, defect):
     """The blocks by fancy indexing: each product formed, then scattered to its target rows."""
     m = mats[0].shape[0]
     blocks = np.empty((space.dim, defect.d_T, m), dtype=complex)
-    blocks[0] = adj(defect.basis) @ defect.delta
+    blocks[0] = np.sqrt(defect.eigvals)[:, None] * adj(defect.basis)
     for k in range(space.d):
         parents = space.degree_slice(k)
         for a, t in enumerate(mats, start=1):
