@@ -119,7 +119,6 @@ from .linalg import (
     adj,
     gap_frobenius,
     gram,
-    kron_left,
     kron_right,
     opnorm,
     row_gram,
@@ -197,21 +196,25 @@ class CharFn:
         """
         if self.sub.is_whole_space:
             return self.blocks
-        nb, dim = self.sub.N_basis, self.space.dim
-        vacuum = kron_right(self.matrix, adj(nb[:1]), self.d_star)
-        return kron_left(nb, vacuum, self.d_T).reshape(dim, self.d_T, self.d_star)
+        vacuum = kron_right(self.matrix, adj(self.sub.N_basis[:1]), self.d_star)
+        return self.sub.lift(vacuum, self.d_T).reshape(self.space.dim, self.d_T, self.d_star)
 
 
 def fourier_block(cf: CharFn, word) -> np.ndarray:
     """The d_T x d_star coefficient block of the given word.
 
-    This is the block of the compressed expansion, read in the vacuum column
-    and mapped back to words by N (x) I.  When the vacuum lies in N the
-    blocks are the free function's blocks projected onto N, (N N* (x) I)
-    applied to them, which is not the free blocks themselves unless N is the
-    whole space (they are near-zero for every word when the tuple is the
-    constrained shift itself).  If the vacuum is not in N the expansion is
-    empty and blocks are zero by convention.
+    This is the block of the compressed expansion's vacuum column,
+    Theta_N (N* e_0 (x) I), mapped back to words by N (x) I.  When the
+    vacuum lies in N the blocks are the free function's blocks projected
+    onto N, (N N* (x) I) applied to them, which is not the free blocks
+    themselves unless N is the whole space (they are near-zero for every
+    word when the tuple is the constrained shift itself).  When it does not,
+    N* e_0 is the projection of the vacuum onto N, of norm below 1, and the
+    blocks are that column mapped back, generally nonzero and not the
+    projected free blocks.  A coincidence of Theta_N moves this column by
+    fixed unitaries, so the per-word screen
+    (:func:`coincidence_necessary_mismatch`) stays a necessary condition
+    either way.
     """
     return cf.fourier_blocks[cf.space.index(tuple(word))].copy()
 
@@ -396,10 +399,11 @@ def theta_star(theta: CharFn, u: np.ndarray) -> np.ndarray:
     so (Theta* v)_gamma = sum_alpha theta_(alpha)* v_(gamma alpha).  For a
     degree pair (j, k) = (|gamma|, |alpha|) the rows of v at degree j + k,
     viewed as (n^j, n^k d_T, h), meet the stacked degree-k blocks in one
-    matmul.  On the whole space N is I and its products are skipped.
+    matmul.  The products by N are :meth:`ideals.ConstrainedSubspace.lift`
+    and ``compress``, no-ops on the whole space.
     """
     sub, space, (dim, d_T, d_star), h = theta.sub, theta.space, theta.blocks.shape, u.shape[1]
-    v = (u if sub.is_whole_space else kron_left(sub.N_basis, u, d_T)).reshape(dim, d_T, h)
+    v = sub.lift(u, d_T).reshape(dim, d_T, h)
     out = np.zeros((dim, d_star, h), dtype=complex)
     for r in range(space.d + 1):
         rows = v[space.degree_slice(r)]
@@ -407,8 +411,7 @@ def theta_star(theta: CharFn, u: np.ndarray) -> np.ndarray:
             width = space.n ** (r - j) * d_T
             alphas = adj(theta.blocks[space.degree_slice(r - j)].reshape(width, d_star))
             out[space.degree_slice(j)] += alphas @ rows.reshape(space.n**j, width, h)
-    out = out.reshape(dim * d_star, h)
-    return out if sub.is_whole_space else kron_left(adj(sub.N_basis), out, d_star)
+    return sub.compress(out.reshape(dim * d_star, h), d_star)
 
 
 def stein_gram(space: TruncatedFockSpace, blocks: np.ndarray) -> np.ndarray:

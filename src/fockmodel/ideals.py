@@ -38,6 +38,13 @@ Downstream identities that rely on degree windows then hold on one fewer
 degree.  As a guard against index bugs, every spanning vector is re-derived
 by walking the creation operators' index maps from the vacuum and compared
 at 1e-12.
+
+Readers of N take its products from :class:`ConstrainedSubspace` itself:
+N (x) I and N* (x) I (``lift``, ``compress``), and the adjoints of the
+compressed left shifts B_i = N* S_i N (``shift_adjoint``), which the model
+and its eq-ker check apply by a row gather through the index maps of
+:func:`fock.creation_targets`, never as matrices.  On the whole space, held
+without a basis, the products by N are no-ops and B_i* is the gather alone.
 """
 
 from __future__ import annotations
@@ -225,12 +232,18 @@ class ConstrainedSubspace:
     it rejected none, the recurrence's cut lying at 1 - 1e-10); it is None
     for families that are not graded, which take the spanning route.
 
+    The products every reader of N needs are methods: :meth:`lift` and
+    :meth:`compress` apply N (x) I_d and N* (x) I_d, and :meth:`shift_adjoint`
+    applies B_i* (x) I_d, B_i = N* S_i N the compressed left creation, by
+    the index map of S_i; :meth:`same_as` matches two subspaces.  How N is
+    held is decided here alone.
+
     When M is trivial (no relation fits below the degree cap, the zero family
     among them) N is the whole space: ``basis`` is None, ``is_whole_space``
-    reports it, ``dim_N`` and ``vacuum_in_N`` read the space, and the
-    builders skip their products by N.  ``N_basis`` is then the exact
-    identity, built on first read (67 MB at (2, 10)); only tests and the
-    contracted ``CharFn.matrix`` read it there.
+    reports it, ``dim_N`` and ``vacuum_in_N`` read the space, and ``lift``
+    and ``compress`` return their argument itself.  ``N_basis`` is then the
+    exact identity, built on first read (67 MB at (2, 10)); only tests and
+    the contracted ``CharFn.matrix`` read it there.
     """
 
     space: TruncatedFockSpace
@@ -271,6 +284,45 @@ class ConstrainedSubspace:
     def n_cols_up_to(self, k: int) -> int:
         """How many N-basis columns have degree <= k (a prefix, by sorting)."""
         return int(np.searchsorted(self.N_degrees, k, side="right"))
+
+    def lift(self, x: np.ndarray, d: int) -> np.ndarray:
+        """(N (x) I_d) x, from (dim_N d) rows to (dim d); ``x`` itself on the whole space."""
+        return x if self.basis is None else kron_left(self.basis, x, d)
+
+    def compress(self, x: np.ndarray, d: int) -> np.ndarray:
+        """(N* (x) I_d) x, from (dim d) rows to (dim_N d); ``x`` itself on the whole space.
+
+        Taken as conj((N^T (x) I_d) conj(x)), which conjugates ``x`` and the
+        result; N* would be a conjugated copy of the whole basis per call.
+        """
+        return x if self.basis is None else kron_left(self.basis.T, x.conj(), d).conj()
+
+    def shift_adjoint(self, i: int, x: np.ndarray, d: int) -> np.ndarray:
+        """(B_i* (x) I_d) x with B_i = N* S_i N, S_i the left creation by letter i.
+
+        S_i* reads the row of the word (i,) + w into the row of w, so
+        B_i* = N* S_i* N is the compression of a row gather of the lifted
+        ``x`` at the targets of :func:`fock.creation_targets`; the rows of
+        the top-degree words, which have no target, are zero.  No dense
+        shift is formed.
+        """
+        targets, dim, cols = creation_targets(self.space, i, "left"), self.space.dim, x.shape[1]
+        lifted = self.lift(x, d).reshape(dim, d * cols)
+        gathered = np.zeros_like(lifted)
+        gathered[: targets.size] = lifted[targets]
+        return self.compress(gathered.reshape(dim * d, cols), d)
+
+    def same_as(self, other: ConstrainedSubspace) -> bool:
+        """Whether ``other`` is this N: the same (n, d), and both whole spaces or equal bases.
+
+        Equal dimensions do not do, since the commutative and q-commutative
+        families share dim N.
+        """
+        if (self.space.n, self.space.d) != (other.space.n, other.space.d):
+            return False
+        if self.basis is None or other.basis is None:
+            return self.basis is other.basis
+        return self is other or np.array_equal(self.basis, other.basis)
 
 
 def ideal_subspace(spec: PolyIdealSpec, space: TruncatedFockSpace) -> ConstrainedSubspace:
@@ -435,11 +487,14 @@ def _spanning_vectors(
 
 
 def constrained_creation(sub: ConstrainedSubspace, i: int, side: str = "left") -> np.ndarray:
-    """Compression N* S N of a creation operator to the constrained subspace N.
+    """Compression N* S N of a creation operator to the constrained subspace N, as a matrix.
 
     S sends the c-th word of degree < d to its target word, so S N has the
     rows of N's prefix at the targets and N* S N = N[targets]* N[prefix].
-    When N is the whole space it is S itself, the partial permutation.
+    When N is the whole space it is S itself, the dense partial permutation.
+    The package applies B_i* by :meth:`ConstrainedSubspace.shift_adjoint`
+    instead; the matrices serve the closed form at the compressed right
+    shifts and the coinvariance leak of a relation family.
     """
     targets = creation_targets(sub.space, i, side)
     if sub.is_whole_space:

@@ -87,7 +87,6 @@ import numpy as np
 
 from .charfn import CharFn, stein_lambda_max, theta_gram, theta_star
 from .contractions import Classification, TriState
-from .ideals import constrained_creation_tuple
 from .linalg import (
     _ROW_BLOCK,
     adj,
@@ -95,7 +94,6 @@ from .linalg import (
     hermitian_norm,
     kron_inner,
     kron_inner_right,
-    kron_left,
     opnorm,
     principal_angles,
     projector_basis,
@@ -198,9 +196,14 @@ class ModelData:
         injective on the model space; its smallest singular value is the
         margin, and falling under 1e-8 means the input is numerically not
         completely noncoisometric (or the truncation degree too small),
-        which is an error.
+        which is an error.  The right-hand sides are (B_i* (x) I) h1, h1
+        the shift rows of the model basis and B_i = N* S_i N the compressed
+        left creation, applied by
+        :meth:`ideals.ConstrainedSubspace.shift_adjoint`: a row gather by the
+        creation index map between products by N, with no shift matrix.
 
-        The pure branch is the direct compression of the shifts, used as the
+        The pure branch is the direct compression of the shifts,
+        X* (B_i (x) I) X = ((B_i* (x) I) X)* X on its basis X, used as the
         canonical answer when the model's classification certifies purity
         (its basis is independent of the defect block); otherwise the
         general solution is.  When both exist with matching dimensions their
@@ -208,11 +211,10 @@ class ModelData:
         generator -- a real measure of how much the truncation tilted the
         model space, vanishing at rounding level when the tail does.
         """
-        d_T, p = self.theta.d_T, self.p
-        shifts = constrained_creation_tuple(self.theta.sub, "left")
-        h1 = self.H_basis[:p, :]
-        h = h1.shape[1]
-        rhs = [kron_left(adj(s_i), h1, d_T) for s_i in shifts]
+        d_T, p, sub = self.theta.d_T, self.p, self.theta.sub
+        letters = range(1, sub.space.n + 1)
+        h1, h = self.H_basis[:p, :], self.h
+        rhs = [sub.shift_adjoint(i, h1, d_T) for i in letters]
         # one factorization of h1 for every generator; its singular values give the margin
         solved, _, _, sigma = np.linalg.lstsq(h1, np.hstack(rhs), rcond=None)
         sigma_min = float(sigma[-1]) if h else 0.0
@@ -222,13 +224,13 @@ class ModelData:
                 f"(smallest singular value {sigma_min:.3e}); the tuple is numerically "
                 "not completely noncoisometric or the truncation degree is too small"
             )
-        xs = np.split(solved, len(shifts), axis=1)
+        xs = np.split(solved, len(rhs), axis=1)
         general = [adj(x) for x in xs]
         defining = [float(opnorm(h1 @ x - r)) for x, r in zip(xs, rhs)]
         pure = agreement = None
         if self.H_pure_basis is not None and self.H_pure_basis.shape[1] == self.h:
             pure_h1 = self.H_pure_basis[:p, :]  # the pure basis is 0 below p
-            pure = [adj(pure_h1) @ kron_left(s_i, pure_h1, d_T) for s_i in shifts]
+            pure = [adj(sub.shift_adjoint(i, pure_h1, d_T)) @ pure_h1 for i in letters]
             omega = unitary_polar_factor(adj(h1) @ pure_h1)
             agreement = [
                 float(opnorm(omega @ tp @ adj(omega) - tg)) for tp, tg in zip(pure, general)
@@ -395,10 +397,11 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
     """Build the coincidence witness induced by a spatial unitary.
 
     The tuples are those of the kernels the two functions were built from.
-    Verifies first that both functions are compressed to one subspace N (the
-    same subspace object, the whole space of the same (n, d) on both sides,
-    or an equal N basis of the same Fock space; equal dimensions do not do,
-    since commutative and q-commutative families share dim N) and that
+    Verifies first that both functions are compressed to one subspace N
+    (:meth:`ideals.ConstrainedSubspace.same_as`: the same subspace object,
+    the whole space of the same (n, d) on both sides, or an equal N basis of
+    the same Fock space; equal dimensions do not do, since commutative and
+    q-commutative families share dim N) and that
     T'_i = U T_i U* actually holds (these are input contracts, not something
     to silently repair), then forms the defect
     unitaries tau = basis'* U basis and tau_star = basis'* (I (x) U) basis_*
@@ -411,13 +414,7 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
     rounding whenever the input contract holds, and how far tau and tau_star
     are from isometries (``tau_unitary_residual``).
     """
-    a, b = theta.sub, theta_p.sub
-    same_space = (a.space.n, a.space.d) == (b.space.n, b.space.d)
-    if a.is_whole_space or b.is_whole_space:
-        same_n = a.is_whole_space and b.is_whole_space
-    else:
-        same_n = np.array_equal(a.N_basis, b.N_basis)
-    if a is not b and not (same_space and same_n):
+    if not theta.sub.same_as(theta_p.sub):
         raise ValueError("the two characteristic functions are compressed to different subspaces")
     mats, mats_p = theta.kernel.mats, theta_p.kernel.mats
     u = np.asarray(u, dtype=complex)

@@ -50,7 +50,7 @@ from .contractions import (
     DefectData,
 )
 from .fock import TruncatedFockSpace, left_target_slice
-from .ideals import ConstrainedSubspace, constrained_creation
+from .ideals import ConstrainedSubspace
 from .linalg import adj, gram, hermitian_norm, kron_left, stacked_opnorm
 
 
@@ -121,13 +121,14 @@ def constrained_poisson_kernel(
 ) -> KernelMatrix:
     """Poisson kernel compressed to the constrained rows N (x) defect.
 
-    The blocks of :func:`kernel_blocks` are compressed by the N basis; on the
-    zero family N is exactly the identity, nothing is compressed, and this is
-    the free kernel.  Refuses tuples that do not satisfy the relations
-    (residual above 1e-8): the compression is only meaningful -- and only
-    lossless -- for tuples in the constrained class.  The norm of the
-    discarded M-component, |((I - N N*) (x) I) K| with K the uncompressed
-    kernel, is returned on the result as ``subspace_leak``.
+    The blocks of :func:`kernel_blocks` are compressed by N
+    (:meth:`ideals.ConstrainedSubspace.compress`); on the zero family N is
+    the whole space, the compression returns the blocks themselves, nothing
+    can leak, and this is the free kernel.  Refuses tuples that do not
+    satisfy the relations (residual above 1e-8): the compression is only
+    meaningful -- and only lossless -- for tuples in the constrained class.
+    The norm of the discarded M-component, |((I - N N*) (x) I) K| with K
+    the uncompressed kernel, is returned on the result as ``subspace_leak``.
     ``relation_residual`` (the constraint_residual under ``sub.spec``) and
     ``tail`` (Phi^(d+1)(I), which :func:`contractions.classify` keeps when
     given the degree) reuse what the caller already has of the tuple; a
@@ -138,11 +139,9 @@ def constrained_poisson_kernel(
     require_relations(mats, sub.spec, residual=relation_residual)
     defect = defects(mats)
     blocks = kernel_blocks(mats, sub.space, defect)
-    if sub.is_whole_space:  # N = I: nothing to compress, nothing to leak
-        compressed, leak_norm = blocks, 0.0
-    else:
-        compressed = kron_left(adj(sub.N_basis), blocks.reshape(-1, m), defect.d_T)
-        leak_norm = leak_off_n(blocks, compressed, sub)
+    flat = blocks.reshape(-1, m)
+    compressed = sub.compress(flat, defect.d_T)
+    leak_norm = 0.0 if compressed is flat else leak_off_n(blocks, compressed, sub)
     if leak_norm > 1e-6:
         raise RuntimeError(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
@@ -201,18 +200,19 @@ def leak_off_n(blocks: np.ndarray, compressed: np.ndarray, sub: ConstrainedSubsp
 def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
     """Residuals of K T_i* = (B_i* (x) I) K on the rows where it holds.
 
-    B_i = N* S_i N is the left creation operator compressed to N
-    (:func:`ideals.constrained_creation`; the full shift on the zero
-    family).  The identity is exact on the N-columns of degree <= d-1
-    (top-degree rows see truncated data on one side only, so they are
-    excluded), and only those rows are formed, a chunk of words at a time
-    (:func:`_word_chunks`), into one buffer that every chunk and generator
-    reuses.  Each chunk is K T_i* on its rows minus the same rows of
-    (B_i* (x) I) K.  When N is the whole space, S_i* reads the row of the
+    B_i = N* S_i N is the left creation operator compressed to N (the full
+    shift on the zero family).  The identity is exact on the N-columns of
+    degree <= d-1 (top-degree rows see truncated data on one side only, so
+    they are excluded), and only those rows are formed, a chunk of words at
+    a time (:func:`_word_chunks`), into one buffer that every chunk and
+    generator reuses.  Each chunk is K T_i* on its rows minus the same rows
+    of (B_i* (x) I) K.  When N is the whole space, S_i* reads the row of the
     target word (i,) + w into the row of w, the targets of one degree are a
     contiguous range of the next (:func:`fock.left_target_slice`), and the
-    target rows of K are subtracted in place; otherwise the chunk's rows of
-    B_i* (x) I multiply K.  The residual is the spectral norm of the stacked
+    target rows of K are subtracted in place; otherwise (B_i* (x) I) K is
+    formed once per generator by
+    :meth:`ideals.ConstrainedSubspace.shift_adjoint`, the size of K, and its
+    rows are subtracted.  The residual is the spectral norm of the stacked
     chunks (:func:`linalg.stacked_opnorm`).  Returns one residual per
     generator index.
     """
@@ -229,24 +229,24 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
     chunks = _word_chunks(checked, d_T * m)
     buffer = np.empty((chunks[0][1] * d_T, m), dtype=complex)  # the first chunk is the largest
 
+    def sources(i: int) -> list[tuple[slice, np.ndarray, int]]:
+        """(words w, array, offset): the row of w in (B_i* (x) I) K is the array's row w + offset."""
+        if sub.is_whole_space:  # a word w of degree k < d has its target (i,) + w at w + offset
+            return [(space.degree_slice(k), k_mat,
+                     left_target_slice(space, i, k).start - space.degree_slice(k).start)
+                    for k in range(space.d)]
+        return [(slice(0, checked), sub.shift_adjoint(i, k_mat, d_T), 0)]
+
     def residual_chunks(i: int):
-        t_adj = adj(kernel.mats[i - 1])
-        if sub.is_whole_space:  # a word w of degree k < d has its target (i,) + w at w + shift
-            degrees = [space.degree_slice(k) for k in range(space.d)]
-            shifts = [left_target_slice(space, i, k).start - degrees[k].start for k in range(space.d)]
-        else:
-            b_adj = adj(constrained_creation(sub, i))[:checked]
+        t_adj, pieces = adj(kernel.mats[i - 1]), sources(i)
         for w0, w1 in chunks:
             chunk = buffer[: (w1 - w0) * d_T]
             np.matmul(k_mat[w0 * d_T : w1 * d_T], t_adj, out=chunk)
-            if sub.is_whole_space:
-                for words, shift in zip(degrees, shifts):
-                    lo, hi = max(w0, words.start), min(w1, words.stop)
-                    if lo < hi:
-                        chunk[(lo - w0) * d_T : (hi - w0) * d_T] -= (
-                            k_mat[(lo + shift) * d_T : (hi + shift) * d_T])
-            else:
-                chunk -= kron_left(b_adj[w0:w1], k_mat, d_T)
+            for words, rows, offset in pieces:
+                lo, hi = max(w0, words.start), min(w1, words.stop)
+                if lo < hi:
+                    chunk[(lo - w0) * d_T : (hi - w0) * d_T] -= (
+                        rows[(lo + offset) * d_T : (hi + offset) * d_T])
             yield chunk
 
     return {i: stacked_opnorm(residual_chunks(i), m) for i in range(1, space.n + 1)}

@@ -270,6 +270,30 @@ def test_fourier_blocks_are_the_free_blocks_projected_onto_n(family, n, d, space
         assert np.max(np.abs(th.fourier_blocks.reshape(free.shape) - free)) > 0.1
 
 
+def test_fourier_blocks_without_the_vacuum_are_its_projection_mapped_back(space_factory):
+    # custom-constant-term at (2, 5): the vacuum row of N has norm 0.967, so
+    # the vacuum is not in N, yet the blocks are not zero.  They are the
+    # column Theta_N (N* e_0 (x) I) of the comprehension oracle mapped back
+    # by N (x) I, which a coincidence of Theta_N moves by fixed unitaries,
+    # and not the free blocks projected onto N (those differ by 9.5e-3)
+    family, n, d = "custom-constant-term", 2, 5
+    sub = ideal_subspace(oracle_family(family, n, d), space_factory(n, d))
+    nb = sub.N_basis
+    assert not sub.vacuum_in_N and abs(np.linalg.norm(nb[0]) - 0.967) < 1e-3
+    kernel = constrained_poisson_kernel(oracle_tuple(family, n, np.random.default_rng([n, d])), sub)
+    th = constrained_characteristic_function(kernel)
+    d_T, d_star = kernel.d_T, kernel.defect.d_star
+    theta_n = (np.kron(adj(nb), np.eye(d_T)) @ _comprehension_block_matrix(kernel)
+               @ np.kron(nb, np.eye(d_star)))
+    column = theta_n @ np.kron(adj(nb[:1]), np.eye(d_star))
+    want = (np.kron(nb, np.eye(d_T)) @ column).reshape(th.fourier_blocks.shape)
+    assert np.max(np.abs(th.fourier_blocks - want)) < 1e-14
+    assert np.max(np.linalg.norm(th.fourier_blocks, 2, axis=(1, 2))) > 0.7
+    free = charfn._theta_blocks(kernel).reshape(sub.space.dim, -1)
+    projected = (nb @ adj(nb) @ free).reshape(want.shape)
+    assert np.max(np.abs(th.fourier_blocks - projected)) > 5e-3
+
+
 def test_block_count(mobius_half):
     # one word block per side for each of the 11 words, all of them in N
     assert mobius_half.sub.dim_N == 11

@@ -33,7 +33,7 @@ from fockmodel import (
 )
 from fockmodel.fock import creation_targets, left_creation_tuple, word_operator
 from fockmodel.ideals import _COSINE_CUT, _crosscheck_spanning
-from fockmodel.linalg import NumericalRankWarning
+from fockmodel.linalg import NumericalRankWarning, kron_left
 
 # dim N for the commutative family, n=2 d=0..6 and n=3 d=0..4
 COMM_DIMS_N2 = [1, 3, 6, 10, 15, 21, 28]
@@ -426,6 +426,45 @@ def test_the_block_loop_reproduces_the_two_path_subspace_exactly(family, n, d, s
     sub = ideal_subspace(spec, space_factory(n, d))
     _assert_matches_the_oracle(sub, spanning_svd_subspace(spec, space_factory(n, d)),
                                exact=not spec.is_graded or sub.is_whole_space)
+
+
+@pytest.mark.parametrize("n, d", ORACLE_SIZES)
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_the_products_by_n_and_by_the_compressed_shifts(family, n, d, space_factory):
+    # lift and compress are the products by N (x) I and N* (x) I, and on the
+    # whole space they hand back their argument itself; shift_adjoint is
+    # (B_i* (x) I) x with the dense compression B_i = N* S_i N, bit for bit
+    # on the whole space, where it is a row gather
+    sub = ideal_subspace(oracle_family(family, n, d), space_factory(n, d))
+    rng = np.random.default_rng([n, d, 3])
+    for width, cols in ((1, 4), (3, 2), (0, 3), (2, 0)):
+        x, y = (rng.normal(size=(rows * width, cols, 2)) @ [1, 1j] for rows in (sub.dim_N, sub.space.dim))
+        assert np.array_equal(sub.lift(x, width), kron_left(sub.N_basis, x, width))
+        assert np.array_equal(sub.compress(y, width), kron_left(adj(sub.N_basis), y, width))
+        if sub.is_whole_space:
+            assert sub.lift(x, width) is x and sub.compress(y, width) is y
+        for i in range(1, n + 1):
+            got = sub.shift_adjoint(i, x, width)
+            want = kron_left(adj(constrained_creation(sub, i)), x, width)
+            assert got.shape == want.shape
+            if sub.is_whole_space:  # the zero family, and families with no relation below d
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+
+
+def test_same_subspace(space_factory):
+    # the same object, or the same (n, d) with an equal N; equal dimensions
+    # do not do: commutative and q-commutative N share dim N
+    comm = ideal_subspace(make_spec("commutative"), space_factory(2, 4))
+    again = ideal_subspace(make_spec("commutative"), TruncatedFockSpace(2, 4))
+    q = ideal_subspace(make_spec("q_commutative", q=Q_TEST), space_factory(2, 4))
+    zero = ideal_subspace(make_spec("zero"), space_factory(2, 4))
+    assert comm.same_as(comm) and comm.same_as(again) and again.same_as(comm)
+    assert comm.dim_N == q.dim_N and not comm.same_as(q)
+    assert zero.same_as(ideal_subspace(make_spec("zero"), TruncatedFockSpace(2, 4)))
+    assert not zero.same_as(comm) and not comm.same_as(zero)
+    assert not zero.same_as(ideal_subspace(make_spec("zero"), TruncatedFockSpace(2, 5)))
 
 
 def _symmetrizer(n, k):

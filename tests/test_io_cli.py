@@ -333,28 +333,41 @@ def test_cli_relations_longer_than_the_degree_leave_the_whole_space(tmp_path):
     assert read(out)["dims"]["dim_N"] == 7
 
 
-@pytest.mark.parametrize("command", ["analyze", "charfn"])
+@pytest.mark.parametrize("command", ["analyze", "charfn", "model", "equiv"])
 def test_zero_family_builds_no_dense_shift_and_no_identity_product(
     tmp_path, monkeypatch, command
 ):
-    # on the zero family N = I: the creation operators act as index maps and
-    # no product by N is formed, so none of these may run
+    # on the zero family N = I: the creation operators act as index maps
+    # (eq-ker's slices, the model's B_i* by a row gather) and no product by
+    # N is formed, so none of these may run
     def forbidden(*args, **kwargs):
         raise AssertionError("dense shift or product by N = I on the zero family")
 
     monkeypatch.setattr("fockmodel.fock.left_creation", forbidden)
     monkeypatch.setattr("fockmodel.fock.right_creation", forbidden)
-    monkeypatch.setattr("fockmodel.poisson.constrained_creation", forbidden)
+    monkeypatch.setattr("fockmodel.fock._partial_permutation", forbidden)
+    monkeypatch.setattr("fockmodel.ideals._partial_permutation", forbidden)
+    monkeypatch.setattr("fockmodel.ideals.constrained_creation", forbidden)
     monkeypatch.setattr(np, "tensordot", forbidden)
-    for module in ("fockmodel.charfn", "fockmodel.poisson"):
-        for helper in ("kron_left", "kron_right", "kron_inner", "kron_inner_right"):
+    for module in ("fockmodel.charfn", "fockmodel.poisson", "fockmodel.model"):
+        for helper in ("kron_left", "kron_right"):
             monkeypatch.setattr(f"{module}.{helper}", forbidden, raising=False)
-    mats = random_row_contraction(np.random.default_rng(8), 2, 3, 0.7)
-    prob = write_problem(
-        tmp_path / "p.json", n=2, m=3, degree=4, mats=mats, ideal={"kind": "zero"}
-    )
+    for module in ("fockmodel.charfn", "fockmodel.poisson"):  # model's map the defect spaces
+        for helper in ("kron_inner", "kron_inner_right"):
+            monkeypatch.setattr(f"{module}.{helper}", forbidden, raising=False)
+    rng = np.random.default_rng(8)
+    mats = random_row_contraction(rng, 2, 3, 0.7)
+    u = haar_unitary(3, rng)
+    pa, pb = (write_problem(tmp_path / f"{name}.json", n=2, m=3, degree=4, mats=tup,
+                            ideal={"kind": "zero"})
+              for name, tup in (("a", mats), ("b", conjugated_tuple(mats, u))))
+    uf = tmp_path / "u.json"
+    uf.write_text(json.dumps({"matrix": encode_value(u)}))
+    argv = [command, "--problem", pa]
+    if command == "equiv":
+        argv += ["--problem-b", pb, "--unitary", str(uf)]
     out = tmp_path / "r.json"
-    assert run_cli([command, "--problem", prob, "--out", str(out)]) == 0
+    assert run_cli([*argv, "--out", str(out)]) == 0
     assert all(c["pass"] for c in read(out)["checks"])
 
 
