@@ -73,18 +73,26 @@ eigenvectors of those above the rank cut, all from one decomposition taken
 when the record is built (:func:`defect_star_spectrum`).  Where the
 factorization holds to rounding that is the m x m Gram K*K, and nothing
 p x p is decomposed.  The verdicts (:func:`delta_and_classify`), the model
-and its isometry residual read the record.
+and the model's isometry residual read the record.
 
-Gram by the Stein recursion: since Theta is multi-analytic, its Gram
-A = Theta Theta* satisfies A = F F* + sum_a (L_a (x) I) A (L_a (x) I)*, F
-the vacuum column and L_a the left creation, so the blocks fix A too
+Everything that depends on how Theta is held is computed in this module;
+the model reads Theta only through the record, the kernel,
+:func:`theta_star`, :attr:`CharFn.isometry_residual` and
+:func:`coincidence_residual`.  Gram by the Stein recursion: since Theta is
+multi-analytic, its Gram A = Theta Theta* satisfies
+A = F F* + sum_a (L_a (x) I) A (L_a (x) I)*, F the vacuum column and L_a
+the left creation, so the blocks fix A too
 (:func:`stein_gram`, O(p^2 d_star) against O(p^2 q) for a product of
 Theta).  The identity holds where N is the whole space, and there
 :func:`theta_gram` takes the recursion; relation families take a row Gram
-of the matrix.  The gate here and the model's isometry residual read it.
-The coincidence residual of two functions
-(:func:`model.coincidence_residual`) needs only the top eigenvalue of such
-a Gram, and takes it from the recursion deflated at a level k
+of the matrix.  Its three readers sit here: the gate of the record, the
+isometry residual |Phihat* Phihat - I|_F of the model column
+Phihat = [Theta ; Delta] (:attr:`CharFn.isometry_residual`, p x p work and
+no decomposition), and the coincidence residual of two functions
+(:func:`coincidence_residual`).  The last is itself a function with the
+Fourier blocks tau theta_(alpha) - theta'_(alpha) tau_star, formed once;
+on the whole space it needs only the top eigenvalue of that function's
+Gram, and takes it from the recursion deflated at a level k
 (:func:`stein_lambda_max`): an ``eigh`` of the Gram at degree d - k, about
 p / n^k rows, and a secular equation of width d_star dim_(k-1), with no
 p x p array.  Theta* u is one matmul per degree pair on the blocks, between
@@ -115,6 +123,7 @@ from .fock import (
 )
 from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
 from .linalg import (
+    _ROW_BLOCK,
     PSD_RANK_TOL,
     adj,
     gap_frobenius,
@@ -137,8 +146,9 @@ class CharFn:
     (dim, d_T, d_star) (:func:`_theta_blocks`); they fix the function.
     ``kernel`` is the constrained Poisson kernel the function was built
     from; the subspace, the defect data and the tail bound are its.  The
-    spectrum of I - Theta Theta* is built on first read and kept
-    (:attr:`spectrum`).
+    spectrum of I - Theta Theta* (:attr:`spectrum`) and the model's
+    isometry residual (:attr:`isometry_residual`) are built on first read
+    and kept.
     """
 
     blocks: np.ndarray
@@ -184,6 +194,50 @@ class CharFn:
     def spectrum(self) -> DefectStarSpectrum:
         """The eigen-data of I - Theta Theta* with its certificate (:func:`defect_star_spectrum`)."""
         return defect_star_spectrum(self)
+
+    @cached_property
+    def isometry_residual(self) -> float:
+        """|Phihat* Phihat - I|_F for the model column Phihat = [Theta ; Delta], p x p work.
+
+        Delta = I - Z* Z with Z = D U* Theta, U the eigenvectors of
+        I - Theta Theta* and D = diag(1 / sqrt(1 + sqrt(lambda))), the
+        lambda at or below the rank cut 1e-10 counting as 0 (so Delta has
+        rank s); the rows of Z are orthogonal, so no q-side decomposition
+        defines Delta.  D is 1 off the h kept eigenpairs (lambda_h, P = U_h),
+        so M = U D^2 U* = I + P E P* with E = D_h^2 - I, and only they are
+        needed.  With A = Theta Theta*, Z* Z = Theta* M Theta gives
+
+            Phihat* Phihat - I = Theta* Y Theta,   Y = I - 2M + M A M,
+
+        so |Phihat* Phihat - I|_F^2 = tr((Y A)^2), the norm of the same
+        operator, not an estimate.  With Q = A P,
+
+            Y = A - I + P E Q* + Q E P* + P (E (P* Q) E - 2E) P*,
+
+        A plus one rank-2h product.  Y vanishes in exact arithmetic, so the
+        trace is >= 0 up to rounding and its square root is taken at 0 or
+        above.  A comes from :func:`theta_gram`; then one p x p product Y A,
+        and no decomposition.  Only the two p x p arrays A and Y are alive:
+        Y A overwrites Y a block of 128 rows at a time, since its rows need
+        only Y's same rows.  The Frobenius norm is never smaller than the
+        spectral norm, so a tolerance on it is no easier to pass.  lambda_h
+        and U_h are the record (:attr:`spectrum`); on its Gram route U_h
+        comes from K, so the residual also measures how well K's
+        eigenvectors fit Theta.
+        """
+        spectrum = self.spectrum  # first: building the record forms and drops its own A
+        a = theta_gram(self)
+        p_h = spectrum.eigvecs
+        e = np.diag(1.0 / (1.0 + np.sqrt(spectrum.kept)) - 1.0)
+        q_h = a @ p_h
+        low_rank = np.hstack([p_h, q_h])
+        core = np.block([[e @ (adj(p_h) @ q_h) @ e - 2.0 * e, e], [e, np.zeros_like(e)]])
+        y = (low_rank @ core) @ adj(low_rank)
+        y += a
+        y.flat[:: y.shape[0] + 1] -= 1.0
+        for i in range(0, y.shape[0], _ROW_BLOCK):  # a block of rows of Y A only needs Y's
+            y[i : i + _ROW_BLOCK] = y[i : i + _ROW_BLOCK] @ a
+        return float(np.sqrt(max(np.einsum("ij,ji->", y, y).real, 0.0)))
 
     @cached_property
     def fourier_blocks(self) -> np.ndarray:
@@ -729,3 +783,29 @@ def coincidence_necessary_mismatch(t1: CharFn, t2: CharFn) -> float:
     s1 = np.linalg.svd(t1.fourier_blocks, compute_uv=False)
     s2 = np.linalg.svd(t2.fourier_blocks, compute_uv=False)
     return float(np.max(np.abs(s1 - s2), initial=0.0))
+
+
+def coincidence_residual(
+    theta: CharFn, theta_p: CharFn, tau: np.ndarray, tau_star: np.ndarray
+) -> float:
+    """The spectral norm |D| of D = (I (x) tau) Theta_N - Theta'_N (I (x) tau_star).
+
+    Both functions are compressed to one N, so D is the function with the
+    Fourier blocks delta_(alpha) = tau theta_(alpha) - theta'_(alpha) tau_star,
+    formed once:
+
+        D = sum_alpha (N* R_alpha N) (x) delta_(alpha).
+
+    When N is the whole space D is multi-analytic, so |D| =
+    sqrt(lambda_max(D D*)), still the exact spectral norm, with lambda_max
+    from the Stein recursion of the blocks deflated at a level k
+    (:func:`stein_lambda_max`): an ``eigh`` of the Gram of D at degree
+    d - k, about p / n^k rows, and a secular equation of width
+    d_star dim_(k-1); nothing p x p or p x q is formed.  Otherwise (relation
+    families) D is contracted from the blocks (:func:`_theta_n`) and its
+    norm taken by :func:`linalg.opnorm`.
+    """
+    delta = tau @ theta.blocks - theta_p.blocks @ tau_star
+    if theta.sub.is_whole_space:
+        return float(np.sqrt(max(stein_lambda_max(theta.space, delta), 0.0)))
+    return opnorm(_theta_n(theta.sub, delta))

@@ -348,7 +348,7 @@ def _cmd_model(args) -> int:
     report.update(
         {
             "dims": {"p": model.p, "q": model.q, "s": model.s, "h": model.h},
-            "isometry_residual_F": model.isometry_residual,
+            "isometry_residual_F": model.theta.isometry_residual,
             "branch": ops.used,
             "branch_agreement": ops.branch_agreement,
             "injectivity_margin": ops.injectivity_margin,
@@ -368,7 +368,7 @@ def _cmd_model(args) -> int:
         }
     )
     tail = model.tail_bound
-    _check(checks, "isometry-F", model.isometry_residual, 1e-9)
+    _check(checks, "isometry-F", model.theta.isometry_residual, 1e-9)
     # The least-squares residual of the defining relation measures the tilt of
     # the truncated model space, which scales with sqrt(tail), not tail.
     _check(checks, "def", max(ops.defining_residual), 1e-7 + 10 * tail**0.5)

@@ -24,6 +24,7 @@ identically.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -124,6 +125,18 @@ class TruncatedFockSpace:
     def vacuum(self) -> np.ndarray:
         return self.basis_vector(())
 
+    @cached_property
+    def _target_tables(self) -> dict[str, np.ndarray]:
+        """The read-only n x dim_up_to(d - 1) tables of :func:`creation_targets`, per side."""
+        # the words of degree < d, each of degree k at position p of its block
+        words = np.arange(self.dim_up_to(self.d - 1))
+        k, letters = self.degrees[words], np.arange(self.n)[:, None]
+        start, p = self._offsets[k + 1], words - self._offsets[k]
+        tables = {"left": start + letters * self.n**k + p, "right": start + p * self.n + letters}
+        for table in tables.values():
+            table.flags.writeable = False
+        return tables
+
 
 def creation_targets(space: TruncatedFockSpace, i: int, side: str = "left") -> np.ndarray:
     """Flat index of (i,) + w (side "left") or w + (i,) (side "right") per word w of degree < d.
@@ -133,18 +146,13 @@ def creation_targets(space: TruncatedFockSpace, i: int, side: str = "left") -> n
     its degree-k block lands at position (i - 1) n^k + p (left) or
     p n + (i - 1) (right) of the degree-(k + 1) block.  The creation
     operators are these partial permutations; top-degree words have no
-    target.
+    target.  The result is a read-only row of the space's table for that
+    side, built once for all letters.
     """
     _check_letter(space, i)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    n = space.n
-    out = []
-    for k in range(space.d):
-        p = np.arange(n**k)
-        shift = (i - 1) * n**k + p if side == "left" else p * n + (i - 1)
-        out.append(space.degree_slice(k + 1).start + shift)
-    return np.concatenate(out) if out else np.zeros(0, dtype=int)
+    return space._target_tables[side][i - 1]
 
 
 def left_target_slice(space: TruncatedFockSpace, i: int, k: int) -> slice:

@@ -57,7 +57,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import TruncatedFockSpace, Word, _partial_permutation, creation_targets
+from .fock import TruncatedFockSpace, Word, creation_targets
 from .linalg import NumericalRankWarning, adj, canonical_phase, kron_left
 
 _CROSSCHECK_TOL = 1e-12
@@ -490,15 +490,13 @@ def constrained_creation(sub: ConstrainedSubspace, i: int, side: str = "left") -
     """Compression N* S N of a creation operator to the constrained subspace N, as a matrix.
 
     S sends the c-th word of degree < d to its target word, so S N has the
-    rows of N's prefix at the targets and N* S N = N[targets]* N[prefix].
-    When N is the whole space it is S itself, the dense partial permutation.
-    The package applies B_i* by :meth:`ConstrainedSubspace.shift_adjoint`
+    rows of N's prefix at the targets and N* S N = N[targets]* N[prefix];
+    when N is the whole space, N_basis is I and this is S itself.  The
+    package applies B_i* by :meth:`ConstrainedSubspace.shift_adjoint`
     instead; the matrices serve the closed form at the compressed right
     shifts and the coinvariance leak of a relation family.
     """
     targets = creation_targets(sub.space, i, side)
-    if sub.is_whole_space:
-        return _partial_permutation(sub.space, targets)
     return adj(sub.N_basis[targets]) @ sub.N_basis[: targets.size]
 
 

@@ -8,7 +8,7 @@ real and positive, or a positive pivot in :func:`projector_basis`) so
 repeated runs serialize identically.
 
 The package's operators act on (words) (x) (defect space), word-major; the
-four ``kron_*`` helpers take their block products by one matmul on a reshape,
+three ``kron_*`` helpers take their block products by one matmul on a reshape,
 never forming a Kronecker matrix, and give empty operands empty results.
 """
 
@@ -42,11 +42,6 @@ def kron_right(x: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
 def kron_inner(b: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """(I_k (x) B) X: the rows of X come in k blocks, each mapped by B."""
     return (b @ x.reshape(k, b.shape[1], x.shape[1])).reshape(k * b.shape[0], x.shape[1])
-
-
-def kron_inner_right(x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """X (I_k (x) B): the columns of X come in k blocks, each mapped by B."""
-    return (x.reshape(x.shape[0] * k, b.shape[0]) @ b).reshape(x.shape[0], k * b.shape[1])
 
 
 _GRAM_SAFE = (1e-140, 1e140)  # entry scales whose squares neither overflow nor underflow

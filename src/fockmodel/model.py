@@ -34,17 +34,13 @@ model keeps no copy of them.  The reported basis of that span is
 the one its shift rows, I - Theta Theta* in the model projector, fix
 (``linalg.projector_basis``), so the model operators do not depend on how
 the eigensolver splits a repeated eigenvalue.  Phihat and Delta are never
-formed.  The isometry residual |Phihat* Phihat - I|_F is measured, when
-asked for, as the square root of tr((Y A)^2) with A = Theta Theta* and Y a
-rank-2h update of A - I: p x p work, one p x p product and no decomposition
-(:attr:`ModelData.isometry_residual`).  On the zero family A itself comes
-from the Fourier blocks by the Stein recursion (:func:`charfn.stein_gram`),
-with no product of Theta, and the certificate's ``com`` takes the top
-eigenvalue of the coincidence difference's Gram from that recursion
-deflated at a level k (:func:`charfn.stein_lambda_max`), forming no p x p
-array.  Theta* u_k is taken on the Fourier blocks for every family
-(:func:`charfn.theta_star`), so the model never reads the p x q matrix of
-Theta.
+formed.  Theta is read only through that record, the kernel, Theta* u_k on
+the Fourier blocks for every family (:func:`charfn.theta_star`), and two
+measurements that :mod:`charfn` takes of the function alone: the isometry
+residual |Phihat* Phihat - I|_F (:attr:`charfn.CharFn.isometry_residual`,
+p x p work and no decomposition) and the certificate's coincidence residual
+(:func:`charfn.coincidence_residual`).  So the model never reads the p x q
+matrix of Theta, nor how the function is held.
 
 The operators (:attr:`ModelData.operators`) and Gamma
 (:attr:`ModelData.gamma`) are later stages of the model, built on first use.
@@ -85,15 +81,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .charfn import CharFn, stein_lambda_max, theta_gram, theta_star
+from .charfn import CharFn, coincidence_residual, theta_star
 from .contractions import Classification, TriState
 from .linalg import (
-    _ROW_BLOCK,
     adj,
     gram,
     hermitian_norm,
     kron_inner,
-    kron_inner_right,
     opnorm,
     principal_angles,
     projector_basis,
@@ -108,10 +102,11 @@ class ModelData:
 
     Bases live in the coordinates C^p (+) C^q of Phihat = [Theta ; Delta].
     The eigenpairs stay on the function's record
-    (:attr:`charfn.CharFn.spectrum`), which the isometry residual reads; it
-    is measured only when read.  ``classification`` is the one the model was
-    built with; it picks the operator branch of the later stages,
-    :attr:`operators` and :attr:`gamma`, each built on first use and kept.
+    (:attr:`charfn.CharFn.spectrum`), and so does the isometry residual
+    (:attr:`charfn.CharFn.isometry_residual`).  ``classification`` is the
+    one the model was built with; it picks the operator branch of the later
+    stages, :attr:`operators` and :attr:`gamma`, each built on first use and
+    kept.
     """
 
     theta: CharFn
@@ -135,52 +130,6 @@ class ModelData:
     @property
     def tail_bound(self) -> float:
         return self.theta.tail_bound
-
-    @cached_property
-    def isometry_residual(self) -> float:
-        """|Phihat* Phihat - I|_F, from p x p arrays: Theta Theta* and one p x p product.
-
-        Delta = I - Z* Z with Z = D U* Theta, U the eigenvectors of
-        I - Theta Theta* and D = diag(1 / sqrt(1 + sqrt(lambda))), the
-        lambda at or below the rank cut 1e-10 counting as 0 (so Delta has
-        rank s); the rows of Z are orthogonal, so no q-side decomposition
-        defines Delta.  D is 1 off the h kept eigenpairs (lambda_h, P = U_h),
-        so M = U D^2 U* = I + P E P* with E = D_h^2 - I, and only they are
-        needed.  With A = Theta Theta*, Z* Z = Theta* M Theta gives
-
-            Phihat* Phihat - I = Theta* Y Theta,   Y = I - 2M + M A M,
-
-        so |Phihat* Phihat - I|_F^2 = tr((Y A)^2), the norm of the same
-        operator, not an estimate.  With Q = A P,
-
-            Y = A - I + P E Q* + Q E P* + P (E (P* Q) E - 2E) P*,
-
-        A plus one rank-2h product.  Y vanishes in exact arithmetic, so the
-        trace is >= 0 up to rounding and its square root is taken at 0 or
-        above.  A comes from :func:`charfn.theta_gram`: the Stein recursion
-        of the Fourier blocks when N is the whole space, a row Gram of Theta
-        otherwise; then one p x p product Y A, and no decomposition.  Only
-        the two p x p arrays A and Y are alive: Y A overwrites Y a block of
-        128 rows at a time, since its rows need only Y's same rows.  The
-        Frobenius norm is never smaller than the spectral norm, so a
-        tolerance on it is no easier to pass.  lambda_h and U_h are the
-        function's record (:attr:`charfn.CharFn.spectrum`); on its Gram route
-        U_h comes from K, so the residual also measures how well K's
-        eigenvectors fit Theta.
-        """
-        spectrum = self.theta.spectrum
-        a = theta_gram(self.theta)
-        p_h = spectrum.eigvecs
-        e = np.diag(1.0 / (1.0 + np.sqrt(spectrum.kept)) - 1.0)
-        q_h = a @ p_h
-        low_rank = np.hstack([p_h, q_h])
-        core = np.block([[e @ (adj(p_h) @ q_h) @ e - 2.0 * e, e], [e, np.zeros_like(e)]])
-        y = (low_rank @ core) @ adj(low_rank)
-        y += a
-        y.flat[:: y.shape[0] + 1] -= 1.0
-        for i in range(0, y.shape[0], _ROW_BLOCK):  # a block of rows of Y A only needs Y's
-            y[i : i + _ROW_BLOCK] = y[i : i + _ROW_BLOCK] @ a
-        return float(np.sqrt(max(np.einsum("ij,ji->", y, y).real, 0.0)))
 
     @cached_property
     def operators(self) -> ModelOperators:
@@ -312,8 +261,7 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
     dense p x p ``eigh`` otherwise; reading the verdicts too takes no second
     decomposition.  Theta* u_k comes from the Fourier blocks
     (:func:`charfn.theta_star`).  No q x q array is formed, and the record
-    keeps only the p x h kept eigenvectors; the isometry residual is
-    measured on first access.
+    keeps only the p x h kept eigenvectors.
 
     Inside a repeated eigenvalue the eigenvectors are arbitrary, so both
     reported bases are rechosen by :func:`linalg.projector_basis`, pivoting
@@ -409,10 +357,10 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
 
         | (I (x) tau) Theta - Theta' (I (x) tau_star) |
 
-    (:func:`coincidence_residual`; on the whole space from the Stein
-    recursion, never a p x q difference), which vanishes at truncation up to
-    rounding whenever the input contract holds, and how far tau and tau_star
-    are from isometries (``tau_unitary_residual``).
+    (:func:`charfn.coincidence_residual`, from one difference of Fourier
+    blocks; on the whole space no p x q array is formed), which vanishes at
+    truncation up to rounding whenever the input contract holds, and how far
+    tau and tau_star are from isometries (``tau_unitary_residual``).
     """
     if not theta.sub.same_as(theta_p.sub):
         raise ValueError("the two characteristic functions are compressed to different subspaces")
@@ -449,29 +397,6 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
         theta=theta,
         theta_p=theta_p,
     )
-
-
-def coincidence_residual(
-    theta: CharFn, theta_p: CharFn, tau: np.ndarray, tau_star: np.ndarray
-) -> float:
-    """The spectral norm |D| of D = (I (x) tau) Theta - Theta' (I (x) tau_star).
-
-    When N is the whole space D is multi-analytic with the blocks
-    tau theta_alpha - theta'_alpha tau_star, so |D| = sqrt(lambda_max(D D*)),
-    still the exact spectral norm, with lambda_max from the Stein recursion
-    deflated at a level k (:func:`charfn.stein_lambda_max`): an ``eigh`` of
-    the Gram of D at degree d - k, about p / n^k rows, and a secular
-    equation of width d_star dim_(k-1).  Nothing p x p or p x q is formed.
-    Otherwise (relation families) the difference is formed and its norm
-    taken by :func:`linalg.opnorm`.
-    """
-    if theta.sub.is_whole_space:
-        top = stein_lambda_max(theta.space, tau @ theta.blocks - theta_p.blocks @ tau_star)
-        return float(np.sqrt(max(top, 0.0)))
-    words = theta.sub.dim_N
-    lhs = kron_inner(tau, theta.matrix, words)
-    rhs = kron_inner_right(theta_p.matrix, tau_star, words)
-    return opnorm(lhs - rhs)
 
 
 @dataclasses.dataclass

@@ -19,7 +19,6 @@ from fockmodel.linalg import (
     gram,
     hermitian_norm,
     kron_inner,
-    kron_inner_right,
     kron_left,
     kron_right,
     opnorm,
@@ -405,7 +404,6 @@ def test_kron_helpers_match_the_explicit_kronecker_products(rows, cols, d, free)
         (kron_left(a, x := _complex(rng, cols * d, free), d), np.kron(a, eye) @ x),
         (kron_right(x := _complex(rng, free, rows * d), a, d), x @ np.kron(a, eye)),
         (kron_inner(a, x := _complex(rng, d * cols, free), d), np.kron(eye, a) @ x),
-        (kron_inner_right(x := _complex(rng, free, d * rows), a, d), x @ np.kron(eye, a)),
     ]
     for got, want in cases:
         assert got.shape == want.shape

@@ -48,15 +48,13 @@ from fockmodel import (
     validate,
     verify_coincidence_implies_equivalence,
 )
+from fockmodel.charfn import coincidence_residual
 from fockmodel.linalg import (
     NumericalRankWarning,
-    kron_inner,
-    kron_inner_right,
     principal_angles,
     projector_basis,
     psd_spectrum,
 )
-from fockmodel.model import coincidence_residual
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     conjugated_tuple,
@@ -91,7 +89,7 @@ def test_unilateral_shift_model_is_one_dimensional(subspace_factory):
     sub = subspace_factory("zero", n=1, d=6)
     cls, _, k, model, ops = _pipeline([np.array([[0.0]])], sub)
     assert (model.p, model.q, model.s, model.h) == (7, 7, 1, 1)
-    assert model.isometry_residual == 0.0
+    assert model.theta.isometry_residual == 0.0
     assert ops.Tt[0].shape == (1, 1)
     assert abs(ops.Tt[0][0, 0]) < 1e-14
     assert ops.injectivity_margin == pytest.approx(1.0)
@@ -109,7 +107,7 @@ def test_commuting_nilpotent_triple_dims(subspace_factory):
     assert (model.p, model.q, model.s, model.h) == (84, 168, 87, 3)
     assert model.h == mats[0].shape[0]
     assert model.tail_bound == 0.0  # nilpotent: the truncation is lossless
-    assert model.isometry_residual < 1e-12
+    assert model.theta.isometry_residual < 1e-12
     assert max(ops.defining_residual) < 1e-12
     assert ops.injectivity_margin == pytest.approx(1.0, abs=1e-10)
 
@@ -300,10 +298,9 @@ def test_witness_rejects_non_conjugating_unitaries(conjugated_pair):
 
 
 def _dense_coincidence_residual(theta, theta_p, tau, tau_star):
-    """|(I (x) tau) Theta - Theta' (I (x) tau_star)| from the formed difference, by an SVD."""
-    words = theta.sub.dim_N
-    lhs = kron_inner(tau, theta.matrix, words)
-    return opnorm(lhs - kron_inner_right(theta_p.matrix, tau_star, words))
+    """|(I (x) tau) Theta - Theta' (I (x) tau_star)| from the two matrices and np.kron, by an SVD."""
+    eye = np.eye(theta.sub.dim_N)
+    return opnorm(np.kron(eye, tau) @ theta.matrix - theta_p.matrix @ np.kron(eye, tau_star))
 
 
 @pytest.mark.parametrize("kind", ["nilpotent", "dense", "jordan-pair", "coisometry"])
@@ -349,16 +346,39 @@ def _check_the_zero_family_com(kind, n, d, sub):
     assert abs(got - want) <= 1e-12 * want
 
 
-def test_com_of_a_relation_family_is_the_formed_difference(conjugated_pair):
-    # N is not the whole space: com is opnorm of the formed difference
-    sub, mats, mats_p, u = conjugated_pair
-    wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(mats_p, sub), u)
-    assert not wit.theta.sub.is_whole_space
-    tau, tau_star = np.eye(wit.tau.shape[0]), np.eye(wit.tau_star.shape[0])
-    got = coincidence_residual(wit.theta, wit.theta_p, tau, tau_star)
-    want = _dense_coincidence_residual(wit.theta, wit.theta_p, tau, tau_star)
-    assert want > 0.1
-    assert abs(got - want) <= 1e-12 * want
+def test_com_of_a_relation_family_is_the_formed_difference(space_factory):
+    # N is not the whole space: com contracts the one difference of Fourier
+    # blocks to N; against the difference of the two formed matrices, by
+    # np.kron, it is rounding-level for a conjugate pair, and agrees to a
+    # relative 1e-12 for two distinct tuples with tau and tau_star the
+    # identity, on every relation family at two and three letters
+    for family in ORACLE_FAMILIES:
+        if family != "zero":
+            for n, d in [(2, 5), (3, 3)]:
+                _check_relation_family_com(family, n, d, space_factory(n, d))
+
+
+def _check_relation_family_com(family, n, d, space):
+    case = f"{family} at (n, d) = ({n}, {d})"
+    sub = ideal_subspace(oracle_family(family, n, d), space)
+    assert not sub.is_whole_space, case
+    rng = np.random.default_rng([n, d])
+    mats = oracle_tuple(family, n, rng)
+    u = haar_unitary(mats[0].shape[0], rng)
+    wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(conjugated_tuple(mats, u), sub), u)
+    want = _dense_coincidence_residual(wit.theta, wit.theta_p, wit.tau, wit.tau_star)
+    assert wit.residual < 1e-13 and want < 1e-13, (case, wit.residual, want)
+    other = oracle_tuple(family, n, np.random.default_rng([n, d, 1]))
+    if all(np.array_equal(t, o) for t, o in zip(mats, other)):
+        assert family == "custom-constant-term", case  # one tuple: only its pair runs
+        return
+    th, th_o = wit.theta, theta_of(other, sub)
+    assert (th_o.d_T, th_o.d_star) == (th.d_T, th.d_star), case
+    tau, tau_star = np.eye(th.d_T), np.eye(th.d_star)
+    got = coincidence_residual(th, th_o, tau, tau_star)
+    want = _dense_coincidence_residual(th, th_o, tau, tau_star)
+    assert want > 0.1, (case, want)
+    assert abs(got - want) <= 1e-12 * want, (case, got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +550,8 @@ def test_closed_form_model_basis_is_the_complement_of_phihat(case, subspace_fact
     p, q = model.p, model.q
     h, phihat = model.H_basis, _dense_phihat(model)
     assert h.shape == (p + q, model.h) and phihat.shape == (p + q, q)
-    assert model.isometry_residual < 1e-12
-    assert abs(model.isometry_residual - _dense_isometry_residual(model)) < 1e-13
+    assert model.theta.isometry_residual < 1e-12
+    assert abs(model.theta.isometry_residual - _dense_isometry_residual(model)) < 1e-13
     assert opnorm(adj(h) @ h - np.eye(model.h)) < 1e-12
     assert opnorm(adj(phihat) @ h) < 1e-12
     # together they fill C^p (+) ran Delta, ran Delta = ran E from the SVD
@@ -586,8 +606,8 @@ def test_empty_and_degenerate_shapes(matrix, dims):
     assert model.H_basis.shape == (p + q, h)
     phihat = _dense_phihat(model)
     assert phihat.shape == (p + q, q)
-    assert model.isometry_residual < 1e-12
-    assert abs(model.isometry_residual - _dense_isometry_residual(model)) < 1e-13
+    assert model.theta.isometry_residual < 1e-12
+    assert abs(model.theta.isometry_residual - _dense_isometry_residual(model)) < 1e-13
     assert opnorm(adj(model.H_basis) @ model.H_basis - np.eye(h)) < 1e-12
     assert opnorm(adj(phihat) @ model.H_basis) < 1e-12
 
@@ -632,8 +652,8 @@ def test_isometry_residual_on_ran_theta_star_is_the_dense_norm(n, subspace_facto
     p, q = th.matrix.shape
     assert (p == q) if n == 1 else (p < q)
     model = build_model(th)
-    assert abs(model.isometry_residual - _dense_isometry_residual(model)) < 1e-13
-    assert model.isometry_residual >= _dense_isometry_residual(model, 2)
+    assert abs(model.theta.isometry_residual - _dense_isometry_residual(model)) < 1e-13
+    assert model.theta.isometry_residual >= _dense_isometry_residual(model, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -644,8 +664,8 @@ def test_isometry_residual_on_ran_theta_star_holds_for_any_eigen_data(n, subspac
     bent = _bent(model, 1e-3)
     want = _dense_isometry_residual(bent)
     assert want > 1e-7
-    assert abs(bent.isometry_residual - want) <= 1e-9 * want
-    assert bent.isometry_residual >= _dense_isometry_residual(bent, 2)
+    assert abs(bent.theta.isometry_residual - want) <= 1e-9 * want
+    assert bent.theta.isometry_residual >= _dense_isometry_residual(bent, 2)
 
 
 def _qr_isometry_residual(model):
@@ -684,10 +704,33 @@ def test_isometry_residual_is_the_qr_route(case, bend, subspace_factory):
     want = _qr_isometry_residual(model)
     if bend:
         assert want > 1e-7
-        assert abs(model.isometry_residual - want) <= 1e-9 * want
+        assert abs(model.theta.isometry_residual - want) <= 1e-9 * want
     else:
-        assert max(model.isometry_residual, want) < 1e-12
-        assert abs(model.isometry_residual - want) < 1e-13
+        assert max(model.theta.isometry_residual, want) < 1e-12
+        assert abs(model.theta.isometry_residual - want) < 1e-13
+
+
+@pytest.mark.parametrize("n, d", ORACLE_SIZES)
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_isometry_residual_is_at_most_the_eigen_data_gap(family, n, d, space_factory):
+    # with M = I + P E P* and G' = I - A - P diag(lambda) P*, pure algebra
+    # gives Y = -M G' M for any kept eigen-data (lambda, P), and |M| <= 1,
+    # |Theta| <= 1, so isometry-F = |Theta* Y Theta|_F <= |G'|_F; asserted
+    # with the record bent by 1e-3.  On the Gram route P diag(lambda) P* is
+    # K K*, so on the record itself |G'|_F is J-fa-F's |I - A - K K*|_F
+    sub = ideal_subspace(oracle_family(family, n, d), space_factory(n, d))
+    model = build_model(theta_of(oracle_tuple(family, n, np.random.default_rng([n, d])), sub))
+    th = model.theta.matrix
+    a = th @ adj(th)
+
+    def eigen_data_gap(theta):
+        p_h, kept = theta.spectrum.eigvecs, theta.spectrum.kept
+        return np.linalg.norm(np.eye(a.shape[0]) - a - (p_h * kept) @ adj(p_h))
+
+    bent = _bent(model, 1e-3).theta
+    assert bent.isometry_residual <= eigen_data_gap(bent)
+    if model.theta.spectrum.gap <= 1e-12:
+        assert abs(eigen_data_gap(model.theta) - model.theta.spectrum.gap) <= 1e-14
 
 
 @pytest.mark.parametrize("gap, s", [(1e-9, 2), (5e-11, 1)])
@@ -774,7 +817,7 @@ def test_build_model_decomposes_nothing_larger_than_m(zero_family_pair, monkeypa
     built = len(seen)
     tracemalloc.start()
     try:
-        assert model.isometry_residual < 1e-12
+        assert model.theta.isometry_residual < 1e-12
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -813,7 +856,7 @@ def test_every_reader_of_the_spectrum_shares_one_decomposition(case, space_facto
     delta_and_classify(th)
     gap = th.spectrum.gap
     model = build_model(th)
-    assert model.isometry_residual >= 0.0
+    assert model.theta.isometry_residual >= 0.0
     delta_and_classify(th)
     decompositions = [call for call in seen if call[0] != "qr"]  # projector_basis: h x h pivots
     if family == "custom-constant-term":
@@ -964,7 +1007,7 @@ def test_the_gram_route_matches_the_dense_route(case, space_factory):
     if h_pure is not None:
         assert model.H_pure_basis.shape == h_pure.shape
         assert np.max(np.abs(model.H_pure_basis - h_pure), initial=0.0) <= 1e-13
-    assert abs(model.isometry_residual - isometry) <= 1e-13
+    assert abs(model.theta.isometry_residual - isometry) <= 1e-13
 
 
 def _fallback_cases():
@@ -1005,7 +1048,7 @@ def test_the_dense_fallback_is_the_dense_route(case, space_factory, subspace_fac
         assert model.H_pure_basis.shape == h_pure.shape
         assert np.max(np.abs(model.H_pure_basis - h_pure), initial=0.0) <= 1e-13
     # Delta is now formed from the h kept eigenpairs, not all p
-    assert abs(model.isometry_residual - isometry) <= 1e-13
+    assert abs(model.theta.isometry_residual - isometry) <= 1e-13
 
 
 def test_the_zero_tuple_model_basis_has_an_exactly_real_diagonal(subspace_factory):
