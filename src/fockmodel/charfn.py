@@ -134,7 +134,8 @@ from .linalg import (
 )
 from .poisson import KernelMatrix
 
-_SERIES_AGREEMENT_TOL = 1e-10
+_COINVARIANCE_TOL = 1e-8  # max_i |R_i* N - N B_i*| of a graded family
+_SERIES_AGREEMENT_TOL = 1e-10  # |Theta_N - Theta_T(B)| between the compression and the series
 _NILPOTENT_TOL = 1e-24  # for sum_{|w| = j} |X_w|_F^2 at a point of row norm 1
 
 
@@ -368,7 +369,7 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
         raising = constrained_creation_tuple(sub, "right")
         leak = theta.coinvariance_leak = _coinvariance_leak(sub, raising)
         if sub.graded:
-            if leak > 1e-8:
+            if leak > _COINVARIANCE_TOL:
                 raise RuntimeError(
                     f"a right shift leaks {leak:.3e} from the relation span "
                     "into the constrained subspace"
@@ -713,8 +714,6 @@ class DeltaClassification:
     inner: bool
     outer: bool
     partial_isometry_residual: float
-    inner_threshold: float
-    outer_threshold: float
     sigma_squared: np.ndarray
     rank_deficiency: int
     norm: float
@@ -759,8 +758,6 @@ def delta_and_classify(theta: CharFn) -> DeltaClassification:
         inner=bool(residual < inner_threshold),
         outer=bool(deficiency == 0),
         partial_isometry_residual=residual,
-        inner_threshold=float(inner_threshold),
-        outer_threshold=float(outer_threshold),
         sigma_squared=sq,
         rank_deficiency=int(deficiency),
         norm=float(np.sqrt(sq[0])) if sq.size else 0.0,

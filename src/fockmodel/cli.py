@@ -40,12 +40,15 @@ import numpy as np
 
 from . import __version__
 from .charfn import (
+    _COINVARIANCE_TOL,
+    _SERIES_AGREEMENT_TOL,
     coincidence_necessary_mismatch,
     constrained_characteristic_function,
     delta_and_classify,
 )
 from .contractions import (
     _RELATION_TOL,
+    _ROW_NORM_TOL,
     TriState,
     classify,
     constraint_residual,
@@ -201,11 +204,12 @@ def _gamma_residual(gamma) -> float:
     )
 
 
-def _check(checks: list, name: str, residual, tolerance: float) -> None:
-    """Record one verified identity; every pass/fail cites the tolerance used."""
+def _check(checks: list, name: str, residual, tolerance: float) -> bool:
+    """Record one verified identity and return whether it passed; each cites its tolerance."""
     value = float(residual)
     checks.append({"name": name, "residual": value, "tolerance": float(tolerance),
                    "pass": bool(value <= tolerance)})
+    return checks[-1]["pass"]
 
 
 def _gate(run: _Run, report: dict, checks: list, which: str = "") -> str | None:
@@ -220,12 +224,11 @@ def _gate(run: _Run, report: dict, checks: list, which: str = "") -> str | None:
     if not which:
         validation["messages"] = v.messages
     report["validation" + key] = validation
-    _check(checks, "row-contraction" + name, max(0.0, v.row_norm * v.row_norm - 1.0), 1e-10)
-    if not v.is_row_contraction:
+    excess = max(0.0, v.row_norm * v.row_norm - 1.0)
+    if not _check(checks, "row-contraction" + name, excess, _ROW_NORM_TOL):
         return prefix + "not-a-row-contraction"
     report["constraint_residual" + key] = run.relation_residual
-    _check(checks, "relations" + name, run.relation_residual, 1e-10)
-    if run.relation_residual > _RELATION_TOL:
+    if not _check(checks, "relations" + name, run.relation_residual, _RELATION_TOL):
         return prefix + "relations-violated"
     return None
 
@@ -325,9 +328,9 @@ def _cmd_charfn(args) -> int:
     _check(checks, "J-fa-F", jfa, 1e-9 if exact_case else 1e-9 + 10 * tail)
     _check(checks, "K*K", report["residuals"]["K*K"], tail + 1e-10)
     if theta.series_agreement is not None:
-        _check(checks, "series-agree", theta.series_agreement, 1e-10)
+        _check(checks, "series-agree", theta.series_agreement, _SERIES_AGREEMENT_TOL)
     if theta.coinvariance_leak is not None and sub.graded:
-        _check(checks, "coinvariance", theta.coinvariance_leak, 1e-8)
+        _check(checks, "coinvariance", theta.coinvariance_leak, _COINVARIANCE_TOL)
     return _finish(report, checks, args.out)
 
 
@@ -417,7 +420,7 @@ def _cmd_equiv(args) -> int:
     report["necessary_mismatch"] = mismatch
 
     if args.unitary is None:
-        coincide_possible = mismatch <= 1e-6
+        coincide_possible = _check(checks, "fourier-screen", mismatch, 1e-6)
         report["equivalent"] = None if coincide_possible else False
         report["residuals"] = {"com": mismatch}
         report["note"] = (
@@ -425,7 +428,6 @@ def _cmd_equiv(args) -> int:
             if coincide_possible
             else "Fourier singular values differ; the functions cannot coincide"
         )
-        _check(checks, "fourier-screen", mismatch, 1e-6)
         return _finish(report, checks, args.out)
 
     if problem.m != problem_b.m:
@@ -461,15 +463,9 @@ def _cmd_equiv(args) -> int:
             },
         }
     )
-    _check(checks, "conjugation", witness.conjugation_residual, 1e-10)
-    _check(checks, "tau-unitary", witness.tau_unitary_residual, 1e-10)
-    _check(checks, "com", witness.residual, 1e-9)
-    _check(checks, "subspace-angle", eq.max_principal_angle, 1e-6)
-    _check(checks, "model-intertwine", eq.model_intertwining, 1e-7)
-    _check(checks, "recovered-unitary", eq.recovered_unitarity, 1e-6)
-    _check(checks, "recovered-intertwine", eq.recovered_intertwining, 1e-6)
-    code = _finish(report, checks, args.out)
-    return code if eq.equivalent else 1
+    for name, residual, tolerance in eq.checks:
+        _check(checks, name, residual, tolerance)
+    return _finish(report, checks, args.out)
 
 
 if __name__ == "__main__":

@@ -92,11 +92,18 @@ class ValidationReport:
     messages: list[str]
 
 
-_ROW_NORM_TOL = 1e-10  # how far above 1 a row contraction's row norm may round
+# How far above 1 a row contraction's squared row norm |sum T_i T_i*| may
+# round: psd_spectrum allows I - sum T_i T_i* the same distance below 0.
+_ROW_NORM_TOL = 1e-10
 
 
 def validate(ts: Sequence[np.ndarray]) -> ValidationReport:
-    """Check shapes and the row-contraction inequality sum T_i T_i* <= I."""
+    """Check shapes and the row-contraction inequality sum T_i T_i* <= I.
+
+    The tuple is a row contraction when |sum T_i T_i*| - 1 = rn^2 - 1 is at
+    most ``_ROW_NORM_TOL``, the residual and tolerance of the report's
+    ``row-contraction`` check.
+    """
     mats = as_matrices(ts)
     m = mats[0].shape[0]
     messages: list[str] = []
@@ -106,9 +113,9 @@ def validate(ts: Sequence[np.ndarray]) -> ValidationReport:
         if not np.all(np.isfinite(t)):
             raise ValueError(f"entry {k} contains non-finite values")
     rn = row_norm(mats)
-    ok = rn <= 1.0 + _ROW_NORM_TOL
+    ok = rn * rn - 1.0 <= _ROW_NORM_TOL
     if not ok:
-        messages.append(f"row norm {rn:.6g} exceeds 1 (tolerance {_ROW_NORM_TOL:.0e})")
+        messages.append(f"squared row norm {rn * rn:.6g} exceeds 1 + {_ROW_NORM_TOL:.0e}")
     return ValidationReport(n=len(mats), m=m, row_norm=rn, is_row_contraction=ok, messages=messages)
 
 
@@ -281,7 +288,7 @@ def truncation_tail(ts: Sequence[np.ndarray], d: int) -> float:
 
 
 # A tuple whose constraint_residual exceeds this does not satisfy its relations.
-_RELATION_TOL = 1e-8
+_RELATION_TOL = 1e-10
 
 
 def constraint_residual(ts: Sequence[np.ndarray], spec: PolyIdealSpec) -> float:
@@ -302,7 +309,7 @@ def require_relations(
     *,
     residual: float | None = None,
 ) -> None:
-    """Refuse with ValueError a tuple whose constraint_residual exceeds 1e-8.
+    """Refuse with ValueError a tuple whose constraint_residual exceeds 1e-10.
 
     ``residual`` reuses the tuple's constraint_residual under ``spec`` when
     the caller already has it.

@@ -219,7 +219,8 @@ class ModelData:
         basis = ops.basis
         h1 = basis[: self.p, :]
         gamma = adj(h1) @ k
-        embedding_residual = opnorm(np.vstack([h1 @ gamma - k, basis[self.p :, :] @ gamma]))
+        projection = h1 @ gamma - k
+        embedding_residual = opnorm(np.vstack([projection, basis[self.p :, :] @ gamma]))
         eye_h = np.eye(self.h, dtype=complex)
         eye_m = np.eye(gamma.shape[1], dtype=complex)
         unitary_residual = max(
@@ -242,7 +243,7 @@ class ModelData:
             unitary_residual=float(unitary_residual),
             intertwining=inter,
             norm_identity_residual=norm_identity,
-            projection_residual=float(opnorm(h1 @ gamma - k)),
+            projection_residual=float(opnorm(projection)),
         )
 
 
@@ -341,6 +342,10 @@ class CoincidenceWitness:
     theta_p: CharFn
 
 
+# The bound of the certificate's conjugation check, which coincidence_from_unitary refuses above.
+_CONJUGATION_TOL = 1e-10
+
+
 def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> CoincidenceWitness:
     """Build the coincidence witness induced by a spatial unitary.
 
@@ -374,7 +379,7 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
     conj_residual = max(
         opnorm(tp - u @ t @ adj(u)) for t, tp in zip(mats, mats_p)
     )
-    if conj_residual > 1e-10:
+    if conj_residual > _CONJUGATION_TOL:
         raise ValueError(
             f"the tuples are not conjugated by the supplied unitary "
             f"(residual {conj_residual:.3e})"
@@ -401,7 +406,12 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
 
 @dataclasses.dataclass
 class EquivalenceReport:
-    """Full audit trail of coincidence => unitary equivalence."""
+    """Full audit trail of coincidence => unitary equivalence.
+
+    ``checks`` holds (name, residual, tolerance) of every identity the
+    certificate rests on, in report order; the pair is ``equivalent`` when
+    each residual is at most its tolerance.
+    """
 
     coincidence_residual: float
     max_principal_angle: float
@@ -413,7 +423,11 @@ class EquivalenceReport:
     recovered_intertwining: float
     recovered_unitarity: float
     phase_deviation: float
-    equivalent: bool
+    checks: list[tuple[str, float, float]]
+
+    @property
+    def equivalent(self) -> bool:
+        return all(residual <= tolerance for _, residual, tolerance in self.checks)
 
 
 def verify_coincidence_implies_equivalence(
@@ -443,6 +457,13 @@ def verify_coincidence_implies_equivalence(
     the equivalence by itself.  V is also compared against the witness's own
     spatial unitary up to a global phase (a genuine equality only when the
     tuple is irreducible; it is reported, not asserted).
+
+    The report's ``checks`` pair each residual with its tolerance:
+    conjugation and tau-unitary 1e-10 (coincidence_from_unitary refuses
+    above the first), com 1e-9, the largest principal angle 1e-6, the model
+    intertwining 1e-7, and the unitarity and intertwining of V 1e-6 each.
+    ``equivalent`` is their conjunction, so it is True exactly when every
+    check the CLI reports for the certificate passes.
     """
     theta, theta_p = witness.theta, witness.theta_p
     if model.theta is not theta or model_p.theta is not theta_p:
@@ -465,7 +486,8 @@ def verify_coincidence_implies_equivalence(
         # bases transform exactly covariantly under psi, while the pure-branch
         # basis tilts away from the general one by the square root of the
         # tail, which is not an equivalence defect.
-        angles = principal_angles(psi(model.H_basis), model_p.H_basis)
+        general = moved if ops.basis is model.H_basis else psi(model.H_basis)
+        angles = principal_angles(general, model_p.H_basis)
         max_angle = float(np.max(angles)) if angles.size else 0.0
     else:
         max_angle = float("inf")
@@ -482,13 +504,6 @@ def verify_coincidence_implies_equivalence(
     phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
     phase_dev = opnorm(v - phase * witness.u)
 
-    equivalent = bool(
-        witness.residual < 1e-8
-        and max_angle < 1e-6
-        and inter < 1e-7
-        and rec_inter < 1e-6
-        and rec_unit < 1e-6
-    )
     return EquivalenceReport(
         coincidence_residual=witness.residual,
         max_principal_angle=max_angle,
@@ -500,5 +515,13 @@ def verify_coincidence_implies_equivalence(
         recovered_intertwining=float(rec_inter),
         recovered_unitarity=float(rec_unit),
         phase_deviation=float(phase_dev),
-        equivalent=equivalent,
+        checks=[
+            ("conjugation", witness.conjugation_residual, _CONJUGATION_TOL),
+            ("tau-unitary", witness.tau_unitary_residual, 1e-10),
+            ("com", witness.residual, 1e-9),
+            ("subspace-angle", max_angle, 1e-6),
+            ("model-intertwine", float(inter), 1e-7),
+            ("recovered-unitary", float(rec_unit), 1e-6),
+            ("recovered-intertwine", float(rec_inter), 1e-6),
+        ],
     )

@@ -125,7 +125,7 @@ def constrained_poisson_kernel(
     (:meth:`ideals.ConstrainedSubspace.compress`); on the zero family N is
     the whole space, the compression returns the blocks themselves, nothing
     can leak, and this is the free kernel.  Refuses tuples that do not
-    satisfy the relations (residual above 1e-8): the compression is only
+    satisfy the relations (residual above 1e-10): the compression is only
     meaningful -- and only lossless -- for tuples in the constrained class.
     The norm of the discarded M-component, |((I - N N*) (x) I) K| with K
     the uncompressed kernel, is returned on the result as ``subspace_leak``.

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from fockmodel import (
     load_unitary,
     save_problem,
     save_report,
+    validate,
 )
 from fockmodel.cli import main
+from fockmodel.contractions import require_relations
 from fockmodel.linalg import hermitian_norm
 from fockmodel.problem_io import _matrix, _matrix_entries, encode_value
 from fockmodel.sampling import (
@@ -249,7 +252,19 @@ def test_save_report_is_deterministic(tmp_path):
 
 
 def run_cli(argv):
-    return main(argv)
+    """Run a command; every report it writes must carry its exit code in its checks.
+
+    Exit 0 means no verdict and every check passed.  The ``equivalent`` of
+    ``equiv --unitary`` is True exactly when every check passed.
+    """
+    code = main(argv)
+    if code != 2:
+        rep = read(Path(argv[argv.index("--out") + 1]))
+        passed = all(c["pass"] for c in rep["checks"])
+        assert code == (0 if "verdict" not in rep and passed else 1), (argv[0], code)
+        if "--unitary" in argv and "equivalent" in rep:
+            assert rep["equivalent"] is passed
+    return code
 
 
 def read(path):
@@ -474,6 +489,18 @@ def test_cli_equiv_with_witness(equiv_files):
     cb = checks_by_name(rep)
     for name in ("conjugation", "tau-unitary", "com", "subspace-angle", "model-intertwine"):
         assert cb[name]["pass"], name
+
+
+def test_equivalent_is_the_conjunction_of_the_equiv_checks(equiv_files, monkeypatch):
+    # com at 5e-9 fails its 1e-9 check, so the pair is not certified equivalent
+    monkeypatch.setattr("fockmodel.model.coincidence_residual", lambda *args: 5e-9)
+    tmp_path, pa, pb, uf = equiv_files
+    out = tmp_path / "r.json"
+    argv = ["equiv", "--problem", pa, "--problem-b", pb, "--unitary", uf, "--out", str(out)]
+    assert run_cli(argv) == 1
+    rep = read(out)
+    assert rep["equivalent"] is False
+    assert [name for name, c in checks_by_name(rep).items() if not c["pass"]] == ["com"]
 
 
 def test_cli_equiv_certifies_a_pair_with_a_large_tail(tmp_path):
@@ -967,6 +994,69 @@ def test_cli_gate_verdicts(tmp_path, command, mats_a, mats_b, verdict, failing):
     if command == "analyze":  # no verdict: the unconstrained kernel is still measured
         assert rep["kernel"]["constrained"] is False
         assert "violates the relations" in rep["kernel"]["note"]
+
+
+def _row_norm_edge(excess):
+    """A zero-family tuple of row norm 1, scaled by 1 + excess."""
+    return [t * (1 + excess) for t in random_row_contraction(np.random.default_rng(0), 2, 3, 1.0)]
+
+
+def _relation_edge(shift):
+    """A commuting nilpotent tuple with T_1[0, 1] moved by shift: residual about shift / 4."""
+    mats = commuting_nilpotent_tuple(np.random.default_rng(0), 2, 0.5)
+    mats[0] = mats[0].copy()
+    mats[0][0, 1] += shift
+    return mats
+
+
+# Tuples on either side of the gate's two thresholds, each with the tuple it perturbs:
+# squared row norm - 1 at 1.4e-10 and 6e-11, relation residual at 4.7e-10 and 4.7e-11.
+GATE_EDGES = [
+    pytest.param("zero", _row_norm_edge(7e-11), _row_norm_edge(0.0), "row-contraction", False,
+                 id="row-norm-1+7e-11"),
+    pytest.param("zero", _row_norm_edge(3e-11), _row_norm_edge(0.0), "row-contraction", True,
+                 id="row-norm-1+3e-11"),
+    pytest.param("commutative", _relation_edge(2e-9), _relation_edge(0.0), "relations", False,
+                 id="relations-4.7e-10"),
+    pytest.param("commutative", _relation_edge(2e-10), _relation_edge(0.0), "relations", True,
+                 id="relations-4.7e-11"),
+]
+
+
+@pytest.mark.parametrize("command", ["charfn", "model", "equiv-a", "equiv-b"])
+@pytest.mark.parametrize("kind,mats,base,gate,passes", GATE_EDGES)
+def test_the_gate_decides_by_the_check_it_reports(
+    tmp_path, command, kind, mats, base, gate, passes
+):
+    # the verdict, validate and require_relations read the threshold of the
+    # check, so a tuple the gate lets through never fails a later stage (exit 2)
+    def problem(name, tup):
+        return write_problem(tmp_path / name, n=2, m=3, degree=4, mats=tup, ideal={"kind": kind})
+
+    edge, other = problem("edge.json", mats), problem("base.json", base)
+    out = tmp_path / "r.json"
+    if command == "equiv-b":
+        argv = ["equiv", "--problem", other, "--problem-b", edge]
+    elif command == "equiv-a":
+        argv = ["equiv", "--problem", edge, "--problem-b", other]
+    else:
+        argv = [command, "--problem", edge]
+    assert run_cli(argv + ["--out", str(out)]) in (0, 1)
+    rep = read(out)
+    which = command[-1] if command.startswith("equiv") else ""
+    name, prefix = (f"-{which}", f"problem-{which}-") if which else ("", "")
+    cb = checks_by_name(rep)
+    assert cb[gate + name]["pass"] is passes
+    verdict = {"row-contraction": "not-a-row-contraction", "relations": "relations-violated"}[gate]
+    assert rep.get("verdict") == (None if passes else prefix + verdict)
+    assert validate(mats).is_row_contraction == cb["row-contraction" + name]["pass"]
+    if gate == "relations":
+        spec = PolyIdealSpec(n=2, kind=kind)
+        if passes:
+            require_relations(mats, spec)
+        else:
+            with pytest.raises(ValueError, match="violates the polynomial relations"):
+                require_relations(mats, spec)
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,7 @@ from fockmodel import (
     verify_coincidence_implies_equivalence,
 )
 from fockmodel.charfn import coincidence_residual
+from fockmodel.model import _CONJUGATION_TOL
 from fockmodel.linalg import (
     NumericalRankWarning,
     principal_angles,
@@ -295,6 +296,46 @@ def test_witness_rejects_non_conjugating_unitaries(conjugated_pair):
     other = commuting_nilpotent_tuple(rng, 2, 0.5)
     with pytest.raises(ValueError, match="not conjugated"):
         coincidence_from_unitary(theta_of(mats, sub), theta_of(other, sub), u)
+
+
+@pytest.mark.parametrize("shift", [5e-11, 2e-10])
+def test_the_witness_refuses_where_the_conjugation_check_would_fail(shift, subspace_factory):
+    # T'_1 moved by shift I, so the conjugation residual is shift up to rounding
+    sub = subspace_factory("zero", d=3)
+    rng = np.random.default_rng(23)
+    mats = random_row_contraction(rng, 2, 3, 0.5)
+    u = haar_unitary(3, rng)
+    mats_p = conjugated_tuple(mats, u)
+    mats_p[0] = mats_p[0] + shift * np.eye(3)
+    th, th_p = theta_of(mats, sub), theta_of(mats_p, sub)
+    if shift > _CONJUGATION_TOL:
+        with pytest.raises(ValueError, match="not conjugated"):
+            coincidence_from_unitary(th, th_p, u)
+        return
+    wit = coincidence_from_unitary(th, th_p, u)
+    assert _certify(wit).checks[0] == ("conjugation", wit.conjugation_residual, _CONJUGATION_TOL)
+    assert wit.conjugation_residual == pytest.approx(shift, rel=1e-3)
+
+
+def test_the_certificate_is_the_conjunction_of_its_checks(conjugated_pair, monkeypatch):
+    sub, mats, mats_p, u = conjugated_pair
+    th, th_p = theta_of(mats, sub), theta_of(mats_p, sub)
+    eq = _certify(coincidence_from_unitary(th, th_p, u))
+    assert [name for name, _, _ in eq.checks] == [
+        "conjugation",
+        "tau-unitary",
+        "com",
+        "subspace-angle",
+        "model-intertwine",
+        "recovered-unitary",
+        "recovered-intertwine",
+    ]
+    assert eq.equivalent and all(r <= t for _, r, t in eq.checks)
+    # com at 5e-9 fails its check (1e-9), and only that check
+    monkeypatch.setattr("fockmodel.model.coincidence_residual", lambda *args: 5e-9)
+    eq = _certify(coincidence_from_unitary(th, th_p, u))
+    assert [name for name, r, t in eq.checks if r > t] == ["com"]
+    assert not eq.equivalent
 
 
 def _dense_coincidence_residual(theta, theta_p, tau, tau_star):
