@@ -64,7 +64,11 @@ where the truncated R_i cuts the top part off a relation.  For a graded
 family with relations Theta_N is also the closed form at the compressed
 right shifts B_i = N* R_i N, a nilpotent point of V_(J~); the two routes
 share no subspace code beyond the N basis, so their agreement guards the
-whole constraint pipeline.
+whole constraint pipeline.  Each B_i raises the N-degree by exactly one, so
+the resolvent there is a finite sum, taken degree by degree by forward
+substitution (:func:`_theta_at_raising`): no Kronecker matrix is formed and
+nothing is decomposed.  The dense solve of :func:`evaluate`
+(:func:`_resolvent`) serves the general points, which are not nilpotent.
 
 The spectrum of I - Theta Theta* is one record per function,
 :attr:`CharFn.spectrum` (:class:`DefectStarSpectrum`): its certificate
@@ -128,6 +132,8 @@ from .linalg import (
     adj,
     gap_frobenius,
     gram,
+    kron_inner,
+    kron_left,
     kron_right,
     opnorm,
     row_gram,
@@ -327,7 +333,7 @@ def _jointly_nilpotent(xs: list[np.ndarray]) -> bool:
 
 
 def _resolvent(mats: list[np.ndarray], xs: list[np.ndarray], defect: DefectData) -> np.ndarray:
-    """The closed form of :func:`evaluate` at the point ``xs``, unchecked."""
+    """The closed form of :func:`evaluate` at the point ``xs``, unchecked, by one dense solve."""
     n, m, k = len(mats), mats[0].shape[0], xs[0].shape[0]
     row_blocks = _star_row_blocks(defect, n, m)
     system = np.eye(k * m, dtype=complex) - sum(np.kron(x, adj(t)) for x, t in zip(xs, mats))
@@ -342,6 +348,58 @@ def _resolvent(mats: list[np.ndarray], xs: list[np.ndarray], defect: DefectData)
 def _star_row_blocks(defect: DefectData, n: int, m: int) -> np.ndarray:
     """The n row blocks of Delta_* basis_* = basis_star * sqrt(eigvals_star), (n, m, d_star)."""
     return (defect.basis_star * np.sqrt(defect.eigvals_star)).reshape(n, m, defect.d_star)
+
+
+def _theta_at_raising(theta: CharFn, raising: list[np.ndarray]) -> np.ndarray:
+    """The closed form of :func:`evaluate` at the compressed right shifts B_i, degree by degree.
+
+    For a graded N each B_i = N* R_i N maps N's columns of degree r - 1 into
+    those of degree r and nowhere else, so I - sum_i B_i (x) T_i* is block
+    unit lower triangular by N-degree, and the solution X of
+
+        (I - sum_i B_i (x) T_i*) X = sum_i B_i (x) r_i,
+
+    r_i the i-th row block of Delta_* basis_*, follows by forward
+    substitution.  Nothing maps into degree 0, so X_0 = 0, and for r = 1..d
+
+        X_r = sum_i B_i[r, r-1] (x) r_i  +  sum_i (B_i[r, r-1] (x) T_i*) X_(r-1),
+
+    the first term in the column block of degree r - 1 and the second in the
+    columns of degree < r - 1, where X_(r-1) lives.  Each step is one product
+    by the stacked T_i* and one by the side-by-side blocks B_i[r, r-1]
+    (:func:`linalg.kron_inner`, :func:`linalg.kron_left`); empty degree
+    blocks give empty products.  Then
+
+        Theta_T(B) = (I (x) basis* Delta) X + I (x) theta_(),
+
+    with no decomposition.  Only the (r, r-1) blocks of each B_i are read:
+    were B_i anything else, the value would differ from Theta_N and the
+    builder would refuse.  Returns (dim_N d_T) x (dim_N d_star), point-major
+    as :func:`_resolvent`, its oracle in the tests.
+    """
+    sub, mats, defect = theta.sub, theta.kernel.mats, theta.defect
+    n, m, d_star, dim_n = len(mats), mats[0].shape[0], theta.d_star, sub.dim_N
+    row_blocks = _star_row_blocks(defect, n, m).reshape(n, m * d_star)
+    t_adj = adj(np.hstack(mats))  # the T_i* stacked, (n m) x m
+    x = np.zeros((dim_n, m, dim_n, d_star), dtype=complex)
+    for r in range(1, sub.space.d + 1):
+        # N's columns of degree < r - 1 end at below, of degree r - 1 at prev, of degree r at top
+        below, prev, top = (sub.n_cols_up_to(r - k) for k in (2, 1, 0))
+        at_r, at_prev = slice(prev, top), slice(below, prev)
+        step = np.stack([b[at_r, at_prev] for b in raising], axis=-1)  # (a, b, i) = B_i[a, b]
+        size, size_prev = top - prev, prev - below
+        source = (step.reshape(-1, n) @ row_blocks).reshape(size, size_prev, m, d_star)
+        x[at_r, :, at_prev] = source.transpose(0, 2, 1, 3)
+        earlier = x[at_prev, :, :below].reshape(size_prev * m, below * d_star)
+        moved = kron_inner(t_adj, earlier, size_prev)
+        x[at_r, :, :below] = kron_left(step.reshape(size, size_prev * n), moved, m).reshape(
+            size, m, below, d_star
+        )
+    lead = np.sqrt(defect.eigvals)[:, None] * adj(defect.basis)  # basis* Delta
+    value = kron_inner(lead, x.reshape(dim_n * m, dim_n * d_star), dim_n)
+    diagonal = np.arange(dim_n)
+    value.reshape(dim_n, theta.d_T, dim_n, d_star)[diagonal, :, diagonal] += theta.blocks[0]
+    return value
 
 
 def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
@@ -360,8 +418,12 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
     recorded as ``coinvariance_leak``; for a graded family it must stay
     below 1e-8.  Then the closed form of :func:`evaluate` at the compressed
     right shifts B_i must agree with Theta_N to 1e-10 (recorded as
-    ``series_agreement``).  The kernel builder has already refused tuples
-    violating the relations.
+    ``series_agreement``).  It is taken degree by degree: B_i raises the
+    N-degree by one, so (I - sum_i B_i (x) T_i*)^(-1) is a finite sum, formed
+    by forward substitution with no solve (:func:`_theta_at_raising`).  That
+    route reads only the blocks of B_i from degree r - 1 to degree r, so a
+    B_i with any other entry would show as disagreement and be refused.  The
+    kernel builder has already refused tuples violating the relations.
     """
     sub = kernel.sub
     theta = CharFn(blocks=_theta_blocks(kernel), kernel=kernel)
@@ -374,7 +436,7 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
                     f"a right shift leaks {leak:.3e} from the relation span "
                     "into the constrained subspace"
                 )
-            agreement = opnorm(theta.matrix - _resolvent(kernel.mats, raising, kernel.defect))
+            agreement = opnorm(theta.matrix - _theta_at_raising(theta, raising))
             theta.series_agreement = agreement
             if agreement > _SERIES_AGREEMENT_TOL:
                 raise RuntimeError(

@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,7 +56,12 @@ from .contractions import (
 )
 from .fock import TruncatedFockSpace
 from .ideals import PolyIdealSpec, ideal_subspace
-from .model import build_model, coincidence_from_unitary, verify_coincidence_implies_equivalence
+from .model import (
+    NotUnitaryError,
+    build_model,
+    coincidence_from_unitary,
+    verify_coincidence_implies_equivalence,
+)
 from .poisson import constrained_poisson_kernel, verify_intertwining
 from .problem_io import Problem, ProblemFormatError, load_problem, load_unitary, save_report
 
@@ -81,7 +86,9 @@ def _degree(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the four subcommands, built on the first call and shared by the process."""
     parser = argparse.ArgumentParser(
         prog="fockmodel",
         description="Constrained dilation/model analysis of row contractions at finite truncation.",
@@ -438,6 +445,8 @@ def _cmd_equiv(args) -> int:
     u = load_unitary(args.unitary, problem.m)
     try:
         witness = coincidence_from_unitary(a.theta, b.theta, u)
+    except NotUnitaryError as exc:  # an input outside the contract, not a verdict
+        raise ProblemFormatError(f"{args.unitary}: {exc}") from None
     except ValueError as exc:
         report["detail"] = str(exc)
         return _finish(report, checks, args.out, "unitary-does-not-conjugate")

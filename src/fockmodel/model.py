@@ -344,6 +344,11 @@ class CoincidenceWitness:
 
 # The bound of the certificate's conjugation check, which coincidence_from_unitary refuses above.
 _CONJUGATION_TOL = 1e-10
+_UNITARY_TOL = 1e-10  # |U U* - I| up to which a supplied matrix counts as unitary
+
+
+class NotUnitaryError(ValueError):
+    """The matrix supplied to :func:`coincidence_from_unitary` is not unitary."""
 
 
 def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> CoincidenceWitness:
@@ -354,9 +359,10 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
     (:meth:`ideals.ConstrainedSubspace.same_as`: the same subspace object,
     the whole space of the same (n, d) on both sides, or an equal N basis of
     the same Fock space; equal dimensions do not do, since commutative and
-    q-commutative families share dim N) and that
-    T'_i = U T_i U* actually holds (these are input contracts, not something
-    to silently repair), then forms the defect
+    q-commutative families share dim N), that |U U* - I| <= 1e-10
+    (:class:`NotUnitaryError` otherwise) and that T'_i = U T_i U* actually
+    holds (these are input contracts, not something to silently repair),
+    then forms the defect
     unitaries tau = basis'* U basis and tau_star = basis'* (I (x) U) basis_*
     and evaluates the coincidence residual
 
@@ -374,8 +380,11 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
     m = mats[0].shape[0]
     if u.shape != (m, m):
         raise ValueError(f"unitary has shape {u.shape}, expected ({m}, {m})")
-    if hermitian_norm(u @ adj(u) - np.eye(m)) > 1e-10:
-        raise ValueError("the supplied matrix is not unitary")
+    deviation = hermitian_norm(u @ adj(u) - np.eye(m))
+    if deviation > _UNITARY_TOL:
+        raise NotUnitaryError(
+            f"the supplied matrix is not unitary (|U U* - I| = {deviation:.3e} > {_UNITARY_TOL:.0e})"
+        )
     conj_residual = max(
         opnorm(tp - u @ t @ adj(u)) for t, tp in zip(mats, mats_p)
     )

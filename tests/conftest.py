@@ -54,14 +54,16 @@ def psd_sqrt(g):
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ adj(v)
 
 
-def record_decompositions(monkeypatch) -> list:
-    """Record (name, input shape) of every numpy svd / eigh / eigvalsh / qr call.
+def record_decompositions(monkeypatch, names=("svd", "eigh", "eigvalsh", "qr")) -> list:
+    """Record (name, input shape) of every call of the numpy.linalg functions ``names``.
 
-    numpy's own calls are seen too, such as the SVD inside ``norm(a, 2)``.
+    By default those are svd, eigh, eigvalsh and qr; pass ``names`` to watch
+    others, such as solve.  numpy's own calls are seen too, such as the SVD
+    inside ``norm(a, 2)``.
     """
     seen = []
     inner = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
-    for name in ("svd", "eigh", "eigvalsh", "qr"):
+    for name in names:
         original = getattr(inner, name)
 
         def recorded(a, *args, _name=name, _original=original, **kwargs):

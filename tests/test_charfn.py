@@ -562,10 +562,57 @@ def test_series_route_agrees_with_compression():
 
 def test_routes_that_disagree_are_refused(monkeypatch):
     sub = ideal_subspace(make_spec("commutative"), TruncatedFockSpace(2, 3))
-    formula = charfn._resolvent
-    monkeypatch.setattr(charfn, "_resolvent", lambda *args: formula(*args) + 1e-6)
+    formula = charfn._theta_at_raising
+    monkeypatch.setattr(charfn, "_theta_at_raising", lambda *args: formula(*args) + 1e-6)
     with pytest.raises(RuntimeError, match="routes disagree"):
         theta_of(PAIR, sub)
+
+
+def _raising_subspaces():
+    """N of each oracle case that is graded by degree (a graded family, or the whole space)."""
+    subs = {(family, n, d): ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d))
+            for family in ORACLE_FAMILIES for n, d in ORACLE_SIZES}
+    return {case: sub for case, sub in subs.items() if sub.graded or sub.is_whole_space}
+
+
+def test_the_raising_cases_include_empty_degree_blocks_n_1_and_d_0():
+    subs = _raising_subspaces()
+    assert any(n == 1 for _, n, _ in subs) and any(d == 0 for _, _, d in subs)
+    assert any(np.any(np.bincount(sub.N_degrees, minlength=sub.space.d + 1) == 0)
+               for sub in subs.values())
+
+
+@pytest.mark.parametrize("family, n, d", list(_raising_subspaces()))
+def test_theta_by_degree_at_the_raising_point_matches_the_dense_solve(family, n, d, space_factory):
+    sub = ideal_subspace(oracle_family(family, n, d), space_factory(n, d))
+    th = theta_of(oracle_tuple(family, n, np.random.default_rng([n, d])), sub)
+    raising = constrained_creation_tuple(sub, "right")
+    # B_i = N* R_i N is exactly zero outside its blocks from degree r - 1 to degree r
+    off_step = sub.N_degrees[:, None] != sub.N_degrees[None, :] + 1
+    assert not any(np.any(b[off_step]) for b in raising)
+    by_degree = charfn._theta_at_raising(th, raising)
+    dense = charfn._resolvent(th.kernel.mats, raising, th.defect)
+    assert by_degree.shape == dense.shape == th.shape
+    assert np.max(np.abs(by_degree - dense), initial=0.0) < 1e-14
+
+
+def test_a_graded_relation_family_takes_no_solve_and_no_kronecker_matrix(monkeypatch):
+    from fockmodel import build_model
+
+    sub = ideal_subspace(make_spec("commutative", n=3), TruncatedFockSpace(3, 4))
+    mats = commuting_nilpotent_tuple(np.random.default_rng(11), 3, 0.9)
+    solves = record_decompositions(monkeypatch, names=("solve",))
+    krons, kron = [], np.kron
+
+    def recorded_kron(a, b):
+        krons.append((np.shape(a), np.shape(b)))
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", recorded_kron)
+    th = theta_of(mats, sub)
+    assert build_model(th).operators is not None
+    assert th.series_agreement < 1e-13
+    assert solves == [] and krons == []
 
 
 def test_a_leaking_relation_span_is_refused():

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from fockmodel import (
     save_report,
     validate,
 )
-from fockmodel.cli import main
+from fockmodel.cli import build_parser, main
 from fockmodel.contractions import require_relations
 from fockmodel.linalg import hermitian_norm
 from fockmodel.problem_io import _matrix, _matrix_entries, encode_value
@@ -947,6 +950,19 @@ def test_cli_equiv_rejects_non_conjugating_unitary(equiv_files):
     assert read(out)["verdict"] == "unitary-does-not-conjugate"
 
 
+def test_cli_equiv_refuses_a_matrix_that_is_not_unitary(equiv_files, capsys):
+    # 1.5 I is outside the input contract, not a witness that fails to conjugate
+    tmp_path, pa, pb, _ = equiv_files
+    scaled = tmp_path / "scaled_u.json"
+    scaled.write_text(json.dumps({"matrix": encode_value(1.5 * np.eye(3, dtype=complex))}))
+    out = tmp_path / "r.json"
+    argv = ["equiv", "--problem", pa, "--problem-b", pb, "--unitary", str(scaled), "--out", str(out)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert str(scaled) in err and "not unitary" in err
+    assert not out.exists()
+
+
 def test_cli_equiv_refuses_mismatched_families(tmp_path, equiv_files):
     _, pa, _, _ = equiv_files
     pb = write_problem(
@@ -1121,6 +1137,31 @@ def test_cli_reports_are_deterministic(tmp_path):
     assert run_cli(["analyze", "--problem", prob, "--out", str(o1)]) == 0
     assert run_cli(["analyze", "--problem", prob, "--out", str(o2)]) == 0
     assert o1.read_bytes() == o2.read_bytes()
+
+
+def test_cli_runs_in_one_process_write_the_bytes_of_fresh_processes(tmp_path):
+    # main parses with one parser per process; a usage error in between
+    # leaves it as it was
+    assert build_parser() is build_parser()
+    prob = write_problem(
+        tmp_path / "p.json", n=2, m=1, degree=4, mats=PAIR, ideal={"kind": "commutative"}
+    )
+    for command in ("charfn", "analyze"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--problem", prob])
+        assert exc.value.code == 2
+        assert run_cli([command, "--problem", prob, "--out", str(tmp_path / f"{command}.json")]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for command in ("charfn", "analyze"):
+        fresh = tmp_path / f"fresh-{command}.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, fockmodel.cli; sys.exit(fockmodel.cli.main())",
+             command, "--problem", prob, "--out", str(fresh)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert fresh.read_bytes() == (tmp_path / f"{command}.json").read_bytes()
 
 
 def test_cli_version(capsys):
