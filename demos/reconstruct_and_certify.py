@@ -44,6 +44,9 @@ def main():
     if ops.branch_agreement is not None:
         print("pure/general branch agreement:",
               [f"{a:.1e}" for a in ops.branch_agreement])
+    # each check is (name, residual, tolerance), the tolerance the CLI reports
+    failed = [name for name, residual, tolerance in model.checks if not residual <= tolerance]
+    print(f"model checks: {len(model.checks)}, failed: {failed or 'none'}")
 
     print("\n--- equivalence certificate ---")
     u = haar_unitary(mats[0].shape[0], rng)

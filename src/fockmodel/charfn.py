@@ -117,6 +117,7 @@ from .contractions import (
     require_relations,
     row_norm,
     DefectData,
+    TriState,
 )
 from .fock import (
     TruncatedFockSpace,
@@ -155,7 +156,8 @@ class CharFn:
     from; the subspace, the defect data and the tail bound are its.  The
     spectrum of I - Theta Theta* (:attr:`spectrum`) and the model's
     isometry residual (:attr:`isometry_residual`) are built on first read
-    and kept.
+    and kept.  :meth:`checks` pairs each residual measured on the function
+    with its tolerance.
     """
 
     blocks: np.ndarray
@@ -245,6 +247,31 @@ class CharFn:
         for i in range(0, y.shape[0], _ROW_BLOCK):  # a block of rows of Y A only needs Y's
             y[i : i + _ROW_BLOCK] = y[i : i + _ROW_BLOCK] @ a
         return float(np.sqrt(max(np.einsum("ij,ji->", y, y).real, 0.0)))
+
+    def checks(self, pure: TriState) -> list[tuple[str, float, float]]:
+        """(name, residual, tolerance) of each identity measured on the function, in report order.
+
+        ``pure`` is the classification's verdict on the kernel's tuple.
+        J-fa-F is the factorization certificate |I - Theta Theta* - K K*|_F
+        of :attr:`spectrum`, then comes the kernel's K*K
+        (:attr:`poisson.KernelMatrix.gram_check`), then series-agree and
+        coinvariance where the builder measured them (graded families with
+        relations).
+        """
+        sub = self.sub
+        # The factorization is exact at truncation only for certified-pure tuples
+        # under a graded (or empty) relation family; otherwise the tolerance adds
+        # ten tails.  A family that is not graded leaves N short of co-invariance
+        # at the top degree (coinvariance_leak 0.74 on 0.5 + x1 + 2i x2 x1 at
+        # (2, 5)), so J-fa-F there is O(1), not tail-sized, and fails.
+        exact_case = pure is TriState.YES and (sub.graded or sub.dim_M == 0)
+        jfa_tol = 1e-9 if exact_case else 1e-9 + 10 * self.tail_bound
+        checks = [("J-fa-F", self.spectrum.gap, jfa_tol), self.kernel.gram_check]
+        if self.series_agreement is not None:
+            checks.append(("series-agree", self.series_agreement, _SERIES_AGREEMENT_TOL))
+        if self.coinvariance_leak is not None and sub.graded:
+            checks.append(("coinvariance", self.coinvariance_leak, _COINVARIANCE_TOL))
+        return checks
 
     @cached_property
     def fourier_blocks(self) -> np.ndarray:
@@ -824,6 +851,9 @@ def delta_and_classify(theta: CharFn) -> DeltaClassification:
         rank_deficiency=int(deficiency),
         norm=float(np.sqrt(sq[0])) if sq.size else 0.0,
     )
+
+
+_FOURIER_SCREEN_TOL = 1e-6  # fourier-screen: a larger mismatch rules coincidence out
 
 
 def coincidence_necessary_mismatch(t1: CharFn, t2: CharFn) -> float:

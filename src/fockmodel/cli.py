@@ -20,7 +20,10 @@ Each stage reads the objects of the stage before it, so no command computes
 an object twice.
 The commands are report views over their runs; they share one gate (row
 contraction, then relations) and one way to write the report and pick the
-exit code.
+exit code.  Every check after the gate is a (name, residual, tolerance) of
+the stage object that measured it (the kernel, the function, the model or
+the certificate), added to the report as it is: the CLI holds no tolerance
+of its own.
 
 Exit codes: 0 the command ran and every verdict it certifies came out
 positive; 1 the command ran and reached a definite negative verdict (not a
@@ -40,8 +43,7 @@ import numpy as np
 
 from . import __version__
 from .charfn import (
-    _COINVARIANCE_TOL,
-    _SERIES_AGREEMENT_TOL,
+    _FOURIER_SCREEN_TOL,
     coincidence_necessary_mismatch,
     constrained_characteristic_function,
     delta_and_classify,
@@ -62,7 +64,7 @@ from .model import (
     coincidence_from_unitary,
     verify_coincidence_implies_equivalence,
 )
-from .poisson import constrained_poisson_kernel, verify_intertwining
+from .poisson import constrained_poisson_kernel, intertwining_check
 from .problem_io import Problem, ProblemFormatError, load_problem, load_unitary, save_report
 
 
@@ -200,23 +202,10 @@ def _classification_dict(cls) -> dict:
     return {"pure": cls.pure, "cnc": cls.cnc, "rho": cls.rho, "iterations": cls.iterations}
 
 
-def _gamma_residual(gamma) -> float:
-    """Worst violation of the identities defining the canonical identification."""
-    return max(
-        gamma.unitary_residual,
-        gamma.embedding_residual,
-        gamma.norm_identity_residual,
-        gamma.projection_residual,
-        max(gamma.intertwining.values()),
-    )
-
-
-def _check(checks: list, name: str, residual, tolerance: float) -> bool:
-    """Record one verified identity and return whether it passed; each cites its tolerance."""
-    value = float(residual)
-    checks.append({"name": name, "residual": value, "tolerance": float(tolerance),
-                   "pass": bool(value <= tolerance)})
-    return checks[-1]["pass"]
+def _check(checks: list, name: str, residual: float, tolerance: float) -> bool:
+    """Record one verified identity as (name, residual, tolerance) and return whether it passed."""
+    checks.append((name, residual, tolerance))
+    return residual <= tolerance
 
 
 def _gate(run: _Run, report: dict, checks: list, which: str = "") -> str | None:
@@ -241,12 +230,17 @@ def _gate(run: _Run, report: dict, checks: list, which: str = "") -> str | None:
 
 
 def _finish(report: dict, checks: list, out: str, verdict: str | None = None) -> int:
-    """Write the report; exit 0 only without a negative verdict and with every check passed."""
+    """Write the report; exit 0 only without a negative verdict and with every check passed.
+
+    ``checks`` holds (name, residual, tolerance) in report order: the gate's,
+    then those of the stage objects, each citing its own tolerance.
+    """
     if verdict is not None:
         report["verdict"] = verdict
-    report["checks"] = checks
+    report["checks"] = [{"name": name, "residual": float(r), "tolerance": float(t),
+                         "pass": bool(float(r) <= t)} for name, r, t in checks]
     save_report(out, report)
-    return 0 if verdict is None and all(c["pass"] for c in checks) else 1
+    return 0 if verdict is None and all(c["pass"] for c in report["checks"]) else 1
 
 
 def _cmd_analyze(args) -> int:
@@ -274,13 +268,9 @@ def _cmd_analyze(args) -> int:
                          "eigenvalues": dft.eigvals, "eigenvalues_star": dft.eigvals_star}
     report["kernel"]["rows"] = kernel.matrix.shape[0]
     report["tail_bound"] = kernel.tail_bound
-    report["residuals"] = {
-        "K*K": kernel.gram_residual(),
-        "eq-ker": max(verify_intertwining(kernel).values()),
-    }
-    _check(checks, "K*K", report["residuals"]["K*K"], kernel.tail_bound + 1e-10)
-    _check(checks, "eq-ker", report["residuals"]["eq-ker"], 1e-10)
-    return _finish(report, checks, args.out)
+    kernel_checks = [kernel.gram_check, intertwining_check(kernel)]
+    report["residuals"] = {name: residual for name, residual, _ in kernel_checks}
+    return _finish(report, checks + kernel_checks, args.out)
 
 
 def _cmd_charfn(args) -> int:
@@ -301,13 +291,8 @@ def _cmd_charfn(args) -> int:
     report.update(
         {
             "classification": _classification_dict(cls),
-            "dims": {
-                "d_T": theta.d_T,
-                "d_star": theta.d_star,
-                "rows": theta.shape[0],
-                "cols": theta.shape[1],
-                "dim_N": sub.dim_N,
-            },
+            "dims": {"d_T": theta.d_T, "d_star": theta.d_star, "rows": theta.shape[0],
+                     "cols": theta.shape[1], "dim_N": sub.dim_N},
             "method": "compression",
             "tail_bound": theta.tail_bound,
             "series_agreement": theta.series_agreement,
@@ -318,27 +303,10 @@ def _cmd_charfn(args) -> int:
             "rank_deficiency": dc.rank_deficiency,
             "fourier_norms_by_degree": per_degree,
             "norm": dc.norm,
-            "residuals": {
-                "J-fa-F": theta.spectrum.gap,
-                "K*K": theta.kernel.gram_residual(),
-            },
+            "residuals": {"J-fa-F": theta.spectrum.gap, "K*K": theta.kernel.gram_check[1]},
         }
     )
-    tail = theta.tail_bound
-    # The factorization is exact at truncation only for certified-pure tuples
-    # under a graded (or empty) relation family; otherwise the tolerance adds
-    # ten tails.  A family that is not graded leaves N short of co-invariance
-    # at the top degree (coinvariance_leak 0.74 on 0.5 + x1 + 2i x2 x1 at
-    # (2, 5)), so J-fa-F there is O(1), not tail-sized, and fails.
-    exact_case = cls.pure is TriState.YES and (sub.graded or sub.dim_M == 0)
-    jfa = report["residuals"]["J-fa-F"]
-    _check(checks, "J-fa-F", jfa, 1e-9 if exact_case else 1e-9 + 10 * tail)
-    _check(checks, "K*K", report["residuals"]["K*K"], tail + 1e-10)
-    if theta.series_agreement is not None:
-        _check(checks, "series-agree", theta.series_agreement, _SERIES_AGREEMENT_TOL)
-    if theta.coinvariance_leak is not None and sub.graded:
-        _check(checks, "coinvariance", theta.coinvariance_leak, _COINVARIANCE_TOL)
-    return _finish(report, checks, args.out)
+    return _finish(report, checks + theta.checks(cls.pure), args.out)
 
 
 def _cmd_model(args) -> int:
@@ -371,28 +339,10 @@ def _cmd_model(args) -> int:
                 "projection_residual": gamma.projection_residual,
             },
             "tail_bound": model.tail_bound,
-            "residuals": {
-                "def": max(ops.defining_residual),
-                "Ga": _gamma_residual(gamma),
-            },
+            "residuals": {"def": max(ops.defining_residual), "Ga": gamma.worst},
         }
     )
-    tail = model.tail_bound
-    _check(checks, "isometry-F", model.theta.isometry_residual, 1e-9)
-    # The least-squares residual of the defining relation measures the tilt of
-    # the truncated model space, which scales with sqrt(tail), not tail.
-    _check(checks, "def", max(ops.defining_residual), 1e-7 + 10 * tail**0.5)
-    if ops.branch_agreement is not None:
-        _check(checks, "branch-agree", max(ops.branch_agreement), 1e-8 + 10 * tail)
-    _check(checks, "Ga-unitary", gamma.unitary_residual, 1e-8 + 10 * tail)
-    _check(checks, "Ga-intertwine", max(gamma.intertwining.values()), 1e-8 + 10 * tail)
-    _check(
-        checks,
-        "Ga-identify",
-        max(gamma.embedding_residual, gamma.norm_identity_residual, gamma.projection_residual),
-        1e-7 + 10 * tail,
-    )
-    return _finish(report, checks, args.out)
+    return _finish(report, checks + model.checks, args.out)
 
 
 def _ideals_match(a: PolyIdealSpec, b: PolyIdealSpec) -> bool:
@@ -416,7 +366,7 @@ def _cmd_equiv(args) -> int:
     a, b = _Run(problem, args), _Run(problem_b, args)  # same degree: checked above
     report = _base_report("equiv", a)
     report["problem_b"] = problem_b.path
-    checks: list[dict] = []
+    checks: list[tuple[str, float, float]] = []
     for run, which in ((a, "a"), (b, "b")):
         verdict = _gate(run, report, checks, which)
         if verdict is not None:
@@ -427,7 +377,7 @@ def _cmd_equiv(args) -> int:
     report["necessary_mismatch"] = mismatch
 
     if args.unitary is None:
-        coincide_possible = _check(checks, "fourier-screen", mismatch, 1e-6)
+        coincide_possible = _check(checks, "fourier-screen", mismatch, _FOURIER_SCREEN_TOL)
         report["equivalent"] = None if coincide_possible else False
         report["residuals"] = {"com": mismatch}
         report["note"] = (
@@ -468,13 +418,11 @@ def _cmd_equiv(args) -> int:
             "residuals": {
                 "com": eq.coincidence_residual,
                 "def": max(eq.defining_residuals),
-                "Ga": max(_gamma_residual(eq.gamma), _gamma_residual(eq.gamma_p)),
+                "Ga": max(eq.gamma.worst, eq.gamma_p.worst),
             },
         }
     )
-    for name, residual, tolerance in eq.checks:
-        _check(checks, name, residual, tolerance)
-    return _finish(report, checks, args.out)
+    return _finish(report, checks + eq.checks, args.out)
 
 
 if __name__ == "__main__":

@@ -278,9 +278,6 @@ class ConstrainedSubspace:
         v = self.basis[0, :]  # vacuum row: index 0 in graded-lex order
         return abs(float(np.linalg.norm(v)) - 1.0) < 1e-10
 
-    def projector_N(self) -> np.ndarray:
-        return self.N_basis @ adj(self.N_basis)
-
     def n_cols_up_to(self, k: int) -> int:
         """How many N-basis columns have degree <= k (a prefix, by sorting)."""
         return int(np.searchsorted(self.N_degrees, k, side="right"))

@@ -106,7 +106,8 @@ class ModelData:
     (:attr:`charfn.CharFn.isometry_residual`).  ``classification`` is the
     one the model was built with; it picks the operator branch of the later
     stages, :attr:`operators` and :attr:`gamma`, each built on first use and
-    kept.
+    kept.  :attr:`checks` pairs each residual of the model with its
+    tolerance.
     """
 
     theta: CharFn
@@ -130,6 +131,30 @@ class ModelData:
     @property
     def tail_bound(self) -> float:
         return self.theta.tail_bound
+
+    @property
+    def checks(self) -> list[tuple[str, float, float]]:
+        """(name, residual, tolerance) of each identity the model rests on, in report order.
+
+        isometry-F of the column [Theta ; Delta], the defining relation of
+        the general branch (def), the agreement of the two branches where
+        both exist, then Gamma's unitarity, intertwining and identification
+        residuals.  All but isometry-F allow ten truncation tails.
+        """
+        ops, gamma, tail = self.operators, self.gamma, self.tail_bound
+        agree = ops.branch_agreement
+        identify = max(gamma.embedding_residual, gamma.norm_identity_residual,
+                       gamma.projection_residual)
+        return [
+            ("isometry-F", self.theta.isometry_residual, 1e-9),
+            # The least-squares residual of the defining relation measures the tilt of
+            # the truncated model space, which scales with sqrt(tail), not tail.
+            ("def", max(ops.defining_residual), 1e-7 + 10 * tail**0.5),
+            *([] if agree is None else [("branch-agree", max(agree), 1e-8 + 10 * tail)]),
+            ("Ga-unitary", gamma.unitary_residual, 1e-8 + 10 * tail),
+            ("Ga-intertwine", max(gamma.intertwining.values()), 1e-8 + 10 * tail),
+            ("Ga-identify", identify, 1e-7 + 10 * tail),
+        ]
 
     @cached_property
     def operators(self) -> ModelOperators:
@@ -326,6 +351,12 @@ class GammaResult:
     intertwining: dict[int, float]
     norm_identity_residual: float
     projection_residual: float
+
+    @property
+    def worst(self) -> float:
+        """Worst violation of the identities defining the canonical identification."""
+        return max(self.unitary_residual, self.embedding_residual, self.norm_identity_residual,
+                   self.projection_residual, max(self.intertwining.values()))
 
 
 @dataclasses.dataclass

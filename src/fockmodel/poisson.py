@@ -39,6 +39,7 @@ and the characteristic function is built from it
 from __future__ import annotations
 
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,15 @@ class KernelMatrix:
         """| K*K - (I - Phi_T^(d+1)(I)) |; rounding-level by construction."""
         m = self.mats[0].shape[0]
         return hermitian_norm(gram(self.matrix) - (np.eye(m, dtype=complex) - self.tail))
+
+    @cached_property
+    def gram_check(self) -> tuple[str, float, float]:
+        """("K*K", :meth:`gram_residual`, tail_bound + 1e-10), measured on first read and kept.
+
+        The identity holds to rounding at any degree once the exact tail is
+        subtracted, so the tolerance is the tail plus rounding.
+        """
+        return "K*K", self.gram_residual(), self.tail_bound + 1e-10
 
 
 def kernel_blocks(
@@ -250,3 +260,12 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
             yield chunk
 
     return {i: stacked_opnorm(residual_chunks(i), m) for i in range(1, space.n + 1)}
+
+
+def intertwining_check(kernel: KernelMatrix) -> tuple[str, float, float]:
+    """("eq-ker", the worst generator of :func:`verify_intertwining`, 1e-10).
+
+    The identity is exact on the rows it is measured on, so rounding is all
+    the tolerance allows.
+    """
+    return "eq-ker", max(verify_intertwining(kernel).values()), 1e-10

@@ -6,6 +6,8 @@ rho.  The nilpotent families are exactly what their names say: every product
 of length >= m of the tuple's entries vanishes, so a degree-d truncation with
 d >= m forgets *nothing* (the truncation tail is exactly zero).  That makes
 them the natural test family for identities that hold exactly at truncation.
+:func:`q_commuting_shift_tuple` is the q-commuting family that is not
+nilpotent, with a truncation tail that is not zero at any degree.
 """
 
 from __future__ import annotations
@@ -102,6 +104,24 @@ def q_commuting_nilpotent_tuple(rng: np.random.Generator, q: complex, rho: float
         return t
 
     return scale_to_rho([up(a1, b1, c1), up(a2, b2, c2)], rho)
+
+
+def q_commuting_shift_tuple(
+    rng: np.random.Generator, m: int, q: complex, rho: float
+) -> list[np.ndarray]:
+    """m x m pair T_1 = c diag(q^j), T_2 a weighted shift, with T_1 T_2 = q T_2 T_1 (n = 2 only).
+
+    T_2 e_j = w_j e_(j+1), so T_2 is nilpotent, but T_1 is not: its powers
+    never vanish, and neither does the truncation tail Phi^(d+1)(I).  |c| is
+    the largest |w_j|, so after scaling |c|^2 >= rho / 2 when |q| <= 1, and
+    the tail, at least T_1^(d+1) T_1^(d+1)* with e_0 entry |c|^(2(d+1)), has
+    norm at least (rho / 2)^(d+1).  The diagonal is the running product of
+    q, so q^(j+1) is exactly q q^j.
+    """
+    w = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
+    c = np.exp(2j * np.pi * rng.random()) * np.max(np.abs(w))
+    powers = np.cumprod(np.r_[1.0, np.full(m - 1, complex(q))])
+    return scale_to_rho([c * np.diag(powers), np.diag(w, k=-1)], rho)
 
 
 def conjugated_tuple(mats: list[np.ndarray], u: np.ndarray) -> list[np.ndarray]:

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import opnorm, oracle_family, oracle_tuple, record_decompositions, theta_of
+from conftest import (
+    ORACLE_FAMILIES,
+    opnorm,
+    oracle_family,
+    oracle_tuple,
+    record_decompositions,
+    theta_of,
+)
 from fockmodel import (
     NCPoly,
     PolyIdealSpec,
@@ -18,16 +25,23 @@ from fockmodel import (
     ProblemFormatError,
     TriState,
     TruncatedFockSpace,
+    build_model,
+    classify,
+    coincidence_from_unitary,
+    constrained_characteristic_function,
+    constrained_poisson_kernel,
     ideal_subspace,
     load_problem,
     load_unitary,
     save_problem,
     save_report,
     validate,
+    verify_coincidence_implies_equivalence,
 )
 from fockmodel.cli import build_parser, main
 from fockmodel.contractions import require_relations
 from fockmodel.linalg import hermitian_norm
+from fockmodel.poisson import intertwining_check
 from fockmodel.problem_io import _matrix, _matrix_entries, encode_value
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
@@ -504,6 +518,61 @@ def test_equivalent_is_the_conjunction_of_the_equiv_checks(equiv_files, monkeypa
     rep = read(out)
     assert rep["equivalent"] is False
     assert [name for name, c in checks_by_name(rep).items() if not c["pass"]] == ["com"]
+
+
+def _stages(problem, sub=None):
+    """Classification, kernel, Theta and model of a problem, built by the library's stages."""
+    cls = classify(problem.mats, degree=problem.degree)
+    sub = sub or ideal_subspace(problem.ideal, TruncatedFockSpace(problem.n, problem.degree))
+    kernel = constrained_poisson_kernel(problem.mats, sub, tail=cls.tail)
+    theta = constrained_characteristic_function(kernel)
+    return cls, kernel, theta, build_model(theta, classification=cls)
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_reports_carry_the_checks_of_the_stage_objects(tmp_path, family):
+    # after the gate, every check of a report is the (name, residual,
+    # tolerance) of a library object, in its order: the CLI adds none of its own
+    n, d = 2, 5
+    rng = np.random.default_rng([n, d, 29])
+    mats = oracle_tuple(family, n, rng)
+    m = mats[0].shape[0]
+    u = haar_unitary(m, rng)
+    pa, pb, uf = (tmp_path / name for name in ("a.json", "b.json", "u.json"))
+    for path, tup in ((pa, mats), (pb, conjugated_tuple(mats, u))):
+        save_problem(path, Problem(n=n, m=m, degree=d, mats=tup, ideal=oracle_family(family, n, d)))
+    uf.write_text(json.dumps({"matrix": encode_value(u)}))
+    cls, kernel, theta, model = _stages(load_problem(pa))
+    _, _, theta_b, model_b = _stages(load_problem(pb), theta.sub)
+    witness = coincidence_from_unitary(theta, theta_b, load_unitary(uf, m))
+    library = {
+        "analyze": [kernel.gram_check, intertwining_check(kernel)],
+        "charfn": theta.checks(cls.pure),
+        "model": model.checks,
+        "equiv": verify_coincidence_implies_equivalence(witness, model, model_b).checks,
+    }
+    out = tmp_path / "r.json"
+    for command, checks in library.items():
+        argv = [command, "--problem", str(pa), "--out", str(out)]
+        gate = ["row-contraction", "relations"]
+        if command == "equiv":
+            argv += ["--problem-b", str(pb), "--unitary", str(uf)]
+            gate = [f"{name}-{which}" for which in "ab" for name in gate]
+        run_cli(argv)
+        reported = [[c["name"], c["residual"], c["tolerance"]] for c in read(out)["checks"]]
+        assert [name for name, _, _ in reported[: len(gate)]] == gate
+        # strict JSON writes an infinite residual as "inf"
+        expected = [[name, float(r), float(t)] for name, r, t in checks]
+        assert reported[len(gate) :] == encode_value(expected)
+    # J-fa-F is exact on a certified-pure tuple under a graded (or empty)
+    # family; the family with a constant term is not graded and adds ten tails
+    assert cls.pure is TriState.YES
+    jfa = theta.checks(cls.pure)[0]
+    graded = family != "custom-constant-term"
+    assert theta.sub.graded is graded or theta.sub.dim_M == 0
+    assert jfa[0] == "J-fa-F"
+    assert jfa[2] == (1e-9 if graded else 1e-9 + 10 * theta.tail_bound)
+    assert theta.checks(TriState.UNDETERMINED)[0][2] == 1e-9 + 10 * theta.tail_bound
 
 
 def test_cli_equiv_certifies_a_pair_with_a_large_tail(tmp_path):

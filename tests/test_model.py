@@ -34,6 +34,7 @@ from conftest import (
     theta_of,
 )
 from fockmodel import (
+    PolyIdealSpec,
     TriState,
     TruncatedFockSpace,
     build_model,
@@ -61,6 +62,7 @@ from fockmodel.sampling import (
     conjugated_tuple,
     haar_unitary,
     q_commuting_nilpotent_tuple,
+    q_commuting_shift_tuple,
     random_row_contraction,
     random_scalar_tuple,
     scale_to_rho,
@@ -1101,3 +1103,33 @@ def test_the_zero_tuple_model_basis_has_an_exactly_real_diagonal(subspace_factor
     diagonal = np.diagonal(pure)
     assert diagonal.size and np.all(diagonal.imag == 0.0)
     assert np.all(np.abs(diagonal.real) == 1.0)
+
+
+@pytest.mark.parametrize("q", [0.5j, -1])
+@pytest.mark.parametrize("n, d", [(2, 6), (2, 8)])
+def test_a_q_commuting_tuple_that_is_not_nilpotent_passes_every_check(n, d, q):
+    # T_1 = c diag(q^j) on C^8 never vanishes, so the tail Phi^(d+1)(I) is
+    # real, at least (rho / 2)^(d+1); every identity still holds within the
+    # tolerance it cites, and a conjugate pair is certified equivalent
+    rng = np.random.default_rng(11)
+    mats = q_commuting_shift_tuple(rng, 8, q, 0.7)
+    spec = PolyIdealSpec(n=n, kind="q_commutative", q=q)
+    assert constraint_residual(mats, spec) <= 1e-15
+    sub = ideal_subspace(spec, TruncatedFockSpace(n, d))
+
+    def stages(tup):
+        cls = classify(tup, degree=d)
+        theta = constrained_characteristic_function(
+            constrained_poisson_kernel(tup, sub, tail=cls.tail))
+        return cls, theta, build_model(theta, classification=cls)
+
+    cls, theta, model = stages(mats)
+    assert cls.pure is TriState.YES
+    assert theta.tail_bound > 1e-8 and theta.tail_bound >= 0.35 ** (d + 1)
+    checks = theta.checks(cls.pure) + model.checks
+    assert [name for name, _, _ in checks][:4] == ["J-fa-F", "K*K", "series-agree", "coinvariance"]
+    assert [name for name, residual, tolerance in checks if not residual <= tolerance] == []
+    u = haar_unitary(8, rng)
+    _, theta_b, model_b = stages(conjugated_tuple(mats, u))
+    witness = coincidence_from_unitary(theta, theta_b, u)
+    assert verify_coincidence_implies_equivalence(witness, model, model_b).equivalent
