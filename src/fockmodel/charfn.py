@@ -63,12 +63,16 @@ exact at truncation for graded families, lost at the top degree otherwise,
 where the truncated R_i cuts the top part off a relation.  For a graded
 family with relations Theta_N is also the closed form at the compressed
 right shifts B_i = N* R_i N, a nilpotent point of V_(J~); the two routes
-share no subspace code beyond the N basis, so their agreement guards the
+share no subspace code beyond N's basis, so their agreement guards the
 whole constraint pipeline.  Each B_i raises the N-degree by exactly one, so
 the resolvent there is a finite sum, taken degree by degree by forward
 substitution (:func:`_theta_at_raising`): no Kronecker matrix is formed and
 nothing is decomposed.  The dense solve of :func:`evaluate`
 (:func:`_resolvent`) serves the general points, which are not nilpotent.
+Every product by N is a method of :class:`ideals.ConstrainedSubspace`:
+``degree_rows`` for Theta_N, ``right_shifts`` for the B_i and the
+coinvariance leak, ``lift`` and ``compress`` for Theta* u and the Fourier
+blocks; this module never reads N's basis.
 
 The spectrum of I - Theta Theta* is one record per function,
 :attr:`CharFn.spectrum` (:class:`DefectStarSpectrum`): its certificate
@@ -121,12 +125,11 @@ from .contractions import (
 )
 from .fock import (
     TruncatedFockSpace,
-    creation_targets,
     left_target_slice,
     prefixed_words,
     reversed_word_products,
 )
-from .ideals import ConstrainedSubspace, PolyIdealSpec, constrained_creation_tuple
+from .ideals import ConstrainedSubspace, PolyIdealSpec
 from .linalg import (
     _ROW_BLOCK,
     PSD_RANK_TOL,
@@ -279,12 +282,13 @@ class CharFn:
 
         Row j is the d_T x d_star block of the j-th word of ``space``.  When
         N is the whole space they are the stored ``blocks``; otherwise the
-        vacuum column, Theta_N (N* e_0 (x) I), is formed once and mapped back
-        to words by N (x) I.
+        vacuum column, Theta_N (N* e_0 (x) I), is formed once, N* e_0 by
+        ``compress``, and mapped back to words by N (x) I (``lift``).
         """
         if self.sub.is_whole_space:
             return self.blocks
-        vacuum = kron_right(self.matrix, adj(self.sub.N_basis[:1]), self.d_star)
+        vacuum_n = self.sub.compress(np.eye(self.space.dim, 1, dtype=complex), 1)  # N* e_0
+        vacuum = kron_right(self.matrix, vacuum_n, self.d_star)
         return self.sub.lift(vacuum, self.d_T).reshape(self.space.dim, self.d_T, self.d_star)
 
 
@@ -442,25 +446,26 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
 
         max_i |R_i* N - N B_i*|,   B_i = N* R_i N,
 
-    recorded as ``coinvariance_leak``; for a graded family it must stay
-    below 1e-8.  Then the closed form of :func:`evaluate` at the compressed
-    right shifts B_i must agree with Theta_N to 1e-10 (recorded as
-    ``series_agreement``).  It is taken degree by degree: B_i raises the
-    N-degree by one, so (I - sum_i B_i (x) T_i*)^(-1) is a finite sum, formed
-    by forward substitution with no solve (:func:`_theta_at_raising`).  That
-    route reads only the blocks of B_i from degree r - 1 to degree r, so a
-    B_i with any other entry would show as disagreement and be refused.  The
+    recorded as ``coinvariance_leak``; both come from
+    :meth:`ideals.ConstrainedSubspace.right_shifts`.  For a graded family
+    the leak must stay below 1e-8, and then the closed form of
+    :func:`evaluate` at the compressed right shifts B_i must agree with
+    Theta_N to 1e-10 (recorded as ``series_agreement``).  It is taken
+    degree by degree: B_i raises the N-degree by one, so
+    (I - sum_i B_i (x) T_i*)^(-1) is a finite sum, formed by forward
+    substitution with no solve (:func:`_theta_at_raising`).  That route
+    reads only the blocks of B_i from degree r - 1 to degree r, so a B_i
+    with any other entry would show as disagreement and be refused.  The
     kernel builder has already refused tuples violating the relations.
     """
     sub = kernel.sub
     theta = CharFn(blocks=_theta_blocks(kernel), kernel=kernel)
     if not sub.is_whole_space:
-        raising = constrained_creation_tuple(sub, "right")
-        leak = theta.coinvariance_leak = _coinvariance_leak(sub, raising)
+        raising, theta.coinvariance_leak = sub.right_shifts()
         if sub.graded:
-            if leak > _COINVARIANCE_TOL:
+            if theta.coinvariance_leak > _COINVARIANCE_TOL:
                 raise RuntimeError(
-                    f"a right shift leaks {leak:.3e} from the relation span "
+                    f"a right shift leaks {theta.coinvariance_leak:.3e} from the relation span "
                     "into the constrained subspace"
                 )
             agreement = opnorm(theta.matrix - _theta_at_raising(theta, raising))
@@ -471,23 +476,6 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
                     "the constrained-subspace machinery is inconsistent"
                 )
     return theta
-
-
-def _coinvariance_leak(sub: ConstrainedSubspace, raising: list[np.ndarray]) -> float:
-    """max_i |R_i* N - N B_i*| = max_i |(I - N N*) R_i* N|, with B_i = N* R_i N in ``raising``.
-
-    R_i* reads the row of the word w + (i,) into the row of w, so R_i* N is
-    N's rows at the right creation targets on the words of degree < d, and
-    zero on the top degree.
-    """
-    nb = sub.N_basis
-    leak = 0.0
-    for i, b in enumerate(raising, start=1):
-        targets = creation_targets(sub.space, i, "right")
-        residual = nb @ adj(b)
-        residual[: targets.size] -= nb[targets]
-        leak = max(leak, opnorm(residual))
-    return leak
 
 
 def _theta_blocks(kernel: KernelMatrix) -> np.ndarray:
@@ -515,22 +503,21 @@ def _theta_n(sub: ConstrainedSubspace, blocks: np.ndarray) -> np.ndarray:
     For each degree pair (j, k) = (|gamma|, |alpha|) the conjugated rows of N
     at degree j + k, viewed as (n^j, n^k, columns), are contracted over gamma
     with the rows of N at degree j, then over alpha with the degree-k
-    ``blocks`` of :func:`_theta_blocks`.  A graded N, and N = I, is block
-    diagonal, so only its columns of degree j + k and j take part.
+    ``blocks`` of :func:`_theta_blocks`.  The rows come from
+    :meth:`ideals.ConstrainedSubspace.degree_rows`, on the columns that can
+    be nonzero at their degree: for a graded N, and N = I, only its columns
+    of degree j + k and j take part.
     """
     space = sub.space
     n, d, (_, d_T, d_star) = space.n, space.d, blocks.shape
-    nb, by_degree = sub.N_basis, sub.graded or sub.is_whole_space
-    cols = [slice(sub.n_cols_up_to(r - 1), sub.n_cols_up_to(r)) if by_degree else slice(None)
-            for r in range(d + 1)]
-    outer = [nb[space.degree_slice(r), c].conj() for r, c in enumerate(cols)]
+    cols, inner = zip(*(sub.degree_rows(r) for r in range(d + 1)))
+    outer = [rows.conj() for rows in inner]
     theta = np.zeros((sub.dim_N, d_T, sub.dim_N, d_star), dtype=complex)
     for j in range(d + 1):
-        inner = nb[space.degree_slice(j), cols[j]]
         for r in range(j, d + 1):
             k, alphas, target = r - j, blocks[space.degree_slice(r - j)], theta[cols[r], :, cols[j]]
-            wide, narrow = outer[r].shape[1], inner.shape[1]
-            pairs = (inner.T @ outer[r].reshape(n**j, n**k * wide)).reshape(narrow, n**k, wide)
+            wide, narrow = outer[r].shape[1], inner[j].shape[1]
+            pairs = (inner[j].T @ outer[r].reshape(n**j, n**k * wide)).reshape(narrow, n**k, wide)
             product = pairs.transpose(0, 2, 1) @ alphas.reshape(n**k, d_T * d_star)
             target += product.reshape(narrow, wide, d_T, d_star).transpose(1, 2, 0, 3)
     return theta.reshape(sub.dim_N * d_T, sub.dim_N * d_star)

@@ -39,12 +39,24 @@ degree.  As a guard against index bugs, every spanning vector is re-derived
 by walking the creation operators' index maps from the vacuum and compared
 at 1e-12.
 
-Readers of N take its products from :class:`ConstrainedSubspace` itself:
-N (x) I and N* (x) I (``lift``, ``compress``), and the adjoints of the
-compressed left shifts B_i = N* S_i N (``shift_adjoint``), which the model
-and its eq-ker check apply by a row gather through the index maps of
-:func:`fock.creation_targets`, never as matrices.  On the whole space, held
-without a basis, the products by N are no-ops and B_i* is the gather alone.
+Every product by N is a method of :class:`ConstrainedSubspace`, and no
+other module reads N's basis, so how N is held is decided here alone:
+
+- ``lift`` and ``compress``: N (x) I and N* (x) I;
+- ``shift_adjoint``: the adjoints of the compressed left shifts
+  B_i = N* S_i N, which the model and its eq-ker check apply by a row
+  gather through the index maps of :func:`fock.creation_targets`, never as
+  matrices;
+- ``right_shifts``: the compressed right shifts N* R_i N as matrices, for
+  the closed form of Theta at them, and N's coinvariance leak under R_i;
+- ``degree_rows``: N's rows at one degree, on the columns that can be
+  nonzero there, from which Theta_N is contracted;
+- ``leak``: the part of a kernel off N, streamed a chunk of words at a time;
+- ``same_as``: whether two subspaces are one N.
+
+On the whole space, held without a basis, the products by N are no-ops,
+B_i* is the gather alone, the leak is 0 and the degree rows are identity
+blocks.
 """
 
 from __future__ import annotations
@@ -58,7 +70,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fock import TruncatedFockSpace, Word, creation_targets
-from .linalg import NumericalRankWarning, adj, canonical_phase, kron_left
+from .linalg import (NumericalRankWarning, _word_chunks, adj, canonical_phase, kron_left, opnorm,
+                     stacked_opnorm)
 
 _CROSSCHECK_TOL = 1e-12
 _RANK_TOL = 1e-10  # singular-value cutoff for the rank of the relation span (relative on the spanning route)
@@ -233,17 +246,19 @@ class ConstrainedSubspace:
     for families that are not graded, which take the spanning route.
 
     The products every reader of N needs are methods: :meth:`lift` and
-    :meth:`compress` apply N (x) I_d and N* (x) I_d, and :meth:`shift_adjoint`
+    :meth:`compress` apply N (x) I_d and N* (x) I_d, :meth:`shift_adjoint`
     applies B_i* (x) I_d, B_i = N* S_i N the compressed left creation, by
-    the index map of S_i; :meth:`same_as` matches two subspaces.  How N is
-    held is decided here alone.
+    the index map of S_i; :meth:`right_shifts` gives the compressed right
+    shifts and the coinvariance leak, :meth:`degree_rows` N's rows at one
+    degree, :meth:`leak` the part of an array off N, and :meth:`same_as`
+    matches two subspaces.  How N is held is decided here alone.
 
     When M is trivial (no relation fits below the degree cap, the zero family
     among them) N is the whole space: ``basis`` is None, ``is_whole_space``
     reports it, ``dim_N`` and ``vacuum_in_N`` read the space, and ``lift``
     and ``compress`` return their argument itself.  ``N_basis`` is then the
-    exact identity, built on first read (67 MB at (2, 10)); only tests and
-    the contracted ``CharFn.matrix`` read it there.
+    exact identity, built on first read (67 MB at (2, 10)); only tests read
+    it there.
     """
 
     space: TruncatedFockSpace
@@ -308,6 +323,58 @@ class ConstrainedSubspace:
         gathered = np.zeros_like(lifted)
         gathered[: targets.size] = lifted[targets]
         return self.compress(gathered.reshape(dim * d, cols), d)
+
+    def right_shifts(self) -> tuple[list[np.ndarray], float]:
+        """The compressed right shifts B_i = N* R_i N and the leak max_i |R_i* N - N B_i*|.
+
+        The B_i are the matrices of :func:`constrained_creation`.  R_i* reads
+        the row of the word w + (i,) into the row of w, so R_i* N is N's rows
+        at the right creation targets on the words of degree < d, and zero
+        on the top degree; the leak is max_i |(I - N N*) R_i* N|, the
+        coinvariance of N under the right shifts.
+        """
+        nb, raising, leak = self.N_basis, constrained_creation_tuple(self, "right"), 0.0
+        for i, b in enumerate(raising, start=1):
+            targets = creation_targets(self.space, i, "right")
+            residual = nb @ adj(b)
+            residual[: targets.size] -= nb[targets]
+            leak = max(leak, opnorm(residual))
+        return raising, leak
+
+    def degree_rows(self, r: int) -> tuple[slice, np.ndarray]:
+        """The columns of N that can be nonzero at the degree-r words, and N's rows there on them.
+
+        A graded N, and the whole space, is block diagonal, so those are the
+        columns of degree r; otherwise they are all columns.  On the whole
+        space the rows are the n^r identity block, and no ``N_basis`` is built.
+        """
+        words = self.space.degree_slice(r)
+        if self.basis is None:  # the columns of degree r are the words of degree r
+            return words, np.eye(words.stop - words.start, dtype=complex)
+        cols = slice(self.n_cols_up_to(r - 1), self.n_cols_up_to(r)) if self.graded else slice(None)
+        return cols, self.basis[words, cols]
+
+    def leak(self, x: np.ndarray, compressed: np.ndarray) -> float:
+        """|((I - N N*) (x) I_d) x| for ``x`` of shape (dim, d, cols), the part of ``x`` off N.
+
+        ``compressed`` is (N* (x) I_d) x, from :meth:`compress`.  The
+        difference x - (N (x) I_d) compressed is formed a chunk of words at a
+        time (:func:`linalg._word_chunks`), never whole, and its spectral
+        norm taken from the stacked chunks (:func:`linalg.stacked_opnorm`).
+        On the whole space nothing is off N and the leak is 0.0.
+        """
+        if self.basis is None:
+            return 0.0
+        d, cols = x.shape[1:]
+        flat = x.reshape(-1, cols)
+
+        def residual_chunks():
+            for w0, w1 in _word_chunks(self.space.dim, d * cols):
+                chunk = kron_left(self.basis[w0:w1], compressed, d)
+                chunk -= flat[w0 * d : w1 * d]
+                yield chunk
+
+        return stacked_opnorm(residual_chunks(), cols)
 
     def same_as(self, other: ConstrainedSubspace) -> bool:
         """Whether ``other`` is this N: the same (n, d), and both whole spaces or equal bases.
@@ -490,8 +557,8 @@ def constrained_creation(sub: ConstrainedSubspace, i: int, side: str = "left") -
     rows of N's prefix at the targets and N* S N = N[targets]* N[prefix];
     when N is the whole space, N_basis is I and this is S itself.  The
     package applies B_i* by :meth:`ConstrainedSubspace.shift_adjoint`
-    instead; the matrices serve the closed form at the compressed right
-    shifts and the coinvariance leak of a relation family.
+    instead; the matrices of the right shifts serve
+    :meth:`ConstrainedSubspace.right_shifts`.
     """
     targets = creation_targets(sub.space, i, side)
     return adj(sub.N_basis[targets]) @ sub.N_basis[: targets.size]
@@ -518,14 +585,9 @@ def _crosscheck_spanning(
     indexing bug, so it raises rather than warns.
     """
     rows, cols, coefs = _walk_spanning(space, meta)
-    walked = span[rows, cols]
-    worst = float(np.max(np.abs(walked - coefs), initial=0.0))
-    # The walked entries are distinct, so they hold every nonzero part of
-    # ``span`` exactly when the counts agree; otherwise compare in full.
-    if np.count_nonzero(span.view(float)) != np.count_nonzero(walked.view(float)):
-        derived = np.zeros_like(span)
-        derived[rows, cols] = coefs
-        worst = float(np.max(np.abs(derived - span)))
+    derived = np.zeros_like(span)
+    derived[rows, cols] = coefs
+    worst = float(np.max(np.abs(derived - span), initial=0.0))
     if worst > _CROSSCHECK_TOL:
         raise RuntimeError(
             f"spanning-vector routes disagree by {worst:.3e} (> {_CROSSCHECK_TOL:.0e}); "
@@ -539,28 +601,19 @@ def _walk_spanning(
     """(row, column, coefficient) of every entry of the spanning vectors S_alpha p(S) e_beta.
 
     Column j is the vector of ``meta[j]``, one entry per term of p, and no
-    two entries share a slot.  The vectors of one shape (p, |alpha|, |beta|)
-    are walked together: each letter is one gather
-    ``targets[letter - 1, positions]`` over all of them.
+    two entries share a slot.  Each vector is walked on its own, one lookup
+    in the targets of its letter per letter.
     """
-    targets = np.stack([creation_targets(space, i, "left") for i in range(1, space.n + 1)])
+    targets = [creation_targets(space, i, "left") for i in range(1, space.n + 1)]
 
-    def walk(positions: np.ndarray, letters) -> np.ndarray:
-        for a in reversed(letters):  # a letter, or one letter per vector
-            positions = targets[np.subtract(a, 1), positions]
-        return positions
+    def walk(position: int, word: Word) -> int:
+        for a in reversed(word):
+            position = targets[a - 1][position]
+        return position
 
-    shapes: dict[tuple[int, int, int], list[int]] = {}
-    for col, (alpha, p, beta) in enumerate(meta):
-        shapes.setdefault((id(p), len(alpha), len(beta)), []).append(col)
-    rows, columns, coefs = [], [], []
-    for (_, ka, kb), cols in shapes.items():
-        p = meta[cols[0]][1]
-        alphas = np.array([meta[c][0] for c in cols], dtype=int).reshape(len(cols), ka)
-        betas = np.array([meta[c][2] for c in cols], dtype=int).reshape(len(cols), kb)
-        start = walk(np.zeros(len(cols), dtype=int), betas.T)  # the vacuum is basis vector 0
-        for w, c in p.terms.items():
-            rows.append(walk(walk(start, w), alphas.T))
-            columns.append(cols)
-            coefs.append(np.full(len(cols), c))
-    return np.concatenate(rows), np.concatenate(columns), np.concatenate(coefs)
+    rows, cols, coefs = zip(*(
+        (walk(walk(walk(0, beta), w), alpha), col, c)  # the vacuum is basis vector 0
+        for col, (alpha, p, beta) in enumerate(meta)
+        for w, c in p.terms.items()
+    ))
+    return np.array(rows), np.array(cols), np.array(coefs)

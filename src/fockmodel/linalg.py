@@ -148,6 +148,21 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
 
 
+# complex entries of one row chunk of a streamed residual (4 MB): the eq-ker
+# residual and the subspace leak are formed one chunk of words at a time
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _word_chunks(words: int, width: int) -> list[tuple[int, int]]:
+    """Consecutive word ranges [w0, w1) that cover range(words), one chunk each.
+
+    ``width`` is the number of entries in the rows of one word; a chunk has
+    at most _CHUNK_ENTRIES // width words, and at least one.
+    """
+    step = max(1, _CHUNK_ENTRIES // max(width, 1))
+    return [(w0, min(w0 + step, words)) for w0 in range(0, words, step)]
+
+
 def stacked_opnorm(chunks: Iterable[np.ndarray], cols: int) -> float:
     """Operator norm of the tall matrix whose row blocks ``chunks`` yields in turn.
 

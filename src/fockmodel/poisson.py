@@ -28,7 +28,10 @@ the size of the discarded component (`subspace_leak`, which should be at
 rounding level) are produced by :func:`constrained_poisson_kernel`, the one
 builder.  The free (unconstrained) kernel is the same call on the zero
 family, ``ideal_subspace(PolyIdealSpec(n=n), space)``, where N is the whole
-space.
+space.  Every product by N here is a method of
+:class:`ideals.ConstrainedSubspace`: ``compress`` for the kernel, ``leak``
+for its part off N and ``shift_adjoint`` for eq-ker; this module never reads
+N's basis.
 
 The kernel is the first stage of the chain kernel -> Theta -> model -> Gamma:
 it holds the tuple, N, the defect data, the tail and its uncompressed blocks,
@@ -52,7 +55,7 @@ from .contractions import (
 )
 from .fock import TruncatedFockSpace, left_target_slice
 from .ideals import ConstrainedSubspace
-from .linalg import adj, gram, hermitian_norm, kron_left, stacked_opnorm
+from .linalg import _word_chunks, adj, gram, hermitian_norm, stacked_opnorm
 
 
 @dataclasses.dataclass
@@ -138,7 +141,8 @@ def constrained_poisson_kernel(
     satisfy the relations (residual above 1e-10): the compression is only
     meaningful -- and only lossless -- for tuples in the constrained class.
     The norm of the discarded M-component, |((I - N N*) (x) I) K| with K
-    the uncompressed kernel, is returned on the result as ``subspace_leak``.
+    the uncompressed kernel (:meth:`ideals.ConstrainedSubspace.leak`, 0.0 on
+    the whole space), is returned on the result as ``subspace_leak``.
     ``relation_residual`` (the constraint_residual under ``sub.spec``) and
     ``tail`` (Phi^(d+1)(I), which :func:`contractions.classify` keeps when
     given the degree) reuse what the caller already has of the tuple; a
@@ -149,9 +153,8 @@ def constrained_poisson_kernel(
     require_relations(mats, sub.spec, residual=relation_residual)
     defect = defects(mats)
     blocks = kernel_blocks(mats, sub.space, defect)
-    flat = blocks.reshape(-1, m)
-    compressed = sub.compress(flat, defect.d_T)
-    leak_norm = 0.0 if compressed is flat else leak_off_n(blocks, compressed, sub)
+    compressed = sub.compress(blocks.reshape(-1, m), defect.d_T)
+    leak_norm = sub.leak(blocks, compressed)
     if leak_norm > 1e-6:
         raise RuntimeError(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
@@ -171,42 +174,6 @@ def constrained_poisson_kernel(
     )
 
 
-# complex entries of one row chunk of a streamed residual (4 MB): the eq-ker
-# residual and the subspace leak are formed one chunk of words at a time
-_CHUNK_ENTRIES = 1 << 18
-
-
-def _word_chunks(words: int, width: int) -> list[tuple[int, int]]:
-    """Consecutive word ranges [w0, w1) that cover range(words), one chunk each.
-
-    ``width`` is the number of entries in the rows of one word; a chunk has
-    at most _CHUNK_ENTRIES // width words, and at least one.
-    """
-    step = max(1, _CHUNK_ENTRIES // max(width, 1))
-    return [(w0, min(w0 + step, words)) for w0 in range(0, words, step)]
-
-
-def leak_off_n(blocks: np.ndarray, compressed: np.ndarray, sub: ConstrainedSubspace) -> float:
-    """|((I - N N*) (x) I) K|, the part of the kernel blocks off N.
-
-    ``blocks`` are the uncompressed blocks of :func:`kernel_blocks` and
-    ``compressed`` is (N* (x) I) K.  The difference K - (N (x) I) compressed
-    is formed a chunk of words at a time (:func:`_word_chunks`), never
-    whole, and its spectral norm taken from the stacked chunks
-    (:func:`linalg.stacked_opnorm`).
-    """
-    d_T, m = blocks.shape[1:]
-    flat = blocks.reshape(-1, m)
-
-    def residual_chunks():
-        for w0, w1 in _word_chunks(sub.space.dim, d_T * m):
-            chunk = kron_left(sub.N_basis[w0:w1], compressed, d_T)
-            chunk -= flat[w0 * d_T : w1 * d_T]
-            yield chunk
-
-    return stacked_opnorm(residual_chunks(), m)
-
-
 def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
     """Residuals of K T_i* = (B_i* (x) I) K on the rows where it holds.
 
@@ -214,7 +181,7 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
     shift on the zero family).  The identity is exact on the N-columns of
     degree <= d-1 (top-degree rows see truncated data on one side only, so
     they are excluded), and only those rows are formed, a chunk of words at
-    a time (:func:`_word_chunks`), into one buffer that every chunk and
+    a time (:func:`linalg._word_chunks`), into one buffer that every chunk and
     generator reuses.  Each chunk is K T_i* on its rows minus the same rows
     of (B_i* (x) I) K.  When N is the whole space, S_i* reads the row of the
     target word (i,) + w into the row of w, the targets of one degree are a

@@ -31,7 +31,7 @@ from fockmodel import (
     constrained_creation_tuple,
     ideal_subspace,
 )
-from fockmodel.fock import creation_targets, left_creation_tuple, word_operator
+from fockmodel.fock import creation_targets, left_creation_tuple, right_creation, word_operator
 from fockmodel.ideals import _COSINE_CUT, _crosscheck_spanning
 from fockmodel.linalg import NumericalRankWarning, kron_left
 
@@ -452,6 +452,34 @@ def test_the_products_by_n_and_by_the_compressed_shifts(family, n, d, space_fact
                 assert np.array_equal(got, want)
             else:
                 assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n, d", ORACLE_SIZES)
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_the_right_shifts_and_degree_rows_against_dense_oracles(family, n, d, space_factory):
+    # degree_rows is N's rows at one degree on a column window off which
+    # they vanish, the identity block on the whole space, where it builds no
+    # N_basis; right_shifts gives constrained_creation's matrices and the
+    # leak |(I - N N*) R_i* N| of the dense right creations
+    sub = ideal_subspace(oracle_family(family, n, d), space_factory(n, d))
+    space = sub.space
+    windows = [sub.degree_rows(r) for r in range(d + 1)]
+    if sub.is_whole_space:
+        assert "N_basis" not in sub.__dict__
+        assert all(np.array_equal(rows, np.eye(n**r)) for r, (_, rows) in enumerate(windows))
+    nb = sub.N_basis
+    for r, (cols, rows) in enumerate(windows):
+        assert np.array_equal(rows, nb[space.degree_slice(r), cols])
+        outside = np.ones(sub.dim_N, dtype=bool)
+        outside[cols] = False
+        assert not np.any(nb[space.degree_slice(r)][:, outside])
+    raising, leak = sub.right_shifts()
+    for got, want in zip(raising, constrained_creation_tuple(sub, "right"), strict=True):
+        assert np.array_equal(got, want)
+    off_n = np.eye(space.dim) - nb @ adj(nb)
+    dense = max(opnorm(off_n @ adj(right_creation(space, i)) @ nb) for i in range(1, n + 1))
+    assert abs(leak - dense) <= 1e-13
+    assert (leak < 1e-12) == (sub.graded or sub.is_whole_space)  # co-invariant when graded
 
 
 def test_same_subspace(space_factory):

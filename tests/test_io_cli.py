@@ -877,6 +877,37 @@ def test_whole_space_commands_never_build_the_dense_theta(tmp_path, monkeypatch,
     assert built == []
 
 
+@pytest.mark.parametrize("family", ["commutative", "custom-constant-term", "zero"])
+def test_only_the_subspace_reads_its_basis(tmp_path, monkeypatch, family):
+    # every product by N is a ConstrainedSubspace method, so across every
+    # command the one module that reads N_basis is ideals; on the zero family
+    # N is the whole space and nothing builds it
+    from fockmodel.ideals import ConstrainedSubspace
+
+    readers, lazy = set(), ConstrainedSubspace.N_basis
+
+    def recorded(sub):
+        readers.add(sys._getframe(1).f_globals["__name__"])
+        return lazy.func(sub)
+
+    monkeypatch.setattr(ConstrainedSubspace, "N_basis", property(recorded))
+    n, d = 2, 5
+    rng = np.random.default_rng([n, d, 31])
+    mats = oracle_tuple(family, n, rng)
+    m = mats[0].shape[0]
+    u = haar_unitary(m, rng)
+    pa, pb, uf = (tmp_path / name for name in ("a.json", "b.json", "u.json"))
+    for path, tup in ((pa, mats), (pb, conjugated_tuple(mats, u))):
+        save_problem(path, Problem(n=n, m=m, degree=d, mats=tup, ideal=oracle_family(family, n, d)))
+    uf.write_text(json.dumps({"matrix": encode_value(u)}))
+    out = tmp_path / "r.json"
+    pair = ["--problem-b", str(pb)]
+    for command, extra in [("analyze", []), ("charfn", []), ("model", []), ("equiv", pair),
+                           ("equiv", [*pair, "--unitary", str(uf)])]:
+        assert run_cli([command, "--problem", str(pa), *extra, "--out", str(out)]) in (0, 1)
+    assert readers == (set() if family == "zero" else {"fockmodel.ideals"})
+
+
 @pytest.mark.parametrize("command", ["charfn", "model"])
 def test_whole_space_commands_peak_below_theta_and_three_p_by_p_arrays(tmp_path, command):
     # zero family (2, 7), p = 765, q = 1530: Theta Theta* comes from the

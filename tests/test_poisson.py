@@ -23,7 +23,7 @@ from conftest import (
     oracle_tuple,
     psd_sqrt,
 )
-import fockmodel.poisson as poisson_module
+import fockmodel.linalg as linalg_module
 from fockmodel import (
     NCPoly,
     PolyIdealSpec,
@@ -42,7 +42,7 @@ from fockmodel import (
 )
 from fockmodel.fock import word_operator
 from fockmodel.linalg import psd_spectrum
-from fockmodel.poisson import kernel_blocks, leak_off_n
+from fockmodel.poisson import kernel_blocks
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     haar_unitary,
@@ -131,7 +131,7 @@ def test_a_kernel_leaking_off_n_is_refused(comm_sub_d4):
     compressed = np.tensordot(adj(corrupted.N_basis), blocks, axes=(1, 0)).reshape(-1, 1)
     want = dense_leak(blocks, corrupted)
     assert want > 0.1
-    assert abs(leak_off_n(blocks, compressed, corrupted) - want) <= 1e-13 * want
+    assert abs(corrupted.leak(blocks, compressed) - want) <= 1e-13 * want
 
 
 def dense_leak(blocks, sub):
@@ -143,7 +143,7 @@ def dense_leak(blocks, sub):
 @pytest.mark.parametrize("family", ORACLE_FAMILIES)
 def test_the_streamed_leak_is_the_dense_part_off_n(family, monkeypatch):
     # one word per chunk, so that every case is streamed over several chunks
-    monkeypatch.setattr(poisson_module, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(linalg_module, "_CHUNK_ENTRIES", 1)
     for n, d in ORACLE_SIZES:
         sub = ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d))
         k = constrained_poisson_kernel(oracle_tuple(family, n, np.random.default_rng([n, d])), sub)
@@ -255,7 +255,7 @@ def test_intertwining_matches_the_dense_route(case, monkeypatch):
     if words_per_chunk is not None:
         # chunks of a few words, whose boundaries fall inside degree blocks
         word_entries = kernel.d_T * kernel.matrix.shape[1]
-        monkeypatch.setattr(poisson_module, "_CHUNK_ENTRIES", words_per_chunk * word_entries)
+        monkeypatch.setattr(linalg_module, "_CHUNK_ENTRIES", words_per_chunk * word_entries)
         starts = range(words_per_chunk, checked, words_per_chunk)
         assert any(w not in sub.N_degrees.searchsorted(range(sub.space.d + 1)) for w in starts)
     got, want = verify_intertwining(kernel), dense_intertwining(kernel)
@@ -395,7 +395,7 @@ def test_kernel_and_intertwining_allocate_no_gathered_copies(n, d, m, subspace_f
     assert peak <= 1.05 * blocks.nbytes
     kernel = constrained_poisson_kernel(mats, sub)
     # chunks of three words, far fewer than the checked rows
-    monkeypatch.setattr(poisson_module, "_CHUNK_ENTRIES", 3 * m * m)
+    monkeypatch.setattr(linalg_module, "_CHUNK_ENTRIES", 3 * m * m)
     residuals, peak = _traced_peak(verify_intertwining, kernel)
     assert set(residuals) == set(range(1, n + 1))
     # one chunk buffer, which every chunk and generator reuses, and the m x m
