@@ -78,26 +78,26 @@ The spectrum of I - Theta Theta* is one record per function,
 :attr:`CharFn.spectrum` (:class:`DefectStarSpectrum`): its certificate
 |I - Theta Theta* - K K*|_F, which J-fa-F reports, the p eigenvalues and the
 eigenvectors of those above the rank cut, all from one decomposition taken
-when the record is built (:func:`defect_star_spectrum`).  Where the
-factorization holds to rounding that is the m x m Gram K*K, and nothing
-p x p is decomposed.  The verdicts (:func:`delta_and_classify`), the model
-and the model's isometry residual read the record.
+when the record is built (:func:`defect_star_spectrum`), and the bound on
+|Phihat* Phihat - I|_F of the model column Phihat = [Theta ; Delta] that
+isometry-F reports.  Where the factorization holds to rounding that is the
+m x m Gram K*K, nothing p x p is decomposed, and the bound is the
+certificate plus the norm of K*K's eigenvalues below the cut.  The verdicts
+(:func:`delta_and_classify`), the model and isometry-F
+(:attr:`CharFn.isometry_residual`) read the record.
 
 Everything that depends on how Theta is held is computed in this module;
 the model reads Theta only through the record, the kernel,
-:func:`theta_star`, :attr:`CharFn.isometry_residual` and
-:func:`coincidence_residual`.  Gram by the Stein recursion: since Theta is
-multi-analytic, its Gram A = Theta Theta* satisfies
+:func:`theta_star` and :func:`coincidence_residual`.  Gram by the Stein
+recursion: since Theta is multi-analytic, its Gram A = Theta Theta* satisfies
 A = F F* + sum_a (L_a (x) I) A (L_a (x) I)*, F the vacuum column and L_a
 the left creation, so the blocks fix A too
 (:func:`stein_gram`, O(p^2 d_star) against O(p^2 q) for a product of
 Theta).  The identity holds where N is the whole space, and there
 :func:`theta_gram` takes the recursion; relation families take a row Gram
-of the matrix.  Its three readers sit here: the gate of the record, the
-isometry residual |Phihat* Phihat - I|_F of the model column
-Phihat = [Theta ; Delta] (:attr:`CharFn.isometry_residual`, p x p work and
-no decomposition), and the coincidence residual of two functions
-(:func:`coincidence_residual`).  The last is itself a function with the
+of the matrix.  A is formed once per function, for the gate of the record;
+the recursion's other reader is the coincidence residual of two functions
+(:func:`coincidence_residual`).  That is itself a function with the
 Fourier blocks tau theta_(alpha) - theta'_(alpha) tau_star, formed once;
 on the whole space it needs only the top eigenvalue of that function's
 Gram, and takes it from the recursion deflated at a level k
@@ -131,7 +131,6 @@ from .fock import (
 )
 from .ideals import ConstrainedSubspace, PolyIdealSpec
 from .linalg import (
-    _ROW_BLOCK,
     PSD_RANK_TOL,
     adj,
     gap_frobenius,
@@ -145,7 +144,7 @@ from .linalg import (
 from .poisson import KernelMatrix
 
 _COINVARIANCE_TOL = 1e-8  # max_i |R_i* N - N B_i*| of a graded family
-_SERIES_AGREEMENT_TOL = 1e-10  # |Theta_N - Theta_T(B)| between the compression and the series
+_SERIES_AGREEMENT_TOL = 1e-10  # |Theta_N - Theta_T(B)|_F between the compression and the series
 _NILPOTENT_TOL = 1e-24  # for sum_{|w| = j} |X_w|_F^2 at a point of row norm 1
 
 
@@ -157,10 +156,10 @@ class CharFn:
     (dim, d_T, d_star) (:func:`_theta_blocks`); they fix the function.
     ``kernel`` is the constrained Poisson kernel the function was built
     from; the subspace, the defect data and the tail bound are its.  The
-    spectrum of I - Theta Theta* (:attr:`spectrum`) and the model's
-    isometry residual (:attr:`isometry_residual`) are built on first read
-    and kept.  :meth:`checks` pairs each residual measured on the function
-    with its tolerance.
+    spectrum of I - Theta Theta* (:attr:`spectrum`), which carries the
+    model's isometry bound (:attr:`isometry_residual`), is built on first
+    read and kept.  :meth:`checks` pairs each residual measured on the
+    function with its tolerance.
     """
 
     blocks: np.ndarray
@@ -207,49 +206,10 @@ class CharFn:
         """The eigen-data of I - Theta Theta* with its certificate (:func:`defect_star_spectrum`)."""
         return defect_star_spectrum(self)
 
-    @cached_property
+    @property
     def isometry_residual(self) -> float:
-        """|Phihat* Phihat - I|_F for the model column Phihat = [Theta ; Delta], p x p work.
-
-        Delta = I - Z* Z with Z = D U* Theta, U the eigenvectors of
-        I - Theta Theta* and D = diag(1 / sqrt(1 + sqrt(lambda))), the
-        lambda at or below the rank cut 1e-10 counting as 0 (so Delta has
-        rank s); the rows of Z are orthogonal, so no q-side decomposition
-        defines Delta.  D is 1 off the h kept eigenpairs (lambda_h, P = U_h),
-        so M = U D^2 U* = I + P E P* with E = D_h^2 - I, and only they are
-        needed.  With A = Theta Theta*, Z* Z = Theta* M Theta gives
-
-            Phihat* Phihat - I = Theta* Y Theta,   Y = I - 2M + M A M,
-
-        so |Phihat* Phihat - I|_F^2 = tr((Y A)^2), the norm of the same
-        operator, not an estimate.  With Q = A P,
-
-            Y = A - I + P E Q* + Q E P* + P (E (P* Q) E - 2E) P*,
-
-        A plus one rank-2h product.  Y vanishes in exact arithmetic, so the
-        trace is >= 0 up to rounding and its square root is taken at 0 or
-        above.  A comes from :func:`theta_gram`; then one p x p product Y A,
-        and no decomposition.  Only the two p x p arrays A and Y are alive:
-        Y A overwrites Y a block of 128 rows at a time, since its rows need
-        only Y's same rows.  The Frobenius norm is never smaller than the
-        spectral norm, so a tolerance on it is no easier to pass.  lambda_h
-        and U_h are the record (:attr:`spectrum`); on its Gram route U_h
-        comes from K, so the residual also measures how well K's
-        eigenvectors fit Theta.
-        """
-        spectrum = self.spectrum  # first: building the record forms and drops its own A
-        a = theta_gram(self)
-        p_h = spectrum.eigvecs
-        e = np.diag(1.0 / (1.0 + np.sqrt(spectrum.kept)) - 1.0)
-        q_h = a @ p_h
-        low_rank = np.hstack([p_h, q_h])
-        core = np.block([[e @ (adj(p_h) @ q_h) @ e - 2.0 * e, e], [e, np.zeros_like(e)]])
-        y = (low_rank @ core) @ adj(low_rank)
-        y += a
-        y.flat[:: y.shape[0] + 1] -= 1.0
-        for i in range(0, y.shape[0], _ROW_BLOCK):  # a block of rows of Y A only needs Y's
-            y[i : i + _ROW_BLOCK] = y[i : i + _ROW_BLOCK] @ a
-        return float(np.sqrt(max(np.einsum("ij,ji->", y, y).real, 0.0)))
+        """isometry-F: the record's bound on |Phihat* Phihat - I|_F (``spectrum.isometry_bound``)."""
+        return self.spectrum.isometry_bound
 
     def checks(self, pure: TriState) -> list[tuple[str, float, float]]:
         """(name, residual, tolerance) of each identity measured on the function, in report order.
@@ -450,7 +410,8 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
     :meth:`ideals.ConstrainedSubspace.right_shifts`.  For a graded family
     the leak must stay below 1e-8, and then the closed form of
     :func:`evaluate` at the compressed right shifts B_i must agree with
-    Theta_N to 1e-10 (recorded as ``series_agreement``).  It is taken
+    Theta_N to 1e-10 in Frobenius norm, which is never below the spectral
+    norm (recorded as ``series_agreement``).  The closed form is taken
     degree by degree: B_i raises the N-degree by one, so
     (I - sum_i B_i (x) T_i*)^(-1) is a finite sum, formed by forward
     substitution with no solve (:func:`_theta_at_raising`).  That route
@@ -468,7 +429,7 @@ def constrained_characteristic_function(kernel: KernelMatrix) -> CharFn:
                     f"a right shift leaks {theta.coinvariance_leak:.3e} from the relation span "
                     "into the constrained subspace"
                 )
-            agreement = opnorm(theta.matrix - _theta_at_raising(theta, raising))
+            agreement = float(np.linalg.norm(theta.matrix - _theta_at_raising(theta, raising)))
             theta.series_agreement = agreement
             if agreement > _SERIES_AGREEMENT_TOL:
                 raise RuntimeError(
@@ -721,7 +682,7 @@ _GRAM_ROUTE_TOL = 1e-12
 
 @dataclasses.dataclass(frozen=True)
 class DefectStarSpectrum:
-    """The eigen-data of the p x p matrix I - Theta Theta*, with its certificate.
+    """The eigen-data of the p x p matrix I - Theta Theta*, with its certificates.
 
     ``gap`` is |G|_F for G = I - Theta Theta* - K K*, K the Poisson kernel
     the function was built from (p x m); it is the value J-fa-F reports.
@@ -730,12 +691,17 @@ class DefectStarSpectrum:
     spectral norm.  ``eigvals`` holds the p eigenvalues, ascending, and
     ``eigvecs`` the p x h orthonormal eigenvectors of the h of them above the
     rank cut 1e-10, in the same order: the last h of ``eigvals``
-    (:attr:`kept`).
+    (:attr:`kept`).  ``isometry_bound`` is the value isometry-F reports, an
+    upper bound on |Phihat* Phihat - I|_F for the model column
+    Phihat = [Theta ; Delta], Delta built from this record: at least |G'|_F
+    for G' = I - Theta Theta* - P diag(lambda) P*, (lambda, P) the kept
+    eigenpairs (:func:`defect_star_spectrum`).
     """
 
     gap: float
     eigvals: np.ndarray
     eigvecs: np.ndarray
+    isometry_bound: float
 
     @property
     def kept(self) -> np.ndarray:
@@ -759,6 +725,23 @@ def defect_star_spectrum(theta: CharFn) -> DefectStarSpectrum:
     does not factor -- one ``eigh`` of A gives 1 - mu and the eigenvectors,
     and A is dropped.  Either way exactly one matrix is decomposed, once;
     :attr:`CharFn.spectrum` keeps the result.
+
+    The isometry bound.  Delta = I - Z* Z with Z = D U* Theta, U the
+    eigenvectors of I - Theta Theta* and D = diag(1 / sqrt(1 + sqrt(lambda))),
+    1 at or below the rank cut; so M = U D^2 U* = I + P E P* over the kept
+    eigenpairs (lambda, P), E = D_h^2 - I.  Then
+
+        Phihat* Phihat - I = Theta* Y Theta,   Y = I - 2M + M A M = -M G' M,
+
+    with G' = I - A - P diag(lambda) P* (E^2 = lambda D_h^4), and |M| <= 1,
+    |Theta| <= 1 give |Phihat* Phihat - I|_F <= |G'|_F.  Phihat is an
+    isometry by construction, so this sees only how well the eigen-data fit
+    A.  On the Gram route P diag(lambda) P* = K V_keep V_keep* K*, so
+    G' = G + K V_drop V_drop* K*, whose second term has the norm
+    |l_drop|_2 of the eigenvalues of K*K at or below the cut: the bound is
+    |G|_F + |l_drop|_2, O(m) on top of the gate.  On the dense route it is
+    |G'|_F measured on A, one more pass of :func:`linalg.gap_frobenius`;
+    |lambda_drop|_2 alone would leave out the backward error of the ``eigh``.
     """
     k = theta.kernel.matrix
     p = k.shape[0]
@@ -767,7 +750,14 @@ def defect_star_spectrum(theta: CharFn) -> DefectStarSpectrum:
     if gap > _GRAM_ROUTE_TOL:
         mu, u = np.linalg.eigh(a)
         lam = 1.0 - mu[::-1]
-        return DefectStarSpectrum(gap=gap, eigvals=lam, eigvecs=u[:, ::-1][:, lam > PSD_RANK_TOL])
+        keep = lam > PSD_RANK_TOL
+        u_h = u[:, ::-1][:, keep]
+        return DefectStarSpectrum(
+            gap=gap,
+            eigvals=lam,
+            eigvecs=u_h,
+            isometry_bound=gap_frobenius(a, u_h * np.sqrt(lam[keep])),
+        )
     ell, v = np.linalg.eigh(gram(k))
     top = ell[ell.size - min(p, ell.size) :]  # K*K has m - p more zeros when p < m
     keep = ell > PSD_RANK_TOL
@@ -775,6 +765,7 @@ def defect_star_spectrum(theta: CharFn) -> DefectStarSpectrum:
         gap=gap,
         eigvals=np.sort(np.concatenate([np.zeros(p - top.size), top])),
         eigvecs=(k @ v[:, keep]) / np.sqrt(ell[keep]),
+        isometry_bound=gap + float(np.linalg.norm(ell[~keep])),
     )
 
 

@@ -35,12 +35,17 @@ the one its shift rows, I - Theta Theta* in the model projector, fix
 (``linalg.projector_basis``), so the model operators do not depend on how
 the eigensolver splits a repeated eigenvalue.  Phihat and Delta are never
 formed.  Theta is read only through that record, the kernel, Theta* u_k on
-the Fourier blocks for every family (:func:`charfn.theta_star`), and two
-measurements that :mod:`charfn` takes of the function alone: the isometry
-residual |Phihat* Phihat - I|_F (:attr:`charfn.CharFn.isometry_residual`,
-p x p work and no decomposition) and the certificate's coincidence residual
-(:func:`charfn.coincidence_residual`).  So the model never reads the p x q
-matrix of Theta, nor how the function is held.
+the Fourier blocks for every family (:func:`charfn.theta_star`), and the
+certificate's coincidence residual (:func:`charfn.coincidence_residual`),
+which :mod:`charfn` takes of the functions alone.  So the model never reads
+the p x q matrix of Theta, nor how the function is held.  The record also
+carries the isometry check: Delta is built from the record, so Phihat is an
+isometry by construction, and |Phihat* Phihat - I|_F can see only how well
+the kept eigenpairs fit Theta Theta*.  The record's upper bound on it,
+|I - Theta Theta* - P diag(lambda) P*|_F over the kept eigenpairs
+(lambda, P), is what isometry-F reports
+(:attr:`charfn.CharFn.isometry_residual`); it costs no work past the
+record.
 
 The operators (:attr:`ModelData.operators`) and Gamma
 (:attr:`ModelData.gamma`) are later stages of the model, built on first use.
@@ -102,7 +107,7 @@ class ModelData:
 
     Bases live in the coordinates C^p (+) C^q of Phihat = [Theta ; Delta].
     The eigenpairs stay on the function's record
-    (:attr:`charfn.CharFn.spectrum`), and so does the isometry residual
+    (:attr:`charfn.CharFn.spectrum`), and so does the isometry bound
     (:attr:`charfn.CharFn.isometry_residual`).  ``classification`` is the
     one the model was built with; it picks the operator branch of the later
     stages, :attr:`operators` and :attr:`gamma`, each built on first use and
@@ -136,9 +141,10 @@ class ModelData:
     def checks(self) -> list[tuple[str, float, float]]:
         """(name, residual, tolerance) of each identity the model rests on, in report order.
 
-        isometry-F of the column [Theta ; Delta], the defining relation of
-        the general branch (def), the agreement of the two branches where
-        both exist, then Gamma's unitarity, intertwining and identification
+        isometry-F (the record's bound on |Phihat* Phihat - I|_F for the
+        column Phihat = [Theta ; Delta]), the defining relation of the
+        general branch (def), the agreement of the two branches where both
+        exist, then Gamma's unitarity, intertwining and identification
         residuals.  All but isometry-F allow ten truncation tails.
         """
         ops, gamma, tail = self.operators, self.gamma, self.tail_bound

@@ -558,6 +558,10 @@ def test_series_route_agrees_with_compression():
     th = theta_of(PAIR, sub)
     assert th.series_agreement is not None
     assert th.series_agreement < 1e-10
+    # series-agree is the Frobenius norm of the difference, never below its spectral norm
+    difference = th.matrix - charfn._theta_at_raising(th, sub.right_shifts()[0])
+    assert th.series_agreement == np.linalg.norm(difference)
+    assert th.series_agreement >= opnorm(difference)
 
 
 def test_routes_that_disagree_are_refused(monkeypatch):
@@ -895,9 +899,10 @@ def test_a_constrained_theta_is_never_formed_on_the_whole_space(monkeypatch):
 
 @pytest.mark.parametrize("case", SPECTRAL_CASES + ["fallback"])
 def test_the_shared_spectrum_gives_the_same_verdicts_and_j_fa(case, subspace_factory):
-    # the function keeps one frozen record (gap, eigvals, eigvecs), which the
-    # verdicts and J-fa-F read; a fresh build agrees bit for bit on both
-    # routes, and the record holds nothing p x p
+    # the function keeps one frozen record (gap, eigvals, eigvecs,
+    # isometry_bound), which the verdicts, J-fa-F and isometry-F read; a fresh
+    # build agrees bit for bit on both routes, and the record holds nothing
+    # p x p
     if case == "fallback":
         sub = ideal_subspace(oracle_family("custom-constant-term", 2, 5), TruncatedFockSpace(2, 5))
         th = theta_of(oracle_tuple("custom-constant-term", 2, None), sub)
@@ -906,11 +911,13 @@ def test_the_shared_spectrum_gives_the_same_verdicts_and_j_fa(case, subspace_fac
     spectrum = th.spectrum
     dc = delta_and_classify(th)
     assert th.spectrum is spectrum
-    assert [f.name for f in dataclasses.fields(spectrum)] == ["gap", "eigvals", "eigvecs"]
+    fields = [f.name for f in dataclasses.fields(spectrum)]
+    assert fields == ["gap", "eigvals", "eigvecs", "isometry_bound"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         spectrum.gap = 0.0
     fresh = charfn.defect_star_spectrum(th)
     assert fresh.gap == spectrum.gap
+    assert fresh.isometry_bound == spectrum.isometry_bound == th.isometry_residual
     assert np.array_equal(fresh.eigvals, spectrum.eigvals)
     assert np.array_equal(fresh.eigvecs, spectrum.eigvecs)
     p, q = th.shape

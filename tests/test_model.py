@@ -49,6 +49,7 @@ from fockmodel import (
     validate,
     verify_coincidence_implies_equivalence,
 )
+from fockmodel import charfn
 from fockmodel.charfn import coincidence_residual
 from fockmodel.model import _CONJUGATION_TOL
 from fockmodel.linalg import (
@@ -686,6 +687,30 @@ def _isometry_case(n, subspace_factory):
     return theta_of(mats, subspace_factory("zero", n=n, d=6 // n))
 
 
+def _exact_isometry_residual(theta):
+    """|Phihat* Phihat - I|_F = sqrt(tr((Y A)^2)), from the function's record, p x p work.
+
+    With M = I + P E P* over the kept eigenpairs (lambda_h, P) of the record
+    (E = D_h^2 - I, D = diag(1 / sqrt(1 + sqrt(lambda)))) and A = Theta Theta*,
+    Phihat* Phihat - I = Theta* Y Theta with Y = I - 2M + M A M, whose
+    Frobenius norm squared is tr((Y A)^2) exactly.  With Q = A P,
+    Y = A - I + P E Q* + Q E P* + P (E (P* Q) E - 2E) P*.  This is the
+    oracle of the isometry-F bound the record carries.
+    """
+    spectrum = theta.spectrum
+    a = charfn.theta_gram(theta)
+    p_h = spectrum.eigvecs
+    e = np.diag(1.0 / (1.0 + np.sqrt(spectrum.kept)) - 1.0)
+    q_h = a @ p_h
+    low_rank = np.hstack([p_h, q_h])
+    core = np.block([[e @ (adj(p_h) @ q_h) @ e - 2.0 * e, e], [e, np.zeros_like(e)]])
+    y = (low_rank @ core) @ adj(low_rank)
+    y += a
+    y.flat[:: y.shape[0] + 1] -= 1.0
+    ya = y @ a
+    return float(np.sqrt(max(np.einsum("ij,ji->", ya, ya).real, 0.0)))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_isometry_residual_on_ran_theta_star_is_the_dense_norm(n, subspace_factory):
     # Phihat* Phihat - I = Theta* Y Theta lives on ran Theta*, and
@@ -695,20 +720,24 @@ def test_isometry_residual_on_ran_theta_star_is_the_dense_norm(n, subspace_facto
     p, q = th.matrix.shape
     assert (p == q) if n == 1 else (p < q)
     model = build_model(th)
-    assert abs(model.theta.isometry_residual - _dense_isometry_residual(model)) < 1e-13
-    assert model.theta.isometry_residual >= _dense_isometry_residual(model, 2)
+    exact = _exact_isometry_residual(model.theta)
+    assert abs(exact - _dense_isometry_residual(model)) < 1e-13
+    assert exact >= _dense_isometry_residual(model, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_isometry_residual_on_ran_theta_star_holds_for_any_eigen_data(n, subspace_factory):
     # with the h kept eigenvalues moved by 1e-3, Phihat is no isometry; the
-    # residual is large and the two routes still measure the same norm
+    # residual is large and the two routes still measure the same norm.  The
+    # reported bound is a field of the record, so bending it moves nothing
     model = build_model(_isometry_case(n, subspace_factory))
     bent = _bent(model, 1e-3)
     want = _dense_isometry_residual(bent)
+    exact = _exact_isometry_residual(bent.theta)
     assert want > 1e-7
-    assert abs(bent.theta.isometry_residual - want) <= 1e-9 * want
-    assert bent.theta.isometry_residual >= _dense_isometry_residual(bent, 2)
+    assert abs(exact - want) <= 1e-9 * want
+    assert exact >= _dense_isometry_residual(bent, 2)
+    assert bent.theta.isometry_residual == model.theta.isometry_residual
 
 
 def _qr_isometry_residual(model):
@@ -738,19 +767,20 @@ def _oracle_isometry_case(case, subspace_factory):
 @pytest.mark.parametrize("bend", [0.0, 1e-3])
 @pytest.mark.parametrize("case", ["zero-n1", "zero-n2", "commutative"])
 def test_isometry_residual_is_the_qr_route(case, bend, subspace_factory):
-    # tr((Y A)^2) against the QR of Theta* it replaced: rounding-level on the
-    # model's own eigen-data, and a relative 1e-9 with the h kept eigenvalues
-    # moved by 1e-3, where Phihat is no isometry
+    # tr((Y A)^2) against the QR of Theta*: rounding-level on the model's
+    # own eigen-data, and a relative 1e-9 with the h kept eigenvalues moved
+    # by 1e-3, where Phihat is no isometry
     model = build_model(_oracle_isometry_case(case, subspace_factory))
     assert model.theta.sub.is_whole_space == (case != "commutative")
     model = _bent(model, bend)
     want = _qr_isometry_residual(model)
+    exact = _exact_isometry_residual(model.theta)
     if bend:
         assert want > 1e-7
-        assert abs(model.theta.isometry_residual - want) <= 1e-9 * want
+        assert abs(exact - want) <= 1e-9 * want
     else:
-        assert max(model.theta.isometry_residual, want) < 1e-12
-        assert abs(model.theta.isometry_residual - want) < 1e-13
+        assert max(model.theta.isometry_residual, exact, want) < 1e-12
+        assert abs(exact - want) < 1e-13
 
 
 @pytest.mark.parametrize("n, d", ORACLE_SIZES)
@@ -771,9 +801,47 @@ def test_isometry_residual_is_at_most_the_eigen_data_gap(family, n, d, space_fac
         return np.linalg.norm(np.eye(a.shape[0]) - a - (p_h * kept) @ adj(p_h))
 
     bent = _bent(model, 1e-3).theta
-    assert bent.isometry_residual <= eigen_data_gap(bent)
+    assert _exact_isometry_residual(bent) <= eigen_data_gap(bent)
     if model.theta.spectrum.gap <= 1e-12:
         assert abs(eigen_data_gap(model.theta) - model.theta.spectrum.gap) <= 1e-14
+
+
+def _isometry_bound_cases():
+    """(id, theta factory) over the oracle families and sizes and the bare test matrices."""
+    cases = []
+    for family in ORACLE_FAMILIES:
+        for n, d in ORACLE_SIZES:
+            def make(space_factory, subspace_factory, family=family, n=n, d=d):
+                sub = ideal_subspace(oracle_family(family, n, d), space_factory(n, d))
+                return theta_of(oracle_tuple(family, n, np.random.default_rng([n, d])), sub)
+            cases.append((f"{family}-n{n}-d{d}", make))
+    bare = {"0x3": np.zeros((0, 3)), "3x0": np.zeros((3, 0)), "identity": np.eye(3),
+            "4x2": np.array([[0.5, 0.1j], [0.0, 0.3], [0.2, 0.0], [0.1, 0.4]])}
+    for name, matrix in bare.items():
+        cases.append((f"bare-{name}", lambda *_, matrix=matrix: synthetic_theta(matrix)))
+    cases.append(("bare-tall", lambda _, subspaces: spectral_theta("tall", subspaces)))
+    return cases
+
+
+_ISOMETRY_BOUND_CASES = _isometry_bound_cases()
+
+
+@pytest.mark.parametrize("case", _ISOMETRY_BOUND_CASES, ids=[c[0] for c in _ISOMETRY_BOUND_CASES])
+def test_isometry_f_is_an_upper_bound_within_twice_the_exact_norm(case, space_factory,
+                                                                 subspace_factory):
+    # isometry-F reports the record's bound on |Phihat* Phihat - I|_F: never
+    # below the exact tr((Y A)^2) norm, up to a rounding allowance of
+    # 4 eps m (m the kernel's columns) stated here, and within twice it plus
+    # 1e-15.  On a bare p > q matrix the bound also reads the eigen-data on
+    # the p - q directions of ker Theta*, which Theta* Y Theta cannot see, so
+    # only the lower bound holds there; no characteristic function has p > q
+    _, make = case
+    theta = make(space_factory, subspace_factory)
+    reported, exact = theta.isometry_residual, _exact_isometry_residual(theta)
+    p, q = theta.shape
+    assert reported >= exact - 4 * np.finfo(float).eps * theta.kernel.matrix.shape[1]
+    if p <= q:
+        assert reported <= 2 * exact + 1e-15
 
 
 @pytest.mark.parametrize("gap, s", [(1e-9, 2), (5e-11, 1)])
@@ -855,8 +923,8 @@ def test_build_model_decomposes_nothing_larger_than_m(zero_family_pair, monkeypa
     assert (model.s, model.h) == (384, 3)
     assert th.spectrum.eigvecs.shape == (p, model.h)
     assert th.spectrum.kept.shape == (model.h,)
-    # reading the isometry residual: Theta Theta* by the Stein recursion,
-    # then p x p products and no decomposition
+    # reading the isometry residual: a field of the record the model was
+    # built from, so no decomposition and no p-sized array
     built = len(seen)
     tracemalloc.start()
     try:
@@ -865,7 +933,7 @@ def test_build_model_decomposes_nothing_larger_than_m(zero_family_pair, monkeypa
     finally:
         tracemalloc.stop()
     assert seen[built:] == []
-    assert peak < q * q * 16
+    assert peak < 16 * p
 
 
 def test_delta_and_classify_decomposes_nothing_larger_than_m(zero_family_pair, monkeypatch):
