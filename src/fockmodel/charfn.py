@@ -102,7 +102,8 @@ Fourier blocks tau theta_(alpha) - theta'_(alpha) tau_star, formed once;
 on the whole space it needs only the top eigenvalue of that function's
 Gram, and takes it from the recursion deflated at a level k
 (:func:`stein_lambda_max`): an ``eigh`` of the Gram at degree d - k, about
-p / n^k rows, and a secular equation of width d_star dim_(k-1), with no
+p / n^k rows, and a secular equation of width d_star dim_(k-1), solved by
+Newton on 1 / phi from the left (:func:`_secular_lambda_max`), with no
 p x p array.  Theta* u is one matmul per degree pair on the blocks, between
 products by N (:func:`theta_star`), for every family.
 """
@@ -602,25 +603,20 @@ def _secular_lambda_max(lam: np.ndarray, h: np.ndarray) -> float:
     eigenvalue of M(x) = h* (x - diag(lam))^(-1) h.  phi(x) = lambda_max(M(x))
     falls from its limit at top to 0, and x - diag(lam) - h h* is positive
     definite exactly when phi(x) < 1, so lambda_max is the root of
-    phi(x) = 1 when there is one above top, and top otherwise; by Weyl it
-    lies in [top, top + |h|_F^2].  A root within 4 eps of top
-    (phi(top (1 + 4 eps)) <= 1) is read as top.
+    phi(x) = 1 when there is one above top, and top otherwise.  A root
+    within 4 eps of top (phi(top (1 + 4 eps)) <= 1) is read as top.
 
-    The search keeps a bracket lo < root <= hi, phi(lo) >= 1 > phi(hi), and
-    steps by the side of the root it stands on:
-
-    - above it, by Newton on 1 / phi.  1 / phi is concave and increasing (a
-      minimum over unit y of parallel sums of the affine
-      (x - lam_i) / |h_i* y|^2), so the step lands at or below the root, and
-      it is exact when one pole carries the weight, where Newton on the
-      convex phi itself creeps;
-    - below it, by the root of the pole model a / (x - top) + b through
-      phi(x) and phi'(x), which for c = 1 lies at or above the root (the
-      fixed-pole rational step of Bunch, Nielsen and Sorensen).
-
-    A step that leaves the bracket is replaced by bisection, and the search
-    ends when a step makes no floating-point progress or the bracket holds
-    no float: it is deterministic and has no tolerance.
+    1 / phi is concave and increasing above top: it is a minimum over unit
+    y of parallel sums of the affine (x - lam_i) / |h_i* y|^2.  So Newton on
+    1 / phi, started at top (1 + 4 eps) where phi >= 1, never passes the
+    root and rises to it monotonically, with no bracket.  That holds for a
+    repeated top eigenvalue of M(x) too: 1 / (y* M(x) y) is concave and at
+    least 1 / phi for every unit y, so the tangent taken along the computed
+    eigenvector still lies above 1 / phi.  Newton on 1 / phi is exact when
+    one pole carries the weight, where Newton on the convex phi itself
+    creeps.  The search ends when a step makes no floating-point progress,
+    or returns the step when rounding carries it past the root: it is
+    deterministic and has no tolerance.
     """
     top = float(lam.max())
     if top == 0.0:  # Lambda = 0
@@ -633,30 +629,19 @@ def _secular_lambda_max(lam: np.ndarray, h: np.ndarray) -> float:
         hy = h @ vectors[:, -1]
         return float(values[-1]), float(np.sum(s * s * (hy.real**2 + hy.imag**2)))
 
-    lo, hi = top * (1.0 + 4.0 * np.finfo(float).eps), top + float(np.vdot(h, h).real)
-    x, hi_is_bound = lo, True  # hi is Weyl's bound until it is evaluated
+    x = top * (1.0 + 4.0 * np.finfo(float).eps)
     phi, slope = secular(x)
     if phi <= 1.0:
         return top
-    while True:
-        below, b = phi >= 1.0, phi - slope * (x - top)
-        if below and b < 1.0:  # the root of the pole model
-            step = min(top + slope * (x - top) ** 2 / (1.0 - b), hi)
-        else:  # Newton on 1 / phi
-            step = x + (phi - 1.0) * phi / slope if slope > 0.0 else lo
-        if step <= x if below else step >= x:  # no floating-point progress: x is the root
-            return x
-        if not (lo < step < hi or step == hi and hi_is_bound):
-            step = lo + 0.5 * (hi - lo)
-            if not lo < step < hi:
-                return lo
-        hi_is_bound &= step != hi
+    while slope > 0.0:
+        step = x + (phi - 1.0) * phi / slope  # Newton on 1 / phi
+        if step <= x:  # no floating-point progress: x is the root
+            break
+        phi, slope = secular(step)
+        if phi < 1.0:  # rounding carried the step past the root
+            return step
         x = step
-        phi, slope = secular(x)
-        if phi >= 1.0:
-            lo = x
-        else:
-            hi = x
+    return x
 
 
 def theta_gram(theta: CharFn) -> np.ndarray:

@@ -165,7 +165,8 @@ class PolyIdealSpec:
       "commutative"   -- x_i x_j - x_j x_i for all i < j,
       "q_commutative" -- x_i x_j - q_ij * x_j x_i for all i < j, where q is a
                          single nonzero scalar (used for every pair) or a
-                         mapping {(i, j): q_ij} with i < j,
+                         mapping {(i, j): q_ij} with a key for every pair
+                         1 <= i < j <= n and no other key,
       "custom"        -- an explicit list of polynomials.
     """
 
@@ -184,7 +185,15 @@ class PolyIdealSpec:
         if self.kind == "q_commutative":
             if self.q is None:
                 raise ValueError("q_commutative relations need the parameter q")
-            for i, j in itertools.combinations(range(1, self.n + 1), 2):
+            pairs = list(itertools.combinations(range(1, self.n + 1), 2))
+            if isinstance(self.q, Mapping):
+                for pair in self.q:
+                    if pair not in pairs:
+                        raise ValueError(f"pair {pair!r} lies outside 1 <= i < j <= {self.n}")
+                missing = [pair for pair in pairs if pair not in self.q]
+                if missing:
+                    raise ValueError(f"missing pairs {missing}")
+            for i, j in pairs:
                 if self.q_value(i, j) == 0:
                     raise ValueError(f"q[{i},{j}] must be nonzero")
         if self.kind == "custom":
@@ -203,10 +212,7 @@ class PolyIdealSpec:
         if not 1 <= i < j <= self.n:
             raise ValueError(f"need 1 <= i < j <= {self.n}, got ({i}, {j})")
         if isinstance(self.q, Mapping):
-            try:
-                return complex(self.q[(i, j)])
-            except KeyError:
-                raise KeyError(f"no deformation parameter stored for the pair ({i}, {j})") from None
+            return complex(self.q[(i, j)])
         return complex(self.q)  # uniform scalar
 
     def generators(self) -> list[NCPoly]:

@@ -7,6 +7,10 @@ orthonormal basis fix the phase of each column (largest-magnitude entry made
 real and positive, or a positive pivot in :func:`projector_basis`) so
 repeated runs serialize identically.
 
+Every spectral norm of a matrix that is not Hermitian is sqrt(lambda_max)
+of the Gram matrix of its narrower side (:func:`opnorm`,
+:func:`stacked_opnorm`); none is taken by an SVD.
+
 The package's operators act on (words) (x) (defect space), word-major; the
 three ``kron_*`` helpers take their block products by one matmul on a reshape,
 never forming a Kronecker matrix, and give empty operands empty results.
@@ -45,8 +49,6 @@ def kron_inner(b: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 
 _GRAM_SAFE = (1e-140, 1e140)  # entry scales whose squares neither overflow nor underflow
-_GRAM_ASPECT = 3  # rows per column from which G needs less memory than an SVD's copy
-_ROW_GRAM_ASPECT = 2  # columns per row from which a a* needs no more memory than that copy
 
 
 def gram(a: np.ndarray) -> np.ndarray:
@@ -77,10 +79,11 @@ def row_gram(a: np.ndarray, *, lower: bool = False) -> np.ndarray:
 
     With ``lower`` only the blocks on and below the diagonal are formed: the
     lower triangle, all that ``eigh`` / ``eigvalsh`` read, is complete, and
-    the upper triangle is zero outside the diagonal blocks.
+    the upper triangle is zero outside the diagonal blocks.  A real ``a``
+    has a real a a*.
     """
     rows_total = a.shape[0]
-    out = np.zeros((rows_total, rows_total), dtype=complex)
+    out = np.zeros((rows_total, rows_total), dtype=np.result_type(a, float))
     for i in range(0, rows_total, _ROW_BLOCK):
         rows = slice(i, min(i + _ROW_BLOCK, rows_total))
         if lower:
@@ -110,20 +113,17 @@ def gap_frobenius(a: np.ndarray, k: np.ndarray) -> float:
 def opnorm(a: np.ndarray) -> float:
     """Operator (spectral) norm of a matrix (a vector counts as one column).
 
-    Let b be the row-contiguous orientation of ``a`` (``a`` or its
-    transpose).  If b is at least three times as tall as wide, the norm is
-    sqrt(lambda_max(b* b)), the Gram matrix of the smaller side, read in
-    place by :func:`gram`.  If b is complex and at least twice as wide as
-    tall, it is sqrt(lambda_max(b b*)), whose lower triangle
-    :func:`row_gram` forms conjugating one block of rows of b at a time; it
-    and the copy its eigensolver makes are together no larger than b, the
-    copy an SVD would make.  Either Gram route is accurate to relative eps
-    for the largest singular value.  The entries are rescaled, on a copy,
-    only when the largest lies outside [1e-140, 1e140], so that the Gram
-    matrix can neither overflow nor underflow.  Any other matrix takes
-    numpy's values-only SVD, which copies it once; for a square-ish matrix
-    that is less memory than a Gram matrix and the copy its eigensolver
-    makes.  Non-finite entries raise LinAlgError on every route.
+    The norm is sqrt(lambda_max) of the Gram matrix of the narrower side,
+    which is accurate to relative eps for the largest singular value.  Let
+    b be the row-contiguous orientation of ``a`` (``a`` or its transpose),
+    as float64 or complex128; ``a`` is copied only when neither orientation
+    is row-contiguous or its dtype is another.  If b is at least as tall as
+    wide the Gram is b* b, read in place as one chunk of
+    :func:`stacked_opnorm`; otherwise it is b b*, whose lower triangle
+    :func:`row_gram` forms conjugating one block of rows of b at a time.
+    The entries are rescaled, on a copy, only when the largest lies outside
+    [1e-140, 1e140], so that the Gram matrix can neither overflow nor
+    underflow.  Non-finite entries raise LinAlgError.
     """
     a = np.asarray(a)
     if a.ndim == 1:
@@ -131,21 +131,17 @@ def opnorm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     b = a if a.flags.c_contiguous else a.T  # |b| = |a|
+    b = np.ascontiguousarray(b, dtype=complex if np.iscomplexobj(b) else float)
     rows, cols = b.shape
-    tall = b.dtype in (np.float64, np.complex128) and rows >= _GRAM_ASPECT * cols
-    wide = b.dtype == np.complex128 and cols >= _ROW_GRAM_ASPECT * rows
-    if not (b.flags.c_contiguous and (tall or wide)):
-        if not np.isfinite(a).all():
-            raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
-        return float(np.linalg.norm(a, 2))
+    if rows >= cols:
+        return stacked_opnorm((b,), cols)
     scale = _entry_scale(b)
     if scale == 0.0:
         return 0.0
     lo, hi = _GRAM_SAFE
     if not lo <= scale <= hi:
         return scale * opnorm(b / scale)
-    g = row_gram(b, lower=True) if wide else gram(b)
-    return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
+    return float(np.sqrt(max(np.linalg.eigvalsh(row_gram(b, lower=True))[-1], 0.0)))
 
 
 # complex entries of one row chunk of a streamed residual (4 MB): the eq-ker
@@ -170,11 +166,12 @@ def stacked_opnorm(chunks: Iterable[np.ndarray], cols: int) -> float:
     columns, is read once, before the next is asked for, so a producer may
     reuse one buffer for all of them.  The norm is sqrt(lambda_max) of the
     sum of the chunks' Gram matrices (:func:`gram`), the route
-    :func:`opnorm` takes on a tall matrix; an exactly-zero chunk adds exactly
-    nothing and is skipped.  While the largest entry seen so far lies outside
-    [1e-140, 1e140], the chunks are divided by it, on a copy, and the sum is
-    rescaled whenever it grows, so the Gram matrices can neither overflow nor
-    underflow.  Non-finite entries raise LinAlgError, as in :func:`opnorm`.
+    :func:`opnorm` takes on a matrix at least as tall as wide; an
+    exactly-zero chunk adds exactly nothing and is skipped.  While the
+    largest entry seen so far lies outside [1e-140, 1e140], the chunks are
+    divided by it, on a copy, and the sum is rescaled whenever it grows, so
+    the Gram matrices can neither overflow nor underflow.  Non-finite
+    entries raise LinAlgError, as in :func:`opnorm`.
     """
     lo, hi = _GRAM_SAFE
     total = np.zeros((cols, cols), dtype=complex)

@@ -129,17 +129,7 @@ def _ideal(value: Any, n: int) -> PolyIdealSpec:
                     raise ProblemFormatError(
                         f"ideal.q[{key!r}]: keys look like 'i,j' with integers"
                     ) from None
-                if not 1 <= i < j <= n:
-                    raise ProblemFormatError(f"ideal.q[{key!r}]: need 1 <= i < j <= {n}")
                 q[(i, j)] = _complex_entry(entry, f"ideal.q[{key!r}]")
-            missing = [
-                (i, j)
-                for i in range(1, n + 1)
-                for j in range(i + 1, n + 1)
-                if (i, j) not in q
-            ]
-            if missing:
-                raise ProblemFormatError(f"ideal.q: missing pairs {missing}")
         else:
             q = _complex_entry(raw, "ideal.q")
         try:

@@ -8,6 +8,8 @@ d >= m forgets *nothing* (the truncation tail is exactly zero).  That makes
 them the natural test family for identities that hold exactly at truncation.
 :func:`q_commuting_shift_tuple` is the q-commuting family that is not
 nilpotent, with a truncation tail that is not zero at any degree.
+:func:`direct_sum` builds reducible tuples from these, whose invariants are
+known from the parts'.
 """
 
 from __future__ import annotations
@@ -122,6 +124,21 @@ def q_commuting_shift_tuple(
     c = np.exp(2j * np.pi * rng.random()) * np.max(np.abs(w))
     powers = np.cumprod(np.r_[1.0, np.full(m - 1, complex(q))])
     return scale_to_rho([c * np.diag(powers), np.diag(w, k=-1)], rho)
+
+
+def direct_sum(*tuples: list[np.ndarray]) -> list[np.ndarray]:
+    """T (+) T' (+) ...: generator i is the block diagonal of the tuples' i-th generators.
+
+    The tuples must have the same number n of generators.  The sum of row
+    contractions is one, with the larger rho; its defects, and the model
+    space dimensions, add up.
+    """
+    sizes = [mats[0].shape[0] for mats in tuples]
+    out = [np.zeros((sum(sizes), sum(sizes)), dtype=complex) for _ in tuples[0]]
+    for start, size, mats in zip(np.cumsum([0, *sizes]), sizes, tuples):
+        for block, t in zip(out, mats, strict=True):
+            block[start : start + size, start : start + size] = t
+    return out
 
 
 def conjugated_tuple(mats: list[np.ndarray], u: np.ndarray) -> list[np.ndarray]:

@@ -218,6 +218,54 @@ def test_stein_lambda_max_is_the_top_eigenvalue_of_the_stein_gram(case, n, d, sp
         assert case == "all-zero" or blocks.shape[1] == 0
 
 
+def _secular_case(case):
+    """(lam, h) of diag(lam) + h h*, lam >= 0 and h of width c."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+
+    def cols(p, c):
+        return rng.normal(size=(p, c)) + 1j * rng.normal(size=(p, c))
+
+    if case == "one-pole":  # c = 1, the weight on the top pole
+        lam = np.array([2.0, 1.5, 0.7, 0.0])
+        return lam, np.array([[3.0], [1e-9], [2e-9], [0.0]], dtype=complex)
+    if case == "similar-weights":
+        lam = 1.0 - 1e-3 * np.arange(12.0)
+        return lam, 0.1 * np.exp(1j * np.arange(12.0))[:, None] * (1.0 + 1e-2 * rng.random((12, 3)))
+    if case == "repeated-top":  # M(x) is a multiple of I for every x
+        lam = np.array([1.0, 1.0, 0.5, 0.5])
+        return lam, np.array([[0.3, 0], [0, 0.3], [0.8, 0], [0, 0.8]], dtype=complex)
+    if case == "equal-columns":
+        h = cols(9, 3)
+        h[:, 1] = h[:, 0]
+        return np.abs(rng.normal(size=9)), h
+    if case == "root-at-top":  # phi(top (1 + 4 eps)) <= 1: the root reads as top
+        return np.array([1.0, 0.5, 0.0]), np.array([[1e-9], [1e-9], [1e-9]], dtype=complex)
+    if case == "lambda-zero":
+        return np.zeros(7), cols(7, 4)
+    if case.startswith("scaled"):  # lam and |h|^2 scaled by one factor
+        lam, h = _secular_case("wide")
+        factor = float(case.split("-", 1)[1])
+        return factor * lam, np.sqrt(factor) * h
+    # "wide": the deflated layout, zeros then a spectrum repeated per prefix, c = 90
+    mu = np.abs(rng.normal(size=40)) ** 2
+    return np.concatenate([np.zeros(30), mu, mu, mu]), 0.3 * cols(150, 90)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["one-pole", "similar-weights", "repeated-top", "equal-columns", "root-at-top", "lambda-zero",
+     "wide", "scaled-1e-30", "scaled-1e20"],
+)
+def test_secular_lambda_max_is_the_top_eigenvalue(case):
+    # Newton on 1 / phi against eigvalsh of the whole diag(lam) + h h*
+    lam, h = _secular_case(case)
+    want = np.linalg.eigvalsh(np.diag(lam) + h @ h.conj().T)[-1]
+    got = charfn._secular_lambda_max(lam, h)
+    assert abs(got - want) <= 1e-12 * want
+    if case == "root-at-top":
+        assert got == lam.max()
+
+
 @pytest.mark.parametrize(
     "family, n, d",
     [(family, n, d) for family in ORACLE_FAMILIES for n, d in ORACLE_SIZES] + [("zero", 2, 8)],

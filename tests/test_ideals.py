@@ -7,6 +7,7 @@ operator-span oracle in conftest.  The production code must match both.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,18 @@ def test_q_value_lookup():
     spec = PolyIdealSpec(n=3, kind="q_commutative", q={(1, 2): 1j, (1, 3): 2.0, (2, 3): -1.0})
     assert spec.q_value(1, 2) == 1j
     assert spec.q_value(2, 3) == -1.0
+
+
+@pytest.mark.parametrize(
+    "n, q, needle",
+    [(3, {(1, 2): 0.5}, "missing pairs [(1, 3), (2, 3)]"),
+     (2, {(1, 2): 0.5, (2, 3): 1.0}, "pair (2, 3) lies outside"),
+     (2, {(2, 1): 0.5}, "pair (2, 1) lies outside")],
+    ids=["missing", "out-of-range", "reversed"],
+)
+def test_a_q_mapping_needs_exactly_the_pairs_i_below_j(n, q, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        PolyIdealSpec(n=n, kind="q_commutative", q=q)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,24 @@ def test_q_dict_validation(tmp_path):
         load_problem(path)
 
 
+@pytest.mark.parametrize(
+    "n, q, needle",
+    [(3, {"1,2": 0.5}, "missing pairs [(1, 3), (2, 3)]"),
+     (2, {"1,2": 0.5, "2,3": 1.0}, "pair (2, 3) lies outside 1 <= i < j <= 2")],
+    ids=["missing-pair", "out-of-range-pair"],
+)
+def test_a_bad_q_mapping_exits_2_naming_the_field(tmp_path, capsys, n, q, needle):
+    mats = [[[0.1]]] * n
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(
+        {"n": n, "m": 1, "degree": 3, "tuple": mats, "ideal": {"kind": "q_commutative", "q": q}}
+    ))
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--problem", str(path), "--out", str(out)]) == 2
+    assert f"ideal.q: {needle}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_not_json_and_not_object(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -52,6 +52,25 @@ def test_opnorm_matches_the_svd_norm(shape, complex_entries, scale):
         assert abs(opnorm(view) - want) <= 1e-14 * want
 
 
+@pytest.mark.parametrize("dtype", [float, complex, int], ids=["float", "complex", "int"])
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_opnorm_takes_no_svd_on_any_layout(shape, dtype, monkeypatch):
+    from fockmodel import linalg
+
+    rng = np.random.default_rng(sum(shape))
+    a = rng.integers(-9, 10, size=shape) if dtype is int else _sample(shape, dtype is complex, 1.0)
+    views = (a, np.asfortranarray(a), a.T, a.conj().T, a[::2], a[:, ::2], a[::2, ::3].T)
+    wants = [np.linalg.norm(view, 2) for view in views]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("opnorm reached an SVD")
+
+    monkeypatch.setattr(linalg.np.linalg, "svd", refuse)
+    monkeypatch.setattr(linalg.np.linalg, "norm", refuse)
+    for view, want in zip(views, wants):
+        assert abs(opnorm(view) - want) <= 1e-14 * want
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_opnorm_of_zero_and_empty_matrices(dtype):
     assert opnorm(np.zeros((6, 3), dtype=dtype)) == 0.0
@@ -62,7 +81,7 @@ def test_opnorm_of_a_vector_is_its_length():
     assert opnorm(np.array([3.0, 4.0])) == pytest.approx(5.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("shape", [(5, 3), (30, 3)], ids=["svd-route", "gram-route"])
+@pytest.mark.parametrize("shape", [(3, 5), (30, 3)], ids=["row-gram-route", "gram-route"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_opnorm_refuses_non_finite_entries(bad, shape):
     a = np.ones(shape, dtype=complex)
@@ -135,7 +154,10 @@ def test_opnorm_does_not_copy_a_tall_operand(complex_entries):
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
-@pytest.mark.parametrize("shape", [(40, 80), (40, 79), (30, 90)], ids=["aspect-2", "below-2", "aspect-3"])
+@pytest.mark.parametrize(
+    "shape", [(40, 80), (40, 79), (30, 90), (40, 41), (40, 40)],
+    ids=["aspect-2", "below-2", "aspect-3", "one-wider", "square"],
+)
 @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
 def test_opnorm_takes_the_row_gram_of_a_wide_complex_operand(complex_entries, shape, layout, monkeypatch):
     from fockmodel import linalg
@@ -146,8 +168,8 @@ def test_opnorm_takes_the_row_gram_of_a_wide_complex_operand(complex_entries, sh
     a = np.asarray(_sample(shape, complex_entries, 1.0), order=layout)
     got = opnorm(a)
     assert abs(got - np.linalg.norm(a, 2)) <= 1e-14 * got
-    # only a row-contiguous complex operand at least twice as wide as tall
-    wide = complex_entries and layout == "C" and shape[1] >= 2 * shape[0]
+    # exactly when the row-contiguous orientation is wider than tall
+    wide = layout == "C" and shape[1] > shape[0]
     assert seen == ([shape] if wide else [])
 
 

@@ -61,6 +61,7 @@ from fockmodel.linalg import (
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     conjugated_tuple,
+    direct_sum,
     haar_unitary,
     q_commuting_nilpotent_tuple,
     q_commuting_shift_tuple,
@@ -1201,3 +1202,77 @@ def test_a_q_commuting_tuple_that_is_not_nilpotent_passes_every_check(n, d, q):
     _, theta_b, model_b = stages(conjugated_tuple(mats, u))
     witness = coincidence_from_unitary(theta, theta_b, u)
     assert verify_coincidence_implies_equivalence(witness, model, model_b).equivalent
+
+
+# ---------------------------------------------------------------------------
+# direct sums: every invariant of T (+) T' is known from the parts
+
+
+def _sum_parts(case):
+    """(spec, d, sampler of one part by size, the two part sizes)."""
+    if case == "zero":
+        return PolyIdealSpec(n=2), 6, lambda rng, m: random_row_contraction(rng, 2, m, 0.6), (3, 4)
+    if case == "q-shift":
+        spec = PolyIdealSpec(n=2, kind="q_commutative", q=-1)
+        return spec, 6, lambda rng, m: q_commuting_shift_tuple(rng, m, -1, 0.7), (5, 6)
+    spec = PolyIdealSpec(n=3, kind="commutative")
+    return spec, 5, lambda rng, m: commuting_nilpotent_tuple(rng, 3, 0.6), (3, 3)
+
+
+def _stages(mats, sub, d):
+    cls = classify(mats, degree=d)
+    theta = constrained_characteristic_function(constrained_poisson_kernel(mats, sub, tail=cls.tail))
+    return cls, theta
+
+
+@pytest.mark.parametrize("case", ["zero", "q-shift", "commutative"])
+def test_a_direct_sum_has_the_invariants_of_its_parts(case):
+    spec, d, sample, (m1, m2) = _sum_parts(case)
+    sub = ideal_subspace(spec, TruncatedFockSpace(spec.n, d))
+    rng = np.random.default_rng(7)
+    t1, t2 = sample(rng, m1), sample(rng, m2)
+    parts = [_stages(t, sub, d) for t in (t1, t2)]
+    cls, theta = _stages(direct_sum(t1, t2), sub, d)
+    assert constraint_residual(direct_sum(t1, t2), spec) <= 1e-15
+
+    # each word's singular values are the sorted union of the parts' (zeros padded)
+    got = np.linalg.svd(theta.fourier_blocks, compute_uv=False)
+    union = np.concatenate([np.linalg.svd(th.fourier_blocks, compute_uv=False) for _, th in parts], 1)
+    union = np.pad(-np.sort(-union, axis=1), [(0, 0), (0, got.shape[1] - union.shape[1])])
+    assert np.abs(got - union).max() <= 1e-14
+
+    # the defects and the model space add up, and the tail is the larger one
+    assert (theta.d_T, theta.d_star) == tuple(sum(dims) for dims in
+                                              zip(*((th.d_T, th.d_star) for _, th in parts)))
+    models = [build_model(th, classification=c) for c, th in parts]
+    model = build_model(theta, classification=cls)
+    assert model.h == models[0].h + models[1].h == m1 + m2
+    tails = [th.tail_bound for _, th in parts]
+    assert abs(theta.tail_bound - max(tails)) <= 1e-14 * max(tails)
+
+    # the swap carries T (+) T' onto T' (+) T: certified, every check at rounding
+    swap = np.eye(m1 + m2)[np.r_[m1 : m1 + m2, 0:m1]]
+    cls_b, theta_b = _stages(direct_sum(t2, t1), sub, d)
+    witness = coincidence_from_unitary(theta, theta_b, swap)
+    report = verify_coincidence_implies_equivalence(
+        witness, model, build_model(theta_b, classification=cls_b))
+    assert report.equivalent
+    assert max(residual for _, residual, _ in report.checks) <= 1e-13
+
+    # negative control: T (+) T against T (+) T'', parts of one size, fails the screen
+    t3 = t2 if m1 == m2 else sample(rng, m1)
+    _, theta_tt = _stages(direct_sum(t1, t1), sub, d)
+    _, theta_t3 = _stages(direct_sum(t1, t3), sub, d)
+    assert charfn.coincidence_necessary_mismatch(theta_tt, theta_t3) > charfn._FOURIER_SCREEN_TOL
+
+
+def test_a_row_coisometric_summand_admits_no_model(subspace_factory):
+    # (0.6, 0.8) on C^1 has 0.36 + 0.64 = 1: its vector keeps its norm under
+    # every Phi^k(I), so the sum is neither pure nor c.n.c.
+    sub = subspace_factory("zero", n=2, d=5)
+    mats = direct_sum(random_row_contraction(np.random.default_rng(7), 2, 3, 0.6),
+                      [np.array([[0.6]]), np.array([[0.8]])])
+    cls, theta = _stages(mats, sub, 5)
+    assert (cls.pure, cls.cnc) == (TriState.NO, TriState.NO)
+    with pytest.raises(ValueError, match="not completely noncoisometric"):
+        build_model(theta, classification=cls)
