@@ -16,7 +16,6 @@ from .fock import (
     enumerate_words,
     flip_unitary,
     left_creation,
-    left_target_slice,
     left_creation_tuple,
     right_creation,
     right_creation_tuple,

@@ -124,12 +124,7 @@ from .contractions import (
     DefectData,
     TriState,
 )
-from .fock import (
-    TruncatedFockSpace,
-    left_target_slice,
-    prefixed_words,
-    reversed_word_products,
-)
+from .fock import TruncatedFockSpace, reversed_word_products
 from .ideals import ConstrainedSubspace, PolyIdealSpec
 from .linalg import (
     PSD_RANK_TOL,
@@ -444,18 +439,18 @@ def _theta_blocks(kernel: KernelMatrix) -> np.ndarray:
     """The Fourier block theta_(alpha) of every word alpha on the whole space, (dim, d_T, d_star).
 
     theta_((a) + beta) is the kernel block of beta times the a-th row block
-    of Delta_* basis_*, written into the slice of the words (a) + beta
-    (:func:`fock.left_target_slice`), as in the kernel's own recurrence.
+    of Delta_* basis_*, written into the row a of the grid of the words
+    (a) + beta (:meth:`fock.TruncatedFockSpace.grid`): one product per
+    degree, as in the kernel's own recurrence.
     """
     mats, space, defect = kernel.mats, kernel.space, kernel.defect
-    n, m = len(mats), mats[0].shape[0]
+    n, m, d_T, d_star = len(mats), mats[0].shape[0], defect.d_T, defect.d_star
     row_blocks = _star_row_blocks(defect, n, m)
-    blocks = np.empty((space.dim, defect.d_T, defect.d_star), dtype=complex)
+    blocks = np.empty((space.dim, d_T, d_star), dtype=complex)
     blocks[0] = -adj(defect.basis) @ np.hstack(mats) @ defect.basis_star
     for k in range(space.d):
-        parents = kernel.blocks[space.degree_slice(k)]
-        for a in range(1, n + 1):
-            np.matmul(parents, row_blocks[a - 1], out=blocks[left_target_slice(space, a, k)])
+        parents = kernel.blocks[space.degree_slice(k)].reshape(n**k * d_T, m)
+        np.matmul(parents, row_blocks, out=space.grid(blocks, 1, k).reshape(n, n**k * d_T, d_star))
     return blocks
 
 
@@ -491,19 +486,19 @@ def theta_star(theta: CharFn, u: np.ndarray) -> np.ndarray:
     The whole-space Theta has the block theta_(alpha) at (gamma alpha, gamma),
     so (Theta* v)_gamma = sum_alpha theta_(alpha)* v_(gamma alpha).  For a
     degree pair (j, k) = (|gamma|, |alpha|) the rows of v at degree j + k,
-    viewed as (n^j, n^k d_T, h), meet the stacked degree-k blocks in one
-    matmul.  The products by N are :meth:`ideals.ConstrainedSubspace.lift`
-    and ``compress``, no-ops on the whole space.
+    viewed as their grid (:meth:`fock.TruncatedFockSpace.grid`),
+    (n^j, n^k d_T, h), meet the stacked degree-k blocks in one matmul.  The
+    products by N are :meth:`ideals.ConstrainedSubspace.lift` and
+    ``compress``, no-ops on the whole space.
     """
     sub, space, (dim, d_T, d_star), h = theta.sub, theta.space, theta.blocks.shape, u.shape[1]
     v = sub.lift(u, d_T).reshape(dim, d_T, h)
     out = np.zeros((dim, d_star, h), dtype=complex)
-    for r in range(space.d + 1):
-        rows = v[space.degree_slice(r)]
-        for j in range(r + 1):
-            width = space.n ** (r - j) * d_T
-            alphas = adj(theta.blocks[space.degree_slice(r - j)].reshape(width, d_star))
-            out[space.degree_slice(j)] += alphas @ rows.reshape(space.n**j, width, h)
+    for j in range(space.d + 1):
+        for k in range(space.d - j + 1):
+            width = space.n**k * d_T
+            alphas = adj(theta.blocks[space.degree_slice(k)].reshape(width, d_star))
+            out[space.degree_slice(j)] += alphas @ space.grid(v, j, k).reshape(space.n**j, width, h)
     return sub.compress(out.reshape(dim * d_star, h), d_star)
 
 
@@ -520,24 +515,22 @@ def stein_gram(space: TruncatedFockSpace, blocks: np.ndarray) -> np.ndarray:
     F the vacuum column (the stacked blocks) and L_a the left creation.
     Starting from F F*, a degree pair (j, k) with max(j, k) = r - 1 is
     complete after step r - 1, and step r adds it into the rows (a) + w and
-    the columns (a) + v of the degree pair (j + 1, k + 1), one contiguous
-    range on each side per letter (:func:`fock.left_target_slice`).  That is
-    O(p^2 c) for F F* plus copies, where a product of G costs O(p^2 q).
-    Returns the whole (dim r) x (dim r) matrix.
+    the columns (a) + v of the degree pair (j + 1, k + 1): the letter
+    diagonal of the two grids (:meth:`fock.TruncatedFockSpace.grid`), one
+    writable view for all letters.  That is O(p^2 c) for F F* plus copies,
+    where a product of G costs O(p^2 q).  Returns the whole (dim r) x (dim r)
+    matrix.
     """
     dim, r, c = blocks.shape
     vacuum = blocks.reshape(dim * r, c)
     out = vacuum @ adj(vacuum)
-
-    def rows(words: slice) -> slice:
-        return slice(words.start * r, words.stop * r)
-
+    square = out.reshape(dim, r, dim, r)
     for top in range(space.d):  # the source pairs (j, k) with max(j, k) = top
         for j, k in [(j, top) for j in range(top + 1)] + [(top, k) for k in range(top)]:
-            source = out[rows(space.degree_slice(j)), rows(space.degree_slice(k))]
-            for a in range(1, space.n + 1):
-                row_targets, col_targets = (rows(left_target_slice(space, a, g)) for g in (j, k))
-                out[row_targets, col_targets] += source
+            rows = space.grid(square, 1, j).transpose(3, 4, 0, 1, 2)  # the rows (a) + w, columns first
+            # the columns (b) + v of those rows, (b, v, ., a, w, .), at b = a
+            target = np.einsum("avjawi->awivj", space.grid(rows, 1, k))
+            target += square[space.degree_slice(j), :, space.degree_slice(k)]
     return out
 
 
@@ -586,12 +579,13 @@ def _deflated_lambda_max(space: TruncatedFockSpace, blocks: np.ndarray, k: int) 
     mu, v = np.linalg.eigh(stein_gram(inner, blocks[: inner.dim]))
     head = space.dim_up_to(k - 1)
     cols = np.zeros((dim, r, head, c), dtype=complex)  # C, the columns at the words of degree < k
-    for j in range(k):
-        gammas = space.degree_slice(j)
-        rows = prefixed_words(space, j, d - j)
-        cols[rows, :, np.arange(gammas.start, gammas.stop)[:, None]] = blocks[: rows.shape[1]]
+    for j in range(k):  # the column gamma of degree j holds the block of w at the row gamma + w
+        for l in range(d - j + 1):
+            at_gamma = space.grid(cols, j, l)[..., space.degree_slice(j), :]  # (gamma, w, ., gamma, .)
+            np.einsum("gwigc->gwic", at_gamma)[...] = blocks[space.degree_slice(l)]
     cols = cols.reshape(dim, r, head * c)
-    tails = adj(v) @ cols[prefixed_words(space, k, d - k)].reshape(n**k, inner.dim * r, head * c)
+    prefixed = np.concatenate([space.grid(cols, k, l) for l in range(d - k + 1)], axis=1)
+    tails = adj(v) @ prefixed.reshape(n**k, inner.dim * r, head * c)
     lam = np.concatenate([np.zeros(head * r)] + [np.clip(mu, 0.0, None)] * n**k)
     return _secular_lambda_max(lam, np.vstack([cols[:head].reshape(head * r, -1), *tails]))
 

@@ -15,10 +15,17 @@ operator for letter i prepends the letter; the right creation operator
 appends it; both send top-degree basis vectors to zero (the truncation
 convention used throughout the package).  Both are partial permutations of
 the basis, so :func:`creation_targets` gives them as index maps, and the
-dense matrices are built from those maps.  On one degree block a left
-creation is a contiguous range of the next block, :func:`left_target_slice`.
-Because they raise degree, any product of more than d of them vanishes
-identically.
+dense matrices are built from those maps.  Because they raise degree, any
+product of more than d of them vanishes identically.
+
+The order is the tensor structure of the Fock space: the word gamma + w,
+gamma of degree j and w of degree k, sits at position
+(position of gamma) n^k + (position of w) of the degree-(j + k) block, so
+that block is an n^j x n^k grid of (prefix, suffix).
+:meth:`TruncatedFockSpace.grid` is the one place that fact is written
+down: left creation by a on degree k is the row a of ``grid(x, 1, k)``,
+right creation the column a of ``grid(x, k, 1)``, and every product that
+prepends or appends letters to a whole degree block reads that view.
 """
 
 from __future__ import annotations
@@ -110,6 +117,16 @@ class TruncatedFockSpace:
             raise ValueError(f"degree {k} outside 0..{self.d}")
         return slice(int(self._offsets[k]), int(self._offsets[k + 1]))
 
+    def grid(self, x: np.ndarray, j: int, k: int) -> np.ndarray:
+        """The rows of the word-major ``x`` at the words of degree j + k, as (n^j, n^k, ...).
+
+        Entry [g, w] is the row of gamma + w, gamma the g-th word of degree j
+        and w the w-th of degree k: a view of ``x[degree_slice(j + k)]``.
+        """
+        if not (j >= 0 and k >= 0 and j + k <= self.d):
+            raise ValueError(f"prefixes of degree {j} on words of degree {k} exceed d = {self.d}")
+        return x[self.degree_slice(j + k)].reshape(self.n**j, self.n**k, *x.shape[1:])
+
     def dim_up_to(self, k: int) -> int:
         """Dimension of the degree-<= k slice (a prefix of the basis)."""
         k = min(k, self.d)
@@ -128,11 +145,11 @@ class TruncatedFockSpace:
     @cached_property
     def _target_tables(self) -> dict[str, np.ndarray]:
         """The read-only n x dim_up_to(d - 1) tables of :func:`creation_targets`, per side."""
-        # the words of degree < d, each of degree k at position p of its block
-        words = np.arange(self.dim_up_to(self.d - 1))
-        k, letters = self.degrees[words], np.arange(self.n)[:, None]
-        start, p = self._offsets[k + 1], words - self._offsets[k]
-        tables = {"left": start + letters * self.n**k + p, "right": start + p * self.n + letters}
+        words, shape = np.arange(self.dim), (self.n, self.dim_up_to(self.d - 1))
+        tables = {"left": np.empty(shape, dtype=int), "right": np.empty(shape, dtype=int)}
+        for k in range(self.d):
+            tables["left"][:, self.degree_slice(k)] = self.grid(words, 1, k)
+            tables["right"][:, self.degree_slice(k)] = self.grid(words, k, 1).T
         for table in tables.values():
             table.flags.writeable = False
         return tables
@@ -142,49 +159,17 @@ def creation_targets(space: TruncatedFockSpace, i: int, side: str = "left") -> n
     """Flat index of (i,) + w (side "left") or w + (i,) (side "right") per word w of degree < d.
 
     Entry c belongs to the c-th word of the basis; the words of degree < d
-    are the prefix of length ``dim_up_to(d - 1)``.  A word at position p of
-    its degree-k block lands at position (i - 1) n^k + p (left) or
-    p n + (i - 1) (right) of the degree-(k + 1) block.  The creation
-    operators are these partial permutations; top-degree words have no
-    target.  The result is a read-only row of the space's table for that
-    side, built once for all letters.
+    are the prefix of length ``dim_up_to(d - 1)``.  On degree k the left
+    targets are the row i of ``space.grid(words, 1, k)`` and the right ones
+    the column i of ``space.grid(words, k, 1)``.  The creation operators are
+    these partial permutations; top-degree words have no target.  The
+    result is a read-only row of the space's table for that side, built
+    once for all letters.
     """
     _check_letter(space, i)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return space._target_tables[side][i - 1]
-
-
-def left_target_slice(space: TruncatedFockSpace, i: int, k: int) -> slice:
-    """Flat indices of (i,) + w for the words w of degree k < d, in order: one slice.
-
-    Left creation by letter i maps the degree-k block onto positions
-    (i - 1) n^k + [0, n^k) of the degree-(k + 1) block, keeping the order of
-    the words, so on one degree block the partial permutation is a
-    contiguous range.  It is ``creation_targets(space, i, "left")`` on
-    ``space.degree_slice(k)``, with no index array.
-    """
-    _check_letter(space, i)
-    if not 0 <= k < space.d:
-        raise ValueError(f"degree {k} has no left creation targets in 0..{space.d - 1}")
-    start = space.degree_slice(k + 1).start + (i - 1) * space.n**k
-    return slice(start, start + space.n**k)
-
-
-def prefixed_words(space: TruncatedFockSpace, j: int, k: int) -> np.ndarray:
-    """Flat indices of gamma + w, gamma of degree j (rows) and w of degree <= k (columns).
-
-    Row g is the left creation by the g-th word gamma of degree j on the
-    words of degree <= k, in their order: on each degree l it is the range
-    of n^l positions from g n^l in the degree-(j + l) block, as
-    :func:`left_target_slice` is for one letter and one degree.  Needs
-    j + k <= d.
-    """
-    if not (j >= 0 and k >= 0 and j + k <= space.d):
-        raise ValueError(f"prefixes of degree {j} on words of degree <= {k} exceed d = {space.d}")
-    n, g = space.n, np.arange(space.n**j)[:, None]
-    starts = [space.degree_slice(j + l).start for l in range(k + 1)]
-    return np.concatenate([s + g * n**l + np.arange(n**l) for l, s in enumerate(starts)], axis=1)
 
 
 def _partial_permutation(space: TruncatedFockSpace, targets: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ from .contractions import (
     require_relations,
     DefectData,
 )
-from .fock import TruncatedFockSpace, left_target_slice
+from .fock import TruncatedFockSpace
 from .ideals import ConstrainedSubspace
 from .linalg import _word_chunks, adj, gram, hermitian_norm, stacked_opnorm
 
@@ -109,19 +109,21 @@ def kernel_blocks(
     Poisson-kernel blocks of ``mats`` on the whole truncated space; times one
     row block of Delta_* basis_* = basis_star * sqrt(eigvals_star) they are
     also the Fourier blocks of its characteristic function.  The block of
-    (a) + beta is the block of beta times T_a*, so each degree takes one
-    product per letter.  The words (a) + beta of one degree of beta are a
-    contiguous range (:func:`fock.left_target_slice`),
-    and each product is written straight into it: the blocks are the only
-    array of their size that is allocated.
+    (a) + beta is the block of beta times T_a*, and the words (a) + beta of
+    one degree of beta are the row a of :meth:`fock.TruncatedFockSpace.grid`,
+    so each degree takes one product, the stacked blocks of that degree
+    times the stacked T_a*, written straight into the grid: the blocks are
+    the only array of their size that is allocated.
     """
-    m = mats[0].shape[0]
-    blocks = np.empty((space.dim, defect.d_T, m), dtype=complex)
+    n, m, d_T = len(mats), mats[0].shape[0], defect.d_T
+    blocks = np.empty((space.dim, d_T, m), dtype=complex)
     blocks[0] = np.sqrt(defect.eigvals)[:, None] * adj(defect.basis)
+    t_adj = np.empty((n, m, m), dtype=complex)
+    for a, t in enumerate(mats):
+        np.conjugate(t.T, out=t_adj[a])
     for k in range(space.d):
-        parents = blocks[space.degree_slice(k)]
-        for a, t in enumerate(mats, start=1):
-            np.matmul(parents, adj(t), out=blocks[left_target_slice(space, a, k)])
+        parents = blocks[space.degree_slice(k)].reshape(n**k * d_T, m)
+        np.matmul(parents, t_adj, out=space.grid(blocks, 1, k).reshape(n, n**k * d_T, m))
     return blocks
 
 
@@ -184,8 +186,8 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
     a time (:func:`linalg._word_chunks`), into one buffer that every chunk and
     generator reuses.  Each chunk is K T_i* on its rows minus the same rows
     of (B_i* (x) I) K.  When N is the whole space, S_i* reads the row of the
-    target word (i,) + w into the row of w, the targets of one degree are a
-    contiguous range of the next (:func:`fock.left_target_slice`), and the
+    target word (i,) + w into the row of w, the targets of one degree are
+    the row i of its grid (:meth:`fock.TruncatedFockSpace.grid`), and the
     target rows of K are subtracted in place; otherwise (B_i* (x) I) K is
     formed once per generator by
     :meth:`ideals.ConstrainedSubspace.shift_adjoint`, the size of K, and its
@@ -201,29 +203,29 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
         # the defect is trivial (the kernel is the empty map) or no row is
         # checked: the identity holds vacuously for every generator
         return {i: 0.0 for i in range(1, space.n + 1)}
-    k_mat = kernel.matrix
+    k_mat, n = kernel.matrix, space.n
     m = k_mat.shape[1]
     chunks = _word_chunks(checked, d_T * m)
     buffer = np.empty((chunks[0][1] * d_T, m), dtype=complex)  # the first chunk is the largest
 
-    def sources(i: int) -> list[tuple[slice, np.ndarray, int]]:
-        """(words w, array, offset): the row of w in (B_i* (x) I) K is the array's row w + offset."""
-        if sub.is_whole_space:  # a word w of degree k < d has its target (i,) + w at w + offset
-            return [(space.degree_slice(k), k_mat,
-                     left_target_slice(space, i, k).start - space.degree_slice(k).start)
+    def sources(i: int) -> list[tuple[slice, np.ndarray]]:
+        """(words w, rows): the rows of (B_i* (x) I) K at the words w, from the first."""
+        if sub.is_whole_space:  # the row of a word w of degree k < d is that of (i,) + w
+            blocks = k_mat.reshape(space.dim, d_T, m)
+            return [(space.degree_slice(k), space.grid(blocks, 1, k)[i - 1].reshape(n**k * d_T, m))
                     for k in range(space.d)]
-        return [(slice(0, checked), sub.shift_adjoint(i, k_mat, d_T), 0)]
+        return [(slice(0, checked), sub.shift_adjoint(i, k_mat, d_T))]
 
     def residual_chunks(i: int):
         t_adj, pieces = adj(kernel.mats[i - 1]), sources(i)
         for w0, w1 in chunks:
             chunk = buffer[: (w1 - w0) * d_T]
             np.matmul(k_mat[w0 * d_T : w1 * d_T], t_adj, out=chunk)
-            for words, rows, offset in pieces:
+            for words, rows in pieces:
                 lo, hi = max(w0, words.start), min(w1, words.stop)
                 if lo < hi:
                     chunk[(lo - w0) * d_T : (hi - w0) * d_T] -= (
-                        rows[(lo + offset) * d_T : (hi + offset) * d_T])
+                        rows[(lo - words.start) * d_T : (hi - words.start) * d_T])
             yield chunk
 
     return {i: stacked_opnorm(residual_chunks(i), m) for i in range(1, space.n + 1)}

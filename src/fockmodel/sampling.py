@@ -7,7 +7,8 @@ of length >= m of the tuple's entries vanishes, so a degree-d truncation with
 d >= m forgets *nothing* (the truncation tail is exactly zero).  That makes
 them the natural test family for identities that hold exactly at truncation.
 :func:`q_commuting_shift_tuple` is the q-commuting family that is not
-nilpotent, with a truncation tail that is not zero at any degree.
+nilpotent, with a truncation tail that is not zero at any degree, and
+:func:`commuting_diagonalizable_tuple` the commuting one.
 :func:`direct_sum` builds reducible tuples from these, whose invariants are
 known from the parts'.
 """
@@ -86,6 +87,21 @@ def commuting_nilpotent_tuple(rng: np.random.Generator, n: int, rho: float) -> l
         b = rng.standard_normal() + 1j * rng.standard_normal()
         mats.append(a * nmat + b * (nmat @ nmat))
     return scale_to_rho(mats, rho)
+
+
+def commuting_diagonalizable_tuple(
+    rng: np.random.Generator, n: int, m: int, rho: float
+) -> list[np.ndarray]:
+    """m x m commuting tuple T_i = S D_i S^(-1), D_i random complex diagonal (any n).
+
+    S = I + 0.3 G / sqrt(m) with G complex Gaussian is well conditioned
+    (cond(S) about 2 for m <= 8), so the commutators vanish to rounding.
+    No T_i is nilpotent, so the truncation tail is not zero at any degree.
+    """
+    s = np.eye(m) + 0.3 * _ginibre(rng, m) / np.sqrt(m)
+    s_inv = np.linalg.inv(s)
+    diagonals = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    return scale_to_rho([(s * diagonal) @ s_inv for diagonal in diagonals], rho)
 
 
 def q_commuting_nilpotent_tuple(rng: np.random.Generator, q: complex, rho: float) -> list[np.ndarray]:

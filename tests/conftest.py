@@ -29,7 +29,9 @@ from fockmodel import (
 from fockmodel.fock import left_creation_tuple, word_operator
 from fockmodel.linalg import canonical_phase
 from fockmodel.sampling import (
+    commuting_diagonalizable_tuple,
     commuting_nilpotent_tuple,
+    direct_sum,
     nilpotent_pair_tuple,
     random_row_contraction,
 )
@@ -276,15 +278,18 @@ ORACLE_FAMILIES = [
     "custom-mixed-degree",
     "custom-constant-term",
     "longer-than-d",
+    "commutative-dense",
+    "zero-sum",
+    "commutative-sum",
 ]
 ORACLE_SIZES = [(1, 3), (2, 0), (2, 5), (3, 3)]
 
 
 def oracle_family(name: str, n: int, d: int) -> PolyIdealSpec:
     """The relation family ``name`` on n generators; "longer-than-d" adds one of degree d + 2."""
-    if name == "zero":
+    if name in ("zero", "zero-sum"):
         return PolyIdealSpec(n=n)
-    if name == "commutative":
+    if name in ("commutative", "commutative-dense", "commutative-sum"):
         return PolyIdealSpec(n=n, kind="commutative")
     if name == "q-uniform":
         return PolyIdealSpec(n=n, kind="q_commutative", q=Q_TEST)
@@ -310,6 +315,12 @@ def oracle_tuple(name: str, n: int, rng: np.random.Generator) -> list[np.ndarray
         return random_row_contraction(rng, n, 3, 0.6)
     if name == "commutative":
         return commuting_nilpotent_tuple(rng, n, 0.6)
+    if name == "commutative-dense":  # not nilpotent: the tail is never zero
+        return commuting_diagonalizable_tuple(rng, n, 4, 0.6)
+    if name == "zero-sum":
+        return direct_sum(random_row_contraction(rng, n, 3, 0.6), random_row_contraction(rng, n, 2, 0.6))
+    if name == "commutative-sum":
+        return direct_sum(commuting_nilpotent_tuple(rng, n, 0.6), commuting_nilpotent_tuple(rng, n, 0.6))
     if name == "custom-constant-term":
         # 0.5 + x1 + 2i x_n x1 = 0: a root t of 2i t^2 + t + 0.5 for n = 1,
         # else x1 = -0.5 with every other generator 0

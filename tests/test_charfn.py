@@ -845,6 +845,94 @@ def test_theta_by_degree_slices_on_degenerate_defects(d, subspace_factory):
 
 
 # ---------------------------------------------------------------------------
+# the whole-degree products on the grid against the per-letter routes they
+# replaced, with every range written out by the closed formula
+
+
+def _left_targets(space, a, k):
+    """The words (a) + w, w of degree k < d: positions (a - 1) n^k + [0, n^k) of degree k + 1."""
+    start = space.degree_slice(k + 1).start + (a - 1) * space.n**k
+    return slice(start, start + space.n**k)
+
+
+def _per_letter_theta_blocks(kernel):
+    mats, space, defect = kernel.mats, kernel.space, kernel.defect
+    n, m = len(mats), mats[0].shape[0]
+    row_blocks = (defect.basis_star * np.sqrt(defect.eigvals_star)).reshape(n, m, defect.d_star)
+    blocks = np.empty((space.dim, defect.d_T, defect.d_star), dtype=complex)
+    blocks[0] = -adj(defect.basis) @ np.hstack(mats) @ defect.basis_star
+    for k in range(space.d):
+        parents = kernel.blocks[space.degree_slice(k)]
+        for a in range(1, n + 1):
+            np.matmul(parents, row_blocks[a - 1], out=blocks[_left_targets(space, a, k)])
+    return blocks
+
+
+def _per_letter_stein_gram(space, blocks):
+    dim, r, c = blocks.shape
+    vacuum = blocks.reshape(dim * r, c)
+    out = vacuum @ adj(vacuum)
+
+    def rows(words):
+        return slice(words.start * r, words.stop * r)
+
+    for top in range(space.d):
+        for j, k in [(j, top) for j in range(top + 1)] + [(top, k) for k in range(top)]:
+            source = out[rows(space.degree_slice(j)), rows(space.degree_slice(k))]
+            for a in range(1, space.n + 1):
+                targets = (rows(_left_targets(space, a, g)) for g in (j, k))
+                out[tuple(targets)] += source
+    return out
+
+
+def _prefixed_words(space, j, k):
+    """Flat indices of gamma + w, gamma of degree j (rows) and w of degree <= k (columns)."""
+    n, g = space.n, np.arange(space.n**j)[:, None]
+    starts = [space.degree_slice(j + l).start for l in range(k + 1)]
+    return np.concatenate([s + g * n**l + np.arange(n**l) for l, s in enumerate(starts)], axis=1)
+
+
+def _gathered_deflated_lambda_max(space, blocks, k):
+    """:func:`charfn._deflated_lambda_max` with C and its prefixed tails gathered by index arrays."""
+    n, d, (dim, r, c) = space.n, space.d, blocks.shape
+    inner = TruncatedFockSpace(n, d - k)
+    mu, v = np.linalg.eigh(charfn.stein_gram(inner, blocks[: inner.dim]))
+    head = space.dim_up_to(k - 1)
+    cols = np.zeros((dim, r, head, c), dtype=complex)
+    for j in range(k):
+        gammas = space.degree_slice(j)
+        rows = _prefixed_words(space, j, d - j)
+        cols[rows, :, np.arange(gammas.start, gammas.stop)[:, None]] = blocks[: rows.shape[1]]
+    cols = cols.reshape(dim, r, head * c)
+    tails = adj(v) @ cols[_prefixed_words(space, k, d - k)].reshape(n**k, inner.dim * r, head * c)
+    lam = np.concatenate([np.zeros(head * r)] + [np.clip(mu, 0.0, None)] * n**k)
+    return charfn._secular_lambda_max(lam, np.vstack([cols[:head].reshape(head * r, -1), *tails]))
+
+
+def _grid_cases():
+    """The kernel oracle cases of test_poisson, and the unitary spectral case (d_* = 0)."""
+    from test_poisson import ORACLE_CASES
+
+    cases = {name: (make(), n, d) for name, (make, n, d, _) in ORACLE_CASES.items()}
+    return {**cases, "unitary": ([np.array([[1.0 + 0j]])], 1, 4)}
+
+
+@pytest.mark.parametrize("case", _grid_cases().values(), ids=_grid_cases().keys())
+def test_the_grid_products_equal_the_per_letter_routes(case, subspace_factory):
+    mats, n, d = case
+    kernel = constrained_poisson_kernel(mats, subspace_factory("zero", n=n, d=d))
+    theta = charfn._theta_blocks(kernel)
+    assert np.array_equal(theta, _per_letter_theta_blocks(kernel))
+    space = kernel.space
+    for blocks in (theta, kernel.blocks):
+        assert np.array_equal(charfn.stein_gram(space, blocks), _per_letter_stein_gram(space, blocks))
+        if blocks.size:
+            for k in range(1, d + 1):
+                want = _gathered_deflated_lambda_max(space, blocks, k)
+                assert charfn._deflated_lambda_max(space, blocks, k) == want
+
+
+# ---------------------------------------------------------------------------
 # Theta_N from the Fourier blocks against the whole-space Theta compressed by
 # Kronecker products, and the leaks against dense oracles
 

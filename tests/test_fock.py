@@ -13,13 +13,12 @@ from fockmodel import (
     flip_unitary,
     left_creation,
     left_creation_tuple,
-    left_target_slice,
     right_creation,
     right_creation_tuple,
     word_count,
     word_label,
 )
-from fockmodel.fock import parse_word, prefixed_words, reversed_word_products, word_operator
+from fockmodel.fock import parse_word, reversed_word_products, word_operator
 
 
 # ---------------------------------------------------------------------------
@@ -262,36 +261,35 @@ def test_creation_targets_are_the_dense_creation_operators(n, d, side):
 
 
 @pytest.mark.parametrize("d", range(5))
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_left_target_slice_is_a_degree_block_of_the_targets(n, d):
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grid_is_the_prefix_suffix_grid_of_a_degree_block(n, d):
+    # the oracle concatenates words through the dictionary index, not the offsets
     space = TruncatedFockSpace(n, d)
-    for i in range(1, n + 1):
-        targets = creation_targets(space, i, "left")
-        for k in range(d):
-            got = np.arange(space.dim)[left_target_slice(space, i, k)]
-            assert np.array_equal(got, targets[space.degree_slice(k)])
-
-
-def test_left_target_slice_rejects_bad_arguments():
-    space = TruncatedFockSpace(2, 3)
-    for i, k in [(0, 0), (3, 0), (1, -1), (1, 3)]:
+    words = np.arange(space.dim)
+    for j in range(d + 1):
+        gammas = space.words[space.degree_slice(j)]
+        for k in range(d - j + 1):
+            got = space.grid(words, j, k)
+            tails = space.words[space.degree_slice(k)]
+            assert got.tolist() == [[space.index(g + w) for w in tails] for g in gammas]
+            assert np.shares_memory(got, words)  # a view, which products write into
+    for j, k in [(-1, 0), (0, -1), (-1, d + 1), (d + 1, 0), (0, d + 1), (1, d)]:
         with pytest.raises(ValueError):
-            left_target_slice(space, i, k)
+            space.grid(words, j, k)
 
 
 @pytest.mark.parametrize("d", range(5))
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_prefixed_words_are_the_concatenated_words(n, d):
+def test_creation_targets_follow_the_closed_formulas(n, d):
+    # a word at position p of its degree-k block lands at (a - 1) n^k + p
+    # (left) or p n + (a - 1) (right) of the degree-(k + 1) block
     space = TruncatedFockSpace(n, d)
-    for j in range(d + 1):
-        for k in range(d - j + 1):
-            got = prefixed_words(space, j, k)
-            gammas = space.words[space.degree_slice(j)]
-            tails = space.words[: space.dim_up_to(k)]
-            assert got.tolist() == [[space.index(g + w) for w in tails] for g in gammas]
-    for j, k in [(-1, 0), (0, -1), (1, d)]:
-        with pytest.raises(ValueError):
-            prefixed_words(space, j, k)
+    for a in range(1, n + 1):
+        left, right = (creation_targets(space, a, side) for side in ("left", "right"))
+        for k in range(d):
+            block, start, p = space.degree_slice(k), space.degree_slice(k + 1).start, np.arange(n**k)
+            assert np.array_equal(left[block], start + (a - 1) * n**k + p)
+            assert np.array_equal(right[block], start + p * n + (a - 1))
 
 
 def test_creation_targets_reject_bad_arguments():

@@ -45,6 +45,7 @@ from fockmodel.linalg import psd_spectrum
 from fockmodel.poisson import kernel_blocks
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
+    direct_sum,
     haar_unitary,
     nilpotent_pair_tuple,
     q_commuting_nilpotent_tuple,
@@ -343,6 +344,8 @@ ORACLE_CASES = {
     "dense-n3": (lambda: random_row_contraction(np.random.default_rng(53), 3, 4, 0.8), 3, 3, 4),
     "rank-deficient": (_jordan_pair, 2, 5, 1),
     "co-isometric": (lambda: _coisometry(2, 3), 2, 4, 0),
+    "direct-sum": (lambda: direct_sum(random_row_contraction(np.random.default_rng(54), 2, 3, 0.6),
+                                      random_row_contraction(np.random.default_rng(56), 2, 2, 0.6)), 2, 4, 5),
 }
 
 
