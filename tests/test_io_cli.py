@@ -388,8 +388,9 @@ def test_zero_family_builds_no_dense_shift_and_no_identity_product(
     tmp_path, monkeypatch, command
 ):
     # on the zero family N = I: the creation operators act as index maps
-    # (eq-ker's slices, the model's B_i* by a row gather) and no product by
-    # N is formed, so none of these may run
+    # (the kernel's grid views, the model's B_i* by a row gather; eq-ker is
+    # read off the kernel's recursion) and no product by N is formed, so
+    # none of these may run
     def forbidden(*args, **kwargs):
         raise AssertionError("dense shift or product by N = I on the zero family")
 
@@ -830,8 +831,9 @@ def test_equiv_decomposes_nothing_larger_than_the_deflated_gram(tmp_path, monkey
 
 def test_analyze_decomposes_nothing_larger_than_m(tmp_path, monkeypatch):
     # zero family at (2, 6), m = 3: d_star and its spectrum come from the
-    # m x m eigh of I - R R*, and eq-ker from the m x m Gram of its residual;
-    # the nm x nm defect-star decomposition is left to charfn and model
+    # m x m eigh of I - R R*, and eq-ker, read off the kernel's recursion on
+    # the whole space, decomposes nothing; the nm x nm defect-star
+    # decomposition is left to charfn and model
     mats = random_row_contraction(np.random.default_rng(23), 2, 3, 0.8)
     prob = write_problem(
         tmp_path / "p.json", n=2, m=3, degree=6, mats=mats, ideal={"kind": "zero"}
@@ -841,6 +843,55 @@ def test_analyze_decomposes_nothing_larger_than_m(tmp_path, monkeypatch):
     assert run_cli(["analyze", "--problem", prob, "--out", str(out)]) == 0
     assert read(out)["defects"]["d_star"] == 6
     assert seen and all(max(shape[-2:]) <= 3 for _, shape in seen)
+
+
+def _eq_ker(report):
+    return [c["residual"] for c in report["checks"] if c["name"] == "eq-ker"]
+
+
+def test_analyze_reads_whole_space_eq_ker_off_the_recursion(tmp_path, monkeypatch):
+    # a zero-family tuple and a relation violator, whose kernel is built on
+    # the zero family: eq-ker reads 0.0 and is never measured
+    def unmeasured(*args, **kwargs):
+        raise AssertionError("eq-ker measured on the whole space")
+
+    monkeypatch.setattr("fockmodel.poisson.verify_intertwining", unmeasured)
+    rng = np.random.default_rng(27)
+    zero = write_problem(tmp_path / "zero.json", n=2, m=4, degree=5,
+                         mats=random_row_contraction(rng, 2, 4, 0.8), ideal={"kind": "zero"})
+    violator = write_problem(tmp_path / "violator.json", n=2, m=2, degree=4,
+                             mats=[rng.normal(size=(2, 2)) / 4 for _ in range(2)],
+                             ideal={"kind": "commutative"})
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--problem", zero, "--out", str(out)]) == 0
+    assert _eq_ker(read(out)) == [0.0]
+    # the violated relations are the one failing check (exit 1, no verdict)
+    assert run_cli(["analyze", "--problem", violator, "--out", str(out)]) == 1
+    rep = read(out)
+    assert rep["kernel"]["constrained"] is False
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == ["relations"]
+    assert _eq_ker(rep) == [0.0]
+
+
+def test_analyze_measures_eq_ker_on_a_relation_family(tmp_path, monkeypatch):
+    import fockmodel.poisson
+
+    mats = commuting_nilpotent_tuple(np.random.default_rng(28), 2, 0.6)
+    prob = write_problem(tmp_path / "p.json", n=2, m=3, degree=5, mats=mats,
+                         ideal={"kind": "commutative"})
+    _, kernel, _, _ = _stages(load_problem(prob))
+    want = max(fockmodel.poisson.verify_intertwining(kernel).values())
+    calls = []
+
+    def counted(k, _original=fockmodel.poisson.verify_intertwining):
+        calls.append(k)
+        return _original(k)
+
+    monkeypatch.setattr(fockmodel.poisson, "verify_intertwining", counted)
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--problem", prob, "--out", str(out)]) == 0
+    assert len(calls) == 1 and not calls[0].sub.is_whole_space
+    assert _eq_ker(read(out)) == [want]
 
 
 def test_a_star_decomposition_short_of_d_star_exits_2(tmp_path, monkeypatch, capsys):

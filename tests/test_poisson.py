@@ -24,6 +24,7 @@ from conftest import (
     psd_sqrt,
 )
 import fockmodel.linalg as linalg_module
+import fockmodel.poisson as poisson_module
 from fockmodel import (
     NCPoly,
     PolyIdealSpec,
@@ -42,7 +43,7 @@ from fockmodel import (
 )
 from fockmodel.fock import word_operator
 from fockmodel.linalg import psd_spectrum
-from fockmodel.poisson import kernel_blocks
+from fockmodel.poisson import intertwining_check, kernel_blocks
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     direct_sum,
@@ -408,3 +409,51 @@ def test_kernel_and_intertwining_allocate_no_gathered_copies(n, d, m, subspace_f
     chunk, work = 3 * dft.d_T * m * 16, 6 * m * m * 16
     assert peak <= 1.1 * chunk + work
     assert chunk + work < sub.n_cols_up_to(d - 1) * dft.d_T * m * 16 / 2  # not the checked rows
+
+
+# ---------------------------------------------------------------------------
+# eq-ker on the whole space is the kernel's recursion, read off as 0.0
+
+# (tuple, n, d): the oracle layouts and two wide draws, all on the zero family
+WHOLE_SPACE_CASES = {name: (make, n, d) for name, (make, n, d, _) in ORACLE_CASES.items()} | {
+    "wide-n2": (lambda: random_row_contraction(np.random.default_rng(57), 2, 24, 0.9), 2, 6),
+    "wide-n3": (lambda: random_row_contraction(np.random.default_rng(58), 3, 16, 0.9), 3, 4),
+}
+
+
+def _unmeasured(*args, **kwargs):
+    raise AssertionError("eq-ker measured on the whole space")
+
+
+@pytest.mark.parametrize("case", WHOLE_SPACE_CASES.values(), ids=WHOLE_SPACE_CASES.keys())
+def test_whole_space_eq_ker_is_the_recursion_and_reads_zero(case, subspace_factory, monkeypatch):
+    # the premise of the shortcut: the measured residual is exactly zero,
+    # because the target rows of (S_i* (x) I) K are the products K T_i* the
+    # recursion wrote; the check then reads it off without measuring
+    make, n, d = case
+    kernel = constrained_poisson_kernel(make(), subspace_factory("zero", n=n, d=d))
+    assert kernel.sub.is_whole_space
+    residuals = verify_intertwining(kernel)
+    assert set(residuals) == set(range(1, n + 1))
+    assert all(r == 0.0 for r in residuals.values()), residuals
+    monkeypatch.setattr(poisson_module, "verify_intertwining", _unmeasured)
+    assert intertwining_check(kernel) == ("eq-ker", 0.0, 1e-10)
+
+
+@pytest.mark.parametrize("kind", ["commutative", "q_commutative", "non-graded"])
+def test_relation_family_eq_ker_is_measured(kind, monkeypatch):
+    mats, sub = _family(kind)
+    kernel = constrained_poisson_kernel(mats, sub)
+    assert not sub.is_whole_space
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return verify_intertwining(k)
+
+    monkeypatch.setattr(poisson_module, "verify_intertwining", counted)
+    name, residual, tolerance = intertwining_check(kernel)
+    assert len(calls) == 1 and calls[0] is kernel
+    assert (name, tolerance) == ("eq-ker", 1e-10)
+    want = max(verify_intertwining(kernel).values())
+    assert np.float64(residual).tobytes() == np.float64(want).tobytes()
