@@ -31,9 +31,10 @@ def main():
     space = TruncatedFockSpace(2, 6)
     sub = ideal_subspace(PolyIdealSpec(n=2, kind="commutative"), space)
 
-    cls = classify(mats)
-    th = constrained_characteristic_function(constrained_poisson_kernel(mats, sub))
-    model = build_model(th, classification=cls)
+    # the kernel keeps the classification; the model reads its operator branch there
+    kernel = constrained_poisson_kernel(mats, sub, classification=classify(mats))
+    th = constrained_characteristic_function(kernel)
+    model = build_model(th)
     ops, gamma = model.operators, model.gamma
 
     print(f"model space: dim {model.h}, cut out of shift summand {model.p} "
@@ -51,11 +52,12 @@ def main():
     print("\n--- equivalence certificate ---")
     u = haar_unitary(mats[0].shape[0], rng)
     mats_p = conjugated_tuple(mats, u)
-    th_p = constrained_characteristic_function(constrained_poisson_kernel(mats_p, sub))
+    kernel_p = constrained_poisson_kernel(mats_p, sub, classification=classify(mats_p))
+    th_p = constrained_characteristic_function(kernel_p)
     witness = coincidence_from_unitary(th, th_p, u)
     print(f"coincidence residual: {witness.residual:.2e}")
 
-    model_p = build_model(th_p, classification=classify(mats_p))
+    model_p = build_model(th_p)
     report = verify_coincidence_implies_equivalence(witness, model, model_p)
     print(f"model intertwining across the pair: {report.model_intertwining:.2e}")
     print(f"recovered intertwiner: unitarity {report.recovered_unitarity:.2e}, "

@@ -53,12 +53,13 @@ and the factorization against the constrained Poisson kernel,
 
 survives compression verbatim.  :func:`constrained_characteristic_function`
 is the one builder; it takes the constrained kernel and keeps it, so the
-function, N, the defect data and the tail all come from one kernel.  A
-function holds the whole-space Fourier blocks and nothing else of Theta
-(``CharFn.blocks``); Theta_N itself, the matrix, is contracted from them on
-first read, two matmuls per degree pair (:func:`_theta_n`), and no command
-reads it on the zero family.  With relations no array is indexed by the
-whole word space on both sides, and coinvariance is measured on N itself:
+function, N, the defect data, the tail and the classification all come from
+one kernel.  A function holds the whole-space Fourier blocks and nothing
+else of Theta (``CharFn.blocks``); Theta_N itself, the matrix, is
+contracted from them on first read, two matmuls per degree pair
+(:func:`_theta_n`), and no command reads it on the zero family.  With
+relations no array is indexed by the whole word space on both sides, and
+coinvariance is measured on N itself:
 exact at truncation for graded families, lost at the top degree otherwise,
 where the truncated R_i cuts the top part off a relation.  For a graded
 family with relations Theta_N is also the closed form at the compressed
@@ -154,7 +155,7 @@ class CharFn:
     from; the subspace, the defect data and the tail bound are its.  The
     spectrum of I - Theta Theta* (:attr:`spectrum`), which carries the
     model's isometry bound (:attr:`isometry_residual`), is built on first
-    read and kept.  :meth:`checks` pairs each residual measured on the
+    read and kept.  :attr:`checks` pairs each residual measured on the
     function with its tolerance.
     """
 
@@ -207,17 +208,19 @@ class CharFn:
         """isometry-F: the record's bound on |Phihat* Phihat - I|_F (``spectrum.isometry_bound``)."""
         return self.spectrum.isometry_bound
 
-    def checks(self, pure: TriState) -> list[tuple[str, float, float]]:
+    @property
+    def checks(self) -> list[tuple[str, float, float]]:
         """(name, residual, tolerance) of each identity measured on the function, in report order.
 
-        ``pure`` is the classification's verdict on the kernel's tuple.
-        J-fa-F is the factorization certificate |I - Theta Theta* - K K*|_F
-        of :attr:`spectrum`, then comes the kernel's K*K
+        Purity is the verdict of the kernel's classification, UNDETERMINED
+        when the kernel has none.  J-fa-F is the factorization certificate
+        |I - Theta Theta* - K K*|_F of :attr:`spectrum`, then comes the kernel's K*K
         (:attr:`poisson.KernelMatrix.gram_check`), then series-agree and
         coinvariance where the builder measured them (graded families with
         relations).
         """
-        sub = self.sub
+        sub, cls = self.sub, self.kernel.classification
+        pure = TriState.UNDETERMINED if cls is None else cls.pure
         # The factorization is exact at truncation only for certified-pure tuples
         # under a graded (or empty) relation family; otherwise the tolerance adds
         # ten tails.  A family that is not graded leaves N short of co-invariance
@@ -697,13 +700,15 @@ def defect_star_spectrum(theta: CharFn) -> DefectStarSpectrum:
     |G|_2 <= |G|_F, Weyl's inequality puts every eigenvalue of
     I - Theta Theta* within |G|_F of the matching one of K K*.  When that
     certified bound is at most 1e-12 the record comes from one ``eigh`` of
-    K*K = V diag(l) V* = I - Phi^(d+1)(I): the eigenvalues are l padded with
-    p - min(p, m) zeros, and u_k = K v_k / sqrt(l_k); nothing p x p is
-    decomposed.  Otherwise -- relation families that are not graded, which
-    break the factorization at the top degree, and any function its kernel
-    does not factor -- one ``eigh`` of A gives 1 - mu and the eigenvectors,
-    and A is dropped.  Either way exactly one matrix is decomposed, once;
-    :attr:`CharFn.spectrum` keeps the result.
+    K*K = V diag(l) V* = I - Phi^(d+1)(I), the kernel's own Gram
+    (:attr:`poisson.KernelMatrix.gram`, which K*K's check reads too): the
+    eigenvalues are l padded with p - min(p, m) zeros, and
+    u_k = K v_k / sqrt(l_k); nothing p x p is decomposed.  Otherwise --
+    relation families that are not graded, which break the factorization at
+    the top degree, and any function its kernel does not factor -- one
+    ``eigh`` of A gives 1 - mu and the eigenvectors, and A is dropped.
+    Either way exactly one matrix is decomposed, once; :attr:`CharFn.spectrum`
+    keeps the result.
 
     The isometry bound.  Delta = I - Z* Z with Z = D U* Theta, U the
     eigenvectors of I - Theta Theta* and D = diag(1 / sqrt(1 + sqrt(lambda))),
@@ -737,7 +742,7 @@ def defect_star_spectrum(theta: CharFn) -> DefectStarSpectrum:
             eigvecs=u_h,
             isometry_bound=gap_frobenius(a, u_h * np.sqrt(lam[keep])),
         )
-    ell, v = np.linalg.eigh(gram(k))
+    ell, v = np.linalg.eigh(theta.kernel.gram)
     top = ell[ell.size - min(p, ell.size) :]  # K*K has m - p more zeros when p < m
     keep = ell > PSD_RANK_TOL
     return DefectStarSpectrum(

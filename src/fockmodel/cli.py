@@ -14,10 +14,12 @@ Four subcommands, all reading JSON problem files and writing JSON reports:
 Each problem gets one run object that builds its pipeline on first use and
 keeps it: relation residual, relation subspace, the classification (whose
 iteration of Phi also gives the truncation tail Phi^(d+1)(I)), then the
-Poisson kernel (which holds the defects and that tail), then the
-characteristic function, which is built from the kernel, then its model.
-Each stage reads the objects of the stage before it, so no command computes
-an object twice.
+Poisson kernel (which holds the defects and the classification, and reads
+the tail off it), then the characteristic function, which is built from the
+kernel, then its model.  Each stage reads the objects of the stage before
+it, so no command computes an object twice, and the classification is
+handed to the kernel alone: the function's checks and the model's operator
+branch read it there.
 The commands are report views over their runs; they share one gate (row
 contraction, then relations) and one way to write the report and pick the
 exit code.  Every check after the gate is a (name, residual, tolerance) of
@@ -64,7 +66,7 @@ from .model import (
     coincidence_from_unitary,
     verify_coincidence_implies_equivalence,
 )
-from .poisson import constrained_poisson_kernel, intertwining_check
+from .poisson import constrained_poisson_kernel
 from .problem_io import Problem, ProblemFormatError, load_problem, load_unitary, save_report
 
 
@@ -174,7 +176,7 @@ class _Run:
             self.mats,
             self.sub,
             relation_residual=self.relation_residual,
-            tail=self.classification.tail,
+            classification=self.classification,
         )
 
     @cached_property
@@ -183,7 +185,7 @@ class _Run:
 
     @cached_property
     def model(self):
-        return build_model(self.theta, classification=self.classification)
+        return build_model(self.theta)
 
 
 def _open(args) -> tuple[_Run, dict, list]:
@@ -258,7 +260,7 @@ def _cmd_analyze(args) -> int:
         report["kernel"] = {"constrained": True, "subspace_leak": kernel.subspace_leak}
     else:  # a relation-violating tuple still gets its kernel, on the zero family
         free = ideal_subspace(PolyIdealSpec(n=run.problem.n), run.space)
-        kernel = constrained_poisson_kernel(run.mats, free, tail=run.classification.tail)
+        kernel = constrained_poisson_kernel(run.mats, free, classification=run.classification)
         report["kernel"] = {
             "constrained": False,
             "note": "tuple violates the relations; kernel computed without the constraint",
@@ -268,9 +270,8 @@ def _cmd_analyze(args) -> int:
                          "eigenvalues": dft.eigvals, "eigenvalues_star": dft.eigvals_star}
     report["kernel"]["rows"] = kernel.matrix.shape[0]
     report["tail_bound"] = kernel.tail_bound
-    kernel_checks = [kernel.gram_check, intertwining_check(kernel)]
-    report["residuals"] = {name: residual for name, residual, _ in kernel_checks}
-    return _finish(report, checks + kernel_checks, args.out)
+    report["residuals"] = {name: residual for name, residual, _ in kernel.checks}
+    return _finish(report, checks + kernel.checks, args.out)
 
 
 def _cmd_charfn(args) -> int:
@@ -279,7 +280,7 @@ def _cmd_charfn(args) -> int:
     if verdict is not None:
         return _finish(report, checks, args.out, verdict)
 
-    cls, sub, theta = run.classification, run.sub, run.theta
+    sub, theta = run.sub, run.theta
     # the verdicts read the spectrum of I - Theta Theta*, and J-fa-F is the
     # Frobenius norm |I - Theta Theta* - K K*|_F that certified it: one record
     dc = delta_and_classify(theta)
@@ -290,7 +291,7 @@ def _cmd_charfn(args) -> int:
     }
     report.update(
         {
-            "classification": _classification_dict(cls),
+            "classification": _classification_dict(run.classification),
             "dims": {"d_T": theta.d_T, "d_star": theta.d_star, "rows": theta.shape[0],
                      "cols": theta.shape[1], "dim_N": sub.dim_N},
             "method": "compression",
@@ -306,7 +307,7 @@ def _cmd_charfn(args) -> int:
             "residuals": {"J-fa-F": theta.spectrum.gap, "K*K": theta.kernel.gram_check[1]},
         }
     )
-    return _finish(report, checks + theta.checks(cls.pure), args.out)
+    return _finish(report, checks + theta.checks, args.out)
 
 
 def _cmd_model(args) -> int:

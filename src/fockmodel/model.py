@@ -53,7 +53,8 @@ There are two independent reconstructions of the operators: the defining
 compression above ("general"), and, for a pure tuple, the compression of the
 shifts to the span of the u_k with lambda_k >= (1 - tail)/2 -- the orthogonal
 complement of the large-singular-value range of Theta alone ("pure"), whose
-basis never touches the Delta block.  The model's classification picks one.
+basis never touches the Delta block.  The model's classification, the one
+its kernel holds (:attr:`poisson.KernelMatrix.classification`), picks one.
 At exact truncation both agree to rounding; their disagreement is otherwise
 of the order of the truncation tail and is reported, never hidden.
 
@@ -108,10 +109,10 @@ class ModelData:
     Bases live in the coordinates C^p (+) C^q of Phihat = [Theta ; Delta].
     The eigenpairs stay on the function's record
     (:attr:`charfn.CharFn.spectrum`), and so does the isometry bound
-    (:attr:`charfn.CharFn.isometry_residual`).  ``classification`` is the
-    one the model was built with; it picks the operator branch of the later
-    stages, :attr:`operators` and :attr:`gamma`, each built on first use and
-    kept.  :attr:`checks` pairs each residual of the model with its
+    (:attr:`charfn.CharFn.isometry_residual`).  :attr:`classification` is
+    the one the function's kernel holds; it picks the operator branch of the
+    later stages, :attr:`operators` and :attr:`gamma`, each built on first
+    use and kept.  :attr:`checks` pairs each residual of the model with its
     tolerance.
     """
 
@@ -119,7 +120,6 @@ class ModelData:
     s: int
     H_basis: np.ndarray
     H_pure_basis: np.ndarray | None
-    classification: Classification | None = None
 
     @property
     def p(self) -> int:
@@ -136,6 +136,11 @@ class ModelData:
     @property
     def tail_bound(self) -> float:
         return self.theta.tail_bound
+
+    @property
+    def classification(self) -> Classification | None:
+        """The classification of the function's kernel, None when it was built without one."""
+        return self.theta.kernel.classification
 
     @property
     def checks(self) -> list[tuple[str, float, float]]:
@@ -251,7 +256,11 @@ class ModelData:
         h1 = basis[: self.p, :]
         gamma = adj(h1) @ k
         projection = h1 @ gamma - k
-        embedding_residual = opnorm(np.vstack([projection, basis[self.p :, :] @ gamma]))
+        projection_residual = float(opnorm(projection))
+        if ops.used == "pure":  # the pure basis is 0 below p: the stack is projection, padded
+            embedding_residual = projection_residual
+        else:
+            embedding_residual = float(opnorm(np.vstack([projection, basis[self.p :, :] @ gamma])))
         eye_h = np.eye(self.h, dtype=complex)
         eye_m = np.eye(gamma.shape[1], dtype=complex)
         unitary_residual = max(
@@ -270,15 +279,15 @@ class ModelData:
         norm_identity = float(np.max(np.abs(col_norms_k - col_norms_p))) if self.p else 0.0
         return GammaResult(
             gamma=gamma,
-            embedding_residual=float(embedding_residual),
+            embedding_residual=embedding_residual,
             unitary_residual=float(unitary_residual),
             intertwining=inter,
             norm_identity_residual=norm_identity,
-            projection_residual=float(opnorm(projection)),
+            projection_residual=projection_residual,
         )
 
 
-def build_model(theta: CharFn, *, classification: Classification | None = None) -> ModelData:
+def build_model(theta: CharFn) -> ModelData:
     """Assemble the model space of a characteristic function from its kept eigenpairs.
 
     With I - Theta Theta* = sum_k lambda_k u_k u_k*, the model basis is the
@@ -303,12 +312,14 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
     and Gamma read -- are functions of Theta (pivot rows whose squared
     residuals lie within a relative 1e-8 count as tied).
 
-    ``classification`` is kept on the model, where it picks the operator
-    branch.  Refuses tuples it certifies not completely noncoisometric: the
-    model space then misses part of the original space and nothing
-    downstream would be meaningful.  (UNDETERMINED is allowed through;
-    residuals will tell.)
+    The classification of the function's kernel
+    (:attr:`poisson.KernelMatrix.classification`) picks the operator branch.
+    Refuses tuples it certifies not completely noncoisometric: the model
+    space then misses part of the original space and nothing downstream
+    would be meaningful.  (UNDETERMINED, or no classification, is allowed
+    through; residuals will tell.)
     """
+    classification = theta.kernel.classification
     if classification is not None and classification.cnc is TriState.NO:
         raise ValueError(
             "the tuple has a norm-preserved vector (not completely noncoisometric); "
@@ -330,7 +341,6 @@ def build_model(theta: CharFn, *, classification: Classification | None = None) 
         s=q - p + kept.size,
         H_basis=h_basis,
         H_pure_basis=h_pure,
-        classification=classification,
     )
 
 

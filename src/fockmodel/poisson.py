@@ -19,7 +19,11 @@ Truncation is exact here, not an approximation with an unknown constant:
 holds to rounding, so the kernel is an isometry up to exactly the tail the
 degree cap forgets.  That tail, |Phi_T^(d+1)(I)|, is computed alongside
 the kernel and carried on the result; downstream comparisons consume it
-instead of a global fudge tolerance.
+instead of a global fudge tolerance.  The tail is the (d+1)-st iterate of the
+iteration Phi^k(I) that certifies purity and c.n.c.
+(:func:`contractions.classify`), so the kernel is also the one holder of the
+tuple's classification: given one, it keeps it and reads the tail off it, and
+every later stage reads the classification from the kernel.
 
 When T satisfies a family of polynomial relations, the kernel's range avoids
 the relation span M (x) defect entirely -- again exactly at truncation -- so
@@ -31,14 +35,15 @@ family, ``ideal_subspace(PolyIdealSpec(n=n), space)``, where N is the whole
 space.  Every product by N here is a method of
 :class:`ideals.ConstrainedSubspace`: ``compress`` for the kernel, ``leak``
 for its part off N and ``shift_adjoint`` for eq-ker; this module never reads
-N's basis.  The check eq-ker (:func:`intertwining_check`) is measured only on
-a relation family: on the whole space the identity K T_i* = (S_i* (x) I) K
-is the recursion that built the kernel, and its residual is read off as 0.0,
-as the leak is.  :func:`verify_intertwining` measures it on any kernel.
+N's basis.  The check eq-ker (:attr:`KernelMatrix.intertwining_check`) is
+measured only on a relation family: on the whole space the identity
+K T_i* = (S_i* (x) I) K is the recursion that built the kernel, and its
+residual is read off as 0.0, as the leak is.  :func:`verify_intertwining`
+measures it on any kernel.
 
 The kernel is the first stage of the chain kernel -> Theta -> model -> Gamma:
-it holds the tuple, N, the defect data, the tail and its uncompressed blocks,
-and the characteristic function is built from it
+it holds the tuple, N, the defect data, the tail, the classification and its
+uncompressed blocks, and the characteristic function is built from it
 (:func:`charfn.constrained_characteristic_function`), reading its blocks.
 """
 
@@ -54,6 +59,7 @@ from .contractions import (
     defects,
     phi_power,
     require_relations,
+    Classification,
     DefectData,
 )
 from .fock import TruncatedFockSpace
@@ -67,7 +73,9 @@ class KernelMatrix:
 
     ``blocks`` holds the uncompressed blocks of :func:`kernel_blocks`, which
     the characteristic function reads; on the zero family ``matrix`` is the
-    same array, reshaped.
+    same array, reshaped.  ``classification`` is the one the kernel was built
+    with, or None; the later stages read it here.  :attr:`checks` pairs each
+    residual measured on the kernel with its tolerance.
     """
 
     matrix: np.ndarray
@@ -78,6 +86,7 @@ class KernelMatrix:
     tail: np.ndarray                # Phi_T^(d+1)(I), exact
     tail_bound: float               # |tail|
     subspace_leak: float
+    classification: Classification | None = None
 
     @property
     def space(self) -> TruncatedFockSpace:
@@ -87,10 +96,15 @@ class KernelMatrix:
     def d_T(self) -> int:
         return self.defect.d_T
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """K*K, m x m, formed once: K*K's check and the spectrum record both read it."""
+        return gram(self.matrix)
+
     def gram_residual(self) -> float:
         """| K*K - (I - Phi_T^(d+1)(I)) |; rounding-level by construction."""
         m = self.mats[0].shape[0]
-        return hermitian_norm(gram(self.matrix) - (np.eye(m, dtype=complex) - self.tail))
+        return hermitian_norm(self.gram - (np.eye(m, dtype=complex) - self.tail))
 
     @cached_property
     def gram_check(self) -> tuple[str, float, float]:
@@ -100,6 +114,28 @@ class KernelMatrix:
         subtracted, so the tolerance is the tail plus rounding.
         """
         return "K*K", self.gram_residual(), self.tail_bound + 1e-10
+
+    @cached_property
+    def intertwining_check(self) -> tuple[str, float, float]:
+        """("eq-ker", the worst generator of :func:`verify_intertwining`, 1e-10), kept.
+
+        The identity is exact on the rows it is measured on, so rounding is
+        all the tolerance allows.  On the whole space the residual is read
+        off the kernel's recursion, not measured: there B_i* is S_i*, the
+        target rows of (S_i* (x) I) K are the products K T_i* that
+        :func:`kernel_blocks` wrote, and the identity is that recursion, so
+        it reads 0.0, as the leak does
+        (:meth:`ideals.ConstrainedSubspace.leak`).  On a relation family it
+        is measured by :func:`verify_intertwining`.
+        """
+        if self.sub.is_whole_space:
+            return "eq-ker", 0.0, 1e-10
+        return "eq-ker", max(verify_intertwining(self).values()), 1e-10
+
+    @property
+    def checks(self) -> list[tuple[str, float, float]]:
+        """(name, residual, tolerance) of K*K and eq-ker, in report order."""
+        return [self.gram_check, self.intertwining_check]
 
 
 def kernel_blocks(
@@ -135,7 +171,7 @@ def constrained_poisson_kernel(
     sub: ConstrainedSubspace,
     *,
     relation_residual: float | None = None,
-    tail: np.ndarray | None = None,
+    classification: Classification | None = None,
 ) -> KernelMatrix:
     """Poisson kernel compressed to the constrained rows N (x) defect.
 
@@ -149,9 +185,11 @@ def constrained_poisson_kernel(
     the uncompressed kernel (:meth:`ideals.ConstrainedSubspace.leak`, 0.0 on
     the whole space), is returned on the result as ``subspace_leak``.
     ``relation_residual`` (the constraint_residual under ``sub.spec``) and
-    ``tail`` (Phi^(d+1)(I), which :func:`contractions.classify` keeps when
-    given the degree) reuse what the caller already has of the tuple; a
-    missing tail is computed by :func:`contractions.phi_power`.
+    ``classification`` (:func:`contractions.classify` of the tuple) reuse
+    what the caller already has of the tuple.  The classification is kept
+    on the kernel, and its ``tail`` is the kernel's when classify was given
+    the degree; without one, or without that tail, the tail Phi^(d+1)(I) is
+    computed by :func:`contractions.phi_power`.
     """
     mats = as_matrices(ts)
     m = mats[0].shape[0]
@@ -165,6 +203,7 @@ def constrained_poisson_kernel(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
             "the tuple and the relation family are inconsistent"
         )
+    tail = None if classification is None else classification.tail
     if tail is None:
         tail = phi_power(mats, sub.space.d + 1)
     return KernelMatrix(
@@ -176,6 +215,7 @@ def constrained_poisson_kernel(
         tail=tail,
         tail_bound=hermitian_norm(tail),
         subspace_leak=leak_norm,
+        classification=classification,
     )
 
 
@@ -233,18 +273,3 @@ def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
 
     return {i: stacked_opnorm(residual_chunks(i), m) for i in range(1, space.n + 1)}
 
-
-def intertwining_check(kernel: KernelMatrix) -> tuple[str, float, float]:
-    """("eq-ker", the worst generator of :func:`verify_intertwining`, 1e-10).
-
-    The identity is exact on the rows it is measured on, so rounding is all
-    the tolerance allows.  On the whole space the residual is read off the
-    kernel's recursion, not measured: there B_i* is S_i*, the target rows of
-    (S_i* (x) I) K are the products K T_i* that :func:`kernel_blocks` wrote,
-    and the identity is that recursion, so it reads 0.0, as the leak does
-    (:meth:`ideals.ConstrainedSubspace.leak`).  On a relation family it is
-    measured by :func:`verify_intertwining`.
-    """
-    if kernel.sub.is_whole_space:
-        return "eq-ker", 0.0, 1e-10
-    return "eq-ker", max(verify_intertwining(kernel).values()), 1e-10

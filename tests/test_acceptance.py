@@ -125,7 +125,7 @@ def pipeline(i):
         entries, subs = corpus()
         family, mats = entries[i]
         sub = subs[family]
-        kernel = constrained_poisson_kernel(mats, sub)
+        kernel = constrained_poisson_kernel(mats, sub, classification=classification(i))
         theta = constrained_characteristic_function(kernel)
         cache[i] = (family, mats, sub, theta, kernel)
     return cache[i]
@@ -144,9 +144,8 @@ def model_stage(i):
     cache = _STATE.setdefault("models", {})
     if i not in cache:
         family, mats, sub, theta, kernel = pipeline(i)
-        cls = classification(i)
-        model = build_model(theta, classification=cls)
-        cache[i] = (cls, model, model.operators, model.gamma)
+        model = build_model(theta)
+        cache[i] = (kernel.classification, model, model.operators, model.gamma)
     return cache[i]
 
 

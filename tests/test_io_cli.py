@@ -41,7 +41,6 @@ from fockmodel import (
 from fockmodel.cli import build_parser, main
 from fockmodel.contractions import require_relations
 from fockmodel.linalg import hermitian_norm
-from fockmodel.poisson import intertwining_check
 from fockmodel.problem_io import _matrix, _matrix_entries, encode_value
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
@@ -543,9 +542,9 @@ def _stages(problem, sub=None):
     """Classification, kernel, Theta and model of a problem, built by the library's stages."""
     cls = classify(problem.mats, degree=problem.degree)
     sub = sub or ideal_subspace(problem.ideal, TruncatedFockSpace(problem.n, problem.degree))
-    kernel = constrained_poisson_kernel(problem.mats, sub, tail=cls.tail)
+    kernel = constrained_poisson_kernel(problem.mats, sub, classification=cls)
     theta = constrained_characteristic_function(kernel)
-    return cls, kernel, theta, build_model(theta, classification=cls)
+    return cls, kernel, theta, build_model(theta)
 
 
 @pytest.mark.parametrize("family", ORACLE_FAMILIES)
@@ -565,8 +564,8 @@ def test_reports_carry_the_checks_of_the_stage_objects(tmp_path, family):
     _, _, theta_b, model_b = _stages(load_problem(pb), theta.sub)
     witness = coincidence_from_unitary(theta, theta_b, load_unitary(uf, m))
     library = {
-        "analyze": [kernel.gram_check, intertwining_check(kernel)],
-        "charfn": theta.checks(cls.pure),
+        "analyze": kernel.checks,
+        "charfn": theta.checks,
         "model": model.checks,
         "equiv": verify_coincidence_implies_equivalence(witness, model, model_b).checks,
     }
@@ -586,12 +585,13 @@ def test_reports_carry_the_checks_of_the_stage_objects(tmp_path, family):
     # J-fa-F is exact on a certified-pure tuple under a graded (or empty)
     # family; the family with a constant term is not graded and adds ten tails
     assert cls.pure is TriState.YES
-    jfa = theta.checks(cls.pure)[0]
+    jfa = theta.checks[0]
     graded = family != "custom-constant-term"
     assert theta.sub.graded is graded or theta.sub.dim_M == 0
     assert jfa[0] == "J-fa-F"
     assert jfa[2] == (1e-9 if graded else 1e-9 + 10 * theta.tail_bound)
-    assert theta.checks(TriState.UNDETERMINED)[0][2] == 1e-9 + 10 * theta.tail_bound
+    unclassified = constrained_characteristic_function(constrained_poisson_kernel(kernel.mats, theta.sub))
+    assert unclassified.checks[0][2] == 1e-9 + 10 * theta.tail_bound
 
 
 def test_cli_equiv_certifies_a_pair_with_a_large_tail(tmp_path):
@@ -801,6 +801,28 @@ def test_a_model_forms_theta_theta_star_once_per_function(tmp_path, monkeypatch,
     assert len({id(theta) for theta in formed}) == functions
     if family == "custom-constant-term":
         assert all(theta.spectrum.gap > 1e-12 for theta in formed)  # the dense route
+
+
+@pytest.mark.parametrize("family", ["zero", "commutative"])
+def test_a_charfn_command_forms_k_star_k_once(tmp_path, monkeypatch, family):
+    # K*K's check and the Gram route of the spectrum record both read the
+    # kernel's one Gram (KernelMatrix.gram), so gram(K) is taken once
+    import fockmodel.linalg as linalg_module
+
+    n, d = 2, 5
+    mats = oracle_tuple(family, n, np.random.default_rng([n, d, 37]))
+    m = mats[0].shape[0]
+    prob = tmp_path / "p.json"
+    save_problem(prob, Problem(n=n, m=m, degree=d, mats=mats, ideal=oracle_family(family, n, d)))
+    gram, operands = linalg_module.gram, []
+    for module in [mod for key, mod in sys.modules.items() if key.startswith("fockmodel.")]:
+        if getattr(module, "gram", None) is gram:
+            monkeypatch.setattr(module, "gram", lambda a: operands.append(a.shape) or gram(a))
+    out = tmp_path / "r.json"
+    assert run_cli(["charfn", "--problem", str(prob), "--out", str(out)]) == 0
+    rep = read(out)
+    assert rep["residuals"]["J-fa-F"] <= 1e-12  # the Gram route reads K*K
+    assert operands.count((rep["dims"]["rows"], m)) == 1
 
 
 def test_equiv_decomposes_nothing_larger_than_the_deflated_gram(tmp_path, monkeypatch):

@@ -75,17 +75,15 @@ from fockmodel.sampling import (
 
 def _pipeline(mats, sub):
     cls = classify(mats)
-    k = constrained_poisson_kernel(mats, sub)
+    k = constrained_poisson_kernel(mats, sub, classification=cls)
     th = constrained_characteristic_function(k)
-    model = build_model(th, classification=cls)
+    model = build_model(th)
     return cls, th, k, model, model.operators
 
 
-def _certify(wit, cls=None, cls_p=None):
-    """The certificate of a witness, from models built with the given classifications."""
-    model = build_model(wit.theta, classification=cls)
-    model_p = build_model(wit.theta_p, classification=cls_p)
-    return verify_coincidence_implies_equivalence(wit, model, model_p)
+def _certify(wit):
+    """The certificate of a witness, from the models of its two functions."""
+    return verify_coincidence_implies_equivalence(wit, build_model(wit.theta), build_model(wit.theta_p))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +122,7 @@ def test_general_operators_match_one_solve_per_generator(subspace_factory):
     # generator: each solution, residual and the margin match their own solve
     sub = subspace_factory("commutative", d=5)
     mats = commuting_nilpotent_tuple(np.random.default_rng(43), 2, 0.7)
-    model = build_model(theta_of(mats, sub), classification=classify(mats))
+    model = build_model(theta_of(mats, sub, classify(mats)))
     ops, h1 = model.operators, model.H_basis[: model.p]
     assert ops.injectivity_margin == pytest.approx(np.linalg.svd(h1, compute_uv=False)[-1], abs=1e-14)
     for s_i, general, defining in zip(constrained_creation_tuple(sub, "left"), ops.general,
@@ -231,25 +229,45 @@ def test_functions_on_different_subspaces_are_refused(subspace_factory):
 
 
 def test_the_model_stages_are_built_once_and_read_each_other(scalar_half_model):
-    cls, th, k, model, ops, _ = scalar_half_model
-    assert model.classification is cls
+    cls, th, k, model, ops, sub = scalar_half_model
+    assert model.classification is cls and k.classification is cls
     assert model.operators is ops and model.operators is model.operators
     assert model.gamma is model.gamma
     # Gamma is written in the basis of the operators' branch
     assert ops.used == "pure"
     assert np.array_equal(model.gamma.gamma, adj(ops.basis[: model.p]) @ k.matrix)
-    # without a classification the general branch is used, and Gamma follows it
-    general = build_model(th)
+    # the same tuple's kernel built without a classification gives the general
+    # branch, and Gamma follows it
+    general = build_model(theta_of(k.mats, sub))
+    assert general.theta.kernel.classification is None
     assert general.classification is None and general.operators.used == "general"
     assert general.operators.basis is general.H_basis
     assert np.array_equal(general.gamma.gamma, adj(general.H_basis[: general.p]) @ k.matrix)
 
 
+def test_a_kernel_without_a_classification_leaves_purity_undetermined(subspace_factory):
+    # with no classification on the kernel, purity is UNDETERMINED: J-fa-F
+    # allows ten tails, the model takes the general branch, and build_model
+    # refuses nothing, not even a tuple that classify finds not c.n.c.
+    sub = subspace_factory("zero", n=1, d=10)
+    half = [np.array([[0.5]])]
+    th = theta_of(half, sub)
+    assert th.kernel.classification is None and th.tail_bound > 0
+    assert th.checks[0] == ("J-fa-F", th.spectrum.gap, 1e-9 + 10 * th.tail_bound)
+    assert theta_of(half, sub, classify(half)).checks[0][2] == 1e-9  # certified pure
+    assert build_model(th).operators.used == "general"
+    one = [np.array([[1.0]])]
+    assert classify(one).cnc is TriState.NO
+    model = build_model(theta_of(one, subspace_factory("zero", n=1, d=6)))
+    assert model.classification is None and model.operators.used == "general"
+
+
 def test_build_model_rejects_norm_preserving_tuples(subspace_factory):
     one = [np.array([[1.0]])]
-    th = theta_of(one, subspace_factory("zero", n=1, d=6))
+    th = theta_of(one, subspace_factory("zero", n=1, d=6), classify(one))
+    assert th.kernel.classification.cnc is TriState.NO
     with pytest.raises(ValueError, match="noncoisometric"):
-        build_model(th, classification=classify(one))
+        build_model(th)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +506,10 @@ def test_dense_conjugate_pairs_recover_the_unitary_exactly(family, d, subspace_f
     sub = subspace_factory(family, d=d, q=_CUBE_ROOT if family == "q_commutative" else None)
     u = haar_unitary(3, rng)
     mats_p = conjugated_tuple(mats, u)
-    th = theta_of(mats, sub)
-    assert th.tail_bound > 1e-5
-    wit = coincidence_from_unitary(th, theta_of(mats_p, sub), u)
     for cls, cls_p in ((None, None), (classify(mats), classify(mats_p))):
-        eq = _certify(wit, cls, cls_p)
+        th = theta_of(mats, sub, cls)
+        assert th.tail_bound > 1e-5
+        eq = _certify(coincidence_from_unitary(th, theta_of(mats_p, sub, cls_p), u))
         assert eq.equivalent
         assert eq.recovered_unitarity < 1e-13
         assert eq.recovered_intertwining < 1e-13
@@ -502,15 +519,51 @@ def test_dense_conjugate_pairs_recover_the_unitary_exactly(family, d, subspace_f
 def test_a_scalar_with_the_largest_tail_recovers_the_identity(subspace_factory):
     # T = [0.5] at d = 0: the tail is 0.25, and Gamma is 0.75 = 1 - tail on
     # the general branch and sqrt(0.75) on the pure one
-    th = theta_of([np.array([[0.5]])], subspace_factory("zero", n=1, d=0))
-    assert th.tail_bound == 0.25
-    wit = coincidence_from_unitary(th, th, np.eye(1))
-    cls = classify([np.array([[0.5]])])
-    for c, gamma in ((None, 0.75), (cls, np.sqrt(0.75))):
-        eq = _certify(wit, c, c)
+    half = [np.array([[0.5]])]
+    for c, gamma in ((None, 0.75), (classify(half), np.sqrt(0.75))):
+        th = theta_of(half, subspace_factory("zero", n=1, d=0), c)
+        assert th.tail_bound == 0.25
+        eq = _certify(coincidence_from_unitary(th, th, np.eye(1)))
         assert eq.gamma.gamma[0, 0] == pytest.approx(gamma, abs=1e-15)
         assert eq.equivalent
         assert abs(eq.recovered_unitary[0, 0] - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("case", ["scalar-half", "commuting-nilpotent", "zero-dense"])
+def test_the_pure_branch_reads_the_embedding_residual_off_the_projection(
+    case, subspace_factory, monkeypatch
+):
+    # the pure basis is 0 below p, so (K h, 0) sticks out of the model space
+    # exactly as far as its projection misses K: no (p + q) x m stack is
+    # formed; the general branch still stacks the two parts
+    rng = np.random.default_rng(19)
+    if case == "scalar-half":
+        mats, sub = [np.array([[0.5]])], subspace_factory("zero", n=1, d=10)
+    elif case == "commuting-nilpotent":
+        mats, sub = commuting_nilpotent_tuple(rng, 2, 0.6), subspace_factory("commutative", d=5)
+    else:
+        mats, sub = random_row_contraction(rng, 2, 3, 0.4), subspace_factory("zero", d=5)
+    stacked = []
+    vstack = np.vstack
+    monkeypatch.setattr(np, "vstack", lambda parts: stacked.append(vstack(parts)) or stacked[-1])
+    for cls, used in ((classify(mats), "pure"), (None, "general")):
+        model = build_model(theta_of(mats, sub, cls))
+        ops = model.operators
+        assert ops.used == used
+        stacked.clear()
+        g = model.gamma
+        m = mats[0].shape[0]
+        tall = [a for a in stacked if a.shape == (model.p + model.q, m)]
+        if used == "pure":
+            assert tall == []
+            assert g.embedding_residual is g.projection_residual
+            # the stack it replaces, the projection padded with q zero rows, by the SVD oracle
+            projection = ops.basis[: model.p] @ g.gamma - model.theta.kernel.matrix
+            padded = vstack([projection, np.zeros((model.q, m))])
+            assert g.embedding_residual == pytest.approx(opnorm(padded), rel=1e-12, abs=1e-300)
+        else:
+            assert len(tall) == 1
+            assert g.embedding_residual == pytest.approx(opnorm(tall[0]), rel=1e-12, abs=1e-300)
 
 
 def test_gamma_residuals_serializable_types(conjugated_pair):
@@ -880,12 +933,11 @@ def _perturbation_case(case, subspace_factory):
 @pytest.mark.parametrize("case", ["zero-nil-seed-11", "q-commuting", "dense"])
 def test_model_operators_move_with_theta_at_rounding_level(case, subspace_factory):
     mats, sub = _perturbation_case(case, subspace_factory)
-    cls = classify(mats)
-    th = theta_of(mats, sub)
+    th = theta_of(mats, sub, classify(mats))
     parts = np.random.default_rng(5).normal(size=(2, *th.blocks.shape))
     noise = parts[0] + 1j * parts[1]
     bent = dataclasses.replace(th, blocks=th.blocks + 1e-14 * noise / np.linalg.norm(noise))
-    ops, moved = (build_model(f, classification=cls).operators for f in (th, bent))
+    ops, moved = (build_model(f).operators for f in (th, bent))
     assert ops.pure is not None and ops.used == "pure"
     for branch in ("general", "pure"):
         for a, b in zip(getattr(ops, branch), getattr(moved, branch)):
@@ -1190,14 +1242,13 @@ def test_a_q_commuting_tuple_that_is_not_nilpotent_passes_every_check(n, d, q):
 
     def stages(tup):
         cls = classify(tup, degree=d)
-        theta = constrained_characteristic_function(
-            constrained_poisson_kernel(tup, sub, tail=cls.tail))
-        return cls, theta, build_model(theta, classification=cls)
+        theta = theta_of(tup, sub, cls)
+        return cls, theta, build_model(theta)
 
     cls, theta, model = stages(mats)
     assert cls.pure is TriState.YES
     assert theta.tail_bound > 1e-8 and theta.tail_bound >= 0.35 ** (d + 1)
-    checks = theta.checks(cls.pure) + model.checks
+    checks = theta.checks + model.checks
     assert [name for name, _, _ in checks][:4] == ["J-fa-F", "K*K", "series-agree", "coinvariance"]
     assert [name for name, residual, tolerance in checks if not residual <= tolerance] == []
     u = haar_unitary(8, rng)
@@ -1218,14 +1269,14 @@ def test_a_commuting_diagonalizable_tuple_passes_every_check(n, d, m):
     assert spectral_radius_of_phi(mats) == pytest.approx(0.7, rel=1e-14)
     sub = ideal_subspace(spec, TruncatedFockSpace(n, d))
     cls, theta = _stages(mats, sub, d)
-    model = build_model(theta, classification=cls)
+    model = build_model(theta)
     assert cls.pure is TriState.YES and theta.tail_bound > 1e-8
     assert model.h == m
-    checks = theta.checks(cls.pure) + model.checks
+    checks = theta.checks + model.checks
     assert [name for name, residual, tolerance in checks if not residual <= tolerance] == []
     u = haar_unitary(m, rng)
-    cls_b, theta_b = _stages(conjugated_tuple(mats, u), sub, d)
-    model_b = build_model(theta_b, classification=cls_b)
+    _, theta_b = _stages(conjugated_tuple(mats, u), sub, d)
+    model_b = build_model(theta_b)
     witness = coincidence_from_unitary(theta, theta_b, u)
     assert verify_coincidence_implies_equivalence(witness, model, model_b).equivalent
 
@@ -1247,8 +1298,7 @@ def _sum_parts(case):
 
 def _stages(mats, sub, d):
     cls = classify(mats, degree=d)
-    theta = constrained_characteristic_function(constrained_poisson_kernel(mats, sub, tail=cls.tail))
-    return cls, theta
+    return cls, theta_of(mats, sub, cls)
 
 
 @pytest.mark.parametrize("case", ["zero", "q-shift", "commutative"])
@@ -1270,18 +1320,17 @@ def test_a_direct_sum_has_the_invariants_of_its_parts(case):
     # the defects and the model space add up, and the tail is the larger one
     assert (theta.d_T, theta.d_star) == tuple(sum(dims) for dims in
                                               zip(*((th.d_T, th.d_star) for _, th in parts)))
-    models = [build_model(th, classification=c) for c, th in parts]
-    model = build_model(theta, classification=cls)
+    models = [build_model(th) for _, th in parts]
+    model = build_model(theta)
     assert model.h == models[0].h + models[1].h == m1 + m2
     tails = [th.tail_bound for _, th in parts]
     assert abs(theta.tail_bound - max(tails)) <= 1e-14 * max(tails)
 
     # the swap carries T (+) T' onto T' (+) T: certified, every check at rounding
     swap = np.eye(m1 + m2)[np.r_[m1 : m1 + m2, 0:m1]]
-    cls_b, theta_b = _stages(direct_sum(t2, t1), sub, d)
+    _, theta_b = _stages(direct_sum(t2, t1), sub, d)
     witness = coincidence_from_unitary(theta, theta_b, swap)
-    report = verify_coincidence_implies_equivalence(
-        witness, model, build_model(theta_b, classification=cls_b))
+    report = verify_coincidence_implies_equivalence(witness, model, build_model(theta_b))
     assert report.equivalent
     assert max(residual for _, residual, _ in report.checks) <= 1e-13
 
@@ -1301,4 +1350,4 @@ def test_a_row_coisometric_summand_admits_no_model(subspace_factory):
     cls, theta = _stages(mats, sub, 5)
     assert (cls.pure, cls.cnc) == (TriState.NO, TriState.NO)
     with pytest.raises(ValueError, match="not completely noncoisometric"):
-        build_model(theta, classification=cls)
+        build_model(theta)

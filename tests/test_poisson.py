@@ -43,7 +43,7 @@ from fockmodel import (
 )
 from fockmodel.fock import word_operator
 from fockmodel.linalg import psd_spectrum
-from fockmodel.poisson import intertwining_check, kernel_blocks
+from fockmodel.poisson import kernel_blocks
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
     direct_sum,
@@ -160,9 +160,27 @@ def test_a_kernel_without_a_given_tail_has_classify_s_tail(family):
         sub = ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d))
         mats = oracle_tuple(family, n, np.random.default_rng([n, d]))
         own = constrained_poisson_kernel(mats, sub)
-        given = constrained_poisson_kernel(mats, sub, tail=classify(mats, degree=d).tail)
+        given = constrained_poisson_kernel(mats, sub, classification=classify(mats, degree=d))
         assert np.array_equal(own.tail, given.tail)
         assert own.tail_bound == given.tail_bound == truncation_tail(mats, d)
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_the_kernel_keeps_its_classification_and_reads_the_tail_off_it(family):
+    # a classification made with the degree carries Phi^(d+1)(I), which the
+    # kernel takes as its own tail; one made without it carries none, and the
+    # kernel forms the tail by phi_power, bit for bit the same
+    for n, d in ORACLE_SIZES:
+        sub = ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d))
+        mats = oracle_tuple(family, n, np.random.default_rng([n, d]))
+        cls, bare = classify(mats, degree=d), classify(mats)
+        kernel = constrained_poisson_kernel(mats, sub, classification=cls)
+        assert kernel.classification is cls and kernel.tail is cls.tail
+        assert bare.tail is None
+        unformed = constrained_poisson_kernel(mats, sub, classification=bare)
+        assert unformed.classification is bare
+        assert unformed.tail.tobytes() == phi_power(mats, d + 1).tobytes() == cls.tail.tobytes()
+        assert constrained_poisson_kernel(mats, sub).classification is None
 
 
 def test_constrained_kernel_rejects_relation_violators(comm_sub_d4):
@@ -437,7 +455,7 @@ def test_whole_space_eq_ker_is_the_recursion_and_reads_zero(case, subspace_facto
     assert set(residuals) == set(range(1, n + 1))
     assert all(r == 0.0 for r in residuals.values()), residuals
     monkeypatch.setattr(poisson_module, "verify_intertwining", _unmeasured)
-    assert intertwining_check(kernel) == ("eq-ker", 0.0, 1e-10)
+    assert kernel.intertwining_check == ("eq-ker", 0.0, 1e-10)
 
 
 @pytest.mark.parametrize("kind", ["commutative", "q_commutative", "non-graded"])
@@ -452,7 +470,8 @@ def test_relation_family_eq_ker_is_measured(kind, monkeypatch):
         return verify_intertwining(k)
 
     monkeypatch.setattr(poisson_module, "verify_intertwining", counted)
-    name, residual, tolerance = intertwining_check(kernel)
+    name, residual, tolerance = kernel.intertwining_check
+    assert kernel.intertwining_check is kernel.intertwining_check  # measured once and kept
     assert len(calls) == 1 and calls[0] is kernel
     assert (name, tolerance) == ("eq-ker", 1e-10)
     want = max(verify_intertwining(kernel).values())
