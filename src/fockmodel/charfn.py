@@ -96,17 +96,15 @@ the left creation, so the blocks fix A too
 (:func:`stein_gram`, O(p^2 d_star) against O(p^2 q) for a product of
 Theta).  The identity holds where N is the whole space, and there
 :func:`theta_gram` takes the recursion; relation families take a row Gram
-of the matrix.  A is formed once per function, for the gate of the record;
-the recursion's other reader is the coincidence residual of two functions
-(:func:`coincidence_residual`).  That is itself a function with the
-Fourier blocks tau theta_(alpha) - theta'_(alpha) tau_star, formed once;
-on the whole space it needs only the top eigenvalue of that function's
-Gram, and takes it from the recursion deflated at a level k
-(:func:`stein_lambda_max`): an ``eigh`` of the Gram at degree d - k, about
-p / n^k rows, and a secular equation of width d_star dim_(k-1), solved by
-Newton on 1 / phi from the left (:func:`_secular_lambda_max`), with no
-p x p array.  Theta* u is one matmul per degree pair on the blocks, between
-products by N (:func:`theta_star`), for every family.
+of the matrix.  A is formed once per function, for the gate of the record.
+The coincidence residual of two functions (:func:`coincidence_residual`) is
+itself a function with the Fourier blocks
+delta_(alpha) = tau theta_(alpha) - theta'_(alpha) tau_star, formed once,
+and com is its Frobenius norm, never below the spectral norm: on the whole
+space the block of alpha repeats at dim_(<= d - |alpha|) places, so
+|D|_F^2 = sum_alpha dim_(<= d - |alpha|) |delta_(alpha)|_F^2, with no
+p x p or p x q array.  Theta* u is one matmul per degree pair on the
+blocks, between products by N (:func:`theta_star`), for every family.
 """
 
 from __future__ import annotations
@@ -131,11 +129,9 @@ from .linalg import (
     PSD_RANK_TOL,
     adj,
     gap_frobenius,
-    gram,
     kron_inner,
     kron_left,
     kron_right,
-    opnorm,
     row_gram,
 )
 from .poisson import KernelMatrix
@@ -537,110 +533,6 @@ def stein_gram(space: TruncatedFockSpace, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def stein_lambda_max(space: TruncatedFockSpace, blocks: np.ndarray) -> float:
-    """lambda_max(G G*) of the multi-analytic G of :func:`stein_gram`, with no p x p array.
-
-    Group G's columns by their words gamma.  Those of degree >= k split by
-    the length-k prefix w, and the columns with prefix w are L_w G_(d-k):
-    G truncated at degree d - k, moved by the left creation L_w onto the
-    words w + alpha.  Those ranges are disjoint, so
-
-        G G* = C C* + sum_(|w| = k) L_w A_k L_w*,
-
-    C the columns of G at the words of degree < k (c dim_(k-1) of them) and
-    A_k = G_(d-k) G_(d-k)*, the Stein Gram at degree d - k (p_k =
-    r dim_(d-k) rows); k = 1 is one level of the Stein identity, C = F.
-    One ``eigh`` A_k = V diag(mu) V* and W = I (+) V (+) ... (+) V, V on
-    each prefix's rows, turn G G* into Lambda + H H* with
-    Lambda = diag(0, mu, ..., mu) and H = W* C, whose largest eigenvalue
-    solves a secular equation of size c dim_(k-1)
-    (:func:`_secular_lambda_max`): the modified eigenproblem of Golub ("Some
-    modified matrix eigenvalue problems", SIAM Rev., 1973) and of Bunch,
-    Nielsen and Sorensen (Numer. Math., 1978).  Each level divides p_k by
-    about n and multiplies the width by about n, so k is the deepest level
-    whose width is at most p_k / 2, near where the ``eigh`` and the secular
-    steps cost the same: at zero (2, 9), m = 3, on a 2-core box, one level
-    (p_1 = 1533) took 2.8 s and the chosen k = 4 (p_4 = 189, width 90)
-    0.07 s.  Only A_k and V are p_k x p_k.  r = 0 or c = 0 gives 0.0; at d = 0, G is I (x) theta_()
-    on the vacuum and the value comes from the c x c Gram of that block.
-    """
-    dim, r, c = blocks.shape
-    if r == 0 or c == 0:
-        return 0.0
-    if space.d == 0:
-        return float(np.linalg.eigvalsh(gram(blocks[0]))[-1])
-    k = 1
-    while k < space.d and 2 * c * space.dim_up_to(k) <= r * space.dim_up_to(space.d - k - 1):
-        k += 1
-    return _deflated_lambda_max(space, blocks, k)
-
-
-def _deflated_lambda_max(space: TruncatedFockSpace, blocks: np.ndarray, k: int) -> float:
-    """:func:`stein_lambda_max` deflated at the level 1 <= k <= d."""
-    n, d, (dim, r, c) = space.n, space.d, blocks.shape
-    inner = TruncatedFockSpace(n, d - k)
-    mu, v = np.linalg.eigh(stein_gram(inner, blocks[: inner.dim]))
-    head = space.dim_up_to(k - 1)
-    cols = np.zeros((dim, r, head, c), dtype=complex)  # C, the columns at the words of degree < k
-    for j in range(k):  # the column gamma of degree j holds the block of w at the row gamma + w
-        for l in range(d - j + 1):
-            at_gamma = space.grid(cols, j, l)[..., space.degree_slice(j), :]  # (gamma, w, ., gamma, .)
-            np.einsum("gwigc->gwic", at_gamma)[...] = blocks[space.degree_slice(l)]
-    cols = cols.reshape(dim, r, head * c)
-    prefixed = np.concatenate([space.grid(cols, k, l) for l in range(d - k + 1)], axis=1)
-    tails = adj(v) @ prefixed.reshape(n**k, inner.dim * r, head * c)
-    lam = np.concatenate([np.zeros(head * r)] + [np.clip(mu, 0.0, None)] * n**k)
-    return _secular_lambda_max(lam, np.vstack([cols[:head].reshape(head * r, -1), *tails]))
-
-
-def _secular_lambda_max(lam: np.ndarray, h: np.ndarray) -> float:
-    """lambda_max(diag(lam) + h h*) for lam >= 0 and the p x c ``h``, from a c x c secular equation.
-
-    With top = max(lam), an x > top is an eigenvalue exactly when 1 is an
-    eigenvalue of M(x) = h* (x - diag(lam))^(-1) h.  phi(x) = lambda_max(M(x))
-    falls from its limit at top to 0, and x - diag(lam) - h h* is positive
-    definite exactly when phi(x) < 1, so lambda_max is the root of
-    phi(x) = 1 when there is one above top, and top otherwise.  A root
-    within 4 eps of top (phi(top (1 + 4 eps)) <= 1) is read as top.
-
-    1 / phi is concave and increasing above top: it is a minimum over unit
-    y of parallel sums of the affine (x - lam_i) / |h_i* y|^2.  So Newton on
-    1 / phi, started at top (1 + 4 eps) where phi >= 1, never passes the
-    root and rises to it monotonically, with no bracket.  That holds for a
-    repeated top eigenvalue of M(x) too: 1 / (y* M(x) y) is concave and at
-    least 1 / phi for every unit y, so the tangent taken along the computed
-    eigenvector still lies above 1 / phi.  Newton on 1 / phi is exact when
-    one pole carries the weight, where Newton on the convex phi itself
-    creeps.  The search ends when a step makes no floating-point progress,
-    or returns the step when rounding carries it past the root: it is
-    deterministic and has no tolerance.
-    """
-    top = float(lam.max())
-    if top == 0.0:  # Lambda = 0
-        return float(np.linalg.eigvalsh(gram(h))[-1])
-
-    def secular(x: float) -> tuple[float, float]:
-        """phi(x) and -phi'(x), the latter along the top eigenvector y of M(x)."""
-        s = 1.0 / (x - lam)
-        values, vectors = np.linalg.eigh((adj(h) * s) @ h)
-        hy = h @ vectors[:, -1]
-        return float(values[-1]), float(np.sum(s * s * (hy.real**2 + hy.imag**2)))
-
-    x = top * (1.0 + 4.0 * np.finfo(float).eps)
-    phi, slope = secular(x)
-    if phi <= 1.0:
-        return top
-    while slope > 0.0:
-        step = x + (phi - 1.0) * phi / slope  # Newton on 1 / phi
-        if step <= x:  # no floating-point progress: x is the root
-            break
-        phi, slope = secular(step)
-        if phi < 1.0:  # rounding carried the step past the root
-            return step
-        x = step
-    return x
-
-
 def theta_gram(theta: CharFn) -> np.ndarray:
     """Theta Theta*, p x p, the whole Hermitian matrix.
 
@@ -839,7 +731,7 @@ def coincidence_necessary_mismatch(t1: CharFn, t2: CharFn) -> float:
 def coincidence_residual(
     theta: CharFn, theta_p: CharFn, tau: np.ndarray, tau_star: np.ndarray
 ) -> float:
-    """The spectral norm |D| of D = (I (x) tau) Theta_N - Theta'_N (I (x) tau_star).
+    """The Frobenius norm |D|_F of D = (I (x) tau) Theta_N - Theta'_N (I (x) tau_star).
 
     Both functions are compressed to one N, so D is the function with the
     Fourier blocks delta_(alpha) = tau theta_(alpha) - theta'_(alpha) tau_star,
@@ -847,16 +739,23 @@ def coincidence_residual(
 
         D = sum_alpha (N* R_alpha N) (x) delta_(alpha).
 
-    When N is the whole space D is multi-analytic, so |D| =
-    sqrt(lambda_max(D D*)), still the exact spectral norm, with lambda_max
-    from the Stein recursion of the blocks deflated at a level k
-    (:func:`stein_lambda_max`): an ``eigh`` of the Gram of D at degree
-    d - k, about p / n^k rows, and a secular equation of width
-    d_star dim_(k-1); nothing p x p or p x q is formed.  Otherwise (relation
-    families) D is contracted from the blocks (:func:`_theta_n`) and its
-    norm taken by :func:`linalg.opnorm`.
+    When N is the whole space D is multi-analytic: the block of alpha sits
+    at (gamma alpha, gamma) for each of the dim_(<= d - |alpha|) words gamma
+    with |gamma alpha| <= d, so
+
+        |D|_F^2 = sum_alpha dim_(<= d - |alpha|) |delta_(alpha)|_F^2,
+
+    one weighted sum over the degrees with nothing p x p or p x q formed.
+    Otherwise (relation families) D is contracted from the blocks
+    (:func:`_theta_n`) and its Frobenius norm taken.  Either way the value
+    is never below the spectral norm |D|.
     """
     delta = tau @ theta.blocks - theta_p.blocks @ tau_star
-    if theta.sub.is_whole_space:
-        return float(np.sqrt(max(stein_lambda_max(theta.space, delta), 0.0)))
-    return opnorm(_theta_n(theta.sub, delta))
+    if not theta.sub.is_whole_space:
+        return float(np.linalg.norm(_theta_n(theta.sub, delta)))
+    space = theta.space
+    squares = sum(
+        space.dim_up_to(space.d - k) * np.linalg.norm(delta[space.degree_slice(k)]) ** 2
+        for k in range(space.d + 1)
+    )
+    return float(np.sqrt(squares))

@@ -192,6 +192,7 @@ class Classification:
     iterations: int
     rho: float
     tail: np.ndarray | None = None  # Phi^(d+1)(I), when classify was given the degree d
+    degree: int | None = None  # the degree d classify was given, None without one
 
     def __str__(self) -> str:
         return (
@@ -230,7 +231,8 @@ def classify(
     is still undetermined there, come from one ``eigvalsh`` of Q_1.
 
     With a truncation ``degree`` d the iterate Q_(d+1) = Phi^(d+1)(I), the
-    truncation tail, is kept as ``tail`` for the Poisson kernel; when the
+    truncation tail, is kept as ``tail`` for the Poisson kernel, and d as
+    ``degree``, which the kernel checks against its own; when the
     verdicts settle before step d + 1 the iteration continues to it, and
     those steps count in neither ``iterations`` nor ``q_limit``.  Every
     iterate is hermitized, as in :func:`phi_power`, so ``tail`` is bit for
@@ -273,7 +275,7 @@ def classify(
         for _ in range(iterations, degree + 1):
             tail = hermitize(phi_step(mats, tail))
     return Classification(
-        pure=pure, cnc=cnc, q_limit=q, iterations=iterations, rho=rho, tail=tail
+        pure=pure, cnc=cnc, q_limit=q, iterations=iterations, rho=rho, tail=tail, degree=degree
     )
 
 

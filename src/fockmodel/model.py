@@ -411,9 +411,9 @@ def coincidence_from_unitary(theta: CharFn, theta_p: CharFn, u: np.ndarray) -> C
     holds (these are input contracts, not something to silently repair),
     then forms the defect
     unitaries tau = basis'* U basis and tau_star = basis'* (I (x) U) basis_*
-    and evaluates the coincidence residual
+    and evaluates the coincidence residual, the Frobenius norm
 
-        | (I (x) tau) Theta - Theta' (I (x) tau_star) |
+        | (I (x) tau) Theta - Theta' (I (x) tau_star) |_F
 
     (:func:`charfn.coincidence_residual`, from one difference of Fourier
     blocks; on the whole space no p x q array is formed), which vanishes at

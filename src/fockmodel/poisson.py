@@ -188,11 +188,16 @@ def constrained_poisson_kernel(
     ``classification`` (:func:`contractions.classify` of the tuple) reuse
     what the caller already has of the tuple.  The classification is kept
     on the kernel, and its ``tail`` is the kernel's when classify was given
-    the degree; without one, or without that tail, the tail Phi^(d+1)(I) is
-    computed by :func:`contractions.phi_power`.
+    the degree; without one, or without a degree, the tail Phi^(d+1)(I) is
+    computed by :func:`contractions.phi_power`.  A classification made at
+    another degree than the space's d carries another tail and is refused
+    with ValueError.
     """
     mats = as_matrices(ts)
     m = mats[0].shape[0]
+    made_at = None if classification is None else classification.degree
+    if made_at not in (None, sub.space.d):
+        raise ValueError(f"classification made at degree {made_at}, kernel at degree {sub.space.d}")
     require_relations(mats, sub.spec, residual=relation_residual)
     defect = defects(mats)
     blocks = kernel_blocks(mats, sub.space, defect)
@@ -203,9 +208,7 @@ def constrained_poisson_kernel(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
             "the tuple and the relation family are inconsistent"
         )
-    tail = None if classification is None else classification.tail
-    if tail is None:
-        tail = phi_power(mats, sub.space.d + 1)
+    tail = phi_power(mats, sub.space.d + 1) if made_at is None else classification.tail
     return KernelMatrix(
         matrix=compressed.reshape(sub.dim_N * defect.d_T, m),
         blocks=blocks,

@@ -35,7 +35,6 @@ from conftest import (
 from fockmodel import (
     TruncatedFockSpace,
     classify,
-    coincidence_from_unitary,
     coincidence_necessary_mismatch,
     constrained_characteristic_function,
     constrained_creation_tuple,
@@ -53,7 +52,6 @@ from fockmodel import (
 from fockmodel import charfn
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
-    conjugated_tuple,
     haar_unitary,
     nilpotent_pair_tuple,
     q_commuting_nilpotent_tuple,
@@ -159,111 +157,6 @@ def test_the_stein_recursion_is_the_gram_of_the_dense_theta(n, d, kind, space_fa
     want = th.matrix @ adj(th.matrix)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
-
-
-def _lambda_max_blocks(case, n, d, space, rng):
-    """The vacuum-column blocks of a multi-analytic G on ``space`` for a named case."""
-    sub = ideal_subspace(make_spec("zero", n=n), space)
-    kind = {"jordan": "jordan-pair", "coisometry": "unitary"}.get(case, "dense")
-    mats = _stein_tuple(kind, n, rng)
-    th = theta_of(mats, sub)
-    if case == "conjugate":  # (I (x) tau) Theta - Theta' (I (x) tau_*): rounding level
-        u = haar_unitary(3, rng)
-        wit = coincidence_from_unitary(th, theta_of(conjugated_tuple(mats, u), sub), u)
-        return wit.tau @ th.blocks - wit.theta_p.blocks @ wit.tau_star
-    if case == "jordan":  # a turned Jordan pair, d_T = 1
-        return th.blocks - theta_of(conjugated_tuple(mats, haar_unitary(3, rng)), sub).blocks
-    if case in ("distinct", "coisometry"):
-        return th.blocks - theta_of(_stein_tuple(kind, n, rng), sub).blocks
-    blocks = np.zeros_like(th.blocks)
-    if case == "zero-vacuum":
-        blocks[1:] = th.blocks[1:]
-    elif case == "top-degree":
-        blocks[space.degree_slice(d)] = th.blocks[space.degree_slice(d)]
-    elif case == "vacuum-only":
-        blocks[0] = th.blocks[0]
-    return blocks
-
-
-@pytest.mark.parametrize(
-    "case, n, d",
-    [(case, 2, 5) for case in ("conjugate", "distinct", "jordan", "zero-vacuum", "top-degree",
-                               "vacuum-only", "all-zero", "coisometry")]
-    + [(case, n, d) for case in ("conjugate", "distinct") for n, d in ((2, 0), (2, 1), (3, 3))],
-)
-def test_stein_lambda_max_is_the_top_eigenvalue_of_the_stein_gram(case, n, d, space_factory):
-    # the recursion deflated at level k by an eigh of the degree-(d - k)
-    # Gram, then a secular equation of width d_star dim_(k-1), against
-    # eigvalsh of the whole p x p Gram, at the chosen level and at every other
-    space = space_factory(n, d)
-    blocks = _lambda_max_blocks(case, n, d, space, np.random.default_rng([n, d, 71]))
-    c = blocks.shape[2]
-    want = np.linalg.eigvalsh(charfn.stein_gram(space, blocks))[-1] if blocks.size else 0.0
-    got = charfn.stein_lambda_max(space, blocks)
-    assert abs(got - want) <= 1e-12 * want
-    if blocks.size:
-        for k in range(1, d + 1):
-            assert abs(charfn._deflated_lambda_max(space, blocks, k) - want) <= 1e-12 * want
-    if case == "conjugate":
-        assert 0.0 < want < 1e-25
-    elif case in ("distinct", "jordan", "zero-vacuum"):
-        assert want > 0.1
-    elif case == "top-degree":  # every deflated Gram is 0: the d_star x d_star Gram of F
-        assert abs(got - np.linalg.norm(blocks.reshape(-1, c), 2) ** 2) <= 1e-12 * got
-    elif case == "vacuum-only":  # I (x) theta_(): no root above mu_top = |theta_()|^2
-        assert got > 0.1
-        assert abs(got - np.linalg.norm(blocks[0], 2) ** 2) <= 1e-12 * got
-    else:  # all zero, or d_T = 0
-        assert got == 0.0
-        assert case == "all-zero" or blocks.shape[1] == 0
-
-
-def _secular_case(case):
-    """(lam, h) of diag(lam) + h h*, lam >= 0 and h of width c."""
-    rng = np.random.default_rng(sum(map(ord, case)))
-
-    def cols(p, c):
-        return rng.normal(size=(p, c)) + 1j * rng.normal(size=(p, c))
-
-    if case == "one-pole":  # c = 1, the weight on the top pole
-        lam = np.array([2.0, 1.5, 0.7, 0.0])
-        return lam, np.array([[3.0], [1e-9], [2e-9], [0.0]], dtype=complex)
-    if case == "similar-weights":
-        lam = 1.0 - 1e-3 * np.arange(12.0)
-        return lam, 0.1 * np.exp(1j * np.arange(12.0))[:, None] * (1.0 + 1e-2 * rng.random((12, 3)))
-    if case == "repeated-top":  # M(x) is a multiple of I for every x
-        lam = np.array([1.0, 1.0, 0.5, 0.5])
-        return lam, np.array([[0.3, 0], [0, 0.3], [0.8, 0], [0, 0.8]], dtype=complex)
-    if case == "equal-columns":
-        h = cols(9, 3)
-        h[:, 1] = h[:, 0]
-        return np.abs(rng.normal(size=9)), h
-    if case == "root-at-top":  # phi(top (1 + 4 eps)) <= 1: the root reads as top
-        return np.array([1.0, 0.5, 0.0]), np.array([[1e-9], [1e-9], [1e-9]], dtype=complex)
-    if case == "lambda-zero":
-        return np.zeros(7), cols(7, 4)
-    if case.startswith("scaled"):  # lam and |h|^2 scaled by one factor
-        lam, h = _secular_case("wide")
-        factor = float(case.split("-", 1)[1])
-        return factor * lam, np.sqrt(factor) * h
-    # "wide": the deflated layout, zeros then a spectrum repeated per prefix, c = 90
-    mu = np.abs(rng.normal(size=40)) ** 2
-    return np.concatenate([np.zeros(30), mu, mu, mu]), 0.3 * cols(150, 90)
-
-
-@pytest.mark.parametrize(
-    "case",
-    ["one-pole", "similar-weights", "repeated-top", "equal-columns", "root-at-top", "lambda-zero",
-     "wide", "scaled-1e-30", "scaled-1e20"],
-)
-def test_secular_lambda_max_is_the_top_eigenvalue(case):
-    # Newton on 1 / phi against eigvalsh of the whole diag(lam) + h h*
-    lam, h = _secular_case(case)
-    want = np.linalg.eigvalsh(np.diag(lam) + h @ h.conj().T)[-1]
-    got = charfn._secular_lambda_max(lam, h)
-    assert abs(got - want) <= 1e-12 * want
-    if case == "root-at-top":
-        assert got == lam.max()
 
 
 @pytest.mark.parametrize(
@@ -885,30 +778,6 @@ def _per_letter_stein_gram(space, blocks):
     return out
 
 
-def _prefixed_words(space, j, k):
-    """Flat indices of gamma + w, gamma of degree j (rows) and w of degree <= k (columns)."""
-    n, g = space.n, np.arange(space.n**j)[:, None]
-    starts = [space.degree_slice(j + l).start for l in range(k + 1)]
-    return np.concatenate([s + g * n**l + np.arange(n**l) for l, s in enumerate(starts)], axis=1)
-
-
-def _gathered_deflated_lambda_max(space, blocks, k):
-    """:func:`charfn._deflated_lambda_max` with C and its prefixed tails gathered by index arrays."""
-    n, d, (dim, r, c) = space.n, space.d, blocks.shape
-    inner = TruncatedFockSpace(n, d - k)
-    mu, v = np.linalg.eigh(charfn.stein_gram(inner, blocks[: inner.dim]))
-    head = space.dim_up_to(k - 1)
-    cols = np.zeros((dim, r, head, c), dtype=complex)
-    for j in range(k):
-        gammas = space.degree_slice(j)
-        rows = _prefixed_words(space, j, d - j)
-        cols[rows, :, np.arange(gammas.start, gammas.stop)[:, None]] = blocks[: rows.shape[1]]
-    cols = cols.reshape(dim, r, head * c)
-    tails = adj(v) @ cols[_prefixed_words(space, k, d - k)].reshape(n**k, inner.dim * r, head * c)
-    lam = np.concatenate([np.zeros(head * r)] + [np.clip(mu, 0.0, None)] * n**k)
-    return charfn._secular_lambda_max(lam, np.vstack([cols[:head].reshape(head * r, -1), *tails]))
-
-
 def _grid_cases():
     """The kernel oracle cases of test_poisson, and the unitary spectral case (d_* = 0)."""
     from test_poisson import ORACLE_CASES
@@ -926,10 +795,6 @@ def test_the_grid_products_equal_the_per_letter_routes(case, subspace_factory):
     space = kernel.space
     for blocks in (theta, kernel.blocks):
         assert np.array_equal(charfn.stein_gram(space, blocks), _per_letter_stein_gram(space, blocks))
-        if blocks.size:
-            for k in range(1, d + 1):
-                want = _gathered_deflated_lambda_max(space, blocks, k)
-                assert charfn._deflated_lambda_max(space, blocks, k) == want
 
 
 # ---------------------------------------------------------------------------

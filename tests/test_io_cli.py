@@ -38,6 +38,7 @@ from fockmodel import (
     validate,
     verify_coincidence_implies_equivalence,
 )
+from fockmodel.charfn import coincidence_residual
 from fockmodel.cli import build_parser, main
 from fockmodel.contractions import require_relations
 from fockmodel.linalg import hermitian_norm
@@ -825,12 +826,11 @@ def test_a_charfn_command_forms_k_star_k_once(tmp_path, monkeypatch, family):
     assert operands.count((rep["dims"]["rows"], m)) == 1
 
 
-def test_equiv_decomposes_nothing_larger_than_the_deflated_gram(tmp_path, monkeypatch):
-    # zero family at (2, 6), p = 381, d_T = 3, d_star = 6: com takes
-    # lambda_max of D D* deflated at level 2, from one eigh of the Gram of D
-    # at degree 4 (p_2 = 31 d_T = 93, below the one-level p' = 189) and a
-    # secular equation of width 3 d_star = 18; the models decompose nothing
-    # of size p, and the principal angles are thin (p + q) x h SVDs
+def test_equiv_com_decomposes_nothing(tmp_path, monkeypatch):
+    # zero family at (2, 6), p = 381, d_T = 3, d_star = 6: com is the
+    # weighted sum of the norms of the Fourier blocks of D, so it decomposes
+    # nothing; the models decompose nothing larger than n m = 6, and the
+    # principal angles are thin (p + q) x h SVDs
     rng = np.random.default_rng(23)
     mats = random_row_contraction(rng, 2, 3, 0.8)
     u = haar_unitary(3, rng)
@@ -841,11 +841,19 @@ def test_equiv_decomposes_nothing_larger_than_the_deflated_gram(tmp_path, monkey
     uf.write_text(json.dumps({"matrix": encode_value(u)}))
     out = tmp_path / "r.json"
     seen = record_decompositions(monkeypatch)
+    during_com = []
+
+    def com(*args):
+        start = len(seen)
+        value = coincidence_residual(*args)
+        during_com.append(seen[start:])
+        return value
+
+    monkeypatch.setattr("fockmodel.model.coincidence_residual", com)
     argv = ["equiv", "--problem", pa, "--problem-b", pb, "--unitary", str(uf), "--out", str(out)]
     assert run_cli(argv) == 0
-    p_2 = 93
-    assert [(name, shape) for name, shape in seen if min(shape[-2:]) > p_2] == []
-    assert seen.count(("eigh", (p_2, p_2))) == 1
+    assert during_com == [[]]
+    assert [(name, shape) for name, shape in seen if min(shape[-2:]) > 6] == []
     rep = read(out)
     assert checks_by_name(rep)["com"]["pass"]
     assert rep["equivalent"] is True

@@ -363,18 +363,47 @@ def test_the_certificate_is_the_conjunction_of_its_checks(conjugated_pair, monke
 
 
 def _dense_coincidence_residual(theta, theta_p, tau, tau_star):
-    """|(I (x) tau) Theta - Theta' (I (x) tau_star)| from the two matrices and np.kron, by an SVD."""
+    """|(I (x) tau) Theta - Theta' (I (x) tau_star)|_F from the two matrices and np.kron."""
     eye = np.eye(theta.sub.dim_N)
-    return opnorm(np.kron(eye, tau) @ theta.matrix - theta_p.matrix @ np.kron(eye, tau_star))
+    return float(np.linalg.norm(np.kron(eye, tau) @ theta.matrix - theta_p.matrix @ np.kron(eye, tau_star)))
+
+
+def _placed_blocks(space, blocks):
+    """The whole-space multi-analytic matrix with ``blocks[alpha]`` at (gamma alpha, gamma), word by word."""
+    _, r, c = blocks.shape
+    out = np.zeros((space.dim, r, space.dim, c), dtype=complex)
+    for gamma in map(space.word, range(space.dim)):
+        for i in range(space.dim_up_to(space.d - len(gamma))):
+            out[space.index(gamma + space.word(i)), :, space.index(gamma)] = blocks[i]
+    return out.reshape(space.dim * r, space.dim * c)
+
+
+@pytest.mark.parametrize("n, d", [(2, 6), (3, 4), (1, 7), (2, 0), (2, 8)])
+def test_com_on_the_whole_space_is_the_weighted_sum_of_block_norms(n, d, subspace_factory):
+    # |D|_F^2 = sum_alpha dim_(<= d - |alpha|) |delta_alpha|_F^2: on random
+    # blocks, against the Frobenius norm of the matrix with every block placed
+    # at (gamma alpha, gamma) one word at a time, and against the contraction
+    # of the blocks that relation families take
+    rng = np.random.default_rng([n, d, 37])
+    sub = subspace_factory("zero", n=n, d=d)
+    th = theta_of(random_row_contraction(rng, n, 3, 0.8), sub)
+    shape = th.blocks.shape
+    theta, theta_p = (dataclasses.replace(th, blocks=rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                      for _ in range(2))
+    got = coincidence_residual(theta, theta_p, np.eye(th.d_T), np.eye(th.d_star))
+    delta = theta.blocks - theta_p.blocks
+    want = np.linalg.norm(_placed_blocks(sub.space, delta))
+    assert abs(got - want) <= 1e-14 * want
+    assert abs(got - np.linalg.norm(charfn._theta_n(sub, delta))) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("kind", ["nilpotent", "dense", "jordan-pair", "coisometry"])
 def test_the_zero_family_com_is_the_dense_norm(kind, subspace_factory):
-    # on the whole space com is sqrt(lambda_max(D D*)), from the Stein
-    # recursion deflated at a level k and a secular equation; against the SVD
-    # of the formed p x q difference it agrees to a relative 1e-12 of the
-    # operands' scale, for a conjugate pair (rounding-level com) and for two
-    # unrelated tuples (com of order 1), with two letters and with three
+    # on the whole space com is |D|_F, the weighted sum of the norms of the
+    # Fourier blocks of D; against the Frobenius norm of the formed p x q
+    # difference it agrees to a relative 1e-12 of the operands' scale, for a
+    # conjugate pair (rounding-level com) and for two unrelated tuples (com of
+    # order 1), with two letters and with three
     for n, d in [(2, 5), (3, 3)]:
         _check_the_zero_family_com(kind, n, d, subspace_factory("zero", n=n, d=d))
 
@@ -409,6 +438,25 @@ def _check_the_zero_family_com(kind, n, d, sub):
     want = _dense_coincidence_residual(th, other, tau, tau_star)
     assert want > 0.1
     assert abs(got - want) <= 1e-12 * want
+
+
+def test_a_wrong_tau_reads_far_above_the_com_tolerance(subspace_factory):
+    # a conjugate pair at zero (2, 6) with tau turned by another unitary: the
+    # spectral norm of D reads about 2 and |D|_F, which counts every copy of
+    # each block, 20-30, both against the 1e-9 of com
+    rng = np.random.default_rng(0)
+    sub = subspace_factory("zero", d=6)
+    mats = random_row_contraction(rng, 2, 3, 0.8)
+    u = haar_unitary(3, rng)
+    wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(conjugated_tuple(mats, u), sub), u)
+    assert wit.residual < 1e-13
+    wrong = haar_unitary(wit.tau.shape[0], rng) @ wit.tau
+    got = coincidence_residual(wit.theta, wit.theta_p, wrong, wit.tau_star)
+    assert got > 10.0
+    assert abs(got - _dense_coincidence_residual(wit.theta, wit.theta_p, wrong, wit.tau_star)) <= 1e-12 * got
+    eye = np.eye(sub.dim_N)
+    formed = np.kron(eye, wrong) @ wit.theta.matrix - wit.theta_p.matrix @ np.kron(eye, wit.tau_star)
+    assert got > 10.0 * opnorm(formed)
 
 
 def test_com_of_a_relation_family_is_the_formed_difference(space_factory):

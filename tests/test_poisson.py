@@ -183,6 +183,21 @@ def test_the_kernel_keeps_its_classification_and_reads_the_tail_off_it(family):
         assert constrained_poisson_kernel(mats, sub).classification is None
 
 
+def test_the_kernel_refuses_a_classification_from_another_degree():
+    # classify(mats, degree=3) carries Phi^4(I): at zero (2, 6) its norm reads
+    # 0.0503 against the true tail 0.00306, a K*K tolerance 16x too loose;
+    # the kernel names both degrees instead, and takes the matching one
+    mats = random_row_contraction(np.random.default_rng(0), 2, 3, 0.9)
+    sub = ideal_subspace(PolyIdealSpec(n=2), TruncatedFockSpace(2, 6))
+    wrong = classify(mats, degree=3)
+    assert wrong.degree == 3 and classify(mats).degree is None
+    assert truncation_tail(mats, 3) > 16 * truncation_tail(mats, 6)
+    with pytest.raises(ValueError, match="made at degree 3, kernel at degree 6"):
+        constrained_poisson_kernel(mats, sub, classification=wrong)
+    kernel = constrained_poisson_kernel(mats, sub, classification=classify(mats, degree=6))
+    assert kernel.tail_bound == truncation_tail(mats, 6)
+
+
 def test_constrained_kernel_rejects_relation_violators(comm_sub_d4):
     rng = np.random.default_rng(5)
     bad = [m / 4 for m in (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))]
