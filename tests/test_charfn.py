@@ -35,6 +35,7 @@ from conftest import (
 from fockmodel import (
     TruncatedFockSpace,
     classify,
+    coincidence_from_unitary,
     coincidence_necessary_mismatch,
     constrained_characteristic_function,
     constrained_creation_tuple,
@@ -52,6 +53,7 @@ from fockmodel import (
 from fockmodel import charfn
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
+    conjugated_tuple,
     haar_unitary,
     nilpotent_pair_tuple,
     q_commuting_nilpotent_tuple,
@@ -157,6 +159,64 @@ def test_the_stein_recursion_is_the_gram_of_the_dense_theta(n, d, kind, space_fa
     want = th.matrix @ adj(th.matrix)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+
+
+def _difference_blocks(case, n, d, space, rng):
+    """The vacuum-column blocks of a multi-analytic D on ``space`` for a named case."""
+    sub = ideal_subspace(make_spec("zero", n=n), space)
+    kind = {"jordan": "jordan-pair", "coisometry": "unitary"}.get(case, "dense")
+    mats = _stein_tuple(kind, n, rng)
+    th = theta_of(mats, sub)
+    if case == "conjugate":  # (I (x) tau) Theta - Theta' (I (x) tau_*): rounding level
+        u = haar_unitary(3, rng)
+        wit = coincidence_from_unitary(th, theta_of(conjugated_tuple(mats, u), sub), u)
+        return th, wit.tau @ th.blocks - wit.theta_p.blocks @ wit.tau_star
+    if case == "jordan":  # a turned Jordan pair, d_T = 1
+        return th, th.blocks - theta_of(conjugated_tuple(mats, haar_unitary(3, rng)), sub).blocks
+    if case in ("distinct", "coisometry"):
+        return th, th.blocks - theta_of(_stein_tuple(kind, n, rng), sub).blocks
+    blocks = np.zeros_like(th.blocks)
+    if case == "zero-vacuum":
+        blocks[1:] = th.blocks[1:]
+    elif case == "top-degree":
+        blocks[space.degree_slice(d)] = th.blocks[space.degree_slice(d)]
+    elif case == "vacuum-only":
+        blocks[0] = th.blocks[0]
+    return th, blocks
+
+
+@pytest.mark.parametrize(
+    "case, n, d",
+    [(case, 2, 5) for case in ("conjugate", "distinct", "jordan", "zero-vacuum", "top-degree",
+                               "vacuum-only", "all-zero", "coisometry")]
+    + [(case, n, d) for case in ("conjugate", "distinct") for n, d in ((2, 0), (2, 1), (3, 3))],
+)
+def test_whole_space_com_is_the_trace_of_the_stein_gram(case, n, d, space_factory):
+    # com = |D|_F read off the blocks, against the trace of D D* from the
+    # Stein recursion, and never below the spectral norm, sqrt(lambda_max)
+    # of that Gram
+    space = space_factory(n, d)
+    th, blocks = _difference_blocks(case, n, d, space, np.random.default_rng([n, d, 71]))
+    r, c = blocks.shape[1:]
+    theta = dataclasses.replace(th, blocks=blocks)
+    got = charfn.coincidence_residual(theta, dataclasses.replace(th, blocks=0 * blocks), np.eye(r), np.eye(c))
+    gram = charfn.stein_gram(space, blocks)
+    assert abs(got**2 - np.trace(gram).real) <= 1e-12 * got**2
+    top = np.linalg.eigvalsh(gram)[-1] if blocks.size else 0.0
+    assert got**2 >= top * (1.0 - 1e-12)
+    if case == "conjugate":
+        assert 0.0 < got < 1e-12
+    elif case in ("distinct", "jordan", "zero-vacuum"):
+        assert top > 0.1
+    elif case == "top-degree":  # each top block sits once: D's norms are F's
+        assert abs(got - np.linalg.norm(blocks)) <= 1e-12 * got
+        assert abs(top - np.linalg.norm(blocks.reshape(-1, c), 2) ** 2) <= 1e-12 * top
+    elif case == "vacuum-only":  # I (x) theta_(): dim copies of one block
+        assert abs(got**2 - space.dim * np.linalg.norm(blocks[0]) ** 2) <= 1e-12 * got**2
+        assert abs(top - np.linalg.norm(blocks[0], 2) ** 2) <= 1e-12 * top
+    else:  # all zero, or d_T = 0
+        assert got == 0.0
+        assert case == "all-zero" or blocks.shape[1] == 0
 
 
 @pytest.mark.parametrize(

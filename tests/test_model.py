@@ -494,6 +494,28 @@ def _check_relation_family_com(family, n, d, space):
     assert abs(got - want) <= 1e-12 * want, (case, got, want)
 
 
+@pytest.mark.parametrize(
+    "family", [f for f in ORACLE_FAMILIES if oracle_family(f, 2, 5).kind != "zero"]
+)
+def test_a_wrong_tau_on_a_relation_family_reads_above_the_spectral_norm(family, space_factory):
+    # a conjugate pair on N with tau turned by another unitary: com is the
+    # Frobenius norm of the contracted D, its square the trace of D D*, never
+    # below the spectral norm of the formed difference and far above 1e-9
+    sub = ideal_subspace(oracle_family(family, 2, 5), space_factory(2, 5))
+    rng = np.random.default_rng([2, 5, 41])
+    mats = oracle_tuple(family, 2, rng)
+    u = haar_unitary(mats[0].shape[0], rng)
+    wit = coincidence_from_unitary(theta_of(mats, sub), theta_of(conjugated_tuple(mats, u), sub), u)
+    assert wit.residual < 1e-13
+    wrong = haar_unitary(wit.tau.shape[0], rng) @ wit.tau
+    got = coincidence_residual(wit.theta, wit.theta_p, wrong, wit.tau_star)
+    eye = np.eye(sub.dim_N)
+    formed = np.kron(eye, wrong) @ wit.theta.matrix - wit.theta_p.matrix @ np.kron(eye, wit.tau_star)
+    assert abs(got**2 - np.trace(formed @ adj(formed)).real) <= 1e-12 * got**2
+    assert got >= opnorm(formed) * (1.0 - 1e-12)
+    assert got > 1.0
+
+
 # ---------------------------------------------------------------------------
 # coincidence implies unitary equivalence, constructively
 
