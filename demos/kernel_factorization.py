@@ -18,7 +18,6 @@ from fockmodel import (
     constrained_characteristic_function,
     constrained_poisson_kernel,
     ideal_subspace,
-    verify_intertwining,
 )
 from fockmodel.sampling import commuting_nilpotent_tuple
 
@@ -44,10 +43,11 @@ def main():
     d = 7
     sub = ideal_subspace(spec, TruncatedFockSpace(2, d))
     k = constrained_poisson_kernel(mats, sub)
-    print("\nkernel intertwines the tuple with the compressed shifts "
-          "(per generator, rows of degree < d):")
-    for i, res in verify_intertwining(k).items():
-        print(f"  generator {i}: {res:.2e}")
+    # eq-ker bounds K T_i* - (B_i* (x) I) K on the rows of degree < d by the
+    # kernel's leak off N (N is graded here, so nothing else enters)
+    name, bound, tolerance = k.intertwining_check
+    print(f"\nkernel intertwines the tuple with the compressed shifts: {name} = {bound:.2e} "
+          f"(tolerance {tolerance:.0e}), the subspace leak {k.subspace_leak:.2e}")
 
     # a nilpotent tuple has zero tail: every identity becomes exact
     mats = commuting_nilpotent_tuple(np.random.default_rng(0), 2, 0.6)

@@ -48,7 +48,6 @@ from .contractions import (
 from .poisson import (
     KernelMatrix,
     constrained_poisson_kernel,
-    verify_intertwining,
 )
 from .charfn import (
     CharFn,

@@ -44,19 +44,20 @@ other module reads N's basis, so how N is held is decided here alone:
 
 - ``lift`` and ``compress``: N (x) I and N* (x) I;
 - ``shift_adjoint``: the adjoints of the compressed left shifts
-  B_i = N* S_i N, which the model and its eq-ker check apply by a row
-  gather through the index maps of :func:`fock.creation_targets`, never as
-  matrices;
+  B_i = N* S_i N, which the model applies by a row gather through the
+  index maps of :func:`fock.creation_targets`, never as matrices;
 - ``right_shifts``: the compressed right shifts N* R_i N as matrices, for
   the closed form of Theta at them, and N's coinvariance leak under R_i;
 - ``degree_rows``: N's rows at one degree, on the columns that can be
   nonzero there, from which Theta_N is contracted;
 - ``leak``: the part of a kernel off N, streamed a chunk of words at a time;
+- ``top_spill``: the norm of N's columns of degree <= d - 1 on the
+  top-degree words, which with the leak bounds the kernel's eq-ker;
 - ``same_as``: whether two subspaces are one N.
 
 On the whole space, held without a basis, the products by N are no-ops,
-B_i* is the gather alone, the leak is 0 and the degree rows are identity
-blocks.
+B_i* is the gather alone, the leak and the spill are 0 and the degree rows
+are identity blocks.
 """
 
 from __future__ import annotations
@@ -256,8 +257,9 @@ class ConstrainedSubspace:
     applies B_i* (x) I_d, B_i = N* S_i N the compressed left creation, by
     the index map of S_i; :meth:`right_shifts` gives the compressed right
     shifts and the coinvariance leak, :meth:`degree_rows` N's rows at one
-    degree, :meth:`leak` the part of an array off N, and :meth:`same_as`
-    matches two subspaces.  How N is held is decided here alone.
+    degree, :meth:`leak` the part of an array off N, :attr:`top_spill` the
+    low-degree columns' part on the top degree, and :meth:`same_as` matches
+    two subspaces.  How N is held is decided here alone.
 
     When M is trivial (no relation fits below the degree cap, the zero family
     among them) N is the whole space: ``basis`` is None, ``is_whole_space``
@@ -381,6 +383,20 @@ class ConstrainedSubspace:
                 yield chunk
 
         return stacked_opnorm(residual_chunks(), cols)
+
+    @cached_property
+    def top_spill(self) -> float:
+        """|N_c,top|: the columns of degree <= d - 1 on the top-degree words, spectral norm.
+
+        A graded N, and the whole space, is block diagonal by degree, so the
+        spill is exactly 0.0 there and nothing is formed.  On the spanning
+        route a column's degree ignores up to 1e-10 of its mass per degree,
+        and this is the norm of what the top degree holds of it.
+        """
+        if self.graded or self.basis is None:
+            return 0.0
+        d = self.space.d
+        return opnorm(self.basis[self.space.degree_slice(d), : self.n_cols_up_to(d - 1)])
 
     def same_as(self, other: ConstrainedSubspace) -> bool:
         """Whether ``other`` is this N: the same (n, d), and both whole spaces or equal bases.

@@ -144,8 +144,8 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(row_gram(b, lower=True))[-1], 0.0)))
 
 
-# complex entries of one row chunk of a streamed residual (4 MB): the eq-ker
-# residual and the subspace leak are formed one chunk of words at a time
+# complex entries of one row chunk of a streamed residual (4 MB): the subspace
+# leak is formed one chunk of words at a time
 _CHUNK_ENTRIES = 1 << 18
 
 

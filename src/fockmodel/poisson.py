@@ -34,12 +34,23 @@ builder.  The free (unconstrained) kernel is the same call on the zero
 family, ``ideal_subspace(PolyIdealSpec(n=n), space)``, where N is the whole
 space.  Every product by N here is a method of
 :class:`ideals.ConstrainedSubspace`: ``compress`` for the kernel, ``leak``
-for its part off N and ``shift_adjoint`` for eq-ker; this module never reads
-N's basis.  The check eq-ker (:attr:`KernelMatrix.intertwining_check`) is
-measured only on a relation family: on the whole space the identity
-K T_i* = (S_i* (x) I) K is the recursion that built the kernel, and its
-residual is read off as 0.0, as the leak is.  :func:`verify_intertwining`
-measures it on any kernel.
+for its part off N and ``top_spill`` for eq-ker; this module never reads
+N's basis.
+
+The check eq-ker (:attr:`KernelMatrix.intertwining_check`) is the identity
+K T_i* = (B_i* (x) I) K, B_i = N* S_i N, on the rows of the N-columns c of
+degree <= d - 1, and it reports a proven bound on that residual instead of
+measuring it.  With K_full the uncompressed kernel, (S_i* (x) I) K_full =
+K_full T_i* holds exactly on the words of degree <= d - 1 -- it is the
+recursion that built the blocks -- so the residual on the rows c is
+
+    N_c* S_i* (I - N N*) K_full  +  N_c,top* (K_full T_i*)_top,
+
+whose norm is at most |((I - N N*) (x) I) K_full| + |N_c,top|, since
+|K_full| <= 1 (K_full* K_full = I - Phi^(d+1)(I)), |T_i| <= 1 and
+|S_i| <= 1.  The first term is the leak; the second, N's columns of degree
+<= d - 1 on the top-degree words, is exactly 0 on the whole space and on a
+graded family.  The tests keep the dense residual as its oracle.
 
 The kernel is the first stage of the chain kernel -> Theta -> model -> Gamma:
 it holds the tuple, N, the defect data, the tail, the classification and its
@@ -64,7 +75,7 @@ from .contractions import (
 )
 from .fock import TruncatedFockSpace
 from .ideals import ConstrainedSubspace
-from .linalg import _word_chunks, adj, gram, hermitian_norm, stacked_opnorm
+from .linalg import adj, gram, hermitian_norm
 
 
 @dataclasses.dataclass
@@ -115,22 +126,19 @@ class KernelMatrix:
         """
         return "K*K", self.gram_residual(), self.tail_bound + 1e-10
 
-    @cached_property
+    @property
     def intertwining_check(self) -> tuple[str, float, float]:
-        """("eq-ker", the worst generator of :func:`verify_intertwining`, 1e-10), kept.
+        """("eq-ker", subspace_leak + |N_c,top|, 1e-10): the bound on K T_i* - (B_i* (x) I) K.
 
-        The identity is exact on the rows it is measured on, so rounding is
-        all the tolerance allows.  On the whole space the residual is read
-        off the kernel's recursion, not measured: there B_i* is S_i*, the
-        target rows of (S_i* (x) I) K are the products K T_i* that
-        :func:`kernel_blocks` wrote, and the identity is that recursion, so
-        it reads 0.0, as the leak does
-        (:meth:`ideals.ConstrainedSubspace.leak`).  On a relation family it
-        is measured by :func:`verify_intertwining`.
+        The residual of every generator on the rows of the N-columns of
+        degree <= d - 1 is at most the leak plus the spill
+        (:attr:`ideals.ConstrainedSubspace.top_spill`), by the bound of the
+        module docstring.  Both read 0.0 on the whole space, where the
+        identity is the kernel's own recursion; on a graded family the bound
+        is the leak.  The identity is exact, so rounding is all the
+        tolerance allows.
         """
-        if self.sub.is_whole_space:
-            return "eq-ker", 0.0, 1e-10
-        return "eq-ker", max(verify_intertwining(self).values()), 1e-10
+        return "eq-ker", self.subspace_leak + self.sub.top_spill, 1e-10
 
     @property
     def checks(self) -> list[tuple[str, float, float]]:
@@ -220,59 +228,3 @@ def constrained_poisson_kernel(
         subspace_leak=leak_norm,
         classification=classification,
     )
-
-
-def verify_intertwining(kernel: KernelMatrix) -> dict[int, float]:
-    """Residuals of K T_i* = (B_i* (x) I) K on the rows where it holds.
-
-    B_i = N* S_i N is the left creation operator compressed to N (the full
-    shift on the zero family).  The identity is exact on the N-columns of
-    degree <= d-1 (top-degree rows see truncated data on one side only, so
-    they are excluded), and only those rows are formed, a chunk of words at
-    a time (:func:`linalg._word_chunks`), into one buffer that every chunk and
-    generator reuses.  Each chunk is K T_i* on its rows minus the same rows
-    of (B_i* (x) I) K.  When N is the whole space, S_i* reads the row of the
-    target word (i,) + w into the row of w, the targets of one degree are
-    the row i of its grid (:meth:`fock.TruncatedFockSpace.grid`), and the
-    target rows of K are subtracted in place; otherwise (B_i* (x) I) K is
-    formed once per generator by
-    :meth:`ideals.ConstrainedSubspace.shift_adjoint`, the size of K, and its
-    rows are subtracted.  The residual is the spectral norm of the stacked
-    chunks (:func:`linalg.stacked_opnorm`).  Returns one residual per
-    generator index.
-    """
-    sub = kernel.sub
-    space = sub.space
-    d_T = kernel.d_T
-    checked = sub.n_cols_up_to(space.d - 1)
-    if d_T == 0 or checked == 0:
-        # the defect is trivial (the kernel is the empty map) or no row is
-        # checked: the identity holds vacuously for every generator
-        return {i: 0.0 for i in range(1, space.n + 1)}
-    k_mat, n = kernel.matrix, space.n
-    m = k_mat.shape[1]
-    chunks = _word_chunks(checked, d_T * m)
-    buffer = np.empty((chunks[0][1] * d_T, m), dtype=complex)  # the first chunk is the largest
-
-    def sources(i: int) -> list[tuple[slice, np.ndarray]]:
-        """(words w, rows): the rows of (B_i* (x) I) K at the words w, from the first."""
-        if sub.is_whole_space:  # the row of a word w of degree k < d is that of (i,) + w
-            blocks = k_mat.reshape(space.dim, d_T, m)
-            return [(space.degree_slice(k), space.grid(blocks, 1, k)[i - 1].reshape(n**k * d_T, m))
-                    for k in range(space.d)]
-        return [(slice(0, checked), sub.shift_adjoint(i, k_mat, d_T))]
-
-    def residual_chunks(i: int):
-        t_adj, pieces = adj(kernel.mats[i - 1]), sources(i)
-        for w0, w1 in chunks:
-            chunk = buffer[: (w1 - w0) * d_T]
-            np.matmul(k_mat[w0 * d_T : w1 * d_T], t_adj, out=chunk)
-            for words, rows in pieces:
-                lo, hi = max(w0, words.start), min(w1, words.stop)
-                if lo < hi:
-                    chunk[(lo - w0) * d_T : (hi - w0) * d_T] -= (
-                        rows[(lo - words.start) * d_T : (hi - words.start) * d_T])
-            yield chunk
-
-    return {i: stacked_opnorm(residual_chunks(i), m) for i in range(1, space.n + 1)}
-

@@ -45,7 +45,6 @@ from fockmodel import (
     left_creation_tuple,
     right_creation_tuple,
     verify_coincidence_implies_equivalence,
-    verify_intertwining,
 )
 from fockmodel.sampling import (
     commuting_nilpotent_tuple,
@@ -184,7 +183,9 @@ def test_criterion_2_poisson_identities():
         _, mats, _, theta, kernel = pipeline(i)
         slack = kernel.gram_residual() - (kernel.tail_bound + 1e-10)
         worst_gram = max(worst_gram, slack)
-        worst_inter = max(worst_inter, max(verify_intertwining(kernel).values()))
+        # eq-ker is the leak bound on the intertwining residual, which
+        # tests/test_poisson.py holds against the dense residual
+        worst_inter = max(worst_inter, kernel.intertwining_check[1])
     elapsed = time.perf_counter() - t0
     ok = worst_gram <= 0.0 and worst_inter < 1e-10 and elapsed < 10.0
     _report(

@@ -19,6 +19,7 @@ from conftest import (
     theta_of,
 )
 from fockmodel import (
+    ConstrainedSubspace,
     NCPoly,
     PolyIdealSpec,
     Problem,
@@ -389,8 +390,8 @@ def test_zero_family_builds_no_dense_shift_and_no_identity_product(
 ):
     # on the zero family N = I: the creation operators act as index maps
     # (the kernel's grid views, the model's B_i* by a row gather; eq-ker is
-    # read off the kernel's recursion) and no product by N is formed, so
-    # none of these may run
+    # the leak bound, 0.0 there) and no product by N is formed, so none of
+    # these may run
     def forbidden(*args, **kwargs):
         raise AssertionError("dense shift or product by N = I on the zero family")
 
@@ -861,8 +862,8 @@ def test_equiv_com_decomposes_nothing(tmp_path, monkeypatch):
 
 def test_analyze_decomposes_nothing_larger_than_m(tmp_path, monkeypatch):
     # zero family at (2, 6), m = 3: d_star and its spectrum come from the
-    # m x m eigh of I - R R*, and eq-ker, read off the kernel's recursion on
-    # the whole space, decomposes nothing; the nm x nm defect-star
+    # m x m eigh of I - R R*, and eq-ker, the leak bound, 0.0 on the whole
+    # space, decomposes nothing; the nm x nm defect-star
     # decomposition is left to charfn and model
     mats = random_row_contraction(np.random.default_rng(23), 2, 3, 0.8)
     prob = write_problem(
@@ -879,13 +880,9 @@ def _eq_ker(report):
     return [c["residual"] for c in report["checks"] if c["name"] == "eq-ker"]
 
 
-def test_analyze_reads_whole_space_eq_ker_off_the_recursion(tmp_path, monkeypatch):
+def test_analyze_reads_whole_space_eq_ker_as_zero(tmp_path):
     # a zero-family tuple and a relation violator, whose kernel is built on
-    # the zero family: eq-ker reads 0.0 and is never measured
-    def unmeasured(*args, **kwargs):
-        raise AssertionError("eq-ker measured on the whole space")
-
-    monkeypatch.setattr("fockmodel.poisson.verify_intertwining", unmeasured)
+    # the zero family: nothing leaks off the whole space, so eq-ker reads 0.0
     rng = np.random.default_rng(27)
     zero = write_problem(tmp_path / "zero.json", n=2, m=4, degree=5,
                          mats=random_row_contraction(rng, 2, 4, 0.8), ideal={"kind": "zero"})
@@ -903,25 +900,33 @@ def test_analyze_reads_whole_space_eq_ker_off_the_recursion(tmp_path, monkeypatc
     assert _eq_ker(rep) == [0.0]
 
 
-def test_analyze_measures_eq_ker_on_a_relation_family(tmp_path, monkeypatch):
-    import fockmodel.poisson
-
-    mats = commuting_nilpotent_tuple(np.random.default_rng(28), 2, 0.6)
-    prob = write_problem(tmp_path / "p.json", n=2, m=3, degree=5, mats=mats,
-                         ideal={"kind": "commutative"})
+@pytest.mark.parametrize("family", ["commutative", "custom-constant-term"])
+def test_analyze_reports_the_leak_bound_as_eq_ker_without_applying_b(tmp_path, monkeypatch, family):
+    # (2, 5): eq-ker is the kernel's leak plus |N_c,top|, which is 0.0 on the
+    # graded commutative family, read without applying any B_i*
+    n, d = 2, 5
+    mats = oracle_tuple(family, n, np.random.default_rng(28))
+    prob = tmp_path / "p.json"
+    save_problem(prob, Problem(n=n, m=mats[0].shape[0], degree=d, mats=mats,
+                               ideal=oracle_family(family, n, d)))
     _, kernel, _, _ = _stages(load_problem(prob))
-    want = max(fockmodel.poisson.verify_intertwining(kernel).values())
+    assert not kernel.sub.is_whole_space
     calls = []
+    original = ConstrainedSubspace.shift_adjoint
 
-    def counted(k, _original=fockmodel.poisson.verify_intertwining):
-        calls.append(k)
-        return _original(k)
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
 
-    monkeypatch.setattr(fockmodel.poisson, "verify_intertwining", counted)
+    monkeypatch.setattr(ConstrainedSubspace, "shift_adjoint", counted)
     out = tmp_path / "r.json"
-    assert run_cli(["analyze", "--problem", prob, "--out", str(out)]) == 0
-    assert len(calls) == 1 and not calls[0].sub.is_whole_space
-    assert _eq_ker(read(out)) == [want]
+    assert run_cli(["analyze", "--problem", str(prob), "--out", str(out)]) == 0
+    assert calls == []
+    rep = read(out)
+    assert rep["kernel"]["subspace_leak"] == kernel.subspace_leak > 0.0
+    assert _eq_ker(rep) == [kernel.subspace_leak + kernel.sub.top_spill]
+    if family == "commutative":
+        assert _eq_ker(rep) == [rep["kernel"]["subspace_leak"]]
 
 
 def test_a_star_decomposition_short_of_d_star_exits_2(tmp_path, monkeypatch, capsys):

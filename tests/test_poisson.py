@@ -24,13 +24,14 @@ from conftest import (
     psd_sqrt,
 )
 import fockmodel.linalg as linalg_module
-import fockmodel.poisson as poisson_module
 from fockmodel import (
+    ConstrainedSubspace,
     NCPoly,
     PolyIdealSpec,
     TruncatedFockSpace,
     classify,
     constrained_creation,
+    constraint_residual,
     creation_targets,
     constrained_poisson_kernel,
     defects,
@@ -39,17 +40,18 @@ from fockmodel import (
     phi_power,
     right_creation,
     truncation_tail,
-    verify_intertwining,
 )
 from fockmodel.fock import word_operator
 from fockmodel.linalg import psd_spectrum
 from fockmodel.poisson import kernel_blocks
 from fockmodel.sampling import (
+    commuting_diagonalizable_tuple,
     commuting_nilpotent_tuple,
     direct_sum,
     haar_unitary,
     nilpotent_pair_tuple,
     q_commuting_nilpotent_tuple,
+    q_commuting_shift_tuple,
     random_row_contraction,
 )
 
@@ -80,9 +82,10 @@ def test_gram_defect_equals_the_exact_tail(free_1_10):
 
 def test_intertwining_is_exact(free_1_10):
     k = constrained_poisson_kernel(SCALAR, free_1_10)
-    res = verify_intertwining(k)
+    res = dense_intertwining(k)
     assert set(res) == {1}
     assert max(res.values()) < 1e-12
+    assert k.intertwining_check == ("eq-ker", 0.0, 1e-10)
 
 
 def test_strict_contraction_scaling(free_1_10):
@@ -98,7 +101,7 @@ def test_multivariate_gram_and_intertwining(subspace_factory):
     mats = random_row_contraction(rng, 2, 3, 0.8)
     k = constrained_poisson_kernel(mats, subspace_factory("zero", d=5))
     assert k.gram_residual() < 1e-12
-    assert max(verify_intertwining(k).values()) < 1e-12
+    assert max(dense_intertwining(k).values()) < 1e-12
     assert k.tail_bound == pytest.approx(truncation_tail(mats, 5))
 
 
@@ -118,7 +121,7 @@ def test_constrained_kernel_of_commuting_pair(comm_sub_d4):
     assert k.subspace_leak < 1e-12
     assert k.gram_residual() < 1e-13
     assert k.tail_bound == pytest.approx(0.5**5)
-    assert max(verify_intertwining(k).values()) < 1e-12
+    assert max(dense_intertwining(k).values()) < 1e-12
 
 
 def test_a_kernel_leaking_off_n_is_refused(comm_sub_d4):
@@ -221,6 +224,13 @@ def test_nilpotent_kernel_is_an_exact_isometry(subspace_factory):
 # x1 x2 = x1 is not homogeneous; T2 fixes e1 and T1 kills it, so T1 T2 = T1
 NON_GRADED = PolyIdealSpec(n=2, kind="custom", polys=[NCPoly({(1, 2): 1.0, (1,): -1.0})])
 NON_GRADED_TUPLE = [np.array([[0, 0], [0.6, 0]], complex), np.array([[1, 0], [0, 0]], complex)]
+# two more families that are not graded, on which eq-ker checks some rows:
+# x1 + 0.5 x2 x1 at (2, 6), where 1 column has degree <= d - 1, held by (0, T2);
+# [x1, x2] + 0.1 x1 x1 x2 at (2, 4), where 3 do, held by commuting nilpotents
+# whose products of three letters vanish
+LINEAR_LEAD = PolyIdealSpec(n=2, kind="custom", polys=[NCPoly({(1,): 1.0, (2, 1): 0.5})])
+CUBIC_TAIL = PolyIdealSpec(
+    n=2, kind="custom", polys=[NCPoly({(1, 2): 1.0, (2, 1): -1.0, (1, 1, 2): 0.1})])
 
 
 def _family(kind):
@@ -237,17 +247,23 @@ def _family(kind):
     if kind == "q_commutative":
         return q_commuting_nilpotent_tuple(rng, Q_TEST, 0.6), ideal_subspace(
             make_spec("q_commutative"), TruncatedFockSpace(2, 4))
+    if kind == "linear-lead":
+        t2 = random_row_contraction(rng, 1, 3, 0.6)[0]
+        return [np.zeros_like(t2), t2], ideal_subspace(LINEAR_LEAD, TruncatedFockSpace(2, 6))
+    if kind == "cubic-tail":
+        return commuting_nilpotent_tuple(rng, 2, 0.6), ideal_subspace(
+            CUBIC_TAIL, TruncatedFockSpace(2, 4))
     return NON_GRADED_TUPLE, ideal_subspace(NON_GRADED, TruncatedFockSpace(2, 3))
 
 
-FAMILIES = ["zero", "commutative", "q_commutative", "non-graded"]
+FAMILIES = ["zero", "commutative", "q_commutative", "non-graded", "linear-lead", "cubic-tail"]
 
 
 def dense_intertwining(kernel):
     """The residuals of K T_i* = (B_i* (x) I) K with B_i = N* S_i N formed densely."""
     sub, d_T = kernel.sub, kernel.d_T
     rows = sub.n_cols_up_to(sub.space.d - 1) * d_T
-    resh = kernel.matrix.reshape(sub.dim_N, d_T, -1)
+    resh = kernel.matrix.reshape(sub.dim_N, d_T, kernel.matrix.shape[1])
     out = {}
     for i in range(1, sub.space.n + 1):
         b = adj(sub.N_basis) @ left_creation(sub.space, i) @ sub.N_basis
@@ -271,40 +287,102 @@ def test_constrained_creation_is_the_dense_compression(kind):
             assert opnorm(got - want) < 1e-14
 
 
-# (family, words per chunk, None for the default chunks): the families, two
-# of them in chunks whose boundaries fall inside degree blocks, and d_T < m
-INTERTWINING_CASES = {kind: (kind, None) for kind in FAMILIES} | {
-    "zero-chunked": ("zero", 5),
-    "commutative-chunked": ("commutative", 2),
-    "jordan-pair": ("jordan-pair", None),
+def dense_top_spill(sub):
+    """|N_c,top|: N's columns of degree <= d - 1 on the top-degree words, by numpy's SVD."""
+    d = sub.space.d
+    return opnorm(sub.N_basis[sub.space.degree_slice(d), : sub.n_cols_up_to(d - 1)])
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("eq-ker applied B_i*")
+
+
+def assert_eq_ker_bounds_the_dense_residual(kernel, monkeypatch):
+    """eq-ker is leak + |N_c,top|, read without applying B_i*, and the dense residual lies below it."""
+    sub = kernel.sub
+    with monkeypatch.context() as patch:
+        patch.setattr(ConstrainedSubspace, "shift_adjoint", _forbidden)
+        name, residual, tolerance = kernel.intertwining_check
+    assert (name, tolerance) == ("eq-ker", 1e-10)
+    assert residual == kernel.subspace_leak + sub.top_spill
+    assert sub.top_spill == pytest.approx(dense_top_spill(sub), rel=1e-13, abs=0.0)
+    assert max(dense_intertwining(kernel).values()) <= residual
+
+
+def test_the_top_spill_is_the_norm_of_the_low_degree_columns_on_the_top_words():
+    # relabelled one degree lower, the top-degree columns of a family that is
+    # not graded spill all their top-degree mass
+    _, sub = _family("linear-lead")
+    assert sub.top_spill == 0.0
+    relabelled = dataclasses.replace(sub, N_degrees=np.minimum(sub.N_degrees, sub.space.d - 1))
+    want = dense_top_spill(relabelled)
+    assert want > 0.1
+    assert relabelled.top_spill == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", FAMILIES + ["jordan-pair"])
+def test_eq_ker_bounds_the_dense_residual_on_the_checked_rows(kind, monkeypatch):
+    mats, sub = _family(kind)
+    kernel = constrained_poisson_kernel(mats, sub)
+    assert sub.n_cols_up_to(sub.space.d - 1) > 0  # some rows are checked
+    assert_eq_ker_bounds_the_dense_residual(kernel, monkeypatch)
+    assert kernel.intertwining_check[1] < 1e-13
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_eq_ker_bounds_the_dense_residual_on_the_oracle_families(family, monkeypatch):
+    for n, d in ORACLE_SIZES:
+        sub = ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d))
+        for seed in range(3):
+            kernel = constrained_poisson_kernel(oracle_tuple(family, n, np.random.default_rng(seed)), sub)
+            assert_eq_ker_bounds_the_dense_residual(kernel, monkeypatch)
+
+
+# (tuple of a seed, relation family, d): the relation-family samplers; all but the first have a tail
+SAMPLERS = {
+    "commuting-nilpotent": (lambda rng: commuting_nilpotent_tuple(rng, 3, 0.7), make_spec("commutative", n=3), 5),
+    "commuting-diagonalizable": (lambda rng: commuting_diagonalizable_tuple(rng, 2, 4, 0.7),
+                                 make_spec("commutative"), 6),
+    "q-shift-8": (lambda rng: q_commuting_shift_tuple(rng, 8, -1, 0.7), make_spec("q_commutative", q=-1), 8),
+    "q-shift-32": (lambda rng: q_commuting_shift_tuple(rng, 32, -1, 0.7), make_spec("q_commutative", q=-1), 8),
 }
 
 
-@pytest.mark.parametrize("case", INTERTWINING_CASES.values(), ids=INTERTWINING_CASES.keys())
-def test_intertwining_matches_the_dense_route(case, monkeypatch):
-    kind, words_per_chunk = case
-    mats, sub = _family(kind)
+@pytest.mark.parametrize("case", SAMPLERS.values(), ids=SAMPLERS.keys())
+def test_eq_ker_bounds_the_dense_residual_on_the_samplers(case, monkeypatch):
+    make, spec, d = case
+    sub = ideal_subspace(spec, TruncatedFockSpace(spec.n, d))
+    for seed in (11, 12, 13):
+        kernel = constrained_poisson_kernel(make(np.random.default_rng(seed)), sub)
+        assert_eq_ker_bounds_the_dense_residual(kernel, monkeypatch)
+
+
+def _pushed(mats, eps):
+    """Every T_i moved by eps E_i, E_i a complex Gaussian matrix scaled to norm 1."""
+    rng = np.random.default_rng(61)
+    out = []
+    for t in mats:
+        e = rng.normal(size=t.shape) + 1j * rng.normal(size=t.shape)
+        out.append(t + eps * e / opnorm(e))
+    return out
+
+
+@pytest.mark.parametrize("case", ["commuting-diagonalizable", "q-shift-8"])
+def test_eq_ker_passes_on_a_tuple_pushed_off_its_relations_within_the_gate(case, monkeypatch):
+    # the builder refuses a leak only above 1e-6, but eq-ker's tolerance is
+    # 1e-10: pushed off its relations by 6e-11, inside the relations gate
+    # (1e-10), the tuple leaks about as much as its relation residual, and
+    # the bound passes
+    make, spec, d = SAMPLERS[case]
+    sub = ideal_subspace(spec, TruncatedFockSpace(spec.n, d))
+    mats = _pushed(make(np.random.default_rng(11)), 6e-11)
+    relation_residual = constraint_residual(mats, spec)
+    assert 1e-11 < relation_residual <= 1e-10
     kernel = constrained_poisson_kernel(mats, sub)
-    checked = sub.n_cols_up_to(sub.space.d - 1)
-    assert checked > 0  # some rows are checked
-    if words_per_chunk is not None:
-        # chunks of a few words, whose boundaries fall inside degree blocks
-        word_entries = kernel.d_T * kernel.matrix.shape[1]
-        monkeypatch.setattr(linalg_module, "_CHUNK_ENTRIES", words_per_chunk * word_entries)
-        starts = range(words_per_chunk, checked, words_per_chunk)
-        assert any(w not in sub.N_degrees.searchsorted(range(sub.space.d + 1)) for w in starts)
-    got, want = verify_intertwining(kernel), dense_intertwining(kernel)
-    assert set(got) == set(want) == {1, 2}
-    assert all(got[i] < 1e-13 and want[i] < 1e-13 for i in got)
-    # a kernel-shaped matrix that intertwines nothing: the residuals are O(1)
-    # and the gather must reproduce the dense products to rounding
-    rng = np.random.default_rng(43)
-    noise = rng.normal(size=kernel.matrix.shape) + 1j * rng.normal(size=kernel.matrix.shape)
-    broken = dataclasses.replace(kernel, matrix=noise)
-    got, want = verify_intertwining(broken), dense_intertwining(broken)
-    for i in got:
-        assert want[i] > 0.1
-        assert abs(got[i] - want[i]) <= 1e-13 * want[i]
+    assert 0.5 * relation_residual < kernel.subspace_leak < 2 * relation_residual
+    assert_eq_ker_bounds_the_dense_residual(kernel, monkeypatch)
+    _, residual, tolerance = kernel.intertwining_check
+    assert residual <= tolerance
 
 
 def test_kernel_keeps_the_tail_operator(subspace_factory):
@@ -422,7 +500,7 @@ def _traced_peak(fn, *args):
 
 
 @pytest.mark.parametrize("n,d,m", [(2, 6, 24), (3, 4, 16)])
-def test_kernel_and_intertwining_allocate_no_gathered_copies(n, d, m, subspace_factory, monkeypatch):
+def test_kernel_blocks_allocate_no_gathered_copies(n, d, m, subspace_factory):
     mats = random_row_contraction(np.random.default_rng(55), n, m, 0.9)
     sub = subspace_factory("zero", n=n, d=d)
     dft = defects(mats)
@@ -430,22 +508,11 @@ def test_kernel_and_intertwining_allocate_no_gathered_copies(n, d, m, subspace_f
     blocks, peak = _traced_peak(kernel_blocks, mats, sub.space, dft)
     # the blocks themselves, and nothing of their size besides
     assert peak <= 1.05 * blocks.nbytes
-    kernel = constrained_poisson_kernel(mats, sub)
-    # chunks of three words, far fewer than the checked rows
-    monkeypatch.setattr(linalg_module, "_CHUNK_ENTRIES", 3 * m * m)
-    residuals, peak = _traced_peak(verify_intertwining, kernel)
-    assert set(residuals) == set(range(1, n + 1))
-    # one chunk buffer, which every chunk and generator reuses, and the m x m
-    # work of the Gram route: at most five m x m complex arrays at once (T_i*,
-    # the running sum, a chunk's Gram and the 2m x 2m real product it comes
-    # from), of which the bound allows six
-    chunk, work = 3 * dft.d_T * m * 16, 6 * m * m * 16
-    assert peak <= 1.1 * chunk + work
-    assert chunk + work < sub.n_cols_up_to(d - 1) * dft.d_T * m * 16 / 2  # not the checked rows
 
 
 # ---------------------------------------------------------------------------
-# eq-ker on the whole space is the kernel's recursion, read off as 0.0
+# eq-ker on the whole space is the kernel's recursion: the bound and the
+# dense residual both read exactly 0.0
 
 # (tuple, n, d): the oracle layouts and two wide draws, all on the zero family
 WHOLE_SPACE_CASES = {name: (make, n, d) for name, (make, n, d, _) in ORACLE_CASES.items()} | {
@@ -454,40 +521,12 @@ WHOLE_SPACE_CASES = {name: (make, n, d) for name, (make, n, d, _) in ORACLE_CASE
 }
 
 
-def _unmeasured(*args, **kwargs):
-    raise AssertionError("eq-ker measured on the whole space")
-
-
 @pytest.mark.parametrize("case", WHOLE_SPACE_CASES.values(), ids=WHOLE_SPACE_CASES.keys())
-def test_whole_space_eq_ker_is_the_recursion_and_reads_zero(case, subspace_factory, monkeypatch):
-    # the premise of the shortcut: the measured residual is exactly zero,
-    # because the target rows of (S_i* (x) I) K are the products K T_i* the
-    # recursion wrote; the check then reads it off without measuring
+def test_whole_space_eq_ker_and_the_dense_residual_read_zero(case, subspace_factory, monkeypatch):
+    # the target rows of (S_i* (x) I) K are the products K T_i* the recursion
+    # wrote, so the dense residual is exactly zero, and so is the bound
     make, n, d = case
     kernel = constrained_poisson_kernel(make(), subspace_factory("zero", n=n, d=d))
     assert kernel.sub.is_whole_space
-    residuals = verify_intertwining(kernel)
-    assert set(residuals) == set(range(1, n + 1))
-    assert all(r == 0.0 for r in residuals.values()), residuals
-    monkeypatch.setattr(poisson_module, "verify_intertwining", _unmeasured)
     assert kernel.intertwining_check == ("eq-ker", 0.0, 1e-10)
-
-
-@pytest.mark.parametrize("kind", ["commutative", "q_commutative", "non-graded"])
-def test_relation_family_eq_ker_is_measured(kind, monkeypatch):
-    mats, sub = _family(kind)
-    kernel = constrained_poisson_kernel(mats, sub)
-    assert not sub.is_whole_space
-    calls = []
-
-    def counted(k):
-        calls.append(k)
-        return verify_intertwining(k)
-
-    monkeypatch.setattr(poisson_module, "verify_intertwining", counted)
-    name, residual, tolerance = kernel.intertwining_check
-    assert kernel.intertwining_check is kernel.intertwining_check  # measured once and kept
-    assert len(calls) == 1 and calls[0] is kernel
-    assert (name, tolerance) == ("eq-ker", 1e-10)
-    want = max(verify_intertwining(kernel).values())
-    assert np.float64(residual).tobytes() == np.float64(want).tobytes()
+    assert_eq_ker_bounds_the_dense_residual(kernel, monkeypatch)
