@@ -15,7 +15,6 @@ from fockmodel import (
     PolyIdealSpec,
     TruncatedFockSpace,
     build_model,
-    classify,
     coincidence_from_unitary,
     constrained_characteristic_function,
     constrained_poisson_kernel,
@@ -31,8 +30,8 @@ def main():
     space = TruncatedFockSpace(2, 6)
     sub = ideal_subspace(PolyIdealSpec(n=2, kind="commutative"), space)
 
-    # the kernel keeps the classification; the model reads its operator branch there
-    kernel = constrained_poisson_kernel(mats, sub, classification=classify(mats))
+    # the kernel classifies the tuple; the model reads its operator branch there
+    kernel = constrained_poisson_kernel(mats, sub)
     th = constrained_characteristic_function(kernel)
     model = build_model(th)
     ops, gamma = model.operators, model.gamma
@@ -52,7 +51,7 @@ def main():
     print("\n--- equivalence certificate ---")
     u = haar_unitary(mats[0].shape[0], rng)
     mats_p = conjugated_tuple(mats, u)
-    kernel_p = constrained_poisson_kernel(mats_p, sub, classification=classify(mats_p))
+    kernel_p = constrained_poisson_kernel(mats_p, sub)
     th_p = constrained_characteristic_function(kernel_p)
     witness = coincidence_from_unitary(th, th_p, u)
     print(f"coincidence residual: {witness.residual:.2e}")

@@ -16,7 +16,6 @@ import numpy as np
 from fockmodel import (
     PolyIdealSpec,
     TruncatedFockSpace,
-    classify,
     constrained_characteristic_function,
     constrained_creation_tuple,
     constrained_poisson_kernel,
@@ -39,7 +38,7 @@ def main():
     th = constrained_characteristic_function(constrained_poisson_kernel(mats, sub))
     print(f"random tuple: |Theta| = {np.linalg.norm(th.matrix, 2):.3f}")
 
-    cls = classify(mats)
+    cls = th.kernel.classification  # the kernel classified the tuple it was built from
     dc = delta_and_classify(th)
     print(f"\nclassification: pure={cls.pure.value}, cnc={cls.cnc.value}, "
           f"rho={cls.rho:.3f}")

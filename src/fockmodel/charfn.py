@@ -208,15 +208,14 @@ class CharFn:
     def checks(self) -> list[tuple[str, float, float]]:
         """(name, residual, tolerance) of each identity measured on the function, in report order.
 
-        Purity is the verdict of the kernel's classification, UNDETERMINED
-        when the kernel has none.  J-fa-F is the factorization certificate
-        |I - Theta Theta* - K K*|_F of :attr:`spectrum`, then comes the kernel's K*K
+        Purity is the verdict of the kernel's classification.  J-fa-F is the
+        factorization certificate |I - Theta Theta* - K K*|_F of
+        :attr:`spectrum`, then comes the kernel's K*K
         (:attr:`poisson.KernelMatrix.gram_check`), then series-agree and
         coinvariance where the builder measured them (graded families with
         relations).
         """
-        sub, cls = self.sub, self.kernel.classification
-        pure = TriState.UNDETERMINED if cls is None else cls.pure
+        sub, pure = self.sub, self.kernel.classification.pure
         # The factorization is exact at truncation only for certified-pure tuples
         # under a graded (or empty) relation family; otherwise the tolerance adds
         # ten tails.  A family that is not graded leaves N short of co-invariance

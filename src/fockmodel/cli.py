@@ -12,14 +12,14 @@ Four subcommands, all reading JSON problem files and writing JSON reports:
            through the coincidence machinery
 
 Each problem gets one run object that builds its pipeline on first use and
-keeps it: relation residual, relation subspace, the classification (whose
-iteration of Phi also gives the truncation tail Phi^(d+1)(I)), then the
-Poisson kernel (which holds the defects and the classification, and reads
-the tail off it), then the characteristic function, which is built from the
+keeps it: relation residual, relation subspace, then the Poisson kernel
+(which classifies the tuple at ``--tol``, keeps the classification and the
+defects, and reads the truncation tail Phi^(d+1)(I) off the classification's
+iteration of Phi), then the characteristic function, which is built from the
 kernel, then its model.  Each stage reads the objects of the stage before
-it, so no command computes an object twice, and the classification is
-handed to the kernel alone: the function's checks and the model's operator
-branch read it there.
+it, so no command computes an object twice; the reports, the function's
+checks and the model's operator branch all read the kernel's
+classification.
 The commands are report views over their runs; they share one gate (row
 contraction, then relations) and one way to write the report and pick the
 exit code.  Every check after the gate is a (name, residual, tolerance) of
@@ -51,10 +51,10 @@ from .charfn import (
     delta_and_classify,
 )
 from .contractions import (
+    _CLASSIFY_TOL,
     _RELATION_TOL,
     _ROW_NORM_TOL,
     TriState,
-    classify,
     constraint_residual,
     validate,
 )
@@ -106,9 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--degree", type=_degree, default=None, help="override the truncation degree, >= 0"
         )
-        p.add_argument(
-            "--tol", type=_tolerance, default=1e-9, help="classification tolerance, in (0, 1)"
-        )
+        p.add_argument("--tol", type=_tolerance, default=_CLASSIFY_TOL,
+                       help="classification tolerance, in (0, 1)")
 
     p_analyze = sub.add_parser("analyze", help="validate, classify, and measure one tuple")
     common(p_analyze)
@@ -163,20 +162,13 @@ class _Run:
         return constraint_residual(self.mats, self.problem.ideal)
 
     @cached_property
-    def classification(self):
-        return classify(self.mats, tol=self.tol, degree=self.degree)
-
-    @cached_property
     def sub(self):
         return ideal_subspace(self.problem.ideal, self.space)
 
     @cached_property
     def kernel(self):
         return constrained_poisson_kernel(
-            self.mats,
-            self.sub,
-            relation_residual=self.relation_residual,
-            classification=self.classification,
+            self.mats, self.sub, relation_residual=self.relation_residual, tol=self.tol
         )
 
     @cached_property
@@ -252,7 +244,6 @@ def _cmd_analyze(args) -> int:
         return _finish(report, checks, args.out, verdict)
 
     sub = run.sub
-    report["classification"] = _classification_dict(run.classification)
     report["subspace"] = {"dim_N": sub.dim_N, "dim_M": sub.dim_M,
                           "graded": sub.graded, "vacuum_in_N": sub.vacuum_in_N}
     if verdict is None:
@@ -260,11 +251,12 @@ def _cmd_analyze(args) -> int:
         report["kernel"] = {"constrained": True, "subspace_leak": kernel.subspace_leak}
     else:  # a relation-violating tuple still gets its kernel, on the zero family
         free = ideal_subspace(PolyIdealSpec(n=run.problem.n), run.space)
-        kernel = constrained_poisson_kernel(run.mats, free, classification=run.classification)
+        kernel = constrained_poisson_kernel(run.mats, free, tol=run.tol)
         report["kernel"] = {
             "constrained": False,
             "note": "tuple violates the relations; kernel computed without the constraint",
         }
+    report["classification"] = _classification_dict(kernel.classification)
     dft = kernel.defect
     report["defects"] = {"d_T": dft.d_T, "d_star": dft.d_star,
                          "eigenvalues": dft.eigvals, "eigenvalues_star": dft.eigvals_star}
@@ -291,7 +283,7 @@ def _cmd_charfn(args) -> int:
     }
     report.update(
         {
-            "classification": _classification_dict(run.classification),
+            "classification": _classification_dict(theta.kernel.classification),
             "dims": {"d_T": theta.d_T, "d_star": theta.d_star, "rows": theta.shape[0],
                      "cols": theta.shape[1], "dim_N": sub.dim_N},
             "method": "compression",
@@ -316,7 +308,7 @@ def _cmd_model(args) -> int:
     if verdict is not None:
         return _finish(report, checks, args.out, verdict)
 
-    cls = run.classification
+    cls = run.kernel.classification
     report["classification"] = _classification_dict(cls)
     if cls.cnc is TriState.NO:
         return _finish(report, checks, args.out, "not-completely-noncoisometric")
@@ -405,8 +397,8 @@ def _cmd_equiv(args) -> int:
     eq = verify_coincidence_implies_equivalence(witness, a.model, b.model)
     report.update(
         {
-            "classification_a": _classification_dict(a.classification),
-            "classification_b": _classification_dict(b.classification),
+            "classification_a": _classification_dict(a.kernel.classification),
+            "classification_b": _classification_dict(b.kernel.classification),
             "coincidence_residual": eq.coincidence_residual,
             "conjugation_residual": witness.conjugation_residual,
             "max_principal_angle": eq.max_principal_angle,

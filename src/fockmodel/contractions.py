@@ -192,7 +192,6 @@ class Classification:
     iterations: int
     rho: float
     tail: np.ndarray | None = None  # Phi^(d+1)(I), when classify was given the degree d
-    degree: int | None = None  # the degree d classify was given, None without one
 
     def __str__(self) -> str:
         return (
@@ -205,9 +204,14 @@ class Classification:
 # this relative margin, far beyond eigvalsh's backward error (m eps |Q_k|).
 _DIAGONAL_MARGIN = 1e-6
 
+# The default classification tolerance: |Q_k| below it certifies purity and
+# lambda_max(Q_k) below 1 minus it certifies c.n.c.
+_CLASSIFY_TOL = 1e-9
+
 
 def classify(
-    ts: Sequence[np.ndarray], *, k_max: int = 500, tol: float = 1e-9, degree: int | None = None
+    ts: Sequence[np.ndarray], *, k_max: int = 500, tol: float = _CLASSIFY_TOL,
+    degree: int | None = None,
 ) -> Classification:
     """Iterate Q_k = Phi^k(I) and certify purity / c.n.c. where possible.
 
@@ -231,8 +235,7 @@ def classify(
     is still undetermined there, come from one ``eigvalsh`` of Q_1.
 
     With a truncation ``degree`` d the iterate Q_(d+1) = Phi^(d+1)(I), the
-    truncation tail, is kept as ``tail`` for the Poisson kernel, and d as
-    ``degree``, which the kernel checks against its own; when the
+    truncation tail, is kept as ``tail`` for the Poisson kernel; when the
     verdicts settle before step d + 1 the iteration continues to it, and
     those steps count in neither ``iterations`` nor ``q_limit``.  Every
     iterate is hermitized, as in :func:`phi_power`, so ``tail`` is bit for
@@ -274,9 +277,7 @@ def classify(
         tail = q
         for _ in range(iterations, degree + 1):
             tail = hermitize(phi_step(mats, tail))
-    return Classification(
-        pure=pure, cnc=cnc, q_limit=q, iterations=iterations, rho=rho, tail=tail, degree=degree
-    )
+    return Classification(pure=pure, cnc=cnc, q_limit=q, iterations=iterations, rho=rho, tail=tail)
 
 
 def _diagonal_reaches(a: np.ndarray, threshold: float) -> bool:

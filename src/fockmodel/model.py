@@ -138,8 +138,8 @@ class ModelData:
         return self.theta.tail_bound
 
     @property
-    def classification(self) -> Classification | None:
-        """The classification of the function's kernel, None when it was built without one."""
+    def classification(self) -> Classification:
+        """The classification of the function's kernel."""
         return self.theta.kernel.classification
 
     @property
@@ -220,8 +220,7 @@ class ModelData:
             agreement = [
                 float(opnorm(omega @ tp @ adj(omega) - tg)) for tp, tg in zip(pure, general)
             ]
-        cls = self.classification
-        certified_pure = cls is not None and cls.pure is TriState.YES
+        certified_pure = self.classification.pure is TriState.YES
         used = "pure" if pure is not None and certified_pure else "general"
         return ModelOperators(
             general=general,
@@ -316,11 +315,10 @@ def build_model(theta: CharFn) -> ModelData:
     (:attr:`poisson.KernelMatrix.classification`) picks the operator branch.
     Refuses tuples it certifies not completely noncoisometric: the model
     space then misses part of the original space and nothing downstream
-    would be meaningful.  (UNDETERMINED, or no classification, is allowed
-    through; residuals will tell.)
+    would be meaningful.  (UNDETERMINED is allowed through; residuals will
+    tell.)
     """
-    classification = theta.kernel.classification
-    if classification is not None and classification.cnc is TriState.NO:
+    if theta.kernel.classification.cnc is TriState.NO:
         raise ValueError(
             "the tuple has a norm-preserved vector (not completely noncoisometric); "
             "it admits no model of this kind"

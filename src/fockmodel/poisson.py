@@ -21,9 +21,10 @@ degree cap forgets.  That tail, |Phi_T^(d+1)(I)|, is computed alongside
 the kernel and carried on the result; downstream comparisons consume it
 instead of a global fudge tolerance.  The tail is the (d+1)-st iterate of the
 iteration Phi^k(I) that certifies purity and c.n.c.
-(:func:`contractions.classify`), so the kernel is also the one holder of the
-tuple's classification: given one, it keeps it and reads the tail off it, and
-every later stage reads the classification from the kernel.
+(:func:`contractions.classify`), so the kernel classifies its tuple itself,
+at its own degree, and reads the tail off that classification.  It is the
+one maker and the one holder of the tuple's classification: every later
+stage reads it from the kernel.
 
 When T satisfies a family of polynomial relations, the kernel's range avoids
 the relation span M (x) defect entirely -- again exactly at truncation -- so
@@ -66,9 +67,10 @@ from functools import cached_property
 import numpy as np
 
 from .contractions import (
+    _CLASSIFY_TOL,
     as_matrices,
+    classify,
     defects,
-    phi_power,
     require_relations,
     Classification,
     DefectData,
@@ -84,9 +86,10 @@ class KernelMatrix:
 
     ``blocks`` holds the uncompressed blocks of :func:`kernel_blocks`, which
     the characteristic function reads; on the zero family ``matrix`` is the
-    same array, reshaped.  ``classification`` is the one the kernel was built
-    with, or None; the later stages read it here.  :attr:`checks` pairs each
-    residual measured on the kernel with its tolerance.
+    same array, reshaped.  ``classification`` is the tuple's, made by the
+    builder at the space's degree; the later stages read it here.
+    :attr:`checks` pairs each residual measured on the kernel with its
+    tolerance.
     """
 
     matrix: np.ndarray
@@ -94,10 +97,14 @@ class KernelMatrix:
     mats: list[np.ndarray]
     sub: ConstrainedSubspace
     defect: DefectData
-    tail: np.ndarray                # Phi_T^(d+1)(I), exact
+    classification: Classification
     tail_bound: float               # |tail|
     subspace_leak: float
-    classification: Classification | None = None
+
+    @property
+    def tail(self) -> np.ndarray:
+        """Phi_T^(d+1)(I), exact: the iterate the classification kept."""
+        return self.classification.tail
 
     @property
     def space(self) -> TruncatedFockSpace:
@@ -175,11 +182,8 @@ def kernel_blocks(
 
 
 def constrained_poisson_kernel(
-    ts,
-    sub: ConstrainedSubspace,
-    *,
-    relation_residual: float | None = None,
-    classification: Classification | None = None,
+    ts, sub: ConstrainedSubspace, *, relation_residual: float | None = None,
+    tol: float = _CLASSIFY_TOL,
 ) -> KernelMatrix:
     """Poisson kernel compressed to the constrained rows N (x) defect.
 
@@ -189,24 +193,19 @@ def constrained_poisson_kernel(
     can leak, and this is the free kernel.  Refuses tuples that do not
     satisfy the relations (residual above 1e-10): the compression is only
     meaningful -- and only lossless -- for tuples in the constrained class.
-    The norm of the discarded M-component, |((I - N N*) (x) I) K| with K
-    the uncompressed kernel (:meth:`ideals.ConstrainedSubspace.leak`, 0.0 on
-    the whole space), is returned on the result as ``subspace_leak``.
-    ``relation_residual`` (the constraint_residual under ``sub.spec``) and
-    ``classification`` (:func:`contractions.classify` of the tuple) reuse
-    what the caller already has of the tuple.  The classification is kept
-    on the kernel, and its ``tail`` is the kernel's when classify was given
-    the degree; without one, or without a degree, the tail Phi^(d+1)(I) is
-    computed by :func:`contractions.phi_power`.  A classification made at
-    another degree than the space's d carries another tail and is refused
-    with ValueError.
+    ``relation_residual`` (the constraint_residual under ``sub.spec``) reuses
+    what the caller already has of the tuple.  The tuple is then classified
+    at the space's degree d with tolerance ``tol``
+    (:func:`contractions.classify`); the classification is kept on the
+    kernel, and its ``tail`` Phi^(d+1)(I) is the kernel's.  The norm of the
+    discarded M-component, |((I - N N*) (x) I) K| with K the uncompressed
+    kernel (:meth:`ideals.ConstrainedSubspace.leak`, 0.0 on the whole
+    space), is returned on the result as ``subspace_leak``.
     """
     mats = as_matrices(ts)
     m = mats[0].shape[0]
-    made_at = None if classification is None else classification.degree
-    if made_at not in (None, sub.space.d):
-        raise ValueError(f"classification made at degree {made_at}, kernel at degree {sub.space.d}")
     require_relations(mats, sub.spec, residual=relation_residual)
+    classification = classify(mats, tol=tol, degree=sub.space.d)
     defect = defects(mats)
     blocks = kernel_blocks(mats, sub.space, defect)
     compressed = sub.compress(blocks.reshape(-1, m), defect.d_T)
@@ -216,15 +215,13 @@ def constrained_poisson_kernel(
             f"kernel leaks {leak_norm:.3e} outside the constrained subspace; "
             "the tuple and the relation family are inconsistent"
         )
-    tail = phi_power(mats, sub.space.d + 1) if made_at is None else classification.tail
     return KernelMatrix(
         matrix=compressed.reshape(sub.dim_N * defect.d_T, m),
         blocks=blocks,
         mats=mats,
         sub=sub,
         defect=defect,
-        tail=tail,
-        tail_bound=hermitian_norm(tail),
-        subspace_leak=leak_norm,
         classification=classification,
+        tail_bound=hermitian_norm(classification.tail),
+        subspace_leak=leak_norm,
     )

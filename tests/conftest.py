@@ -224,10 +224,9 @@ def subspace_factory(space_factory):
     return make
 
 
-def theta_of(mats, sub, classification=None):
-    """Theta of a tuple on ``sub``, built from its constrained kernel, which keeps ``classification``."""
-    kernel = constrained_poisson_kernel(mats, sub, classification=classification)
-    return constrained_characteristic_function(kernel)
+def theta_of(mats, sub):
+    """Theta of a tuple on ``sub``, built from its constrained kernel, which classifies the tuple."""
+    return constrained_characteristic_function(constrained_poisson_kernel(mats, sub))
 
 
 def synthetic_theta(matrix, tail=0.0):

@@ -31,7 +31,6 @@ from fockmodel import (
     TriState,
     TruncatedFockSpace,
     build_model,
-    classify,
     coincidence_from_unitary,
     coincidence_necessary_mismatch,
     constrained_characteristic_function,
@@ -124,17 +123,9 @@ def pipeline(i):
         entries, subs = corpus()
         family, mats = entries[i]
         sub = subs[family]
-        kernel = constrained_poisson_kernel(mats, sub, classification=classification(i))
+        kernel = constrained_poisson_kernel(mats, sub)
         theta = constrained_characteristic_function(kernel)
         cache[i] = (family, mats, sub, theta, kernel)
-    return cache[i]
-
-
-def classification(i):
-    cache = _STATE.setdefault("cls", {})
-    if i not in cache:
-        entries, _ = corpus()
-        cache[i] = classify(entries[i][1])
     return cache[i]
 
 
@@ -312,12 +303,12 @@ def test_criterion_6_inner_iff_pure():
     corpus()
     exceptions = []
     for i in range(50):
-        _, _, _, theta, _ = pipeline(i)
+        _, _, _, theta, kernel = pipeline(i)
         residual = delta_and_classify(theta).partial_isometry_residual
-        is_pure = classification(i).pure is TriState.YES
+        is_pure = kernel.classification.pure is TriState.YES
         if (residual < 1e-8) != is_pure:
             exceptions.append((i, residual, is_pure))
-    all_pure = all(classification(i).pure is TriState.YES for i in range(50))
+    all_pure = all(pipeline(i)[4].classification.pure is TriState.YES for i in range(50))
     ok = not exceptions and all_pure
     _report(
         6,

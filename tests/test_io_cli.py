@@ -542,11 +542,10 @@ def test_equivalent_is_the_conjunction_of_the_equiv_checks(equiv_files, monkeypa
 
 def _stages(problem, sub=None):
     """Classification, kernel, Theta and model of a problem, built by the library's stages."""
-    cls = classify(problem.mats, degree=problem.degree)
     sub = sub or ideal_subspace(problem.ideal, TruncatedFockSpace(problem.n, problem.degree))
-    kernel = constrained_poisson_kernel(problem.mats, sub, classification=cls)
+    kernel = constrained_poisson_kernel(problem.mats, sub)
     theta = constrained_characteristic_function(kernel)
-    return cls, kernel, theta, build_model(theta)
+    return kernel.classification, kernel, theta, build_model(theta)
 
 
 @pytest.mark.parametrize("family", ORACLE_FAMILIES)
@@ -592,8 +591,6 @@ def test_reports_carry_the_checks_of_the_stage_objects(tmp_path, family):
     assert theta.sub.graded is graded or theta.sub.dim_M == 0
     assert jfa[0] == "J-fa-F"
     assert jfa[2] == (1e-9 if graded else 1e-9 + 10 * theta.tail_bound)
-    unclassified = constrained_characteristic_function(constrained_poisson_kernel(kernel.mats, theta.sub))
-    assert unclassified.checks[0][2] == 1e-9 + 10 * theta.tail_bound
 
 
 def test_cli_equiv_certifies_a_pair_with_a_large_tail(tmp_path):
@@ -614,9 +611,9 @@ def test_cli_equiv_certifies_a_pair_with_a_large_tail(tmp_path):
 def test_each_problem_forms_its_tail_and_relation_residual_once(
     equiv_files, monkeypatch, command
 ):
-    # classify iterates Phi up to Phi^(d+1)(I) and the run hands it to the
-    # kernel, Theta reads it from the kernel, and the run passes the gate's
-    # relation residual down to the kernel, so each problem forms them once
+    # the kernel's classify iterates Phi up to Phi^(d+1)(I), Theta reads it
+    # from the kernel, and the run passes the gate's relation residual down
+    # to the kernel, so each problem forms them once
     import fockmodel.cli
     import fockmodel.contractions
     import fockmodel.poisson
@@ -626,7 +623,7 @@ def test_each_problem_forms_its_tail_and_relation_residual_once(
     phi_power, constraint_residual, classify = (
         fockmodel.contractions.phi_power,
         fockmodel.contractions.constraint_residual,
-        fockmodel.cli.classify,
+        fockmodel.poisson.classify,
     )
 
     def counted_phi_power(ts, k):
@@ -646,7 +643,7 @@ def test_each_problem_forms_its_tail_and_relation_residual_once(
             monkeypatch.setattr(module, "phi_power", counted_phi_power)
         if hasattr(module, "constraint_residual"):
             monkeypatch.setattr(module, "constraint_residual", counted_residual)
-    monkeypatch.setattr(fockmodel.cli, "classify", counted_classify)
+    monkeypatch.setattr(fockmodel.poisson, "classify", counted_classify)
     argv = ["model", "--problem", pa]
     if command == "equiv":
         argv = ["equiv", "--problem", pa, "--problem-b", pb, "--unitary", uf]
@@ -698,8 +695,8 @@ def test_each_problem_builds_its_kernel_once_and_theta_from_it(equiv_files, monk
 
 def test_a_charfn_command_decomposes_the_tail_once(tmp_path, monkeypatch):
     # Theta's tail bound and the kernel's read one norm of Phi^(d+1)(I),
-    # which classify formed and the kernel did not form again
-    import fockmodel.cli
+    # which the kernel's classify formed and nothing formed again
+    import fockmodel.contractions
     import fockmodel.poisson
 
     mats = random_row_contraction(np.random.default_rng(12), 2, 3, 0.7)
@@ -707,7 +704,7 @@ def test_a_charfn_command_decomposes_the_tail_once(tmp_path, monkeypatch):
         tmp_path / "p.json", n=2, m=3, degree=4, mats=mats, ideal={"kind": "zero"}
     )
     tails, decomposed = [], []
-    classify, phi_power = fockmodel.cli.classify, fockmodel.poisson.phi_power
+    classify, phi_power = fockmodel.poisson.classify, fockmodel.contractions.phi_power
 
     def kept_classify(ts, **kwargs):
         cls = classify(ts, **kwargs)
@@ -718,8 +715,8 @@ def test_a_charfn_command_decomposes_the_tail_once(tmp_path, monkeypatch):
         tails.append(phi_power(ts, k))
         return tails[-1]
 
-    monkeypatch.setattr(fockmodel.cli, "classify", kept_classify)
-    monkeypatch.setattr(fockmodel.poisson, "phi_power", kept_phi_power)
+    monkeypatch.setattr(fockmodel.poisson, "classify", kept_classify)
+    monkeypatch.setattr(fockmodel.contractions, "phi_power", kept_phi_power)
     for name in ("svd", "eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
@@ -1334,6 +1331,26 @@ def test_cli_rejects_tolerances_outside_the_unit_interval(tmp_path, capsys, opti
     assert exc.value.code == 2
     assert f"argument {option}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "charfn", "model"])
+def test_tol_reaches_the_classification(tmp_path, command):
+    # T = 0.8 J, J the 3 x 3 Jordan block: |Phi(I)| = 0.64, |Phi^2(I)| = 0.4096
+    # and Phi^3(I) = 0, so at the default tolerance purity is certified at
+    # step 3 and at 0.5 both verdicts are certified at step 2
+    mats = [0.8 * np.eye(3, k=1)]
+    prob = write_problem(
+        tmp_path / "p.json", n=1, m=3, degree=3, mats=mats, ideal={"kind": "commutative"}
+    )
+    out = tmp_path / "r.json"
+    iterations = []
+    for tol, extra in ((1e-9, []), (0.5, ["--tol", "0.5"])):
+        assert run_cli([command, "--problem", prob, "--out", str(out), *extra]) == 0
+        cls = classify(mats, tol=tol, degree=3)
+        expected = {"pure": cls.pure, "cnc": cls.cnc, "rho": cls.rho, "iterations": cls.iterations}
+        assert read(out)["classification"] == encode_value(expected)
+        iterations.append(cls.iterations)
+    assert iterations == [3, 2]
 
 
 def test_cli_unexpected_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys):

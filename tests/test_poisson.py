@@ -157,48 +157,31 @@ def test_the_streamed_leak_is_the_dense_part_off_n(family, monkeypatch):
 
 @pytest.mark.parametrize("family", ORACLE_FAMILIES)
 def test_a_kernel_without_a_given_tail_has_classify_s_tail(family):
-    # phi_power hermitizes every iterate as classify does, so the tail a
-    # kernel computes for itself is bit for bit the one classify hands it
+    # the kernel classifies its tuple at its own degree, so its tail is the
+    # iterate classify keeps and its tail bound is truncation_tail's
     for n, d in ORACLE_SIZES:
         sub = ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d))
         mats = oracle_tuple(family, n, np.random.default_rng([n, d]))
-        own = constrained_poisson_kernel(mats, sub)
-        given = constrained_poisson_kernel(mats, sub, classification=classify(mats, degree=d))
-        assert np.array_equal(own.tail, given.tail)
-        assert own.tail_bound == given.tail_bound == truncation_tail(mats, d)
+        kernel = constrained_poisson_kernel(mats, sub)
+        assert np.array_equal(kernel.tail, classify(mats, degree=d).tail)
+        assert kernel.tail_bound == truncation_tail(mats, d)
 
 
 @pytest.mark.parametrize("family", ORACLE_FAMILIES)
 def test_the_kernel_keeps_its_classification_and_reads_the_tail_off_it(family):
-    # a classification made with the degree carries Phi^(d+1)(I), which the
-    # kernel takes as its own tail; one made without it carries none, and the
-    # kernel forms the tail by phi_power, bit for bit the same
+    # the kernel's classification is classify's at the space's degree, field
+    # by field, and its tail is Phi^(d+1)(I) bit for bit as phi_power forms it
     for n, d in ORACLE_SIZES:
         sub = ideal_subspace(oracle_family(family, n, d), TruncatedFockSpace(n, d))
         mats = oracle_tuple(family, n, np.random.default_rng([n, d]))
-        cls, bare = classify(mats, degree=d), classify(mats)
-        kernel = constrained_poisson_kernel(mats, sub, classification=cls)
-        assert kernel.classification is cls and kernel.tail is cls.tail
-        assert bare.tail is None
-        unformed = constrained_poisson_kernel(mats, sub, classification=bare)
-        assert unformed.classification is bare
-        assert unformed.tail.tobytes() == phi_power(mats, d + 1).tobytes() == cls.tail.tobytes()
-        assert constrained_poisson_kernel(mats, sub).classification is None
-
-
-def test_the_kernel_refuses_a_classification_from_another_degree():
-    # classify(mats, degree=3) carries Phi^4(I): at zero (2, 6) its norm reads
-    # 0.0503 against the true tail 0.00306, a K*K tolerance 16x too loose;
-    # the kernel names both degrees instead, and takes the matching one
-    mats = random_row_contraction(np.random.default_rng(0), 2, 3, 0.9)
-    sub = ideal_subspace(PolyIdealSpec(n=2), TruncatedFockSpace(2, 6))
-    wrong = classify(mats, degree=3)
-    assert wrong.degree == 3 and classify(mats).degree is None
-    assert truncation_tail(mats, 3) > 16 * truncation_tail(mats, 6)
-    with pytest.raises(ValueError, match="made at degree 3, kernel at degree 6"):
-        constrained_poisson_kernel(mats, sub, classification=wrong)
-    kernel = constrained_poisson_kernel(mats, sub, classification=classify(mats, degree=6))
-    assert kernel.tail_bound == truncation_tail(mats, 6)
+        kernel = constrained_poisson_kernel(mats, sub)
+        cls, expected = kernel.classification, classify(mats, degree=d)
+        assert (cls.pure, cls.cnc, cls.iterations, cls.rho) == (
+            expected.pure, expected.cnc, expected.iterations, expected.rho
+        )
+        assert cls.q_limit.tobytes() == expected.q_limit.tobytes()
+        assert kernel.tail is cls.tail
+        assert cls.tail.tobytes() == expected.tail.tobytes() == phi_power(mats, d + 1).tobytes()
 
 
 def test_constrained_kernel_rejects_relation_violators(comm_sub_d4):
